@@ -384,10 +384,11 @@ class JiaJiaSystem(GlobalMemorySystem):
                 del assumed[page]
                 streak[page] = self.ASSUME_STREAK - 1  # one fault re-enters
                 pt.set_state(page, PageState.READ_ONLY)
+        twins = self._twins[rank]
+        buf_region = buf = None  # dirty pages cluster by region
         for page, region in dirty.items():
             notices.append(WriteNotice(page=page, writer=rank))
             home = yield from self.home_of_g(page, rank)
-            off, length = region.page_extent(page)
             if home == rank:
                 streak[page] = streak.get(page, 0) + 1
                 if streak[page] >= self.ASSUME_STREAK:
@@ -398,8 +399,10 @@ class JiaJiaSystem(GlobalMemorySystem):
                     # Re-protect so the next interval's write is detected.
                     pt.set_state(page, PageState.READ_ONLY)
                 continue
-            twin = self._twins[rank].pop(page)
-            buf = self._buffer(rank, region)
+            twin = twins.pop(page)
+            if region is not buf_region:
+                buf_region, buf = region, self._buffer(rank, region)
+            off, length = region.page_extent(page)
             yield from node.cpu_time_g(self.params.diff_fixed_cost)
             yield from node.mem_touch_g(2 * length)
             diff = make_diff(page, twin, buf[off:off + length])
@@ -427,13 +430,18 @@ class JiaJiaSystem(GlobalMemorySystem):
 
     def _h_putdiffs(self, msg):
         diffs: List[Diff] = msg.payload["diffs"]
-        node = None
+        # One message carries one home's diffs (_flush_dirty_g groups by
+        # home, and homes never migrate), clustered by region.
+        home = self._home[diffs[0].page]
+        node = self.cluster.node(self.node_of(home))
+        page_size = self.space.page_size
+        region = buf = None
         for diff in diffs:
-            home = self._home[diff.page]
-            region = self.space.region_at(diff.page * self.space.page_size)
+            gaddr = diff.page * page_size
+            if region is None or not region.contains(gaddr):
+                region = self.space.region_at(gaddr)
+                buf = self._buffer(home, region)
             off, length = region.page_extent(diff.page)
-            buf = self._buffer(home, region)
-            node = self.cluster.node(self.node_of(home))
             yield from node.cpu_time_g(self.params.diff_apply_fixed_cost)
             written = apply_diff(buf[off:off + length], diff)
             yield from node.mem_touch_g(2 * written)

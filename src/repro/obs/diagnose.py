@@ -121,9 +121,14 @@ def classify_sharing(ranges_by_rank: Dict[int, Sequence[Sequence[int]]]) -> str:
     if writers < 2:
         return "unknown"
     flat.sort()
-    for (lo_a, hi_a, rank_a), (lo_b, hi_b, rank_b) in zip(flat, flat[1:]):
-        if rank_a != rank_b and lo_b < hi_a:
+    # Sweep by ``lo`` keeping each rank's furthest ``hi`` so far: comparing
+    # only neighbours misses an interval nested inside an earlier, longer
+    # one of the same rank ({0: [[0, 3], [1, 2]], 1: [[2, 3]]}).
+    reach: Dict[int, int] = {}
+    for lo, hi, rank in flat:
+        if any(end > lo for other, end in reach.items() if other != rank):
             return "true"
+        reach[rank] = max(hi, reach.get(rank, hi))
     return "false"
 
 

@@ -6,19 +6,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsm.jiajia.diffs import (DIFF_HEADER_BYTES, RUN_HEADER_BYTES,
-                                    apply_diff, diff_wire_size, make_diff)
+                                    Diff, apply_diff, diff_wire_size,
+                                    make_diff)
 from repro.errors import MemoryError_
+
+PAGE = 4096
 
 
 def page(values):
     return np.array(values, dtype=np.uint8)
 
 
+def oracle_runs(twin, current):
+    """Reference encoder, one byte at a time: the ``(offset, bytes)`` runs
+    JiaJia puts on the wire. The codec under test never builds this list;
+    everything it reports must agree with it."""
+    runs = []
+    for i, (old, new) in enumerate(zip(twin.tolist(), current.tolist())):
+        if old == new:
+            continue
+        if runs and runs[-1][0] + len(runs[-1][1]) == i:
+            runs[-1][1].append(new)
+        else:
+            runs.append((i, [new]))
+    return runs
+
+
+def oracle_apply(target, runs):
+    out = target.copy()
+    for offset, data in runs:
+        for k, value in enumerate(data):
+            out[offset + k] = value
+    return out
+
+
+def assert_matches_oracle(twin, current, home):
+    """Encode ``twin -> current`` and apply it to ``home`` both ways."""
+    runs = oracle_runs(twin, current)
+    changed = sum(len(data) for _, data in runs)
+    d = make_diff(3, twin, current)
+    assert d.page == 3
+    assert d.n_runs == len(runs)
+    assert d.changed_bytes == changed
+    assert d.empty == (not runs)
+    assert d.index.tolist() == [off + k for off, data in runs
+                                for k in range(len(data))]
+    assert d.data.tolist() == [v for _, data in runs for v in data]
+    assert diff_wire_size(d) == (DIFF_HEADER_BYTES
+                                 + len(runs) * RUN_HEADER_BYTES + changed)
+    target = home.copy()
+    assert apply_diff(target, d) == changed
+    assert np.array_equal(target, oracle_apply(home, runs))
+    return d
+
+
 class TestMakeDiff:
     def test_identical_pages_produce_empty_diff(self):
         twin = page([1, 2, 3, 4])
         d = make_diff(7, twin, twin.copy())
-        assert d.empty and d.changed_bytes == 0
+        assert d.empty and d.changed_bytes == 0 and d.n_runs == 0
         assert d.page == 7
 
     def test_single_run(self):
@@ -26,9 +72,8 @@ class TestMakeDiff:
         cur = twin.copy()
         cur[2:5] = [9, 9, 9]
         d = make_diff(0, twin, cur)
-        assert len(d.runs) == 1
-        off, data = d.runs[0]
-        assert off == 2 and data.tolist() == [9, 9, 9]
+        assert d.n_runs == 1
+        assert d.index.tolist() == [2, 3, 4] and d.data.tolist() == [9, 9, 9]
 
     def test_multiple_runs(self):
         twin = page([0] * 10)
@@ -37,8 +82,9 @@ class TestMakeDiff:
         cur[5:7] = 2
         cur[9] = 3
         d = make_diff(0, twin, cur)
-        assert [(off, data.tolist()) for off, data in d.runs] == [
-            (0, [1]), (5, [2, 2]), (9, [3])]
+        assert d.n_runs == 3
+        assert d.index.tolist() == [0, 5, 6, 9]
+        assert d.data.tolist() == [1, 2, 2, 3]
         assert d.changed_bytes == 4
 
     def test_size_mismatch_rejected(self):
@@ -50,7 +96,43 @@ class TestMakeDiff:
         cur = page([5, 0, 0, 0])
         d = make_diff(0, twin, cur)
         cur[0] = 7
-        assert d.runs[0][1][0] == 5
+        assert d.data[0] == 5
+
+    def test_dense_float64_page_has_hundreds_of_runs(self):
+        """The SOR case the array form exists for: a stencil update of
+        random float64 data changes the low mantissa bytes of every word
+        and leaves most exponent bytes alone."""
+        rng = np.random.default_rng(12)
+        old = rng.random(PAGE // 8)
+        new = old.copy()
+        new[1:-1] = 0.25 * (old[:-2] + old[2:]) + 0.5 * old[1:-1]
+        d = assert_matches_oracle(old.view(np.uint8), new.view(np.uint8),
+                                  old.view(np.uint8))
+        assert d.n_runs >= 200
+
+    def test_runs_touching_first_and_last_byte(self):
+        twin = page([0] * 16)
+        cur = twin.copy()
+        cur[0] = 1
+        cur[15] = 2
+        d = assert_matches_oracle(twin, cur, twin)
+        assert d.n_runs == 2 and d.index.tolist() == [0, 15]
+
+    def test_fully_changed_page_is_one_run(self):
+        twin = np.zeros(PAGE, dtype=np.uint8)
+        cur = np.full(PAGE, 255, dtype=np.uint8)
+        d = assert_matches_oracle(twin, cur, twin)
+        assert d.n_runs == 1 and d.changed_bytes == PAGE
+        assert diff_wire_size(d) == DIFF_HEADER_BYTES + RUN_HEADER_BYTES + PAGE
+
+    def test_index_is_compact(self):
+        """Two bytes per offset on a 4 KiB page: an in-flight diff is no
+        larger than the run list it replaced."""
+        twin = np.zeros(PAGE, dtype=np.uint8)
+        cur = twin.copy()
+        cur[PAGE - 1] = 1
+        d = make_diff(0, twin, cur)
+        assert d.index.dtype == np.uint16 and d.index.tolist() == [PAGE - 1]
 
 
 class TestApplyDiff:
@@ -69,6 +151,39 @@ class TestApplyDiff:
         d = make_diff(0, page([0, 0]), page([0, 1]))
         with pytest.raises(MemoryError_):
             apply_diff(page([0]), d)
+
+    def test_rejected_diff_leaves_target_untouched(self):
+        """Two runs fit and the third does not: nothing is written."""
+        twin = page([0] * 12)
+        cur = twin.copy()
+        cur[0:2] = 7
+        cur[4] = 8
+        cur[10:12] = 9
+        d = make_diff(0, twin, cur)
+        assert d.n_runs == 3
+        home = page([1] * 8)
+        with pytest.raises(MemoryError_):
+            apply_diff(home, d)
+        assert home.tolist() == [1] * 8
+        # one byte past the end is out of range too
+        edge = Diff(0, np.array([0, 8], dtype=np.uint16), page([5, 5]), 2)
+        with pytest.raises(MemoryError_):
+            apply_diff(home, edge)
+        assert home.tolist() == [1] * 8
+
+    def test_reapplying_a_diff_is_idempotent(self):
+        """Chaos can deliver one ``putdiffs`` twice; the second application
+        writes the same bytes and reports the same count."""
+        twin = page(range(32))
+        cur = twin.copy()
+        cur[1:4] = 0
+        cur[30] = 0
+        d = make_diff(0, twin, cur)
+        home = twin.copy()
+        first = apply_diff(home, d)
+        once = home.copy()
+        assert apply_diff(home, d) == first
+        assert np.array_equal(home, once) and np.array_equal(home, cur)
 
     def test_disjoint_diffs_merge_at_home(self):
         """The multiple-writer property: two writers of disjoint parts of
@@ -116,7 +231,20 @@ class TestDiffProperty:
         target = twin_arr.copy()
         apply_diff(target, d)
         assert np.array_equal(target, cur)
-        # Wire size is consistent with the runs.
-        assert diff_wire_size(d) == (DIFF_HEADER_BYTES
-                                     + len(d.runs) * RUN_HEADER_BYTES
-                                     + d.changed_bytes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(),
+           twin=st.lists(st.integers(0, 255), min_size=1, max_size=300),
+           spans=st.lists(st.tuples(st.integers(0, 299), st.integers(1, 24),
+                                    st.integers(0, 255)), max_size=12))
+    def test_matches_per_byte_oracle(self, data, twin, spans):
+        """Run count, changed bytes, wire size and the applied page agree
+        with the naive encoder, also on a home page that other writers have
+        already changed."""
+        twin_arr = page(twin)
+        cur = twin_arr.copy()
+        for start, length, val in spans:
+            cur[start % len(cur):start % len(cur) + length] = val
+        home = page(data.draw(st.lists(st.integers(0, 255),
+                                       min_size=len(twin), max_size=len(twin))))
+        assert_matches_oracle(twin_arr, cur, home)

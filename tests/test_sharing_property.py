@@ -103,6 +103,13 @@ class TestDetectorSoundness:
         tight = set(ping_pong_pages(events, min_alternations=thresh + 1))
         assert tight <= loose
 
+    def test_nested_interval_does_not_hide_overlap(self):
+        """The example that falsified the adjacent-pairs sweep: rank 0's
+        [1, 2) sorts between its own [0, 3) and rank 1's [2, 3), so no two
+        *neighbouring* intervals of different ranks overlap."""
+        assert classify_sharing({0: [[0, 3], [1, 2]], 1: [[2, 3]]}) == "true"
+        assert classify_sharing({0: [[0, 2], [1, 2]], 1: [[2, 3]]}) == "false"
+
     @given(ranges=RANGES_BY_RANK)
     def test_classification_matches_overlap_oracle(self, ranges):
         verdict = classify_sharing(ranges)
