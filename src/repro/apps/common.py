@@ -4,6 +4,12 @@ Applications are written against the JiaJia API *surface* (either binding),
 partition work by rank, charge their floating-point work explicitly on
 their node, and verify their shared-memory result against a sequential
 numpy reference computed from the same seeded input.
+
+The seeded input and the sequential reference are host-side facts about
+the run, not about a rank: :func:`once_per_run` builds each once per run (the
+first rank that asks pays) and hands every rank the same read-only arrays.
+Each rank still reads its own slice back through the DSM and compares it
+against its slice of that reference.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ import numpy as np
 from repro.errors import HamsterError
 
 __all__ = ["AppResult", "compute", "compute_g", "memtouch", "memtouch_g",
-           "row_block", "AppError", "APP_TABLE", "get_app",
-           "merge_rank_results"]
+           "row_block", "once_per_run", "reference_once_per_run", "AppError",
+           "APP_TABLE", "get_app", "merge_rank_results"]
 
 
 class AppError(HamsterError):
@@ -71,6 +77,41 @@ def row_block(n_rows: int, rank: int, n_ranks: int) -> Tuple[int, int]:
     lo = rank * per + min(rank, extra)
     hi = lo + per + (1 if rank < extra else 0)
     return lo, hi
+
+
+def _freeze(value):
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, np.ndarray):
+            item.flags.writeable = False
+    return value
+
+
+def once_per_run(api, key: tuple, make: Callable[[], Any]):
+    """The run-wide value of ``key``: ``make()`` is called by the first rank
+    that asks and every rank gets the same object back.
+
+    The values live on the :class:`~repro.core.hamster.Hamster` all ranks
+    of a run reach through their ``api``, so they die with the built
+    platform. ``key`` must carry everything the value depends on (app,
+    role, sizes, seed). Arrays (bare or in a tuple) come back read-only: a
+    rank that writes into what it shares with its peers raises
+    ``ValueError`` instead of corrupting their input.
+    """
+    shared = api.hamster.once_per_run
+    if key not in shared:
+        shared[key] = _freeze(make())
+    return shared[key]
+
+
+def reference_once_per_run(api, key: tuple, make: Callable[[], np.ndarray]):
+    """``(reference, checksum)`` of the run, computed once (see
+    :func:`once_per_run`); the checksum ``sum(|reference|)`` is
+    partition-independent."""
+    def build():
+        reference = make()
+        return reference, float(np.abs(reference).sum())
+
+    return once_per_run(api, key, build)
 
 
 def merge_rank_results(results) -> AppResult:

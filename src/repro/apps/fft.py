@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g, row_block
+from repro.apps.common import (AppResult, compute_g, once_per_run,
+                               reference_once_per_run, row_block)
 from repro.memory.layout import block
 
 __all__ = ["run_fft"]
@@ -40,6 +41,19 @@ def _fft_flops(rows: int, length: int) -> float:
     return 5.0 * rows * length * max(1.0, np.log2(length))
 
 
+def _inputs(n1: int, n2: int, seed: int):
+    """The seeded signal and its n1 x n2 grid view. The row-first four-step
+    variant wants the signal laid out column-major on the grid:
+    ``grid[a, b] = signal[b*n1 + a]``."""
+    rng = np.random.default_rng(seed)
+    signal = rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
+    return signal, signal.reshape(n2, n1).T.copy()
+
+
+def _reference(signal: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    return np.fft.fft(signal).reshape(n1, n2).T  # transposed layout
+
+
 def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
             verify: bool = True) -> AppResult:
     """Run the benchmark on the calling rank (N = n1*n2 points)."""
@@ -51,11 +65,8 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
                                          distribution=block())
     B = yield from api.jia_alloc_array_g((n2, n1, 2), np.float64, name="fft.B",
                                          distribution=block())
-    rng = np.random.default_rng(seed)
-    signal = rng.standard_normal(n1 * n2) + 1j * rng.standard_normal(n1 * n2)
-    # The row-first four-step variant wants the signal laid out column-major
-    # on the n1 x n2 grid: grid[a, b] = signal[b*n1 + a].
-    grid = signal.reshape(n2, n1).T.copy()
+    signal, grid = once_per_run(api, ("fft", "input", n1, n2, seed),
+                                lambda: _inputs(n1, n2, seed))
     lo, hi = row_block(n1, rank, n_ranks)
     yield from A.set_g((slice(lo, hi), slice(None), slice(None)),
                        _to_pairs(grid[lo:hi, :]))
@@ -106,12 +117,13 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
     verified = True
     checksum = 0.0
     if verify:
-        reference = np.fft.fft(signal).reshape(n1, n2).T  # transposed layout
+        ref, checksum = reference_once_per_run(
+            api, ("fft", "reference", n1, n2, seed),
+            lambda: _reference(signal, n1, n2))
         mine = _to_complex(
             (yield from B.get_g((slice(t_lo, t_hi), slice(None), slice(None)))))
-        verified = bool(np.allclose(mine, reference[t_lo:t_hi, :],
+        verified = bool(np.allclose(mine, ref[t_lo:t_hi, :],
                                     atol=1e-6 * n1 * n2))
-        checksum = float(np.abs(reference).sum())
     yield from api.jia_exit_g()
 
     return AppResult(app="fft", rank=rank,

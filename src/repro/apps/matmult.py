@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g, memtouch_g, row_block
+from repro.apps.common import (AppResult, compute_g, memtouch_g,
+                               once_per_run, reference_once_per_run,
+                               row_block)
 from repro.memory.layout import block, cyclic
 
 __all__ = ["run_matmult"]
@@ -25,6 +27,15 @@ __all__ = ["run_matmult"]
 #: extra DRAM bytes per flop from cache-missed re-reads of B (calibrated to
 #: era hardware: naive DGEMM re-reads one 8-byte operand every ~2 flops).
 MEM_REUSE_BYTES_PER_FLOP = 2.0
+
+
+def _inputs(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)), rng.standard_normal((n, n))
+
+
+def _reference(a_full: np.ndarray, b_full: np.ndarray) -> np.ndarray:
+    return a_full @ b_full
 
 
 def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppResult:
@@ -39,9 +50,8 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
     C = yield from api.jia_alloc_array_g((n, n), np.float64, name="mm.C",
                                          distribution=block())
 
-    rng = np.random.default_rng(seed)
-    a_full = rng.standard_normal((n, n))
-    b_full = rng.standard_normal((n, n))
+    a_full, b_full = once_per_run(api, ("matmult", "input", n, seed),
+                                  lambda: _inputs(n, seed))
     lo, hi = row_block(n, rank, n_ranks)
 
     # ------------------------------------------------------------- init
@@ -67,10 +77,11 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
     verified = True
     checksum = 0.0
     if verify:
+        ref, checksum = reference_once_per_run(
+            api, ("matmult", "reference", n, seed),
+            lambda: _reference(a_full, b_full))
         mine = yield from C.get_g((slice(lo, hi), slice(None)))
-        reference = a_full[lo:hi, :] @ b_full
-        verified = bool(np.allclose(mine, reference, atol=1e-8))
-        checksum = float(np.abs(a_full @ b_full).sum())  # partition-independent
+        verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-8))
     yield from api.jia_exit_g()
 
     return AppResult(app="matmult", rank=rank,

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g, row_block
+from repro.apps.common import (AppResult, compute_g, once_per_run,
+                               reference_once_per_run, row_block)
 from repro.memory.layout import block, cyclic
 
 __all__ = ["run_sor"]
@@ -30,20 +31,28 @@ def _sweep(grid: np.ndarray, phase: int, lo: int, hi: int, n: int) -> None:
 
     ``grid`` must carry one halo row above and below the range; rows are
     grid-global indices (1-based interior).
+
+    A half-sweep writes one colour and reads only the other, so the rows
+    need no ordering: the rows whose first point is column 1 and those
+    whose first point is column 2 are each one strided assignment. The
+    per-point expression is associated as it always was, so the result is
+    bit-identical to sweeping row by row.
     """
-    for i in range(lo, hi):
-        j0 = 1 + ((i + phase) % 2)
-        row = grid[i - lo + 1]
-        up = grid[i - lo]
-        down = grid[i - lo + 2]
-        js = np.arange(j0, n - 1, 2)
-        row[js] = (1 - OMEGA) * row[js] + OMEGA * 0.25 * (
-            up[js] + down[js] + row[js - 1] + row[js + 1])
+    rows = hi - lo
+    for j0 in (1, 2):
+        # local index of the first own row whose colour starts at column j0
+        r = 1 + ((lo + phase + j0 - 1) % 2)
+        own, cols = slice(r, rows + 1, 2), slice(j0, n - 1, 2)
+        grid[own, cols] = (1 - OMEGA) * grid[own, cols] + OMEGA * 0.25 * (
+            grid[r - 1:rows:2, cols] + grid[r + 1:rows + 2:2, cols]  # up, down
+            + grid[own, j0 - 1:n - 2:2] + grid[own, j0 + 1:n:2])  # left, right
 
 
 def _reference(initial: np.ndarray, iterations: int) -> np.ndarray:
-    """Sequential red-black SOR, structured identically to the parallel
-    sweep so results match bit-for-bit."""
+    """Sequential red-black SOR on a copy of ``initial``: the same
+    :func:`_sweep` the ranks run, over the whole interior at once. A
+    point's update reads only the other colour, so how the rows are
+    partitioned cannot change a single bit of the result."""
     grid = initial.copy()
     n = grid.shape[0]
     for _ in range(iterations):
@@ -60,8 +69,9 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     t0 = yield from api.jia_wtime_g()
     G = yield from api.jia_alloc_array_g((n, n), np.float64, name="sor.grid",
                                          distribution=dist)
-    rng = np.random.default_rng(seed)
-    initial = rng.random((n, n))
+    initial = once_per_run(
+        api, ("sor", "input", n, seed),
+        lambda: np.random.default_rng(seed).random((n, n)))
     lo, hi = row_block(n - 2, rank, n_ranks)
     lo, hi = lo + 1, hi + 1  # interior rows only
     yield from G.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
@@ -86,10 +96,11 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     verified = True
     checksum = 0.0
     if verify:
+        ref, checksum = reference_once_per_run(
+            api, ("sor", "reference", n, seed, iterations),
+            lambda: _reference(initial, iterations))
         mine = yield from G.get_g((slice(lo, hi), slice(None)))
-        ref = _reference(initial, iterations)
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-10))
-        checksum = float(np.abs(ref).sum())  # partition-independent
     yield from api.jia_exit_g()
 
     name = "sor_opt" if locality else "sor"

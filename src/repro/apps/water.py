@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g, row_block
+from repro.apps.common import (AppResult, compute_g, once_per_run,
+                               reference_once_per_run, row_block)
 from repro.memory.layout import block
 
 __all__ = ["run_water"]
@@ -57,8 +58,9 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
                                          distribution=block())
     F = yield from api.jia_alloc_array_g((n, 3), np.float64, name="water.frc",
                                          distribution=block())
-    rng = np.random.default_rng(seed)
-    initial = rng.random((n, 3)) * 10.0
+    initial = once_per_run(
+        api, ("water", "input", n, seed),
+        lambda: np.random.default_rng(seed).random((n, 3)) * 10.0)
     lo, hi = row_block(n, rank, n_ranks)
     yield from X.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
     if rank == 0:
@@ -102,10 +104,11 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     verified = True
     checksum = 0.0
     if verify:
-        ref = _reference(initial, steps)
+        ref, checksum = reference_once_per_run(
+            api, ("water", "reference", n, seed, steps),
+            lambda: _reference(initial, steps))
         mine = yield from X.get_g((slice(lo, hi), slice(None)))
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-8))
-        checksum = float(np.abs(ref).sum())
     yield from api.jia_exit_g()
 
     return AppResult(app=f"water{n}", rank=rank,

@@ -37,6 +37,9 @@ class Hamster:
         self.call_overhead = (call_overhead if call_overhead is not None
                               else self.params.hamster_call_overhead)
         self.monitoring = MonitoringRegistry()
+        #: values every rank of a run shares host-side (seeded inputs,
+        #: sequential references; see :func:`repro.apps.common.once_per_run`)
+        self.once_per_run: dict = {}
         # The five modules (§4.2). Cluster Control first: it provides
         # services the other modules may use during their own setup.
         self.cluster_ctl = ClusterControl(self)

@@ -40,8 +40,8 @@ follow-up resume picks up exactly where the sweep stopped.
 Observability: with ``events`` set, every cell/worker lifecycle
 transition is appended to a structured event log
 (:mod:`repro.fabric.events`) as it happens, and workers report in-cell
-progress heartbeats (engine events executed, virtual seconds) over the
-result queue — so a live sweep can be watched (``sweep watch``), a slow
+progress heartbeats (engine events executed, virtual seconds) over
+their result pipes — so a live sweep can be watched (``sweep watch``), a slow
 cell can be told from a stuck one, and a timed-out cell's outcome
 records its progress-at-kill. Host-side timestamps stay in the event
 log and the manifest; they never enter ``canonical_record``, so the
@@ -55,6 +55,7 @@ consume fabric output directly.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import platform as _host_platform
 import queue as _queue
@@ -280,21 +281,52 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
     ctx = multiprocessing.get_context()
     n_workers = min(workers, len(jobs))
     job_q = ctx.Queue(maxsize=max(2, 2 * n_workers))  # bounded by design
-    result_q = ctx.Queue()
     procs: Dict[int, Any] = {}
+    # Results come back over one pipe per worker, not a shared queue: a
+    # queue's writers serialise on a cross-process lock, and a worker
+    # killed (timeout) or crashed while its feeder thread holds it
+    # silences every other worker for good. A private pipe needs no lock
+    # (one writer, synchronous sends) and dies with its worker.
+    results: Dict[int, Any] = {}   # worker pid -> read end of its pipe
+    inbox: deque = deque()         # messages received, not yet handled
     wids: Dict[int, int] = {}      # worker pid -> stable worker id
     next_wid = [0]
 
     def spawn(respawn: bool = False) -> None:
+        reader, writer = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=worker_main,
-                           args=(job_q, result_q, suite, heartbeat),
+                           args=(job_q, writer, suite, heartbeat),
                            daemon=True)
         proc.start()
+        writer.close()             # the worker holds the only write end
         procs[proc.pid] = proc
+        results[proc.pid] = reader
         wids[proc.pid] = next_wid[0]
         emit("worker-respawn" if respawn else "worker-spawn",
              worker=next_wid[0], data={"pid": proc.pid})
         next_wid[0] += 1
+
+    def retire(wpid: int) -> Any:
+        """Forget a dead or killed worker; what it had sent but the
+        scheduler had not yet read is dropped with its pipe (its job is
+        recovered as a crash or a lost job, never half-reported)."""
+        reader = results.pop(wpid, None)
+        if reader is not None:
+            reader.close()
+        return procs.pop(wpid, None)
+
+    def receive(wait: float) -> None:
+        """Move what the workers have sent (waiting up to ``wait`` host
+        seconds for something) into the inbox."""
+        ready = multiprocessing.connection.wait(list(results.values()), wait)
+        for wpid, reader in list(results.items()):
+            if reader in ready:
+                try:
+                    inbox.append(reader.recv())
+                except (EOFError, OSError):
+                    # Write end gone (possibly mid-message): the worker
+                    # is dead; the liveness check below recovers its job.
+                    results.pop(wpid).close()
 
     for _ in range(n_workers):
         spawn()
@@ -380,14 +412,14 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                     emit("dispatched", cell=job.index,
                          id=job.scenario.cell_id(), key=job.key,
                          data={"attempt": job.attempt})
-            try:
-                tag, idx, payload, pid = result_q.get(timeout=0.05)
-            except _queue.Empty:
-                tag = None
+            if not inbox:
+                receive(0.05)
+            tag, idx, payload, pid = (inbox.popleft() if inbox
+                                      else (None, None, None, None))
             now = time.monotonic()
             if tag is not None:
                 last_activity = now
-            if tag == "start":
+            if tag == "start" and pid in procs:
                 handed.discard(idx)
                 inflight[pid] = (jobs_by_index[idx], now)
                 emit("started", cell=idx,
@@ -437,7 +469,7 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                     job, t0 = inflight[wpid]
                     if now - t0 > timeout:
                         inflight.pop(wpid)
-                        proc = procs.pop(wpid, None)
+                        proc = retire(wpid)
                         prog = last_beat.get(job.index)
                         emit("worker-kill", worker=wids.get(wpid, -1),
                              cell=job.index, data={
@@ -457,7 +489,7 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                 proc = procs[wpid]
                 if proc.is_alive():
                     continue
-                procs.pop(wpid)
+                retire(wpid)
                 emit("worker-death", worker=wids.get(wpid, -1),
                      data={"pid": wpid, "exitcode": proc.exitcode})
                 entry = inflight.pop(wpid, None)
@@ -475,8 +507,11 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
             # After a quiet grace period with nothing running and nothing
             # queued, re-queue the unaccounted jobs (re-execution is
             # harmless: cells are deterministic and content-addressed).
+            # A job still on the job queue is not lost, only waiting for a
+            # worker slow to come up; charging it an attempt (and queueing
+            # it a second time) would fail a cell nothing happened to.
             if (outstanding and not inflight and not pending and not delayed
-                    and now - last_activity > stall_grace):
+                    and now - last_activity > stall_grace and job_q.empty()):
                 for idx in sorted(outstanding):
                     resolve_fail(jobs_by_index[idx], "crash",
                                  "worker died before reporting the job")
@@ -493,8 +528,9 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
             if proc.is_alive():
                 _kill(proc)
             emit("worker-exit", worker=wids.get(pid, -1), data={"pid": pid})
+        for reader in results.values():
+            reader.close()
         job_q.cancel_join_thread()
-        result_q.cancel_join_thread()
 
     return aborted[0]
 

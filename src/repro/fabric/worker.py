@@ -1,8 +1,8 @@
 """Worker protocol for the experiment fabric.
 
-A worker process runs :func:`worker_main` over two queues: it takes
-:class:`Job` objects off the (bounded) job queue and answers on the
-result queue with tagged tuples::
+A worker process runs :func:`worker_main` over two channels: it takes
+:class:`Job` objects off the (bounded, shared) job queue and answers on
+the write end of its own result pipe with tagged tuples::
 
     ("start", index, None,   pid)   # picked the job up (arms the timeout)
     ("beat",  index, prog,   pid)   # in-cell progress heartbeat
@@ -142,13 +142,15 @@ def _maybe_crash_for_test() -> None:
     faultpoints.maybe_crash(faultpoints.WORKER_CELL_START)
 
 
-def worker_main(job_q: Any, result_q: Any, suite: str = "sweep",
+def worker_main(job_q: Any, results: Any, suite: str = "sweep",
                 heartbeat: Optional[float] = None) -> None:
     """Worker process entry point: drain jobs until the None sentinel.
 
-    With ``heartbeat`` set, a periodic engine hook reports the running
-    cell's progress as ``("beat", index, prog, pid)`` messages at most
-    every ``heartbeat`` host seconds.
+    ``results`` is the write end of this worker's own result pipe (a
+    ``multiprocessing`` connection; anything with ``send``). With
+    ``heartbeat`` set, a periodic engine hook reports the running cell's
+    progress as ``("beat", index, prog, pid)`` messages at most every
+    ``heartbeat`` host seconds.
 
     Workers ignore SIGINT: a terminal Ctrl-C lands on the whole process
     group, and graceful shutdown means the *orchestrator* decides —
@@ -173,29 +175,32 @@ def worker_main(job_q: Any, result_q: Any, suite: str = "sweep",
     if heartbeat is not None:
         def emit(events: int, virtual: float) -> None:
             if current["index"] >= 0:
-                result_q.put(("beat", current["index"],
+                results.send(("beat", current["index"],
                               {"events_executed": int(events),
                                "virtual_seconds": float(virtual)}, pid))
 
         install_heartbeat(emit, heartbeat)
-    while True:
-        try:
-            job = job_q.get(timeout=1.0)
-        except _queue_mod.Empty:
-            if os.getppid() != parent:   # orphaned: orchestrator is gone
+    try:
+        while True:
+            try:
+                job = job_q.get(timeout=1.0)
+            except _queue_mod.Empty:
+                if os.getppid() != parent:   # orphaned: orchestrator is gone
+                    return
+                continue
+            if job is None:
+                results.send(("bye", -1, None, pid))
                 return
-            continue
-        if job is None:
-            result_q.put(("bye", -1, None, pid))
-            return
-        result_q.put(("start", job.index, None, pid))
-        current["index"] = job.index
-        _maybe_crash_for_test()
-        try:
-            record = execute_cell(job.scenario, suite=suite)
-            current["index"] = -1
-            result_q.put(("done", job.index, record, pid))
-        except Exception as exc:  # noqa: BLE001 — typed failure, not death
-            current["index"] = -1
-            result_q.put(("fail", job.index,
-                          f"{type(exc).__name__}: {exc}", pid))
+            results.send(("start", job.index, None, pid))
+            current["index"] = job.index
+            _maybe_crash_for_test()
+            try:
+                record = execute_cell(job.scenario, suite=suite)
+                current["index"] = -1
+                results.send(("done", job.index, record, pid))
+            except Exception as exc:  # noqa: BLE001 — typed failure, not death
+                current["index"] = -1
+                results.send(("fail", job.index,
+                              f"{type(exc).__name__}: {exc}", pid))
+    except BrokenPipeError:
+        return      # the orchestrator is gone: nobody is left to report to

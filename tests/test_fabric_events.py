@@ -211,8 +211,11 @@ class TestSweepEvents:
         assert sorted(seen) == ["hit", "miss"]
 
     def test_timeout_records_progress_at_kill(self, tmp_path):
-        spec = GridSpec(presets=("sw-dsm-4",), labels=("MatMult",),
-                        scales=(0.5,), timeout=0.5)
+        # A cell no plausible host finishes inside the timeout (~1M events,
+        # 40x the MatMult@0.5 cell this used to race against) and whose
+        # events start flowing, heartbeats with them, within milliseconds.
+        spec = GridSpec(presets=("sw-dsm-4",), labels=("SOR",),
+                        scales=(2.0,), timeout=1.0)
         path = tmp_path / "events.jsonl"
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
                            stall_grace=0.5, events=str(path),

@@ -8,6 +8,7 @@ chaos failures, and the serial ``bench run`` path sharing the same cache.
 
 import multiprocessing
 import os
+import struct
 import time
 
 import pytest
@@ -21,6 +22,13 @@ from repro.fabric.worker import CRASH_FLAG_ENV
 
 SMALL = GridSpec(presets=("smp-2", "sw-dsm-2"), labels=("PI", "MatMult"),
                  scales=(0.04,))
+
+
+#: for tests that substitute ``scheduler.worker_main`` in this process and
+#: rely on forked workers inheriting the substitute
+patches_workers_by_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched worker_main reaches workers by fork")
 
 
 def small_cache(tmp_path, name="cache"):
@@ -129,9 +137,76 @@ class TestSweepParallel:
         assert cell.attempts == 2            # died once, retried, succeeded
         assert validate_telemetry(result.doc) == []
 
+    @patches_workers_by_fork
+    def test_worker_dying_mid_send_mutes_nobody(self, tmp_path, monkeypatch):
+        """A worker that dies while reporting loses its own job to a retry
+        and nothing else. Results used to share one multiprocessing.Queue:
+        a worker that crashed or was timeout-killed while its feeder thread
+        held the queue's cross-process write lock left every other worker
+        (the respawned one too) unable to report, so the lost-job sweep
+        charged a second attempt and a one-crash cell ended ``failed``."""
+        import repro.fabric.scheduler as scheduler
+
+        flag = tmp_path / "died-once"
+        real_main = scheduler.worker_main
+
+        class DiesOnceMidSend:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def send(self, message):
+                if message[0] == "start":
+                    try:
+                        flag.touch(exist_ok=False)   # atomic: one death
+                    except FileExistsError:
+                        return self.conn.send(message)
+                    # a header promising 1000 bytes, three of them, death
+                    os.write(self.conn.fileno(),
+                             struct.pack("!i", 1000) + b"abc")
+                    os._exit(1)
+                self.conn.send(message)
+
+        monkeypatch.setattr(
+            scheduler, "worker_main",
+            lambda job_q, results, *rest: real_main(
+                job_q, DiesOnceMidSend(results), *rest))
+        spec = GridSpec(presets=("smp-2", "sw-dsm-2"), labels=("PI",),
+                        scales=(0.04,))
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
+                           stall_grace=0.5)
+        assert flag.exists()                 # the death really happened
+        cells = result.manifest.cells
+        assert [c.outcome for c in cells] == ["miss", "miss"]
+        assert sorted(c.attempts for c in cells) == [1, 2]
+        assert validate_telemetry(result.doc) == []
+
+    @patches_workers_by_fork
+    def test_slow_starting_worker_is_not_a_lost_job(self, tmp_path,
+                                                    monkeypatch):
+        """A job still on the job queue when the stall grace runs out is
+        waiting, not lost: it must not be charged an attempt."""
+        import repro.fabric.scheduler as scheduler
+
+        real_main = scheduler.worker_main
+
+        def sluggish(*args):
+            time.sleep(0.6)                  # three stall graces
+            real_main(*args)
+
+        monkeypatch.setattr(scheduler, "worker_main", sluggish)
+        spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
+                           stall_grace=0.2)
+        cell = result.manifest.cells[0]
+        assert cell.outcome == "miss"
+        assert cell.attempts == 1
+
     def test_timeout_becomes_a_typed_failed_cell(self, tmp_path):
-        spec = GridSpec(presets=("sw-dsm-4",), labels=("MatMult",),
-                        scales=(0.5,), timeout=0.3)
+        # A cell no plausible host finishes inside the timeout (~1M events,
+        # 40x the MatMult@0.5 cell this used to race against) and whose
+        # events start flowing, heartbeats with them, within milliseconds.
+        spec = GridSpec(presets=("sw-dsm-4",), labels=("SOR",),
+                        scales=(2.0,), timeout=0.3)
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
                            stall_grace=0.5)
         cell = result.manifest.cells[0]

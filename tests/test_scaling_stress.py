@@ -9,7 +9,9 @@ frames, so these tests can assert what the thread era could not:
   allocation per process orders of magnitude below a thread stack;
 * a deadlock at that scale still produces a report naming the blocked
   process set exactly;
-* the 1024-node machine presets build and run a full DSM benchmark.
+* the 1024-node machine presets build and run a full DSM benchmark;
+* a communication-heavy benchmark (SOR: halo exchange and two barriers per
+  iteration) verifies on 256 ranks, every rank against one shared reference.
 """
 
 from __future__ import annotations
@@ -110,3 +112,31 @@ class TestThousandNodePresets:
             api.run(functools.partial(get_app("pi"), intervals=1 << 14)))
         assert merged.verified
         assert plat.engine.now > 0
+
+
+class TestCommunicationHeavyRung:
+    def test_sor_on_256_ranks_verifies_against_one_reference(self, monkeypatch):
+        """The first rung beyond PI on the ladder: 270 interior rows over
+        256 ranks (one or two rows each), every rank exchanging halo rows
+        with its neighbours through the SW-DSM. Affordable because the
+        run computes its input and its sequential reference once, not 256
+        times."""
+        import repro.apps.sor as sor
+        from repro.bench.runners import run_app_detailed
+        from repro.config import preset
+
+        references = []
+        real_reference = sor._reference
+
+        def counted(initial, iterations):
+            references.append(iterations)
+            return real_reference(initial, iterations)
+
+        monkeypatch.setattr(sor, "_reference", counted)
+        merged, plat = run_app_detailed(preset("eth-256"), "sor", n=272,
+                                        iterations=2)
+        assert plat.hamster.n_ranks == 256
+        assert merged.verified
+        assert references == [2]
+        # init + two half-sweeps per iteration + jia_exit, on every rank
+        assert plat.hamster.dsm.stats(255)["barriers"] >= 1 + 2 * 2 + 1
