@@ -1,8 +1,8 @@
 """Differential golden-run harness for the simulator hot path.
 
-The engine overhaul (calendar queue, direct-handoff dispatcher, span
-coalescing, cost memoization) is a pure *host-side* optimization: every
-virtual-time observable must stay bit-identical. This module pins that
+Host-side optimizations of the engine and cost models (direct-handoff
+dispatcher, span coalescing, the continuation scheduler) must leave every
+virtual-time observable bit-identical. This module pins that
 contract down with golden snapshots:
 
 * **record** — run every Fig 2-4 configuration (the six figure presets x
@@ -15,14 +15,11 @@ contract down with golden snapshots:
 * **check** — re-run every scenario and compare the full record against
   the golden **exactly** (floats and digests included; this is a hard
   gate, not a tolerance gate).
-* **dual** — run every scenario twice, once with the heapq reference
-  queue and once with the calendar queue (``REPRO_ENGINE_QUEUE``), and
-  assert the two produce identical records — the differential check that
-  needs no stored state.
-* **dual-procs** — the same differential shape over the *process*
-  backends (``REPRO_ENGINE_PROCS``): thread-backed reference processes vs
-  the generator (continuation) scheduler. Any divergence is a missed or
-  misordered yield point in a ``*_g`` kernel.
+* **dual-procs** — run every scenario twice, once per *process* backend
+  (``REPRO_ENGINE_PROCS``): thread-backed reference processes vs the
+  generator (continuation) scheduler, and assert the two produce identical
+  records — the differential check that needs no stored state. Any
+  divergence is a missed or misordered yield point in a ``*_g`` kernel.
 
 The trace digest hashes the engine's structured trace stream (kind,
 timestamp, sorted fields). Process ids embedded in ``name#pid`` strings
@@ -33,7 +30,6 @@ their event streams are identical modulo that consistent renumbering.
 Run as a module::
 
     PYTHONPATH=src python -m repro.bench.diffcheck --check
-    PYTHONPATH=src python -m repro.bench.diffcheck --dual --only chaos
     PYTHONPATH=src python -m repro.bench.diffcheck --dual-procs --only PI
     PYTHONPATH=src python -m repro.bench.diffcheck --record   # re-baseline
 
@@ -44,6 +40,7 @@ Re-record only when a change *intends* to alter virtual-time behaviour
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -61,8 +58,7 @@ from repro.faults.chaos import run_chaos
 __all__ = ["SCHEMA", "DIFF_SCALE", "GOLDEN_PATH", "FigureScenario",
            "ChaosScenario", "scenarios", "scenario_ids", "stream_digest",
            "capture", "record_goldens", "load_goldens", "check_scenario",
-           "check_goldens", "dual_run", "dual_procs_run",
-           "events_per_sec_gate"]
+           "check_goldens", "dual_procs_run", "events_per_sec_gate"]
 
 SCHEMA = "repro.bench.diffcheck/1"
 
@@ -166,35 +162,21 @@ def stream_digest(events: Iterable[Any]) -> Tuple[str, int]:
 
 
 # ----------------------------------------------------------------- capture
-def _with_env(var: str, value: Optional[str]):
-    """Context manager pinning one engine-selection env var for one run."""
-    import contextlib
-
-    @contextlib.contextmanager
-    def _cm():
-        if value is None:
-            yield
-            return
-        prev = os.environ.get(var)
-        os.environ[var] = value
-        try:
-            yield
-        finally:
-            if prev is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = prev
-    return _cm()
-
-
-def _with_queue(queue: Optional[str]):
-    """Context manager pinning ``REPRO_ENGINE_QUEUE`` for one run."""
-    return _with_env("REPRO_ENGINE_QUEUE", queue)
-
-
+@contextlib.contextmanager
 def _with_procs(procs: Optional[str]):
     """Context manager pinning ``REPRO_ENGINE_PROCS`` for one run."""
-    return _with_env("REPRO_ENGINE_PROCS", procs)
+    if procs is None:
+        yield
+        return
+    prev = os.environ.get("REPRO_ENGINE_PROCS")
+    os.environ["REPRO_ENGINE_PROCS"] = procs
+    try:
+        yield
+    finally:
+        if prev is None:
+            os.environ.pop("REPRO_ENGINE_PROCS", None)
+        else:
+            os.environ["REPRO_ENGINE_PROCS"] = prev
 
 
 def _capture_figure(sc: FigureScenario, scale: float) -> Dict[str, Any]:
@@ -243,12 +225,10 @@ def _capture_chaos(sc: ChaosScenario, scale: float) -> Dict[str, Any]:
 
 
 def capture(sc: Any, scale: float = DIFF_SCALE,
-            queue: Optional[str] = None,
             procs: Optional[str] = None) -> Dict[str, Any]:
-    """Run one scenario and return its golden record. ``queue`` pins the
-    engine's event-queue implementation (``"heap"`` / ``"calendar"``);
-    ``procs`` pins the process backend (``"thread"`` / ``"generator"``)."""
-    with _with_queue(queue), _with_procs(procs):
+    """Run one scenario and return its golden record. ``procs`` pins the
+    process backend (``"thread"`` / ``"generator"``)."""
+    with _with_procs(procs):
         if isinstance(sc, FigureScenario):
             return _capture_figure(sc, scale)
         return _capture_chaos(sc, scale)
@@ -297,19 +277,17 @@ def diff_records(got: Dict[str, Any],
 
 
 def check_scenario(sc: Any, doc: Dict[str, Any],
-                   queue: Optional[str] = None,
                    procs: Optional[str] = None) -> List[str]:
     """Re-run one scenario against the loaded golden store; returns a list
     of mismatch descriptions (empty = bit-identical)."""
     want = doc["scenarios"].get(sc.id)
     if want is None:
         return [f"{sc.id}: no golden recorded (run --record)"]
-    got = capture(sc, scale=doc["scale"], queue=queue, procs=procs)
+    got = capture(sc, scale=doc["scale"], procs=procs)
     return [f"{sc.id}: {p}" for p in diff_records(got, want)]
 
 
 def check_goldens(path: Path = GOLDEN_PATH, only: Optional[str] = None,
-                  queue: Optional[str] = None,
                   procs: Optional[str] = None,
                   progress: Optional[Any] = None) -> List[str]:
     """Re-run every scenario against the stored goldens. Hard gate: any
@@ -322,24 +300,7 @@ def check_goldens(path: Path = GOLDEN_PATH, only: Optional[str] = None,
             continue
         if progress is not None:
             progress(sc.id)
-        problems.extend(check_scenario(sc, doc, queue=queue, procs=procs))
-    return problems
-
-
-def dual_run(only: Optional[str] = None,
-             progress: Optional[Any] = None) -> List[str]:
-    """Run each scenario under the heapq reference queue and the calendar
-    queue; any divergence between the two is a scheduler-ordering bug."""
-    problems: List[str] = []
-    for sc in scenarios():
-        if only is not None and only not in sc.id:
-            continue
-        if progress is not None:
-            progress(sc.id)
-        ref = capture(sc, queue="heap")
-        new = capture(sc, queue="calendar")
-        problems.extend(f"{sc.id} (heap vs calendar): {p}"
-                        for p in diff_records(new, ref))
+        problems.extend(check_scenario(sc, doc, procs=procs))
     return problems
 
 
@@ -408,8 +369,6 @@ def main(argv: List[str]) -> int:
                       help="(re)record golden snapshots from the current engine")
     mode.add_argument("--check", action="store_true",
                       help="hard-compare current runs against the goldens")
-    mode.add_argument("--dual", action="store_true",
-                      help="heapq vs calendar queue differential run")
     mode.add_argument("--dual-procs", action="store_true",
                       help="thread vs generator process-backend "
                            "differential run")
@@ -424,8 +383,6 @@ def main(argv: List[str]) -> int:
                         help="baseline store for --events-gate")
     parser.add_argument("--min-ratio", type=float, default=None,
                         help="fail --events-gate below this geomean ratio")
-    parser.add_argument("--queue", choices=("heap", "calendar"), default=None,
-                        help="pin the engine queue for --check")
     parser.add_argument("--procs", choices=("thread", "generator"),
                         default=None,
                         help="pin the process backend for --check")
@@ -445,13 +402,11 @@ def main(argv: List[str]) -> int:
         print(f"recorded {len(doc['scenarios'])} golden scenarios "
               f"-> {golden}")
         return 0
-    if args.dual:
-        problems = dual_run(only=args.only, progress=progress)
-    elif args.dual_procs:
+    if args.dual_procs:
         problems = dual_procs_run(only=args.only, progress=progress)
     else:
-        problems = check_goldens(golden, only=args.only, queue=args.queue,
-                                 procs=args.procs, progress=progress)
+        problems = check_goldens(golden, only=args.only, procs=args.procs,
+                                 progress=progress)
     if problems:
         print(f"\n{len(problems)} mismatch(es):")
         for p in problems:

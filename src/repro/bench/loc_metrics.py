@@ -48,18 +48,24 @@ def _twin_kernel_lines(source: str) -> Set[int]:
     The continuation engine requires every blocking operation to carry a
     ``*_g`` twin that yields instead of blocking; the blocking form and its
     twin are the *same* API operation, so Table 2 counts the blocking
-    surface only — tallying both would double-count each call.
+    surface only — tallying both would double-count each call. A function
+    is a twin only when its class (or module) also defines the un-suffixed
+    name: SHMEM's single-element get ``shmem_g`` is an API call, not a twin.
     """
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     out: Set[int] = set()
     tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name.endswith("_g"):
-            start = node.lineno
-            if node.decorator_list:
-                start = min(d.lineno for d in node.decorator_list)
-            for line in range(start, node.end_lineno + 1):
-                out.add(line)
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            continue
+        names = {n.name for n in scope.body if isinstance(n, defs)}
+        for node in scope.body:
+            if isinstance(node, defs) and node.name.endswith("_g") \
+                    and node.name[:-2] in names:
+                start = node.lineno
+                if node.decorator_list:
+                    start = min(d.lineno for d in node.decorator_list)
+                out.update(range(start, node.end_lineno + 1))
     return out
 
 

@@ -78,12 +78,6 @@ class Network:
         # simulation and independent of any other cluster ever built in the
         # same interpreter (reproducible traces regardless of test order).
         self._msg_ids = itertools.count(1)
-        # Memoized transmit times keyed by wire size. DSM traffic reuses a
-        # handful of sizes (page transfers, diffs, fixed-size control
-        # messages), so the division in the send hot path hits this dict
-        # almost always. Entries cache the result of the *same* expression
-        # send() would evaluate — virtual time is bit-identical either way.
-        self._tx_cache: Dict[int, float] = {}
         # ------------------------------------------------- statistics
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -121,12 +115,7 @@ class Network:
         msg.send_time = now
         wire_bytes = msg.size + self.framing_bytes
         start = max(now, self._nic_free_at[msg.src])
-        tx_time = self._tx_cache.get(wire_bytes)
-        if tx_time is None:
-            if len(self._tx_cache) >= 32768:  # defensive bound; never hit in practice
-                self._tx_cache.clear()
-            tx_time = self._tx_cache[wire_bytes] = (
-                wire_bytes / self.bandwidth if self.bandwidth != float("inf") else 0.0)
+        tx_time = wire_bytes / self.bandwidth
         self._nic_free_at[msg.src] = start + tx_time
         arrive = start + tx_time + self.latency
         self.messages_sent += 1

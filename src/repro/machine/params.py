@@ -71,20 +71,11 @@ def fault_plan_hash(plan: Any) -> str:
 
 
 class DerivedCosts(NamedTuple):
-    """Values derived from :class:`MachineParams` fields, computed once.
-
-    Every entry is the result of the *exact* expression the cost model used
-    to evaluate inline — memoization here can never change a simulated
-    timestamp, only host time (the golden-run harness enforces this).
-    """
+    """Values derived from :class:`MachineParams` fields, computed once
+    per instance (the dataclass is frozen)."""
 
     seconds_per_flop: float
     msg_stack_overhead: float
-
-
-#: Derived-cost cache keyed by config fingerprint: equal parameter sets
-#: share one entry no matter how many copies of the dataclass exist.
-_DERIVED_CACHE: Dict[str, DerivedCosts] = {}
 
 
 @dataclass(frozen=True)
@@ -218,8 +209,7 @@ class MachineParams:
 
         Because the dataclass is frozen, the fingerprint is immutable and
         identifies this *configuration* (not this instance): two params
-        objects built with the same values share a fingerprint, and hence
-        share one derived-cost cache entry.
+        objects built with the same values share a fingerprint.
         """
         payload = ";".join(
             f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
@@ -227,14 +217,11 @@ class MachineParams:
 
     @cached_property
     def _derived(self) -> DerivedCosts:
-        cached = _DERIVED_CACHE.get(self.fingerprint)
-        if cached is None:
-            cached = _DERIVED_CACHE[self.fingerprint] = DerivedCosts(
-                seconds_per_flop=1.0 / self.flops_per_second,
-                msg_stack_overhead=(self.msg_stack_overhead_integrated
-                                    if self.coalesce_messaging
-                                    else self.msg_stack_overhead_separate))
-        return cached
+        return DerivedCosts(
+            seconds_per_flop=1.0 / self.flops_per_second,
+            msg_stack_overhead=(self.msg_stack_overhead_integrated
+                                if self.coalesce_messaging
+                                else self.msg_stack_overhead_separate))
 
     # ------------------------------------------------------------- helpers
     def seconds_per_flop(self) -> float:

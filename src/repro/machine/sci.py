@@ -17,7 +17,7 @@ Two faces:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.machine.interconnect import Network
 from repro.machine.params import MachineParams
@@ -44,10 +44,6 @@ class SciInterconnect(Network):
         self._torus_height = ((n_nodes + self._torus_width - 1)
                               // self._torus_width
                               if self._torus_width > 0 else 0)
-        # Per-size transfer-time memos for the transaction API (page-sized
-        # reads/writes dominate, so the key set stays tiny).
-        self._read_tx: Dict[int, float] = {}
-        self._write_tx: Dict[int, float] = {}
         # ------------------------------------------------- statistics
         self.remote_reads = 0
         self.remote_writes = 0
@@ -92,12 +88,10 @@ class SciInterconnect(Network):
     def _read_cost(self, nbytes: int, src: Optional[int],
                    dst: Optional[int]) -> float:
         p = self.params
-        tx = self._read_tx.get(nbytes)
-        if tx is None:
-            tx = self._read_tx[nbytes] = nbytes / p.sci_read_bandwidth
         self.remote_reads += 1
         self.remote_read_bytes += nbytes
-        return p.sci_read_latency + self.hop_delay(src, dst) + tx
+        return (p.sci_read_latency + self.hop_delay(src, dst)
+                + nbytes / p.sci_read_bandwidth)
 
     def remote_read(self, nbytes: int, src: Optional[int] = None,
                     dst: Optional[int] = None) -> None:
@@ -117,12 +111,10 @@ class SciInterconnect(Network):
     def _write_cost(self, nbytes: int, src: Optional[int],
                     dst: Optional[int]) -> float:
         p = self.params
-        tx = self._write_tx.get(nbytes)
-        if tx is None:
-            tx = self._write_tx[nbytes] = nbytes / p.sci_write_bandwidth
         self.remote_writes += 1
         self.remote_write_bytes += nbytes
-        return p.sci_write_latency + self.hop_delay(src, dst) + tx
+        return (p.sci_write_latency + self.hop_delay(src, dst)
+                + nbytes / p.sci_write_bandwidth)
 
     def remote_write(self, nbytes: int, src: Optional[int] = None,
                      dst: Optional[int] = None) -> None:

@@ -13,8 +13,6 @@ deterministic, O(1), and captures the first-order contention effect.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.machine.params import MachineParams
 
 __all__ = ["MemoryBus"]
@@ -28,12 +26,6 @@ class MemoryBus:
         self.params = params
         self.name = name
         self._free_at: float = 0.0
-        # Transfer-time memo keyed by size: bulk traffic is dominated by a
-        # few repeating sizes (pages, twins, array rows), so the latency +
-        # size/bandwidth sum is computed once per distinct size. The cached
-        # value is the result of the exact expression touch() used to
-        # evaluate inline — virtual time is unchanged.
-        self._xfer_cache: Dict[int, float] = {}
         #: total bytes ever transferred (monitoring)
         self.bytes_transferred: int = 0
         #: accumulated virtual seconds processes spent waiting for the bus
@@ -43,10 +35,7 @@ class MemoryBus:
         """Book the transfer on the bus; returns the caller's wait time."""
         now = self.engine.now
         start = max(now, self._free_at)
-        xfer = self._xfer_cache.get(nbytes)
-        if xfer is None:
-            xfer = self._xfer_cache[nbytes] = (
-                self.params.mem_latency + nbytes / self.params.mem_bandwidth)
+        xfer = self.params.mem_latency + nbytes / self.params.mem_bandwidth
         self._free_at = start + xfer
         self.contention_time += start - now
         self.bytes_transferred += nbytes

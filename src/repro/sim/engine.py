@@ -11,21 +11,15 @@ back to the dispatcher; exactly one of {the ``run()`` caller, some process
 thread} executes at any instant, so no user-visible locking is needed
 anywhere in the framework.
 
-Two host-speed mechanisms live here (virtual-time results are bit-identical
-either way — the golden-run harness in :mod:`repro.bench.diffcheck` enforces
-that):
-
-* The event queue is a :class:`~repro.sim.eventq.CalendarQueue` by default;
-  the original heapq implementation remains available as the differential
-  reference model (``Engine(queue="heap")`` or ``REPRO_ENGINE_QUEUE=heap``).
-* Dispatch migrates between threads by **direct hand-off**: the dispatch
-  loop (:meth:`Engine._advance`) runs on whichever thread is giving up
-  control. Waking a process costs one raw-lock release (the waker) plus one
-  acquire (the sleeper); event callbacks execute inline on the current
-  thread; and a process whose next event is its own resume continues with
-  no lock traffic at all. The previous design parked/woke threads through
-  two ``threading.Event`` round trips per hand-off, which dominated host
-  time in profiles.
+The event queue is the ``heapq`` wrapper in :mod:`repro.sim.eventq`.
+Dispatch migrates between threads by **direct hand-off**: the dispatch
+loop (:meth:`Engine._advance`) runs on whichever thread is giving up
+control. Waking a process costs one raw-lock release (the waker) plus one
+acquire (the sleeper); event callbacks execute inline on the current
+thread; and a process whose next event is its own resume continues with
+no lock traffic at all. The previous design parked/woke threads through
+two ``threading.Event`` round trips per hand-off, which dominated host
+time in profiles.
 """
 
 from __future__ import annotations
@@ -80,27 +74,19 @@ class Engine:
     trace:
         Optional :class:`~repro.sim.trace.Tracer` capturing structured events
         for debugging and for the monitoring tests.
-    queue:
-        Event-queue implementation: ``"calendar"`` (default) or ``"heap"``
-        (the differential reference). The ``REPRO_ENGINE_QUEUE`` environment
-        variable overrides the default for unparameterized construction.
     procs:
         Process backend: ``"generator"`` (default; generator-function
         bodies run stackless, driven by the dispatch loop) or ``"thread"``
         (the differential reference: every process owns a backing thread
         with baton hand-off). The ``REPRO_ENGINE_PROCS`` environment
-        variable overrides the default, mirroring the queue selection.
+        variable overrides the default.
     """
 
     def __init__(self, trace: Optional[Tracer] = None,
-                 queue: Optional[str] = None,
                  procs: Optional[str] = None) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        if queue is None:
-            queue = os.environ.get("REPRO_ENGINE_QUEUE", "calendar")
-        self.queue_kind = queue
-        self._queue = make_queue(queue)
+        self._queue = make_queue()
         if procs is None:
             procs = os.environ.get("REPRO_ENGINE_PROCS", "generator")
         if procs not in ("generator", "thread"):
@@ -265,7 +251,6 @@ class Engine:
                 # Push back (same seq — ordering is unaffected by the round
                 # trip) and stop: the caller asked for a bounded run.
                 queue.push(when, seq, action)
-                queue.rewind(until)
                 self._now = until
                 return self._stop(origin, "until")
             self._now = when

@@ -1,26 +1,10 @@
-"""Event-queue implementations for the engine.
+"""The engine's event queue: a binary heap ordered by ``(when, seq)``.
 
-Both queues order events by ``(when, seq)`` — virtual timestamp with a
-monotonic sequence number breaking ties FIFO — and expose the same tiny
-interface: ``push(when, seq, action)``, ``pop() -> (when, seq, action)``,
-``len()``/truthiness. The engine owns ``seq``; pushing an event back
-(the bounded-run path) re-uses its original sequence number, so ordering
-is unaffected by the round trip.
-
-:class:`HeapEventQueue` is the straightforward binary heap — the
-pre-overhaul implementation, kept as the differential reference model
-(``REPRO_ENGINE_QUEUE=heap``, and the dual-run mode of
-:mod:`repro.bench.diffcheck`).
-
-:class:`CalendarQueue` is a Brown-style calendar queue: events hash into
-``nbuckets`` unsorted buckets by their integer *day* (``when / width``),
-and pop scans days in order. Everything that decides ordering is exact:
-each record stores its day as an integer computed once at push, the pop
-scan compares ``(when, seq)`` tuples, and a full-year miss falls back to
-a direct min search — so the pop order is identical to the heap's for
-any input, bit for bit (the hypothesis suite and the golden runs both
-enforce this). Popped records are recycled through a small slab
-(free list) instead of being reallocated per event.
+``when`` is the virtual timestamp and ``seq`` the engine's monotonic
+sequence number, so events at one timestamp pop FIFO. The engine owns
+``seq``; pushing a popped event back under its original ``seq`` (the
+bounded-run path) restores its place exactly. ``pop`` on an empty queue
+raises :class:`IndexError`, which the engine reads as "drained".
 """
 
 from __future__ import annotations
@@ -28,14 +12,12 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, List, Tuple
 
-__all__ = ["HeapEventQueue", "CalendarQueue", "make_queue"]
+__all__ = ["HeapEventQueue", "make_queue"]
 
 Event = Tuple[float, int, Callable[[], None]]
 
 
 class HeapEventQueue:
-    """The heapq reference model (exact pre-overhaul behaviour)."""
-
     __slots__ = ("_heap",)
 
     def __init__(self) -> None:
@@ -47,184 +29,11 @@ class HeapEventQueue:
     def pop(self) -> Event:
         return heapq.heappop(self._heap)
 
-    def rewind(self, now: float) -> None:
-        """No-op: the heap has no scan position to restore."""
-
     def __len__(self) -> int:
         return len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
-
-class CalendarQueue:
-    """Bucketed O(1)-amortized event queue with exact (when, seq) order.
-
-    Records are 4-slot lists ``[when, seq, action, day]``; ``day`` is the
-    bucket-epoch integer ``int(when * 1/width)`` fixed at push time. The
-    scan invariant (every live record's day is >= the last popped day,
-    because virtual time never runs backwards) means a record qualifies
-    for popping exactly when the scan reaches its own day — no float
-    accumulation, no boundary rounding in the hot path.
-    """
-
-    __slots__ = ("_buckets", "_nbuck", "_width", "_inv_width", "_day",
-                 "_lastprio", "_n", "_free")
-
-    #: bucket-count floor; shrinks never go below this
-    MIN_BUCKETS = 8
-    #: slab capacity — recycled event records kept for reuse
-    SLAB_LIMIT = 1024
-
-    def __init__(self, nbuckets: int = 8, width: float = 1e-6) -> None:
-        self._n = 0
-        self._lastprio = 0.0
-        self._free: List[list] = []
-        self._setup(nbuckets, width, 0.0)
-
-    def _setup(self, nbuckets: int, width: float, start: float) -> None:
-        self._nbuck = nbuckets
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: List[List[list]] = [[] for _ in range(nbuckets)]
-        self._day = int(start * self._inv_width)
-
-    # ------------------------------------------------------------------ ops
-    def push(self, when: float, seq: int, action: Any) -> None:
-        day = int(when * self._inv_width)
-        free = self._free
-        if free:
-            rec = free.pop()
-            rec[0] = when
-            rec[1] = seq
-            rec[2] = action
-            rec[3] = day
-        else:
-            rec = [when, seq, action, day]
-        self._buckets[day % self._nbuck].append(rec)
-        self._n += 1
-        if self._n > (self._nbuck << 1):
-            self._resize(self._nbuck << 1)
-
-    def pop(self) -> Event:
-        if not self._n:
-            raise IndexError("pop from an empty CalendarQueue")
-        nbuck = self._nbuck
-        buckets = self._buckets
-        day = self._day
-        for _ in range(nbuck):
-            bucket = buckets[day % nbuck]
-            if bucket:
-                best = None
-                bi = -1
-                for i, rec in enumerate(bucket):
-                    if rec[3] <= day and (
-                            best is None or rec[0] < best[0]
-                            or (rec[0] == best[0] and rec[1] < best[1])):
-                        best = rec
-                        bi = i
-                if best is not None:
-                    self._day = day
-                    return self._extract(bucket, bi, best)
-            day += 1
-        # Nothing within a whole year of buckets: the next event is far in
-        # the future. Find the global (when, seq) minimum directly and jump
-        # the scan to its day.
-        best = None
-        for bucket in buckets:
-            for rec in bucket:
-                if (best is None or rec[0] < best[0]
-                        or (rec[0] == best[0] and rec[1] < best[1])):
-                    best = rec
-        assert best is not None
-        self._day = best[3]
-        bucket = buckets[best[3] % nbuck]
-        for i, rec in enumerate(bucket):
-            if rec is best:
-                return self._extract(bucket, i, best)
-        raise AssertionError("calendar queue bucket lost a record")
-
-    def _extract(self, bucket: List[list], index: int, rec: list) -> Event:
-        """Swap-remove ``rec`` from ``bucket``, recycle it, return the event."""
-        last = bucket.pop()
-        if index < len(bucket):
-            bucket[index] = last
-        self._n -= 1
-        when, seq, action = rec[0], rec[1], rec[2]
-        rec[2] = None  # drop the action reference while slabbed
-        if len(self._free) < self.SLAB_LIMIT:
-            self._free.append(rec)
-        self._lastprio = when
-        if self._n < (self._nbuck >> 2) and self._nbuck > self.MIN_BUCKETS:
-            self._resize(self._nbuck >> 1)
-        return when, seq, action
-
-    # --------------------------------------------------------------- resize
-    def _resize(self, nbuckets: int) -> None:
-        live = [rec for bucket in self._buckets for rec in bucket]
-        width = self._choose_width(live)
-        self._setup(nbuckets, width, self._lastprio)
-        inv = self._inv_width
-        nbuck = self._nbuck
-        buckets = self._buckets
-        for rec in live:
-            day = int(rec[0] * inv)
-            rec[3] = day
-            buckets[day % nbuck].append(rec)
-
-    def _choose_width(self, live: List[list]) -> float:
-        """Deterministic width estimate: spread the live events over about
-        half the buckets. Keeps the current width when events are
-        co-timed (span 0) or the estimate degenerates."""
-        if len(live) < 2:
-            return self._width
-        lo = hi = live[0][0]
-        for rec in live:
-            when = rec[0]
-            if when < lo:
-                lo = when
-            elif when > hi:
-                hi = when
-        span = hi - lo
-        if not span > 0.0:
-            return self._width
-        width = 2.0 * span / len(live)
-        # Floor the width so day integers stay modest even for extreme
-        # timestamp spreads (a purely host-side concern).
-        floor = abs(hi) * 1e-9
-        if width < floor:
-            width = floor
-        if width > 0.0 and width != float("inf"):
-            return width
-        return self._width
-
-    def rewind(self, now: float) -> None:
-        """Restore the scan position after a bounded-run pushback.
-
-        Popping advances the scan day to the popped event's day; when the
-        engine pushes that event back (its timestamp exceeded ``until``)
-        and later schedules *earlier* events from ``now``, the scan must
-        restart no later than ``now``'s day or ordering would break. All
-        remaining records sort at or after the pushed-back event, so
-        rewinding to ``now`` re-establishes the scan invariant.
-        """
-        self._day = int(now * self._inv_width)
-        if now < self._lastprio:
-            self._lastprio = now
-
-    # ------------------------------------------------------------- protocol
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-
-def make_queue(kind: str):
-    """Build an event queue by name (``"calendar"`` or ``"heap"``)."""
-    if kind == "calendar":
-        return CalendarQueue()
-    if kind == "heap":
-        return HeapEventQueue()
-    raise ValueError(f"unknown event queue {kind!r}; "
-                     f"expected 'calendar' or 'heap'")
+def make_queue(kind: str = "heap") -> HeapEventQueue:
+    """Build the engine's event queue, whatever name it is asked for."""
+    # kind stays: the frozen benchmarks/perf probe calls make_queue("calendar")
+    return HeapEventQueue()

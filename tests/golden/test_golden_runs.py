@@ -43,33 +43,12 @@ def test_scenario_bit_identical(scenario_id, procs, goldens):
 @pytest.mark.parametrize("scenario_id",
                          [sid for sid in sorted(_SCENARIOS)
                           if sid.startswith("chaos/")])
-def test_chaos_dual_run_heap_vs_calendar(scenario_id):
-    """The calendar queue must replay PR-1 fault plans exactly as the heapq
-    reference does — drops, duplicates, delays, crashes and all."""
-    sc = _SCENARIOS[scenario_id]
-    ref = diffcheck.capture(sc, queue="heap")
-    new = diffcheck.capture(sc, queue="calendar")
-    assert diffcheck.diff_records(new, ref) == []
-
-
-@pytest.mark.parametrize("scenario_id",
-                         [sid for sid in sorted(_SCENARIOS)
-                          if sid.startswith("chaos/")])
 def test_chaos_dual_run_thread_vs_generator(scenario_id):
     """Fault plans replay identically on both process backends: crash
     cleanup, retransmission timing, and the typed outcome included."""
     sc = _SCENARIOS[scenario_id]
     ref = diffcheck.capture(sc, procs="thread")
     new = diffcheck.capture(sc, procs="generator")
-    assert diffcheck.diff_records(new, ref) == []
-
-
-def test_figure_dual_run_spot():
-    """One figure scenario through both queues (the full sweep runs in CI's
-    diffcheck job; this keeps a scheduler-divergence canary in tier-1)."""
-    sc = _SCENARIOS["fig/sw-dsm-2/PI"]
-    ref = diffcheck.capture(sc, queue="heap")
-    new = diffcheck.capture(sc, queue="calendar")
     assert diffcheck.diff_records(new, ref) == []
 
 

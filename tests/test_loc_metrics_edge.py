@@ -1,9 +1,13 @@
 """Edge cases for the Table 2 line-counting methodology."""
 
+import ast
+
 import pytest
 
-from repro.bench.loc_metrics import (ComplexityRow, count_file,
-                                     count_logical_lines)
+from repro.bench.loc_metrics import (ComplexityRow, _module_source,
+                                     _twin_kernel_lines, count_file,
+                                     count_logical_lines,
+                                     model_complexity_table)
 
 
 class TestLogicalLines:
@@ -62,6 +66,38 @@ class TestLogicalLines:
         path = tmp_path / "m.py"
         path.write_text("# header\nx = 1\n\ny = 2\n")
         assert count_file(str(path)) == 2
+
+
+class TestGeneratorTwins:
+    """Table 2 drops a ``*_g`` function only beside its un-suffixed twin."""
+
+    def test_twin_needs_a_sibling_in_its_own_scope(self):
+        src = (
+            "def put_g():\n    yield 1\n"          # no module-level put
+            "class A:\n"
+            "    def put(self):\n        return 1\n"
+            "    def put_g(self):\n        yield 1\n"
+            "    def shmem_g(self):\n        return 2\n"
+        )
+        assert count_logical_lines(src) == 9
+        assert count_logical_lines(src, include_g_twins=False) == 7
+
+    def test_shmem_row_counts_its_single_element_get(self):
+        # shmem_g is SHMEM's get (in API_CALLS); the module has no twins.
+        src = _module_source("repro.models.shmem")
+        assert "def shmem_g(" in src
+        rows = {r.model: r for r in model_complexity_table()}
+        assert (rows["Cray put/get (shmem) API"].lines
+                == count_logical_lines(src))
+
+    @pytest.mark.parametrize("module", ["repro.models.jiajia_api",
+                                        "repro.models.native_jiajia"])
+    def test_jiajia_twin_exclusion_unchanged(self, module):
+        src = _module_source(module)
+        twins = _twin_kernel_lines(src)
+        g_defs = [n for n in ast.walk(ast.parse(src))
+                  if isinstance(n, ast.FunctionDef) and n.name.endswith("_g")]
+        assert g_defs and all(n.lineno in twins for n in g_defs)
 
 
 class TestComplexityRow:

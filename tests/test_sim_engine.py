@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine
+from repro.sim.eventq import HeapEventQueue, make_queue
 from repro.sim.process import SimProcess
 from repro.sim.trace import Tracer
 
@@ -71,6 +74,75 @@ class TestScheduling:
 
         engine.schedule(0.0, evil)
         engine.run()
+
+
+# Delays mix exact ties, sub-microsecond jitter and far-future jumps; a
+# step is ("schedule", delay) or ("run", bound relative to now | None).
+_delays = st.one_of(
+    st.sampled_from([0.0, 0.0, 1e-9, 4.2e-6, 1e-3, 1.0, 3600.0]),
+    st.floats(min_value=0.0, max_value=10.0,
+              allow_nan=False, allow_infinity=False))
+_steps = st.lists(
+    st.one_of(st.tuples(st.just("schedule"), _delays),
+              st.tuples(st.just("run"), st.none() | _delays)),
+    min_size=1, max_size=40)
+
+
+class TestEventQueue:
+    """The engine's contract with its queue (``repro.sim.eventq``)."""
+
+    def test_same_timestamp_pops_fifo_by_seq(self):
+        q = make_queue()
+        for seq in (3, 1, 4, 2):
+            q.push(1.0, seq, None)
+        q.push(0.5, 5, None)
+        assert [q.pop()[:2] for _ in range(len(q))] == [
+            (0.5, 5), (1.0, 1), (1.0, 2), (1.0, 3), (1.0, 4)]
+
+    def test_pop_empty_raises_and_engine_reads_it_as_drained(self, engine):
+        with pytest.raises(IndexError):
+            make_queue().pop()
+        assert engine.run() == 0.0
+        assert engine.run(until=1.0) == 0.0
+
+    def test_every_historical_name_builds_the_one_queue(self):
+        assert type(make_queue("calendar")) is HeapEventQueue
+        assert type(make_queue("heap")) is HeapEventQueue
+        assert type(Engine()._queue) is HeapEventQueue
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps)
+    def test_bounded_runs_match_sorted_list_oracle(self, steps):
+        """Random schedule / run(until) interleavings fire in exact
+        (when, seq) order. A bounded run pops one event past the bound and
+        pushes it back under its original seq; events scheduled afterwards
+        from ``now`` — earlier than it, or tied with it — must still run in
+        oracle order."""
+        engine = Engine()
+        pending = []  # the oracle: (when, seq) of every unfired event
+        fired = []
+        seq = 0
+        for op, arg in steps + [("run", None)]:
+            if op == "schedule":
+                seq += 1
+                key = (engine.now + arg, seq)
+                pending.append(key)
+                engine.schedule(arg, lambda key=key: fired.append(key))
+                continue
+            until = None if arg is None else engine.now + arg
+            pending.sort()
+            due = [k for k in pending if until is None or k[0] <= until]
+            pending = pending[len(due):]
+            # A bounded run stops at the bound only if something is left
+            # past it; a drained queue leaves the clock at the last event.
+            if pending:
+                want_now = until
+            else:
+                want_now = due[-1][0] if due else engine.now
+            fired.clear()
+            assert engine.run(until=until) == want_now
+            assert fired == due
+        assert pending == [] and len(engine._queue) == 0
 
 
 class TestProcessesAndErrors:
