@@ -4,19 +4,19 @@
 ``sweep_tour.py`` shows *what* the fabric computes; this tour shows
 *how the fleet behaved while computing it*. Four acts over one grid:
 
-1. **Flight recorder** — a parallel sweep with the structured event log
-   enabled writes one JSONL line per cell/worker lifecycle transition;
-   ``validate_events`` is the schema gate.
+1. **Flight recorder** — a parallel sweep given a journal writes one
+   JSONL line per cell/worker lifecycle transition beside its fsync'd
+   commit records; ``validate_journal`` is the schema gate.
 2. **Heartbeats** — workers report in-cell progress (engine events,
    virtual seconds) on a host-side cadence; the beats are in the log,
    and a timed-out cell records how far it got before the kill.
-3. **Fleet report** — the log rolls up into per-worker utilization and
-   events/sec, cache hit ratio, aggregate throughput, and an ETA; the
-   same rollup exports as JSON, Prometheus text, and a Chrome trace
-   with one track per worker.
-4. **Determinism stays intact** — the observability layer is host-side
-   only: canonical records with the log enabled are byte-identical to
-   a silent run's.
+3. **Fleet report** — the same log rolls up into per-worker utilization
+   and events/sec, cache hit ratio, aggregate throughput, and an ETA;
+   the rollup exports as JSON and a Chrome trace with one track per
+   worker.
+4. **Determinism stays intact** — the journal is host-side only:
+   canonical records with it enabled are byte-identical to a silent
+   run's.
 
 Run from the repository root::
 
@@ -28,7 +28,7 @@ import shutil
 import tempfile
 
 from repro.fabric import (GridSpec, ResultCache, canonical_records_json,
-                          read_events, run_sweep, validate_events)
+                          replay_journal, run_sweep, validate_journal)
 from repro.obs.export import validate_chrome_trace
 from repro.obs.fleet import FleetReport
 
@@ -44,19 +44,20 @@ def banner(text):
 
 def main():
     work = tempfile.mkdtemp(prefix="fleet-tour-")
-    events_path = os.path.join(work, "events.jsonl")
+    journal = os.path.join(work, "journal.jsonl")
     try:
-        banner("Act 1: the flight recorder — a sweep with the event log")
+        banner("Act 1: the flight recorder — a sweep with a journal")
         result = run_sweep(GRID, workers=2,
                            cache=ResultCache(os.path.join(work, "cache")),
-                           events=events_path, heartbeat=0.02)
-        errors = validate_events(events_path)
+                           journal=journal, heartbeat=0.02)
+        errors = validate_journal(journal)
+        state = replay_journal(journal)
         print(f"cells    : {len(result.manifest.cells)}")
-        print(f"events   : {len(result.event_log)} logged, "
+        print(f"lines    : {len(state.events)} lifecycle + "
+              f"{len(state.committed)} commit, "
               f"schema errors: {errors or 'none'}")
         assert errors == [], errors
-        header, events = read_events(events_path)
-        for ev in events[:6]:
+        for ev in state.events[:6]:
             print(f"  t={ev['t']:<9.6f} {ev['kind']:<13} "
                   f"{ev.get('id', ev.get('worker', ''))}")
         print("  ...\n")
@@ -66,12 +67,12 @@ def main():
         # beats need a cell big enough to cross that granularity.
         big = GridSpec(presets=("sw-dsm-4",), labels=("MatMult",),
                        scales=(0.5,), suite="fleet-tour-big")
-        big_events = os.path.join(work, "big-events.jsonl")
+        big_journal = os.path.join(work, "big-journal.jsonl")
         run_sweep(big, workers=2,
                   cache=ResultCache(os.path.join(work, "cache-big")),
-                  events=big_events, heartbeat=0.01)
-        _, big_log = read_events(big_events)
-        beats = [e for e in big_log if e["kind"] == "heartbeat"]
+                  journal=big_journal, heartbeat=0.01)
+        beats = [e for e in replay_journal(big_journal).events
+                 if e["kind"] == "heartbeat"]
         print(f"heartbeats seen: {len(beats)}")
         for beat in beats[:3]:
             data = beat["data"]
@@ -83,7 +84,7 @@ def main():
               "at the kill)\n")
 
         banner("Act 3: the fleet report — utilization, throughput, ETA")
-        report = FleetReport(header, events, records=result.records)
+        report = FleetReport(state, records=result.records)
         print(report.render())
         trace = report.chrome_trace()
         trace_errors = validate_chrome_trace(trace)
@@ -91,10 +92,6 @@ def main():
               f"{len(report.workers)} worker track(s), "
               f"validator: {trace_errors or 'ok'}")
         assert trace_errors == []
-        print("prometheus sample:")
-        for line in report.to_prometheus().splitlines():
-            if line.startswith("repro_sweep_worker_utilization"):
-                print(f"  {line}")
         print()
 
         banner("Act 4: observability never touches the simulation")
@@ -103,7 +100,7 @@ def main():
         same = canonical_records_json(silent.records) == \
             canonical_records_json(result.records)
         print(f"canonical records identical with/without the log: {same}")
-        assert same, "the event log must stay host-side only"
+        assert same, "the journal must stay host-side only"
         print("\nfleet tour complete.")
     finally:
         shutil.rmtree(work, ignore_errors=True)

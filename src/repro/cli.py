@@ -31,19 +31,17 @@ Commands:
 
 * ``sweep`` — the parallel experiment fabric (:mod:`repro.fabric`): run a
   declarative grid over N worker processes with a content-addressed result
-  cache and a durable write-ahead journal, resume an interrupted sweep,
-  verify cache integrity, inspect a grid against the cache, render a
-  stored manifest, watch a live fleet, or export fleet metrics::
+  cache and one durable journal per sweep, then read that journal back —
+  resume an interrupted sweep, print the per-cell table and per-worker
+  rollup of a live, crashed or finished one, export fleet metrics — plus
+  verify cache integrity and inspect a grid against the cache::
 
       python -m repro sweep run --grid grid.json --workers 4 --dir sweepdir
+      python -m repro sweep status --dir sweepdir
+      python -m repro sweep report --dir sweepdir --trace-out fleet.trace
       python -m repro sweep resume sweepdir
       python -m repro sweep fsck --cache-dir .fabric-cache --repair
       python -m repro sweep show --grid grid.json
-      python -m repro sweep status --dir sweepdir
-      python -m repro sweep status --manifest sweep-manifest.json
-      python -m repro sweep watch --events sweepdir/events.jsonl --once
-      python -m repro sweep report --events sweepdir/events.jsonl \\
-          --json-out fleet.json --prom-out fleet.prom --trace-out fleet.trace
 
   Exit codes: 0 ok, 1 failed cells, 2 schema/log errors, 3 failed
   ``--expect-cached``, 4 aborted (``--max-failures`` tripped), 5
@@ -235,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--param", action="append", type=_parse_param,
                        default=[], metavar="NAME=VALUE",
                        help="benchmark parameter override (repeatable)")
-    trace.add_argument("--path-top", type=int, default=8, metavar="N",
-                       help="critical-chain entries to print (default 8)")
     _add_fault_options(trace)
     _add_obs_options(trace)
 
@@ -255,14 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--param", action="append", type=_parse_param,
                       default=[], metavar="NAME=VALUE",
                       help="benchmark parameter override (repeatable)")
-    diag.add_argument("--top", type=int, default=10, metavar="N",
-                      help="hot pages/locks to report (default 10)")
-    diag.add_argument("--min-alternations", type=int, default=4, metavar="N",
-                      help="writer handoffs before a page counts as "
-                           "ping-pong (default 4)")
-    diag.add_argument("--min-rate", type=float, default=0.0, metavar="HZ",
-                      help="minimum handoff rate (per virtual second) "
-                           "before a page counts as ping-pong (default 0)")
     diag.add_argument("--json-out", metavar="FILE",
                       help="write the repro.obs.sharing/1 report as JSON")
     diag.add_argument("--heatmap-out", metavar="FILE",
@@ -270,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--trace-out", metavar="FILE",
                       help="write Chrome counter tracks for the hottest "
                            "pages (load next to the span trace)")
-    diag.add_argument("--bins", type=int, default=50, metavar="N",
-                      help="time bins for heatmap/trace export (default 50)")
     _add_fault_options(diag)
 
     bench = sub.add_parser(
@@ -318,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=[], metavar="METRIC=PCT",
                       help="per-metric threshold override in percent "
                            "(repeatable)")
-    bcmp.add_argument("--no-shape", action="store_true",
-                      help="skip the paper-shape gate")
     bcmp.add_argument("--show-ok", action="store_true",
                       help="also list metrics whose verdict is 'ok'")
 
@@ -344,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     bscale.add_argument("--max-nodes", type=int, default=256, metavar="N",
                         help="largest ladder point to include (default 256; "
                              "use 1024 for the full curve)")
-    bscale.add_argument("--label", default=None, metavar="LABEL",
-                        help="workload label (default PI)")
     bscale.add_argument("--scale", type=float, default=None,
                         help="working-set scale (default 0.05)")
     bscale.add_argument("--repeat", type=int, default=1, metavar="N",
@@ -390,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="grid spec JSON (axes: presets, labels, scales, "
                            "nodes, overrides, faults)")
     srun.add_argument("--dir", dest="sweep_dir", metavar="DIR",
-                      help="sweep directory: journal, event log, manifest, "
-                           "telemetry, and a copy of the grid all default "
-                           "to files inside it ('sweep resume DIR' and "
-                           "'sweep status --dir DIR' consume it)")
+                      help="sweep directory: the journal (journal.jsonl) "
+                           "and the telemetry document (telemetry.json) "
+                           "default to files inside it; 'sweep status', "
+                           "'sweep report' and 'sweep resume' read it")
     srun.add_argument("--workers", type=int, default=1, metavar="N",
                       help="worker processes (1 = inline serial reference "
                            "path)")
@@ -406,13 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--json-out", metavar="FILE",
                       help="write the sweep's telemetry document "
                            "(bench compare/report consume it unchanged)")
-    srun.add_argument("--manifest", metavar="FILE",
-                      help="write the per-cell manifest JSON")
-    srun.add_argument("--events", metavar="FILE",
-                      help="write the structured event log (JSONL; 'sweep "
-                           "watch' and 'sweep report' consume it)")
     srun.add_argument("--journal", metavar="FILE",
-                      help="write the durable write-ahead journal "
+                      help="write the sweep's journal: every lifecycle "
+                           "line and the fsync'd per-cell commit records "
                            "('sweep resume' restarts from it after a crash)")
     srun.add_argument("--heartbeat", type=float, default=None,
                       metavar="SECONDS",
@@ -462,43 +440,32 @@ def build_parser() -> argparse.ArgumentParser:
     sshow.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache to probe (default: .fabric-cache)")
 
+    def _journal_args(p) -> None:
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--dir", dest="sweep_dir", metavar="DIR",
+                            help="sweep directory (reads DIR/journal.jsonl)")
+        source.add_argument("--journal", metavar="FILE",
+                            help="journal to replay (lock-free: safe on a "
+                                 "live sweep)")
+
     sstat = ssub.add_parser(
-        "status", help="render a stored manifest, or a live/interrupted "
-                       "sweep's resumability from its journal")
-    sstat.add_argument("--manifest", metavar="FILE",
-                       help="manifest JSON written by 'sweep run'")
-    sstat.add_argument("--journal", metavar="FILE",
-                       help="journal to replay (lock-free: safe on a live "
-                            "sweep; reports committed/pending cells)")
-    sstat.add_argument("--dir", dest="sweep_dir", metavar="DIR",
-                       help="sweep directory (reads DIR/journal.jsonl)")
+        "status", help="per-cell table and per-worker rollup of a live, "
+                       "crashed or finished sweep, from its journal")
+    _journal_args(sstat)
     sstat.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="cache to report quarantine counts from "
                             "(default: the journal's cache_dir)")
 
-    swatch = ssub.add_parser(
-        "watch", help="live fleet console over a sweep's event log")
-    swatch.add_argument("--events", required=True, metavar="FILE",
-                        help="event log (JSONL) of a live or finished sweep")
-    swatch.add_argument("--once", action="store_true",
-                        help="render one snapshot and exit (CI-friendly)")
-    swatch.add_argument("--interval", type=float, default=2.0,
-                        metavar="SECONDS",
-                        help="refresh period while tailing (default: 2.0)")
-
     srep = ssub.add_parser(
-        "report", help="fleet report: JSON / Prometheus text / Chrome trace")
-    srep.add_argument("--events", required=True, metavar="FILE",
-                      help="event log (JSONL) written by 'sweep run'")
-    srep.add_argument("--manifest", metavar="FILE",
-                      help="join the sweep manifest (cache stats)")
+        "report", help="fleet report from a sweep's journal: JSON / "
+                       "Chrome trace")
+    _journal_args(srep)
     srep.add_argument("--telemetry", metavar="FILE",
-                      help="join the telemetry document "
-                           "(critical-path category totals)")
+                      help="join the telemetry document (critical-path "
+                           "category totals; default: DIR/telemetry.json "
+                           "when --dir has one)")
     srep.add_argument("--json-out", metavar="FILE",
                       help="write the fleet report as JSON")
-    srep.add_argument("--prom-out", metavar="FILE",
-                      help="write a Prometheus-style text exposition")
     srep.add_argument("--trace-out", metavar="FILE",
                       help="write the sweep Chrome trace "
                            "(one track per worker)")
@@ -646,7 +613,7 @@ def _cmd_trace(args) -> int:
     print(f"verified : {merged.verified}")
     print(f"spans    : {len(plat.obs)}")
     print()
-    print(critical_path_report(plat).render(path_top=args.path_top))
+    print(critical_path_report(plat).render())
     _export_obs(plat, args)
     return 0 if merged.verified else 1
 
@@ -689,10 +656,7 @@ def _cmd_diagnose(args) -> int:
     pname = plat.hamster.platform_description()
     doc = sharing_report(plat.sharing, platform_name=pname,
                          n_ranks=plat.dsm.n_procs,
-                         page_size=plat.dsm.space.page_size,
-                         top=args.top,
-                         min_alternations=args.min_alternations,
-                         min_rate=args.min_rate)
+                         page_size=plat.dsm.space.page_size)
     print(f"platform : {pname}")
     print(f"benchmark: {args.app} {params or ''}")
     print(f"verified : {merged.verified}")
@@ -702,12 +666,10 @@ def _cmd_diagnose(args) -> int:
         write_text(args.json_out, json.dumps(doc, indent=2, sort_keys=True))
         print(f"report   : written to {args.json_out}")
     if args.heatmap_out:
-        write_text(args.heatmap_out,
-                   sharing_heatmap_csv(plat.sharing, bins=args.bins))
+        write_text(args.heatmap_out, sharing_heatmap_csv(plat.sharing))
         print(f"heatmap  : written to {args.heatmap_out}")
     if args.trace_out:
-        trace = sharing_chrome_trace(plat.sharing, platform_name=pname,
-                                     top=args.top, bins=args.bins)
+        trace = sharing_chrome_trace(plat.sharing, platform_name=pname)
         write_text(args.trace_out, json.dumps(trace))
         print(f"trace    : written to {args.trace_out} "
               f"({len(trace['traceEvents'])} events)")
@@ -809,7 +771,7 @@ def _cmd_bench(args) -> int:
         baseline_path = args.baseline or _default_baseline_path(doc["suite"])
         thresholds = {k: float(v) for k, v in args.threshold}
         return _bench_compare(doc, baseline_path, thresholds=thresholds,
-                              shape=not args.no_shape, show_ok=args.show_ok)
+                              show_ok=args.show_ok)
 
     if args.bench_command == "update-baseline":
         if args.json:
@@ -827,13 +789,12 @@ def _cmd_bench(args) -> int:
         return 0
 
     if args.bench_command == "scaling":
-        from repro.bench.scaling import (DEFAULT_LABEL, DEFAULT_SCALE,
-                                         render_scaling, run_scaling_curves)
+        from repro.bench.scaling import (DEFAULT_SCALE, render_scaling,
+                                         run_scaling_curves)
 
         doc = run_scaling_curves(
             fabrics=tuple(args.fabric) if args.fabric else ("eth", "sci"),
             max_nodes=args.max_nodes,
-            label=args.label or DEFAULT_LABEL,
             scale=args.scale if args.scale is not None else DEFAULT_SCALE,
             repeat=args.repeat,
             progress=lambda point: print(f"[scaling] {point}"))
@@ -883,72 +844,80 @@ def _cmd_bench(args) -> int:
         f"unhandled bench command {args.bench_command!r}")  # pragma: no cover
 
 
-def _sweep_watch(args) -> int:
-    """The ``sweep watch`` console: tail an event log, render the fleet."""
-    import time as _time
+def _replay_for(args, command: str):
+    """Journal path and replayed state behind ``sweep status`` / ``sweep
+    report``, or None after printing why the log cannot be shown. A
+    missing, foreign or corrupt log is an operator mistake, not a crash:
+    one line per problem, no traceback."""
+    from repro.fabric import JournalError, replay_journal
 
-    from repro.fabric.events import (read_events, tail_events,
-                                     validate_events)
+    journal = args.journal or os.path.join(args.sweep_dir, "journal.jsonl")
+    try:
+        state = replay_journal(journal)
+    except JournalError as exc:
+        print(f"sweep {command}: {exc}")
+        return None
+    for problem in state.problems:
+        print(f"sweep {command}: {journal}: {problem}")
+    return None if state.problems else (journal, state)
+
+
+def _sweep_status(args) -> int:
+    """``sweep status``: the per-cell table and the per-worker rollup of
+    one journal. Lock-free, so safe on a live sweep."""
+    from repro.fabric import ResultCache
     from repro.obs.fleet import FleetReport
 
-    errors = validate_events(args.events)
-    if errors:
-        for err in errors:
-            print(f"event log error: {err}")
+    loaded = _replay_for(args, "status")
+    if loaded is None:
         return 2
-    header, events = read_events(args.events)
-    report = FleetReport(header, events)
-    print(report.render())
-    if args.once:
-        return 0
-    # Live mode: tail complete lines until the sweep-end event appears.
-    offset = 0
-    with open(args.events, "rb") as fh:
-        fh.seek(0, 2)
-        offset = fh.tell()
-    try:
-        while not report.finished:
-            _time.sleep(max(args.interval, 0.1))
-            fresh, offset = tail_events(args.events, offset)
-            if not fresh:
-                continue
-            events.extend(fresh)
-            report = FleetReport(header, events)
-            print()
-            print(report.render())
-    except KeyboardInterrupt:
-        pass
-    return 0
+    journal, state = loaded
+    manifest = state.manifest()
+    print(manifest.render())
+    print()
+    print(FleetReport(state).render())
+    if state.torn_bytes is not None:
+        print("journal  : torn trailing line (crash mid-write; resume "
+              "repairs it)")
+    cache_dir = args.cache_dir or state.header.get("cache_dir")
+    if cache_dir:
+        stats = ResultCache(cache_dir).stats()
+        quarantined = stats.get("quarantined", 0)
+        print(f"cache    : {stats.get('entries', 0)} entries in {cache_dir}"
+              + (f"; {quarantined} quarantined — run 'sweep fsck'"
+                 if quarantined else ""))
+    pending = len(manifest.pending_cells())
+    if pending:
+        print(f"resume   : 'sweep resume "
+              f"{args.sweep_dir or os.path.dirname(journal) or '.'}' "
+              f"re-executes the {pending} pending cell(s)")
+    return 0 if not manifest.failed_cells() else 1
 
 
 def _sweep_report(args) -> int:
-    """The ``sweep report`` exporter: fleet JSON / Prometheus / trace."""
+    """The ``sweep report`` exporter: fleet JSON / Chrome trace."""
     import json as _json
 
     from repro.obs.export import validate_chrome_trace
-    from repro.obs.fleet import fleet_report_from_path
+    from repro.obs.fleet import FleetReport
     from repro.tools.export import write_text
 
-    try:
-        report = fleet_report_from_path(args.events,
-                                        manifest_path=args.manifest,
-                                        telemetry_path=args.telemetry)
-    except (OSError, ValueError) as exc:
-        # A missing or truncated log is an operator mistake, not a
-        # crash: one line, nonzero exit, no traceback.
-        print(f"sweep report: cannot read {args.events}: {exc}")
+    loaded = _replay_for(args, "report")
+    if loaded is None:
         return 2
-    if not any(ev.get("kind") == "sweep-begin" for ev in report.events):
-        print(f"sweep report: {args.events} has no 'sweep-begin' event — "
-              f"header-only log (the sweep never started, or this is not "
-              f"an event log)")
-        return 2
+    telemetry = args.telemetry
+    if telemetry is None and args.sweep_dir:
+        candidate = os.path.join(args.sweep_dir, "telemetry.json")
+        telemetry = candidate if os.path.exists(candidate) else None
+    records = None
+    if telemetry is not None:
+        from repro.bench.telemetry import load_telemetry
+
+        records = load_telemetry(telemetry).get("records")
+    report = FleetReport(loaded[1], records=records)
     if args.json_out:
         write_text(args.json_out, report.to_json())
         print(f"fleet json : written to {args.json_out}")
-    if args.prom_out:
-        write_text(args.prom_out, report.to_prometheus())
-        print(f"prometheus : written to {args.prom_out}")
     if args.trace_out:
         trace = report.chrome_trace()
         errors = validate_chrome_trace(trace)
@@ -958,48 +927,9 @@ def _sweep_report(args) -> int:
             return 2
         write_text(args.trace_out, _json.dumps(trace, sort_keys=True) + "\n")
         print(f"trace      : written to {args.trace_out}")
-    if not (args.json_out or args.prom_out or args.trace_out):
+    if not (args.json_out or args.trace_out):
         print(report.to_json(), end="")
     return 0
-
-
-def _sweep_status_from_journal(args) -> int:
-    """Resumability report: replay the journal, no locks, live-safe."""
-    import os as _os
-
-    from repro.fabric import JournalError, ResultCache, replay_journal
-
-    journal = args.journal or _os.path.join(args.sweep_dir, "journal.jsonl")
-    try:
-        state = replay_journal(journal)
-    except JournalError as exc:
-        print(f"sweep status: {exc}")
-        return 2
-    header = state.header
-    total = int(header.get("cells", 0))
-    counts = state.counts()
-    pending = state.pending(total)
-    print(f"sweep {header.get('suite', '?')!r} journal {journal}: "
-          f"{total} cells — {len(state.committed)} committed "
-          f"({counts.get('hit', 0)} hit / {counts.get('miss', 0)} miss / "
-          f"{counts.get('failed', 0)} failed), {len(pending)} pending")
-    status = state.status or "in flight (no terminal status recorded)"
-    print(f"status   : {status}")
-    if state.torn_bytes is not None:
-        print("journal  : torn trailing line (crash mid-write; resume "
-              "repairs it)")
-    cache_dir = args.cache_dir or header.get("cache_dir")
-    if cache_dir:
-        stats = ResultCache(cache_dir).stats()
-        quarantined = stats.get("quarantined", 0)
-        print(f"cache    : {stats.get('entries', 0)} entries in {cache_dir}"
-              + (f"; {quarantined} quarantined — run 'sweep fsck'"
-                 if quarantined else ""))
-    if pending:
-        print(f"resume   : 'sweep resume "
-              f"{args.sweep_dir or _os.path.dirname(journal) or '.'}' "
-              f"re-executes the {len(pending)} pending cell(s)")
-    return 0 if not counts.get("failed") else 1
 
 
 def _sweep_fsck(args) -> int:
@@ -1025,7 +955,7 @@ def _sweep_fsck(args) -> int:
     return 0
 
 
-def _finish_sweep(result, json_out, manifest_path, events_path,
+def _finish_sweep(result, json_out, journal_path,
                   expect_cached: bool = False) -> int:
     """Shared tail of ``sweep run`` / ``sweep resume``: write the
     outputs, name the offenders, map the sweep status to an exit code
@@ -1048,12 +978,8 @@ def _finish_sweep(result, json_out, manifest_path, events_path,
             print(f"telemetry: written to {json_out}")
     elif json_out:
         print("telemetry: no successful cells, nothing written")
-    if manifest_path:
-        manifest.save(manifest_path)
-        print(f"manifest : written to {manifest_path}")
-    if events_path:
-        print(f"events   : written to {events_path} "
-              f"({len(result.event_log or ())} event(s))")
+    if journal_path:
+        print(f"journal  : written to {journal_path}")
     if expect_cached and not manifest.all_cached():
         counts = manifest.counts()
         print(f"expect-cached: FAILED — {counts['miss']} miss(es), "
@@ -1077,12 +1003,10 @@ def _finish_sweep(result, json_out, manifest_path, events_path,
 
 def _sweep_resume(args) -> int:
     """``sweep resume DIR``: restore committed cells, run the rest."""
-    import os as _os
-
     from repro.fabric import (GridSpec, JournalError, ResultCache,
                               replay_journal, run_sweep)
 
-    journal = args.journal or _os.path.join(args.sweep_dir, "journal.jsonl")
+    journal = args.journal or os.path.join(args.sweep_dir, "journal.jsonl")
     try:
         state = replay_journal(journal)
     except JournalError as exc:
@@ -1111,7 +1035,6 @@ def _sweep_resume(args) -> int:
     result = run_sweep(
         spec, workers=workers, cache=ResultCache(cache_dir),
         timeout=args.timeout,
-        events=_os.path.join(args.sweep_dir, "events.jsonl"),
         heartbeat=args.heartbeat if args.heartbeat is not None else 1.0,
         journal=journal, resume_from=state,
         retry_failed=args.retry_failed, max_retries=args.max_retries,
@@ -1119,35 +1042,22 @@ def _sweep_resume(args) -> int:
         handle_signals=True,
         progress=lambda cell, outcome: print(f"[sweep] {cell}: {outcome}"))
     return _finish_sweep(
-        result,
-        json_out=_os.path.join(args.sweep_dir, "telemetry.json"),
-        manifest_path=_os.path.join(args.sweep_dir, "manifest.json"),
-        events_path=_os.path.join(args.sweep_dir, "events.jsonl"))
+        result, json_out=os.path.join(args.sweep_dir, "telemetry.json"),
+        journal_path=journal)
 
 
 def _cmd_sweep(args) -> int:
     from repro.fabric import (DEFAULT_CACHE_DIR, GridSpec, ResultCache,
-                              SweepManifest, run_sweep, scenario_key)
+                              run_sweep, scenario_key)
 
     if args.sweep_command == "status":
-        if args.journal or args.sweep_dir:
-            return _sweep_status_from_journal(args)
-        if not args.manifest:
-            print("sweep status: pass --manifest FILE, --journal FILE, "
-                  "or --dir DIR")
-            return 2
-        manifest = SweepManifest.load(args.manifest)
-        print(manifest.render())
-        return 0 if not manifest.failed_cells() else 1
+        return _sweep_status(args)
 
     if args.sweep_command == "fsck":
         return _sweep_fsck(args)
 
     if args.sweep_command == "resume":
         return _sweep_resume(args)
-
-    if args.sweep_command == "watch":
-        return _sweep_watch(args)
 
     if args.sweep_command == "report":
         return _sweep_report(args)
@@ -1175,36 +1085,27 @@ def _cmd_sweep(args) -> int:
         return 0
 
     if args.sweep_command == "run":
-        import os as _os
-        import shutil as _shutil
-
-        json_out, manifest_path = args.json_out, args.manifest
-        events_path, journal_path = args.events, args.journal
+        json_out, journal_path = args.json_out, args.journal
         if args.sweep_dir:
-            # The sweep directory bundles every artifact 'sweep resume'
-            # and 'sweep status --dir' need; explicit flags still win.
-            _os.makedirs(args.sweep_dir, exist_ok=True)
-            join = lambda name: _os.path.join(args.sweep_dir, name)  # noqa: E731
-            json_out = json_out or join("telemetry.json")
-            manifest_path = manifest_path or join("manifest.json")
-            events_path = events_path or join("events.jsonl")
-            journal_path = journal_path or join("journal.jsonl")
-            if _os.path.abspath(args.grid) != _os.path.abspath(
-                    join("grid.json")):
-                _shutil.copyfile(args.grid, join("grid.json"))
+            # The sweep directory holds the journal (which embeds the
+            # grid) and the telemetry; explicit flags still win.
+            os.makedirs(args.sweep_dir, exist_ok=True)
+            json_out = json_out or os.path.join(args.sweep_dir,
+                                                "telemetry.json")
+            journal_path = journal_path or os.path.join(args.sweep_dir,
+                                                        "journal.jsonl")
         sweep_kwargs = {}
         if args.heartbeat is not None:
             sweep_kwargs["heartbeat"] = args.heartbeat
         result = run_sweep(
             spec, workers=args.workers, cache_dir=cache_dir,
-            timeout=args.timeout, events=events_path, journal=journal_path,
+            timeout=args.timeout, journal=journal_path,
             max_retries=args.max_retries, max_failures=args.max_failures,
             retry_backoff=args.retry_backoff, handle_signals=True,
             progress=lambda cell, outcome: print(f"[sweep] {cell}: {outcome}"),
             **sweep_kwargs)
         return _finish_sweep(result, json_out=json_out,
-                             manifest_path=manifest_path,
-                             events_path=events_path,
+                             journal_path=journal_path,
                              expect_cached=args.expect_cached)
 
     raise AssertionError(

@@ -2,9 +2,9 @@
 
 The crash-recovery paths (worker respawn, journal resume) are only
 trustworthy if tests can kill the *real* processes at the *real*
-moments. This helper generalizes the original ``CRASH_FLAG_ENV`` worker
-hook into a small registry of named points spanning both sides of the
-queue: arm one through the environment and the process hard-exits
+moments. This helper is a small registry of named points spanning both
+sides of the queue: arm one through the environment and the process
+hard-exits
 (``os._exit`` — no ``finally`` blocks, no atexit, exactly what SIGKILL
 looks like from the outside) the first time execution reaches it.
 
@@ -17,7 +17,7 @@ most once — the retried attempt (worker) or the resumed sweep
 (orchestrator) sails past it. Known points:
 
 * ``worker-cell-start`` — a worker, after taking a job, before
-  executing the cell (the original ``CRASH_FLAG_ENV`` moment);
+  executing the cell;
 * ``orchestrator-pre-commit`` — the scheduler, after the cell's result
   is stored in the cache but before its journal commit record is
   written (resume must treat the cell as uncommitted — and will find

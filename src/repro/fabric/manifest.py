@@ -1,35 +1,31 @@
 """Sweep manifests: what happened to every cell of a grid.
 
-A :class:`SweepManifest` is the machine-readable receipt of one sweep:
-per cell, its id, content address, outcome (``hit`` / ``miss`` /
-``failed`` / ``pending``), attempt count, and — for executed cells —
-the host seconds and engine events it cost. ``python -m repro sweep
-status`` renders a stored manifest; CI's sweep-smoke job asserts on its
-counts (a repeated unchanged sweep must be 100% hits with zero
-simulated events).
+A :class:`SweepManifest` is the per-cell view of one sweep: per cell,
+its id, content address, outcome (``hit`` / ``miss`` / ``failed`` /
+``pending``), attempt count, and — for executed cells — the host seconds
+and engine events it cost. It is never stored: ``run_sweep`` returns one
+in memory (``SweepResult.manifest``), and ``python -m repro sweep
+status`` builds the same thing from the sweep's journal
+(:meth:`repro.fabric.journal.JournalState.manifest`), whose commit
+records hold the :class:`CellOutcome` of every resolved cell.
 
 A ``pending`` cell never ran to a final outcome: the sweep was
-interrupted (graceful SIGINT/SIGTERM drain) or aborted (the
-``--max-failures`` budget tripped) first. The manifest-level ``status``
-(``complete`` / ``interrupted`` / ``aborted``) records which, and
+interrupted (graceful SIGINT/SIGTERM drain), aborted (the
+``--max-failures`` budget tripped) or killed first. The manifest-level
+``status`` (``complete`` / ``interrupted`` / ``aborted``, or ``in
+flight`` for a journal with no terminal status yet) records which, and
 ``sweep resume`` picks the pending cells back up from the journal.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["MANIFEST_SCHEMA", "CellOutcome", "SweepManifest"]
-
-MANIFEST_SCHEMA = "repro.fabric.manifest/1"
+__all__ = ["CellOutcome", "SweepManifest"]
 
 #: The closed set of per-cell outcomes.
 OUTCOMES = ("hit", "miss", "failed", "pending")
-
-#: The closed set of sweep-level terminal states.
-STATUSES = ("complete", "interrupted", "aborted")
 
 
 @dataclass
@@ -81,12 +77,12 @@ class SweepManifest:
     cells: List[CellOutcome] = field(default_factory=list)
     #: total wall seconds of the sweep (queue wait + execution)
     elapsed: float = 0.0
-    #: snapshot of ResultCache.stats() at the end of the sweep, so cache
-    #: effectiveness is a stored first-class number (None on manifests
-    #: written before the stats existed)
+    #: snapshot of ResultCache.stats() at the end of the sweep (None
+    #: while a journal holds no ``sweep-end`` line)
     cache: Optional[Dict[str, Any]] = None
     #: how the sweep ended: "complete" (every cell resolved), "interrupted"
-    #: (graceful SIGINT/SIGTERM drain), "aborted" (--max-failures tripped)
+    #: (graceful SIGINT/SIGTERM drain), "aborted" (--max-failures tripped);
+    #: "in flight" when built from a journal with no terminal status
     status: str = "complete"
 
     # ------------------------------------------------------------- queries
@@ -117,43 +113,6 @@ class SweepManifest:
         counts = self.counts()
         return (counts["miss"] == 0 and counts["failed"] == 0
                 and self.simulated_events() == 0)
-
-    # ------------------------------------------------------------------ io
-    def to_dict(self) -> Dict[str, Any]:
-        d = {"schema": MANIFEST_SCHEMA, "suite": self.suite,
-             "workers": self.workers, "elapsed": self.elapsed,
-             "status": self.status,
-             "counts": self.counts(),
-             "simulated_events": self.simulated_events(),
-             "cells": [c.to_dict() for c in self.cells]}
-        if self.cache is not None:
-            d["cache"] = self.cache
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "SweepManifest":
-        if d.get("schema") != MANIFEST_SCHEMA:
-            raise ValueError(
-                f"manifest schema must be {MANIFEST_SCHEMA!r}, "
-                f"got {d.get('schema')!r}")
-        return cls(suite=d["suite"], workers=int(d["workers"]),
-                   elapsed=float(d.get("elapsed", 0.0)),
-                   cells=[CellOutcome.from_dict(c) for c in d.get("cells", [])],
-                   cache=d.get("cache"),
-                   status=str(d.get("status", "complete")))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    def save(self, path: str) -> None:
-        from repro.tools.export import write_text
-
-        write_text(path, self.dumps())
-
-    @classmethod
-    def load(cls, path: str) -> "SweepManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     # -------------------------------------------------------------- render
     def render(self) -> str:

@@ -19,33 +19,30 @@
    document (records in grid order, independent of completion order, so
    parallel and serial sweeps produce identical documents).
 
-Crash safety: with ``journal`` set, every cell state transition is
-write-ahead-journaled (:mod:`repro.fabric.journal`) and each cell that
-reaches a final outcome gets an **fsync'd commit record** the moment its
-result is safely in the cache — committed per cell *as results arrive*,
-not at sweep end, so killing the orchestrator at any instant loses at
-most the in-flight cells. ``run_sweep(resume_from=...)`` restores the
-committed outcomes (verifying each against the live cache — a
-quarantined entry demotes its cell back to the worklist) and re-executes
-only the rest; the canonical records of an interrupted-then-resumed
-sweep are byte-identical to an uninterrupted run.
+The log: with ``journal`` set, every cell and worker lifecycle
+transition is appended to the sweep's one journal
+(:mod:`repro.fabric.journal`) as it happens, and each cell that reaches
+a final outcome gets an **fsync'd commit record** the moment its result
+is safely in the cache — committed per cell *as results arrive*, not at
+sweep end, so killing the orchestrator at any instant loses at most the
+in-flight cells. ``run_sweep(resume_from=...)`` restores the committed
+outcomes (verifying each against the live cache — a quarantined entry
+demotes its cell back to the worklist) and re-executes only the rest;
+the canonical records of an interrupted-then-resumed sweep are
+byte-identical to an uninterrupted run. Workers report in-cell progress
+heartbeats (engine events executed, virtual seconds) over their result
+pipes into the same journal — so a live sweep can be watched (``sweep
+status``), a slow cell can be told from a stuck one, and a timed-out
+cell's outcome records its progress-at-kill. Host-side timestamps stay
+in the journal; they never enter ``canonical_record``, so the telemetry
+document is byte-identical with the journal on or off.
 
 Graceful shutdown: with ``handle_signals`` set, the first SIGINT/SIGTERM
-stops dispatching and drains in-flight cells (journal and manifest stay
+stops dispatching and drains in-flight cells (the journal stays
 consistent, workers exit via their sentinel); a second signal abandons
 the drain. Unresolved cells are reported ``pending`` and the result
 carries ``status="interrupted"`` so callers can exit distinctly and a
 follow-up resume picks up exactly where the sweep stopped.
-
-Observability: with ``events`` set, every cell/worker lifecycle
-transition is appended to a structured event log
-(:mod:`repro.fabric.events`) as it happens, and workers report in-cell
-progress heartbeats (engine events executed, virtual seconds) over
-their result pipes — so a live sweep can be watched (``sweep watch``), a slow
-cell can be told from a stuck one, and a timed-out cell's outcome
-records its progress-at-kill. Host-side timestamps stay in the event
-log and the manifest; they never enter ``canonical_record``, so the
-telemetry document is byte-identical with the log on or off.
 
 The telemetry document uses the unchanged ``repro.bench.telemetry``
 schema: ``bench compare``, the baseline gates, and the report generator
@@ -68,7 +65,6 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import repro.fabric.faultpoints as faultpoints
 from repro.fabric.cache import DEFAULT_CACHE_DIR, ResultCache, scenario_key
-from repro.fabric.events import EventLog
 from repro.fabric.gridspec import GridSpec
 from repro.fabric.journal import (JournalError, JournalState, SweepJournal,
                                   replay_journal)
@@ -100,13 +96,8 @@ Progress = Callable[[str, str], None]
 _OnDone = Callable[[Job, Dict[str, Any]], None]
 _OnFail = Callable[[Job, str, str, Optional[Dict[str, Any]]], None]
 
-#: Event kinds mirrored into the write-ahead journal as transitions.
-_JOURNAL_TRANSITIONS = frozenset({"enqueued", "dispatched", "started",
-                                  "retried"})
-
-
 def _null_emit(kind: str, **fields: Any) -> None:
-    """Event sink when no log is attached."""
+    """Lifecycle sink when the sweep keeps no journal."""
 
 
 class _StopControl:
@@ -167,8 +158,6 @@ class SweepResult:
     records: List[Dict[str, Any]] = field(default_factory=list)
     #: telemetry document (None when every cell failed)
     doc: Optional[Dict[str, Any]] = None
-    #: the sweep's event log (None unless ``events`` was requested)
-    event_log: Optional[EventLog] = None
     #: how the sweep ended: "complete" | "interrupted" | "aborted"
     status: str = "complete"
     #: cells restored from a resume journal without re-execution
@@ -186,8 +175,8 @@ def _run_jobs_serial(jobs: List[Job], suite: str, progress: Optional[Progress],
     """Reference execution: same cell path as the workers, inline.
 
     Per-cell timeouts are not enforced inline (there is no worker to
-    kill); in-cell exceptions still become typed failures. With an event
-    log attached, the inline path reports as worker 0 — including
+    kill); in-cell exceptions still become typed failures. With a
+    journal attached, the inline path reports as worker 0 — including
     heartbeats, via the same engine hook the worker processes use.
     Returns True when the ``max_failures`` budget aborted the run;
     a stop request (checked between cells — an executing cell always
@@ -542,7 +531,6 @@ def run_sweep(spec: GridSpec, workers: int = 1,
               timeout: Optional[float] = None,
               progress: Optional[Progress] = None,
               stall_grace: float = 5.0,
-              events: Optional[Union[str, EventLog]] = None,
               heartbeat: Optional[float] = DEFAULT_HEARTBEAT,
               journal: Optional[Union[str, SweepJournal]] = None,
               resume_from: Optional[Union[str, JournalState]] = None,
@@ -553,13 +541,9 @@ def run_sweep(spec: GridSpec, workers: int = 1,
               handle_signals: bool = False) -> SweepResult:
     """Run one sweep; see the module docstring for the full contract.
 
-    ``events`` enables the structured event log: a path (the
-    ``events.jsonl`` file to write) or a pre-built
-    :class:`~repro.fabric.events.EventLog`. ``heartbeat`` is the in-cell
-    progress period in host seconds (None disables heartbeats).
-
-    ``journal`` enables the durable write-ahead journal (a path or a
-    pre-built :class:`~repro.fabric.journal.SweepJournal`);
+    ``journal`` enables the sweep's durable log (a path or a pre-built
+    :class:`~repro.fabric.journal.SweepJournal`); ``heartbeat`` is the
+    in-cell progress period in host seconds (None disables heartbeats);
     ``resume_from`` (a journal path or a replayed
     :class:`~repro.fabric.journal.JournalState`) restores the committed
     cells of an interrupted sweep instead of re-executing them —
@@ -609,19 +593,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
     elif journal is not None:
         jnl = journal
 
-    owns_log = isinstance(events, str)
-    log: Optional[EventLog] = None
-    if owns_log:
-        log = EventLog(events, suite=spec.suite, cells=len(cells),
-                       workers=workers)
-    elif events is not None:
-        log = events
-
-    def emit(kind: str, **fields: Any) -> None:
-        if log is not None:
-            log.emit(kind, **fields)
-        if jnl is not None and kind in _JOURNAL_TRANSITIONS:
-            jnl.transition(fields.get("cell", -1), kind)
+    emit = jnl.emit if jnl is not None else _null_emit
 
     stop = _StopControl()
     prev_handlers: Dict[int, Any] = {}
@@ -799,14 +771,13 @@ def run_sweep(spec: GridSpec, workers: int = 1,
                                 "elapsed": manifest.elapsed,
                                 "status": status,
                                 "simulated_events":
-                                    manifest.simulated_events()})
+                                    manifest.simulated_events(),
+                                "cache": manifest.cache})
         if jnl is not None:
             jnl.status(status)
     finally:
         if handle_signals:
             _restore_signal_handlers(prev_handlers)
-        if owns_log and log is not None:
-            log.close()
         if owns_journal and jnl is not None:
             jnl.close()
 
@@ -826,8 +797,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
             "records": ordered,
         }
     return SweepResult(spec=spec, manifest=manifest, records=ordered,
-                       doc=doc, event_log=log, status=status,
-                       restored=restored)
+                       doc=doc, status=status, restored=restored)
 
 
 def _telemetry_schema() -> str:

@@ -42,16 +42,7 @@ import repro.fabric.faultpoints as faultpoints
 from repro.fabric.gridspec import Scenario
 
 __all__ = ["Job", "CellFailed", "execute_cell", "install_heartbeat",
-           "worker_main", "CRASH_FLAG_ENV", "HOOK_EVERY_EVENTS"]
-
-#: Legacy spelling of the ``worker-cell-start`` fault point
-#: (:mod:`repro.fabric.faultpoints`): when set to a path, a worker
-#: hard-exits (os._exit) before executing its next cell unless the flag
-#: file already exists — the file is created first, so exactly one crash
-#: happens and the retry succeeds. New code should arm
-#: ``faultpoints.WORKER_CELL_START`` instead; both spellings exercise
-#: the same recovery path.
-CRASH_FLAG_ENV = "REPRO_FABRIC_CRASH_FLAG"
+           "worker_main", "HOOK_EVERY_EVENTS"]
 
 #: The engine host hook fires every this-many dispatched events; the
 #: heartbeat interval (host seconds) then throttles actual messages.
@@ -71,7 +62,7 @@ class Job:
 
 
 class CellFailed(Exception):
-    """Typed per-cell failure recorded in the manifest.
+    """Typed per-cell failure recorded in the cell's outcome.
 
     A failed cell never aborts the sweep: the scheduler converts crashes
     (after one retry), timeouts, and cell-level exceptions into this
@@ -133,15 +124,6 @@ def install_heartbeat(emit: Callable[[int, float], None],
     set_host_hook(hook, every_events=HOOK_EVERY_EVENTS)
 
 
-def _maybe_crash_for_test() -> None:
-    flag = os.environ.get(CRASH_FLAG_ENV)
-    if flag and not os.path.exists(flag):
-        with open(flag, "w", encoding="utf-8"):
-            pass
-        os._exit(faultpoints.FAULTPOINT_EXIT)  # hard death, no cleanup
-    faultpoints.maybe_crash(faultpoints.WORKER_CELL_START)
-
-
 def worker_main(job_q: Any, results: Any, suite: str = "sweep",
                 heartbeat: Optional[float] = None) -> None:
     """Worker process entry point: drain jobs until the None sentinel.
@@ -193,7 +175,7 @@ def worker_main(job_q: Any, results: Any, suite: str = "sweep",
                 return
             results.send(("start", job.index, None, pid))
             current["index"] = job.index
-            _maybe_crash_for_test()
+            faultpoints.maybe_crash(faultpoints.WORKER_CELL_START)
             try:
                 record = execute_cell(job.scenario, suite=suite)
                 current["index"] = -1

@@ -25,10 +25,10 @@ needs on top of them:
   detectors, top-N hot pages/locks, and JSON/CSV/Chrome exporters —
   ``python -m repro diagnose``.
 * :mod:`repro.obs.fleet` — the same discipline one level up: a
-  :class:`~repro.obs.fleet.FleetReport` rolls a sweep's structured event
-  log (:mod:`repro.fabric.events`) into per-worker utilization, fleet
-  throughput, ETA, and a one-track-per-worker Chrome trace, powering
-  ``python -m repro sweep watch``.
+  :class:`~repro.obs.fleet.FleetReport` rolls a sweep's journal
+  (:mod:`repro.fabric.journal`) into per-worker utilization, fleet
+  throughput, ETA, and a one-track-per-worker Chrome trace, behind
+  ``python -m repro sweep status`` and ``sweep report``.
 
 Everything is **off by default and costs zero when disabled**: the engine
 carries a shared :data:`~repro.obs.spans.NULL_OBS` sentinel whose every
@@ -42,8 +42,7 @@ from repro.obs.critical_path import (CriticalPathReport, RankBreakdown,
                                      critical_path_report)
 from repro.obs.export import (chrome_trace, chrome_trace_json,
                               validate_chrome_trace)
-from repro.obs.fleet import (FleetReport, WorkerStats,
-                             fleet_report_from_path)
+from repro.obs.fleet import FleetReport, WorkerStats
 from repro.obs.diagnose import (SHARING_SCHEMA, classify_sharing,
                                 ping_pong_pages, render_sharing_report,
                                 sharing_chrome_trace, sharing_heatmap_csv,
@@ -70,7 +69,6 @@ __all__ = [
     "validate_chrome_trace",
     "FleetReport",
     "WorkerStats",
-    "fleet_report_from_path",
     "SharingRecorder",
     "NullSharing",
     "NULL_SHARING",

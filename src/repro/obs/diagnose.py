@@ -19,8 +19,8 @@ directly). Output is:
   virtual-time activity (tidy CSV; Chrome counter tracks that pass
   :func:`repro.obs.export.validate_chrome_trace`),
 * :func:`sharing_summary` — the compact form embedded in bench telemetry
-  records (and surfaced as Prometheus gauges by
-  :meth:`repro.obs.fleet.FleetReport.to_prometheus`).
+  records (and rolled up over a sweep by
+  :meth:`repro.obs.fleet.FleetReport.sharing_totals`).
 
 Detectors are **deterministic and order-independent**: they sort their
 input by ``(t, page, rank)`` before compressing, so any permutation of the
@@ -273,7 +273,7 @@ def sharing_report(recorder: SharingRecorder, platform_name: str = "",
 # ---------------------------------------------------------------- validate
 def validate_sharing_report(doc: Any) -> List[str]:
     """Structurally validate a sharing report (CI schema gate; mirrors
-    ``validate_telemetry`` / ``validate_events``). Accepts the JSON text or
+    ``validate_telemetry`` / ``validate_journal``). Accepts the JSON text or
     the parsed dict; returns human-readable errors (empty = valid)."""
     errors: List[str] = []
     if isinstance(doc, str):

@@ -1,56 +1,56 @@
-"""Fleet observability: roll one sweep's event log up into fleet metrics.
+"""Fleet observability: the per-worker view of one sweep's journal.
 
 The simulator made single runs observable (spans, metrics, critical
 path); this module does the same for the *fleet* — the worker pool a
 sweep (:mod:`repro.fabric.scheduler`) runs over. A :class:`FleetReport`
-is built from the structured event log (:mod:`repro.fabric.events`),
-optionally joined with the sweep manifest and per-cell telemetry
-records, and answers the questions the orchestrator alone cannot:
+is built from a replayed sweep journal
+(:func:`repro.fabric.journal.replay_journal`), optionally joined with
+per-cell telemetry records, and answers the questions the orchestrator
+alone cannot:
 
 * per-worker: cells completed/failed, busy vs. idle host seconds
   (**utilization**), engine events executed and events/sec, current
-  state (idle / running cell N / killed / dead);
+  state (idle / running cell N / killed / dead / exited);
 * fleet-wide: cache hit ratio, aggregate events/sec, retry and kill
   counts, ETA from per-cell duration history, critical-path category
   totals summed over the joined telemetry records;
-* exports: JSON (:meth:`FleetReport.to_dict`), a Prometheus-style text
-  exposition (:meth:`FleetReport.to_prometheus`), a sweep-level Chrome
+* exports: JSON (:meth:`FleetReport.to_dict`), a sweep-level Chrome
   trace with **one track per worker**
   (:meth:`FleetReport.chrome_trace` — validated by
-  :func:`repro.obs.export.validate_chrome_trace`), and the live console
-  rendering behind ``python -m repro sweep watch``
+  :func:`repro.obs.export.validate_chrome_trace`), and the per-worker
+  console table of ``python -m repro sweep status``
   (:meth:`FleetReport.render`).
 
-The report is a pure function of the log: it works identically on a
-finished sweep's file and on a half-written one being tailed live.
+Per-cell counts come from the journal's commit records, so a cell is
+counted once however many sessions (crash, ``sweep resume``) touched it;
+worker activity comes from the lifecycle lines. The report is a pure
+function of the journal state: it works identically on a finished
+sweep's log and on a half-written one read live.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-__all__ = ["WorkerStats", "FleetReport", "fleet_report_from_path"]
+if TYPE_CHECKING:  # repro.obs must not pull the fabric in at import
+    from repro.fabric.journal import JournalState
+
+__all__ = ["WorkerStats", "FleetReport"]
 
 _US = 1e6  # seconds -> microseconds (Chrome trace unit)
 
 
-def _cell_index(ev: Dict[str, Any]) -> int:
-    """Grid index of an event's cell, -1 when absent or null."""
-    cell = ev.get("cell")
-    return -1 if cell is None else int(cell)
-
-
 @dataclass
 class WorkerStats:
-    """One worker's share of the sweep, derived from its events."""
+    """One worker's share of the sweep, derived from its lifecycle lines."""
 
     worker: int
     pid: Optional[int] = None
     #: cells this worker finished / failed (typed in-cell errors)
     done: int = 0
     failed: int = 0
-    #: host seconds spent inside cells (started -> done/failed/kill)
+    #: host seconds spent inside cells (started -> done/failed/kill/exit)
     busy_seconds: float = 0.0
     #: engine events executed across this worker's finished cells, plus
     #: the last heartbeat of a cell that died on it
@@ -63,6 +63,7 @@ class WorkerStats:
     last_beat: Optional[Dict[str, Any]] = None
     #: host timestamp the current cell started at (for live busy time)
     _started_at: Optional[float] = None
+    _cell_id: str = "?"
     #: completed (start, end, cell, id, ok) slices for the Chrome trace
     slices: List[Tuple[float, float, int, str, bool]] = field(
         default_factory=list)
@@ -81,25 +82,27 @@ class WorkerStats:
 class FleetReport:
     """Aggregated view of one sweep's fleet, live or finished."""
 
-    def __init__(self, header: Dict[str, Any],
-                 events: List[Dict[str, Any]],
-                 manifest: Optional[Dict[str, Any]] = None,
+    def __init__(self, state: "JournalState",
                  records: Optional[List[Dict[str, Any]]] = None) -> None:
-        self.header = header
-        self.events = events
-        self.manifest = manifest
+        self.events = state.events
         self.records = records or []
-        self.suite = header.get("suite", "sweep")
-        self.total_cells = int(header.get("cells", 0))
+        self.suite = state.header.get("suite", "sweep")
+        self.total_cells = int(state.header.get("cells", 0))
+        #: cells by committed outcome — each cell once, whatever the
+        #: number of sessions or attempts that narrated it
+        outcomes = state.counts()
+        self.cache_hits = outcomes.get("hit", 0)
+        self.executed = outcomes.get("miss", 0)
+        self.failed = outcomes.get("failed", 0)
+        #: ResultCache.stats() as of the last finished session, or None
+        self.cache: Optional[Dict[str, Any]] = state.sweep_end().get("cache")
         self.workers: Dict[int, WorkerStats] = {}
-        self.counts: Dict[str, int] = {
-            "enqueued": 0, "cache-hit": 0, "dispatched": 0, "started": 0,
-            "heartbeat": 0, "done": 0, "failed": 0, "retried": 0}
+        self.retried = 0
         self.kills = 0
         self.deaths = 0
         self.respawns = 0
         self.finished = False
-        self.elapsed = 0.0
+        self.elapsed = state.elapsed
         #: host-second durations of completed cells (ETA history)
         self.cell_durations: List[float] = []
         self._replay()
@@ -112,85 +115,79 @@ class FleetReport:
             self.workers[wid] = WorkerStats(worker=wid)
         return self.workers[wid]
 
+    def _leave(self, ws: WorkerStats, t: float, state: str,
+               ok: bool = False) -> Optional[float]:
+        """Put ``ws`` in ``state`` at ``t``, closing the cell slice it
+        had open (``ok`` only when the cell finished); returns that
+        slice's duration, None when no cell was open."""
+        duration = None
+        if ws._started_at is not None:
+            duration = max(0.0, t - ws._started_at)
+            ws.busy_seconds += duration
+            cell = -1 if ws.running_cell is None else int(ws.running_cell)
+            ws.slices.append((ws._started_at, t, cell, ws._cell_id, ok))
+            ws._started_at = None
+        ws.state = state
+        ws.running_cell = None
+        ws.last_beat = None
+        return duration
+
     def _replay(self) -> None:
         for ev in self.events:
             kind = ev.get("kind")
             t = float(ev.get("t") or 0.0)
-            self.elapsed = max(self.elapsed, t)
             data = ev.get("data") or {}
-            wid = ev.get("worker")
-            if kind in self.counts:
-                self.counts[kind] += 1
-            if kind == "sweep-end":
+            if kind == "sweep-begin":
+                # A new session (first run, or a resume after a crash):
+                # whatever the last one's workers were doing ended with it.
+                self.finished = False
+                for ws in self.workers.values():
+                    self._leave(ws, t, "exited")
+            elif kind == "sweep-end":
                 self.finished = True
-            elif kind in ("worker-spawn", "worker-respawn"):
-                # A spawn line missing its worker id (truncated write,
-                # hand-edited log) must not take the whole report down.
-                ws = self._worker(wid)
-                if ws is not None:
-                    ws.pid = data.get("pid")
-                if kind == "worker-respawn":
-                    self.respawns += 1
-            elif kind == "started":
-                ws = self._worker(wid)
-                if ws is not None:
-                    ws.state = f"running {ev.get('id', ev.get('cell'))}"
-                    ws.running_cell = ev.get("cell")
-                    ws._started_at = t
-                    ws.last_beat = None
-            elif kind == "heartbeat":
-                ws = self._worker(wid)
-                if ws is not None:
-                    ws.last_beat = data
-            elif kind in ("done", "failed"):
-                ws = self._worker(wid)
-                if ws is not None and ws._started_at is not None:
-                    duration = max(0.0, t - ws._started_at)
-                    ws.busy_seconds += duration
-                    ws.slices.append((ws._started_at, t,
-                                      _cell_index(ev),
-                                      str(ev.get("id", "?")),
-                                      kind == "done"))
-                    if kind == "done":
-                        self.cell_durations.append(duration)
-                    ws._started_at = None
-                if ws is not None:
-                    if kind == "done":
-                        ws.done += 1
-                        ws.events_executed += int(
-                            data.get("events_executed", 0))
-                    else:
-                        ws.failed += 1
-                    ws.state = "idle"
-                    ws.running_cell = None
-                    ws.last_beat = None
+            elif kind == "retried":
+                self.retried += 1
+            elif kind == "worker-respawn":
+                self.respawns += 1
             elif kind == "worker-kill":
-                ws = self._worker(wid)
                 self.kills += 1
-                if ws is not None:
-                    prog = data.get("progress") or {}
-                    ws.events_executed += int(prog.get("events_executed", 0))
-                    if ws._started_at is not None:
-                        ws.busy_seconds += max(0.0, t - ws._started_at)
-                        ws.slices.append((ws._started_at, t,
-                                          _cell_index(ev),
-                                          str(ev.get("id", "killed")),
-                                          False))
-                        ws._started_at = None
-                    ws.state = "killed"
-                    ws.running_cell = None
             elif kind == "worker-death":
-                ws = self._worker(wid)
                 self.deaths += 1
-                if ws is not None:
-                    if ws._started_at is not None:
-                        ws.busy_seconds += max(0.0, t - ws._started_at)
-                        ws._started_at = None
-                    ws.state = "dead"
+            # A line missing its worker id (hand-edited log) must not
+            # take the whole report down.
+            ws = self._worker(ev.get("worker"))
+            if ws is None:
+                continue
+            if kind in ("worker-spawn", "worker-respawn"):
+                ws.pid = data.get("pid")
+                ws.state = "idle"
+            elif kind == "started":
+                ws._cell_id = str(ev.get("id", ev.get("cell")))
+                ws.state = f"running {ws._cell_id}"
+                ws.running_cell = ev.get("cell")
+                ws._started_at = t
+                ws.last_beat = None
+            elif kind == "heartbeat":
+                ws.last_beat = data
+            elif kind == "done":
+                duration = self._leave(ws, t, "idle", ok=True)
+                if duration is not None:
+                    self.cell_durations.append(duration)
+                ws.done += 1
+                ws.events_executed += int(data.get("events_executed", 0))
+            elif kind == "failed":
+                self._leave(ws, t, "idle")
+                ws.failed += 1
+            elif kind == "worker-kill":
+                prog = data.get("progress") or {}
+                ws.events_executed += int(prog.get("events_executed", 0))
+                self._leave(ws, t, "killed")
+            elif kind == "worker-death":
+                self._leave(ws, t, "dead")
             elif kind == "worker-exit":
-                ws = self._worker(wid)
-                if ws is not None and ws.state in ("idle", "running"):
-                    ws.state = "exited"
+                # Torn down with a cell open (abandoned drain, aborted
+                # sweep): the cell ends here, failed, not at end of log.
+                self._leave(ws, t, "exited")
         # Live sweeps: a cell still running contributes its elapsed time
         # and last heartbeat to the worker's busy/event totals.
         for ws in self.workers.values():
@@ -203,8 +200,7 @@ class FleetReport:
     # ---------------------------------------------------------- queries
     def resolved_cells(self) -> int:
         """Cells with a final outcome so far (hit, executed, or failed)."""
-        return (self.counts["cache-hit"] + self.counts["done"]
-                + self.counts["failed"])
+        return self.cache_hits + self.executed + self.failed
 
     def remaining_cells(self) -> int:
         return max(0, self.total_cells - self.resolved_cells())
@@ -213,7 +209,7 @@ class FleetReport:
         resolved = self.resolved_cells()
         if resolved == 0:
             return 0.0
-        return self.counts["cache-hit"] / resolved
+        return self.cache_hits / resolved
 
     def total_events(self) -> int:
         return sum(ws.events_executed for ws in self.workers.values())
@@ -293,10 +289,10 @@ class FleetReport:
                 "total": self.total_cells,
                 "resolved": self.resolved_cells(),
                 "remaining": self.remaining_cells(),
-                "cache_hits": self.counts["cache-hit"],
-                "executed": self.counts["done"],
-                "failed": self.counts["failed"],
-                "retried": self.counts["retried"],
+                "cache_hits": self.cache_hits,
+                "executed": self.executed,
+                "failed": self.failed,
+                "retried": self.retried,
             },
             "cache_hit_ratio": round(self.cache_hit_ratio(), 4),
             "workers": per_worker,
@@ -316,100 +312,14 @@ class FleetReport:
         if sharing is not None:
             d["sharing_totals"] = {k: round(v, 9)
                                    for k, v in sharing.items()}
-        if self.manifest is not None and self.manifest.get("cache"):
-            d["cache"] = self.manifest["cache"]
+        if self.cache:
+            d["cache"] = self.cache
         return d
 
     def to_json(self, indent: int = 2) -> str:
         import json
 
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition of the fleet metrics.
-
-        Gauge/counter lines with a ``suite`` label (plus ``worker`` /
-        ``outcome`` / ``category`` where it applies) — scrapeable as a
-        textfile-collector drop or diffable as a CI artifact.
-        """
-        suite = self.suite.replace('"', "'")
-        lines: List[str] = []
-
-        def metric(name: str, help_text: str, kind: str,
-                   samples: List[Tuple[str, float]]) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {kind}")
-            for labels, value in samples:
-                sep = "," if labels else ""
-                lines.append(
-                    f'{name}{{suite="{suite}"{sep}{labels}}} {value:g}')
-
-        metric("repro_sweep_cells", "Grid cells by outcome so far.",
-               "gauge",
-               [('outcome="cache-hit"', self.counts["cache-hit"]),
-                ('outcome="executed"', self.counts["done"]),
-                ('outcome="failed"', self.counts["failed"]),
-                ('outcome="remaining"', self.remaining_cells())])
-        metric("repro_sweep_cache_hit_ratio",
-               "Fraction of resolved cells served from the result cache.",
-               "gauge", [("", self.cache_hit_ratio())])
-        metric("repro_sweep_retries_total",
-               "Jobs re-queued after a worker death or timeout.",
-               "counter", [("", self.counts["retried"])])
-        metric("repro_sweep_worker_kills_total",
-               "Workers killed by the per-cell timeout.",
-               "counter", [("", self.kills)])
-        metric("repro_sweep_worker_deaths_total",
-               "Workers that died unexpectedly.",
-               "counter", [("", self.deaths)])
-        metric("repro_sweep_elapsed_seconds",
-               "Host seconds since the sweep began.",
-               "gauge", [("", self.elapsed)])
-        metric("repro_sweep_engine_events_total",
-               "Engine events executed across the fleet.",
-               "counter", [("", self.total_events())])
-        metric("repro_sweep_events_per_second",
-               "Aggregate fleet throughput in engine events per second.",
-               "gauge", [("", self.aggregate_events_per_sec())])
-        if self.manifest is not None and self.manifest.get("cache"):
-            metric("repro_sweep_cache_quarantined",
-                   "Corrupt cache entries quarantined on this cache root.",
-                   "gauge",
-                   [("", self.manifest["cache"].get("quarantined", 0))])
-        eta = self.eta_seconds()
-        if eta is not None:
-            metric("repro_sweep_eta_seconds",
-                   "Estimated host seconds until the sweep finishes.",
-                   "gauge", [("", eta)])
-        metric("repro_sweep_worker_utilization",
-               "Busy fraction of each worker's wall time.", "gauge",
-               [(f'worker="{wid}"', ws.utilization(self.elapsed))
-                for wid, ws in sorted(self.workers.items())])
-        metric("repro_sweep_worker_events_per_second",
-               "Per-worker engine event throughput while busy.", "gauge",
-               [(f'worker="{wid}"', ws.events_per_sec())
-                for wid, ws in sorted(self.workers.items())])
-        if self.records:
-            metric("repro_sweep_critical_path_seconds",
-                   "Critical-path seconds by category over all records.",
-                   "gauge",
-                   [(f'category="{cat}"', val) for cat, val
-                    in sorted(self.critical_path_totals().items())])
-        sharing = self.sharing_totals()
-        if sharing is not None:
-            metric("repro_sweep_hot_page_fault_rate",
-                   "Worst per-page fault rate (faults per virtual second) "
-                   "over the joined sharing analytics.",
-                   "gauge", [("", sharing["hot_page_fault_rate_hz"])])
-            metric("repro_sweep_ping_pong_pages",
-                   "Pages whose ownership ping-pongs between ranks, "
-                   "summed over the joined records.",
-                   "gauge", [("", sharing["ping_pong_pages"])])
-            metric("repro_sweep_false_sharing_pages",
-                   "Ping-pong pages classified as false sharing, summed "
-                   "over the joined records.",
-                   "gauge", [("", sharing["false_sharing_pages"])])
-        return "\n".join(lines) + "\n"
 
     def chrome_trace(self) -> Dict[str, Any]:
         """Sweep-level Chrome trace: one track (pid) per worker.
@@ -469,16 +379,15 @@ class FleetReport:
 
     # ----------------------------------------------------------- render
     def render(self) -> str:
-        """The ``sweep watch`` console: per-worker status + fleet totals."""
+        """Per-worker status + fleet totals, as ``sweep status`` prints
+        them under the per-cell table."""
         from repro.bench.report import render_table
 
         state = "finished" if self.finished else "running"
         title = (f"sweep {self.suite!r} [{state}] — "
                  f"{self.resolved_cells()}/{self.total_cells or '?'} cells "
-                 f"({self.counts['cache-hit']} hit / "
-                 f"{self.counts['done']} executed / "
-                 f"{self.counts['failed']} failed), "
-                 f"{self.counts['retried']} retried — "
+                 f"({self.cache_hits} hit / {self.executed} executed / "
+                 f"{self.failed} failed), {self.retried} retried — "
                  f"{self.elapsed:.1f}s elapsed")
         rows = []
         for wid in sorted(self.workers):
@@ -502,36 +411,4 @@ class FleetReport:
                   f"aggregate: {self.aggregate_events_per_sec():,.0f} "
                   f"events/s  kills: {self.kills}  deaths: {self.deaths}  "
                   f"ETA: {eta_text}")
-        if self.manifest is not None and self.manifest.get("cache", {}) \
-                .get("quarantined"):
-            footer += (f"\ncache: "
-                       f"{self.manifest['cache']['quarantined']} corrupt "
-                       f"entr(ies) quarantined — run 'sweep fsck'")
         return table + "\n" + footer
-
-
-def fleet_report_from_path(events_path: str,
-                           manifest_path: Optional[str] = None,
-                           telemetry_path: Optional[str] = None
-                           ) -> FleetReport:
-    """Build a :class:`FleetReport` from files on disk.
-
-    ``manifest_path`` joins in the sweep manifest (cache stats);
-    ``telemetry_path`` joins in the telemetry document (critical-path
-    totals). Both are optional — the event log alone is enough.
-    """
-    import json
-
-    from repro.fabric.events import read_events
-
-    header, events = read_events(events_path)
-    manifest = None
-    if manifest_path is not None:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    records = None
-    if telemetry_path is not None:
-        from repro.bench.telemetry import load_telemetry
-
-        records = load_telemetry(telemetry_path).get("records")
-    return FleetReport(header, events, manifest=manifest, records=records)

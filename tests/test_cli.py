@@ -262,9 +262,8 @@ class TestSweepCommands:
         grid = self._grid(tmp_path)
         cache = str(tmp_path / "cache")
         out = str(tmp_path / "sweep.json")
-        manifest = str(tmp_path / "manifest.json")
         assert main(["sweep", "run", "--grid", grid, "--cache-dir", cache,
-                     "--json-out", out, "--manifest", manifest]) == 0
+                     "--json-out", out]) == 0
         text = capsys.readouterr().out
         assert "miss" in text
         doc = json.loads(open(out, encoding="utf-8").read())
@@ -285,14 +284,14 @@ class TestSweepCommands:
     def test_sweep_show_and_status(self, tmp_path, capsys):
         grid = self._grid(tmp_path)
         cache = str(tmp_path / "cache")
-        manifest = str(tmp_path / "manifest.json")
+        journal = str(tmp_path / "journal.jsonl")
         assert main(["sweep", "run", "--grid", grid, "--cache-dir", cache,
-                     "--manifest", manifest]) == 0
+                     "--journal", journal]) == 0
         capsys.readouterr()
         assert main(["sweep", "show", "--grid", grid,
                      "--cache-dir", cache]) == 0
         assert "cached" in capsys.readouterr().out
-        assert main(["sweep", "status", "--manifest", manifest]) == 0
+        assert main(["sweep", "status", "--journal", journal]) == 0
         out = capsys.readouterr().out
         assert "miss" in out
 
@@ -316,6 +315,26 @@ class TestSweepCommands:
         assert "expect-cached:   miss: sw-dsm-2/PI@0.04" in out
 
 
+    def test_sweep_timeout_reaches_the_scheduler(self, tmp_path, monkeypatch):
+        import repro.fabric
+
+        grid = self._grid(tmp_path)
+        sweep_dir = str(tmp_path / "sweep")
+        assert main(["sweep", "run", "--grid", grid, "--dir", sweep_dir,
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        seen = []
+
+        def stop_here(spec, **kwargs):
+            seen.append(kwargs["timeout"])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.fabric, "run_sweep", stop_here)
+        for argv in (["run", "--grid", grid], ["resume", sweep_dir]):
+            with pytest.raises(KeyboardInterrupt):
+                main(["sweep", *argv, "--timeout", "2.5"])
+        assert seen == [2.5, 2.5]
+
+
 class TestFleetCommands:
     def _swept(self, tmp_path, workers="2"):
         import json
@@ -324,65 +343,95 @@ class TestFleetCommands:
         grid.write_text(json.dumps({
             "presets": ["smp-2", "sw-dsm-2"], "labels": ["PI"],
             "scales": [0.04], "suite": "fleet-cli"}), encoding="utf-8")
-        events = str(tmp_path / "events.jsonl")
-        manifest = str(tmp_path / "manifest.json")
-        telemetry = str(tmp_path / "sweep.json")
+        sweep_dir = str(tmp_path / "sweep")
         assert main(["sweep", "run", "--grid", str(grid),
                      "--cache-dir", str(tmp_path / "cache"),
                      "--workers", workers, "--heartbeat", "0.02",
-                     "--events", events, "--manifest", manifest,
-                     "--json-out", telemetry]) == 0
-        return events, manifest, telemetry
+                     "--dir", sweep_dir]) == 0
+        return sweep_dir
 
     def test_sweep_run_writes_a_valid_event_log(self, tmp_path, capsys):
-        from repro.fabric import validate_events
+        from repro.fabric import validate_journal
 
-        events, _, _ = self._swept(tmp_path)
-        assert "events   : written to" in capsys.readouterr().out
-        assert validate_events(events) == []
+        sweep_dir = self._swept(tmp_path)
+        assert "journal  : written to" in capsys.readouterr().out
+        assert validate_journal(sweep_dir + "/journal.jsonl") == []
 
-    def test_sweep_watch_once_renders_the_fleet(self, tmp_path, capsys):
-        events, _, _ = self._swept(tmp_path)
+    def test_sweep_status_renders_cells_and_fleet(self, tmp_path, capsys):
+        sweep_dir = self._swept(tmp_path)
         capsys.readouterr()
-        assert main(["sweep", "watch", "--events", events, "--once"]) == 0
+        assert main(["sweep", "status", "--dir", sweep_dir]) == 0
         out = capsys.readouterr().out
+        assert "sw-dsm-2/PI@0.04" in out        # per-cell table rows
         assert "w0" in out                      # per-worker status rows
         assert "cache hit ratio:" in out
         assert "events/s" in out
         assert "ETA:" in out
 
-    def test_sweep_watch_rejects_a_broken_log(self, tmp_path, capsys):
+    def test_sweep_status_rejects_a_broken_log(self, tmp_path, capsys):
+        from repro.fabric import JOURNAL_SCHEMA
+
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema": "nope/9"}\n', encoding="utf-8")
-        assert main(["sweep", "watch", "--events", str(bad),
-                     "--once"]) == 2
-        assert "event log error" in capsys.readouterr().out
+        assert main(["sweep", "status", "--journal", str(bad)]) == 2
+        assert "journal schema must be" in capsys.readouterr().out
+        bad.write_text(
+            '{"schema": "%s", "suite": "s", "cells": 1, "workers": 1}\n'
+            '{"t": 0.0, "kind": "sweep-begin"}\n'
+            '{"t": 0.1, "kind": "warp"}\n' % JOURNAL_SCHEMA, encoding="utf-8")
+        assert main(["sweep", "status", "--journal", str(bad)]) == 2
+        assert "line 3: unknown kind 'warp'" in capsys.readouterr().out
 
-    def test_sweep_report_exports_all_three_forms(self, tmp_path, capsys):
+    def test_sweep_report_exports_json_and_trace(self, tmp_path, capsys):
         import json
 
         from repro.obs.export import validate_chrome_trace
 
-        events, manifest, telemetry = self._swept(tmp_path)
+        sweep_dir = self._swept(tmp_path)
         capsys.readouterr()
         fleet = str(tmp_path / "fleet.json")
-        prom = str(tmp_path / "fleet.prom")
         trace = str(tmp_path / "fleet.trace")
-        assert main(["sweep", "report", "--events", events,
-                     "--manifest", manifest, "--telemetry", telemetry,
-                     "--json-out", fleet, "--prom-out", prom,
-                     "--trace-out", trace]) == 0
+        assert main(["sweep", "report", "--dir", sweep_dir,
+                     "--json-out", fleet, "--trace-out", trace]) == 0
         capsys.readouterr()
         doc = json.loads(open(fleet, encoding="utf-8").read())
         assert doc["schema"] == "repro.obs.fleet/1"
         assert doc["cells"]["total"] == 2
         assert "critical_path_totals" in doc and "cache" in doc
-        assert "repro_sweep_cells{" in open(prom, encoding="utf-8").read()
         assert validate_chrome_trace(
             open(trace, encoding="utf-8").read()) == []
 
     def test_sweep_report_defaults_to_json_on_stdout(self, tmp_path, capsys):
-        events, _, _ = self._swept(tmp_path, workers="1")
+        sweep_dir = self._swept(tmp_path, workers="1")
         capsys.readouterr()
-        assert main(["sweep", "report", "--events", events]) == 0
-        assert '"schema": "repro.obs.fleet/1"' in capsys.readouterr().out
+        assert main(["sweep", "report", "--journal",
+                     sweep_dir + "/journal.jsonl", "--telemetry",
+                     sweep_dir + "/telemetry.json"]) == 0
+        assert '"critical_path_totals"' in capsys.readouterr().out
+
+
+class TestEveryFlagHasAConsumer:
+    def test_every_flag_is_named_outside_src(self):
+        """A ``--flag`` that no test, doc, example or CI step names has no
+        consumer: delete it, or document and test it."""
+        import argparse
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        files = [root / "README.md", root / ".github/workflows/ci.yml",
+                 *root.glob("tests/**/*.py"), *root.glob("docs/*.md"),
+                 *root.glob("examples/*.py")]
+        corpus = "\n".join(f.read_text(encoding="utf-8") for f in files)
+
+        def flags(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from flags(sub)
+                yield from (opt for opt in action.option_strings
+                            if opt.startswith("--") and opt != "--help")
+
+        assert sorted(flag for flag in set(flags(build_parser()))
+                      if not re.search(re.escape(flag) + r"(?![\w-])",
+                                       corpus)) == []

@@ -1,87 +1,82 @@
-"""The fleet's flight recorder: event log, heartbeats, progress-at-kill.
+"""The sweep log's lifecycle lines: writer, validator, heartbeats.
 
-Covers the structured event log contract end to end: the writer/reader
-pair, live tailing over complete lines only, the ``validate_events``
-schema gate, the engine host hook heartbeats flow through, the sweep
-determinism guarantee (enabling the log cannot change canonical
-records), symmetric progress callbacks, and the manifest's new
-cache-stats / progress-at-kill surfaces.
+Covers the narration half of the journal contract end to end (the
+durability half — commits, replay, resume — is test_fabric_journal.py):
+the writer's flushed, ``t``-stamped lines and its one clock, the
+``validate_journal`` schema gate, the engine host hook heartbeats flow
+through, the sweep determinism guarantee (keeping a journal cannot
+change canonical records), symmetric progress callbacks, and the
+per-cell table's cache-stats / progress-at-kill surfaces.
 """
 
 import json
 
 import pytest
 
-from repro.fabric import (EVENT_KINDS, EVENTS_SCHEMA, EventLog, GridSpec,
-                          ResultCache, canonical_records_json, read_events,
-                          run_sweep, tail_events, validate_events)
+from repro.fabric import (EVENT_KINDS, JOURNAL_SCHEMA, GridSpec, SweepJournal,
+                          canonical_records_json, replay_journal, run_sweep,
+                          validate_journal)
 from repro.fabric.manifest import CellOutcome, SweepManifest
 from repro.sim.engine import Engine, clear_host_hook, set_host_hook
-
-SMALL = GridSpec(presets=("smp-2", "sw-dsm-2"), labels=("PI", "MatMult"),
-                 scales=(0.04,))
-
-
-def small_cache(tmp_path, name="cache"):
-    return ResultCache(str(tmp_path / name))
+from tests.test_fabric_sweep import SMALL, small_cache
 
 
 class TestEventLog:
     def test_writes_header_then_flushed_event_lines(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        with EventLog(str(path), suite="s", cells=3, workers=2) as log:
+        path = tmp_path / "journal.jsonl"
+        header = {"suite": "s", "cells": 3, "workers": 2}
+        with SweepJournal(str(path), header=header) as log:
             log.emit("sweep-begin")
-            log.emit("enqueued", cell=0, id="a", key="k0")
+            log.emit("enqueued", cell=0, id="a", key="k0", worker=None)
             # flushed per line: a concurrent reader sees both already
-            lines = path.read_text().splitlines()
-            assert len(lines) == 3
-        header, events = read_events(str(path))
-        assert header["schema"] == EVENTS_SCHEMA
-        assert (header["suite"], header["cells"], header["workers"]) == \
-            ("s", 3, 2)
-        assert [e["kind"] for e in events] == ["sweep-begin", "enqueued"]
-        assert events[1]["cell"] == 0 and events[1]["key"] == "k0"
+            assert len(path.read_text().splitlines()) == 3
+        state = replay_journal(str(path))
+        assert state.header["schema"] == JOURNAL_SCHEMA
+        assert state.header["suite"] == "s"
+        assert [e["kind"] for e in state.events] == ["sweep-begin",
+                                                     "enqueued"]
+        assert state.events[1]["cell"] == 0 and state.events[1]["key"] == "k0"
+        assert "worker" not in state.events[1]     # None fields left out
+        assert state.problems == []
 
-    def test_timestamps_never_go_backwards(self):
-        log = EventLog(suite="s")  # in-memory only
-        ts = [log.emit(k)["t"] for k in ("sweep-begin", "sweep-end")] + \
-            [log.emit("worker-spawn", worker=0)["t"]]
-        assert ts == sorted(ts)
-        assert all(t >= 0 for t in ts)
+    def test_timestamps_never_go_backwards(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        with SweepJournal(path, header={"cells": 1}) as log:
+            log.emit("sweep-begin")
+            log.emit("worker-spawn", worker=0)
+            log.commit(CellOutcome(index=0, id="a", key="k", outcome="miss"))
+        first = replay_journal(path).elapsed
+        # a resumed journal continues the clock it holds, it does not
+        # start a second one at zero
+        with SweepJournal.resume(path) as log:
+            log.emit("sweep-begin")
+            log.status("complete")
+        ts = [json.loads(line)["t"]
+              for line in open(path).read().splitlines()[1:]]
+        assert len(ts) == 5 and ts == sorted(ts) and ts[0] >= 0
+        assert ts[3] >= first
+        assert not [p for p in validate_journal(path) if "backwards" in p]
 
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError):
-            EventLog(suite="s").emit("teleported")
-
-    def test_tail_skips_header_and_partial_lines(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(str(path), suite="s", cells=1)
-        log.emit("sweep-begin")
-        events, offset = tail_events(str(path), 0)
-        assert [e["kind"] for e in events] == ["sweep-begin"]
-        # a torn trailing line is left for the next call
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"t": 9.0, "kind": "sweep-en')
-            fh.flush()
-            events, offset2 = tail_events(str(path), offset)
-            assert events == [] and offset2 == offset
-            fh.write('d"}\n')
-        events, _ = tail_events(str(path), offset2)
-        assert [e["kind"] for e in events] == ["sweep-end"]
-        log.close()
+    def test_unknown_kind_is_rejected(self, tmp_path):
+        with SweepJournal(str(tmp_path / "j.jsonl")) as log:
+            with pytest.raises(ValueError):
+                log.emit("teleported")
 
 
 class TestValidateEvents:
     def header(self, **over):
-        d = {"schema": EVENTS_SCHEMA, "suite": "s", "cells": 1, "workers": 1}
+        d = {"schema": JOURNAL_SCHEMA, "suite": "s", "cells": 1, "workers": 1}
         d.update(over)
         return json.dumps(d)
 
     def test_accepts_a_minimal_valid_log(self):
         lines = [self.header(),
                  '{"t": 0.0, "kind": "sweep-begin"}',
-                 '{"t": 0.5, "kind": "sweep-end"}']
-        assert validate_events(lines) == []
+                 '{"t": 0.2, "kind": "commit", "cell": 0, "outcome": '
+                 '{"index": 0, "id": "a", "key": "k", "outcome": "hit"}}',
+                 '{"t": 0.5, "kind": "sweep-end"}',
+                 '{"t": 0.5, "kind": "status", "status": "complete"}']
+        assert validate_journal(lines) == []
 
     @pytest.mark.parametrize("line,needle", [
         ('{"t": 0.1, "kind": "warp"}', "unknown kind"),
@@ -96,23 +91,26 @@ class TestValidateEvents:
     ])
     def test_flags_bad_event_lines(self, line, needle):
         lines = [self.header(), '{"t": 0.0, "kind": "sweep-begin"}', line]
-        assert any(needle in err for err in validate_events(lines))
+        assert any(needle in err for err in validate_journal(lines))
 
     def test_flags_backwards_time_and_missing_begin(self):
         lines = [self.header(),
                  '{"t": 2.0, "kind": "sweep-end"}',
                  '{"t": 1.0, "kind": "worker-exit", "worker": 0}']
-        errors = validate_events(lines)
+        errors = validate_journal(lines)
         assert any("backwards" in err for err in errors)
         assert any("sweep-begin" in err for err in errors)
 
     def test_flags_foreign_header_and_empty_log(self):
-        assert any("schema" in e for e in
-                   validate_events([self.header(schema="nope/9")]))
-        assert validate_events([]) == ["event log is empty (no header line)"]
+        for schema in ("nope/9", "repro.fabric.journal/1"):
+            assert any("schema" in e for e in
+                       validate_journal([self.header(schema=schema)]))
+        assert any("header.cells" in e for e in
+                   validate_journal([self.header(cells=-1)]))
+        assert "empty journal" in validate_journal([])[0]
 
     def test_unreadable_path_reports_not_raises(self, tmp_path):
-        errors = validate_events(str(tmp_path / "missing.jsonl"))
+        errors = validate_journal(str(tmp_path / "missing.jsonl"))
         assert errors and "cannot read" in errors[0]
 
 
@@ -161,22 +159,20 @@ class TestEngineHostHook:
 
 class TestSweepEvents:
     def test_serial_sweep_produces_a_valid_log(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        result = run_sweep(SMALL, cache=small_cache(tmp_path),
-                           events=str(path))
-        assert validate_events(str(path)) == []
-        assert result.event_log is not None and len(result.event_log) > 0
-        kinds = [e["kind"] for e in result.event_log.events]
+        path = str(tmp_path / "journal.jsonl")
+        run_sweep(SMALL, cache=small_cache(tmp_path), journal=path)
+        assert validate_journal(path) == []
+        kinds = [e["kind"] for e in replay_journal(path).events]
         assert kinds[0] == "sweep-begin" and kinds[-1] == "sweep-end"
         assert kinds.count("enqueued") == 4 == kinds.count("done")
         assert set(kinds) <= set(EVENT_KINDS)
 
     def test_parallel_sweep_produces_a_valid_log(self, tmp_path):
-        path = tmp_path / "events.jsonl"
+        path = str(tmp_path / "journal.jsonl")
         run_sweep(SMALL, workers=2, cache=small_cache(tmp_path),
-                  events=str(path), heartbeat=0.02)
-        assert validate_events(str(path)) == []
-        _, events = read_events(str(path))
+                  journal=path, heartbeat=0.02)
+        assert validate_journal(path) == []
+        events = replay_journal(path).events
         spawns = [e for e in events if e["kind"] == "worker-spawn"]
         assert [e["worker"] for e in spawns] == [0, 1]
         assert all(e["kind"] != "worker-respawn" for e in events)
@@ -184,21 +180,23 @@ class TestSweepEvents:
     def test_event_log_cannot_change_canonical_records(self, tmp_path):
         plain = run_sweep(SMALL, cache=small_cache(tmp_path, "a"))
         logged = run_sweep(SMALL, cache=small_cache(tmp_path, "b"),
-                           events=str(tmp_path / "ev.jsonl"))
+                           journal=str(tmp_path / "journal.jsonl"))
         assert canonical_records_json(logged.records) == \
             canonical_records_json(plain.records)
+        # a sweep given no journal writes nothing but cache entries
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["a", "b", "journal.jsonl"]
 
     def test_cached_rerun_emits_hit_events_and_callbacks(self, tmp_path):
         cache = small_cache(tmp_path)
         run_sweep(SMALL, cache=cache)
         seen = []
-        result = run_sweep(SMALL, cache=cache,
-                           events=str(tmp_path / "ev.jsonl"),
-                           progress=lambda cell, outcome:
-                           seen.append((cell, outcome)))
+        path = str(tmp_path / "journal.jsonl")
+        run_sweep(SMALL, cache=cache, journal=path,
+                  progress=lambda cell, outcome: seen.append((cell, outcome)))
         # cached cells fire the same callbacks an executing sweep would
         assert [o for _, o in seen] == ["hit"] * 4
-        kinds = [e["kind"] for e in result.event_log.events]
+        kinds = [e["kind"] for e in replay_journal(path).events]
         assert kinds.count("cache-hit") == 4
         assert kinds.count("dispatched") == 0
 
@@ -216,11 +214,10 @@ class TestSweepEvents:
         # events start flowing, heartbeats with them, within milliseconds.
         spec = GridSpec(presets=("sw-dsm-4",), labels=("SOR",),
                         scales=(2.0,), timeout=1.0)
-        path = tmp_path / "events.jsonl"
+        path = str(tmp_path / "journal.jsonl")
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5, events=str(path),
-                           heartbeat=0.02)
-        assert validate_events(str(path)) == []
+                           stall_grace=0.5, journal=path, heartbeat=0.02)
+        assert validate_journal(path) == []
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"
         assert cell.progress is not None
@@ -228,17 +225,15 @@ class TestSweepEvents:
         assert cell.progress["virtual_seconds"] > 0.0
         # the timeout message carries the same progress numbers
         assert "events" in cell.error and "virtual" in cell.error
-        _, events = read_events(str(path))
-        kinds = [e["kind"] for e in events]
+        state = replay_journal(path)
+        kinds = [e["kind"] for e in state.events]
         assert kinds.count("heartbeat") > 0
         assert kinds.count("worker-kill") >= 1
         assert kinds.count("retried") >= 1
-        kill = next(e for e in events if e["kind"] == "worker-kill")
+        kill = next(e for e in state.events if e["kind"] == "worker-kill")
         assert kill["data"]["progress"]["events_executed"] > 0
-        # the manifest round-trips progress through JSON
-        again = SweepManifest.from_dict(
-            json.loads(result.manifest.dumps()))
-        assert again.cells[0].progress == cell.progress
+        # the commit record round-trips progress through the log
+        assert state.manifest().cells[0].progress == cell.progress
 
     def test_bad_heartbeat_interval_is_rejected(self, tmp_path):
         with pytest.raises(ValueError):

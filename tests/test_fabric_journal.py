@@ -5,25 +5,24 @@ tolerant replay (torn tails, duplicate commits), ``run_sweep``'s
 resume path (restore committed cells, re-execute only the rest,
 byte-identical canonical records), deterministic crash injection via
 fault points, the retry/abort failure policy, and the CLI's
-``sweep resume`` / ``sweep status --dir`` / ``sweep fsck`` surface —
-the last through real subprocesses, because a fault point kills its
+``sweep resume`` / ``sweep status`` / ``sweep report`` / ``sweep fsck``
+surface — crashes through real subprocesses, because a fault point kills its
 process with ``os._exit`` and must not take pytest down with it.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from repro.fabric import (CellOutcome, GridSpec, JournalError, JournalState,
-                          ResultCache, SweepJournal, canonical_records_json,
-                          replay_journal, run_sweep)
+from repro.fabric import (EVENT_KINDS, JOURNAL_SCHEMA, CellOutcome, GridSpec,
+                          JournalError, SweepJournal,
+                          canonical_records_json, replay_journal, run_sweep)
 from repro.fabric import faultpoints
-
-SMALL = GridSpec(presets=("smp-2", "sw-dsm-2"), labels=("PI", "MatMult"),
-                 scales=(0.04,))
+from tests.test_fabric_sweep import SMALL, small_cache
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -31,10 +30,6 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def outcome(i, kind="miss", key=None):
     return CellOutcome(index=i, id=f"cell-{i}", key=key or f"k{i}",
                        outcome=kind)
-
-
-def cache_for(tmp_path, name="cache"):
-    return ResultCache(str(tmp_path / name))
 
 
 class TestJournalReplay:
@@ -128,44 +123,66 @@ class TestJournalReplayProperty:
         from hypothesis import given, settings
         from hypothesis import strategies as st
 
-        header = json.dumps({"schema": "repro.fabric.journal/1",
-                             "cells": 6}, separators=(",", ":")) + "\n"
-        commit_st = st.tuples(st.integers(min_value=0, max_value=5),
-                              st.sampled_from(["hit", "miss", "failed"]))
+        def line(n, kind, who, result):
+            entry = {"t": n / 100, "kind": kind}
+            if kind == "commit":
+                entry.update(cell=who, outcome=outcome(who, result).to_dict())
+            elif kind.startswith("worker-"):
+                entry["worker"] = who
+            else:
+                entry.update(cell=who, id=f"cell-{who}", worker=0)
+                if kind == "heartbeat":
+                    entry["data"] = {"events_executed": n,
+                                     "virtual_seconds": 0.1}
+            return json.dumps(entry, separators=(",", ":")) + "\n"
+
+        header = json.dumps({"schema": JOURNAL_SCHEMA, "suite": "p",
+                             "cells": 6, "workers": 2}) + "\n" \
+            + line(0, "sweep-begin", 0, None)
+        who = st.integers(min_value=0, max_value=5)
+        entry_st = st.one_of(
+            st.tuples(st.just("commit"), who,
+                      st.sampled_from(["hit", "miss", "failed"])),
+            st.tuples(st.sampled_from(sorted(
+                set(EVENT_KINDS) - {"sweep-begin", "sweep-end"})), who,
+                st.none()))
         path = str(tmp_path / "prop.jsonl")
 
+        def last_wins(entries):
+            return {i: result for kind, i, result in entries
+                    if kind == "commit"}
+
         @settings(max_examples=60, deadline=None)
-        @given(commits=st.lists(commit_st, max_size=24),
+        @given(entries=st.lists(entry_st, max_size=24),
                cut=st.integers(min_value=0, max_value=24),
                torn=st.binary(max_size=12))
-        def check(commits, cut, torn):
-            lines = [json.dumps(
-                {"kind": "commit", "cell": i,
-                 "outcome": outcome(i, kind).to_dict()},
-                separators=(",", ":")) + "\n" for i, kind in commits]
+        def check(entries, cut, torn):
+            lines = [line(n, *entry) for n, entry in enumerate(entries, 1)]
             full = header + "".join(lines)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(full)
             whole = replay_journal(path)
-            # last-one-wins over arbitrary duplicated commit records
-            expect = {}
-            for i, kind in commits:
-                expect[i] = kind
+            # last-one-wins over arbitrary duplicated commit records,
+            # whatever narration is interleaved with them
+            expect = last_wins(entries)
             assert {i: oc.outcome for i, oc in whole.committed.items()} \
                 == expect
+            assert whole.problems == []
+            assert len(whole.events) == 1 + sum(
+                kind != "commit" for kind, _, _ in entries)
 
-            # any prefix replays to the last-wins map of that prefix
-            prefix = commits[:min(cut, len(commits))]
+            # any prefix replays to the last-wins map of that prefix, and
+            # its per-cell view marks exactly the uncommitted cells pending
+            prefix = entries[:cut]
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(header + "".join(lines[:len(prefix)]))
             part = replay_journal(path)
-            expect_prefix = {}
-            for i, kind in prefix:
-                expect_prefix[i] = kind
             assert {i: oc.outcome for i, oc in part.committed.items()} \
-                == expect_prefix
-            assert set(part.committed) <= set(whole.committed) \
-                or not commits
+                == last_wins(prefix)
+            assert set(part.committed) <= set(whole.committed)
+            assert part.problems == []
+            assert [c.index for c in part.manifest().pending_cells()] \
+                == part.pending(6)
 
             # a torn final line (no trailing newline) never changes the
             # durable state and reports the clean byte offset
@@ -221,7 +238,7 @@ class TestFaultpoints:
 
 class TestResume:
     def test_resume_reexecutes_only_uncommitted_cells(self, tmp_path):
-        cache = cache_for(tmp_path)
+        cache = small_cache(tmp_path)
         journal = str(tmp_path / "journal.jsonl")
         clean = run_sweep(SMALL, cache=cache, journal=journal)
         assert clean.status == "complete"
@@ -235,7 +252,7 @@ class TestResume:
 
         seen = []
         resumed = run_sweep(
-            SMALL, cache=cache_for(tmp_path, "fresh"), journal=journal,
+            SMALL, cache=small_cache(tmp_path, "fresh"), journal=journal,
             resume_from=journal,
             progress=lambda cell, oc: seen.append((cell, oc)))
         # committed cells restore (their records come from the cache);
@@ -245,7 +262,7 @@ class TestResume:
         assert resumed.manifest.counts()["pending"] == 0
 
     def test_resumed_records_are_byte_identical(self, tmp_path):
-        cache = cache_for(tmp_path)
+        cache = small_cache(tmp_path)
         journal = str(tmp_path / "journal.jsonl")
         clean = run_sweep(SMALL, cache=cache, journal=journal)
 
@@ -267,11 +284,11 @@ class TestResume:
         assert sorted(replay_journal(journal).committed) == [0, 1, 2, 3]
 
     def test_restored_cell_with_lost_cache_entry_reexecutes(self, tmp_path):
-        cache = cache_for(tmp_path)
+        cache = small_cache(tmp_path)
         journal = str(tmp_path / "journal.jsonl")
         clean = run_sweep(SMALL, cache=cache, journal=journal)
         # committed everywhere, but the cache burned down
-        resumed = run_sweep(SMALL, cache=cache_for(tmp_path, "empty"),
+        resumed = run_sweep(SMALL, cache=small_cache(tmp_path, "empty"),
                             journal=journal, resume_from=journal)
         assert resumed.restored == 0
         assert resumed.manifest.counts()["miss"] == 4
@@ -279,7 +296,7 @@ class TestResume:
             canonical_records_json(clean.records)
 
     def test_resume_rejects_a_different_grid(self, tmp_path):
-        cache = cache_for(tmp_path)
+        cache = small_cache(tmp_path)
         journal = str(tmp_path / "journal.jsonl")
         run_sweep(SMALL, cache=cache, journal=journal)
         other = GridSpec(presets=("smp-4", "sw-dsm-4"),
@@ -289,7 +306,7 @@ class TestResume:
                       resume_from=journal)
 
     def test_resume_rejects_a_different_cell_count(self, tmp_path):
-        cache = cache_for(tmp_path)
+        cache = small_cache(tmp_path)
         journal = str(tmp_path / "journal.jsonl")
         run_sweep(SMALL, cache=cache, journal=journal)
         smaller = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
@@ -303,7 +320,7 @@ class TestResume:
                         faults=(None,
                                 {"seed": 3,
                                  "crashes": [{"node": 1, "at": 0.0}]}))
-        cache = cache_for(tmp_path)
+        cache = small_cache(tmp_path)
         journal = str(tmp_path / "journal.jsonl")
         first = run_sweep(spec, cache=cache, journal=journal)
         failed = first.manifest.counts()["failed"]
@@ -328,7 +345,7 @@ class TestFailurePolicy:
         monkeypatch.setenv(faultpoints.FAULTPOINT_ENV,
                            f"{faultpoints.WORKER_CELL_START}@{flag}")
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
-        result = run_sweep(spec, workers=2, cache=cache_for(tmp_path),
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
                            stall_grace=0.5, max_retries=0)
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"
@@ -341,7 +358,7 @@ class TestFailurePolicy:
         monkeypatch.setenv(faultpoints.FAULTPOINT_ENV,
                            f"{faultpoints.WORKER_CELL_START}@{flag}")
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
-        result = run_sweep(spec, workers=2, cache=cache_for(tmp_path),
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
                            stall_grace=0.5, max_retries=2,
                            retry_backoff=0.05)
         cell = result.manifest.cells[0]
@@ -356,7 +373,7 @@ class TestFailurePolicy:
                         scales=(0.04,),
                         faults=({"seed": 3,
                                  "crashes": [{"node": 1, "at": 0.0}]},))
-        result = run_sweep(spec, cache=cache_for(tmp_path), max_failures=1)
+        result = run_sweep(spec, cache=small_cache(tmp_path), max_failures=1)
         assert result.status == "aborted"
         counts = result.manifest.counts()
         assert counts["failed"] == 1
@@ -368,11 +385,11 @@ class TestFailurePolicy:
 
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ValueError, match="max_retries"):
-            run_sweep(SMALL, cache=cache_for(tmp_path), max_retries=-1)
+            run_sweep(SMALL, cache=small_cache(tmp_path), max_retries=-1)
         with pytest.raises(ValueError, match="max_failures"):
-            run_sweep(SMALL, cache=cache_for(tmp_path), max_failures=0)
+            run_sweep(SMALL, cache=small_cache(tmp_path), max_failures=0)
         with pytest.raises(ValueError, match="retry_backoff"):
-            run_sweep(SMALL, cache=cache_for(tmp_path), retry_backoff=-0.1)
+            run_sweep(SMALL, cache=small_cache(tmp_path), retry_backoff=-0.1)
 
 
 class TestCrashResumeCLI:
@@ -389,7 +406,9 @@ class TestCrashResumeCLI:
                               env=full_env, cwd=cwd, capture_output=True,
                               text=True, timeout=300)
 
-    def test_sigkilled_sweep_resumes_to_byte_parity(self, tmp_path):
+    def test_sigkilled_sweep_resumes_to_byte_parity(self, tmp_path, capsys):
+        from repro.cli import main
+
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps(self.GRID))
         sweep_dir = tmp_path / "sweep"
@@ -408,7 +427,18 @@ class TestCrashResumeCLI:
         status = self.run_cli("sweep", "status", "--dir", str(sweep_dir),
                               "--cache-dir", cache_dir)
         assert status.returncode == 0, status.stdout + status.stderr
-        assert "pending" in status.stdout
+        # the per-cell table of a crashed sweep, not only counts
+        assert any(line.startswith("smp-2/") and " pending " in line
+                   for line in status.stdout.splitlines())
+
+        # the same crashed sweep, resumed in-process on a copy
+        shutil.copytree(sweep_dir, tmp_path / "sweep2")
+        shutil.copytree(cache_dir, tmp_path / "cache2")
+        copy = str(tmp_path / "sweep2" / "journal.jsonl")
+        counts = run_sweep(GridSpec.load(str(grid)), workers=2,
+                           cache=small_cache(tmp_path, "cache2"), journal=copy,
+                           resume_from=copy).manifest.counts()
+        assert counts["hit"] + counts["miss"] == 4
 
         resumed = self.run_cli("sweep", "resume", str(sweep_dir),
                                "--cache-dir", cache_dir)
@@ -416,7 +446,8 @@ class TestCrashResumeCLI:
 
         ref = self.run_cli(
             "sweep", "run", "--grid", str(grid), "--cache-dir",
-            str(tmp_path / "cache2"), "--json-out", str(tmp_path / "REF.json"))
+            str(tmp_path / "ref-cache"), "--json-out",
+            str(tmp_path / "REF.json"))
         assert ref.returncode == 0, ref.stdout + ref.stderr
 
         resumed_doc = json.loads((sweep_dir / "telemetry.json").read_text())
@@ -424,34 +455,46 @@ class TestCrashResumeCLI:
         assert canonical_records_json(resumed_doc["records"]) == \
             canonical_records_json(ref_doc["records"])
 
-        manifest = json.loads((sweep_dir / "manifest.json").read_text())
-        assert manifest["counts"]["pending"] == 0
-        assert manifest["status"] == "complete"
+        # one record: the journal (and the telemetry asked for) is all a
+        # sweep writes, and it holds both sessions on one clock
+        assert sorted(p.name for p in sweep_dir.iterdir()) == \
+            ["journal.jsonl", "telemetry.json"]
+        log = [json.loads(line) for line in
+               (sweep_dir / "journal.jsonl").read_text().splitlines()[1:]]
+        kinds = [entry["kind"] for entry in log]
+        assert kinds.count("sweep-begin") == 2
+        assert "started" in kinds[:kinds.index("sweep-begin", 1)]
+        assert [e["t"] for e in log] == sorted(e["t"] for e in log)
 
-    def test_status_and_report_diagnose_missing_and_stub_logs(self, tmp_path):
-        missing = str(tmp_path / "nope.jsonl")
-        watch = self.run_cli("sweep", "watch", "--events", missing, "--once")
-        assert watch.returncode == 2
-        assert "Traceback" not in watch.stderr
-        assert "cannot read" in watch.stdout
+        # one answer: every view counts each cell once, the same way
+        assert main(["sweep", "status", "--dir", str(sweep_dir)]) == 0
+        assert (f"4 cells — {counts['hit']} hit / {counts['miss']} miss / "
+                f"0 failed (") in capsys.readouterr().out
+        assert main(["sweep", "report", "--dir", str(sweep_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"] == {
+            "total": 4, "resolved": 4, "remaining": 0, "retried": 0,
+            "cache_hits": counts["hit"], "executed": counts["miss"],
+            "failed": 0}
 
-        report = self.run_cli("sweep", "report", "--events", missing)
-        assert report.returncode == 2
-        assert "Traceback" not in report.stderr
-        assert "cannot read" in report.stdout
+    def test_status_and_report_diagnose_missing_and_stub_logs(self, tmp_path,
+                                                              capsys):
+        from repro.cli import main
 
-        # header-only log: a sweep that died before its first event
+        # header-only log: a sweep that died before its first line
         stub = tmp_path / "stub.jsonl"
         stub.write_text(json.dumps(
-            {"schema": "repro.fabric.events/1", "suite": "s",
+            {"schema": JOURNAL_SCHEMA, "suite": "s",
              "cells": 1, "workers": 1}) + "\n")
-        watch = self.run_cli("sweep", "watch", "--events", str(stub),
-                             "--once")
-        assert watch.returncode == 2
-        assert "sweep-begin" in watch.stdout
-        report = self.run_cli("sweep", "report", "--events", str(stub))
-        assert report.returncode == 2
-        assert "sweep-begin" in report.stdout
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text(stub.read_text() + "garbage\n"
+                           '{"t": 0.0, "kind": "sweep-begin"}\n')
+        for path, needle in ((tmp_path / "nope.jsonl", "cannot read"),
+                             (stub, "sweep-begin"), (corrupt, "corrupt")):
+            for command in ("status", "report"):
+                # one line, exit 2, and main() returning is no traceback
+                assert main(["sweep", command, "--journal", str(path)]) == 2
+                out = capsys.readouterr().out
+                assert needle in out and len(out.splitlines()) == 1
 
     def test_fsck_quarantines_a_flipped_byte(self, tmp_path):
         grid = tmp_path / "grid.json"

@@ -16,9 +16,8 @@ import pytest
 from repro.bench.telemetry import run_suite_telemetry, validate_telemetry
 from repro.errors import ConfigurationError
 from repro.fabric import (GridSpec, ResultCache, Scenario, TelemetryCache,
-                          canonical_records_json, execute_cell, run_sweep,
-                          scenario_key)
-from repro.fabric.worker import CRASH_FLAG_ENV
+                          canonical_records_json, execute_cell, faultpoints,
+                          run_sweep, scenario_key)
 
 SMALL = GridSpec(presets=("smp-2", "sw-dsm-2"), labels=("PI", "MatMult"),
                  scales=(0.04,))
@@ -127,7 +126,9 @@ class TestSweepParallel:
 
     def test_crashed_worker_job_is_retried_once(self, tmp_path, monkeypatch):
         flag = tmp_path / "crash-once"
-        monkeypatch.setenv(CRASH_FLAG_ENV, str(flag))
+        for name, spec in faultpoints.crash_env(
+                faultpoints.WORKER_CELL_START, str(flag)).items():
+            monkeypatch.setenv(name, spec)
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
                            stall_grace=0.5)

@@ -1,16 +1,17 @@
-"""FleetReport hardening: degenerate and malformed event logs.
+"""FleetReport hardening: degenerate and malformed journals.
 
-A live ``sweep watch`` tails a log that may be header-only, truncated
-mid-write, or missing fields — the report must keep answering (with
-zeros, not ZeroDivisionError or AttributeError) and every exporter must
-stay loadable. Also covers the sharing-gauge rollup that rides on joined
-telemetry records (``bench run --sharing``).
+``sweep status`` on a live sweep reads a log that may be header-only or
+truncated mid-write, and a library caller may hand the report lines the
+validator flags — the report must keep answering (with zeros, not
+ZeroDivisionError or AttributeError) and every exporter must stay
+loadable. Also covers the sharing rollup that rides on joined telemetry
+records (``bench run --sharing``).
 """
 
 import math
 
 from repro.obs.export import validate_chrome_trace
-from repro.obs.fleet import FleetReport
+from tests.test_obs_fleet import report
 
 
 def record(rec_id="a", **sharing):
@@ -27,10 +28,10 @@ def record(rec_id="a", **sharing):
 
 
 class TestEmptyReport:
-    """No events at all — the moment after `sweep run` creates the log."""
+    """No lines at all — the moment after `sweep run` creates the log."""
 
     def report(self):
-        return FleetReport({}, [])
+        return report([], cells=0)
 
     def test_no_division_by_zero_anywhere(self):
         rep = self.report()
@@ -47,16 +48,13 @@ class TestEmptyReport:
         d = rep.to_dict()
         assert d["cells"]["total"] == 0
         assert not math.isnan(d["cache_hit_ratio"])
-        prom = rep.to_prometheus()
-        assert "repro_sweep_cells" in prom
-        assert "nan" not in prom
+        assert "nan" not in rep.to_json()
         assert rep.render()          # console rendering must not raise
         assert validate_chrome_trace(rep.chrome_trace()) == []
 
     def test_no_records_means_no_sharing_gauges(self):
         rep = self.report()
         assert rep.sharing_totals() is None
-        assert "hot_page_fault_rate" not in rep.to_prometheus()
         assert "sharing_totals" not in rep.to_dict()
 
 
@@ -71,7 +69,7 @@ class TestNoCompletedCells:
              "data": {"pid": 1}},
             {"t": 1.0, "kind": "started", "cell": 0, "id": "a", "worker": 0},
         ]
-        return FleetReport({"cells": 4}, events)
+        return report(events, cells=4)
 
     def test_eta_is_unknown_not_crash(self):
         rep = self.report()
@@ -90,7 +88,7 @@ class TestNoCompletedCells:
 
 class TestMalformedEvents:
     def test_spawn_without_worker_id_survives(self):
-        rep = FleetReport({}, [
+        rep = report([
             {"t": 0.0, "kind": "worker-spawn", "data": {"pid": 7}},
             {"t": 0.5, "kind": "worker-respawn", "data": {"pid": 8}},
         ])
@@ -98,7 +96,7 @@ class TestMalformedEvents:
         assert rep.respawns == 1
 
     def test_null_timestamps_and_cells(self):
-        rep = FleetReport({}, [
+        rep = report([
             {"t": None, "kind": "worker-spawn", "worker": 0, "data": {}},
             {"t": 1.0, "kind": "started", "cell": None, "id": "x",
              "worker": 0},
@@ -111,7 +109,7 @@ class TestMalformedEvents:
         assert validate_chrome_trace(rep.chrome_trace()) == []
 
     def test_done_without_started_counts_but_adds_no_busy_time(self):
-        rep = FleetReport({}, [
+        rep = report([
             {"t": 3.0, "kind": "done", "cell": 0, "id": "a", "worker": 0,
              "data": {"events_executed": 100}},
         ])
@@ -120,7 +118,7 @@ class TestMalformedEvents:
         assert ws.events_per_sec() == 0.0     # zero busy time guarded
 
     def test_kill_with_empty_progress(self):
-        rep = FleetReport({}, [
+        rep = report([
             {"t": 1.0, "kind": "started", "cell": 0, "id": "a", "worker": 0},
             {"t": 2.0, "kind": "worker-kill", "worker": 0, "cell": None,
              "data": {}},
@@ -128,10 +126,24 @@ class TestMalformedEvents:
         assert rep.kills == 1
         assert rep.workers[0].state == "killed"
 
+    def test_worker_exit_closes_the_open_cell(self):
+        # torn down with a cell open (abandoned drain, --max-failures
+        # abort): the slice ends at the exit, failed, not at end of log
+        rep = report([
+            {"t": 0.1, "kind": "worker-spawn", "worker": 0, "data": {}},
+            {"t": 0.2, "kind": "started", "cell": 0, "id": "c0", "worker": 0},
+            {"t": 0.5, "kind": "worker-exit", "worker": 0},
+            {"t": 9.0, "kind": "sweep-end"},
+        ])
+        ws = rep.workers[0]
+        assert ws.state == "exited" and ws.running_cell is None
+        assert abs(ws.busy_seconds - 0.3) < 1e-9
+        assert ws.slices == [(0.2, 0.5, 0, "c0", False)]
+
 
 class TestSharingGauges:
     def test_rollup_over_records(self):
-        rep = FleetReport({"suite": "s"}, [], records=[
+        rep = report([], records=[
             record("a", ping_pong_pages=3, false_sharing_pages=2,
                    top_hot_page_fault_rate_hz=100.0),
             record("b", ping_pong_pages=1, false_sharing_pages=0,
@@ -143,26 +155,11 @@ class TestSharingGauges:
                           "ping_pong_pages": 4.0,
                           "false_sharing_pages": 2.0}
 
-    def test_prometheus_exposition(self):
-        rep = FleetReport({"suite": "s"}, [], records=[
-            record("a", ping_pong_pages=2, false_sharing_pages=1,
-                   top_hot_page_fault_rate_hz=42.5)])
-        prom = rep.to_prometheus()
-        assert 'repro_sweep_hot_page_fault_rate{suite="s"} 42.5' in prom
-        assert 'repro_sweep_ping_pong_pages{suite="s"} 2' in prom
-        assert 'repro_sweep_false_sharing_pages{suite="s"} 1' in prom
-        for name in ("repro_sweep_hot_page_fault_rate",
-                     "repro_sweep_ping_pong_pages",
-                     "repro_sweep_false_sharing_pages"):
-            assert f"# TYPE {name} gauge" in prom
-
     def test_gauges_absent_without_sharing_records(self):
-        rep = FleetReport({"suite": "s"}, [],
-                          records=[{"id": "a", "critical_path": {}}])
+        rep = report([], records=[{"id": "a", "critical_path": {}}])
         assert rep.sharing_totals() is None
-        assert "hot_page_fault_rate" not in rep.to_prometheus()
+        assert "sharing_totals" not in rep.to_dict()
 
     def test_to_dict_carries_rollup(self):
-        rep = FleetReport({"suite": "s"}, [],
-                          records=[record("a", ping_pong_pages=1)])
+        rep = report([], records=[record("a", ping_pong_pages=1)])
         assert rep.to_dict()["sharing_totals"]["ping_pong_pages"] == 1.0

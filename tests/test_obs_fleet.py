@@ -1,25 +1,36 @@
-"""FleetReport: rolling an event log up into fleet metrics.
+"""FleetReport: rolling a sweep journal up into fleet metrics.
 
-Synthetic event streams keep these deterministic — the report is a pure
-function of (header, events), so a handcrafted log exercises exact
+Synthetic journals keep these deterministic — the report is a pure
+function of the replayed log, so handcrafted lines exercise exact
 numbers (utilization, ETA, throughput) that a real sweep's host timing
 would blur. One integration test at the end runs a real sweep through
 the whole chain. Also covers the MetricsSampler edge cases the sweep
 console leans on (empty series, single sample, zero-interval guard).
 """
 
+import json
+
 import pytest
 
 from repro.bench.telemetry import CP_CATEGORIES
-from repro.fabric.events import EVENTS_SCHEMA
+from repro.fabric import JOURNAL_SCHEMA, replay_journal
 from repro.obs.export import validate_chrome_trace
-from repro.obs.fleet import FleetReport, WorkerStats, fleet_report_from_path
+from repro.obs.fleet import FleetReport, WorkerStats
 from repro.obs.metrics import MetricPoint, MetricsSampler
 
 
-def header(cells=2, workers=1, suite="s"):
-    return {"schema": EVENTS_SCHEMA, "suite": suite, "cells": cells,
-            "workers": workers}
+def report(lines, records=None, **header):
+    """FleetReport over a journal given as parsed lines (no file)."""
+    head = {"schema": JOURNAL_SCHEMA, "suite": "s", "cells": 2, "workers": 1,
+            **header}
+    return FleetReport(replay_journal([json.dumps(x) for x in [head, *lines]]),
+                       records=records)
+
+
+def commit(t, cell, outcome):
+    return {"t": t, "kind": "commit", "cell": cell, "outcome": {
+        "index": cell, "id": "abcd"[cell], "key": f"k{cell}",
+        "outcome": outcome}}
 
 
 def finished_log():
@@ -28,6 +39,7 @@ def finished_log():
         {"t": 0.0, "kind": "sweep-begin"},
         {"t": 0.0, "kind": "worker-spawn", "worker": 0,
          "data": {"pid": 4242}},
+        commit(0.1, 0, "hit"),
         {"t": 0.1, "kind": "cache-hit", "cell": 0, "id": "a"},
         {"t": 0.2, "kind": "enqueued", "cell": 1, "id": "b"},
         {"t": 0.3, "kind": "dispatched", "cell": 1, "worker": 0},
@@ -36,6 +48,7 @@ def finished_log():
          "data": {"events_executed": 500, "virtual_seconds": 0.5}},
         {"t": 6.0, "kind": "done", "cell": 1, "id": "b", "worker": 0,
          "data": {"events_executed": 1000}},
+        commit(6.0, 1, "miss"),
         {"t": 9.0, "kind": "worker-exit", "worker": 0},
         {"t": 10.0, "kind": "sweep-end"},
     ]
@@ -43,7 +56,7 @@ def finished_log():
 
 class TestFleetReportFinished:
     def report(self):
-        return FleetReport(header(), finished_log())
+        return report(finished_log())
 
     def test_counts_and_cache_hit_ratio(self):
         rep = self.report()
@@ -71,17 +84,6 @@ class TestFleetReportFinished:
                               "retried": 0}
         assert d["workers"]["0"]["utilization"] == 0.5
         assert d["aggregate_events_per_sec"] == 100.0
-
-    def test_prometheus_text(self):
-        text = self.report().to_prometheus()
-        assert '# TYPE repro_sweep_cells gauge' in text
-        assert 'repro_sweep_cells{suite="s",outcome="cache-hit"} 1' in text
-        assert 'repro_sweep_cache_hit_ratio{suite="s"} 0.5' in text
-        assert 'repro_sweep_worker_utilization{suite="s",worker="0"} 0.5' \
-            in text
-        # every sample line belongs to a HELP/TYPE'd metric
-        for line in text.splitlines():
-            assert line.startswith(("#", "repro_sweep_"))
 
     def test_chrome_trace_one_track_per_worker(self):
         trace = self.report().chrome_trace()
@@ -113,25 +115,26 @@ class TestFleetReportLive:
             {"t": 1.0, "kind": "started", "cell": 0, "id": "a", "worker": 0},
             {"t": 3.0, "kind": "done", "cell": 0, "id": "a", "worker": 0,
              "data": {"events_executed": 100}},
+            commit(3.0, 0, "miss"),
             {"t": 3.0, "kind": "started", "cell": 1, "id": "b", "worker": 0},
             {"t": 5.0, "kind": "heartbeat", "cell": 1, "worker": 0,
              "data": {"events_executed": 40, "virtual_seconds": 0.1}},
         ]
 
     def test_eta_projects_from_completed_cells(self):
-        rep = FleetReport(header(cells=4), self.live_log())
+        rep = report(self.live_log(), cells=4)
         assert not rep.finished
         assert rep.resolved_cells() == 1 and rep.remaining_cells() == 3
         # one finished cell took 2s; 3 remain on 1 active worker
         assert rep.eta_seconds() == pytest.approx(6.0)
 
     def test_eta_is_none_without_history(self):
-        rep = FleetReport(header(cells=4), self.live_log()[:3])
+        rep = report(self.live_log()[:3], cells=4)
         assert rep.eta_seconds() is None
         assert "ETA: n/a" in rep.render()
 
     def test_running_cell_counts_toward_busy_and_events(self):
-        rep = FleetReport(header(cells=4), self.live_log())
+        rep = report(self.live_log(), cells=4)
         ws = rep.workers[0]
         assert ws.state == "running b"
         assert ws.busy_seconds == 4.0    # 1->3 done + 3->5 still running
@@ -139,7 +142,7 @@ class TestFleetReportLive:
         assert "40 ev / 0.100s" in rep.render()
 
     def test_live_trace_has_an_open_slice(self):
-        trace = FleetReport(header(cells=4), self.live_log()).chrome_trace()
+        trace = report(self.live_log(), cells=4).chrome_trace()
         assert validate_chrome_trace(trace) == []
         live = [e for e in trace["traceEvents"]
                 if e["ph"] == "X" and e["args"].get("live")]
@@ -162,21 +165,20 @@ class TestFleetReportFailures:
             {"t": 3.0, "kind": "started", "cell": 0, "id": "a", "worker": 1},
             {"t": 4.0, "kind": "failed", "cell": 0, "id": "a", "worker": 1,
              "data": {"kind": "timeout"}},
+            commit(4.0, 0, "failed"),
             {"t": 5.0, "kind": "worker-death", "worker": 1,
              "data": {"exitcode": -9}},
             {"t": 6.0, "kind": "sweep-end"},
         ]
-        rep = FleetReport(header(cells=1, workers=2), events)
+        rep = report(events, cells=1, workers=2)
         assert (rep.kills, rep.deaths, rep.respawns) == (1, 1, 1)
-        assert rep.counts["retried"] == 1
+        assert (rep.retried, rep.failed) == (1, 1)
         assert rep.workers[0].state == "killed"
         assert rep.workers[0].events_executed == 64  # progress-at-kill
         assert rep.workers[1].state == "dead"
         assert rep.workers[1].failed == 1
         d = rep.to_dict()
         assert d["worker_kills"] == 1 and d["worker_deaths"] == 1
-        text = rep.to_prometheus()
-        assert 'repro_sweep_worker_kills_total{suite="s"} 1' in text
         # killed slice still lands on the trace so the gap is visible
         trace = rep.chrome_trace()
         assert validate_chrome_trace(trace) == []
@@ -188,13 +190,11 @@ class TestCriticalPathJoin:
             {"critical_path": {"compute": 1.0, "wire": 0.5}},
             {"critical_path": {"compute": 2.0, "blocked": 0.25}},
         ]
-        rep = FleetReport(header(), finished_log(), records=records)
+        rep = report(finished_log(), records=records)
         totals = rep.critical_path_totals()
         assert set(totals) == set(CP_CATEGORIES)
         assert totals["compute"] == 3.0 and totals["wire"] == 0.5
         assert "critical_path_totals" in rep.to_dict()
-        assert 'repro_sweep_critical_path_seconds{suite="s",' \
-            'category="compute"} 3' in rep.to_prometheus()
 
 
 class TestWorkerStatsEdges:
@@ -202,7 +202,7 @@ class TestWorkerStatsEdges:
         ws = WorkerStats(worker=0)
         assert ws.events_per_sec() == 0.0
         assert ws.utilization(0.0) == 0.0
-        rep = FleetReport(header(), [{"t": 0.0, "kind": "sweep-begin"}])
+        rep = report([{"t": 0.0, "kind": "sweep-begin"}])
         assert rep.cache_hit_ratio() == 0.0
         assert rep.aggregate_events_per_sec() == 0.0
 
@@ -253,27 +253,20 @@ class TestMetricsSamplerEdges:
 
 class TestIntegration:
     def test_real_sweep_through_the_whole_chain(self, tmp_path):
-        from repro.bench.telemetry import telemetry_to_json
         from repro.fabric import GridSpec, ResultCache, run_sweep
 
         spec = GridSpec(presets=("smp-2",), labels=("PI", "MatMult"),
                         scales=(0.04,), suite="fleet-int")
-        ev = tmp_path / "events.jsonl"
-        man = tmp_path / "manifest.json"
-        tel = tmp_path / "telemetry.json"
+        journal = str(tmp_path / "journal.jsonl")
         result = run_sweep(spec, workers=2,
                            cache=ResultCache(str(tmp_path / "cache")),
-                           events=str(ev), heartbeat=0.02)
-        result.manifest.save(str(man))
-        tel.write_text(telemetry_to_json(result.doc))
-
-        rep = fleet_report_from_path(str(ev), manifest_path=str(man),
-                                     telemetry_path=str(tel))
+                           journal=journal, heartbeat=0.02)
+        rep = FleetReport(replay_journal(journal), records=result.records)
         assert rep.finished
         assert rep.resolved_cells() == 2
         assert validate_chrome_trace(rep.chrome_trace()) == []
         d = rep.to_dict()
-        assert d["cache"]["stores"] == 2      # joined from the manifest
+        assert d["cache"]["stores"] == 2      # rides on the sweep-end line
         assert sum(d["critical_path_totals"].values()) > 0.0
         text = rep.render()
         assert "cache hit ratio:" in text and "ETA:" in text
