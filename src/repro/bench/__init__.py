@@ -9,20 +9,18 @@
   markdown/HTML telemetry report generator.
 * :mod:`repro.bench.telemetry` — structured, schema-validated result
   records per benchmark run (``BENCH_<suite>.json``): virtual times,
-  engine events, events/sec, config fingerprints, critical-path
-  breakdowns.
-* :mod:`repro.bench.baseline` — the committed-baseline store: statistical
-  comparison with per-metric verdicts (improve/ok/regress, hard vs soft)
-  and the paper-shape gate re-asserting the Figure 2-4 orderings from
-  recorded numbers.
-* :mod:`repro.bench.hostprof` — host-side profiling of the simulator
-  itself (cProfile top-N, per-phase wall timers) so optimization PRs have
-  measured targets.
+  engine events, config fingerprints, critical-path breakdowns.
+* :mod:`repro.bench.baseline` — the committed-baseline store: per-metric
+  verdicts (improve/ok/regress) over the deterministic metrics and the
+  paper-shape gate re-asserting the Figure 2-4 orderings from recorded
+  numbers.
+
+Host time is judged by ``benchmarks/perf`` alone; a record still carries
+the wall seconds of the run that produced it, as a fact to display.
 """
 
 from repro.bench.baseline import (CompareResult, MetricVerdict, compare_docs,
                                   shape_gate)
-from repro.bench.hostprof import HostProfiler, PhaseWallTimers
 from repro.bench.loc_metrics import count_logical_lines, model_complexity_table
 from repro.bench.report import render_table, telemetry_html, telemetry_markdown
 from repro.bench.runners import (
@@ -66,6 +64,4 @@ __all__ = [
     "shape_gate",
     "CompareResult",
     "MetricVerdict",
-    "HostProfiler",
-    "PhaseWallTimers",
 ]

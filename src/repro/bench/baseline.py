@@ -8,11 +8,12 @@ metric):
 
 ``improve`` / ``ok`` / ``regress``
     the metric moved past / stayed within / crossed the threshold in the
-    wrong direction. Virtual-time metrics are **deterministic** in this
-    simulator, so their thresholds are tight and a regress is *hard*
-    (non-zero exit). Host-time metrics vary with the machine, so their
-    thresholds are wide, widened further by the MAD of the recorded
-    repeats, and a regress is *soft* (CI annotation only).
+    wrong direction. Only the **deterministic** metrics are judged —
+    virtual seconds and engine events — so the threshold is float
+    formatting wide and a regress fails the build. Host time is judged by
+    ``benchmarks/perf``, never here: a record's ``host_seconds`` and
+    ``events_per_sec`` are facts about the run that produced it, and a
+    committed baseline (written in canonical form) does not hold them.
 
 ``new-benchmark`` / ``missing-baseline``
     a record the baseline has never seen, and a baseline record the
@@ -21,8 +22,8 @@ metric):
 
 ``fingerprint-mismatch``
     the config fingerprints differ: the two records did not run the same
-    experiment, so metric deltas would be meaningless. Hard, because it
-    means the committed baseline is stale with respect to the code.
+    experiment, so metric deltas would be meaningless. Fails the build,
+    because the committed baseline is stale with respect to the code.
 
 The **paper-shape gate** (:func:`shape_gate`) re-asserts the qualitative
 structure of the paper's Figures 2-4 from *recorded* numbers — the same
@@ -34,35 +35,21 @@ claims by construction, whatever machine recorded it.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.runners import advantage_pct, normalized_pct, overhead_pct
+from repro.bench.telemetry import telemetry_to_json
 
-__all__ = ["MetricVerdict", "CompareResult", "METRICS", "HARD_METRICS",
-           "DEFAULT_THRESHOLDS_PCT", "compare_docs", "shape_gate",
-           "ShapeCheck"]
+__all__ = ["MetricVerdict", "CompareResult", "METRICS", "THRESHOLD_PCT",
+           "compare_docs", "baseline_json", "shape_gate", "ShapeCheck"]
 
-#: metric name -> (lower_is_better, hard)
-METRICS: Dict[str, Tuple[bool, bool]] = {
-    "virtual_seconds": (True, True),
-    "events_executed": (True, True),
-    "host_seconds": (True, False),
-    "events_per_sec": (False, False),
-}
+#: The judged metrics: deterministic, lower is better.
+METRICS: Tuple[str, ...] = ("virtual_seconds", "events_executed")
 
-HARD_METRICS = tuple(m for m, (_low, hard) in METRICS.items() if hard)
-
-#: Relative thresholds (percent). Virtual metrics are deterministic — any
-#: drift beyond float formatting is a real change; host metrics swing with
-#: CPU frequency scaling and CI neighbors.
-DEFAULT_THRESHOLDS_PCT: Dict[str, float] = {
-    "virtual_seconds": 0.1,
-    "events_executed": 0.1,
-    "host_seconds": 30.0,
-    "events_per_sec": 30.0,
-}
+#: Relative threshold (percent). The metrics are deterministic — any drift
+#: beyond float formatting is a real change.
+THRESHOLD_PCT = 0.1
 
 
 # ---------------------------------------------------------------- verdicts
@@ -77,15 +64,17 @@ class MetricVerdict:
     current: Optional[float] = None
     baseline: Optional[float] = None
     delta_pct: Optional[float] = None
-    threshold_pct: Optional[float] = None
-    hard: bool = False
+
+    @property
+    def hard(self) -> bool:
+        """Does this verdict fail the build?"""
+        return self.verdict in ("regress", "fingerprint-mismatch")
 
     def as_row(self) -> List[Any]:
         fmt = (lambda v: "-" if v is None else f"{v:.6g}")
         return [self.record_id, self.metric, self.verdict,
                 fmt(self.current), fmt(self.baseline),
-                "-" if self.delta_pct is None else f"{self.delta_pct:+.2f}%",
-                "hard" if self.hard else "soft"]
+                "-" if self.delta_pct is None else f"{self.delta_pct:+.2f}%"]
 
 
 @dataclass
@@ -100,11 +89,10 @@ class CompareResult:
         return [v for v in self.verdicts if v.verdict == verdict]
 
     def hard_regressions(self) -> List[MetricVerdict]:
-        return [v for v in self.verdicts
-                if v.hard and v.verdict in ("regress", "fingerprint-mismatch")]
+        return [v for v in self.verdicts if v.hard]
 
     def exit_code(self) -> int:
-        """0 = clean/soft-only, 1 = hard regression or shape violation."""
+        """0 = clean, 1 = regression, stale fingerprint or shape violation."""
         return 1 if (self.hard_regressions() or self.shape_violations) else 0
 
     def counts(self) -> Dict[str, int]:
@@ -122,7 +110,7 @@ class CompareResult:
         if rows:
             lines.append(render_table(
                 ["benchmark", "metric", "verdict", "current", "baseline",
-                 "delta", "gate"],
+                 "delta"],
                 rows, title=f"bench compare: suite {self.suite!r}"))
         counts = ", ".join(f"{k}={v}" for k, v in sorted(self.counts().items()))
         lines.append(f"verdicts: {counts or 'none'}")
@@ -136,50 +124,25 @@ class CompareResult:
 
 
 # ----------------------------------------------------------------- compare
-def _mad_pct(samples: List[float]) -> float:
-    """Median absolute deviation as a percent of the median (noise width
-    of the recorded repeats); 0 when fewer than 3 samples."""
-    if len(samples) < 3:
-        return 0.0
-    med = statistics.median(samples)
-    if med <= 0:
-        return 0.0
-    mad = statistics.median(abs(s - med) for s in samples)
-    return 100.0 * mad / med
-
-
-def _judge(metric: str, current: float, baseline: float,
-           threshold_pct: float, lower_is_better: bool) -> Tuple[str, float]:
-    """Verdict + signed delta percent for one metric pair."""
+def _judge(current: float, baseline: float) -> Tuple[str, float]:
+    """Verdict + signed delta percent for one lower-is-better metric pair."""
     if baseline == 0:
-        return ("ok" if current == 0 else "regress"
-                if lower_is_better else "improve"), 0.0
+        return ("ok" if current == 0 else "regress"), 0.0
     delta_pct = 100.0 * (current - baseline) / baseline
-    worse = delta_pct > threshold_pct if lower_is_better \
-        else delta_pct < -threshold_pct
-    better = delta_pct < -threshold_pct if lower_is_better \
-        else delta_pct > threshold_pct
-    if worse:
+    if delta_pct > THRESHOLD_PCT:
         return "regress", delta_pct
-    if better:
+    if delta_pct < -THRESHOLD_PCT:
         return "improve", delta_pct
     return "ok", delta_pct
 
 
 def compare_docs(current: Dict[str, Any], baseline: Dict[str, Any],
-                 thresholds_pct: Optional[Dict[str, float]] = None,
-                 mad_factor: float = 3.0,
                  shape: bool = True) -> CompareResult:
     """Compare a fresh telemetry document against a baseline document.
 
-    ``thresholds_pct`` overrides :data:`DEFAULT_THRESHOLDS_PCT` per metric.
-    Host-metric thresholds are widened to ``mad_factor`` times the repeat
-    noise (MAD as % of median) when the current record carries >= 3
-    repeats. When ``shape`` is true the paper-shape gate runs over the
-    *current* document and its violations count as hard.
+    When ``shape`` is true the paper-shape gate runs over the *current*
+    document and its violations fail the comparison.
     """
-    thresholds = dict(DEFAULT_THRESHOLDS_PCT)
-    thresholds.update(thresholds_pct or {})
     result = CompareResult(suite=str(current.get("suite", "?")))
 
     base_by_id = {rec["id"]: rec for rec in baseline.get("records", [])}
@@ -194,22 +157,16 @@ def compare_docs(current: Dict[str, Any], baseline: Dict[str, Any],
         if rec.get("fingerprint") != base.get("fingerprint"):
             result.verdicts.append(MetricVerdict(
                 record_id=rec_id, metric="fingerprint",
-                verdict="fingerprint-mismatch", hard=True))
+                verdict="fingerprint-mismatch"))
             continue
-        for metric, (lower_is_better, hard) in METRICS.items():
+        for metric in METRICS:
             if metric not in rec or metric not in base:
                 continue
-            tol = thresholds[metric]
-            if not hard:
-                tol = max(tol, mad_factor * _mad_pct(
-                    [float(s) for s in rec.get("host_seconds_all", [])]))
-            verdict, delta = _judge(metric, float(rec[metric]),
-                                    float(base[metric]), tol,
-                                    lower_is_better)
+            verdict, delta = _judge(float(rec[metric]), float(base[metric]))
             result.verdicts.append(MetricVerdict(
                 record_id=rec_id, metric=metric, verdict=verdict,
                 current=float(rec[metric]), baseline=float(base[metric]),
-                delta_pct=delta, threshold_pct=tol, hard=hard))
+                delta_pct=delta))
 
     for rec_id in base_by_id:
         if rec_id not in cur_by_id:
@@ -220,6 +177,17 @@ def compare_docs(current: Dict[str, Any], baseline: Dict[str, Any],
         result.shape_violations = [c.describe() for c in shape_gate(current)
                                    if not c.passed]
     return result
+
+
+def baseline_json(doc: Dict[str, Any]) -> str:
+    """``doc`` as ``bench update-baseline`` commits it: records in canonical
+    form (no host-varying field) and no ``host`` header, so re-recording an
+    unchanged simulator writes the same bytes on every machine."""
+    from repro.fabric.cache import canonical_record
+
+    stamped = {k: v for k, v in doc.items() if k != "host"}
+    stamped["records"] = [canonical_record(r) for r in doc["records"]]
+    return telemetry_to_json(stamped)
 
 
 # ------------------------------------------------------------- shape gate

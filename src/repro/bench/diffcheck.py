@@ -58,7 +58,7 @@ from repro.faults.chaos import run_chaos
 __all__ = ["SCHEMA", "DIFF_SCALE", "GOLDEN_PATH", "FigureScenario",
            "ChaosScenario", "scenarios", "scenario_ids", "stream_digest",
            "capture", "record_goldens", "load_goldens", "check_scenario",
-           "check_goldens", "dual_procs_run", "events_per_sec_gate"]
+           "check_goldens", "dual_procs_run"]
 
 SCHEMA = "repro.bench.diffcheck/1"
 
@@ -322,43 +322,6 @@ def dual_procs_run(only: Optional[str] = None,
     return problems
 
 
-# ---------------------------------------------------------- events/sec gate
-def events_per_sec_gate(telemetry_path: str, baseline_path: str,
-                        min_ratio: Optional[float] = None) -> Tuple[str, bool]:
-    """Compare per-unit events/sec of a telemetry document against the
-    committed baseline. Returns ``(report text, ok)`` — ``ok`` is False
-    only when ``min_ratio`` is given and the geometric-mean speedup falls
-    below it. Host throughput is noisy on shared runners, so CI treats
-    this as a soft gate; the ratio makes the overhaul's speedup (or a
-    regression) visible in artifacts."""
-    import math
-
-    with open(telemetry_path, "r", encoding="utf-8") as fh:
-        current = {r["id"]: r for r in json.load(fh)["records"]}
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        base = {r["id"]: r for r in json.load(fh)["records"]}
-    lines = ["| unit | baseline ev/s | current ev/s | ratio |",
-             "|---|---|---|---|"]
-    ratios = []
-    for uid in sorted(base):
-        if uid not in current:
-            lines.append(f"| {uid} | — | missing | — |")
-            continue
-        b = base[uid].get("events_per_sec", 0.0)
-        c = current[uid].get("events_per_sec", 0.0)
-        if b > 0 and c > 0:
-            ratios.append(c / b)
-            lines.append(f"| {uid} | {b:.0f} | {c:.0f} | {c / b:.2f}x |")
-    geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios)) if ratios else 0.0
-    lines.append(f"\nevents/sec geometric-mean ratio vs baseline: "
-                 f"**{geo:.2f}x** over {len(ratios)} units")
-    ok = min_ratio is None or geo >= min_ratio
-    if min_ratio is not None:
-        lines.append(f"gate: geomean >= {min_ratio:.2f}x -> "
-                     f"{'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines), ok
-
-
 # -------------------------------------------------------------------- main
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
@@ -372,17 +335,10 @@ def main(argv: List[str]) -> int:
     mode.add_argument("--dual-procs", action="store_true",
                       help="thread vs generator process-backend "
                            "differential run")
-    mode.add_argument("--events-gate", metavar="TELEMETRY_JSON",
-                      help="report events/sec vs a baseline store")
     parser.add_argument("--only", metavar="SUBSTR",
                         help="filter scenario ids by substring")
     parser.add_argument("--golden", metavar="FILE", default=str(GOLDEN_PATH),
                         help="golden store path (default: tests/golden/)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        default="benchmarks/baselines/smoke.json",
-                        help="baseline store for --events-gate")
-    parser.add_argument("--min-ratio", type=float, default=None,
-                        help="fail --events-gate below this geomean ratio")
     parser.add_argument("--procs", choices=("thread", "generator"),
                         default=None,
                         help="pin the process backend for --check")
@@ -392,11 +348,6 @@ def main(argv: List[str]) -> int:
     def progress(sid: str) -> None:
         print(f"  .. {sid}", flush=True)
 
-    if args.events_gate:
-        report, ok = events_per_sec_gate(args.events_gate, args.baseline,
-                                         min_ratio=args.min_ratio)
-        print(report)
-        return 0 if ok else 1
     if args.record:
         doc = record_goldens(golden, only=args.only, progress=progress)
         print(f"recorded {len(doc['scenarios'])} golden scenarios "

@@ -13,8 +13,8 @@ from __future__ import annotations
 import html as _html
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-__all__ = ["render_table", "render_bars", "telemetry_markdown",
-           "telemetry_html"]
+__all__ = ["render_table", "render_bars", "host_cells",
+           "telemetry_markdown", "telemetry_html"]
 
 Cell = Union[str, int, float]
 
@@ -61,6 +61,15 @@ def render_bars(values: Dict[str, float], unit: str = "%",
 
 
 # ------------------------------------------------------- telemetry reports
+def host_cells(rec: Dict[str, Any]) -> List[str]:
+    """The ``events/s`` and ``host ms`` cells of a record's table row —
+    facts about the run that produced it, displayed and never compared;
+    a committed baseline record carries neither."""
+    if "host_seconds" not in rec:
+        return ["-", "-"]
+    return [f"{rec['events_per_sec']:,.0f}", f"{rec['host_seconds'] * 1e3:.1f}"]
+
+
 def _telemetry_sections(doc: Dict[str, Any], compare=None,
                         metrics: Optional[List[Dict[str, Any]]] = None,
                         metrics_top: int = 15):
@@ -72,16 +81,14 @@ def _telemetry_sections(doc: Dict[str, Any], compare=None,
         cp_total = sum(cp.values()) or 1.0
         rec_rows.append([
             rec["id"], f"{rec['virtual_seconds'] * 1e3:.3f}",
-            rec["events_executed"], f"{rec['events_per_sec']:,.0f}",
-            f"{rec['host_seconds'] * 1e3:.1f}",
+            rec["events_executed"], *host_cells(rec),
             f"{100.0 * cp.get('compute', 0.0) / cp_total:.0f}%",
             f"{100.0 * cp.get('protocol', 0.0) / cp_total:.0f}%",
             f"{100.0 * cp.get('wire', 0.0) / cp_total:.0f}%",
             f"{100.0 * cp.get('blocked', 0.0) / cp_total:.0f}%",
         ])
     sections.append((
-        f"Telemetry — suite {doc.get('suite')!r} "
-        f"(scale {doc.get('scale')}, repeat {doc.get('repeat', 1)})",
+        f"Telemetry — suite {doc.get('suite')!r} (scale {doc.get('scale')})",
         ["benchmark", "virtual ms", "events", "events/s", "host ms",
          "compute", "protocol", "wire", "blocked"],
         rec_rows))
@@ -89,7 +96,7 @@ def _telemetry_sections(doc: Dict[str, Any], compare=None,
         sections.append((
             "Baseline comparison",
             ["benchmark", "metric", "verdict", "current", "baseline",
-             "delta", "gate"],
+             "delta"],
             [v.as_row() for v in compare.verdicts]))
         shape_rows = ([[violation] for violation in compare.shape_violations]
                       or [["all figure orderings hold"]])

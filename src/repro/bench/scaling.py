@@ -5,8 +5,8 @@ scheduler removes the one-OS-thread-per-simulated-process ceiling, so the
 simulator can extrapolate both fabrics to commodity-cluster sizes. This
 module runs one workload across a ladder of node counts per fabric and
 emits **standard telemetry records** (:mod:`repro.bench.telemetry`), so
-scaling curves join the same baseline store and regression gates as the
-figure suites — ``events_per_sec`` is the gated simulator-speed metric.
+scaling curves join the same baseline store and virtual-time gate as the
+figure suites.
 
 Curve points reuse the evaluation presets at the small end (``sw-dsm-4``,
 ``hybrid-4``) and the large-cluster presets of :mod:`repro.config` above
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.telemetry import SCHEMA, run_unit
+from repro.bench.telemetry import run_unit, telemetry_document
 from repro.errors import ConfigurationError
 
 __all__ = ["CURVES", "DEFAULT_LABEL", "DEFAULT_SCALE", "run_scaling_curves",
@@ -48,7 +48,6 @@ def run_scaling_curves(fabrics: Sequence[str] = ("eth", "sci"),
                        max_nodes: int = 256,
                        label: str = DEFAULT_LABEL,
                        scale: float = DEFAULT_SCALE,
-                       repeat: int = 1,
                        progress: Optional[Callable[[str], None]] = None,
                        ) -> Dict[str, Any]:
     """Run ``label`` across each fabric's node-count ladder up to
@@ -64,26 +63,11 @@ def run_scaling_curves(fabrics: Sequence[str] = ("eth", "sci"),
                 continue
             if progress is not None:
                 progress(f"{fabric}/{nodes} ({preset_name}/{label})")
-            record = run_unit(preset_name, label, scale, repeat=repeat,
-                              suite="scaling")
+            record = run_unit(preset_name, label, scale, suite="scaling")
             record["fabric"] = fabric
             record["nodes"] = nodes
             records.append(record)
-    import platform as _host_platform
-    import sys
-
-    return {
-        "schema": SCHEMA,
-        "suite": "scaling",
-        "scale": scale,
-        "repeat": repeat,
-        "host": {
-            "python": sys.version.split()[0],
-            "machine": _host_platform.machine(),
-            "system": _host_platform.system(),
-        },
-        "records": records,
-    }
+    return telemetry_document("scaling", scale, records)
 
 
 def curve_points(doc: Dict[str, Any]) -> Dict[str, List[Dict[str, Any]]]:
@@ -98,7 +82,7 @@ def curve_points(doc: Dict[str, Any]) -> Dict[str, List[Dict[str, Any]]]:
 
 def render_scaling(doc: Dict[str, Any]) -> str:
     """Text table of the curves: one row per (fabric, node count)."""
-    from repro.bench.report import render_table
+    from repro.bench.report import host_cells, render_table
 
     rows = []
     for fabric, recs in sorted(curve_points(doc).items()):
@@ -109,9 +93,7 @@ def render_scaling(doc: Dict[str, Any]) -> str:
             rows.append([fabric, rec["nodes"], rec["preset"],
                          f"{rec['virtual_seconds'] * 1e3:.3f}",
                          f"x{speedup:.2f}",
-                         rec["events_executed"],
-                         f"{rec['events_per_sec']:,.0f}",
-                         f"{rec['host_seconds'] * 1e3:.1f}"])
+                         rec["events_executed"], *host_cells(rec)])
     return render_table(
         ["fabric", "nodes", "preset", "virtual ms", "vs smallest",
          "events", "events/s", "host ms"],

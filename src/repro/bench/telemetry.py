@@ -13,10 +13,9 @@ One :func:`run_suite_telemetry` call produces a JSON document
 * virtual-time results — total seconds, per-phase seconds, and the
   figure-label seconds this execution covers (the LU splits share one
   execution), all deterministic and therefore hard-gateable;
-* host-time results — wall seconds (min over ``--repeat`` runs, with all
-  repeats recorded for MAD-based noise estimation), engine events
-  executed, and events/second — the simulator-speed number the ROADMAP's
-  "as fast as the hardware allows" goal tracks;
+* engine events executed (deterministic, gated like virtual time) and, as
+  facts about this one run that nothing here compares, its wall seconds
+  and events/second — host time is judged by ``benchmarks/perf``;
 * the critical-path compute/protocol/wire/blocked breakdown from
   :mod:`repro.obs.critical_path` (cluster-wide seconds per category).
 
@@ -38,11 +37,13 @@ from repro.config import ClusterConfig, preset
 from repro.errors import ConfigurationError
 
 __all__ = ["SCHEMA", "CP_CATEGORIES", "SuiteSpec", "SUITES",
-           "config_fingerprint", "run_unit", "run_suite_telemetry",
-           "validate_telemetry", "telemetry_to_json", "load_telemetry"]
+           "config_fingerprint", "run_unit", "telemetry_document",
+           "run_suite_telemetry", "validate_telemetry", "telemetry_to_json",
+           "load_telemetry"]
 
 #: Schema identifier; bump the suffix on breaking record changes.
-SCHEMA = "repro.bench.telemetry/1"
+#: (/2: one run per record; its host fields are optional.)
+SCHEMA = "repro.bench.telemetry/2"
 
 #: critical-path categories, mirrored from repro.obs.critical_path
 CP_CATEGORIES = ("compute", "protocol", "wire", "blocked")
@@ -143,19 +144,13 @@ def _unit_config(preset_name: str, overrides: Optional[Dict[str, Any]] = None,
 
 
 def run_unit(preset_name: str, label: str, scale: float,
-             native: bool = False, repeat: int = 1,
+             native: bool = False,
              suite: str = "adhoc",
-             profiler: Optional[Any] = None,
              overrides: Optional[Dict[str, Any]] = None,
              faults: Optional[Any] = None,
              nodes: Optional[int] = None,
              sharing: bool = False) -> Dict[str, Any]:
-    """Execute one benchmark unit ``repeat`` times and build its record.
-
-    Virtual time must be identical across repeats (the simulator is
-    deterministic); a mismatch raises — that *is* the determinism check.
-    Host wall time is taken as the min over repeats (the standard
-    noise-floor estimator), with every repeat recorded for MAD analysis.
+    """Execute one benchmark unit once and build its record.
 
     ``overrides`` / ``faults`` / ``nodes`` are the sweep axes of
     :mod:`repro.fabric`: machine-parameter overrides merged into the
@@ -166,35 +161,15 @@ def run_unit(preset_name: str, label: str, scale: float,
     schema-versioned ``sharing`` field. Host-side only: virtual time,
     fingerprints, and every canonical field stay identical either way.
     """
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
     wl = WORKLOADS[label]
     params = wl.params(scale)
-    merged = plat = None
-    host_all: List[float] = []
-    events = 0
-    virtual: Optional[float] = None
-    for _ in range(repeat):
-        config = _unit_config(preset_name, overrides, faults, nodes)
-        config.observe = True  # critical-path breakdown; free in virtual time
-        config.sharing = bool(sharing)
-
-        def one_run(cfg: ClusterConfig = config):
-            return run_app_detailed(cfg, wl.app, native=native, **params)
-
-        merged, plat = (profiler.run(one_run) if profiler is not None
-                        else one_run())
-        host_all.append(plat.engine.host_seconds)
-        events = plat.engine.events_executed
-        total = merged.phases["total"]
-        if virtual is None:
-            virtual = total
-        elif virtual != total:
-            raise AssertionError(
-                f"non-deterministic virtual time for {preset_name}/{label}: "
-                f"{virtual} != {total}")
-    assert merged is not None and plat is not None and virtual is not None
-    host_seconds = min(host_all)
+    config = _unit_config(preset_name, overrides, faults, nodes)
+    config.observe = True  # critical-path breakdown; free in virtual time
+    config.sharing = bool(sharing)
+    merged, plat = run_app_detailed(config, wl.app, native=native, **params)
+    virtual = merged.phases["total"]
+    events = plat.engine.events_executed
+    host_seconds = plat.engine.host_seconds
 
     label_seconds = {label: virtual}
     for derived, phase in _DERIVED_LABELS.get(label, {}).items():
@@ -222,8 +197,6 @@ def run_unit(preset_name: str, label: str, scale: float,
         "label_seconds": label_seconds,
         "events_executed": int(events),
         "host_seconds": host_seconds,
-        "host_seconds_all": host_all,
-        "repeats": repeat,
         "events_per_sec": (events / host_seconds if host_seconds > 0 else 0.0),
         "critical_path": breakdown,
         "fingerprint": config_fingerprint(
@@ -237,17 +210,32 @@ def run_unit(preset_name: str, label: str, scale: float,
     return record
 
 
+def telemetry_document(suite: str, scale: float,
+                       records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The document envelope around a record list, stamped with the host
+    that ran it (``bench update-baseline`` drops that stamp again)."""
+    return {
+        "schema": SCHEMA,
+        "suite": suite,
+        "scale": scale,
+        "host": {
+            "python": sys.version.split()[0],
+            "machine": _host_platform.machine(),
+            "system": _host_platform.system(),
+        },
+        "records": records,
+    }
+
+
 def run_suite_telemetry(suite: str = "smoke", scale: Optional[float] = None,
-                        repeat: int = 1, only: Optional[str] = None,
-                        profiler: Optional[Any] = None,
+                        only: Optional[str] = None,
                         progress: Optional[Callable[[str], None]] = None,
                         cache: Optional[Any] = None,
                         sharing: bool = False) -> Dict[str, Any]:
     """Run a named suite and return its telemetry document.
 
     ``only`` filters unit ids by substring (CI smoke tests run single
-    units); ``profiler`` is an optional
-    :class:`~repro.bench.hostprof.HostProfiler` wrapped around every run.
+    units).
 
     ``cache`` is a duck-typed result cache (the fabric's
     :class:`repro.fabric.cache.TelemetryCache`): when given, every unit
@@ -282,25 +270,12 @@ def run_suite_telemetry(suite: str = "smoke", scale: Optional[float] = None,
                     continue
             if progress is not None:
                 progress(unit_id)
-            record = run_unit(preset_name, label, use_scale,
-                              native=native, repeat=repeat,
-                              suite=suite, profiler=profiler,
-                              sharing=sharing)
+            record = run_unit(preset_name, label, use_scale, native=native,
+                              suite=suite, sharing=sharing)
             if cache is not None:
                 cache.store_record(record)
             records.append(record)
-    return {
-        "schema": SCHEMA,
-        "suite": suite,
-        "scale": use_scale,
-        "repeat": repeat,
-        "host": {
-            "python": sys.version.split()[0],
-            "machine": _host_platform.machine(),
-            "system": _host_platform.system(),
-        },
-        "records": records,
-    }
+    return telemetry_document(suite, use_scale, records)
 
 
 # ------------------------------------------------------------------ schema
@@ -308,10 +283,9 @@ _REQUIRED_RECORD_FIELDS: Dict[str, type] = {
     "id": str, "suite": str, "benchmark": str, "app": str, "preset": str,
     "platform": str, "native": bool, "verified": bool,
     "scale": (int, float), "virtual_seconds": (int, float),
-    "host_seconds": (int, float), "events_per_sec": (int, float),
-    "events_executed": int, "repeats": int,
+    "events_executed": int,
     "params": dict, "phases": dict, "label_seconds": dict,
-    "critical_path": dict, "fingerprint": str, "host_seconds_all": list,
+    "critical_path": dict, "fingerprint": str,
 }
 
 

@@ -269,17 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="suite name (smoke, paper)")
     brun.add_argument("--scale", type=float, default=None,
                       help="override the suite's working-set scale")
-    brun.add_argument("--repeat", type=int, default=1, metavar="N",
-                      help="host-time repeats per benchmark (min-of-N; "
-                           "virtual times must be identical)")
     brun.add_argument("--only", metavar="SUBSTR",
                       help="run only unit ids containing SUBSTR "
                            "(e.g. 'sw-dsm-2/PI')")
     brun.add_argument("--json-out", metavar="FILE",
                       help="write the telemetry document (BENCH_<suite>.json)")
-    brun.add_argument("--profile", action="store_true",
-                      help="cProfile the whole suite and print the host "
-                           "hot-function worklist")
     brun.add_argument("--baseline", metavar="FILE",
                       help="compare against this baseline right after "
                            "running (exit non-zero on hard regression)")
@@ -300,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     bcmp.add_argument("--baseline", metavar="FILE",
                       help="baseline document (default: "
                            "benchmarks/baselines/<suite>.json)")
-    bcmp.add_argument("--threshold", action="append", type=_parse_param,
-                      default=[], metavar="METRIC=PCT",
-                      help="per-metric threshold override in percent "
-                           "(repeatable)")
     bcmp.add_argument("--show-ok", action="store_true",
                       help="also list metrics whose verdict is 'ok'")
 
@@ -314,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "suite fresh)")
     bupd.add_argument("--suite", default="smoke",
                       help="suite to run when --json is omitted")
-    bupd.add_argument("--repeat", type=int, default=3, metavar="N",
-                      help="repeats when running fresh (default 3)")
     bupd.add_argument("--baseline", metavar="FILE",
                       help="target path (default: "
                            "benchmarks/baselines/<suite>.json)")
@@ -330,8 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "use 1024 for the full curve)")
     bscale.add_argument("--scale", type=float, default=None,
                         help="working-set scale (default 0.05)")
-    bscale.add_argument("--repeat", type=int, default=1, metavar="N",
-                        help="host-time repeats per point (min-of-N)")
     bscale.add_argument("--json-out", metavar="FILE",
                         help="write the telemetry document")
     bscale.add_argument("--baseline", metavar="FILE",
@@ -513,17 +499,7 @@ def _cmd_run(args) -> int:
     plat = config.build()
     api = NativeJiaJiaApi(plat.hamster) if args.native else JiaJiaApi(plat.hamster)
     fn = get_app(args.app)
-    profiler = timers = None
-    if args.profile:
-        from repro.bench.hostprof import HostProfiler, PhaseWallTimers
-
-        profiler = HostProfiler()
-        timers = PhaseWallTimers().attach(plat)
-    do_run = lambda: api.run(functools.partial(fn, **params))  # noqa: E731
-    per_rank = profiler.run(do_run) if profiler is not None else do_run()
-    if timers is not None:
-        timers.detach()
-    merged = merge_rank_results(per_rank)
+    merged = merge_rank_results(api.run(functools.partial(fn, **params)))
 
     print(f"platform : {plat.hamster.platform_description()}"
           f"{' [native binding]' if args.native else ''}")
@@ -535,8 +511,7 @@ def _cmd_run(args) -> int:
         from repro.tools import profile_platform
 
         print()
-        print(profile_platform(plat, host_profiler=profiler,
-                               phase_timers=timers).render())
+        print(profile_platform(plat).render())
     if args.json:
         from repro.tools.export import run_to_json, write_text
 
@@ -683,26 +658,23 @@ def _default_baseline_path(suite: str) -> str:
 
 
 def _print_bench_summary(doc) -> None:
-    from repro.bench.report import render_table
+    from repro.bench.report import host_cells, render_table
 
     rows = []
     for rec in doc["records"]:
         cp = rec["critical_path"]
         cp_total = sum(cp.values()) or 1.0
         rows.append([rec["id"], f"{rec['virtual_seconds'] * 1e3:.3f}",
-                     rec["events_executed"],
-                     f"{rec['events_per_sec']:,.0f}",
-                     f"{rec['host_seconds'] * 1e3:.1f}",
+                     rec["events_executed"], *host_cells(rec),
                      f"{100.0 * cp.get('compute', 0.0) / cp_total:.0f}%"])
     print(render_table(
         ["benchmark", "virtual ms", "events", "events/s", "host ms",
          "compute"],
         rows, title=f"suite {doc['suite']!r} at scale {doc['scale']} "
-                    f"({len(rows)} benchmarks, repeat {doc['repeat']})"))
+                    f"({len(rows)} benchmarks)"))
 
 
-def _bench_compare(doc, baseline_path, thresholds=None, shape=True,
-                   show_ok=False) -> int:
+def _bench_compare(doc, baseline_path, shape=True, show_ok=False) -> int:
     import os.path
 
     from repro.bench.baseline import compare_docs
@@ -714,8 +686,7 @@ def _bench_compare(doc, baseline_path, thresholds=None, shape=True,
               f"--suite {doc['suite']}")
         return 1
     baseline = load_telemetry(baseline_path)
-    result = compare_docs(doc, baseline, thresholds_pct=thresholds,
-                          shape=shape)
+    result = compare_docs(doc, baseline, shape=shape)
     print(result.render(show_ok=show_ok))
     return result.exit_code()
 
@@ -726,19 +697,14 @@ def _cmd_bench(args) -> int:
     from repro.tools.export import write_text
 
     if args.bench_command == "run":
-        profiler = None
-        if args.profile:
-            from repro.bench.hostprof import HostProfiler
-
-            profiler = HostProfiler(top=20)
         cache = None
         if args.cache_dir:
             from repro.fabric import ResultCache, TelemetryCache
 
             cache = TelemetryCache(ResultCache(args.cache_dir))
         doc = run_suite_telemetry(
-            args.suite, scale=args.scale, repeat=args.repeat, only=args.only,
-            profiler=profiler, cache=cache, sharing=args.sharing,
+            args.suite, scale=args.scale, only=args.only,
+            cache=cache, sharing=args.sharing,
             progress=lambda unit: print(f"[bench] {unit}"))
         if not doc["records"]:
             print(f"--only {args.only!r} matched no benchmark in suite "
@@ -758,9 +724,6 @@ def _cmd_bench(args) -> int:
         if args.json_out:
             write_text(args.json_out, telemetry_to_json(doc))
             print(f"telemetry: written to {args.json_out}")
-        if profiler is not None:
-            print()
-            print(profiler.render())
         if args.baseline:
             print()
             return _bench_compare(doc, args.baseline)
@@ -769,22 +732,21 @@ def _cmd_bench(args) -> int:
     if args.bench_command == "compare":
         doc = load_telemetry(args.json)
         baseline_path = args.baseline or _default_baseline_path(doc["suite"])
-        thresholds = {k: float(v) for k, v in args.threshold}
-        return _bench_compare(doc, baseline_path, thresholds=thresholds,
-                              show_ok=args.show_ok)
+        return _bench_compare(doc, baseline_path, show_ok=args.show_ok)
 
     if args.bench_command == "update-baseline":
         if args.json:
             doc = load_telemetry(args.json)
         else:
             doc = run_suite_telemetry(
-                args.suite, repeat=args.repeat,
-                progress=lambda unit: print(f"[bench] {unit}"))
+                args.suite, progress=lambda unit: print(f"[bench] {unit}"))
         target = args.baseline or _default_baseline_path(doc["suite"])
         import os
 
+        from repro.bench.baseline import baseline_json
+
         os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
-        write_text(target, telemetry_to_json(doc))
+        write_text(target, baseline_json(doc))
         print(f"baseline : {len(doc['records'])} records written to {target}")
         return 0
 
@@ -796,7 +758,6 @@ def _cmd_bench(args) -> int:
             fabrics=tuple(args.fabric) if args.fabric else ("eth", "sci"),
             max_nodes=args.max_nodes,
             scale=args.scale if args.scale is not None else DEFAULT_SCALE,
-            repeat=args.repeat,
             progress=lambda point: print(f"[scaling] {point}"))
         errors = validate_telemetry(doc)
         if errors:
@@ -1003,6 +964,7 @@ def _finish_sweep(result, json_out, journal_path,
 
 def _sweep_resume(args) -> int:
     """``sweep resume DIR``: restore committed cells, run the rest."""
+    from repro.errors import ConfigurationError
     from repro.fabric import (GridSpec, JournalError, ResultCache,
                               replay_journal, run_sweep)
 
@@ -1016,7 +978,11 @@ def _sweep_resume(args) -> int:
     if args.grid:
         spec = GridSpec.load(args.grid)
     elif isinstance(header.get("grid"), dict):
-        spec = GridSpec.from_dict(header["grid"])
+        try:
+            spec = GridSpec.from_dict(header["grid"])
+        except ConfigurationError as exc:  # written by another version
+            print(f"sweep resume: {journal}: header grid refused: {exc}")
+            return 2
     else:
         print(f"sweep resume: {journal} has no embedded grid — "
               f"pass --grid FILE")

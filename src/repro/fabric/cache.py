@@ -61,8 +61,7 @@ _SHARD_GLOB = "??/*.json"
 
 #: Record fields that vary with the host, not the simulated behaviour.
 #: Everything else in a record is deterministic given the cell identity.
-_HOST_FIELDS = ("host_seconds", "host_seconds_all", "events_per_sec",
-                "repeats")
+_HOST_FIELDS = ("host_seconds", "events_per_sec")
 
 
 def scenario_key(scenario: Scenario) -> str:
@@ -307,9 +306,7 @@ class TelemetryCache:
     :func:`repro.bench.telemetry.run_suite_telemetry` takes this
     duck-typed object (telemetry never imports the fabric); the key is
     derived through :func:`scenario_key`, so a cell executed by a sweep
-    is a hit for the serial path and vice versa. ``repeat`` is *not*
-    part of the address — it only changes host-time statistics — so a
-    hit may report fewer repeats than requested.
+    is a hit for the serial path and vice versa.
     """
 
     def __init__(self, store: ResultCache) -> None:

@@ -62,8 +62,6 @@ class Scenario:
     overrides: Tuple[Tuple[str, Any], ...] = ()
     #: canonical fault-plan JSON, or None for the perfect network
     faults: Optional[str] = None
-    #: host-time repeats (virtual time must be identical across them)
-    repeat: int = 1
 
     # --------------------------------------------------------------- identity
     def cell_id(self) -> str:
@@ -109,19 +107,23 @@ class Scenario:
         return {"preset": self.preset, "label": self.label,
                 "scale": self.scale, "native": self.native,
                 "nodes": self.nodes, "overrides": dict(self.overrides),
-                "faults": self.faults, "repeat": self.repeat}
+                "faults": self.faults}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "Scenario":
+        unknown = set(d) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown scenario keys {sorted(unknown)}")
         return cls(preset=d["preset"], label=d["label"],
                    scale=float(d["scale"]), native=bool(d.get("native", False)),
                    nodes=d.get("nodes"),
                    overrides=tuple(sorted(d.get("overrides", {}).items())),
-                   faults=d.get("faults"), repeat=int(d.get("repeat", 1)))
+                   faults=d.get("faults"))
 
 
 _GRID_KEYS = {"suite", "presets", "labels", "scales", "native", "nodes",
-              "overrides", "faults", "repeat", "timeout"}
+              "overrides", "faults", "timeout"}
 
 
 @dataclass
@@ -138,8 +140,6 @@ class GridSpec:
     faults: Tuple[Any, ...] = (None,)
     #: suite name stamped on the telemetry document
     suite: str = "sweep"
-    #: host-time repeats per cell
-    repeat: int = 1
     #: per-cell wall-clock timeout in host seconds (None = no limit)
     timeout: Optional[float] = None
 
@@ -165,8 +165,6 @@ class GridSpec:
         if self.native is not None and len(self.native) != len(self.presets):
             raise ConfigurationError(
                 "native axis must pair one flag per preset")
-        if self.repeat < 1:
-            raise ConfigurationError(f"repeat must be >= 1, got {self.repeat}")
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigurationError(
                 f"timeout must be > 0 seconds, got {self.timeout}")
@@ -188,8 +186,7 @@ class GridSpec:
                                     scale=float(scale), native=native,
                                     nodes=nodes,
                                     overrides=tuple(sorted(ovr.items())),
-                                    faults=_canonical_faults(faults),
-                                    repeat=self.repeat))
+                                    faults=_canonical_faults(faults)))
         return cells
 
     # -------------------------------------------------------------------- io
@@ -209,7 +206,6 @@ class GridSpec:
             overrides=tuple(d.get("overrides", ({},))),
             faults=tuple(d.get("faults", (None,))),
             suite=str(d.get("suite", "sweep")),
-            repeat=int(d.get("repeat", 1)),
             timeout=float(d["timeout"]) if d.get("timeout") is not None else None)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -217,8 +213,7 @@ class GridSpec:
             "suite": self.suite, "presets": list(self.presets),
             "labels": list(self.labels), "scales": list(self.scales),
             "nodes": list(self.nodes),
-            "overrides": list(self.overrides), "faults": list(self.faults),
-            "repeat": self.repeat}
+            "overrides": list(self.overrides), "faults": list(self.faults)}
         if self.native is not None:
             d["native"] = list(self.native)
         if self.timeout is not None:

@@ -54,9 +54,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
-import platform as _host_platform
 import queue as _queue
-import sys
 import threading
 import time
 from collections import deque
@@ -784,23 +782,8 @@ def run_sweep(spec: GridSpec, workers: int = 1,
     ordered = [records[i] for i in sorted(records)]
     doc: Optional[Dict[str, Any]] = None
     if ordered:
-        doc = {
-            "schema": _telemetry_schema(),
-            "suite": spec.suite,
-            "scale": spec.scales[0],
-            "repeat": spec.repeat,
-            "host": {
-                "python": sys.version.split()[0],
-                "machine": _host_platform.machine(),
-                "system": _host_platform.system(),
-            },
-            "records": ordered,
-        }
+        from repro.bench.telemetry import telemetry_document
+
+        doc = telemetry_document(spec.suite, spec.scales[0], ordered)
     return SweepResult(spec=spec, manifest=manifest, records=ordered,
                        doc=doc, status=status, restored=restored)
-
-
-def _telemetry_schema() -> str:
-    from repro.bench.telemetry import SCHEMA
-
-    return SCHEMA

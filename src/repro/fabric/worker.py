@@ -93,8 +93,8 @@ def execute_cell(scenario: Scenario, suite: str = "sweep") -> Dict[str, Any]:
 
         faults = FaultPlan.loads(scenario.faults)
     record = run_unit(scenario.preset, scenario.label, scenario.scale,
-                      native=scenario.native, repeat=scenario.repeat,
-                      suite=suite, overrides=dict(scenario.overrides),
+                      native=scenario.native, suite=suite,
+                      overrides=dict(scenario.overrides),
                       faults=faults, nodes=scenario.nodes)
     record["id"] = scenario.cell_id()
     return record

@@ -6,18 +6,16 @@ time go (compute vs bus vs waiting), what did the protocol do per rank
 (faults, fetches, diffs, notices), and how much hit the wire. Works on any
 platform/model combination because it reads only the public statistics.
 
-Beyond the virtual-time view, the report now also answers the *host*-side
-question — how fast did the simulator itself run (engine events executed,
-wall seconds, events/second) and, when a
-:class:`~repro.bench.hostprof.HostProfiler` or
-:class:`~repro.bench.hostprof.PhaseWallTimers` accompanied the run, which
-host functions and phases to optimize first.
+Beyond the virtual-time view, the report ends with the engine's own
+one-line host summary (events executed, wall seconds inside ``Engine.run``,
+events/second). Where that wall time *went* is ``benchmarks/perf``'s
+question, not this module's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List
 
 from repro.bench.report import render_table
 
@@ -57,14 +55,11 @@ class ProfileReport:
     bus_bytes: Dict[int, int] = field(default_factory=dict)
     bus_contention: Dict[int, float] = field(default_factory=dict)
     compute_time: Dict[int, float] = field(default_factory=dict)
-    #: host-side engine telemetry (repro.bench): dispatched events, real
-    #: wall seconds spent inside Engine.run, and their ratio
+    #: the engine's own counters: dispatched events, real wall seconds
+    #: spent inside Engine.run, and their ratio
     events_executed: int = 0
     host_seconds: float = 0.0
     events_per_sec: float = 0.0
-    #: optional attachments from repro.bench.hostprof
-    host_hot: Optional[Any] = None      # HostProfiler
-    host_phases: Optional[Any] = None   # PhaseWallTimers
 
     # -------------------------------------------------------------- queries
     def rank(self, rank: int) -> RankProfile:
@@ -103,23 +98,11 @@ class ProfileReport:
                  f"\nhost     : {self.events_executed} engine events in "
                  f"{self.host_seconds * 1e3:.1f} ms wall "
                  f"({self.events_per_sec:,.0f} events/s)")
-        parts = [table + extra]
-        if self.host_phases is not None and self.host_phases.seconds:
-            parts.append(self.host_phases.render())
-        if self.host_hot is not None and self.host_hot.ran:
-            parts.append(self.host_hot.render())
-        return "\n\n".join(parts)
+        return table + extra
 
 
-def profile_platform(platform, host_profiler=None,
-                     phase_timers=None) -> ProfileReport:
-    """Digest a finished :class:`~repro.config.BuiltPlatform`.
-
-    ``host_profiler`` / ``phase_timers`` are optional
-    :mod:`repro.bench.hostprof` instruments that accompanied the run; when
-    given, their host hot-function and per-phase wall reports are folded
-    into :meth:`ProfileReport.render`.
-    """
+def profile_platform(platform) -> ProfileReport:
+    """Digest a finished :class:`~repro.config.BuiltPlatform`."""
     hamster = platform.hamster
     dsm = platform.dsm
     engine = platform.engine
@@ -127,9 +110,7 @@ def profile_platform(platform, host_profiler=None,
                            total_time=engine.now,
                            events_executed=engine.events_executed,
                            host_seconds=engine.host_seconds,
-                           events_per_sec=engine.events_per_second(),
-                           host_hot=host_profiler,
-                           host_phases=phase_timers)
+                           events_per_sec=engine.events_per_second())
     for rank in range(dsm.n_procs):
         stats = dsm.stats(rank)
         node_id = dsm.node_of(rank)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.fabric import (ResultCache, Scenario, TelemetryCache,
                           canonical_record, canonical_records_json,
                           scenario_key)
@@ -79,9 +80,11 @@ class TestScenarioKey:
         assert scenario_key(changed) != scenario_key(BASE)
 
     def test_repeat_is_not_part_of_the_identity(self):
-        # repeat only changes host-time statistics, never the result
-        assert scenario_key(BASE) == scenario_key(
-            Scenario.from_dict({**BASE.to_dict(), "repeat": 3}))
+        # ...nor of a scenario at all: a cell description comes from
+        # outside the program, and a ``repeat`` in it is an unknown key
+        assert "repeat" not in BASE.to_dict()
+        with pytest.raises(ConfigurationError, match="repeat"):
+            Scenario.from_dict({**BASE.to_dict(), "repeat": 3})
 
     @settings(max_examples=20, deadline=None)
     @given(latency=st.floats(min_value=1e-6, max_value=1e-3,
@@ -148,8 +151,7 @@ class TestResultCache:
 class TestCanonicalForm:
     def test_host_fields_stripped(self):
         record = {"id": "a", "virtual_seconds": 1.0, "host_seconds": 0.5,
-                  "host_seconds_all": [0.5], "events_per_sec": 10.0,
-                  "repeats": 2, "events_executed": 5}
+                  "events_per_sec": 10.0, "events_executed": 5}
         canon = canonical_record(record)
         assert canon == {"id": "a", "virtual_seconds": 1.0,
                          "events_executed": 5}

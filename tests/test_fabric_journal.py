@@ -305,6 +305,29 @@ class TestResume:
             run_sweep(other, cache=cache, journal=str(tmp_path / "j2.jsonl"),
                       resume_from=journal)
 
+    def test_resume_refuses_a_journal_from_telemetry_schema_1(
+            self, tmp_path, monkeypatch, capsys):
+        """A journal written before PR 23: its commits carry content
+        addresses of the old schema, its header grid a ``repeat`` key."""
+        import repro.bench.telemetry as telemetry
+        from repro.cli import main
+
+        cache = small_cache(tmp_path)
+        journal = str(tmp_path / "journal.jsonl")
+        with monkeypatch.context() as old:
+            old.setattr(telemetry, "SCHEMA", "repro.bench.telemetry/1")
+            run_sweep(SMALL, cache=cache, journal=journal)
+        with pytest.raises(JournalError, match="different content address"):
+            run_sweep(SMALL, cache=cache, journal=str(tmp_path / "j2.jsonl"),
+                      resume_from=journal)
+        header, rest = open(journal).read().split("\n", 1)
+        header = json.loads(header)
+        header["grid"]["repeat"] = 1
+        with open(journal, "w") as fh:
+            fh.write(json.dumps(header) + "\n" + rest)
+        assert main(["sweep", "resume", str(tmp_path)]) == 2
+        assert "header grid refused" in capsys.readouterr().out
+
     def test_resume_rejects_a_different_cell_count(self, tmp_path):
         cache = small_cache(tmp_path)
         journal = str(tmp_path / "journal.jsonl")

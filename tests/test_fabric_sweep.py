@@ -65,6 +65,7 @@ class TestGridSpec:
         {"presets": ["smp-2"], "labels": ["PI"], "native": [True, False]},
         {"presets": ["smp-2"], "labels": ["PI"], "timeout": -1},
         {"presets": ["smp-2"], "labels": ["PI"], "bogus": 1},  # unknown key
+        {"presets": ["smp-2"], "labels": ["PI"], "repeat": 2},  # gone: PR 23
     ])
     def test_invalid_specs_are_rejected(self, bad):
         with pytest.raises(ConfigurationError):

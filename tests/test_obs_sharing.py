@@ -370,7 +370,8 @@ class TestValidation:
 # ------------------------------------------------------- telemetry riding
 class TestTelemetrySharing:
     def test_record_gains_schema_versioned_field(self):
-        from repro.bench.telemetry import run_unit, validate_telemetry
+        from repro.bench.telemetry import (SCHEMA, run_unit,
+                                           validate_telemetry)
 
         base = run_unit("sw-dsm-2", "PI", 0.05)
         rec = run_unit("sw-dsm-2", "PI", 0.05, sharing=True)
@@ -380,17 +381,18 @@ class TestTelemetrySharing:
         assert rec["fingerprint"] == base["fingerprint"]
         assert rec["virtual_seconds"] == base["virtual_seconds"]
         assert rec["phases"] == base["phases"]
-        doc = {"schema": "repro.bench.telemetry/1", "suite": "adhoc",
+        doc = {"schema": SCHEMA, "suite": "adhoc",
                "scale": 0.05, "records": [rec]}
         assert validate_telemetry(doc) == []
 
     def test_bad_sharing_field_is_rejected(self):
-        from repro.bench.telemetry import run_unit, validate_telemetry
+        from repro.bench.telemetry import (SCHEMA, run_unit,
+                                           validate_telemetry)
 
         rec = run_unit("sw-dsm-2", "PI", 0.05, sharing=True)
         rec["sharing"]["schema"] = "bogus"
         rec["sharing"]["ping_pong_pages"] = -1
-        doc = {"schema": "repro.bench.telemetry/1", "suite": "adhoc",
+        doc = {"schema": SCHEMA, "suite": "adhoc",
                "scale": 0.05, "records": [rec]}
         errors = validate_telemetry(doc)
         assert any("sharing.schema" in e for e in errors)

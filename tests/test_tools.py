@@ -138,19 +138,6 @@ class TestProfileReport:
         assert report.events_per_sec > 0
         assert "engine events" in report.render()
 
-    def test_render_includes_host_instruments(self):
-        from repro.bench.hostprof import HostProfiler, PhaseWallTimers
-
-        plat = preset("sw-dsm-2").build()
-        prof = HostProfiler(top=5)
-        timers = PhaseWallTimers().attach(plat)
-        prof.run(lambda: run_workload(plat))
-        timers.detach()
-        text = profile_platform(plat, host_profiler=prof,
-                                phase_timers=timers).render()
-        assert "host hot functions" in text
-        assert "host phase timers" in text
-
 
 class TestTraceSummary:
     def _traced_platform(self):
