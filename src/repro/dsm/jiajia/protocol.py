@@ -41,7 +41,8 @@ import numpy as np
 
 from repro.dsm.base import GlobalMemorySystem, Run
 from repro.dsm.jiajia.diffs import Diff, apply_diff, diff_wire_size, make_diff
-from repro.dsm.jiajia.writenotices import NOTICE_WIRE_BYTES, NoticeLog, WriteNotice
+from repro.dsm.jiajia.writenotices import (NOTICE_WIRE_BYTES, NoticeBatch,
+                                           NoticeLog, WriteNotice)
 from repro.errors import ConfigurationError, SynchronizationError
 from repro.machine.cluster import Cluster
 from repro.memory.address_space import Region
@@ -66,7 +67,7 @@ class _LocalWaiter:
         self.rank = rank
         self.cursor = cursor
         self.granted = False
-        self.notices: List[WriteNotice] = []
+        self.notices: Optional[NoticeBatch] = None
         self.seq = 0
 
 
@@ -126,7 +127,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         # ------------------------------------------------------ manager state
         self._locks: Dict[int, _LockState] = {}
         self._barrier_round: List[object] = []      # Message | _LocalWaiter
-        self._barrier_notices: List[WriteNotice] = []
+        self._barrier_notices = NoticeBatch()
         self._barrier_generation = 0
 
         # ------------------------------------------------------- home mapping
@@ -167,6 +168,7 @@ class JiaJiaSystem(GlobalMemorySystem):
                 self._home[page] = homes[i]
 
     def _teardown_region(self, region: Region) -> None:
+        pages = set(region.pages())
         for rank in range(self.n_procs):
             self._buffers.pop((rank, region.region_id), None)
             for page in region.pages():
@@ -177,7 +179,7 @@ class JiaJiaSystem(GlobalMemorySystem):
                 self._dirty_streak[rank].pop(page, None)
                 self._assumed[rank].pop(page, None)
             self._pending[rank] = [n for n in self._pending[rank]
-                                   if n.page not in set(region.pages())]
+                                   if n.page not in pages]
         for page in region.pages():
             self._home.pop(page, None)
             self._lazy_pages.discard(page)
@@ -448,7 +450,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         return Reply(payload=True, size=8)
 
     # ----------------------------------------------------------- invalidation
-    def _apply_notices_g(self, rank: int, notices: List[WriteNotice]):
+    def _apply_notices_g(self, rank: int, notices: NoticeBatch):
         pt = self._ptables[rank]
         st = self.rank_stats[rank]
         st.write_notices_received += len(notices)
@@ -456,14 +458,21 @@ class JiaJiaSystem(GlobalMemorySystem):
         # local writes are still pending a flush (concurrent writers to one
         # page merge at the home via diffs — the multiple-writer protocol).
         dirty = self._dirty[rank]
-        pages = {n.page for n in notices if n.writer != rank and n.page not in dirty}
+        # Decided before the scan charge, which lets other tasks bound to
+        # this rank run and dirty more pages.
+        keep = None
+        if any(n.writer != rank and n.page not in dirty for n in notices):
+            keep = set(dirty)
         node = self.cluster.node(self.node_of(rank))
         # Scanning the notice list is a cheap vectorized pass; the real
         # per-page cost (mprotect) applies only to pages actually present.
         yield from node.cpu_time_g(len(notices) * self.params.notice_scan_cost)
-        if not pages:
+        if keep is None:
             return
-        invalidated = pt.invalidate_many(pages)
+        # This rank's valid pages are few next to the batch, which every
+        # receiver shares: ask the batch about each instead of rescanning it.
+        invalidated = pt.invalidate_many(notices.written_by_others(
+            rank, [p for p in pt.valid_pages() if p not in keep]))
         yield from node.cpu_time_g(invalidated * self.params.write_notice_cost)
         st.pages_invalidated += invalidated
         self.engine.trace.emit("jj.invalidate", rank=rank, pages=invalidated)
@@ -515,7 +524,7 @@ class JiaJiaSystem(GlobalMemorySystem):
                 yield PARK
         return waiter.notices, waiter.seq
 
-    def _notices_for(self, ls: _LockState, cursor: int) -> Tuple[List[WriteNotice], int]:
+    def _notices_for(self, ls: _LockState, cursor: int) -> Tuple[NoticeBatch, int]:
         if self.scope_consistency:
             return ls.log.since(cursor)
         # Ablation mode: acquire delivers the *global* notice tail (lazy
@@ -681,7 +690,7 @@ class JiaJiaSystem(GlobalMemorySystem):
     def _barrier_complete_g(self):
         merged = self._barrier_notices
         arrivals = self._barrier_round
-        self._barrier_notices = []
+        self._barrier_notices = NoticeBatch()
         self._barrier_round = []
         self._barrier_generation += 1
         node0 = self.cluster.node(self.node_of(0))

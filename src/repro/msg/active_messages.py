@@ -156,6 +156,8 @@ class ActiveMessageLayer:
         # channel (native DSM deployment) coexist with the cheaper coalesced
         # HAMSTER channel on the same wire (see repro.msg.coalesce).
         self._channel_overhead: Dict[str, float] = {}
+        #: kind -> receiver-side cost per message (network + channel stack)
+        self._recv_cost: Dict[str, float] = {}
         # ------------------------------------------------ reliable mode
         # None -> perfect-network fast path: no acks, no timers, no state.
         self._reliable: Optional[RetryPolicy] = None
@@ -187,10 +189,19 @@ class ActiveMessageLayer:
     def _server_loop(self, proc: SimProcess, node_id: int, q: SimQueue):
         # Generator-function body: the server runs stackless under the
         # generator engine backend and is trampolined by the thread backend.
+        # Per-message lookups are hoisted: the observer is installed before
+        # the first dispatch, and the handler dict is updated in place.
         node = self.cluster.node(node_id)
+        obs = self.engine.obs
+        handlers = self._handlers[node_id]
+        recv_cost = self._recv_cost
+        try_get = q.try_get
         while True:
-            msg = yield from q.get_g()
-            if msg.kind == ACK_KIND:
+            msg = try_get()  # drain what is queued without a get_g frame
+            if msg is None:
+                msg = yield from q.get_g()
+            kind = msg.kind
+            if kind == ACK_KIND:
                 # Pure control frame: cancels the retransmission timer.
                 self._outstanding.pop(msg.payload, None)
                 self._on_fail.pop(msg.payload, None)
@@ -199,21 +210,24 @@ class ActiveMessageLayer:
             # the message — the cross-rank edge of the causal tree. Work
             # here runs on this node's server, so it is attributed to this
             # node's resident rank, not the sender's.
-            with self.engine.obs.span("am.handle", parent=msg.span_id,
-                                      rank=node_id, node=node_id,
-                                      msg=msg.kind, src=msg.src):
+            with obs.span("am.handle", parent=msg.span_id,
+                          rank=node_id, node=node_id, msg=kind, src=msg.src):
                 # Receiver-side software cost: NIC/stack + AM dispatch.
-                yield from node.cpu_time_g(self.network.receiver_cpu_overhead()
-                                           + self._overhead_for(msg.kind))
+                cost = recv_cost.get(kind)
+                if cost is None:
+                    cost = recv_cost[kind] = (
+                        self.network.receiver_cpu_overhead()
+                        + self._overhead_for(kind))
+                yield from node.cpu_time_g(cost)
                 if self._reliable is not None and not self._accept(node_id, msg):
                     continue  # duplicate: acked again above, handler skipped
                 if msg.is_reply:
                     self._complete_rpc(msg)
                     continue
-                handler = self._handlers[node_id].get(msg.kind)
+                handler = handlers.get(kind)
                 if handler is None:
                     raise MessagingError(
-                        f"node {node_id}: no handler for message kind {msg.kind!r}")
+                        f"node {node_id}: no handler for message kind {kind!r}")
                 result = handler(msg)
                 if inspect.isgenerator(result):
                     # Generator handler: run it inline on the server's
@@ -250,6 +264,7 @@ class ActiveMessageLayer:
         """Assign a per-message software overhead to all message kinds that
         start with ``kind_prefix`` (longest prefix wins)."""
         self._channel_overhead[kind_prefix] = overhead
+        self._recv_cost.clear()
 
     def _overhead_for(self, kind: str) -> float:
         best: Optional[str] = None

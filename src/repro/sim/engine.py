@@ -11,7 +11,11 @@ back to the dispatcher; exactly one of {the ``run()`` caller, some process
 thread} executes at any instant, so no user-visible locking is needed
 anywhere in the framework.
 
-The event queue is the ``heapq`` wrapper in :mod:`repro.sim.eventq`.
+The event queue is built by :mod:`repro.sim.eventq`; the engine calls
+``heapq`` on its list directly. A stackless process whose hold ends
+*strictly* before the heap's head is its own next event, and
+``SimProcess._step`` dispatches it in place (no push, no pop).
+
 Dispatch migrates between threads by **direct hand-off**: the dispatch
 loop (:meth:`Engine._advance`) runs on whichever thread is giving up
 control. Waking a process costs one raw-lock release (the waker) plus one
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import os
 import time as _time
+from heapq import heappop, heappush
 from typing import Callable, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
@@ -87,6 +92,7 @@ class Engine:
         self._now: float = 0.0
         self._seq: int = 0
         self._queue = make_queue()
+        self._heap = self._queue._heap  # heapq'd directly: no method call
         if procs is None:
             procs = os.environ.get("REPRO_ENGINE_PROCS", "generator")
         if procs not in ("generator", "thread"):
@@ -162,7 +168,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule event in the past (delay={delay})")
         self._seq += 1
-        self._queue.push(self._now + delay, self._seq, action)
+        heappush(self._heap, (self._now + delay, self._seq, action))
 
     def schedule_at(self, when: float, action: Callable[[], None]) -> None:
         """Schedule ``action()`` at absolute virtual time ``when``."""
@@ -237,20 +243,19 @@ class Engine:
         * a stop reason (``"drained"`` / ``"until"`` / ``"exc"``) — only
           when ``origin`` is ``None``; run() acts on it directly.
         """
-        queue = self._queue
-        pop = queue.pop
+        heap = self._heap
         until = self._until
         while True:
             if self._pending_exc is not None:
                 return self._stop(origin, "exc")
             try:
-                when, seq, action = pop()
+                when, seq, action = heappop(heap)
             except IndexError:
                 return self._stop(origin, "drained")
             if until is not None and when > until:
                 # Push back (same seq — ordering is unaffected by the round
                 # trip) and stop: the caller asked for a bounded run.
-                queue.push(when, seq, action)
+                heappush(heap, (when, seq, action))
                 self._now = until
                 return self._stop(origin, "until")
             self._now = when

@@ -43,11 +43,14 @@ from __future__ import annotations
 import _thread
 import inspect
 import threading
+from heapq import heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
 __all__ = ["SimProcess", "PARK"]
+
+_INF = float("inf")
 
 
 class _Park:
@@ -174,9 +177,19 @@ class SimProcess:
         event is dispatched (``engine._current`` is already set). Never
         raises: body exceptions are reported to the engine exactly like the
         thread backend's ``_bootstrap`` does.
+
+        Own-resume fast path: a hold ending strictly before the heap's head
+        (within ``run(until=)``, no exception pending) would be pushed and
+        popped straight back, so it is dispatched in place, doing what
+        :meth:`Engine._advance` would: consume a ``seq``, set the clock,
+        count the event, fire the host hook. A tie goes through the heap.
         """
         gen = self._gen
         engine = self.engine
+        heap = engine._heap
+        until = engine._until
+        if until is None:
+            until = _INF
         send = gen.send
         while True:
             try:
@@ -192,7 +205,17 @@ class SimProcess:
                 return
             if isinstance(effect, (float, int)):
                 if effect > 0:
-                    engine.schedule(effect, self)
+                    when = engine._now + effect
+                    engine._seq += 1
+                    if ((not heap or when < heap[0][0]) and when <= until
+                            and engine._pending_exc is None):
+                        engine._now = when
+                        engine.events_executed += 1
+                        if (engine._hook_every
+                                and engine.events_executed >= engine._hook_next):
+                            engine._fire_host_hook()
+                        continue
+                    heappush(heap, (when, engine._seq, self))
                     return
                 continue  # non-positive holds are no-ops, like hold()
             err = SimulationError(

@@ -7,8 +7,11 @@ barrier globalization, first-touch homes, and the statistics counters.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import preset
+from repro.dsm.jiajia.writenotices import NoticeBatch, NoticeLog, WriteNotice
 from repro.errors import SynchronizationError
 from repro.memory.layout import block, cyclic, first_touch, single_home
 from repro.memory.page import PageState
@@ -368,3 +371,79 @@ class TestStats:
         assert "consistency:scope" in caps
         assert "multiple_writer" in caps
         assert plat.dsm.consistency_model() == "scope"
+
+
+# ---------------------------------------------------------------- notices
+_notices = st.lists(st.builds(WriteNotice, page=st.integers(0, 11),
+                              writer=st.integers(0, 3)), max_size=12)
+#: (rank, its valid pages, its dirty pages) per receiver of one batch
+_receivers = st.lists(st.tuples(st.integers(0, 3),
+                                st.sets(st.integers(0, 11)),
+                                st.sets(st.integers(0, 11))),
+                      min_size=1, max_size=4)
+
+
+def _rescan(notices, rank, valid, dirty):
+    """The set comprehension the page index replaced, as the oracle:
+    (pages left valid, pages invalidated, whether jj.invalidate fires)."""
+    pages = {n.page for n in notices if n.writer != rank and n.page not in dirty}
+    return valid - pages, len(pages & valid), bool(pages)
+
+
+def _apply(dsm, rank, notices, valid, dirty):
+    pt = dsm._ptables[rank]
+    for page in pt.valid_pages():
+        pt.invalidate(page)
+    for page in valid:
+        pt.set_state(page, PageState.READ_ONLY)
+    dsm._dirty[rank] = dict.fromkeys(dirty)
+    before = dsm.rank_stats[rank].pages_invalidated
+    emits = len(dsm.engine.trace.of_kind("jj.invalidate"))
+    for _cost in dsm._apply_notices_g(rank, notices):
+        pass
+    fired = dsm.engine.trace.of_kind("jj.invalidate")[emits:]
+    count = dsm.rank_stats[rank].pages_invalidated - before
+    assert [e["pages"] for e in fired] == ([count] if fired else [])
+    return set(pt.valid_pages()), count, bool(fired)
+
+
+class TestIndexedNotices:
+    """Receivers walk their valid pages and ask the batch's page index;
+    what they invalidate, count and trace is what rescanning every notice
+    gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["scope", "rc", "barrier"]),
+           batches=st.lists(_notices, min_size=1, max_size=4),
+           cursor=st.integers(-1, 50), later=_notices, receivers=_receivers)
+    def test_indexed_application_matches_the_rescan(self, kind, batches,
+                                                    cursor, later, receivers):
+        dsm = build(nodes=4, trace=True).dsm
+        flat = [n for batch in batches for n in batch]
+        if kind == "barrier":
+            notices, sent = NoticeBatch(flat), flat
+        else:
+            log = NoticeLog()
+            for batch in batches:
+                log.append(batch)
+            notices, seq = log.since(cursor)
+            sent = flat[max(cursor, 0):]
+            assert seq == len(flat)
+            if kind == "rc":
+                # the RC ablation's global log grows between grant and apply
+                log.append(later)
+        assert isinstance(notices, list) and notices == sent
+        for rank, valid, dirty in receivers:
+            assert _apply(dsm, rank, notices, valid, dirty) == _rescan(
+                sent, rank, valid, dirty)
+
+    def test_freeing_a_region_drops_only_its_pending_notices(self):
+        dsm = build(nodes=2).dsm
+        keep = dsm.allocate(2 * dsm.space.page_size, name="keep")
+        gone = dsm.allocate(2 * dsm.space.page_size, name="gone")
+        pending = [WriteNotice(page=p, writer=0)
+                   for p in (*gone.pages(), *keep.pages(), gone.first_page)]
+        dsm._pending[0] = list(pending)
+        dsm.free(gone)
+        assert dsm._pending[0] == [n for n in pending
+                                   if n.page in set(keep.pages())]

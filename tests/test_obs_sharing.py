@@ -421,6 +421,30 @@ class TestDiagnoseCli:
         assert validate_chrome_trace(json.loads(trace.read_text())) == []
         assert heat.read_text().startswith("page,bin,")
 
+    # sha256 of the report and the sharing trace. No golden hashes the
+    # protection-transition stream these are built from, so the order in
+    # which a protocol invalidates pages is pinned here.
+    @pytest.mark.parametrize("app, params, report_sha, trace_sha", [
+        ("sor", ["--param", "n=128", "--param", "iterations=4"],
+         "3ae410282a1be41dd2087276edb0dce4343691f8b9e7f2382a09e65c60bb166f",
+         "390fe9d47d4e720242838b3155ead8373075e486fb82980a49c179318682d0cc"),
+        ("pi", [],
+         "7291d8f7434498ab1214561500c71b9f16e7a5d15cbcfdd6f7a3f764b370c4f0",
+         "a119dbf5feae3cb9265217338f2f5405dc5ab0f3596734fffa26d170c56b79a7"),
+    ])
+    def test_diagnose_output_is_pinned(self, tmp_path, capsys, app, params,
+                                       report_sha, trace_sha):
+        import hashlib
+
+        from repro.cli import _main
+
+        out, trace = tmp_path / "report.json", tmp_path / "trace.json"
+        assert _main(["diagnose", "--preset", "sw-dsm-4", "--app", app,
+                      *params, "--json-out", str(out),
+                      "--trace-out", str(trace)]) == 0
+        assert [hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (out, trace)] == [report_sha, trace_sha]
+
     def test_diagnose_validate_mode(self, tmp_path, capsys):
         from repro.cli import _main
 

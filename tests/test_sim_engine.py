@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.eventq import HeapEventQueue, make_queue
-from repro.sim.process import SimProcess
+from repro.sim.process import PARK, SimProcess
 from repro.sim.trace import Tracer
 
 
@@ -143,6 +145,155 @@ class TestEventQueue:
             assert engine.run(until=until) == want_now
             assert fired == due
         assert pending == [] and len(engine._queue) == 0
+
+
+# A process program is (start delay, ops); an op is ("hold", d), ("park",),
+# ("wake", pid) or ("call", d, pid | None): a callback d from now that
+# wakes pid. Delays are few and small so holds often tie the heap head.
+_ticks = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])
+_proc_ops = st.one_of(
+    st.tuples(st.just("hold"), _ticks),
+    st.tuples(st.just("park")),
+    st.tuples(st.just("wake"), st.integers(0, 3)),
+    st.tuples(st.just("call"), _ticks, st.none() | st.integers(0, 3)))
+_resume_programs = st.tuples(
+    st.lists(st.tuples(_ticks, st.lists(_proc_ops, max_size=8)),
+             min_size=1, max_size=4),
+    st.lists(st.none() | _ticks, max_size=4),   # run(until=now + d) segments
+    st.integers(1, 5))                           # host hook every k events
+
+
+class _PushEveryResume:
+    """Test-side interpreter of a process program: a sorted list of
+    ``(when, seq, kind, arg)`` onto which every resume is pushed and from
+    which every event is popped — the engine without its fast path."""
+
+    def __init__(self, programs, hook_every):
+        self.programs = programs
+        self.events, self.log, self.hooks = [], [], []
+        self.now, self.seq, self.executed = 0.0, 0, 0
+        self.hook_every = self.hook_next = hook_every
+        self.pc = [None] * len(programs)   # op a process is suspended at
+        self.alive = [True] * len(programs)
+        for pid, (delay, _ops) in enumerate(programs):
+            self.push(delay, "proc", pid)
+
+    def push(self, delay, kind, arg):
+        self.seq += 1
+        self.events.append((self.now + delay, self.seq, kind, arg))
+        self.events.sort()
+
+    def run(self, until=None):
+        while self.events:
+            when, _seq, kind, arg = self.events[0]
+            if until is not None and when > until:
+                self.now = until
+                break
+            del self.events[0]
+            self.now = when
+            self.executed += 1
+            if self.executed >= self.hook_next:
+                self.hook_next = self.executed + self.hook_every
+                self.hooks.append((self.executed, self.now))
+            if kind == "call":
+                self.fire(arg)
+            elif self.alive[arg]:
+                self.step(arg)
+        return self.now
+
+    def fire(self, arg):
+        cid, target = arg
+        self.log.append(("call", cid, self.now))
+        if target is not None:
+            self.push(0.0, "proc", target % len(self.programs))
+
+    def step(self, pid):
+        ops = self.programs[pid][1]
+        pc = self.pc[pid]
+        if pc is None:
+            pc = 0
+        else:                              # resumed from the op at pc
+            self.log.append(("op", pid, pc, self.now))
+            pc += 1
+        while pc < len(ops):
+            op = ops[pc]
+            if op[0] == "park" or (op[0] == "hold" and op[1] > 0):
+                if op[0] == "hold":
+                    self.push(op[1], "proc", pid)
+                self.pc[pid] = pc
+                return
+            if op[0] == "wake":
+                self.push(0.0, "proc", op[1] % len(self.programs))
+            elif op[0] == "call":
+                self.push(op[1], "call", ((pid, pc), op[2]))
+            self.log.append(("op", pid, pc, self.now))
+            pc += 1
+        self.alive[pid] = False
+
+
+def _run_resume_program(programs, segments, hook_every):
+    """The same program on the engine; returns what the oracle records."""
+    engine = Engine(procs="generator")
+    log, hooks, procs = [], [], []
+    engine.set_host_hook(
+        lambda e: hooks.append((e.events_executed, e.now)), hook_every)
+
+    def fire(cid, target):
+        log.append(("call", cid, engine.now))
+        if target is not None:
+            procs[target % len(procs)].wake()
+
+    def body(proc, pid, ops):
+        for pc, op in enumerate(ops):
+            if op[0] == "hold":
+                yield op[1]
+            elif op[0] == "park":
+                yield PARK
+            elif op[0] == "wake":
+                procs[op[1] % len(procs)].wake()
+            else:
+                engine.schedule(op[1], partial(fire, (pid, pc), op[2]))
+            log.append(("op", pid, pc, engine.now))
+
+    for pid, (_delay, ops) in enumerate(programs):
+        procs.append(SimProcess(engine, body, args=(pid, ops), daemon=True))
+    for proc, (delay, _ops) in zip(procs, programs):
+        proc.start(delay)
+    clocks = []
+    for seg in segments + [None]:
+        until = None if seg is None else engine.now + seg
+        clocks.append((engine.run(until=until), engine.events_executed))
+    return log, clocks, hooks
+
+
+class TestOwnResumeFastPath:
+    """``SimProcess._step`` dispatches its own resume in place when it is
+    strictly the next event; nothing observable may differ from pushing
+    it onto the heap and popping it straight back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_resume_programs)
+    def test_matches_an_interpreter_that_pushes_every_resume(self, drawn):
+        programs, segments, hook_every = drawn
+        oracle = _PushEveryResume(programs, hook_every)
+        clocks = []
+        for seg in segments + [None]:
+            until = None if seg is None else oracle.now + seg
+            clocks.append((oracle.run(until=until), oracle.executed))
+        assert _run_resume_program(programs, segments, hook_every) == (
+            oracle.log, clocks, oracle.hooks)
+
+    def test_a_hold_tying_the_head_goes_through_the_heap(self, engine):
+        order = []
+
+        def holder(proc):
+            yield 1.0                        # ties the callback below
+            order.append(("proc", engine.now))
+
+        SimProcess(engine, holder).start()
+        engine.schedule(1.0, lambda: order.append(("call", engine.now)))
+        engine.run()
+        assert order == [("call", 1.0), ("proc", 1.0)]
 
 
 class TestProcessesAndErrors:
