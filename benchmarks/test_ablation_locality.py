@@ -26,9 +26,17 @@ def _run_sor(platform: str, dist_factory, n: int):
     api = JiaJiaApi(plat.hamster)
     # The app only exposes block/cyclic via its locality flag; to test
     # arbitrary placements, substitute the distribution factory it uses.
+    # The swap spans the whole run: each rank body is a generator, so a
+    # restore inside it would fire when the generator is created, before
+    # any rank allocates a page.
     import repro.apps.sor as sor_mod
 
-    results = api.run(lambda a: _sor_with_dist(a, sor_mod, dist_factory, n))
+    sor_mod.block = dist_factory
+    try:
+        results = api.run(lambda a: sor_mod.run_sor(a, n=n, iterations=6,
+                                                    locality=True))
+    finally:
+        sor_mod.block = block
     merged = merge_rank_results(results)
     assert merged.verified
     dsm = plat.dsm
@@ -39,18 +47,6 @@ def _run_sor(platform: str, dist_factory, n: int):
         "remote_writes": sum(dsm.stats(r).get("remote_writes", 0) for r in range(4)),
     }
     return stats
-
-
-def _sor_with_dist(api, sor_mod, dist_factory, n):
-    """run_sor with an arbitrary distribution (the app only exposes the
-    block/cyclic locality flag, so substitute the factory for this run)."""
-    saved_block, saved_cyclic = sor_mod.block, sor_mod.cyclic
-    sor_mod.block = dist_factory
-    try:
-        return sor_mod.run_sor(api, n=n, iterations=6, locality=True)
-    finally:
-        sor_mod.block = saved_block
-        sor_mod.cyclic = saved_cyclic
 
 
 def test_ablation_home_placement(benchmark, scale):
@@ -64,6 +60,9 @@ def test_ablation_home_placement(benchmark, scale):
         return table
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)
+    import repro.apps.sor as sor_mod
+
+    assert sor_mod.block is block  # no placement leaks into later tests
     rows = [[plat, name, round(st["time"] * 1e3, 2), st["fetched"],
              st["diffs"], st["remote_writes"]]
             for (plat, name), st in table.items()]

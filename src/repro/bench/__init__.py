@@ -9,18 +9,18 @@
   markdown/HTML telemetry report generator.
 * :mod:`repro.bench.telemetry` — structured, schema-validated result
   records per benchmark run (``BENCH_<suite>.json``): virtual times,
-  engine events, config fingerprints, critical-path breakdowns.
-* :mod:`repro.bench.baseline` — the committed-baseline store: per-metric
-  verdicts (improve/ok/regress) over the deterministic metrics and the
-  paper-shape gate re-asserting the Figure 2-4 orderings from recorded
-  numbers.
+  engine events, config fingerprints, critical-path breakdowns — and
+  :data:`~repro.bench.telemetry.FIELDS`, the one declaration of every
+  record field as semantic (bit-exact) or host (stripped).
+* :mod:`repro.bench.diffcheck` — the golden store, the one record of what
+  was simulated, with its one bit-exact checker and one re-record
+  command, and the paper-shape gate re-asserting the Figure 2-4 orderings
+  from recorded numbers.
 
 Host time is judged by ``benchmarks/perf`` alone; a record still carries
 the wall seconds of the run that produced it, as a fact to display.
 """
 
-from repro.bench.baseline import (CompareResult, MetricVerdict, compare_docs,
-                                  shape_gate)
 from repro.bench.loc_metrics import count_logical_lines, model_complexity_table
 from repro.bench.report import render_table, telemetry_html, telemetry_markdown
 from repro.bench.runners import (
@@ -60,8 +60,4 @@ __all__ = [
     "validate_telemetry",
     "telemetry_to_json",
     "load_telemetry",
-    "compare_docs",
-    "shape_gate",
-    "CompareResult",
-    "MetricVerdict",
 ]

@@ -1,84 +1,81 @@
-"""Differential golden-run harness for the simulator hot path.
+"""The one record of what was simulated, and its one checker.
 
-Host-side optimizations of the engine and cost models (direct-handoff
-dispatcher, span coalescing, the continuation scheduler) must leave every
-virtual-time observable bit-identical. This module pins that
-contract down with golden snapshots:
+``tests/golden/golden_runs.json`` holds one row per scenario:
 
-* **record** — run every Fig 2-4 configuration (the six figure presets x
-  the seven primary workload labels, at smoke scale) plus a set of seeded
-  chaos scenarios, and store ``{virtual_seconds, events_executed, trace
-  digest, ...}`` per scenario in ``tests/golden/golden_runs.json``. The
-  committed goldens were recorded from the **pre-overhaul** engine (heapq
-  queue, Event-pair handoff), so every later engine change is compared
-  against the original semantics, not against itself.
-* **check** — re-run every scenario and compare the full record against
-  the golden **exactly** (floats and digests included; this is a hard
-  gate, not a tolerance gate).
-* **dual-procs** — run every scenario twice, once per *process* backend
+* ``fig/<preset>/<label>`` — every Fig 2-4 cell (the six figure presets
+  x the seven primary workload labels of the ``smoke`` suite, scale
+  0.05): the record :func:`repro.bench.telemetry.run_unit` builds;
+* ``scaling/<preset>/PI`` — the scaling-curve points beyond the figure
+  presets (``eth-`` and ``sci-torus-`` 64/256/1024), as ``bench
+  scaling`` records them;
+* ``chaos/<preset>/<name>`` — three seeded fault plans: two masked-fault
+  runs and one crash with its typed ``node-failed`` outcome.
+
+Every row also carries ``digest`` / ``trace_events``: the checker runs
+each scenario **once**, with tracing and observability both on, and
+hashes the trace stream (:func:`repro.bench.telemetry.trace_digest`:
+``obs.span`` events excluded, so the digest is that of an unobserved
+run). Rows are stored without host fields; every other field is
+declared *semantic* in :data:`repro.bench.telemetry.FIELDS` and compared
+**exactly** — floats to the last ulp, digests to the bit.
+
+* **check** — re-run every scenario; report every semantic field that
+  differs, every scenario without a row, every row without a scenario,
+  and every Figure 2-4 claim (:func:`repro.bench.runners.shape_gate`)
+  the fresh figure rows break. Any problem fails the run, naming the row
+  and the field.
+* **record** — the one re-record command: rewrite the rows.
+* **dual-procs** — run every scenario under both *process* backends
   (``REPRO_ENGINE_PROCS``): thread-backed reference processes vs the
-  generator (continuation) scheduler, and assert the two produce identical
-  records — the differential check that needs no stored state. Any
-  divergence is a missed or misordered yield point in a ``*_g`` kernel.
-
-The trace digest hashes the engine's structured trace stream (kind,
-timestamp, sorted fields). Process ids embedded in ``name#pid`` strings
-come from a global interpreter-wide counter, so digests normalize every
-``#N`` token to its first-appearance index — two runs hash equal iff
-their event streams are identical modulo that consistent renumbering.
+  generator scheduler, and compare the two rows — the differential check
+  that needs no stored state. Any divergence is a missed or misordered
+  yield point in a ``*_g`` kernel.
 
 Run as a module::
 
     PYTHONPATH=src python -m repro.bench.diffcheck --check
     PYTHONPATH=src python -m repro.bench.diffcheck --dual-procs --only PI
-    PYTHONPATH=src python -m repro.bench.diffcheck --record   # re-baseline
+    PYTHONPATH=src python -m repro.bench.diffcheck --record
 
-Re-record only when a change *intends* to alter virtual-time behaviour
-(a cost-model change, a protocol fix); see docs/performance.md.
+Re-record only when a change *intends* to alter simulated behaviour (a
+cost-model change, a protocol fix); see docs/performance.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
-import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bench.runners import WORKLOADS, run_app_detailed
+from repro.bench.runners import shape_gate
+from repro.bench.scaling import CURVES, DEFAULT_LABEL, scaling_point
+from repro.bench.telemetry import (FIELDS, HOST_FIELDS, SUITES,
+                                   canonical_record, run_unit, trace_digest)
 from repro.config import preset
 from repro.faults import FaultPlan, NodeCrash
 from repro.faults.chaos import run_chaos
 
 __all__ = ["SCHEMA", "DIFF_SCALE", "GOLDEN_PATH", "FigureScenario",
-           "ChaosScenario", "scenarios", "scenario_ids", "stream_digest",
-           "capture", "record_goldens", "load_goldens", "check_scenario",
+           "ScalingScenario", "ChaosScenario", "scenarios", "capture",
+           "record_goldens", "load_goldens", "diff_records", "check_scenario",
            "check_goldens", "dual_procs_run"]
 
-SCHEMA = "repro.bench.diffcheck/1"
+#: /2: run_unit's rows plus the scaling points; one meaning of
+#: ``virtual_seconds``.
+SCHEMA = "repro.bench.diffcheck/2"
 
-#: Working-set scale for every golden scenario (same as the smoke suite).
-DIFF_SCALE = 0.05
+#: The figure grid: the smoke suite's presets and labels, at its scale.
+_GRID = SUITES["smoke"]
+DIFF_SCALE = _GRID.scale
 
-#: Default golden store, resolved from the repo layout
-#: (src/repro/bench/diffcheck.py -> repo root); override with --golden or
-#: ``REPRO_GOLDEN_PATH``.
+#: The store, resolved from the repo layout
+#: (src/repro/bench/diffcheck.py -> repo root).
 GOLDEN_PATH = Path(__file__).resolve().parents[3] / "tests" / "golden" / "golden_runs.json"
-
-#: The six figure platforms of §5 (native binding for the Figure 2
-#: baseline) — identical to bench.experiments._FIGURE_PRESETS.
-_FIGURE_PRESETS: Tuple[Tuple[str, bool], ...] = (
-    ("sw-dsm-4", False), ("native-jiajia-4", True), ("hybrid-4", False),
-    ("smp-2", False), ("hybrid-2", False), ("sw-dsm-2", False))
-
-#: One label per distinct execution (the LU splits share "LU all").
-_FIGURE_LABELS: Tuple[str, ...] = ("MatMult", "PI", "SOR opt", "SOR",
-                                   "LU all", "WATER 288", "WATER 343")
 
 
 @dataclass(frozen=True)
@@ -93,10 +90,31 @@ class FigureScenario:
     def id(self) -> str:
         return f"fig/{self.preset}/{self.label}"
 
+    def run(self, scale: float):
+        return run_unit(self.preset, self.label, scale, native=self.native,
+                        suite=_GRID.name, trace=True)
+
+
+@dataclass(frozen=True)
+class ScalingScenario:
+    """One scaling-curve point beyond the figure presets."""
+
+    fabric: str
+    nodes: int
+    preset: str
+
+    @property
+    def id(self) -> str:
+        return f"scaling/{self.preset}/{DEFAULT_LABEL}"
+
+    def run(self, scale: float):
+        return scaling_point(self.fabric, self.nodes, self.preset,
+                             scale=scale, trace=True)
+
 
 @dataclass(frozen=True)
 class ChaosScenario:
-    """One seeded fault-plan run (PR 1 determinism, re-asserted here)."""
+    """One seeded fault-plan run."""
 
     name: str
     preset: str
@@ -108,9 +126,32 @@ class ChaosScenario:
     def id(self) -> str:
         return f"chaos/{self.preset}/{self.name}"
 
+    def run(self, scale: float):
+        del scale  # chaos params are absolute, not scaled
+        cfg = preset(self.preset)
+        cfg.trace = True
+        res = run_chaos(cfg, app=self.app, app_params=dict(self.params),
+                        plan=self.plan)
+        plat = res.built
+        digest, trace_events = trace_digest(plat)
+        return {
+            "preset": self.preset,
+            "app": self.app,
+            "plan": self.plan.to_dict(),
+            "outcome": res.outcome,
+            "verified": bool(res.verified),
+            "checksum": res.checksum,
+            "end_seconds": plat.engine.now,
+            "events_executed": int(plat.engine.events_executed),
+            "faults": dict(res.faults),
+            "messaging": dict(res.messaging),
+            "digest": digest,
+            "trace_events": trace_events,
+        }
+
 
 #: Chaos scenarios: two masked-fault runs (losses/dups/jitter absorbed by
-#: the reliable layer, run completes verified) and the PR 1 crash plan
+#: the reliable layer, run completes verified) and a crash plan
 #: (deterministic typed node-failed outcome). Timing of every
 #: retransmission lands in the trace digest.
 _CHAOS_SCENARIOS: Tuple[ChaosScenario, ...] = (
@@ -125,40 +166,18 @@ _CHAOS_SCENARIOS: Tuple[ChaosScenario, ...] = (
 
 
 def scenarios() -> List[Any]:
-    """Every golden scenario, figures first, chaos last."""
-    figs: List[Any] = [FigureScenario(p, native, label)
-                       for p, native in _FIGURE_PRESETS
-                       for label in _FIGURE_LABELS]
-    return figs + list(_CHAOS_SCENARIOS)
+    """Every scenario: figures, then scaling points, then chaos."""
+    figures = {name for name, _native in _GRID.presets}
+    return ([FigureScenario(p, native, label)
+             for p, native in _GRID.presets for label in _GRID.labels]
+            + [ScalingScenario(fabric, nodes, p)
+               for fabric, ladder in CURVES.items()
+               for nodes, p in ladder if p not in figures]
+            + list(_CHAOS_SCENARIOS))
 
 
-def scenario_ids(only: Optional[str] = None) -> List[str]:
-    return [s.id for s in scenarios() if only is None or only in s.id]
-
-
-# ------------------------------------------------------------------ digest
-_PID_RE = re.compile(r"#\d+")
-
-
-def _event_line(ev: Any) -> str:
-    fields = ";".join(f"{k}={ev.fields[k]!r}" for k in sorted(ev.fields))
-    return f"{ev.kind}|{ev.time!r}|{fields}"
-
-
-def stream_digest(events: Iterable[Any]) -> Tuple[str, int]:
-    """sha256 over the trace stream, with ``#pid`` tokens renumbered to
-    first-appearance order. Returns ``(hexdigest, event_count)``."""
-    mapping: Dict[str, str] = {}
-    h = hashlib.sha256()
-    count = 0
-    for ev in events:
-        line = _PID_RE.sub(
-            lambda m: mapping.setdefault(m.group(0), f"#{len(mapping)}"),
-            _event_line(ev))
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
-        count += 1
-    return h.hexdigest(), count
+def _selected(only: Optional[str]) -> List[Any]:
+    return [sc for sc in scenarios() if only is None or only in sc.id]
 
 
 # ----------------------------------------------------------------- capture
@@ -179,84 +198,39 @@ def _with_procs(procs: Optional[str]):
             os.environ["REPRO_ENGINE_PROCS"] = prev
 
 
-def _capture_figure(sc: FigureScenario, scale: float) -> Dict[str, Any]:
-    cfg = preset(sc.preset)
-    cfg.trace = True
-    wl = WORKLOADS[sc.label]
-    merged, plat = run_app_detailed(cfg, wl.app, native=sc.native,
-                                    **wl.params(scale))
-    digest, n_events = stream_digest(plat.engine.trace.events)
-    return {
-        "kind": "figure",
-        "preset": sc.preset,
-        "label": sc.label,
-        "native": sc.native,
-        "verified": bool(merged.verified),
-        "checksum": merged.checksum,
-        "virtual_seconds": plat.engine.now,
-        "phase_seconds": merged.phases[wl.phase],
-        "events_executed": int(plat.engine.events_executed),
-        "trace_events": n_events,
-        "digest": digest,
-    }
-
-
-def _capture_chaos(sc: ChaosScenario, scale: float) -> Dict[str, Any]:
-    del scale  # chaos params are absolute, not scaled
-    cfg = preset(sc.preset)
-    cfg.trace = True
-    res = run_chaos(cfg, app=sc.app, app_params=dict(sc.params), plan=sc.plan)
-    digest, n_events = stream_digest(res.built.engine.trace.events)
-    return {
-        "kind": "chaos",
-        "preset": sc.preset,
-        "app": sc.app,
-        "plan": sc.plan.to_dict(),
-        "outcome": res.outcome,
-        "verified": bool(res.verified),
-        "checksum": res.checksum,
-        "virtual_seconds": res.virtual_time,
-        "events_executed": int(res.built.engine.events_executed),
-        "trace_events": n_events,
-        "digest": digest,
-        "faults": dict(res.faults),
-        "messaging": dict(res.messaging),
-    }
-
-
 def capture(sc: Any, scale: float = DIFF_SCALE,
             procs: Optional[str] = None) -> Dict[str, Any]:
-    """Run one scenario and return its golden record. ``procs`` pins the
-    process backend (``"thread"`` / ``"generator"``)."""
+    """Run one scenario once and return its row, digest included.
+    ``procs`` pins the process backend (``"thread"`` / ``"generator"``)."""
     with _with_procs(procs):
-        if isinstance(sc, FigureScenario):
-            return _capture_figure(sc, scale)
-        return _capture_chaos(sc, scale)
+        return sc.run(scale)
 
 
 # ------------------------------------------------------------ record/check
-def record_goldens(path: Path = GOLDEN_PATH,
-                   only: Optional[str] = None,
+def _store(path: Optional[Path]) -> Path:
+    return Path(path) if path is not None else GOLDEN_PATH
+
+
+def record_goldens(path: Optional[Path] = None, only: Optional[str] = None,
                    progress: Optional[Any] = None) -> Dict[str, Any]:
-    """Run every scenario and (re)write the golden store."""
-    doc: Dict[str, Any] = {"schema": SCHEMA, "scale": DIFF_SCALE,
-                           "scenarios": {}}
+    """Run every scenario and (re)write the store; with ``only``, rewrite
+    the matching rows and keep the rest."""
+    path = _store(path)
+    doc: Dict[str, Any] = {"schema": SCHEMA, "scale": DIFF_SCALE, "rows": {}}
     if only is not None and path.exists():
-        doc = load_goldens(path)  # partial re-record keeps the rest
-    for sc in scenarios():
-        if only is not None and only not in sc.id:
-            continue
+        doc = load_goldens(path)
+    for sc in _selected(only):
         if progress is not None:
             progress(sc.id)
-        doc["scenarios"][sc.id] = capture(sc, scale=doc["scale"])
+        doc["rows"][sc.id] = canonical_record(capture(sc, scale=doc["scale"]))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return doc
 
 
-def load_goldens(path: Path = GOLDEN_PATH) -> Dict[str, Any]:
-    path = Path(os.environ.get("REPRO_GOLDEN_PATH", str(path)))
+def load_goldens(path: Optional[Path] = None) -> Dict[str, Any]:
+    path = _store(path)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != SCHEMA:
@@ -265,42 +239,58 @@ def load_goldens(path: Path = GOLDEN_PATH) -> Dict[str, Any]:
     return doc
 
 
-def diff_records(got: Dict[str, Any],
-                 want: Dict[str, Any]) -> List[str]:
-    """Field-by-field **exact** comparison; returns human-readable diffs."""
-    problems = []
-    for key in sorted(set(got) | set(want)):
-        if got.get(key) != want.get(key):
-            problems.append(f"{key}: got {got.get(key)!r}, "
-                            f"golden {want.get(key)!r}")
-    return problems
+def diff_records(got: Dict[str, Any], want: Dict[str, Any]) -> List[str]:
+    """Field-by-field **exact** comparison of everything but the host
+    fields; returns ``field: got X, stored Y`` lines."""
+    return [f"{key}: got {got.get(key)!r}, stored {want.get(key)!r}"
+            for key in sorted(set(got) | set(want))
+            if key not in HOST_FIELDS and got.get(key) != want.get(key)]
+
+
+def _check_row(row_id: str, got: Dict[str, Any],
+               want: Optional[Dict[str, Any]]) -> List[str]:
+    if want is None:
+        return [f"{row_id}: no row in the store (run --record)"]
+    problems = [f"{row_id}: {key}: not declared in repro.bench.telemetry"
+                f".FIELDS" for key in sorted(set(got) | set(want))
+                if key not in FIELDS]
+    return problems + [f"{row_id}: {p}" for p in diff_records(got, want)]
 
 
 def check_scenario(sc: Any, doc: Dict[str, Any],
                    procs: Optional[str] = None) -> List[str]:
-    """Re-run one scenario against the loaded golden store; returns a list
-    of mismatch descriptions (empty = bit-identical)."""
-    want = doc["scenarios"].get(sc.id)
-    if want is None:
-        return [f"{sc.id}: no golden recorded (run --record)"]
-    got = capture(sc, scale=doc["scale"], procs=procs)
-    return [f"{sc.id}: {p}" for p in diff_records(got, want)]
+    """Re-run one scenario against the loaded store; returns a list of
+    mismatch descriptions (empty = bit-identical)."""
+    return _check_row(sc.id, capture(sc, scale=doc["scale"], procs=procs),
+                      doc["rows"].get(sc.id))
 
 
-def check_goldens(path: Path = GOLDEN_PATH, only: Optional[str] = None,
+def check_goldens(path: Optional[Path] = None, only: Optional[str] = None,
                   procs: Optional[str] = None,
                   progress: Optional[Any] = None) -> List[str]:
-    """Re-run every scenario against the stored goldens. Hard gate: any
-    difference — a digest bit, an event count, the last float ulp of a
-    virtual timestamp — is reported."""
+    """The one checker. Re-runs every (matching) scenario once and
+    returns every problem: a semantic field that differs by one bit, a
+    missing row, a stale row, a broken Figure 2-4 claim, a missing
+    store."""
+    path = _store(path)
+    if not path.exists():
+        return [f"{path}: no golden store (run --record)"]
     doc = load_goldens(path)
     problems: List[str] = []
-    for sc in scenarios():
-        if only is not None and only not in sc.id:
-            continue
+    figure_rows = []
+    for sc in _selected(only):
         if progress is not None:
             progress(sc.id)
-        problems.extend(check_scenario(sc, doc, procs=procs))
+        row = capture(sc, scale=doc["scale"], procs=procs)
+        if isinstance(sc, FigureScenario):
+            figure_rows.append(row)
+        problems.extend(_check_row(sc.id, row, doc["rows"].get(sc.id)))
+    known = {sc.id for sc in scenarios()}
+    problems.extend(f"{row_id}: stale row: no scenario produces it "
+                    f"(run --record)" for row_id in sorted(doc["rows"])
+                    if row_id not in known and (only is None or only in row_id))
+    problems.extend(f"paper shape: {check.describe()}"
+                    for check in shape_gate(figure_rows) if not check.passed)
     return problems
 
 
@@ -310,9 +300,7 @@ def dual_procs_run(only: Optional[str] = None,
     the generator (continuation) backend; any divergence — one trace-digest
     bit, one event count — is a yield-point bug in a ``*_g`` kernel."""
     problems: List[str] = []
-    for sc in scenarios():
-        if only is not None and only not in sc.id:
-            continue
+    for sc in _selected(only):
         if progress is not None:
             progress(sc.id)
         ref = capture(sc, procs="thread")
@@ -326,44 +314,43 @@ def dual_procs_run(only: Optional[str] = None,
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.diffcheck",
-        description="golden-run differential harness for the engine hot path")
+        description="the golden store of every simulated result, and its "
+                    "bit-exact checker")
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--record", action="store_true",
-                      help="(re)record golden snapshots from the current engine")
+                      help="(re)record the store from the current simulator")
     mode.add_argument("--check", action="store_true",
-                      help="hard-compare current runs against the goldens")
+                      help="re-run every scenario against the store "
+                           "(bit-exact) and gate the Figure 2-4 shape")
     mode.add_argument("--dual-procs", action="store_true",
                       help="thread vs generator process-backend "
                            "differential run")
     parser.add_argument("--only", metavar="SUBSTR",
                         help="filter scenario ids by substring")
-    parser.add_argument("--golden", metavar="FILE", default=str(GOLDEN_PATH),
-                        help="golden store path (default: tests/golden/)")
     parser.add_argument("--procs", choices=("thread", "generator"),
                         default=None,
                         help="pin the process backend for --check")
     args = parser.parse_args(argv[1:])
-    golden = Path(args.golden)
 
     def progress(sid: str) -> None:
         print(f"  .. {sid}", flush=True)
 
     if args.record:
-        doc = record_goldens(golden, only=args.only, progress=progress)
-        print(f"recorded {len(doc['scenarios'])} golden scenarios "
-              f"-> {golden}")
+        doc = record_goldens(only=args.only, progress=progress)
+        print(f"recorded {len(doc['rows'])} rows -> {GOLDEN_PATH}")
         return 0
     if args.dual_procs:
         problems = dual_procs_run(only=args.only, progress=progress)
     else:
-        problems = check_goldens(golden, only=args.only, procs=args.procs,
+        problems = check_goldens(only=args.only, procs=args.procs,
                                  progress=progress)
     if problems:
         print(f"\n{len(problems)} mismatch(es):")
         for p in problems:
             print(f"  FAIL {p}")
         return 1
-    print("\nall scenarios bit-identical")
+    print("\nall scenarios bit-identical"
+          + ("; paper shape holds" if args.check else ""))
     return 0
 
 

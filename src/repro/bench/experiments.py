@@ -13,8 +13,8 @@ molecules); the pytest benches use the same runners at reduced scale.
 
 Each platform's suite runs **once**: the figures are derived from one
 shared ``preset -> label -> seconds`` map through the same pure helpers
-(:func:`repro.bench.runners.overhead_pct` and friends) that the baseline
-store's paper-shape gate applies to recorded telemetry.
+(:func:`repro.bench.runners.overhead_pct` and friends) that the golden
+checker's paper-shape gate applies to recorded rows.
 """
 
 from __future__ import annotations

@@ -4,14 +4,16 @@ Used by the pytest benches (printed under ``-s`` / captured into the bench
 logs) and by the EXPERIMENTS.md generator, so the repository's recorded
 results and the benches' live output come from one formatter. The
 ``telemetry_*`` family turns a :mod:`repro.bench.telemetry` document (plus
-optional compare verdicts and metrics-sampler data) into the markdown/HTML
-artifact ``python -m repro bench report`` publishes.
+its paper-shape findings and optional metrics-sampler data) into the
+markdown/HTML artifact ``python -m repro bench report`` publishes.
 """
 
 from __future__ import annotations
 
 import html as _html
 from typing import Any, Dict, List, Optional, Sequence, Union
+
+from repro.bench.runners import shape_gate
 
 __all__ = ["render_table", "render_bars", "host_cells",
            "telemetry_markdown", "telemetry_html"]
@@ -64,13 +66,13 @@ def render_bars(values: Dict[str, float], unit: str = "%",
 def host_cells(rec: Dict[str, Any]) -> List[str]:
     """The ``events/s`` and ``host ms`` cells of a record's table row —
     facts about the run that produced it, displayed and never compared;
-    a committed baseline record carries neither."""
+    a golden row carries neither."""
     if "host_seconds" not in rec:
         return ["-", "-"]
     return [f"{rec['events_per_sec']:,.0f}", f"{rec['host_seconds'] * 1e3:.1f}"]
 
 
-def _telemetry_sections(doc: Dict[str, Any], compare=None,
+def _telemetry_sections(doc: Dict[str, Any],
                         metrics: Optional[List[Dict[str, Any]]] = None,
                         metrics_top: int = 15):
     """(title, headers, rows) sections shared by the md and html writers."""
@@ -92,15 +94,10 @@ def _telemetry_sections(doc: Dict[str, Any], compare=None,
         ["benchmark", "virtual ms", "events", "events/s", "host ms",
          "compute", "protocol", "wire", "blocked"],
         rec_rows))
-    if compare is not None:
-        sections.append((
-            "Baseline comparison",
-            ["benchmark", "metric", "verdict", "current", "baseline",
-             "delta"],
-            [v.as_row() for v in compare.verdicts]))
-        shape_rows = ([[violation] for violation in compare.shape_violations]
-                      or [["all figure orderings hold"]])
-        sections.append(("Paper-shape gate", ["finding"], shape_rows))
+    checks = shape_gate(doc.get("records", []))
+    if checks:
+        sections.append(("Paper-shape gate", ["finding"],
+                         [[check.describe()] for check in checks]))
     if metrics:
         last = metrics[-1].get("values", {})
         peaks: Dict[str, float] = {}
@@ -116,16 +113,16 @@ def _telemetry_sections(doc: Dict[str, Any], compare=None,
     return sections
 
 
-def telemetry_markdown(doc: Dict[str, Any], compare=None,
+def telemetry_markdown(doc: Dict[str, Any],
                        metrics: Optional[List[Dict[str, Any]]] = None) -> str:
-    """Render a telemetry document (and optional compare result /
-    metrics-sampler samples) as a markdown report."""
+    """Render a telemetry document (and optional metrics-sampler samples)
+    as a markdown report."""
     lines: List[str] = ["# Benchmark telemetry report", ""]
     host = doc.get("host", {})
     if host:
         lines += [f"*Host: python {host.get('python', '?')} on "
                   f"{host.get('system', '?')}/{host.get('machine', '?')}*", ""]
-    for title, headers, rows in _telemetry_sections(doc, compare, metrics):
+    for title, headers, rows in _telemetry_sections(doc, metrics):
         lines += [f"## {title}", ""]
         lines.append("| " + " | ".join(headers) + " |")
         lines.append("|" + "|".join("---" for _ in headers) + "|")
@@ -135,7 +132,7 @@ def telemetry_markdown(doc: Dict[str, Any], compare=None,
     return "\n".join(lines)
 
 
-def telemetry_html(doc: Dict[str, Any], compare=None,
+def telemetry_html(doc: Dict[str, Any],
                    metrics: Optional[List[Dict[str, Any]]] = None) -> str:
     """Self-contained HTML version of :func:`telemetry_markdown`."""
     parts: List[str] = [
@@ -145,7 +142,7 @@ def telemetry_html(doc: Dict[str, Any], compare=None,
         "table{border-collapse:collapse;margin:1em 0}"
         "td,th{border:1px solid #999;padding:4px 8px;text-align:right}"
         "th{background:#eee}td:first-child,th:first-child{text-align:left}"
-        ".regress{background:#fdd}.improve{background:#dfd}</style>",
+        "</style>",
         "</head><body><h1>Benchmark telemetry report</h1>"]
     host = doc.get("host", {})
     if host:
@@ -154,17 +151,13 @@ def telemetry_html(doc: Dict[str, Any], compare=None,
                      f"{_html.escape(str(host.get('system', '?')))}/"
                      f"{_html.escape(str(host.get('machine', '?')))}"
                      f"</em></p>")
-    for title, headers, rows in _telemetry_sections(doc, compare, metrics):
+    for title, headers, rows in _telemetry_sections(doc, metrics):
         parts.append(f"<h2>{_html.escape(title)}</h2><table><tr>"
                      + "".join(f"<th>{_html.escape(h)}</th>" for h in headers)
                      + "</tr>")
         for row in rows:
-            cells = [str(c) for c in row]
-            css = (" class='regress'" if "regress" in cells
-                   or "fingerprint-mismatch" in cells
-                   else " class='improve'" if "improve" in cells else "")
-            parts.append(f"<tr{css}>" + "".join(
-                f"<td>{_html.escape(c)}</td>" for c in cells) + "</tr>")
+            parts.append("<tr>" + "".join(
+                f"<td>{_html.escape(str(c))}</td>" for c in row) + "</tr>")
         parts.append("</table>")
     parts.append("</body></html>")
     return "\n".join(parts)

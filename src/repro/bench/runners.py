@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.apps import get_app
 from repro.apps.common import AppResult, merge_rank_results
@@ -25,7 +25,7 @@ from repro.models.native_jiajia import NativeJiaJiaApi
 __all__ = ["BENCH_LABELS", "run_app_on", "run_app_detailed", "run_suite",
            "table1_rows", "figure2_overhead", "figure3_hybrid_vs_sw",
            "figure4_two_nodes", "overhead_pct", "advantage_pct",
-           "normalized_pct", "WORKLOADS"]
+           "normalized_pct", "ShapeCheck", "shape_gate", "WORKLOADS"]
 
 #: Figure bar labels in the paper's order.
 BENCH_LABELS = ["MatMult", "PI", "SOR opt", "SOR", "LU all", "LU",
@@ -139,7 +139,7 @@ def table1_rows() -> List[Tuple[str, str]]:
 # percentages. The derivations are split out as pure functions over
 # label -> seconds mappings so that recorded telemetry (repro.bench.telemetry)
 # can re-derive the same figures from stored numbers without re-running —
-# the baseline store's paper-shape gate leans on this.
+# the golden checker's paper-shape gate leans on this.
 
 def overhead_pct(t_hamster: Dict[str, float],
                  t_native: Dict[str, float]) -> Dict[str, float]:
@@ -169,6 +169,110 @@ def normalized_pct(t_hw: Dict[str, float], t_hy: Dict[str, float],
             "software": 100.0 * t_sw[label] / base if base else float("nan"),
         }
     return out
+
+
+@dataclass
+class ShapeCheck:
+    """One figure-shape assertion evaluated over recorded numbers."""
+
+    figure: str
+    claim: str
+    passed: bool
+    detail: str = ""
+
+    def describe(self) -> str:
+        status = "ok" if self.passed else "FAIL"
+        text = f"[{self.figure}] {self.claim}: {status}"
+        return f"{text} ({self.detail})" if self.detail else text
+
+
+def _label_seconds(rows: List[Dict[str, Any]],
+                   preset_name: str) -> Dict[str, float]:
+    """label -> virtual seconds for one preset, from recorded rows."""
+    out: Dict[str, float] = {}
+    for rec in rows:
+        if rec.get("preset") == preset_name:
+            for label, seconds in rec.get("label_seconds", {}).items():
+                out[label] = float(seconds)
+    return out
+
+
+def shape_gate(rows: Iterable[Dict[str, Any]],
+               fig2_band_pct: float = 10.0) -> List[ShapeCheck]:
+    """Re-assert the Figure 2-4 qualitative orderings from recorded rows
+    (the golden store's figure rows, or any telemetry document's records)
+    through the derivations above. The gate reads two fields, ``preset``
+    and ``label_seconds``, both declared semantic in
+    :data:`repro.bench.telemetry.FIELDS`: a host field never moves it.
+
+    Checks are per-figure and skip silently when the rows do not contain
+    the platforms a figure needs (a filtered ``--only`` run should not
+    fail the gate on absence). Bounds are loose enough for smoke scale
+    yet tight enough to catch an inverted ordering:
+
+    * Fig. 2 — HAMSTER-vs-native overhead within ``±fig2_band_pct`` for
+      every benchmark (the paper's full-scale band is −4.5%…+6.5%);
+    * Fig. 3 — the hybrid DSM beats the SW-DSM on every benchmark;
+    * Fig. 4 — the SW-DSM is never faster than the hybrid DSM, and
+      memory-bound MatMult beats the SMP on the hybrid (the paper's
+      crossover), while the SMP wins most other benchmarks on SW-DSM.
+    """
+    rows = list(rows)
+    checks: List[ShapeCheck] = []
+
+    # Figure 2: sw-dsm-4 vs native-jiajia-4.
+    t_ham = _label_seconds(rows, "sw-dsm-4")
+    t_nat = _label_seconds(rows, "native-jiajia-4")
+    if t_ham and t_nat:
+        overhead = overhead_pct(t_ham, t_nat)
+        offenders = {k: round(v, 2) for k, v in overhead.items()
+                     if abs(v) > fig2_band_pct}
+        checks.append(ShapeCheck(
+            "fig2", f"|HAMSTER overhead| <= {fig2_band_pct:g}%",
+            passed=not offenders,
+            detail=f"outside band: {offenders}" if offenders else
+                   f"range {min(overhead.values()):+.2f}%"
+                   f"..{max(overhead.values()):+.2f}%"))
+
+    # Figure 3: hybrid-4 vs sw-dsm-4.
+    t_hy4 = _label_seconds(rows, "hybrid-4")
+    if t_ham and t_hy4:
+        adv = advantage_pct(t_ham, t_hy4)
+        losers = {k: round(v, 2) for k, v in adv.items() if v <= 0}
+        checks.append(ShapeCheck(
+            "fig3", "hybrid DSM faster than SW-DSM on every benchmark",
+            passed=not losers,
+            detail=f"hybrid loses: {losers}" if losers else
+                   f"advantage {min(adv.values()):.1f}%"
+                   f"..{max(adv.values()):.1f}%"))
+
+    # Figure 4: smp-2 vs hybrid-2 vs sw-dsm-2.
+    t_hw = _label_seconds(rows, "smp-2")
+    t_hy2 = _label_seconds(rows, "hybrid-2")
+    t_sw2 = _label_seconds(rows, "sw-dsm-2")
+    if t_hw and t_hy2 and t_sw2:
+        norm = normalized_pct(t_hw, t_hy2, t_sw2)
+        inversions = {k: (round(v["hybrid"], 1), round(v["software"], 1))
+                      for k, v in norm.items()
+                      if v["software"] < v["hybrid"]}
+        checks.append(ShapeCheck(
+            "fig4", "SW-DSM never faster than the hybrid DSM",
+            passed=not inversions,
+            detail=f"inversions: {inversions}" if inversions else
+                   f"{len(norm)} benchmarks ordered"))
+        if "MatMult" in norm:
+            checks.append(ShapeCheck(
+                "fig4", "memory-bound MatMult beats the SMP on the hybrid",
+                passed=norm["MatMult"]["hybrid"] < 100.0,
+                detail=f"hybrid at {norm['MatMult']['hybrid']:.1f}% of SMP"))
+        others = [v for k, v in norm.items() if k != "MatMult"]
+        if len(others) >= 3:
+            smp_wins = sum(1 for v in others if v["software"] > 100.0)
+            checks.append(ShapeCheck(
+                "fig4", "SMP wins most benchmarks against the SW-DSM",
+                passed=smp_wins * 2 > len(others),
+                detail=f"SMP wins {smp_wins}/{len(others)}"))
+    return checks
 
 
 # ---------------------------------------------------------------- Figure 2

@@ -4,9 +4,9 @@ The paper's testbeds stop at 4 nodes (§5); the continuation-based process
 scheduler removes the one-OS-thread-per-simulated-process ceiling, so the
 simulator can extrapolate both fabrics to commodity-cluster sizes. This
 module runs one workload across a ladder of node counts per fabric and
-emits **standard telemetry records** (:mod:`repro.bench.telemetry`), so
-scaling curves join the same baseline store and virtual-time gate as the
-figure suites.
+emits **standard telemetry records** (:mod:`repro.bench.telemetry`); the
+points above the figure presets are rows of the golden store, checked
+bit-exactly by :mod:`repro.bench.diffcheck` like the figure cells.
 
 Curve points reuse the evaluation presets at the small end (``sw-dsm-4``,
 ``hybrid-4``) and the large-cluster presets of :mod:`repro.config` above
@@ -15,8 +15,7 @@ used for large installations). Every record carries ``nodes`` and
 ``fabric`` fields on top of the canonical schema so the curve can be
 re-plotted straight from the document.
 
-CLI: ``python -m repro bench scaling`` (optionally ``--max-nodes 1024``,
-``--baseline`` to gate against a stored curve).
+CLI: ``python -m repro bench scaling`` (optionally ``--max-nodes 1024``).
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.bench.telemetry import run_unit, telemetry_document
 from repro.errors import ConfigurationError
 
-__all__ = ["CURVES", "DEFAULT_LABEL", "DEFAULT_SCALE", "run_scaling_curves",
-           "curve_points", "render_scaling"]
+__all__ = ["CURVES", "DEFAULT_LABEL", "DEFAULT_SCALE", "scaling_point",
+           "run_scaling_curves", "curve_points", "render_scaling"]
 
 #: fabric -> ladder of (node count, preset name), small to large.
 CURVES: Dict[str, Tuple[Tuple[int, str], ...]] = {
@@ -42,6 +41,18 @@ CURVES: Dict[str, Tuple[Tuple[int, str], ...]] = {
 #: fan-in that actually limits large clusters.
 DEFAULT_LABEL = "PI"
 DEFAULT_SCALE = 0.05
+
+
+def scaling_point(fabric: str, nodes: int, preset_name: str,
+                  label: str = DEFAULT_LABEL, scale: float = DEFAULT_SCALE,
+                  trace: bool = False) -> Dict[str, Any]:
+    """One curve point: its record (suite ``"scaling"``, plus the curve
+    identity ``fabric`` / ``nodes``)."""
+    record = run_unit(preset_name, label, scale, suite="scaling",
+                      trace=trace)
+    record["fabric"] = fabric
+    record["nodes"] = nodes
+    return record
 
 
 def run_scaling_curves(fabrics: Sequence[str] = ("eth", "sci"),
@@ -63,10 +74,8 @@ def run_scaling_curves(fabrics: Sequence[str] = ("eth", "sci"),
                 continue
             if progress is not None:
                 progress(f"{fabric}/{nodes} ({preset_name}/{label})")
-            record = run_unit(preset_name, label, scale, suite="scaling")
-            record["fabric"] = fabric
-            record["nodes"] = nodes
-            records.append(record)
+            records.append(scaling_point(fabric, nodes, preset_name, label,
+                                         scale))
     return telemetry_document("scaling", scale, records)
 
 

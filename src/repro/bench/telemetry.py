@@ -1,26 +1,31 @@
 """Structured, machine-readable benchmark telemetry.
 
 `repro.bench.experiments` prints tables; this module makes every benchmark
-run leave a **comparable, versioned record** instead — the continuous-
-benchmarking practice of ASV-style harnesses applied to the reproduction.
-One :func:`run_suite_telemetry` call produces a JSON document
+run leave a **comparable, versioned record** instead. One
+:func:`run_suite_telemetry` call produces a JSON document
 (``BENCH_<suite>.json``) holding one record per benchmark execution:
 
 * identity — benchmark id (``<preset>/<label>``), app, params, preset,
   platform description, scale, native-binding flag, and a config
-  **fingerprint** (sha256 over everything that determines the run) so a
-  baseline comparison can refuse to compare apples to oranges;
-* virtual-time results — total seconds, per-phase seconds, and the
-  figure-label seconds this execution covers (the LU splits share one
-  execution), all deterministic and therefore hard-gateable;
-* engine events executed (deterministic, gated like virtual time) and, as
-  facts about this one run that nothing here compares, its wall seconds
-  and events/second — host time is judged by ``benchmarks/perf``;
+  **fingerprint** (sha256 over everything that determines the run);
+* the run's outcome — verified flag and result checksum;
+* virtual-time results — ``virtual_seconds`` (the app's timed region,
+  ``phases["total"]``), per-phase seconds, the figure-label seconds this
+  execution covers (the LU splits share one execution) and
+  ``end_seconds``, the engine clock at exit (setup and verification
+  included);
+* engine events executed and, as facts about this one run that nothing
+  compares, its wall seconds and events/second — host time is judged by
+  ``benchmarks/perf``;
 * the critical-path compute/protocol/wire/blocked breakdown from
   :mod:`repro.obs.critical_path` (cluster-wide seconds per category).
 
-:func:`validate_telemetry` is the schema gate used by tests and CI;
-:mod:`repro.bench.baseline` compares documents and applies verdicts.
+:data:`FIELDS` declares every field a record may carry, once, as
+*semantic* (a fact about the simulation: bit-exact in the golden store)
+or *host* (a fact about the machine: stripped before a record is stored
+or compared). The schema gate (:func:`validate_telemetry`), the fabric's
+canonical form, and the golden checker (:mod:`repro.bench.diffcheck`)
+all read it.
 """
 
 from __future__ import annotations
@@ -28,26 +33,97 @@ from __future__ import annotations
 import hashlib
 import json
 import platform as _host_platform
+import re
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.bench.runners import WORKLOADS, run_app_detailed
 from repro.config import ClusterConfig, preset
 from repro.errors import ConfigurationError
 
-__all__ = ["SCHEMA", "CP_CATEGORIES", "SuiteSpec", "SUITES",
-           "config_fingerprint", "run_unit", "telemetry_document",
+__all__ = ["SCHEMA", "CP_CATEGORIES", "SEMANTIC", "HOST", "Field", "FIELDS",
+           "HOST_FIELDS", "canonical_record", "SuiteSpec", "SUITES",
+           "config_fingerprint", "stream_digest", "trace_digest", "run_unit",
+           "telemetry_document",
            "run_suite_telemetry", "validate_telemetry", "telemetry_to_json",
            "load_telemetry"]
 
 #: Schema identifier; bump the suffix on breaking record changes.
-#: (/2: one run per record; its host fields are optional.)
-SCHEMA = "repro.bench.telemetry/2"
+#: (/2: one run per record; its host fields are optional. /3: checksum
+#: and end_seconds.)
+SCHEMA = "repro.bench.telemetry/3"
 
 #: critical-path categories, mirrored from repro.obs.critical_path
 CP_CATEGORIES = ("compute", "protocol", "wire", "blocked")
 _CP_CATEGORIES = CP_CATEGORIES
+
+
+# ------------------------------------------------------------------ fields
+SEMANTIC = "semantic"
+HOST = "host"
+_NUM = (int, float)
+
+
+@dataclass(frozen=True)
+class Field:
+    """One record field: its class, its JSON type, and whether every
+    telemetry record carries it."""
+
+    kind: str                       # SEMANTIC (bit-exact) | HOST (stripped)
+    types: Any
+    required: bool = True
+
+
+#: Every field a record may carry, declared once. Telemetry records carry
+#: the required ones; golden rows add the trace digest, scaling rows their
+#: curve identity, chaos rows their plan and counters.
+FIELDS: Dict[str, Field] = {
+    "id": Field(SEMANTIC, str),
+    "suite": Field(SEMANTIC, str),
+    "benchmark": Field(SEMANTIC, str),
+    "app": Field(SEMANTIC, str),
+    "params": Field(SEMANTIC, dict),
+    "preset": Field(SEMANTIC, str),
+    "platform": Field(SEMANTIC, str),
+    "native": Field(SEMANTIC, bool),
+    "scale": Field(SEMANTIC, _NUM),
+    "fingerprint": Field(SEMANTIC, str),
+    "verified": Field(SEMANTIC, bool),
+    "checksum": Field(SEMANTIC, _NUM),
+    "virtual_seconds": Field(SEMANTIC, _NUM),
+    "end_seconds": Field(SEMANTIC, _NUM),
+    "phases": Field(SEMANTIC, dict),
+    "label_seconds": Field(SEMANTIC, dict),
+    "events_executed": Field(SEMANTIC, int),
+    "critical_path": Field(SEMANTIC, dict),
+    "sharing": Field(SEMANTIC, dict, required=False),
+    "digest": Field(SEMANTIC, str, required=False),
+    "trace_events": Field(SEMANTIC, int, required=False),
+    "fabric": Field(SEMANTIC, str, required=False),
+    "nodes": Field(SEMANTIC, int, required=False),
+    "plan": Field(SEMANTIC, dict, required=False),
+    "outcome": Field(SEMANTIC, str, required=False),
+    "faults": Field(SEMANTIC, dict, required=False),
+    "messaging": Field(SEMANTIC, dict, required=False),
+    "host_seconds": Field(HOST, _NUM, required=False),
+    "events_per_sec": Field(HOST, _NUM, required=False),
+}
+
+#: Fields that vary with the machine, not with the simulated behaviour.
+HOST_FIELDS: Tuple[str, ...] = tuple(
+    name for name, f in FIELDS.items() if f.kind == HOST)
+
+
+def canonical_record(record: Dict[str, Any]) -> Dict[str, Any]:
+    """``record`` without its host fields.
+
+    Two executions of the same cell — serial or parallel, today or next
+    week, on any machine — produce identical canonical forms; only
+    wall-clock noise is stripped. The golden store holds rows in this
+    form, and the sweep fabric states its parity contract over it.
+    """
+    return {k: v for k, v in record.items() if k not in HOST_FIELDS}
 
 
 # ------------------------------------------------------------------ suites
@@ -143,15 +219,54 @@ def _unit_config(preset_name: str, overrides: Optional[Dict[str, Any]] = None,
     return config
 
 
+_PID_RE = re.compile(r"#\d+")
+
+
+def _event_line(ev: Any) -> str:
+    fields = ";".join(f"{k}={ev.fields[k]!r}" for k in sorted(ev.fields))
+    return f"{ev.kind}|{ev.time!r}|{fields}"
+
+
+def stream_digest(events: Iterable[Any]) -> Tuple[str, int]:
+    """sha256 over a trace stream (kind, timestamp, sorted fields), with
+    ``#pid`` tokens renumbered to first-appearance order. Returns
+    ``(hexdigest, event_count)``.
+
+    Process ids embedded in ``name#pid`` strings come from an
+    interpreter-wide counter, so two runs hash equal iff their event
+    streams are identical modulo that consistent renumbering."""
+    mapping: Dict[str, str] = {}
+    h = hashlib.sha256()
+    count = 0
+    for ev in events:
+        line = _PID_RE.sub(
+            lambda m: mapping.setdefault(m.group(0), f"#{len(mapping)}"),
+            _event_line(ev))
+        h.update(line.encode("utf-8"))
+        h.update(b"\n")
+        count += 1
+    return h.hexdigest(), count
+
+
+def trace_digest(plat: Any) -> Tuple[str, int]:
+    """:func:`stream_digest` of a traced run, ``obs.span`` events excluded
+    so the digest is that of an unobserved run."""
+    return stream_digest(ev for ev in plat.engine.trace.events
+                         if ev.kind != "obs.span")
+
+
 def run_unit(preset_name: str, label: str, scale: float,
              native: bool = False,
              suite: str = "adhoc",
              overrides: Optional[Dict[str, Any]] = None,
              faults: Optional[Any] = None,
              nodes: Optional[int] = None,
-             sharing: bool = False) -> Dict[str, Any]:
-    """Execute one benchmark unit once and build its record.
+             sharing: bool = False,
+             trace: bool = False) -> Dict[str, Any]:
+    """Execute one benchmark unit once and return its record.
 
+    The one record function: sweeps, suites and the golden checker
+    (:mod:`repro.bench.diffcheck`) all build their records here.
     ``overrides`` / ``faults`` / ``nodes`` are the sweep axes of
     :mod:`repro.fabric`: machine-parameter overrides merged into the
     preset, a fault plan, and a node-count override.
@@ -159,13 +274,18 @@ def run_unit(preset_name: str, label: str, scale: float,
     ``sharing`` additionally records sharing-pattern analytics
     (:mod:`repro.obs.sharing`) and attaches their rollup as the record's
     schema-versioned ``sharing`` field. Host-side only: virtual time,
-    fingerprints, and every canonical field stay identical either way.
+    fingerprints, and every other semantic field stay identical either way.
+
+    ``trace`` records the engine's trace stream and adds its
+    ``digest`` / ``trace_events`` (:func:`trace_digest`) to the record.
+    Sweeps leave it off: tracing costs host time on every cell.
     """
     wl = WORKLOADS[label]
     params = wl.params(scale)
     config = _unit_config(preset_name, overrides, faults, nodes)
     config.observe = True  # critical-path breakdown; free in virtual time
     config.sharing = bool(sharing)
+    config.trace = bool(trace)
     merged, plat = run_app_detailed(config, wl.app, native=native, **params)
     virtual = merged.phases["total"]
     events = plat.engine.events_executed
@@ -192,7 +312,9 @@ def run_unit(preset_name: str, label: str, scale: float,
         "native": bool(native),
         "scale": scale,
         "verified": bool(merged.verified),
+        "checksum": merged.checksum,
         "virtual_seconds": virtual,
+        "end_seconds": plat.engine.now,
         "phases": {k: merged.phases[k] for k in sorted(merged.phases)},
         "label_seconds": label_seconds,
         "events_executed": int(events),
@@ -207,13 +329,15 @@ def run_unit(preset_name: str, label: str, scale: float,
         from repro.obs import sharing_summary
 
         record["sharing"] = sharing_summary(plat.sharing)
+    if trace:
+        record["digest"], record["trace_events"] = trace_digest(plat)
     return record
 
 
 def telemetry_document(suite: str, scale: float,
                        records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """The document envelope around a record list, stamped with the host
-    that ran it (``bench update-baseline`` drops that stamp again)."""
+    that ran it."""
     return {
         "schema": SCHEMA,
         "suite": suite,
@@ -279,20 +403,10 @@ def run_suite_telemetry(suite: str = "smoke", scale: Optional[float] = None,
 
 
 # ------------------------------------------------------------------ schema
-_REQUIRED_RECORD_FIELDS: Dict[str, type] = {
-    "id": str, "suite": str, "benchmark": str, "app": str, "preset": str,
-    "platform": str, "native": bool, "verified": bool,
-    "scale": (int, float), "virtual_seconds": (int, float),
-    "events_executed": int,
-    "params": dict, "phases": dict, "label_seconds": dict,
-    "critical_path": dict, "fingerprint": str,
-}
-
-
 def validate_telemetry(doc: Any) -> List[str]:
     """Schema-check a telemetry document; returns a list of problems
     (empty = valid). Shallow by design — it guards the contract CI and the
-    baseline store rely on, not every conceivable corruption."""
+    sweep fabric rely on, not every conceivable corruption."""
     errors: List[str] = []
     if not isinstance(doc, dict):
         return ["document is not a JSON object"]
@@ -312,9 +426,11 @@ def validate_telemetry(doc: Any) -> List[str]:
         if not isinstance(rec, dict):
             errors.append(f"{where} is not an object")
             continue
-        for key, types in _REQUIRED_RECORD_FIELDS.items():
+        for key, spec in FIELDS.items():
+            types = spec.types
             if key not in rec:
-                errors.append(f"{where} missing field {key!r}")
+                if spec.required:
+                    errors.append(f"{where} missing field {key!r}")
             elif not isinstance(rec[key], types) or (
                     types is int and isinstance(rec[key], bool)):
                 errors.append(f"{where}.{key} has wrong type "

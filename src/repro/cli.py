@@ -21,13 +21,12 @@ Commands:
       python -m repro trace --preset sw-dsm-4 --app sor --param n=128 \\
           --trace-out sor.trace.json
 
-* ``bench`` — benchmark telemetry and regression gating
-  (:mod:`repro.bench.telemetry` / :mod:`repro.bench.baseline`)::
+* ``bench`` — benchmark telemetry (:mod:`repro.bench.telemetry`); the
+  golden store and its checker are ``python -m repro.bench.diffcheck``::
 
-      python -m repro bench run --suite smoke --json-out BENCH_smoke.json
-      python -m repro bench compare --json BENCH_smoke.json
-      python -m repro bench update-baseline --json BENCH_smoke.json
-      python -m repro bench report --json BENCH_smoke.json --out report.md
+      python -m repro bench run --suite smoke --json-out BENCH.json
+      python -m repro bench scaling --max-nodes 1024
+      python -m repro bench report --json BENCH.json --out report.md
 
 * ``sweep`` — the parallel experiment fabric (:mod:`repro.fabric`): run a
   declarative grid over N worker processes with a content-addressed result
@@ -261,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_options(diag)
 
     bench = sub.add_parser(
-        "bench", help="benchmark telemetry: run suites, gate regressions")
+        "bench", help="benchmark telemetry: run suites, render reports")
     bsub = bench.add_subparsers(dest="bench_command", required=True)
 
     brun = bsub.add_parser("run", help="run a suite, record telemetry")
@@ -274,9 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(e.g. 'sw-dsm-2/PI')")
     brun.add_argument("--json-out", metavar="FILE",
                       help="write the telemetry document (BENCH_<suite>.json)")
-    brun.add_argument("--baseline", metavar="FILE",
-                      help="compare against this baseline right after "
-                           "running (exit non-zero on hard regression)")
     brun.add_argument("--cache", metavar="DIR", dest="cache_dir",
                       help="consult (and fill) the fabric's content-"
                            "addressed result cache in DIR; cells already "
@@ -286,27 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="attach the sharing-pattern rollup (ping-pong/"
                            "false-sharing counts, hot page/lock, barrier "
                            "skew) to every record; bypasses --cache")
-
-    bcmp = bsub.add_parser(
-        "compare", help="compare recorded telemetry against a baseline")
-    bcmp.add_argument("--json", required=True, metavar="FILE",
-                      help="telemetry document to check (from bench run)")
-    bcmp.add_argument("--baseline", metavar="FILE",
-                      help="baseline document (default: "
-                           "benchmarks/baselines/<suite>.json)")
-    bcmp.add_argument("--show-ok", action="store_true",
-                      help="also list metrics whose verdict is 'ok'")
-
-    bupd = bsub.add_parser(
-        "update-baseline", help="promote a telemetry document to baseline")
-    bupd.add_argument("--json", metavar="FILE",
-                      help="telemetry document to promote (omit to run the "
-                           "suite fresh)")
-    bupd.add_argument("--suite", default="smoke",
-                      help="suite to run when --json is omitted")
-    bupd.add_argument("--baseline", metavar="FILE",
-                      help="target path (default: "
-                           "benchmarks/baselines/<suite>.json)")
 
     bscale = bsub.add_parser(
         "scaling", help="run the node-count scaling curves, record telemetry")
@@ -320,16 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working-set scale (default 0.05)")
     bscale.add_argument("--json-out", metavar="FILE",
                         help="write the telemetry document")
-    bscale.add_argument("--baseline", metavar="FILE",
-                        help="compare against this baseline right after "
-                             "running (exit non-zero on hard regression)")
 
     brep = bsub.add_parser(
         "report", help="render telemetry as markdown or HTML")
     brep.add_argument("--json", required=True, metavar="FILE",
                       help="telemetry document to render")
-    brep.add_argument("--baseline", metavar="FILE",
-                      help="baseline to include a comparison section")
     brep.add_argument("--metrics", metavar="FILE",
                       help="metrics-sampler JSON (--metrics-out of 'run') "
                            "to merge in")
@@ -373,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "grid's own; needs workers >= 2 to preempt)")
     srun.add_argument("--json-out", metavar="FILE",
                       help="write the sweep's telemetry document "
-                           "(bench compare/report consume it unchanged)")
+                           "(bench report consumes it unchanged)")
     srun.add_argument("--journal", metavar="FILE",
                       help="write the sweep's journal: every lifecycle "
                            "line and the fsync'd per-cell commit records "
@@ -651,12 +621,6 @@ def _cmd_diagnose(args) -> int:
     return 0 if merged.verified else 1
 
 
-def _default_baseline_path(suite: str) -> str:
-    import os.path
-
-    return os.path.join("benchmarks", "baselines", f"{suite}.json")
-
-
 def _print_bench_summary(doc) -> None:
     from repro.bench.report import host_cells, render_table
 
@@ -672,23 +636,6 @@ def _print_bench_summary(doc) -> None:
          "compute"],
         rows, title=f"suite {doc['suite']!r} at scale {doc['scale']} "
                     f"({len(rows)} benchmarks)"))
-
-
-def _bench_compare(doc, baseline_path, shape=True, show_ok=False) -> int:
-    import os.path
-
-    from repro.bench.baseline import compare_docs
-    from repro.bench.telemetry import load_telemetry
-
-    if not os.path.exists(baseline_path):
-        print(f"no baseline at {baseline_path} — every benchmark is new; "
-              f"seed one with: python -m repro bench update-baseline "
-              f"--suite {doc['suite']}")
-        return 1
-    baseline = load_telemetry(baseline_path)
-    result = compare_docs(doc, baseline, shape=shape)
-    print(result.render(show_ok=show_ok))
-    return result.exit_code()
 
 
 def _cmd_bench(args) -> int:
@@ -724,30 +671,6 @@ def _cmd_bench(args) -> int:
         if args.json_out:
             write_text(args.json_out, telemetry_to_json(doc))
             print(f"telemetry: written to {args.json_out}")
-        if args.baseline:
-            print()
-            return _bench_compare(doc, args.baseline)
-        return 0
-
-    if args.bench_command == "compare":
-        doc = load_telemetry(args.json)
-        baseline_path = args.baseline or _default_baseline_path(doc["suite"])
-        return _bench_compare(doc, baseline_path, show_ok=args.show_ok)
-
-    if args.bench_command == "update-baseline":
-        if args.json:
-            doc = load_telemetry(args.json)
-        else:
-            doc = run_suite_telemetry(
-                args.suite, progress=lambda unit: print(f"[bench] {unit}"))
-        target = args.baseline or _default_baseline_path(doc["suite"])
-        import os
-
-        from repro.bench.baseline import baseline_json
-
-        os.makedirs(os.path.dirname(target) or ".", exist_ok=True)
-        write_text(target, baseline_json(doc))
-        print(f"baseline : {len(doc['records'])} records written to {target}")
         return 0
 
     if args.bench_command == "scaling":
@@ -769,31 +692,22 @@ def _cmd_bench(args) -> int:
         if args.json_out:
             write_text(args.json_out, telemetry_to_json(doc))
             print(f"telemetry: written to {args.json_out}")
-        if args.baseline:
-            print()
-            return _bench_compare(doc, args.baseline, shape=False)
         return 0
 
     if args.bench_command == "report":
         import json as _json
-        import os.path
 
         from repro.bench.report import telemetry_html, telemetry_markdown
 
         doc = load_telemetry(args.json)
-        compare = None
-        if args.baseline and os.path.exists(args.baseline):
-            from repro.bench.baseline import compare_docs
-
-            compare = compare_docs(doc, load_telemetry(args.baseline))
         metrics = None
         if args.metrics:
             with open(args.metrics, "r", encoding="utf-8") as fh:
                 metrics = _json.load(fh)
         if args.out and args.out.endswith(".html"):
-            text = telemetry_html(doc, compare=compare, metrics=metrics)
+            text = telemetry_html(doc, metrics=metrics)
         else:
-            text = telemetry_markdown(doc, compare=compare, metrics=metrics)
+            text = telemetry_markdown(doc, metrics=metrics)
         if args.out:
             write_text(args.out, text)
             print(f"report   : written to {args.out}")

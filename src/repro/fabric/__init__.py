@@ -23,9 +23,10 @@ Surfaced as ``python -m repro sweep`` and behind
 ``python -m repro experiments --workers N``.
 """
 
+from repro.bench.telemetry import canonical_record
 from repro.fabric.cache import (CACHE_SCHEMA, DEFAULT_CACHE_DIR, ResultCache,
-                                TelemetryCache, canonical_record,
-                                canonical_records_json, scenario_key)
+                                TelemetryCache, canonical_records_json,
+                                scenario_key)
 from repro.fabric.gridspec import GridSpec, Scenario
 from repro.fabric.journal import (EVENT_KINDS, JOURNAL_SCHEMA, JournalError,
                                   JournalState, SweepJournal, replay_journal,

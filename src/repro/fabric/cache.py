@@ -15,7 +15,7 @@ version:
 
 The store itself (:class:`ResultCache`) is a plain sharded directory of
 JSON files — payloads are the existing :mod:`repro.bench.telemetry`
-result records, so ``bench compare``, the baseline gates, and the report
+result records, so ``bench report``, ``sweep report`` and the experiment
 generator consume cached sweeps unchanged. Rerunning a sweep only
 executes changed cells; a fully-unchanged grid costs zero simulation
 time.
@@ -37,12 +37,12 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.bench import telemetry
 from repro.fabric.gridspec import Scenario
 from repro.machine.params import fault_plan_hash, stable_digest, workload_hash
 
 __all__ = ["CACHE_SCHEMA", "DEFAULT_CACHE_DIR", "scenario_key",
-           "ResultCache", "TelemetryCache", "canonical_record",
-           "canonical_records_json"]
+           "ResultCache", "TelemetryCache", "canonical_records_json"]
 
 #: Cache layout / compatibility version. Bump whenever the simulator's
 #: cost model or the record contents change meaning: old entries become
@@ -59,19 +59,13 @@ QUARANTINE_DIR = "quarantine"
 #: (shards are the first two hex chars of the sha256 key).
 _SHARD_GLOB = "??/*.json"
 
-#: Record fields that vary with the host, not the simulated behaviour.
-#: Everything else in a record is deterministic given the cell identity.
-_HOST_FIELDS = ("host_seconds", "events_per_sec")
-
 
 def scenario_key(scenario: Scenario) -> str:
     """The content address of one grid cell's result."""
-    from repro.bench.telemetry import SCHEMA as TELEMETRY_SCHEMA
-
     config = scenario.build_config()
     app, params = scenario.workload()
     return stable_digest({
-        "schema": [CACHE_SCHEMA, TELEMETRY_SCHEMA],
+        "schema": [CACHE_SCHEMA, telemetry.SCHEMA],
         "machine": config.params().fingerprint,
         "config": config.to_text(),
         "workload": workload_hash(app, params, scenario.scale),
@@ -80,20 +74,11 @@ def scenario_key(scenario: Scenario) -> str:
     })
 
 
-def canonical_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """A record with host-varying fields removed.
-
-    Two executions of the same cell — serial or parallel, today or next
-    week — produce byte-identical canonical forms; only wall-clock noise
-    is stripped. The parity tests and the sweep determinism contract are
-    stated over this form.
-    """
-    return {k: v for k, v in record.items() if k not in _HOST_FIELDS}
-
-
 def canonical_records_json(records: List[Dict[str, Any]]) -> str:
-    """Canonical JSON of a record list (the byte-parity comparand)."""
-    return json.dumps([canonical_record(r) for r in records],
+    """Canonical JSON of a record list (the byte-parity comparand): the
+    records without their host fields (:func:`repro.bench.telemetry
+    .canonical_record`), serial or parallel, today or next week."""
+    return json.dumps([telemetry.canonical_record(r) for r in records],
                       sort_keys=True, separators=(",", ":"))
 
 

@@ -45,7 +45,7 @@ carries ``status="interrupted"`` so callers can exit distinctly and a
 follow-up resume picks up exactly where the sweep stopped.
 
 The telemetry document uses the unchanged ``repro.bench.telemetry``
-schema: ``bench compare``, the baseline gates, and the report generator
+schema: ``bench report``, ``sweep report`` and the experiment generator
 consume fabric output directly.
 """
 

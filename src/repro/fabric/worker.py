@@ -81,7 +81,7 @@ def execute_cell(scenario: Scenario, suite: str = "sweep") -> Dict[str, Any]:
     """Run one cell and return its telemetry record.
 
     The record is exactly what :func:`repro.bench.telemetry.run_unit`
-    produces — schema-valid, baseline-comparable — with the ``id``
+    produces — schema-valid, the golden store's row form — with the ``id``
     rewritten to the cell id so swept variants of one preset/label pair
     stay distinguishable inside one document.
     """

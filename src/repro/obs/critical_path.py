@@ -24,6 +24,7 @@ Two complementary answers to "where did the time go":
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -91,10 +92,14 @@ class RankBreakdown:
 def rank_breakdown(recorder: ObsRecorder, rank: int,
                    total: float) -> RankBreakdown:
     """Partition ``[0, total]`` for one rank by category priority."""
+    return _breakdown([s for s in recorder.spans if s.rank == rank],
+                      rank, total)
+
+
+def _breakdown(spans: List[Span], rank: int, total: float) -> RankBreakdown:
+    """:func:`rank_breakdown` over ``spans``, the rank's spans in order."""
     by_cat: dict = {"wire": [], "blocked": [], "protocol": []}
-    for span in recorder.spans:
-        if span.rank != rank:
-            continue
+    for span in spans:
         interval = _clamped(span, total)
         if interval is not None:
             by_cat[category_of(span.kind)].append(interval)
@@ -118,10 +123,11 @@ def critical_path(recorder: ObsRecorder) -> List[Span]:
     span finishing at or before the current span began. Heuristic (the
     span tree is not a full dependence graph) but deterministic.
     """
-    closed = recorder.closed()
+    closed = sorted(recorder.closed(), key=lambda s: (s.end, s.span_id))
     if not closed:
         return []
-    cur = max(closed, key=lambda s: (s.end, s.span_id))
+    ends = [s.end for s in closed]
+    cur = closed[-1]
     chain = [cur]
     seen = {cur.span_id}
     for _ in range(len(closed)):
@@ -130,11 +136,14 @@ def critical_path(recorder: ObsRecorder) -> List[Span]:
                 and parent.begin < cur.begin and parent.span_id not in seen):
             nxt = parent
         else:
-            candidates = [s for s in closed
-                          if s.end <= cur.begin and s.span_id not in seen]
-            if not candidates:
+            # The latest unseen span ending by cur.begin: the last entry
+            # of the sorted prefix that the chain has not visited.
+            i = bisect.bisect_right(ends, cur.begin) - 1
+            while i >= 0 and closed[i].span_id in seen:
+                i -= 1
+            if i < 0:
                 break
-            nxt = max(candidates, key=lambda s: (s.end, s.span_id))
+            nxt = closed[i]
         chain.append(nxt)
         seen.add(nxt.span_id)
         cur = nxt
@@ -200,6 +209,9 @@ def critical_path_report(platform) -> CriticalPathReport:
     report = CriticalPathReport(
         platform=platform.hamster.platform_description(), total_time=total,
         path=critical_path(recorder))
+    by_rank: dict = {}
+    for span in recorder.spans:
+        by_rank.setdefault(span.rank, []).append(span)
     for rank in range(platform.hamster.n_ranks):
-        report.ranks.append(rank_breakdown(recorder, rank, total))
+        report.ranks.append(_breakdown(by_rank.get(rank, []), rank, total))
     return report

@@ -1,11 +1,12 @@
-"""Golden-run snapshot tests — the differential hard gate, in-tree.
+"""Golden-run snapshot tests — the store's bit-exact checker, in-tree.
 
-Every Fig 2–4 scenario and every chaos scenario (the PR-1 fault plans)
-must reproduce its recorded pre-overhaul capture bit for bit: virtual
-times, event counts, trace digests, result checksums. A failure here
-means a scheduler or cost-path change altered *simulated* behaviour —
-host-side optimizations are expected to leave every field untouched.
-See docs/performance.md for how to investigate a failure and when
+Every Fig 2–4 cell, every scaling point up to 64 nodes (the 256- and
+1024-node rows run in CI's ``diffcheck`` job) and every chaos scenario
+must reproduce its stored row bit for bit: virtual times, event counts,
+trace digests, result checksums, critical paths. A failure here means a
+scheduler or cost-path change altered *simulated* behaviour — host-side
+optimizations are expected to leave every semantic field untouched. See
+docs/performance.md for how to investigate a failure and when
 re-recording (``python -m repro.bench.diffcheck --record``) is
 legitimate.
 """
@@ -15,8 +16,15 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import diffcheck
+from repro.bench.runners import shape_gate
+from repro.bench.telemetry import FIELDS, SEMANTIC
 
 _SCENARIOS = {sc.id: sc for sc in diffcheck.scenarios()}
+#: (row, backend) pairs of tier-1: every row up to 64 nodes, the scaling
+#: rows on the generator backend only (CI checks every row on both).
+_TIER1 = [(sid, procs) for sid, sc in sorted(_SCENARIOS.items())
+          for procs in ("thread", "generator")
+          if getattr(sc, "nodes", 0) <= (0 if procs == "thread" else 64)]
 
 
 @pytest.fixture(scope="module")
@@ -25,15 +33,25 @@ def goldens():
 
 
 def test_every_scenario_has_a_golden(goldens):
-    missing = sorted(set(_SCENARIOS) - set(goldens["scenarios"]))
-    assert missing == [], f"run --record for: {missing}"
+    """One row per scenario, and no row without one: the store holds no
+    stale row and every field it holds is declared semantic."""
+    assert sorted(goldens["rows"]) == sorted(_SCENARIOS), "run --record"
+    assert {k for row in goldens["rows"].values() for k in row} \
+        <= {k for k, f in FIELDS.items() if f.kind == SEMANTIC}
 
 
-@pytest.mark.parametrize("procs", ["thread", "generator"])
-@pytest.mark.parametrize("scenario_id", sorted(_SCENARIOS))
+def test_stored_figure_rows_hold_the_paper_shape(goldens):
+    rows = [row for sid, row in goldens["rows"].items()
+            if sid.startswith("fig/")]
+    checks = shape_gate(rows)
+    assert len(checks) == 5
+    assert all(c.passed for c in checks), [c.describe() for c in checks]
+
+
+@pytest.mark.parametrize("scenario_id,procs", _TIER1)
 def test_scenario_bit_identical(scenario_id, procs, goldens):
     """Every scenario, under BOTH process backends, against the same
-    pre-overhaul goldens: the continuation scheduler must reproduce the
+    stored rows: the continuation scheduler must reproduce the
     thread-era virtual-time behaviour bit for bit."""
     problems = diffcheck.check_scenario(_SCENARIOS[scenario_id], goldens,
                                         procs=procs)
@@ -54,7 +72,7 @@ def test_chaos_dual_run_thread_vs_generator(scenario_id):
 
 def test_figure_dual_procs_spot():
     """One figure scenario through both process backends in one invocation
-    (the full 45-scenario sweep runs in CI's --dual-procs job)."""
+    (the full --dual-procs sweep over every row runs in CI)."""
     sc = _SCENARIOS["fig/sw-dsm-2/PI"]
     ref = diffcheck.capture(sc, procs="thread")
     new = diffcheck.capture(sc, procs="generator")

@@ -69,7 +69,7 @@ class TestScalingCli:
     def test_bench_scaling_subcommand(self, tmp_path, capsys):
         from repro.cli import main
 
-        out = tmp_path / "scaling.json"
+        out = tmp_path / "curve.json"
         code = main(["bench", "scaling", "--fabric", "eth",
                      "--max-nodes", "4", "--json-out", str(out)])
         assert code == 0

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from repro.bench.telemetry import (SCHEMA, SUITES, config_fingerprint,
+from repro.bench.telemetry import (FIELDS, HOST_FIELDS, SCHEMA, SUITES,
+                                   canonical_record, config_fingerprint,
                                    load_telemetry, run_suite_telemetry,
                                    run_unit, telemetry_to_json,
                                    validate_telemetry)
@@ -61,6 +62,15 @@ class TestRunUnit:
         assert rec["label_seconds"]["LU all"] == rec["virtual_seconds"]
         assert rec["label_seconds"]["LU core"] <= rec["virtual_seconds"]
 
+    def test_every_field_is_declared_once(self, unit_record):
+        # the declaration the schema gate, the canonical form and the
+        # golden checker all read
+        assert set(unit_record) <= set(FIELDS)
+        assert {k for k, f in FIELDS.items() if f.required} <= set(unit_record)
+        assert set(canonical_record(unit_record)) \
+            == set(unit_record) - set(HOST_FIELDS)
+        assert unit_record["end_seconds"] >= unit_record["virtual_seconds"]
+
     def test_bad_repeat_rejected(self):
         # One run per record: min-of-N went with the host verdicts it
         # served, and any ``repeat`` is refused rather than ignored.
@@ -101,7 +111,7 @@ class TestSuiteRunner:
         assert doc["schema"] == SCHEMA
         assert [r["id"] for r in doc["records"]] == ["sw-dsm-2/PI"]
         assert validate_telemetry(doc) == []
-        path = tmp_path / "BENCH_smoke.json"
+        path = tmp_path / "telemetry.json"
         path.write_text(telemetry_to_json(doc))
         loaded = load_telemetry(str(path))
         assert loaded == json.loads(telemetry_to_json(doc))

@@ -1,5 +1,7 @@
 """Tests for the command-line driver."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -147,9 +149,14 @@ class TestBenchCommands:
     def test_parsing_defaults(self):
         args = build_parser().parse_args(["bench", "run"])
         assert args.suite == "smoke" and args.only is None
-        args = build_parser().parse_args(
-            ["bench", "compare", "--json", "x.json", "--show-ok"])
-        assert args.json == "x.json" and args.show_ok
+        args = build_parser().parse_args(["bench", "report", "--json", "x"])
+        assert args.json == "x" and args.out is None
+        # the golden store's checker is the one judge of simulated results
+        for gone in (["bench", "compare", "--json", "x"],
+                     ["bench", "run", "--baseline", "x"],
+                     ["bench", "report", "--json", "x", "--baseline", "x"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(gone)
 
     def test_bench_subcommand_required(self):
         with pytest.raises(SystemExit):
@@ -158,7 +165,7 @@ class TestBenchCommands:
     def test_run_writes_valid_telemetry(self, tmp_path, capsys):
         from repro.bench.telemetry import load_telemetry
 
-        out = tmp_path / "BENCH_smoke.json"
+        out = tmp_path / "telemetry.json"
         code = main(["bench", "run", "--scale", "0.02", *self.ONLY,
                      "--json-out", str(out)])
         assert code == 0
@@ -173,48 +180,50 @@ class TestBenchCommands:
         assert code == 2
         assert "matched no benchmark" in capsys.readouterr().out
 
-    def test_compare_against_missing_baseline(self, tmp_path, capsys):
-        out = tmp_path / "t.json"
-        assert main(["bench", "run", "--scale", "0.02", *self.ONLY,
-                     "--json-out", str(out)]) == 0
-        code = main(["bench", "compare", "--json", str(out),
-                     "--baseline", str(tmp_path / "nope.json")])
-        assert code == 1
-        assert "update-baseline" in capsys.readouterr().out
+    # The golden store's checker, driven as CI drives it: one store, one
+    # checker, one re-record command.
+    ROW = "fig/sw-dsm-2/PI"
 
-    def test_update_baseline_then_compare_clean(self, tmp_path, capsys):
-        out = tmp_path / "t.json"
-        base = tmp_path / "base.json"
-        assert main(["bench", "run", "--scale", "0.02", *self.ONLY,
-                     "--json-out", str(out)]) == 0
-        assert main(["bench", "update-baseline", "--json", str(out),
-                     "--baseline", str(base)]) == 0
-        assert base.exists()
+    def _diffcheck(self, *args):
+        from repro.bench import diffcheck
+
+        return diffcheck.main(["diffcheck", *args, "--only", self.ROW])
+
+    def test_compare_against_missing_baseline(self, tmp_path, monkeypatch,
+                                              capsys):
+        from repro.bench import diffcheck
+
+        monkeypatch.setattr(diffcheck, "GOLDEN_PATH", tmp_path / "nope.json")
+        assert self._diffcheck("--check") == 1
+        out = capsys.readouterr().out
+        assert "no golden store" in out and "--record" in out
+
+    def test_update_baseline_then_compare_clean(self, tmp_path, monkeypatch,
+                                                capsys):
+        from repro.bench import diffcheck
+
+        store = tmp_path / "golden_runs.json"
+        monkeypatch.setattr(diffcheck, "GOLDEN_PATH", store)
+        assert self._diffcheck("--record") == 0
+        assert list(json.loads(store.read_text())["rows"]) == [self.ROW]
         capsys.readouterr()
-        code = main(["bench", "compare", "--json", str(out),
-                     "--baseline", str(base), "--show-ok"])
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert "verdicts:" in stdout and "ok=" in stdout
-        assert "result: ok" in stdout
+        assert self._diffcheck("--check") == 0
+        assert "all scenarios bit-identical" in capsys.readouterr().out
 
-    def test_compare_flags_synthetic_regression(self, tmp_path, capsys):
-        import json
+    def test_compare_flags_synthetic_regression(self, tmp_path, monkeypatch,
+                                                capsys):
+        from repro.bench import diffcheck
 
-        out = tmp_path / "t.json"
-        base = tmp_path / "base.json"
-        assert main(["bench", "run", "--scale", "0.02", *self.ONLY,
-                     "--json-out", str(out)]) == 0
-        assert main(["bench", "update-baseline", "--json", str(out),
-                     "--baseline", str(base)]) == 0
-        doc = json.loads(out.read_text())
-        doc["records"][0]["virtual_seconds"] *= 1.05  # +5% virtual time
-        out.write_text(json.dumps(doc))
+        store = tmp_path / "golden_runs.json"
+        monkeypatch.setattr(diffcheck, "GOLDEN_PATH", store)
+        assert self._diffcheck("--record") == 0
+        doc = json.loads(store.read_text())
+        doc["rows"][self.ROW]["virtual_seconds"] *= 1.05  # +5% virtual time
+        store.write_text(json.dumps(doc))
         capsys.readouterr()
-        code = main(["bench", "compare", "--json", str(out),
-                     "--baseline", str(base)])
-        assert code == 1
-        assert "HARD REGRESSION" in capsys.readouterr().out
+        assert self._diffcheck("--check") == 1
+        assert f"FAIL {self.ROW}: virtual_seconds: got " \
+            in capsys.readouterr().out
 
     def test_report_markdown_and_html(self, tmp_path, capsys):
         out = tmp_path / "t.json"

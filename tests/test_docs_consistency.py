@@ -90,6 +90,20 @@ class TestReadme:
         parser.parse_args(["experiments", "--scale", "1.0"])
 
 
+class TestBenchmarkingDoc:
+    def test_field_table_matches_the_declaration(self):
+        """docs/benchmarking.md lists every record field with its class,
+        exactly as ``repro.bench.telemetry.FIELDS`` declares it."""
+        from repro.bench.telemetry import FIELDS
+
+        documented = {}
+        for line in read("docs/benchmarking.md").splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if len(cells) == 4 and cells[1] in ("semantic", "host"):
+                documented[cells[0].strip("`")] = cells[1]
+        assert documented == {name: f.kind for name, f in FIELDS.items()}
+
+
 class TestProtocolDocMatchesCode:
     def test_adaptive_constants(self):
         from repro.dsm.jiajia import JiaJiaSystem

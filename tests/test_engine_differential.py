@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.diffcheck import stream_digest
+from repro.bench.telemetry import stream_digest
 from repro.errors import DeadlockError
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess

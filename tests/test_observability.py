@@ -266,6 +266,105 @@ class TestCriticalPath:
                                    "protocol": 0.0, "compute": 0.0}
 
 
+def _scan_rank_breakdown(recorder, rank, total):
+    """The per-rank scan over every span, kept as the oracle."""
+    from repro.obs.critical_path import (RankBreakdown, _clamped, _measure,
+                                         _union)
+
+    by_cat = {"wire": [], "blocked": [], "protocol": []}
+    for span in recorder.spans:
+        if span.rank != rank:
+            continue
+        interval = _clamped(span, total)
+        if interval is not None:
+            by_cat[category_of(span.kind)].append(interval)
+    wire = _union(by_cat["wire"])
+    wire_blocked = _union(wire + by_cat["blocked"])
+    covered = _union(wire_blocked + by_cat["protocol"])
+    out = RankBreakdown(rank=rank, total=total)
+    out.wire = _measure(wire)
+    out.blocked = _measure(wire_blocked) - out.wire
+    out.protocol = _measure(covered) - _measure(wire_blocked)
+    out.compute = total - _measure(covered)
+    return out
+
+
+def _scan_critical_path(recorder):
+    """The chain walk that rescans every closed span per step (oracle)."""
+    closed = recorder.closed()
+    if not closed:
+        return []
+    cur = max(closed, key=lambda s: (s.end, s.span_id))
+    chain, seen = [cur], {cur.span_id}
+    for _ in range(len(closed)):
+        parent = recorder.get(cur.parent)
+        if (parent is not None and parent.end is not None
+                and parent.begin < cur.begin and parent.span_id not in seen):
+            nxt = parent
+        else:
+            candidates = [s for s in closed
+                          if s.end <= cur.begin and s.span_id not in seen]
+            if not candidates:
+                break
+            nxt = max(candidates, key=lambda s: (s.end, s.span_id))
+        chain.append(nxt)
+        seen.add(nxt.span_id)
+        cur = nxt
+    chain.reverse()
+    return chain
+
+
+def _random_recorder(seed, n_spans=120, n_ranks=4):
+    """Spans on a coarse time grid, so ends and begins tie often."""
+    import random
+
+    rng = random.Random(seed)
+    rec = ObsRecorder(Engine(), sink_to_trace=False)
+    kinds = ("net.xfer", "am.wait", "dsm.lock", "api.call")
+    for _ in range(n_spans):
+        rank = rng.choice([*range(n_ranks), None])
+        parent = rng.choice([None, *(s.span_id for s in rec.spans[-8:])])
+        if rng.random() < 0.1:
+            rec.begin(rng.choice(kinds), parent=parent, rank=rank)  # open
+            continue
+        begin = rng.randrange(40) * 0.5
+        rec.record(rng.choice(kinds), begin, begin + rng.randrange(8) * 0.5,
+                   parent=parent, rank=rank)
+    return rec
+
+
+class TestCriticalPathMatchesTheScans:
+    """The sorted walk and the per-rank grouping give exactly what the
+    quadratic scans they replaced gave."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_span_sets(self, seed):
+        rec = _random_recorder(seed)
+        assert [s.span_id for s in critical_path(rec)] \
+            == [s.span_id for s in _scan_critical_path(rec)]
+        from repro.obs.critical_path import rank_breakdown
+
+        for rank in range(4):
+            assert rank_breakdown(rec, rank, 18.0) \
+                == _scan_rank_breakdown(rec, rank, 18.0)
+
+    @pytest.mark.parametrize("preset_name,label", [
+        ("sw-dsm-4", "SOR"), ("hybrid-4", "LU all")])
+    def test_real_runs(self, preset_name, label):
+        from repro.bench.runners import WORKLOADS, run_app_detailed
+
+        cfg = preset(preset_name)
+        cfg.observe = True
+        wl = WORKLOADS[label]
+        _, built = run_app_detailed(cfg, wl.app, **wl.params(0.05))
+        report = critical_path_report(built)
+        assert [s.span_id for s in report.path] \
+            == [s.span_id for s in _scan_critical_path(built.obs)]
+        assert report.ranks == [
+            _scan_rank_breakdown(built.obs, r, built.engine.now)
+            for r in range(built.hamster.n_ranks)]
+
+
 class TestMetricsSampler:
     def test_samples_collected_at_interval(self):
         built, _ = run_jiajia_workload(observe=False,
