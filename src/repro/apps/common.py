@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import HamsterError
 
-__all__ = ["AppResult", "compute", "compute_g", "memtouch", "memtouch_g",
+__all__ = ["AppResult", "compute_cost", "memtouch_cost",
            "row_block", "once_per_run", "reference_once_per_run", "AppError",
            "APP_TABLE", "get_app", "merge_rank_results"]
 
@@ -43,31 +43,21 @@ class AppResult:
     extra: Dict[str, Any] = field(default_factory=dict)
 
 
-def compute(api, flops: float) -> None:
-    """Charge application floating-point work on the calling task's node."""
-    dsm = api.hamster.dsm
-    api.hamster.cluster.node(dsm.node_of(dsm.current_rank())).compute(flops)
-
-
-def compute_g(api, flops: float):
-    """Generator kernel of :func:`compute` (``yield from`` it)."""
-    dsm = api.hamster.dsm
-    return api.hamster.cluster.node(dsm.node_of(dsm.current_rank())).compute_g(flops)
-
-
-def memtouch(api, nbytes: float) -> None:
-    """Charge extra DRAM traffic beyond what the shared accesses already
-    account for (cache-miss re-reads in tight kernels — the matmult
-    memory-bound effect)."""
-    dsm = api.hamster.dsm
-    api.hamster.cluster.node(dsm.node_of(dsm.current_rank())).mem_touch(int(nbytes))
-
-
-def memtouch_g(api, nbytes: float):
-    """Generator kernel of :func:`memtouch` (``yield from`` it)."""
+def compute_cost(api, flops: float) -> float:
+    """Book application floating-point work on the calling task's node;
+    returns the hold (``yield compute_cost(api, flops)``)."""
     dsm = api.hamster.dsm
     return api.hamster.cluster.node(
-        dsm.node_of(dsm.current_rank())).mem_touch_g(int(nbytes))
+        dsm.node_of(dsm.current_rank())).compute_cost(flops)
+
+
+def memtouch_cost(api, nbytes: float) -> float:
+    """Book DRAM traffic beyond what the shared accesses already account
+    for (cache-miss re-reads in tight kernels — the matmult memory-bound
+    effect); returns the hold (``yield memtouch_cost(api, n)``)."""
+    dsm = api.hamster.dsm
+    return api.hamster.cluster.node(
+        dsm.node_of(dsm.current_rank())).bus.touch_cost(int(nbytes))
 
 
 def row_block(n_rows: int, rank: int, n_ranks: int) -> Tuple[int, int]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import (AppResult, compute_g, once_per_run,
+from repro.apps.common import (AppResult, compute_cost, once_per_run,
                                reference_once_per_run, row_block)
 from repro.memory.layout import block
 
@@ -78,12 +78,12 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
     rows = _to_complex(
         (yield from A.get_g((slice(lo, hi), slice(None), slice(None)))))
     rows = np.fft.fft(rows, axis=1)
-    yield from compute_g(api, _fft_flops(hi - lo, n2))
+    yield compute_cost(api, _fft_flops(hi - lo, n2))
     # Twiddle factors W_N^(j*k) between the two passes.
     j = np.arange(lo, hi)[:, None]
     k = np.arange(n2)[None, :]
     rows *= np.exp(-2j * np.pi * j * k / (n1 * n2))
-    yield from compute_g(api, 6.0 * (hi - lo) * n2)
+    yield compute_cost(api, 6.0 * (hi - lo) * n2)
     yield from A.set_g((slice(lo, hi), slice(None), slice(None)),
                        _to_pairs(rows))
     yield from api.jia_barrier_g()
@@ -106,7 +106,7 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
     cols = _to_complex(
         (yield from B.get_g((slice(t_lo, t_hi), slice(None), slice(None)))))
     cols = np.fft.fft(cols, axis=1)
-    yield from compute_g(api, _fft_flops(t_hi - t_lo, n1))
+    yield compute_cost(api, _fft_flops(t_hi - t_lo, n1))
     yield from B.set_g((slice(t_lo, t_hi), slice(None), slice(None)),
                        _to_pairs(cols))
     yield from api.jia_barrier_g()

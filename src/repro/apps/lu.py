@@ -22,7 +22,7 @@ from typing import List
 
 import numpy as np
 
-from repro.apps.common import (AppResult, compute_g, once_per_run,
+from repro.apps.common import (AppResult, compute_cost, once_per_run,
                                reference_once_per_run)
 from repro.memory.layout import explicit
 
@@ -98,7 +98,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
                 panel[i + 1:, k + 1:] -= panel[i + 1:, k, None] * panel[i, k + 1:]
             yield from A.set_g((slice(k0, k1), slice(None)), panel)
             rows = k1 - k0
-            yield from compute_g(api, rows * rows * (n - k0))
+            yield compute_cost(api, rows * rows * (n - k0))
         t_core += (yield from api.jia_wtime_g()) - tc
 
         tb = yield from api.jia_wtime_g()
@@ -117,7 +117,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
                 rows[:, k] /= piv[k - k0, k]
                 rows[:, k + 1:] -= rows[:, k, None] * piv[k - k0, k + 1:]
             yield from A.set_g((slice(m0, m1), slice(None)), rows)
-            yield from compute_g(api, 2.0 * (m1 - m0) * (k1 - k0) * (n - k0))
+            yield compute_cost(api, 2.0 * (m1 - m0) * (k1 - k0) * (n - k0))
         t_core += (yield from api.jia_wtime_g()) - tc
 
         tb = yield from api.jia_wtime_g()

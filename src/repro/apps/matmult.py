@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import (AppResult, compute_g, memtouch_g,
+from repro.apps.common import (AppResult, compute_cost, memtouch_cost,
                                once_per_run, reference_once_per_run,
                                row_block)
 from repro.memory.layout import block, cyclic
@@ -67,8 +67,8 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
     b = yield from B.get_g((slice(None), slice(None)))
     c_block = a_block @ b
     flops = 2.0 * (hi - lo) * n * n
-    yield from compute_g(api, flops)
-    yield from memtouch_g(api, flops * MEM_REUSE_BYTES_PER_FLOP)
+    yield compute_cost(api, flops)
+    yield memtouch_cost(api, flops * MEM_REUSE_BYTES_PER_FLOP)
     yield from C.set_g((slice(lo, hi), slice(None)), c_block)
     yield from api.jia_barrier_g()
     t_comp = (yield from api.jia_wtime_g()) - t1

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_g
+from repro.apps.common import AppResult, compute_cost
 
 __all__ = ["run_pi"]
 
@@ -37,7 +37,7 @@ def run_pi(api, intervals: int = 1 << 23, verify: bool = True) -> AppResult:
     idx = np.arange(rank, intervals, n_ranks, dtype=np.float64)
     x = h * (idx + 0.5)
     local = float((4.0 / (1.0 + x * x)).sum() * h)
-    yield from compute_g(api, 6.0 * len(idx))
+    yield compute_cost(api, 6.0 * len(idx))
 
     yield from api.jia_lock_g(PI_LOCK)
     current = float((yield from acc.get_g(0)))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import (AppResult, compute_g, once_per_run,
+from repro.apps.common import (AppResult, compute_cost, once_per_run,
                                reference_once_per_run, row_block)
 from repro.memory.layout import block, cyclic
 
@@ -89,7 +89,7 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
             local = yield from G.get_g((slice(lo - 1, hi + 1), slice(None)))
             _sweep(local, phase, lo, hi, n)
             yield from G.set_g((slice(lo, hi), slice(None)), local[1:-1, :])
-            yield from compute_g(api, 6.0 * (hi - lo) * (n - 2) / 2)
+            yield compute_cost(api, 6.0 * (hi - lo) * (n - 2) / 2)
             yield from api.jia_barrier_g()
     t_comp = (yield from api.jia_wtime_g()) - t1
 

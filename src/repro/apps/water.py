@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.common import (AppResult, compute_g, once_per_run,
+from repro.apps.common import (AppResult, compute_cost, once_per_run,
                                reference_once_per_run, row_block)
 from repro.memory.layout import block
 
@@ -75,7 +75,7 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
         # WATER evaluates 9 site-pairs (3 atoms x 3 atoms) of LJ + Coulomb
         # terms per molecule pair: ~300 flops per pair on the real kernel.
         pairs = sum(n - i - 1 for i in range(lo, hi))
-        yield from compute_g(api, 300.0 * pairs)
+        yield compute_cost(api, 300.0 * pairs)
 
         # Accumulate into the shared force array section by section, each
         # guarded by its owner's lock (the WATER lock pattern).
@@ -95,7 +95,7 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
         own = yield from X.get_g((slice(lo, hi), slice(None)))
         frc = yield from F.get_g((slice(lo, hi), slice(None)))
         yield from X.set_g((slice(lo, hi), slice(None)), own + DT * frc)
-        yield from compute_g(api, 6.0 * (hi - lo))
+        yield compute_cost(api, 6.0 * (hi - lo))
         yield from api.jia_barrier_g()
         yield from F.set_g((slice(lo, hi), slice(None)), 0.0)
         yield from api.jia_barrier_g()

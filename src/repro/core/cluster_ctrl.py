@@ -139,7 +139,8 @@ class FailureDetector:
         if node_id in self._suspected:
             self._suspected.discard(node_id)
             self.stats.incr("nodes_recovered")
-            self.engine.trace.emit("hb.recover", node=node_id)
+            if self.engine.trace.enabled:
+                self.engine.trace.emit("hb.recover", node=node_id)
 
     # -------------------------------------------------------------- monitor
     def _infra_pending(self) -> int:
@@ -163,7 +164,8 @@ class FailureDetector:
                   and node_id not in self._suspected):
                 self._suspected.add(node_id)
                 self.stats.incr("nodes_suspected")
-                engine.trace.emit("hb.suspect", node=node_id, silent_for=age)
+                if engine.trace.enabled:
+                    engine.trace.emit("hb.suspect", node=node_id, silent_for=age)
         if self._stopped:
             return  # _confirm aborted the run
         # -------------------------------------------------- self-shutdown
@@ -184,7 +186,8 @@ class FailureDetector:
         self._suspected.discard(node_id)
         self._confirmed.add(node_id)
         self.stats.incr("nodes_failed")
-        self.engine.trace.emit("hb.confirm", node=node_id)
+        if self.engine.trace.enabled:
+            self.engine.trace.emit("hb.confirm", node=node_id)
         exc = NodeFailedError(node_id, "heartbeats stopped", detected_at=now)
         fabric = self.hamster.fabric
         if fabric is not None:
@@ -238,7 +241,7 @@ class ClusterControl:
 
     def my_node_g(self):
         """Generator kernel of :meth:`my_node` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         return self.dsm.node_of(self.dsm.current_rank())
 
     def n_nodes(self) -> int:
@@ -246,7 +249,7 @@ class ClusterControl:
 
     def n_nodes_g(self):
         """Generator kernel of :meth:`n_nodes` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         return self.cluster.n_nodes
 
     def n_ranks(self) -> int:
@@ -254,7 +257,7 @@ class ClusterControl:
 
     def n_ranks_g(self):
         """Generator kernel of :meth:`n_ranks` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         return self.dsm.n_procs
 
     def node_params(self, node_id: Optional[int] = None) -> Dict[str, Any]:
@@ -263,7 +266,7 @@ class ClusterControl:
 
     def node_params_g(self, node_id: Optional[int] = None):
         """Generator kernel of :meth:`node_params` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         if node_id is None:
             node_id = yield from self.my_node_g()
         node = self.cluster.node(node_id)
@@ -320,7 +323,7 @@ class ClusterControl:
 
     def send_msg_g(self, dst_rank: int, payload: Any, size: int = 64):
         """Generator kernel of :meth:`send_msg` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("user_msgs_sent")
         if not (0 <= dst_rank < self.dsm.n_procs):
             raise MessagingError(f"rank {dst_rank} out of range")
@@ -340,7 +343,7 @@ class ClusterControl:
 
     def recv_msg_g(self):
         """Generator kernel of :meth:`recv_msg` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("user_msgs_received")
         return (yield from self._user_queue(self.dsm.current_rank()).get_g())
 
@@ -357,7 +360,7 @@ class ClusterControl:
 
     def publish_g(self, key: str, value: Any):
         """Generator kernel of :meth:`publish` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("registry_puts")
         rank = self.dsm.current_rank()
         if self._chan is None or self.dsm.node_of(rank) == self.dsm.node_of(0):
@@ -373,7 +376,7 @@ class ClusterControl:
 
     def lookup_g(self, key: str):
         """Generator kernel of :meth:`lookup` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("registry_gets")
         rank = self.dsm.current_rank()
         if self._chan is None or self.dsm.node_of(rank) == self.dsm.node_of(0):

@@ -69,7 +69,7 @@ class ConsistencyMgmt:
 
     def acquire_g(self, scope: int):
         """Generator kernel of :meth:`acquire` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("acquires")
         yield from self.active().acquire_g(scope)
 
@@ -79,7 +79,7 @@ class ConsistencyMgmt:
 
     def release_g(self, scope: int):
         """Generator kernel of :meth:`release` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("releases")
         yield from self.active().release_g(scope)
 
@@ -90,7 +90,7 @@ class ConsistencyMgmt:
 
     def fence_g(self):
         """Generator kernel of :meth:`fence` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("fences")
         yield from self.active().fence_g()
 

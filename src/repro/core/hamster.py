@@ -53,24 +53,27 @@ class Hamster:
             self.monitoring._modules[mod.stats.module] = mod.stats
 
     # ---------------------------------------------------------- accounting
-    def charge_call(self) -> None:
-        """Charge one HAMSTER service-call overhead to the calling task.
+    def call_cost(self) -> float:
+        """Book one HAMSTER service-call overhead on the calling task's
+        node; returns the hold (``yield self._h.call_cost()``).
 
         Calls made outside any task context (test fixtures, startup code)
         are free — they model the job launcher, not measured execution.
         """
-        return self.engine.kernel(self.charge_call_g())
-
-    def charge_call_g(self):
-        """Generator kernel of :meth:`charge_call` (``yield from`` it)."""
         proc = self.engine.current_process
         if proc is None or self.call_overhead <= 0:
-            return
+            return 0.0
         rank = self.dsm._task_rank.get(proc.pid)
         if rank is None:
-            return
-        yield from self.cluster.node(
-            self.dsm.node_of(rank)).cpu_time_g(self.call_overhead)
+            return 0.0
+        return self.cluster.node(
+            self.dsm.node_of(rank)).cpu_cost(self.call_overhead)
+
+    def charge_call(self) -> None:
+        """Blocking form of :meth:`call_cost`: the calling task holds it."""
+        cost = self.call_cost()
+        if cost > 0:
+            self.engine.current_process.hold(cost)
 
     # ------------------------------------------------------------- startup
     def run_spmd(self, main: Callable, args: tuple = (),

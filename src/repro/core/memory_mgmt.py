@@ -23,6 +23,7 @@ from repro.errors import CapabilityError
 from repro.memory.address_space import Region
 from repro.memory.layout import Distribution
 from repro.memory.shared_array import SharedArray
+from repro.obs.spans import NULL_SPAN
 
 __all__ = ["MemoryMgmt"]
 
@@ -58,8 +59,10 @@ class MemoryMgmt:
                 distribution: Optional[Distribution] = None,
                 coherence: Optional[str] = None):
         """Generator kernel of :meth:`alloc` (``yield from`` it)."""
-        with self._h.engine.obs.span("svc.alloc", bytes=nbytes, name=name):
-            yield from self._h.charge_call_g()
+        obs = self._h.engine.obs
+        with (obs.span("svc.alloc", bytes=nbytes, name=name)
+              if obs.enabled else NULL_SPAN):
+            yield self._h.call_cost()
             if coherence is not None:
                 yield from self.require_g(f"consistency:{coherence}")
             region = self.dsm.allocate(nbytes, name=name,
@@ -81,8 +84,9 @@ class MemoryMgmt:
                       distribution: Optional[Distribution] = None,
                       coherence: Optional[str] = None):
         """Generator kernel of :meth:`alloc_array` (``yield from`` it)."""
-        with self._h.engine.obs.span("svc.alloc", name=name):
-            yield from self._h.charge_call_g()
+        obs = self._h.engine.obs
+        with obs.span("svc.alloc", name=name) if obs.enabled else NULL_SPAN:
+            yield self._h.call_cost()
             if coherence is not None:
                 yield from self.require_g(f"consistency:{coherence}")
             arr = self.dsm.make_array(shape, dtype=dtype, name=name,
@@ -154,7 +158,7 @@ class MemoryMgmt:
 
     def free_g(self, target):
         """Generator kernel of :meth:`free` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         region = target.region if isinstance(target, SharedArray) else target
         self.dsm.free(region)
         self.stats.incr("frees")
@@ -166,7 +170,7 @@ class MemoryMgmt:
 
     def capabilities_g(self):
         """Generator kernel of :meth:`capabilities` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("capability_probes")
         return self.dsm.capabilities()
 

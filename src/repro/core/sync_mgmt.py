@@ -23,6 +23,7 @@ from typing import Dict, List, Optional
 
 from repro.core.monitoring import ModuleStats
 from repro.errors import SynchronizationError
+from repro.obs.spans import NULL_SPAN
 from repro.sim.process import PARK
 
 __all__ = ["SyncMgmt", "ConditionVar", "Semaphore"]
@@ -54,7 +55,7 @@ class ConditionVar:
     def wait_g(self, timeout: Optional[float] = None):
         """Generator kernel of :meth:`wait` (``yield from`` it)."""
         sync = self.sync
-        yield from sync._h.charge_call_g()
+        yield sync._h.call_cost()
         sync.stats.incr("cond_waits")
         proc = sync._h.engine.require_process()
         self._waiters.append(proc)
@@ -79,7 +80,7 @@ class ConditionVar:
 
     def signal_g(self):
         """Generator kernel of :meth:`signal` (``yield from`` it)."""
-        yield from self.sync._h.charge_call_g()
+        yield self.sync._h.call_cost()
         self.sync.stats.incr("cond_signals")
         self.sync._cond_kick(self, broadcast=False)
 
@@ -88,7 +89,7 @@ class ConditionVar:
 
     def broadcast_g(self):
         """Generator kernel of :meth:`broadcast` (``yield from`` it)."""
-        yield from self.sync._h.charge_call_g()
+        yield self.sync._h.call_cost()
         self.sync.stats.incr("cond_signals")
         self.sync._cond_kick(self, broadcast=True)
 
@@ -157,8 +158,9 @@ class SyncMgmt:
     def lock_g(self, lock_id: int):
         """Generator kernel of :meth:`lock` (``yield from`` it)."""
         engine = self._h.engine
-        with engine.obs.span("svc.lock", lock=lock_id):
-            yield from self._h.charge_call_g()
+        obs = engine.obs
+        with obs.span("svc.lock", lock=lock_id) if obs.enabled else NULL_SPAN:
+            yield self._h.call_cost()
             self.stats.incr("lock_acquires")
             sharing = engine.sharing
             if sharing.enabled:
@@ -177,7 +179,7 @@ class SyncMgmt:
 
     def try_lock_g(self, lock_id: int):
         """Generator kernel of :meth:`try_lock` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         self.stats.incr("lock_tries")
         if (yield from self.dsm.try_lock_g(lock_id)):
             self._held.setdefault(self.dsm.current_rank(), []).append(lock_id)
@@ -191,8 +193,10 @@ class SyncMgmt:
     def unlock_g(self, lock_id: int):
         """Generator kernel of :meth:`unlock` (``yield from`` it)."""
         engine = self._h.engine
-        with engine.obs.span("svc.unlock", lock=lock_id):
-            yield from self._h.charge_call_g()
+        obs = engine.obs
+        with (obs.span("svc.unlock", lock=lock_id)
+              if obs.enabled else NULL_SPAN):
+            yield self._h.call_cost()
             self.stats.incr("lock_releases")
             rank = self.dsm.current_rank()
             held = self._held.get(rank, [])
@@ -221,7 +225,7 @@ class SyncMgmt:
         """Generator kernel of :meth:`barrier` (``yield from`` it)."""
         engine = self._h.engine
         with engine.obs.span("svc.barrier"):
-            yield from self._h.charge_call_g()
+            yield self._h.call_cost()
             self.stats.incr("barriers")
             sharing = engine.sharing
             if sharing.enabled:

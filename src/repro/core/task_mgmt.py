@@ -66,7 +66,7 @@ class TaskMgmt:
 
     def my_rank_g(self):
         """Generator kernel of :meth:`my_rank` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         return self.dsm.current_rank()
 
     def n_tasks(self) -> int:
@@ -75,7 +75,7 @@ class TaskMgmt:
 
     def n_tasks_g(self):
         """Generator kernel of :meth:`n_tasks` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         return self.dsm.n_procs
 
     def my_task(self) -> Optional[TaskHandle]:
@@ -101,7 +101,7 @@ class TaskMgmt:
     def spawn_local_g(self, rank: int, fn: Callable, args: tuple = (),
                       name: str = ""):
         """Generator kernel of :meth:`spawn_local` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         tid = next(self._tids)
         node = self._h.cluster.node(self.dsm.node_of(rank))
         handle = self._make_task(tid, rank, fn, args, name)
@@ -110,7 +110,7 @@ class TaskMgmt:
         # spawning task when one is running (startup spawns are free —
         # they model the job launcher, not application work).
         if self._h.engine.current_process is not None:
-            yield from node.cpu_time_g(self._h.params.task_spawn_cost)
+            yield node.cpu_cost(self._h.params.task_spawn_cost)
         handle.proc.start()
         return handle
 
@@ -152,7 +152,7 @@ class TaskMgmt:
 
     def join_g(self, handle_or_tid):
         """Generator kernel of :meth:`join` (``yield from`` it)."""
-        yield from self._h.charge_call_g()
+        yield self._h.call_cost()
         handle = self._resolve(handle_or_tid)
         self.stats.incr("joins")
         me = self._h.engine.require_process()

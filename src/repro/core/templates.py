@@ -77,11 +77,6 @@ class SpmdEnv:
         node = self.hamster.cluster.node(self.hamster.dsm.node_of(self.rank))
         node.compute(flops)
 
-    def compute_g(self, flops: float):
-        """Generator kernel of :meth:`compute` (``yield from`` it)."""
-        node = self.hamster.cluster.node(self.hamster.dsm.node_of(self.rank))
-        return node.compute_g(flops)
-
     def wtime(self) -> float:
         return self.hamster.timing.wtime()
 

@@ -50,6 +50,7 @@ from repro.memory.layout import Distribution
 from repro.memory.page import PageState, PageTable
 from repro.msg.active_messages import Reply
 from repro.msg.coalesce import MessagingFabric
+from repro.obs.spans import NULL_SPAN
 from repro.sim.process import PARK
 
 __all__ = ["JiaJiaSystem"]
@@ -260,10 +261,11 @@ class JiaJiaSystem(GlobalMemorySystem):
             # One span per page fault (the simulated SIGSEGV); its getpage
             # fetch, the fetch's wire transfers and any fault-injected
             # retransmissions all hang below it in the causal tree.
-            with obs.span("dsm.fault", rank=rank, page=page, write=write):
+            with (obs.span("dsm.fault", rank=rank, page=page, write=write)
+                  if obs.enabled else NULL_SPAN):
                 home = yield from self.home_of_g(page, rank)
                 state = pt.state(page)
-                yield from node.cpu_time_g(self.params.fault_handling_cost
+                yield node.cpu_cost(self.params.fault_handling_cost
                                            + self.params.hamster_fault_hook)
                 if home == rank:
                     # Home pages are served locally; first touch enables them.
@@ -295,13 +297,15 @@ class JiaJiaSystem(GlobalMemorySystem):
                             and pt.state(page) is PageState.READ_WRITE):
                         dirty[page] = region
         nbytes = sum(ln for _, ln in runs)
-        yield from node.mem_touch_g(nbytes)
+        yield node.bus.touch_cost(nbytes)
         return buf
 
     def _fetch_page_g(self, rank: int, region: Region, page: int, home: int):
         """getpage round trip; copies real home bytes into the local copy."""
         off, length = region.page_extent(page)
-        with self.engine.obs.span("dsm.fetch", rank=rank, page=page, home=home):
+        obs = self.engine.obs
+        with (obs.span("dsm.fetch", rank=rank, page=page, home=home)
+              if obs.enabled else NULL_SPAN):
             data = yield from self.chan.rpc_g(
                 self.node_of(rank), self.node_of(home), "getpage",
                 payload={"page": page, "region": region.region_id},
@@ -309,13 +313,14 @@ class JiaJiaSystem(GlobalMemorySystem):
             buf = self._buffer(rank, region)
             buf[off:off + length] = data
             node = self.cluster.node(self.node_of(rank))
-            yield from node.mem_touch_g(length)
+            yield node.bus.touch_cost(length)
         st = self.rank_stats[rank]
         st.pages_fetched += 1
         if self.engine.sharing.enabled:
             self.engine.sharing.fetch(rank, page, home, length,
                                       self.engine.now)
-        self.engine.trace.emit("jj.fetch", rank=rank, page=page, home=home)
+        if self.engine.trace.enabled:
+            self.engine.trace.emit("jj.fetch", rank=rank, page=page, home=home)
 
     def _h_getpage(self, msg):
         page = msg.payload["page"]
@@ -324,8 +329,8 @@ class JiaJiaSystem(GlobalMemorySystem):
         off, length = region.page_extent(page)
         buf = self._buffer(home, region)
         node = self.cluster.node(self.node_of(home))
-        yield from node.cpu_time_g(self.params.page_serve_cost)
-        yield from node.mem_touch_g(length)
+        yield node.cpu_cost(self.params.page_serve_cost)
+        yield node.bus.touch_cost(length)
         return Reply(payload=buf[off:off + length].copy(), size=length + PAGE_WIRE_HEADER)
 
     def _make_twin_g(self, rank: int, region: Region, page: int):
@@ -335,8 +340,8 @@ class JiaJiaSystem(GlobalMemorySystem):
         buf = self._buffer(rank, region)
         self._twins[rank][page] = buf[off:off + length].copy()
         node = self.cluster.node(self.node_of(rank))
-        yield from node.cpu_time_g(self.params.twin_fixed_cost)
-        yield from node.mem_touch_g(2 * length)
+        yield node.cpu_cost(self.params.twin_fixed_cost)
+        yield node.bus.touch_cost(2 * length)
         self.rank_stats[rank].twins_created += 1
 
     # ----------------------------------------------------------------- flush
@@ -365,8 +370,9 @@ class JiaJiaSystem(GlobalMemorySystem):
                 p: c for p, c in self._dirty_streak[rank].items() if p in dirty}
         if not dirty and not assumed:
             return []
-        with self.engine.obs.span("dsm.flush", rank=rank,
-                                  pages=len(dirty) + len(assumed)):
+        obs = self.engine.obs
+        with (obs.span("dsm.flush", rank=rank, pages=len(dirty) + len(assumed))
+              if obs.enabled else NULL_SPAN):
             return (yield from self._flush_dirty_g(rank, dirty, assumed))
 
     def _flush_dirty_g(self, rank: int, dirty: Dict[int, Region],
@@ -405,8 +411,8 @@ class JiaJiaSystem(GlobalMemorySystem):
             if region is not buf_region:
                 buf_region, buf = region, self._buffer(rank, region)
             off, length = region.page_extent(page)
-            yield from node.cpu_time_g(self.params.diff_fixed_cost)
-            yield from node.mem_touch_g(2 * length)
+            yield node.cpu_cost(self.params.diff_fixed_cost)
+            yield node.bus.touch_cost(2 * length)
             diff = make_diff(page, twin, buf[off:off + length])
             st.diffs_created += 1
             st.diff_bytes += diff.changed_bytes
@@ -444,9 +450,9 @@ class JiaJiaSystem(GlobalMemorySystem):
                 region = self.space.region_at(gaddr)
                 buf = self._buffer(home, region)
             off, length = region.page_extent(diff.page)
-            yield from node.cpu_time_g(self.params.diff_apply_fixed_cost)
+            yield node.cpu_cost(self.params.diff_apply_fixed_cost)
             written = apply_diff(buf[off:off + length], diff)
-            yield from node.mem_touch_g(2 * written)
+            yield node.bus.touch_cost(2 * written)
         return Reply(payload=True, size=8)
 
     # ----------------------------------------------------------- invalidation
@@ -466,16 +472,17 @@ class JiaJiaSystem(GlobalMemorySystem):
         node = self.cluster.node(self.node_of(rank))
         # Scanning the notice list is a cheap vectorized pass; the real
         # per-page cost (mprotect) applies only to pages actually present.
-        yield from node.cpu_time_g(len(notices) * self.params.notice_scan_cost)
+        yield node.cpu_cost(len(notices) * self.params.notice_scan_cost)
         if keep is None:
             return
         # This rank's valid pages are few next to the batch, which every
         # receiver shares: ask the batch about each instead of rescanning it.
         invalidated = pt.invalidate_many(notices.written_by_others(
             rank, [p for p in pt.valid_pages() if p not in keep]))
-        yield from node.cpu_time_g(invalidated * self.params.write_notice_cost)
+        yield node.cpu_cost(invalidated * self.params.write_notice_cost)
         st.pages_invalidated += invalidated
-        self.engine.trace.emit("jj.invalidate", rank=rank, pages=invalidated)
+        if self.engine.trace.enabled:
+            self.engine.trace.emit("jj.invalidate", rank=rank, pages=invalidated)
 
     # ------------------------------------------------------------------ locks
     def _manager_of(self, lock_id: int) -> int:
@@ -488,8 +495,10 @@ class JiaJiaSystem(GlobalMemorySystem):
 
     def lock_g(self, lock_id: int):
         rank = self.current_rank()
-        with self.engine.obs.span("dsm.lock", rank=rank, lock=lock_id):
-            yield from self.cluster.node(self.node_of(rank)).cpu_time_g(
+        obs = self.engine.obs
+        with (obs.span("dsm.lock", rank=rank, lock=lock_id)
+              if obs.enabled else NULL_SPAN):
+            yield self.cluster.node(self.node_of(rank)).cpu_cost(
                 self.params.hamster_sync_hook)
             st = self.rank_stats[rank]
             st.lock_acquires += 1
@@ -512,14 +521,16 @@ class JiaJiaSystem(GlobalMemorySystem):
 
     def _local_lock_acquire_g(self, lock_id: int, rank: int, cursor: int):
         node = self.cluster.node(self.node_of(rank))
-        yield from node.cpu_time_g(self.params.os_sync_cost)
+        yield node.cpu_cost(self.params.os_sync_cost)
         ls = self._lock_state(lock_id)
         if ls.holder is None:
             ls.holder = rank
             return self._notices_for(ls, cursor)
         waiter = _LocalWaiter(self.engine.require_process(), rank, cursor)
         ls.queue.append(waiter)
-        with self.engine.obs.span("dsm.wait", rank=rank, lock=lock_id):
+        obs = self.engine.obs
+        with (obs.span("dsm.wait", rank=rank, lock=lock_id)
+              if obs.enabled else NULL_SPAN):
             while not waiter.granted:
                 yield PARK
         return waiter.notices, waiter.seq
@@ -539,7 +550,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         cursor = self._cursors[rank].get(cursor_key, 0)
         if manager == rank:
             node = self.cluster.node(self.node_of(rank))
-            yield from node.cpu_time_g(self.params.os_sync_cost)
+            yield node.cpu_cost(self.params.os_sync_cost)
             ls = self._lock_state(lock_id)
             if ls.holder is not None:
                 return False
@@ -582,8 +593,10 @@ class JiaJiaSystem(GlobalMemorySystem):
 
     def unlock_g(self, lock_id: int):
         rank = self.current_rank()
-        with self.engine.obs.span("dsm.unlock", rank=rank, lock=lock_id):
-            yield from self.cluster.node(self.node_of(rank)).cpu_time_g(
+        obs = self.engine.obs
+        with (obs.span("dsm.unlock", rank=rank, lock=lock_id)
+              if obs.enabled else NULL_SPAN):
+            yield self.cluster.node(self.node_of(rank)).cpu_cost(
                 self.params.hamster_sync_hook)
             self.rank_stats[rank].lock_releases += 1
             yield from self._flush_g(rank)
@@ -603,7 +616,7 @@ class JiaJiaSystem(GlobalMemorySystem):
     def _local_lock_release_g(self, lock_id: int, rank: int,
                               notices: List[WriteNotice]):
         node = self.cluster.node(self.node_of(rank))
-        yield from node.cpu_time_g(self.params.os_sync_cost)
+        yield node.cpu_cost(self.params.os_sync_cost)
         yield from self._do_release_g(lock_id, rank, notices)
 
     def _h_lock_rel(self, msg):
@@ -648,8 +661,9 @@ class JiaJiaSystem(GlobalMemorySystem):
     # --------------------------------------------------------------- barrier
     def barrier_g(self):
         rank = self.current_rank()
-        with self.engine.obs.span("dsm.barrier", rank=rank):
-            yield from self.cluster.node(self.node_of(rank)).cpu_time_g(
+        obs = self.engine.obs
+        with obs.span("dsm.barrier", rank=rank) if obs.enabled else NULL_SPAN:
+            yield self.cluster.node(self.node_of(rank)).cpu_cost(
                 self.params.hamster_sync_hook)
             st = self.rank_stats[rank]
             st.barriers += 1
@@ -675,7 +689,9 @@ class JiaJiaSystem(GlobalMemorySystem):
         if len(self._barrier_round) == self.n_procs:
             yield from self._barrier_complete_g()
         else:
-            with self.engine.obs.span("dsm.wait", rank=rank, barrier=True):
+            obs = self.engine.obs
+            with (obs.span("dsm.wait", rank=rank, barrier=True)
+                  if obs.enabled else NULL_SPAN):
                 while not waiter.granted:
                     yield PARK
         yield from self._apply_notices_g(rank, waiter.notices)
@@ -694,7 +710,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         self._barrier_round = []
         self._barrier_generation += 1
         node0 = self.cluster.node(self.node_of(0))
-        yield from node0.cpu_time_g(len(merged) * self.params.notice_scan_cost)
+        yield node0.cpu_cost(len(merged) * self.params.notice_scan_cost)
         size = 16 + len(merged) * NOTICE_WIRE_BYTES
         for arrival in arrivals:
             if isinstance(arrival, _LocalWaiter):
@@ -718,7 +734,7 @@ class JiaJiaSystem(GlobalMemorySystem):
             if home != rank and p not in dirty:
                 pages.append(p)
         if pages:
-            yield from node.cpu_time_g(len(pages) * self.params.write_notice_cost)
+            yield node.cpu_cost(len(pages) * self.params.write_notice_cost)
             self.rank_stats[rank].pages_invalidated += pt.invalidate_many(pages)
 
     # ------------------------------------------------------------ consistency

@@ -136,7 +136,7 @@ class SciVmSystem(GlobalMemorySystem):
                                        self.engine.now)
                 gaddr += chunk
         if local_bytes:
-            yield from node.mem_touch_g(local_bytes)
+            yield node.bus.touch_cost(local_bytes)
         return self._buffers[region.region_id]
 
     # ------------------------------------------------------------------ sync

@@ -68,7 +68,7 @@ class SmpMemorySystem(GlobalMemorySystem):
         # collapses to a single bulk bus charge.
         node = self.cluster.node(self.node_of(rank))
         nbytes = sum(ln for _, ln in runs)
-        yield from node.mem_touch_g(nbytes)  # serialized on the shared bus
+        yield node.bus.touch_cost(nbytes)  # serialized on the shared bus
         if self.engine.sharing.enabled:
             # No protocol events on UMA (hardware coherence), but per-page
             # access counts and write ranges still locate bus hot spots.
@@ -84,7 +84,7 @@ class SmpMemorySystem(GlobalMemorySystem):
     def lock_g(self, lock_id: int):
         rank = self.current_rank()
         node = self.cluster.node(self.node_of(rank))
-        yield from node.cpu_time_g(self.params.os_sync_cost)
+        yield node.cpu_cost(self.params.os_sync_cost)
         t0 = self.engine.now
         yield from self._lock_for(lock_id).acquire_g()
         st = self.rank_stats[rank]
@@ -94,7 +94,7 @@ class SmpMemorySystem(GlobalMemorySystem):
     def try_lock_g(self, lock_id: int):
         rank = self.current_rank()
         node = self.cluster.node(self.node_of(rank))
-        yield from node.cpu_time_g(self.params.os_sync_cost)
+        yield node.cpu_cost(self.params.os_sync_cost)
         lk = self._lock_for(lock_id)
         if lk.locked:
             return False
@@ -105,14 +105,14 @@ class SmpMemorySystem(GlobalMemorySystem):
     def unlock_g(self, lock_id: int):
         rank = self.current_rank()
         node = self.cluster.node(self.node_of(rank))
-        yield from node.cpu_time_g(self.params.os_sync_cost)
+        yield node.cpu_cost(self.params.os_sync_cost)
         self._lock_for(lock_id).release()
         self.rank_stats[rank].lock_releases += 1
 
     def barrier_g(self):
         rank = self.current_rank()
         node = self.cluster.node(self.node_of(rank))
-        yield from node.cpu_time_g(self.params.os_sync_cost)
+        yield node.cpu_cost(self.params.os_sync_cost)
         st = self.rank_stats[rank]
         st.barriers += 1
         t0 = self.engine.now

@@ -23,7 +23,9 @@ most once — the retried attempt (worker) or the resumed sweep
   written (resume must treat the cell as uncommitted — and will find
   its result already cached);
 * ``orchestrator-post-commit`` — the scheduler, right after a commit
-  record is fsync'd (resume must restore the cell, not re-run it).
+  record is fsync'd (resume must restore the cell, not re-run it);
+* ``worker-cell-stall`` — a worker parks until killed right after its
+  first heartbeat of a cell (:func:`maybe_stall`), on every attempt.
 
 Unknown point names are accepted and simply never fire unless some code
 path calls :func:`maybe_crash` with them — tests may invent points
@@ -33,11 +35,12 @@ without touching this module.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, Optional
 
 __all__ = ["FAULTPOINT_ENV", "FAULTPOINT_EXIT", "WORKER_CELL_START",
-           "ORCH_PRE_COMMIT", "ORCH_POST_COMMIT", "parse_spec",
-           "maybe_crash", "crash_env"]
+           "WORKER_CELL_STALL", "ORCH_PRE_COMMIT", "ORCH_POST_COMMIT",
+           "parse_spec", "maybe_crash", "maybe_stall", "crash_env"]
 
 #: Environment variable naming the armed fault points.
 FAULTPOINT_ENV = "REPRO_FAULTPOINTS"
@@ -47,6 +50,7 @@ FAULTPOINT_ENV = "REPRO_FAULTPOINTS"
 FAULTPOINT_EXIT = 43
 
 WORKER_CELL_START = "worker-cell-start"
+WORKER_CELL_STALL = "worker-cell-stall"
 ORCH_PRE_COMMIT = "orchestrator-pre-commit"
 ORCH_POST_COMMIT = "orchestrator-post-commit"
 
@@ -84,6 +88,17 @@ def maybe_crash(point: str) -> None:
     with open(flag, "w", encoding="utf-8") as fh:
         fh.write(point + "\n")
     os._exit(FAULTPOINT_EXIT)
+
+
+def maybe_stall(point: str) -> None:
+    """Park the calling process until it is killed if ``point`` is armed;
+    every visit fires, and appends the point's name to its flag file."""
+    flag = parse_spec(os.environ.get(FAULTPOINT_ENV)).get(point)
+    if flag is None:
+        return
+    with open(flag, "a", encoding="utf-8") as fh:
+        fh.write(point + "\n")
+    threading.Event().wait()
 
 
 def crash_env(point: str, flag_path: str) -> Dict[str, str]:

@@ -160,6 +160,7 @@ def worker_main(job_q: Any, results: Any, suite: str = "sweep",
                 results.send(("beat", current["index"],
                               {"events_executed": int(events),
                                "virtual_seconds": float(virtual)}, pid))
+                faultpoints.maybe_stall(faultpoints.WORKER_CELL_STALL)
 
         install_heartbeat(emit, heartbeat)
     try:

@@ -24,7 +24,7 @@ from repro.errors import MessagingError
 __all__ = ["Message", "Network"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One network message.
 
@@ -137,9 +137,10 @@ class Network:
                        parent=msg.span_id, node=msg.src, src=msg.src,
                        dst=msg.dst, msg=msg.kind, size=msg.size,
                        msg_id=msg.msg_id)
-        self.engine.trace.emit("net.send", src=msg.src, dst=msg.dst,
-                               msg_kind=msg.kind, size=msg.size, arrive=arrive,
-                               msg_id=msg.msg_id)
+        if self.engine.trace.enabled:
+            self.engine.trace.emit("net.send", src=msg.src, dst=msg.dst,
+                                   msg_kind=msg.kind, size=msg.size,
+                                   arrive=arrive, msg_id=msg.msg_id)
 
     # ------------------------------------------------------------ overheads
     def sender_cpu_overhead(self) -> float:

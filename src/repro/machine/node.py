@@ -2,11 +2,11 @@
 
 A node does not itself run code — application work runs in simulated
 processes (see :mod:`repro.sim.process`) that *charge* their costs to the
-node they are placed on. The node provides the charging primitives:
-
-* :meth:`Node.compute` — CPU time for floating-point work,
-* :meth:`Node.cpu_time` / :meth:`Node.cpu_cycles` — raw CPU time,
-* :meth:`Node.mem_touch` — bulk memory traffic through the node's bus.
+node they are placed on. Charges are values: a cost function books the
+charge and returns the hold, which a stackless body yields
+(``yield node.cpu_cost(s)``) and the blocking form holds. CPU time:
+:meth:`Node.cpu_cost` / :meth:`Node.compute_cost`; bulk memory traffic:
+``node.bus.touch_cost``.
 """
 
 from __future__ import annotations
@@ -53,53 +53,35 @@ class Node:
         return f"<Node {self.node_id} cpus={self.n_cpus}>"
 
     # -------------------------------------------------------------- charges
-    # Each charging primitive has a blocking form (thread-backed callers)
-    # and a ``*_g`` generator twin (stackless callers ``yield from`` it).
-    # Both account identically and charge the same hold duration; they are
-    # kept as thin dual implementations rather than kernel() wrappers
-    # because these are the hottest call sites in the simulator.
-    def compute(self, flops: float) -> None:
-        """Charge the calling process for ``flops`` floating-point operations."""
-        if flops <= 0:
-            return
-        t = flops * self._sec_per_flop
-        self.compute_time += t
-        self.engine.require_process().hold(t)
+    def cpu_cost(self, seconds: float) -> float:
+        """Book ``seconds`` of raw CPU time; returns the hold to charge."""
+        if seconds <= 0:
+            return 0.0
+        self.compute_time += seconds
+        return seconds
 
-    def compute_g(self, flops: float):
-        """Stackless twin of :meth:`compute`."""
+    def compute_cost(self, flops: float) -> float:
+        """Book ``flops`` floating-point operations; returns the hold."""
         if flops <= 0:
-            return
+            return 0.0
         t = flops * self._sec_per_flop
         self.compute_time += t
-        yield t
+        return t
 
     def cpu_time(self, seconds: float) -> None:
-        """Charge raw CPU seconds (software overheads)."""
-        if seconds <= 0:
-            return
-        self.compute_time += seconds
-        self.engine.require_process().hold(seconds)
+        """Charge raw CPU seconds (software overheads) to the caller."""
+        if seconds > 0:
+            self.engine.require_process().hold(self.cpu_cost(seconds))
 
-    def cpu_time_g(self, seconds: float):
-        """Stackless twin of :meth:`cpu_time`."""
-        if seconds <= 0:
-            return
-        self.compute_time += seconds
-        yield seconds
+    def compute(self, flops: float) -> None:
+        """Charge the calling process for ``flops`` floating-point operations."""
+        if flops > 0:
+            self.engine.require_process().hold(self.compute_cost(flops))
 
     def cpu_cycles(self, cycles: float) -> None:
         """Charge CPU cycles at the node clock rate."""
         self.cpu_time(cycles / self.params.cpu_hz)
 
-    def cpu_cycles_g(self, cycles: float):
-        """Stackless twin of :meth:`cpu_cycles`."""
-        return self.cpu_time_g(cycles / self.params.cpu_hz)
-
     def mem_touch(self, nbytes: int) -> None:
         """Charge bulk memory traffic through this node's (shared) bus."""
         self.bus.touch(nbytes)
-
-    def mem_touch_g(self, nbytes: int):
-        """Stackless twin of :meth:`mem_touch`."""
-        return self.bus.touch_g(nbytes)

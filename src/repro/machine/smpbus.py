@@ -31,8 +31,12 @@ class MemoryBus:
         #: accumulated virtual seconds processes spent waiting for the bus
         self.contention_time: float = 0.0
 
-    def _charge(self, nbytes: int) -> float:
-        """Book the transfer on the bus; returns the caller's wait time."""
+    def touch_cost(self, nbytes: int) -> float:
+        """Book a transfer of ``nbytes`` on the bus; returns the hold that
+        completes it (``yield bus.touch_cost(n)``): queueing delay (if the
+        bus is busy) + fixed latency + ``nbytes``/bandwidth."""
+        if nbytes <= 0:
+            return 0.0
         now = self.engine.now
         start = max(now, self._free_at)
         xfer = self.params.mem_latency + nbytes / self.params.mem_bandwidth
@@ -42,21 +46,10 @@ class MemoryBus:
         return self._free_at - now
 
     def touch(self, nbytes: int) -> None:
-        """Charge the calling process for moving ``nbytes`` over this bus.
-
-        The process blocks until its transfer completes: queueing delay (if
-        the bus is busy) + fixed latency + ``nbytes``/bandwidth.
-        """
-        if nbytes <= 0:
-            return
-        proc = self.engine.require_process()
-        proc.hold(self._charge(nbytes))
-
-    def touch_g(self, nbytes: int):
-        """Stackless twin of :meth:`touch` (``yield from bus.touch_g(n)``)."""
-        if nbytes <= 0:
-            return
-        yield self._charge(nbytes)
+        """Charge the calling process for moving ``nbytes`` over this bus;
+        it blocks until its transfer completes."""
+        if nbytes > 0:
+            self.engine.require_process().hold(self.touch_cost(nbytes))
 
     def reset_stats(self) -> None:
         self.bytes_transferred = 0

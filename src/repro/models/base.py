@@ -15,6 +15,7 @@ from typing import Any, Callable, ClassVar, List, Optional, Sequence, Tuple
 
 from repro.core.hamster import Hamster
 from repro.errors import ModelError
+from repro.obs.spans import NULL_SPAN
 
 __all__ = ["ProgrammingModel"]
 
@@ -51,13 +52,13 @@ class ProgrammingModel:
         pid->rank table instead of ``current_rank()``.
         """
         obs = self.hamster.engine.obs
-        if not obs.enabled:
-            return obs.span(call)
-        proc = self.hamster.engine.current_process
-        rank = (self.hamster.dsm._task_rank.get(proc.pid)
-                if proc is not None else None)
-        return obs.span("api.call", call=call, rank=rank,
-                        model=self.MODEL_NAME)
+        if obs.enabled:
+            proc = self.hamster.engine.current_process
+            rank = (self.hamster.dsm._task_rank.get(proc.pid)
+                    if proc is not None else None)
+            return obs.span("api.call", call=call, rank=rank,
+                            model=self.MODEL_NAME)
+        return NULL_SPAN
 
     # ------------------------------------------------------------- identity
     def _rank(self) -> int:

@@ -43,17 +43,16 @@ class NativeJiaJiaApi:
         self._alloc_results: dict = {}
 
     # ------------------------------------------------------------- plumbing
-    def _charge(self) -> None:
-        """Thin native-wrapper cost per API call."""
+    def _cost(self) -> float:
+        """Book the thin native-wrapper cost of one API call; returns the
+        hold (``yield self._cost()``)."""
         rank = self.dsm.current_rank()
-        self.hamster.cluster.node(self.dsm.node_of(rank)).cpu_time(
+        return self.hamster.cluster.node(self.dsm.node_of(rank)).cpu_cost(
             self._params.native_call_overhead)
 
-    def _charge_g(self):
-        """Generator kernel of :meth:`_charge` (``yield from`` it)."""
-        rank = self.dsm.current_rank()
-        return self.hamster.cluster.node(self.dsm.node_of(rank)).cpu_time_g(
-            self._params.native_call_overhead)
+    def _charge(self) -> None:
+        """Blocking form of :meth:`_cost`."""
+        self.hamster.engine.require_process().hold(self._cost())
 
     def run(self, main: Callable, args: tuple = ()) -> List[Any]:
         if inspect.isgeneratorfunction(main):
@@ -71,7 +70,7 @@ class NativeJiaJiaApi:
         return self.dsm.current_rank(), self.dsm.n_procs
 
     def jia_init_g(self):
-        yield from self._charge_g()
+        yield self._cost()
         return self.dsm.current_rank(), self.dsm.n_procs
 
     def jia_exit(self) -> None:
@@ -79,7 +78,7 @@ class NativeJiaJiaApi:
         self.dsm.barrier()
 
     def jia_exit_g(self):
-        yield from self._charge_g()
+        yield self._cost()
         yield from self.dsm.barrier_g()
 
     def jia_alloc(self, nbytes: int, distribution: Optional[Distribution] = None):
@@ -87,7 +86,7 @@ class NativeJiaJiaApi:
         return self._collective(lambda: self.dsm.allocate(nbytes, distribution=distribution))
 
     def jia_alloc_g(self, nbytes: int, distribution: Optional[Distribution] = None):
-        yield from self._charge_g()
+        yield self._cost()
         return (yield from self._collective_g(
             lambda: self.dsm.allocate(nbytes, distribution=distribution)))
 
@@ -100,7 +99,7 @@ class NativeJiaJiaApi:
     def jia_alloc_array_g(self, shape: Sequence[int], dtype: Any = np.float64,
                           name: str = "",
                           distribution: Optional[Distribution] = None):
-        yield from self._charge_g()
+        yield self._cost()
         return (yield from self._collective_g(lambda: self.dsm.make_array(
             shape, dtype=dtype, name=name, distribution=distribution)))
 
@@ -129,7 +128,7 @@ class NativeJiaJiaApi:
         self.dsm.lock(lock_id)
 
     def jia_lock_g(self, lock_id: int):
-        yield from self._charge_g()
+        yield self._cost()
         yield from self.dsm.lock_g(lock_id)
 
     def jia_unlock(self, lock_id: int) -> None:
@@ -137,7 +136,7 @@ class NativeJiaJiaApi:
         self.dsm.unlock(lock_id)
 
     def jia_unlock_g(self, lock_id: int):
-        yield from self._charge_g()
+        yield self._cost()
         yield from self.dsm.unlock_g(lock_id)
 
     def jia_barrier(self) -> None:
@@ -145,7 +144,7 @@ class NativeJiaJiaApi:
         self.dsm.barrier()
 
     def jia_barrier_g(self):
-        yield from self._charge_g()
+        yield self._cost()
         yield from self.dsm.barrier_g()
 
     def jia_wtime(self) -> float:
@@ -153,5 +152,5 @@ class NativeJiaJiaApi:
         return self.hamster.engine.now
 
     def jia_wtime_g(self):
-        yield from self._charge_g()
+        yield self._cost()
         return self.hamster.engine.now

@@ -55,6 +55,7 @@ from typing import Any, Callable, Deque, Dict, Optional, Set
 
 from repro.errors import MessagingError, NodeFailedError, TimeoutError
 from repro.machine.interconnect import Message, Network
+from repro.obs.spans import NULL_SPAN
 from repro.sim.process import PARK, SimProcess
 from repro.sim.resources import SimQueue
 
@@ -210,15 +211,16 @@ class ActiveMessageLayer:
             # the message — the cross-rank edge of the causal tree. Work
             # here runs on this node's server, so it is attributed to this
             # node's resident rank, not the sender's.
-            with obs.span("am.handle", parent=msg.span_id,
-                          rank=node_id, node=node_id, msg=kind, src=msg.src):
+            with (obs.span("am.handle", parent=msg.span_id, rank=node_id,
+                           node=node_id, msg=kind, src=msg.src)
+                  if obs.enabled else NULL_SPAN):
                 # Receiver-side software cost: NIC/stack + AM dispatch.
                 cost = recv_cost.get(kind)
                 if cost is None:
                     cost = recv_cost[kind] = (
                         self.network.receiver_cpu_overhead()
                         + self._overhead_for(kind))
-                yield from node.cpu_time_g(cost)
+                yield node.cpu_cost(cost)
                 if self._reliable is not None and not self._accept(node_id, msg):
                     continue  # duplicate: acked again above, handler skipped
                 if msg.is_reply:
@@ -275,18 +277,20 @@ class ActiveMessageLayer:
             return self.stack_overhead
         return self._channel_overhead[best]
 
-    def _charge_send_g(self, src: int, kind: str):
-        return self.cluster.node(src).cpu_time_g(
+    def _send_cost(self, src: int, kind: str) -> float:
+        """Book the sender's per-message software cost; returns the hold."""
+        return self.cluster.node(src).cpu_cost(
             self.network.sender_cpu_overhead() + self._overhead_for(kind))
 
     def post_g(self, src: int, dst: int, kind: str, payload: Any = None,
                size: int = 0):
         """Generator kernel of :meth:`post` (``yield from`` it)."""
         obs = self.engine.obs
-        with obs.span("am.post", msg=kind, src=src, dst=dst):
+        with (obs.span("am.post", msg=kind, src=src, dst=dst)
+              if obs.enabled else NULL_SPAN):
             self._check_dead(dst)
             self.posts += 1
-            yield from self._charge_send_g(src, kind)
+            yield self._send_cost(src, kind)
             msg = Message(src=src, dst=dst, kind=kind,
                           size=size + AM_HEADER_BYTES, payload=payload)
             if obs.enabled:
@@ -309,13 +313,14 @@ class ActiveMessageLayer:
         """Generator kernel of :meth:`rpc` (``yield from`` it)."""
         caller = self.engine.require_process()
         obs = self.engine.obs
-        with obs.span("am.rpc", msg=kind, src=src, dst=dst):
+        with (obs.span("am.rpc", msg=kind, src=src, dst=dst)
+              if obs.enabled else NULL_SPAN):
             self._check_dead(dst)
             token = next(self._tokens)
             call = _PendingCall(caller, dst=dst)
             self._pending[token] = call
             self.rpcs += 1
-            yield from self._charge_send_g(src, kind)
+            yield self._send_cost(src, kind)
             msg = Message(src=src, dst=dst, kind=kind,
                           size=size + AM_HEADER_BYTES, payload=payload,
                           rpc_token=token)
@@ -334,7 +339,8 @@ class ActiveMessageLayer:
             # The reply-wait is the blocked share of the round trip — kept
             # as its own child span so critical-path attribution can split
             # protocol work from time spent parked.
-            with obs.span("am.wait", msg=kind, dst=dst):
+            with (obs.span("am.wait", msg=kind, dst=dst)
+                  if obs.enabled else NULL_SPAN):
                 while not call.done and call.failed is None:
                     yield PARK
             if call.failed is not None:
@@ -351,7 +357,7 @@ class ActiveMessageLayer:
         """Generator kernel of :meth:`reply` (``yield from`` it)."""
         if request.rpc_token is None:
             raise MessagingError("reply() to a message that is not an rpc")
-        yield from self._charge_send_g(request.dst, request.kind)
+        yield self._send_cost(request.dst, request.kind)
         msg = Message(src=request.dst, dst=request.src, kind="__reply__",
                       size=size + AM_HEADER_BYTES, payload=payload,
                       rpc_token=request.rpc_token, is_reply=True)
@@ -432,9 +438,10 @@ class ActiveMessageLayer:
             self._outstanding.pop(msg_id, None)
             on_fail = self._on_fail.pop(msg_id)
             self.delivery_failures += 1
-            self.engine.trace.emit("am.giveup", msg_kind=rec.msg.kind,
-                                   dst=rec.msg.dst, msg_id=msg_id,
-                                   attempts=rec.attempts)
+            if self.engine.trace.enabled:
+                self.engine.trace.emit("am.giveup", msg_kind=rec.msg.kind,
+                                       dst=rec.msg.dst, msg_id=msg_id,
+                                       attempts=rec.attempts)
             on_fail(TimeoutError(
                 f"message {rec.msg.kind!r} to node {rec.msg.dst} undelivered "
                 f"after {rec.attempts + 1} attempts"))
@@ -442,9 +449,10 @@ class ActiveMessageLayer:
         rec.attempts += 1
         rec.timeout *= policy.backoff
         self.retries += 1
-        self.engine.trace.emit("am.retry", msg_kind=rec.msg.kind,
-                               dst=rec.msg.dst, msg_id=msg_id,
-                               attempt=rec.attempts)
+        if self.engine.trace.enabled:
+            self.engine.trace.emit("am.retry", msg_kind=rec.msg.kind,
+                                   dst=rec.msg.dst, msg_id=msg_id,
+                                   attempt=rec.attempts)
         self.network.send(rec.msg)
         self.engine.schedule(rec.timeout,
                              lambda mid=msg_id: self._retransmit(mid))
@@ -458,8 +466,9 @@ class ActiveMessageLayer:
         seen = self._seen.setdefault(node_id, set())
         if msg.msg_id in seen:
             self.dups_suppressed += 1
-            self.engine.trace.emit("am.dup", node=node_id, msg_kind=msg.kind,
-                                   msg_id=msg.msg_id)
+            if self.engine.trace.enabled:
+                self.engine.trace.emit("am.dup", node=node_id,
+                                       msg_kind=msg.kind, msg_id=msg.msg_id)
             return False
         seen.add(msg.msg_id)
         order = self._seen_order.setdefault(node_id, deque())

@@ -10,9 +10,10 @@ handler's span links back to it — one causal tree across the cluster.
 Design constraints honoured here:
 
 * **Zero cost when disabled.** The engine's default observer is the shared
-  :data:`NULL_OBS` singleton: ``span()`` hands back one reusable no-op
-  context manager, nothing allocates, and — crucially — no instrumentation
-  anywhere charges virtual time, so disabled runs are bit-identical.
+  :data:`NULL_OBS` singleton. Per-event sites test ``obs.enabled`` and
+  enter the reusable no-op :data:`NULL_SPAN` without building any fields,
+  nothing allocates, and — crucially — no instrumentation anywhere
+  charges virtual time, so disabled runs are bit-identical.
 * **Tracer is the span sink.** Every span close is also emitted as an
   ``obs.span`` event into the engine's :class:`~repro.sim.trace.Tracer`, so
   the existing trace tooling (and the protocol tests built on it) see spans
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "ObsRecorder", "NullObserver", "NULL_OBS"]
+__all__ = ["Span", "ObsRecorder", "NullObserver", "NULL_OBS", "NULL_SPAN"]
 
 
 @dataclass
@@ -82,22 +83,24 @@ class _NullCtx:
         return None
 
 
-_NULL_CTX = _NullCtx()
+#: The reusable no-op span a site enters when its observer is off
+#: (``with obs.span(...) if obs.enabled else NULL_SPAN:``): no fields built.
+NULL_SPAN = _NullCtx()
 
 
 class NullObserver:
     """Observer that records nothing and allocates nothing.
 
-    Installed as every engine's default ``obs`` so instrumentation sites can
-    call ``engine.obs.span(...)`` unconditionally. All methods are no-ops;
-    ``enabled`` is False so hot paths may skip field computation entirely.
+    Installed as every engine's default ``obs``. All methods are no-ops;
+    ``enabled`` is False, and per-event instrumentation sites test it
+    before building any span fields (``tests/test_rules.py`` checks this).
     """
 
     enabled = False
     spans: List[Span] = []
 
     def span(self, kind: str, **fields: Any) -> _NullCtx:
-        return _NULL_CTX
+        return NULL_SPAN
 
     def begin(self, kind: str, **fields: Any) -> None:
         return None
@@ -196,7 +199,7 @@ class ObsRecorder:
             stack.pop()
         elif span in stack:          # closed out of order (defensive)
             stack.remove(span)
-        if self._sink_to_trace:
+        if self._sink_to_trace and self.engine.trace.enabled:
             self.engine.trace.emit("obs.span", span_id=span.span_id,
                                    span_kind=span.kind, begin=span.begin,
                                    dur=span.end - span.begin,
@@ -212,7 +215,7 @@ class ObsRecorder:
             parent = self.current_id()
         span = self._make(kind, begin, parent, rank, node, fields)
         span.end = end
-        if self._sink_to_trace:
+        if self._sink_to_trace and self.engine.trace.enabled:
             self.engine.trace.emit("obs.span", span_id=span.span_id,
                                    span_kind=span.kind, begin=span.begin,
                                    dur=span.end - span.begin,

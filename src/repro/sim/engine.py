@@ -11,19 +11,13 @@ back to the dispatcher; exactly one of {the ``run()`` caller, some process
 thread} executes at any instant, so no user-visible locking is needed
 anywhere in the framework.
 
-The event queue is built by :mod:`repro.sim.eventq`; the engine calls
-``heapq`` on its list directly. A stackless process whose hold ends
-*strictly* before the heap's head is its own next event, and
-``SimProcess._step`` dispatches it in place (no push, no pop).
-
-Dispatch migrates between threads by **direct hand-off**: the dispatch
-loop (:meth:`Engine._advance`) runs on whichever thread is giving up
-control. Waking a process costs one raw-lock release (the waker) plus one
-acquire (the sleeper); event callbacks execute inline on the current
-thread; and a process whose next event is its own resume continues with
-no lock traffic at all. The previous design parked/woke threads through
-two ``threading.Event`` round trips per hand-off, which dominated host
-time in profiles.
+One dispatch loop, :meth:`Engine._advance`, pops every event (``heapq``
+on the list :mod:`repro.sim.eventq` builds), runs callbacks inline and
+resumes stackless processes in place. A hold ending *strictly* before the
+heap's head is the process's own next event, dispatched without a push or
+a pop. For thread-backed processes (the reference backend) the loop runs
+on whichever thread is giving up control; waking one costs a raw-lock
+release (the waker) plus an acquire (the sleeper).
 """
 
 from __future__ import annotations
@@ -37,8 +31,10 @@ from repro.errors import DeadlockError, SimulationError
 from repro.obs.sharing import NULL_SHARING
 from repro.obs.spans import NULL_OBS
 from repro.sim.eventq import make_queue
-from repro.sim.process import SimProcess
+from repro.sim.process import PARK, SimProcess, run_unblocked
 from repro.sim.trace import Tracer
+
+_INF = float("inf")
 
 #: Process-wide default host hook, applied to every Engine built after
 #: :func:`set_host_hook`. Sweep worker processes use it to attach progress
@@ -213,20 +209,17 @@ class Engine:
         directly via ``yield from`` and never enters this method.
 
         From engine context (no current process) a kernel may still run as
-        long as it completes without yielding — this keeps non-blocking
+        long as it completes without blocking — this keeps non-blocking
         default implementations (e.g. a hardware-coherent substrate's
-        ``sync_consistency``) callable from host-side code, while any
-        attempt to actually block surfaces the usual context error.
+        ``sync_consistency``) and zero charges callable from host-side
+        code, while any attempt to actually block surfaces the usual
+        context error.
         """
         proc = self._current
         if proc is not None:
             return proc.drive(gen)
-        try:
-            gen.send(None)
-        except StopIteration as stop:
-            return stop.value
-        gen.close()
-        raise SimulationError("operation requires a simulated process context")
+        return run_unblocked(
+            gen, "operation requires a simulated process context")
 
     # -------------------------------------------------------------- dispatch
     def _advance(self, origin):
@@ -242,51 +235,92 @@ class Engine:
           park on its baton (process) or re-check stop state (run),
         * a stop reason (``"drained"`` / ``"until"`` / ``"exc"``) — only
           when ``origin`` is ``None``; run() acts on it directly.
+
+        A stackless body is resumed in place until it parks, exits or holds
+        past the heap's head. A hold ending strictly before the head (within
+        ``run(until=)``, no exception pending) is its own next event: the
+        loop does what a pop would (consume a ``seq``, set the clock, count
+        the event, fire the host hook) and resumes it again.
         """
         heap = self._heap
         until = self._until
+        limit = _INF if until is None else until
+        # Locals, not globals: the loop body runs once per event.
+        proc_type = SimProcess
+        park = PARK
+        pop, push = heappop, heappush
         while True:
             if self._pending_exc is not None:
                 return self._stop(origin, "exc")
             try:
-                when, seq, action = heappop(heap)
+                when, seq, action = pop(heap)
             except IndexError:
                 return self._stop(origin, "drained")
-            if until is not None and when > until:
+            if when > limit:
                 # Push back (same seq — ordering is unaffected by the round
                 # trip) and stop: the caller asked for a bounded run.
-                heappush(heap, (when, seq, action))
+                push(heap, (when, seq, action))
                 self._now = until
                 return self._stop(origin, "until")
             self._now = when
             self.events_executed += 1
             if self._hook_every and self.events_executed >= self._hook_next:
                 self._fire_host_hook()
-            if isinstance(action, SimProcess):
-                if not action.alive:
-                    continue  # stale resume for a finished process
-                if action.stackless:
-                    # Step the generator frame inline on this thread; it
-                    # returns at its next yield point (or on exit), so the
-                    # dispatch loop simply continues. A stackless process
-                    # never re-enters _advance — no reentrancy to guard.
-                    self._current = action
-                    action._step()
-                    self._current = None
-                    continue
+            if not isinstance(action, proc_type):
+                # Plain event callback: runs in engine context, inline on
+                # this thread.
+                self._current = None
+                try:
+                    action()
+                except BaseException as exc:  # noqa: BLE001 - re-raised from run()
+                    self._pending_exc = exc
+                continue
+            if not action.alive:
+                continue  # stale resume for a finished process
+            self._current = action
+            if not action.stackless:
                 if action is origin:
-                    self._current = origin
                     return "self"
-                self._current = action
                 action._baton.release()
                 return "handed"
-            # Plain event callback: runs in engine context, inline on this
-            # thread.
+            # A stackless body never re-enters _advance: no reentrancy.
+            send = action._gen.send
+            while True:
+                try:
+                    effect = send(None)
+                except StopIteration as stop:
+                    action.result = stop.value
+                    action._finish()
+                    break
+                except BaseException as exc:  # noqa: BLE001 - re-raised from run()
+                    action.exception = self._pending_exc = exc
+                    action._finish()
+                    break
+                if effect is park:
+                    break
+                if not isinstance(effect, (float, int)):
+                    err = SimulationError(
+                        f"{action}: generator body yielded {effect!r}; "
+                        "expected PARK or a hold duration in seconds")
+                    action.exception = self._pending_exc = err
+                    action._gen.close()
+                    action._finish()
+                    break
+                if effect <= 0:
+                    continue  # non-positive holds are no-ops, like hold()
+                when = self._now + effect
+                self._seq += 1
+                if ((not heap or when < heap[0][0]) and when <= limit
+                        and self._pending_exc is None):
+                    self._now = when
+                    self.events_executed += 1
+                    if (self._hook_every
+                            and self.events_executed >= self._hook_next):
+                        self._fire_host_hook()
+                    continue
+                push(heap, (when, self._seq, action))
+                break
             self._current = None
-            try:
-                action()
-            except BaseException as exc:  # noqa: BLE001 - re-raised from run()
-                self._pending_exc = exc
 
     def _stop(self, origin, reason: str):
         """A stop condition was hit while dispatching: report it to run()."""
@@ -367,9 +401,6 @@ class Engine:
             self._host_hook(self)
         except Exception:  # noqa: BLE001 — observability must never kill a run
             self._host_hook, self._hook_every = None, 0
-
-    def _set_current(self, process) -> None:
-        self._current = process
 
     def _report_exception(self, exc: BaseException) -> None:
         """Called from a process thread context when user code raised."""

@@ -6,9 +6,9 @@ time. Two execution backends implement it (``Engine(procs=...)`` /
 
 * ``"generator"`` (default) — a process whose body is a *generator
   function* runs **stackless**: the body yields at every blocking point and
-  the engine's dispatch loop drives it with one frame switch per context
-  switch. No OS thread, no baton lock, ~KBs of state per process — this is
-  what makes 1024-node topologies practical. Bodies that are plain
+  the engine's one dispatch loop (:meth:`Engine._advance`) resumes its
+  frame in place. No OS thread, no baton lock, ~KBs of state per process —
+  this is what makes 1024-node topologies practical. Bodies that are plain
   callables still get a backing thread (legacy code keeps working).
 * ``"thread"`` — the differential reference. Every process owns a real
   Python thread with strict baton hand-off; generator-function bodies are
@@ -20,8 +20,10 @@ The yield-point contract for generator bodies (and the ``*_g`` middleware
 kernels they call via ``yield from``):
 
 * ``yield <seconds>`` — advance this process's virtual time (the stackless
-  form of :meth:`hold`); durations ``<= 0`` are no-ops, exactly like
-  ``hold``.
+  form of :meth:`hold`); durations ``<= 0`` are no-ops in every context —
+  the dispatch loop, :meth:`drive` and :meth:`Engine.kernel` alike. Costs
+  are values: ``yield node.cpu_cost(s)`` books the charge and holds it, and
+  a zero charge yields ``0``.
 * ``yield PARK`` — park until some other event schedules this process
   (the stackless form of :meth:`suspend`/:meth:`wake`). Resumes can be
   spurious, so code parks in a re-checking loop when it waits for a
@@ -43,14 +45,11 @@ from __future__ import annotations
 import _thread
 import inspect
 import threading
-from heapq import heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
 __all__ = ["SimProcess", "PARK"]
-
-_INF = float("inf")
 
 
 class _Park:
@@ -65,6 +64,24 @@ class _Park:
 #: Yield this from a generator-style process body to block indefinitely
 #: until another process/event schedules the process (see module docs).
 PARK = _Park()
+
+
+def run_unblocked(gen, error: str) -> Any:
+    """Run kernel ``gen`` to its return value where nothing may block.
+
+    Non-positive holds are passed over (no-ops by the yield contract); a
+    real hold or a ``PARK`` closes the kernel and raises
+    ``SimulationError(error)``.
+    """
+    send = gen.send
+    try:
+        effect = send(None)
+        while isinstance(effect, (float, int)) and effect <= 0:
+            effect = send(None)
+    except StopIteration as stop:
+        return stop.value
+    gen.close()
+    raise SimulationError(error)
 
 
 class SimProcess:
@@ -96,7 +113,6 @@ class SimProcess:
         #: daemon processes (message servers) never count as deadlocked and
         #: do not keep the simulation alive.
         self.daemon = daemon
-        self._thread: Optional[threading.Thread] = None
         #: True once started with a generator body under the generator
         #: backend: no thread, no baton; the dispatch loop steps the frame.
         self.stackless = False
@@ -137,9 +153,8 @@ class SimProcess:
             baton = _thread.allocate_lock()
             baton.acquire()  # created locked: thread parks until first dispatch
             self._baton = baton
-            self._thread = threading.Thread(target=self._bootstrap,
-                                            name=str(self), daemon=True)
-            self._thread.start()
+            threading.Thread(target=self._bootstrap, name=str(self),
+                             daemon=True).start()
         self.engine.schedule(delay, self)
         return self
 
@@ -158,80 +173,21 @@ class SimProcess:
             self.exception = exc
             self.engine._report_exception(exc)
         finally:
-            self.alive = False
-            self.engine.trace.emit("proc.exit", proc=str(self))
-            # Wake joiners at the instant of death.
-            for waiter in self._waiters:
-                self.engine.schedule(0.0, waiter)
-            self._waiters.clear()
+            self._finish()
             # Terminal hand-off: keep dispatching on this thread until
             # control moves elsewhere (our own resume can no longer be
             # dispatched — alive is False), then let the thread exit.
             self.engine._advance(self)
 
-    # ------------------------------------------------------------- stackless
-    def _step(self) -> None:
-        """Advance the stackless body to its next yield point.
-
-        Called by the engine's dispatch loop whenever this process's resume
-        event is dispatched (``engine._current`` is already set). Never
-        raises: body exceptions are reported to the engine exactly like the
-        thread backend's ``_bootstrap`` does.
-
-        Own-resume fast path: a hold ending strictly before the heap's head
-        (within ``run(until=)``, no exception pending) would be pushed and
-        popped straight back, so it is dispatched in place, doing what
-        :meth:`Engine._advance` would: consume a ``seq``, set the clock,
-        count the event, fire the host hook. A tie goes through the heap.
-        """
-        gen = self._gen
-        engine = self.engine
-        heap = engine._heap
-        until = engine._until
-        if until is None:
-            until = _INF
-        send = gen.send
-        while True:
-            try:
-                effect = send(None)
-            except StopIteration as stop:
-                self.result = stop.value
-                break
-            except BaseException as exc:  # noqa: BLE001 - re-raised from run()
-                self.exception = exc
-                engine._report_exception(exc)
-                break
-            if effect is PARK:
-                return
-            if isinstance(effect, (float, int)):
-                if effect > 0:
-                    when = engine._now + effect
-                    engine._seq += 1
-                    if ((not heap or when < heap[0][0]) and when <= until
-                            and engine._pending_exc is None):
-                        engine._now = when
-                        engine.events_executed += 1
-                        if (engine._hook_every
-                                and engine.events_executed >= engine._hook_next):
-                            engine._fire_host_hook()
-                        continue
-                    heappush(heap, (when, engine._seq, self))
-                    return
-                continue  # non-positive holds are no-ops, like hold()
-            err = SimulationError(
-                f"{self}: generator body yielded {effect!r}; expected PARK "
-                "or a hold duration in seconds")
-            self.exception = err
-            engine._report_exception(err)
-            gen.close()
-            break
-        self._finish()
-
     def _finish(self) -> None:
-        """Terminal bookkeeping, mirroring ``_bootstrap``'s finally block."""
+        """Terminal bookkeeping of either backend: the body has returned or
+        raised (the dispatch loop calls this for stackless bodies)."""
         self.alive = False
         self._gen = None
-        self.engine.trace.emit("proc.exit", proc=str(self))
+        trace = self.engine.trace
+        if trace.enabled:
+            trace.emit("proc.exit", proc=str(self))
+        # Wake joiners at the instant of death.
         for waiter in self._waiters:
             self.engine.schedule(0.0, waiter)
         self._waiters.clear()
@@ -246,18 +202,11 @@ class SimProcess:
         share one implementation of every protocol.
         """
         if self.stackless:
-            # A kernel that never yields (zero-cost charge, pure query) is
-            # fine from stackless context; one that blocks must be reached
-            # through its *_g twin instead.
-            try:
-                gen.send(None)
-            except StopIteration as stop:
-                return stop.value
-            gen.close()
-            raise SimulationError(
+            # Fine if it never blocks (zero charges, pure queries).
+            return run_unblocked(gen, (
                 f"{self}: blocking call inside a stackless process; "
                 "generator-backend code must 'yield from' the *_g variant "
-                "of this operation instead")
+                "of this operation instead"))
         send = gen.send
         while True:
             try:
@@ -273,12 +222,6 @@ class SimProcess:
                 raise SimulationError(
                     f"{self}: generator kernel yielded {effect!r}; expected "
                     "PARK or a hold duration in seconds")
-
-    # -------------------------------------------------------------- handoff
-    def _park(self) -> None:
-        """Give up control; return when a dispatcher hands it back."""
-        if self.engine._advance(self) == "handed":
-            self._baton.acquire()
 
     # ------------------------------------------------------------- blocking
     def hold(self, duration: float) -> None:
@@ -306,7 +249,8 @@ class SimProcess:
             raise SimulationError(
                 f"{self}: suspend() inside a stackless process; the "
                 "generator body must 'yield PARK' instead")
-        self._park()
+        if self.engine._advance(self) == "handed":
+            self._baton.acquire()
 
     def wake(self, delay: float = 0.0) -> None:
         """Schedule a suspended process to resume ``delay`` seconds from now."""
@@ -318,12 +262,7 @@ class SimProcess:
         Re-raises nothing here — exceptions in ``other`` already abort the
         whole simulation via the engine.
         """
-        if other is self:
-            raise SimulationError("a process cannot join itself")
-        if other.alive:
-            other._waiters.append(self)
-            self.suspend()
-        return other.result
+        return self.drive(self.join_g(other))
 
     def join_g(self, other: "SimProcess"):
         """Stackless twin of :meth:`join` (``result = yield from p.join_g(q)``)."""

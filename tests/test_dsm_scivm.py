@@ -174,7 +174,6 @@ class TestMapper:
         mapper = RemoteMapper(cl.sci, 0, att_entries=2)
 
         def body(proc):
-            cl.engine._set_current(proc)
             assert mapper.ensure_mapped(1)
             assert mapper.ensure_mapped(2)
             assert not mapper.ensure_mapped(1)  # already mapped

@@ -3,10 +3,11 @@
 Covers the narration half of the journal contract end to end (the
 durability half — commits, replay, resume — is test_fabric_journal.py):
 the writer's flushed, ``t``-stamped lines and its one clock, the
-``validate_journal`` schema gate, the engine host hook heartbeats flow
-through, the sweep determinism guarantee (keeping a journal cannot
-change canonical records), symmetric progress callbacks, and the
-per-cell table's cache-stats / progress-at-kill surfaces.
+``validate_journal`` schema gate, the sweep determinism guarantee
+(keeping a journal cannot change canonical records), symmetric progress
+callbacks, and the per-cell table's cache-stats / progress-at-kill
+surfaces. The engine host hook heartbeats ride on is tested with the
+engine (test_sim_engine.py).
 """
 
 import json
@@ -16,8 +17,9 @@ import pytest
 from repro.fabric import (EVENT_KINDS, JOURNAL_SCHEMA, GridSpec, SweepJournal,
                           canonical_records_json, replay_journal, run_sweep,
                           validate_journal)
+from repro.fabric import faultpoints
 from repro.fabric.manifest import CellOutcome, SweepManifest
-from repro.sim.engine import Engine, clear_host_hook, set_host_hook
+from repro.fabric.worker import HOOK_EVERY_EVENTS
 from tests.test_fabric_sweep import SMALL, small_cache
 
 
@@ -114,49 +116,6 @@ class TestValidateEvents:
         assert errors and "cannot read" in errors[0]
 
 
-class TestEngineHostHook:
-    def teardown_method(self):
-        clear_host_hook()
-
-    def run_some_events(self, n=10):
-        engine = Engine()
-
-        def chain(remaining):
-            if remaining:
-                engine.schedule(0.001, lambda: chain(remaining - 1))
-
-        chain(n)
-        engine.run()
-        return engine
-
-    def test_default_hook_fires_every_n_events(self):
-        seen = []
-        set_host_hook(lambda eng: seen.append(eng.events_executed),
-                      every_events=3)
-        self.run_some_events(10)
-        assert seen and all(c % 3 == 0 for c in seen)
-
-    def test_hook_does_not_touch_virtual_time(self):
-        baseline = self.run_some_events(10).now
-        set_host_hook(lambda eng: None, every_events=1)
-        assert self.run_some_events(10).now == baseline
-
-    def test_hook_disarms_itself_on_exception(self):
-        calls = []
-
-        def boom(engine):
-            calls.append(1)
-            raise RuntimeError("observer crashed")
-
-        set_host_hook(boom, every_events=1)
-        self.run_some_events(10)     # must not propagate the error
-        assert len(calls) == 1
-
-    def test_bad_interval_is_rejected(self):
-        with pytest.raises(ValueError):
-            set_host_hook(lambda eng: None, every_events=0)
-
-
 class TestSweepEvents:
     def test_serial_sweep_produces_a_valid_log(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -208,20 +167,25 @@ class TestSweepEvents:
                   progress=lambda cell, outcome: seen.append(outcome))
         assert sorted(seen) == ["hit", "miss"]
 
-    def test_timeout_records_progress_at_kill(self, tmp_path):
-        # A cell no plausible host finishes inside the timeout (~1M events,
-        # 40x the MatMult@0.5 cell this used to race against) and whose
-        # events start flowing, heartbeats with them, within milliseconds.
+    def test_timeout_records_progress_at_kill(self, tmp_path, monkeypatch):
+        # Every attempt parks right after its first heartbeat, so the cell
+        # cannot finish inside the timeout however fast the host is, and
+        # the progress at the kill is that heartbeat: the engine hook's
+        # first firing, HOOK_EVERY_EVENTS events into a small cell.
+        flag = tmp_path / "stalled"
+        monkeypatch.setenv(faultpoints.FAULTPOINT_ENV,
+                           f"{faultpoints.WORKER_CELL_STALL}@{flag}")
         spec = GridSpec(presets=("sw-dsm-4",), labels=("SOR",),
-                        scales=(2.0,), timeout=1.0)
+                        scales=(0.05,), timeout=1.0)
         path = str(tmp_path / "journal.jsonl")
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
                            stall_grace=0.5, journal=path, heartbeat=0.02)
         assert validate_journal(path) == []
+        assert flag.read_text().split() == [faultpoints.WORKER_CELL_STALL] * 2
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"
         assert cell.progress is not None
-        assert cell.progress["events_executed"] > 0
+        assert cell.progress["events_executed"] == HOOK_EVERY_EVENTS
         assert cell.progress["virtual_seconds"] > 0.0
         # the timeout message carries the same progress numbers
         assert "events" in cell.error and "virtual" in cell.error

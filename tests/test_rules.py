@@ -6,6 +6,11 @@
 * No cleanup that outlives nothing: a plain function that returns a call
   to a generator function from inside ``try … finally`` or ``with`` runs
   its cleanup when the generator is *created*, before its body executes.
+* No fields for an observer that is off: in the packages every simulated
+  event passes through, a ``.emit(`` / ``.span(`` / ``.record(`` call that
+  passes keyword fields sits under its receiver's ``.enabled`` test (an
+  ``if`` or a conditional expression), so a disabled tracer or observer
+  costs one attribute test, not a dict of fields.
 """
 
 import ast
@@ -189,3 +194,74 @@ def _sor_with_dist(api, sor_mod, dist_factory, n):
 def test_the_cleanup_rule_fails_on_a_seeded_violation(seeded, expected):
     fns = functions_of(ast.parse(seeded))
     assert cleanup_findings(fns, *generator_names(fns)) == expected
+
+
+# ------------------------------------------- no fields for an observer that is off
+HOT_PACKAGES = ("sim", "machine", "memory", "msg", "dsm", "core", "models")
+_OBSERVER_CALLS = {"emit", "span", "record"}
+_SCOPES = (*_DEFS, ast.Lambda)
+
+
+def _enabled_in(test):
+    """Receivers whose ``.enabled`` must be true for ``test`` to hold."""
+    parts = (test.values if isinstance(test, ast.BoolOp)
+             and isinstance(test.op, ast.And) else [test])
+    return {ast.dump(part.value) for part in parts
+            if isinstance(part, ast.Attribute) and part.attr == "enabled"}
+
+
+def unguarded_observer_calls(tree, where="<seeded>"):
+    """``where:line receiver.call()`` for every observer call with keyword
+    fields that its receiver's ``.enabled`` test does not guard."""
+    found = []
+    stack = [(tree, frozenset())]
+    while stack:
+        node, guards = stack.pop()
+        if isinstance(node, (ast.If, ast.IfExp)):
+            inner = guards | _enabled_in(node.test)
+            body, orelse = ((node.body, node.orelse) if isinstance(node, ast.If)
+                            else ([node.body], [node.orelse]))
+            stack.append((node.test, guards))
+            stack.extend((child, inner) for child in body)
+            stack.extend((child, guards) for child in orelse)
+            continue
+        if isinstance(node, _SCOPES):
+            guards = frozenset()            # a test outside does not run here
+        elif (isinstance(node, ast.Call) and node.keywords
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in _OBSERVER_CALLS
+              and ast.dump(node.func.value) not in guards):
+            found.append(f"{where}:{node.lineno} {ast.unparse(node.func)}()")
+        stack.extend((child, guards) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_observer_fields_are_built_only_when_enabled():
+    found = [f for pkg in HOT_PACKAGES
+             for path in sorted((SRC / pkg).rglob("*.py"))
+             for f in unguarded_observer_calls(parsed(path),
+                                               str(path.relative_to(ROOT)))]
+    assert found == []
+
+
+@pytest.mark.parametrize("seeded,expected", [
+    ("trace.emit('net.send', src=1)\n", ["<seeded>:1 trace.emit()"]),
+    ("with self.engine.obs.span('dsm.lock', rank=r):\n    pass\n",
+     ["<seeded>:1 self.engine.obs.span()"]),
+    # the guard must test the call's own receiver, and the call must sit
+    # in the guarded branch, in the same function
+    ("if obs.enabled:\n    trace.emit('x', a=1)\n", ["<seeded>:2 trace.emit()"]),
+    ("if not obs.enabled:\n    pass\nelse:\n    obs.record('x', begin=0)\n",
+     ["<seeded>:4 obs.record()"]),
+    ("if obs.enabled:\n    def f():\n        obs.span('x', a=1)\n",
+     ["<seeded>:3 obs.span()"]),
+    # guarded, or nothing to build
+    ("if trace.enabled and n:\n    trace.emit('x', a=1)\n", []),
+    ("with (obs.span('x', a=1) if obs.enabled else NULL_SPAN):\n    pass\n",
+     []),
+    ("if self.engine.trace.enabled:\n"
+     "    self.engine.trace.emit('hb', node=1)\n", []),
+    ("with obs.span('svc.barrier'):\n    pass\n", []),
+])
+def test_the_observer_rule_fails_on_a_seeded_violation(seeded, expected):
+    assert unguarded_observer_calls(ast.parse(seeded)) == expected

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, clear_host_hook, set_host_hook
 from repro.sim.eventq import HeapEventQueue, make_queue
 from repro.sim.process import PARK, SimProcess
 from repro.sim.trace import Tracer
@@ -267,9 +267,12 @@ def _run_resume_program(programs, segments, hook_every):
 
 
 class TestOwnResumeFastPath:
-    """``SimProcess._step`` dispatches its own resume in place when it is
-    strictly the next event; nothing observable may differ from pushing
-    it onto the heap and popping it straight back."""
+    """``Engine._advance`` dispatches a stackless process's own resume in
+    place when it is strictly the next event; nothing observable may
+    differ from pushing it onto the heap and popping it straight back.
+    The oracle fails on each of four mutants of that loop: ``<`` made
+    ``<=``, the ``until`` bound, the event count or the hook call
+    dropped."""
 
     @settings(max_examples=300, deadline=None)
     @given(drawn=_resume_programs)
@@ -294,6 +297,49 @@ class TestOwnResumeFastPath:
         engine.schedule(1.0, lambda: order.append(("call", engine.now)))
         engine.run()
         assert order == [("call", 1.0), ("proc", 1.0)]
+
+
+class TestEngineHostHook:
+    def teardown_method(self):
+        clear_host_hook()
+
+    def run_some_events(self, n=10):
+        engine = Engine()
+
+        def chain(remaining):
+            if remaining:
+                engine.schedule(0.001, lambda: chain(remaining - 1))
+
+        chain(n)
+        engine.run()
+        return engine
+
+    def test_default_hook_fires_every_n_events(self):
+        seen = []
+        set_host_hook(lambda eng: seen.append(eng.events_executed),
+                      every_events=3)
+        self.run_some_events(10)
+        assert seen and all(c % 3 == 0 for c in seen)
+
+    def test_hook_does_not_touch_virtual_time(self):
+        baseline = self.run_some_events(10).now
+        set_host_hook(lambda eng: None, every_events=1)
+        assert self.run_some_events(10).now == baseline
+
+    def test_hook_disarms_itself_on_exception(self):
+        calls = []
+
+        def boom(engine):
+            calls.append(1)
+            raise RuntimeError("observer crashed")
+
+        set_host_hook(boom, every_events=1)
+        self.run_some_events(10)     # must not propagate the error
+        assert len(calls) == 1
+
+    def test_bad_interval_is_rejected(self):
+        with pytest.raises(ValueError):
+            set_host_hook(lambda eng: None, every_events=0)
 
 
 class TestProcessesAndErrors:

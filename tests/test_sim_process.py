@@ -47,6 +47,70 @@ class TestHold:
         assert order == ["a@1", "b@2", "a@3"]
 
 
+def _zero_charges(value):
+    """A kernel that charges only zero costs, as ``yield cost`` does when a
+    cost function books nothing."""
+    yield 0
+    yield 0.0
+    yield -1.0
+    return value
+
+
+def _one_hold():
+    yield 1e-6
+
+
+class TestZeroHoldsAreNoOps:
+    """``yield 0`` holds nothing, and is no event, in every context."""
+
+    def test_stackless_step(self, engine):
+        def body(proc):
+            return (yield from _zero_charges(proc.now))
+
+        assert run_procs(engine, body) == [0.0]
+        assert engine.events_executed == 1      # the start, nothing else
+
+    def test_thread_drive(self):
+        engine = Engine(procs="thread")
+
+        def body(proc):
+            return proc.drive(_zero_charges(7)), proc.now
+
+        assert run_procs(engine, body) == [(7, 0.0)]
+        assert engine.events_executed == 1
+
+    def test_blocking_wrapper_in_a_stackless_process(self, engine):
+        def body(proc):
+            yield 0
+            assert engine.kernel(_zero_charges(3)) == 3
+            with pytest.raises(SimulationError, match="stackless"):
+                engine.kernel(_one_hold())
+            return proc.now
+
+        assert run_procs(engine, body) == [0.0]
+
+    def test_engine_kernel_with_no_current_process(self, engine):
+        assert engine.current_process is None
+        assert engine.kernel(_zero_charges("free")) == "free"
+        with pytest.raises(SimulationError, match="process context"):
+            engine.kernel(_one_hold())
+        assert engine.now == 0.0 and engine.events_executed == 0
+
+    def test_service_calls_from_launcher_context_stay_free(self):
+        from repro.config import preset
+
+        plat = preset("sw-dsm-4").build()
+        hamster = plat.hamster
+        assert hamster.call_overhead > 0
+        assert hamster.call_cost() == 0.0
+        hamster.charge_call()
+        # a service kernel now yields its zero call cost from here
+        assert hamster.task.n_tasks() == 4
+        assert plat.engine.now == 0.0
+        assert all(plat.cluster.node(n).compute_time == 0.0
+                   for n in range(4))
+
+
 class TestSuspendWake:
     def test_suspend_until_woken(self, engine):
         def sleeper(proc):
