@@ -19,7 +19,7 @@ same drops, retries, detection times, and output.
 from repro.config import preset
 from repro.errors import NodeFailedError
 from repro.faults import FaultPlan, NodeCrash, run_chaos
-from repro.tools.monitor import AttachedMonitor
+from repro.obs import AttachedMonitor
 
 SOR = {"n": 96, "iterations": 4}
 

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.bench.loc_metrics import model_complexity_table
@@ -207,11 +208,9 @@ def main(argv: List[str]) -> int:
           "wall-clock)*")
 
     if args.json_out:
-        from repro.tools.export import write_text
-
-        write_text(args.json_out,
-                   json.dumps(experiments_doc(scale, times), indent=2,
-                              sort_keys=True) + "\n")
+        Path(args.json_out).write_text(
+            json.dumps(experiments_doc(scale, times), indent=2,
+                       sort_keys=True) + "\n", encoding="utf-8")
         print(f"\njson telemetry: written to {args.json_out}")
     return 0
 

@@ -64,6 +64,7 @@ import argparse
 import functools
 import os
 import sys
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.apps.common import APP_TABLE
@@ -143,20 +144,19 @@ def _apply_obs(config, args) -> None:
 
 def _export_obs(plat, args) -> None:
     """Write the requested trace/metrics files after a run."""
-    from repro.tools.export import write_text
-
     if getattr(args, "trace_out", None):
         from repro.obs import chrome_trace_json
 
-        write_text(args.trace_out, chrome_trace_json(
+        Path(args.trace_out).write_text(chrome_trace_json(
             plat.obs, metrics=plat.metrics,
-            platform_name=plat.hamster.platform_description()))
+            platform_name=plat.hamster.platform_description()),
+            encoding="utf-8")
         print(f"trace    : written to {args.trace_out}")
     if getattr(args, "metrics_out", None):
         path = args.metrics_out
         text = (plat.metrics.to_csv() if path.endswith(".csv")
                 else plat.metrics.to_json())
-        write_text(path, text)
+        Path(path).write_text(text, encoding="utf-8")
         print(f"metrics  : written to {path} ({len(plat.metrics)} samples)")
     if getattr(args, "sharing_out", None):
         import json as _json
@@ -167,8 +167,8 @@ def _export_obs(plat, args) -> None:
                              platform_name=plat.hamster.platform_description(),
                              n_ranks=plat.dsm.n_procs,
                              page_size=plat.dsm.space.page_size)
-        write_text(args.sharing_out, _json.dumps(doc, indent=2,
-                                                 sort_keys=True))
+        Path(args.sharing_out).write_text(
+            _json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
         print(f"sharing  : written to {args.sharing_out} "
               f"({len(doc['ping_pong'])} ping-pong pages, "
               f"{len(doc['false_sharing']['pages'])} false sharing)")
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--native", action="store_true",
                      help="bind the JiaJia API natively (Figure 2 baseline)")
     run.add_argument("--profile", action="store_true",
-                     help="print the tools.profile report after the run")
+                     help="print the profile report after the run")
     run.add_argument("--json", metavar="PATH",
                      help="write the run result (+ profile) as JSON")
     _add_fault_options(run)
@@ -478,14 +478,15 @@ def _cmd_run(args) -> int:
     for phase, seconds in sorted(merged.phases.items()):
         print(f"  {phase:>10s}: {seconds * 1e3:10.3f} ms")
     if args.profile:
-        from repro.tools import profile_platform
+        from repro.obs.profile import profile_platform
 
         print()
         print(profile_platform(plat).render())
     if args.json:
-        from repro.tools.export import run_to_json, write_text
+        from repro.obs import run_to_json
 
-        write_text(args.json, run_to_json(merged, platform=plat))
+        Path(args.json).write_text(run_to_json(merged, platform=plat),
+                                   encoding="utf-8")
         print(f"json     : written to {args.json}")
     _export_obs(plat, args)
     return 0 if merged.verified else 1
@@ -586,7 +587,6 @@ def _cmd_diagnose(args) -> int:
     from repro.models.jiajia_api import JiaJiaApi
     from repro.obs import (render_sharing_report, sharing_chrome_trace,
                            sharing_heatmap_csv, sharing_report)
-    from repro.tools.export import write_text
 
     config = load(args.config) if args.config else preset(args.preset)
     plan = _resolve_plan(args)
@@ -608,14 +608,16 @@ def _cmd_diagnose(args) -> int:
     print()
     print(render_sharing_report(doc))
     if args.json_out:
-        write_text(args.json_out, json.dumps(doc, indent=2, sort_keys=True))
+        Path(args.json_out).write_text(
+            json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
         print(f"report   : written to {args.json_out}")
     if args.heatmap_out:
-        write_text(args.heatmap_out, sharing_heatmap_csv(plat.sharing))
+        Path(args.heatmap_out).write_text(sharing_heatmap_csv(plat.sharing),
+                                          encoding="utf-8")
         print(f"heatmap  : written to {args.heatmap_out}")
     if args.trace_out:
         trace = sharing_chrome_trace(plat.sharing, platform_name=pname)
-        write_text(args.trace_out, json.dumps(trace))
+        Path(args.trace_out).write_text(json.dumps(trace), encoding="utf-8")
         print(f"trace    : written to {args.trace_out} "
               f"({len(trace['traceEvents'])} events)")
     return 0 if merged.verified else 1
@@ -641,7 +643,6 @@ def _print_bench_summary(doc) -> None:
 def _cmd_bench(args) -> int:
     from repro.bench.telemetry import (load_telemetry, run_suite_telemetry,
                                        telemetry_to_json, validate_telemetry)
-    from repro.tools.export import write_text
 
     if args.bench_command == "run":
         cache = None
@@ -669,7 +670,8 @@ def _cmd_bench(args) -> int:
             print(f"cache    : {store.hits} hit(s), {store.misses} miss(es) "
                   f"in {store.root}")
         if args.json_out:
-            write_text(args.json_out, telemetry_to_json(doc))
+            Path(args.json_out).write_text(telemetry_to_json(doc),
+                                           encoding="utf-8")
             print(f"telemetry: written to {args.json_out}")
         return 0
 
@@ -690,7 +692,8 @@ def _cmd_bench(args) -> int:
         print()
         print(render_scaling(doc))
         if args.json_out:
-            write_text(args.json_out, telemetry_to_json(doc))
+            Path(args.json_out).write_text(telemetry_to_json(doc),
+                                           encoding="utf-8")
             print(f"telemetry: written to {args.json_out}")
         return 0
 
@@ -709,7 +712,7 @@ def _cmd_bench(args) -> int:
         else:
             text = telemetry_markdown(doc, metrics=metrics)
         if args.out:
-            write_text(args.out, text)
+            Path(args.out).write_text(text, encoding="utf-8")
             print(f"report   : written to {args.out}")
         else:
             print(text)
@@ -775,7 +778,6 @@ def _sweep_report(args) -> int:
 
     from repro.obs.export import validate_chrome_trace
     from repro.obs.fleet import FleetReport
-    from repro.tools.export import write_text
 
     loaded = _replay_for(args, "report")
     if loaded is None:
@@ -791,7 +793,7 @@ def _sweep_report(args) -> int:
         records = load_telemetry(telemetry).get("records")
     report = FleetReport(loaded[1], records=records)
     if args.json_out:
-        write_text(args.json_out, report.to_json())
+        Path(args.json_out).write_text(report.to_json(), encoding="utf-8")
         print(f"fleet json : written to {args.json_out}")
     if args.trace_out:
         trace = report.chrome_trace()
@@ -800,7 +802,8 @@ def _sweep_report(args) -> int:
             for err in errors:
                 print(f"trace schema error: {err}")
             return 2
-        write_text(args.trace_out, _json.dumps(trace, sort_keys=True) + "\n")
+        Path(args.trace_out).write_text(
+            _json.dumps(trace, sort_keys=True) + "\n", encoding="utf-8")
         print(f"trace      : written to {args.trace_out}")
     if not (args.json_out or args.trace_out):
         print(report.to_json(), end="")
@@ -837,7 +840,6 @@ def _finish_sweep(result, json_out, journal_path,
     (0 ok, 1 failed cells, 2 schema, 3 expect-cached, 4 aborted,
     5 interrupted)."""
     from repro.bench.telemetry import telemetry_to_json, validate_telemetry
-    from repro.tools.export import write_text
 
     manifest = result.manifest
     print()
@@ -849,7 +851,8 @@ def _finish_sweep(result, json_out, journal_path,
                 print(f"schema error: {err}")
             return 2
         if json_out:
-            write_text(json_out, telemetry_to_json(result.doc))
+            Path(json_out).write_text(telemetry_to_json(result.doc),
+                                      encoding="utf-8")
             print(f"telemetry: written to {json_out}")
     elif json_out:
         print("telemetry: no successful cells, nothing written")

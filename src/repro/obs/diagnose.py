@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.export import counter, process_name, trace_document
 from repro.obs.sharing import SharingRecorder
 
 __all__ = ["SHARING_SCHEMA", "compress_writers", "ping_pong_pages",
@@ -44,8 +45,6 @@ SHARING_SCHEMA = "repro.obs.sharing/1"
 #: Chrome-trace pid for the sharing counter tracks (the span exporter uses
 #: ranks and CLUSTER_PID=99; 98 keeps the tracks separate).
 SHARING_PID = 98
-
-_US = 1e6
 
 
 # --------------------------------------------------------------- detectors
@@ -460,40 +459,22 @@ def sharing_chrome_trace(recorder: SharingRecorder, platform_name: str = "",
     hottest = sorted(grid,
                      key=lambda p: (-sum(sum(c.values())
                                          for c in grid[p].values()), p))[:top]
-    events: List[Dict[str, Any]] = [{
-        "name": "process_name", "ph": "M", "ts": 0.0, "pid": SHARING_PID,
-        "tid": 0, "args": {"name": "page sharing"},
-    }]
+    events = [process_name(SHARING_PID, "page sharing")]
+    groups = ("faults", "fetches", "invalidations", "writes")
     for page in hottest:
         cells = grid[page]
         for b in sorted(cells):
-            cell = cells[b]
-            events.append({
-                "name": f"page {page}",
-                "cat": "sharing", "ph": "C",
-                "ts": b * width * _US,
-                "pid": SHARING_PID, "tid": 0,
-                "args": {"faults": cell.get("faults", 0),
-                         "fetches": cell.get("fetches", 0),
-                         "invalidations": cell.get("invalidations", 0),
-                         "writes": cell.get("writes", 0)},
-            })
+            events.append(counter(f"page {page}", "sharing", b * width,
+                                  SHARING_PID,
+                                  {g: cells[b].get(g, 0) for g in groups}))
         # Zero the counter at the horizon so Perfetto closes the series.
-        events.append({
-            "name": f"page {page}", "cat": "sharing", "ph": "C",
-            "ts": bins * width * _US, "pid": SHARING_PID, "tid": 0,
-            "args": {"faults": 0, "fetches": 0, "invalidations": 0,
-                     "writes": 0},
-        })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"platform": platform_name,
-                      "total_virtual_seconds": recorder.engine.now,
-                      "pages_tracked": len(recorder.pages),
-                      "stream_events": len(recorder.events),
-                      "stream_dropped": recorder.dropped},
-    }
+        events.append(counter(f"page {page}", "sharing", bins * width,
+                              SHARING_PID, dict.fromkeys(groups, 0)))
+    return trace_document(events, platform=platform_name,
+                          total_virtual_seconds=recorder.engine.now,
+                          pages_tracked=len(recorder.pages),
+                          stream_events=len(recorder.events),
+                          stream_dropped=recorder.dropped)
 
 
 # ----------------------------------------------------------------- summary

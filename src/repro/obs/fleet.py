@@ -33,12 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from repro.obs.export import complete, counter, process_name, trace_document
+
 if TYPE_CHECKING:  # repro.obs must not pull the fabric in at import
     from repro.fabric.journal import JournalState
 
 __all__ = ["WorkerStats", "FleetReport"]
-
-_US = 1e6  # seconds -> microseconds (Chrome trace unit)
 
 
 @dataclass
@@ -333,49 +333,27 @@ class FleetReport:
         for wid in sorted(self.workers):
             ws = self.workers[wid]
             for begin, end, cell, cell_id, ok in ws.slices:
-                events.append({
-                    "name": cell_id,
-                    "cat": "cell" if ok else "cell-failed",
-                    "ph": "X",
-                    "ts": begin * _US,
-                    "dur": max(end - begin, 0.0) * _US,
-                    "pid": wid, "tid": 0,
-                    "args": {"cell": cell, "ok": ok},
-                })
+                events.append(complete(cell_id, "cell" if ok else "cell-failed",
+                                       begin, end, wid, 0,
+                                       {"cell": cell, "ok": ok}))
             if ws._started_at is not None:  # live: still-running slice
-                events.append({
-                    "name": ws.state, "cat": "cell", "ph": "X",
-                    "ts": ws._started_at * _US,
-                    "dur": max(self.elapsed - ws._started_at, 0.0) * _US,
-                    "pid": wid, "tid": 0, "args": {"live": True},
-                })
-            events.append({
-                "name": "process_name", "ph": "M", "ts": 0.0,
-                "pid": wid, "tid": 0, "args": {"name": f"worker {wid}"},
-            })
+                events.append(complete(ws.state, "cell", ws._started_at,
+                                       self.elapsed, wid, 0, {"live": True}))
+            events.append(process_name(wid, f"worker {wid}"))
         for ev in self.events:
             if ev.get("kind") == "heartbeat" and ev.get("worker") is not None:
                 data = ev.get("data") or {}
-                events.append({
-                    "name": "cell.events_executed", "cat": "metric",
-                    "ph": "C", "ts": float(ev.get("t", 0.0)) * _US,
-                    "pid": int(ev["worker"]), "tid": 0,
-                    "args": {"value": data.get("events_executed", 0)},
-                })
+                events.append(counter(
+                    "cell.events_executed", "metric", float(ev.get("t", 0.0)),
+                    int(ev["worker"]),
+                    {"value": data.get("events_executed", 0)}))
         if not events:
             # A sweep that produced no worker events (empty log, header
             # only) still exports a loadable, validator-clean trace.
-            events.append({
-                "name": "process_name", "ph": "M", "ts": 0.0,
-                "pid": 0, "tid": 0, "args": {"name": "sweep (no workers)"},
-            })
-        return {
-            "traceEvents": events,
-            "displayTimeUnit": "ms",
-            "otherData": {"suite": self.suite,
-                          "elapsed_host_seconds": self.elapsed,
-                          "workers": len(self.workers)},
-        }
+            events.append(process_name(0, "sweep (no workers)"))
+        return trace_document(events, suite=self.suite,
+                              elapsed_host_seconds=self.elapsed,
+                              workers=len(self.workers))
 
     # ----------------------------------------------------------- render
     def render(self) -> str:

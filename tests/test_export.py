@@ -10,7 +10,7 @@ import pytest
 from repro.apps.common import AppResult
 from repro.bench.runners import run_app_on
 from repro.config import preset
-from repro.tools.export import figure_to_csv, run_to_json, stats_to_csv
+from repro.obs.export import figure_to_csv, run_to_json, stats_to_csv
 
 
 def make_result():
@@ -78,6 +78,10 @@ class TestStatsToCsv:
         scopes = {r[0] for r in rows[1:]}
         assert any(s.startswith("dsm.rank0") for s in scopes)
         assert "sync" in scopes
+
+    def test_top_level_scalar(self):
+        rows = list(csv.reader(io.StringIO(stats_to_csv({"events": 5}))))
+        assert rows == [["scope", "counter", "value"], ["", "events", "5"]]
 
 
 class TestCliJsonFlag:

@@ -11,8 +11,8 @@ import pytest
 
 from repro.config import preset
 from repro.faults import FaultPlan, NodeCrash, run_chaos
-from repro.tools import profile_platform, summarize_trace
-from repro.tools.monitor import AttachedMonitor
+from repro.obs import AttachedMonitor
+from repro.obs.profile import profile_platform, summarize_trace
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ class TestMonitorUnderChaos:
         assert monitor.events, "no live counter updates seen"
         assert monitor.samples, "no periodic samples collected"
         last = monitor.samples[-1]
-        assert last.get("sync", "barriers") > 0
+        assert last.get("sync.barriers") > 0
 
 
 class TestSpansUnderChaos:

@@ -11,6 +11,15 @@
   passes keyword fields sits under its receiver's ``.enabled`` test (an
   ``if`` or a conditional expression), so a disabled tracer or observer
   costs one attribute test, not a dict of fields.
+* One clock: only ``sim/engine.py`` assigns an ``._now``.
+* No unseeded randomness under ``src/repro``: no ``random.Random()``
+  without a seed, no call of the ``random`` module's global generator, no
+  ``np.random.default_rng()`` without a seed, no legacy ``np.random``
+  global.
+* Layering: the simulator and its observers (``sim`` … ``models``,
+  ``obs``) load without the shell — no import of ``repro.bench``,
+  ``repro.fabric`` or ``repro.cli`` runs when one of their modules loads,
+  except under ``if TYPE_CHECKING:``.
 """
 
 import ast
@@ -34,9 +43,14 @@ ALLOWED = {
 
 
 @lru_cache(maxsize=None)
+def source(path):
+    return path.read_text()
+
+
+@lru_cache(maxsize=None)
 def parsed(path):
     """Each file is parsed once per session, whichever rule reads it."""
-    return ast.parse(path.read_text(), str(path))
+    return ast.parse(source(path), str(path))
 
 
 _BLOCKS = (ast.stmt, ast.excepthandler, *(
@@ -265,3 +279,154 @@ def test_observer_fields_are_built_only_when_enabled():
 ])
 def test_the_observer_rule_fails_on_a_seeded_violation(seeded, expected):
     assert unguarded_observer_calls(ast.parse(seeded)) == expected
+
+
+# ---------------------------------------------------------------- one clock
+def clock_writes(tree, where="<seeded>"):
+    """``where:line target`` for every assignment to an ``._now``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = [elt for t in node.targets for elt in
+                       getattr(t, "elts", [t])]   # a, x._now = ...
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        found += [f"{where}:{node.lineno} {ast.unparse(t)}" for t in targets
+                  if isinstance(t, ast.Attribute) and t.attr == "_now"]
+    return sorted(found)
+
+
+def test_only_the_engine_sets_the_clock():
+    engine = SRC / "sim" / "engine.py"
+    found = [f for root in SCANNED for path in sorted(root.rglob("*.py"))
+             if path != engine and "_now" in source(path)
+             for f in clock_writes(parsed(path), str(path.relative_to(ROOT)))]
+    assert found == []
+
+
+# ------------------------------------------------------ seeded randomness only
+_SEEDABLE = {"random": {"Random"},
+             "np.random": {"default_rng", "Generator", "RandomState",
+                           "SeedSequence", "PCG64", "Philox", "MT19937",
+                           "SFC64"}}
+
+
+def _rng_owner(func):
+    """``random`` / ``np.random`` for a call on those modules, else None."""
+    owner = func.value
+    if isinstance(owner, ast.Name) and owner.id == "random":
+        return "random"
+    if (isinstance(owner, ast.Attribute) and owner.attr == "random"
+            and isinstance(owner.value, ast.Name)
+            and owner.value.id in ("np", "numpy")):
+        return "np.random"
+    return None
+
+
+def unseeded_rngs(tree, where="<seeded>"):
+    """``where:line call()`` for every generator built without a seed and
+    every call of a module-global generator."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = _rng_owner(node.func)
+        if owner is None:
+            continue
+        seed = node.args[0] if node.args else next(
+            (kw.value for kw in node.keywords), None)
+        unseeded = seed is None or getattr(seed, "value", 0) is None
+        if node.func.attr not in _SEEDABLE[owner] or unseeded:
+            found.append(f"{where}:{node.lineno} {ast.unparse(node.func)}()")
+    return sorted(found)
+
+
+def test_no_unseeded_randomness_under_src():
+    found = [f for path in sorted(SRC.rglob("*.py"))
+             if "random" in source(path)
+             for f in unseeded_rngs(parsed(path), str(path.relative_to(ROOT)))]
+    assert found == []
+
+
+# ------------------------------------------------------------------ layering
+INNER = ("sim", "machine", "memory", "msg", "dsm", "core", "models", "obs")
+SHELL = ("repro.bench", "repro.fabric", "repro.cli")
+
+
+def _is_shell(module):
+    return any(module == s or module.startswith(s + ".") for s in SHELL)
+
+
+def shell_imports(tree, where="<seeded>"):
+    """``where:line module`` for every import of the shell that runs when
+    the module loads: function bodies and ``if TYPE_CHECKING:`` do not."""
+    found = []
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _DEFS):
+            continue
+        if isinstance(node, ast.If) and getattr(
+                node.test, "id", getattr(node.test, "attr", None)) \
+                == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{alias.name}"
+                                    for alias in node.names)]
+        else:
+            stack.extend(child for child in ast.iter_child_nodes(node)
+                         if isinstance(child, _BLOCKS))
+            continue
+        shell = sorted(n for n in names if _is_shell(n))
+        if shell:
+            found.append(f"{where}:{node.lineno} {shell[0]}")
+    return sorted(found)
+
+
+def test_inner_layers_load_without_the_shell():
+    found = [f for pkg in INNER
+             for path in sorted((SRC / pkg).rglob("*.py"))
+             for f in shell_imports(parsed(path), str(path.relative_to(ROOT)))]
+    assert found == []
+
+
+@pytest.mark.parametrize("rule,seeded,expected", [
+    (clock_writes, "engine._now = 1.0\n", ["<seeded>:1 engine._now"]),
+    (clock_writes, "self.engine._now += dt\n",
+     ["<seeded>:1 self.engine._now"]),
+    (clock_writes, "t, e._now = 1, 2\n", ["<seeded>:1 e._now"]),
+    (clock_writes, "clock._now: float = 0.0\n", ["<seeded>:1 clock._now"]),
+    (clock_writes, "now = engine._now\nself._now_s = 1\n", []),
+    (unseeded_rngs, "random.Random()\n", ["<seeded>:1 random.Random()"]),
+    (unseeded_rngs, "random.Random(None)\n", ["<seeded>:1 random.Random()"]),
+    (unseeded_rngs, "random.shuffle(order)\n",
+     ["<seeded>:1 random.shuffle()"]),
+    (unseeded_rngs, "x = random.random()\n", ["<seeded>:1 random.random()"]),
+    (unseeded_rngs, "np.random.default_rng()\n",
+     ["<seeded>:1 np.random.default_rng()"]),
+    (unseeded_rngs, "numpy.random.seed(3)\nnp.random.rand(4)\n",
+     ["<seeded>:1 numpy.random.seed()", "<seeded>:2 np.random.rand()"]),
+    (unseeded_rngs, "random.Random(f'{seed}/msg').random()\n"
+     "np.random.default_rng(seed=1).random((4, 4))\nrng.shuffle(x)\n", []),
+    # the profile and trace-summary modules as they stood outside obs
+    (shell_imports, "from repro.bench.report import render_table\n",
+     ["<seeded>:1 repro.bench.report"]),
+    (shell_imports, "import repro.fabric.journal\nfrom repro import cli\n",
+     ["<seeded>:1 repro.fabric.journal", "<seeded>:2 repro.cli"]),
+    (shell_imports, "try:\n    from repro.bench import telemetry\n"
+     "except ImportError:\n    pass\nclass A:\n    import repro.cli\n",
+     ["<seeded>:2 repro.bench", "<seeded>:6 repro.cli"]),
+    (shell_imports, "if TYPE_CHECKING:\n"
+     "    from repro.fabric.journal import JournalState\n"
+     "def render():\n    from repro.bench.report import render_table\n"
+     "from repro.obs.export import counter\nimport repro.sim.engine\n", []),
+])
+def test_clock_rng_and_layering_rules_fail_on_a_seeded_violation(
+        rule, seeded, expected):
+    assert rule(ast.parse(seeded)) == expected

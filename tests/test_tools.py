@@ -1,12 +1,21 @@
-"""Tests for the §4.3 tool-support package (monitor, profile, traceview)."""
+"""Tests for the §4.3 tools in repro.obs (monitor, profile, trace summary)."""
+
+import re
 
 import numpy as np
 import pytest
 
+from repro.bench.report import host_cells
+from repro.bench.telemetry import run_unit
+from repro.cli import main
 from repro.config import preset
+from repro.fabric import canonical_record
 from repro.memory.layout import single_home
-from repro.tools import (AttachedMonitor, profile_platform, summarize_trace)
+from repro.obs import AttachedMonitor
+from repro.obs.profile import profile_platform, summarize_trace
 from tests.conftest import spmd
+
+SOR = ["--app", "sor", "--param", "n=64", "--param", "iterations=2"]
 
 
 def run_workload(plat):
@@ -26,6 +35,18 @@ def run_workload(plat):
     return spmd(plat, main)
 
 
+def tiny_run(plat):
+    def main(env):
+        x = env.alloc_array((8,), name="x")
+        env.barrier()
+        if env.rank == 0:
+            x[:] = 1.0
+        env.barrier()
+        return float(x[0])
+
+    return spmd(plat, main)
+
+
 class TestAttachedMonitor:
     def test_live_events_captured(self):
         plat = preset("sw-dsm-2").build()
@@ -40,14 +61,14 @@ class TestAttachedMonitor:
         mon = AttachedMonitor(plat, period=1e-3).attach()
         run_workload(plat)
         assert len(mon.samples) >= 1
-        assert mon.samples[0].tree["dsm"]["rank0"] is not None
+        assert "dsm.rank0.reads" in mon.samples[0].values
 
     def test_snapshot_on_demand(self):
         plat = preset("smp-2").build()
         mon = AttachedMonitor(plat).attach()
         run_workload(plat)
         sample = mon.snapshot()
-        assert sample.get("sync", "barriers") >= 3
+        assert sample.get("sync.barriers") >= 3
 
     def test_rate_computation(self):
         plat = preset("sw-dsm-2").build()
@@ -137,6 +158,39 @@ class TestProfileReport:
         assert report.host_seconds == plat.engine.host_seconds > 0
         assert report.events_per_sec > 0
         assert "engine events" in report.render()
+
+
+class TestHostProfiler:
+    def test_profiles_a_simulation_run(self, capsys):
+        assert main(["run", "--preset", "sw-dsm-2", *SOR, "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "profile:" in out and "sync share" in out
+        assert re.search(r"host     : \d+ engine events in [\d.]+ ms wall "
+                         r"\([\d,]+ events/s\)$", out, re.M)
+        assert "host hot functions" not in out
+        assert "host phase timers" not in out
+
+    def test_empty_before_run(self):
+        report = profile_platform(preset("sw-dsm-2").build())
+        assert (report.events_executed, report.host_seconds,
+                report.events_per_sec) == (0, 0.0, 0.0)
+        assert "0 engine events in 0.0 ms wall" in report.render()
+
+    def test_accumulates_across_runs(self):
+        plat = preset("sw-dsm-2").build()
+        tiny_run(plat)
+        events, host = plat.engine.events_executed, plat.engine.host_seconds
+        tiny_run(plat)
+        assert plat.engine.events_executed > events
+        assert plat.engine.host_seconds > host
+
+    def test_render(self):
+        # displayed from the run that produced the record, never compared;
+        # a committed baseline record has nothing to display
+        rec = run_unit("sw-dsm-2", "PI", scale=0.02)
+        assert host_cells(rec) == [f"{rec['events_per_sec']:,.0f}",
+                                   f"{rec['host_seconds'] * 1e3:.1f}"]
+        assert host_cells(canonical_record(rec)) == ["-", "-"]
 
 
 class TestTraceSummary:
