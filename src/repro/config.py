@@ -31,6 +31,8 @@ __all__ = ["ClusterConfig", "BuiltPlatform", "preset", "loads", "load", "PRESETS
 
 _PLATFORMS = {"smp", "beowulf", "sci"}
 _DSMS = {"smp", "jiajia", "scivm", "composite"}
+_MACHINE_FIELDS = frozenset(f.name for f in dataclasses.fields(MachineParams))
+_MACHINES: Dict[Tuple[Tuple[str, str], ...], MachineParams] = {}
 
 
 @dataclass
@@ -99,11 +101,20 @@ class ClusterConfig:
 
     # ----------------------------------------------------------------- build
     def params(self) -> MachineParams:
-        base = PAPER_PLATFORM.with_overrides(
-            coalesce_messaging=self.integrated_messaging)
-        if self.param_overrides:
-            base = base.with_overrides(**self.param_overrides)
-        return base
+        """This config's machine: one frozen object per distinct value (by
+        ``repr``, as the fingerprint), so a grid hashes each machine once."""
+        fields = {"coalesce_messaging": self.integrated_messaging,
+                  **self.param_overrides}
+        key = tuple(sorted((k, repr(v)) for k, v in fields.items()))
+        machine = _MACHINES.get(key)
+        if machine is None:
+            unknown = sorted(fields.keys() - _MACHINE_FIELDS)
+            if unknown:
+                raise ConfigurationError(f"unknown machine parameter(s) {unknown}")
+            if len(_MACHINES) >= 1024:      # a bound, not an eviction policy
+                _MACHINES.clear()
+            machine = _MACHINES[key] = PAPER_PLATFORM.with_overrides(**fields)
+        return machine
 
     def build(self) -> "BuiltPlatform":
         """Assemble engine, cluster, fabric, DSM, and HAMSTER runtime."""
@@ -260,11 +271,10 @@ def loads(text: str) -> ClusterConfig:
         raise ConfigurationError(
             f"messaging must be 'integrated' or 'separate', got {messaging!r}")
     overrides: Dict[str, Any] = {}
-    valid_params = {f.name for f in dataclasses.fields(MachineParams)}
     for (sec, key), val in values.items():
         if sec != "params":
             continue
-        if key not in valid_params:
+        if key not in _MACHINE_FIELDS:
             raise ConfigurationError(f"unknown machine parameter {key!r}")
         current = getattr(PAPER_PLATFORM, key)
         if isinstance(current, bool):

@@ -14,19 +14,19 @@ version:
   stored result is invisible (never silently reused across code changes).
 
 The store itself (:class:`ResultCache`) is a plain sharded directory of
-JSON files — payloads are the existing :mod:`repro.bench.telemetry`
+entry files — payloads are the existing :mod:`repro.bench.telemetry`
 result records, so ``bench report``, ``sweep report`` and the experiment
 generator consume cached sweeps unchanged. Rerunning a sweep only
 executes changed cells; a fully-unchanged grid costs zero simulation
 time.
 
-Integrity: every entry carries a sha256 **content checksum** over its
-record, verified on every read. An entry that fails verification —
-truncated file, flipped byte, wrong key under the filename — is
-**quarantined** (moved to ``<root>/quarantine/``, never deleted: the
-evidence survives for post-mortems) and reported as a miss, so a
-corrupt result is re-simulated rather than trusted. :meth:`ResultCache.fsck`
-is the offline scanner behind ``python -m repro sweep fsck``.
+Integrity: an entry is a header line ``{"schema", "key", "sha256"}``
+over the record's compact JSON, and every read checks the sha256 over
+the bytes of line 2 before parsing the record from them. An entry that
+fails — truncated, flipped byte, wrong key, unknown schema — is
+**quarantined** (moved to ``<root>/quarantine/``, never deleted) and
+reported as a miss, so a corrupt result is re-simulated rather than
+trusted. :meth:`ResultCache.fsck` is ``python -m repro sweep fsck``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.bench import telemetry
 from repro.fabric.gridspec import Scenario
@@ -46,18 +46,17 @@ __all__ = ["CACHE_SCHEMA", "DEFAULT_CACHE_DIR", "scenario_key",
 
 #: Cache layout / compatibility version. Bump whenever the simulator's
 #: cost model or the record contents change meaning: old entries become
-#: unreachable instead of wrong. (v2: mandatory sha256 content checksum.)
-CACHE_SCHEMA = "repro.fabric.cache/2"
+#: unreachable instead of wrong. (v2: mandatory sha256 content checksum;
+#: v3: a header line, and the seal is over the record line's bytes.)
+CACHE_SCHEMA = "repro.fabric.cache/3"
+#: Schemas this code once wrote: their entries are *stale*, not corrupt.
+_OLDER_SCHEMAS = ("repro.fabric.cache/1", "repro.fabric.cache/2")
 
 #: Default on-disk location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".fabric-cache"
 
 #: Subdirectory corrupt entries are moved into (never auto-deleted).
 QUARANTINE_DIR = "quarantine"
-
-#: Shard-level glob matching real entries but not the quarantine dir
-#: (shards are the first two hex chars of the sha256 key).
-_SHARD_GLOB = "??/*.json"
 
 
 def scenario_key(scenario: Scenario) -> str:
@@ -78,41 +77,50 @@ def canonical_records_json(records: List[Dict[str, Any]]) -> str:
     """Canonical JSON of a record list (the byte-parity comparand): the
     records without their host fields (:func:`repro.bench.telemetry
     .canonical_record`), serial or parallel, today or next week."""
-    return json.dumps([telemetry.canonical_record(r) for r in records],
-                      sort_keys=True, separators=(",", ":"))
+    return _compact([telemetry.canonical_record(r) for r in records]).decode()
 
 
-def _record_checksum(record: Dict[str, Any]) -> str:
-    """sha256 over the record's canonical JSON — the integrity seal."""
-    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _compact(value: Any) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _verify_entry(key: str, entry: Any) -> Optional[str]:
-    """Why ``entry`` cannot be trusted for ``key``, or None if it can.
-
-    A *stale* entry (older schema version) is reported distinctly: it is
-    unusable but not corrupt, so ``get`` skips it silently and ``fsck``
-    counts it without quarantining.
-    """
-    if not isinstance(entry, dict):
-        return "entry is not a JSON object"
-    if entry.get("schema") != CACHE_SCHEMA:
-        return "stale"
-    if entry.get("key") != key:
-        return (f"key mismatch: entry claims "
-                f"{str(entry.get('key'))[:16]}..., filename says "
-                f"{key[:16]}...")
-    if not isinstance(entry.get("record"), dict):
-        return "missing or non-object record"
-    expected = entry.get("sha256")
+def _read_entry(key: str, data: bytes) -> Tuple[Optional[Dict[str, Any]], str]:
+    """``(record, "")`` when an entry file's bytes hold a trusted record
+    for ``key``, else ``(None, reason)``. ``"stale"``, an older schema in the
+    one-object layout it was written in, is unusable but never quarantined;
+    a one-line header claiming an older schema can only be damage."""
+    head, _, body = data.partition(b"\n")
+    try:
+        header, older = json.loads(head), ()
+    except ValueError:
+        try:    # the /1-/2 layout: one indented object over many lines
+            header, older = json.loads(data), _OLDER_SCHEMAS
+        except ValueError as exc:
+            return None, f"not valid JSON: {exc}"
+    if not isinstance(header, dict):
+        return None, "entry is not a JSON object"
+    schema = header.get("schema")
+    if schema != CACHE_SCHEMA:
+        return None, ("stale" if schema in older
+                      else f"unknown schema {str(schema)[:40]!r}")
+    if header.get("key") != key:
+        return None, (f"key mismatch: entry claims {str(header.get('key'))[:16]}"
+                      f"..., filename says {key[:16]}...")
+    expected = header.get("sha256")
     if not isinstance(expected, str):
-        return "missing sha256 checksum"
-    actual = _record_checksum(entry["record"])
+        return None, "missing sha256 checksum"
+    body = body.removesuffix(b"\n")
+    actual = hashlib.sha256(body).hexdigest()
     if actual != expected:
-        return (f"checksum mismatch: stored {expected[:12]}..., "
-                f"computed {actual[:12]}...")
-    return None
+        return None, (f"checksum mismatch: stored {expected[:12]}..., "
+                      f"computed {actual[:12]}...")
+    try:
+        record = json.loads(body)
+    except ValueError as exc:
+        return None, f"not valid JSON: {exc}"
+    if not isinstance(record, dict):
+        return None, "missing or non-object record"
+    return record, ""
 
 
 class ResultCache:
@@ -131,7 +139,10 @@ class ResultCache:
         self.quarantined = 0
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._path(key))
+
+    def _path(self, key: str) -> str:   # a str: a hit skips pathlib's joins
+        return f"{self.root}/{key[:2]}/{key}.json"
 
     def quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_DIR
@@ -140,9 +151,18 @@ class ResultCache:
         return self.path_for(key).exists()
 
     def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob(_SHARD_GLOB))
+        return sum(1 for _ in self._entries())
+
+    def _entries(self) -> Iterator[os.DirEntry]:
+        """Every ``<shard>/<key>.json`` file; a shard is two characters."""
+        try:
+            shards = list(os.scandir(self.root))
+        except OSError:                       # no store yet
+            return
+        for shard in shards:
+            if len(shard.name) == 2 and shard.is_dir():
+                with os.scandir(shard.path) as files:
+                    yield from (f for f in files if f.name.endswith(".json"))
 
     # ----------------------------------------------------------- integrity
     def _quarantine(self, path: Path) -> Optional[Path]:
@@ -163,45 +183,38 @@ class ResultCache:
         return dest
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The verified record for ``key``, or None (counts hit/miss).
+        """The verified record for ``key`` (a fresh dict, the caller's to
+        edit), or None (counts hit/miss).
 
-        Corrupt entries — unreadable JSON, checksum/key mismatch — are
-        quarantined on sight; stale-schema entries are left in place
-        (invisible, harmless); both count as misses.
+        Corrupt entries — unreadable JSON, checksum/key mismatch, unknown
+        schema — are quarantined on sight; stale-schema entries are left
+        in place (invisible, harmless); both count as misses.
         """
-        path = self.path_for(key)
+        path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except OSError:
-            self.misses += 1                  # absent: the normal miss
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            self._quarantine(path)            # truncated / garbled file
-            self.misses += 1
-            return None
-        problem = _verify_entry(key, entry)
-        if problem == "stale":
-            self.misses += 1
-            return None
-        if problem is not None:
-            self._quarantine(path)
+            with open(path, "rb") as fh:
+                record, problem = _read_entry(key, fh.read())
+        except OSError:                       # absent: the normal miss
+            record, problem = None, "absent"
+        if record is None:
+            if problem not in ("absent", "stale"):
+                self._quarantine(Path(path))
             self.misses += 1
             return None
         self.hits += 1
-        return entry["record"]
+        return record
 
     def put(self, key: str, record: Dict[str, Any]) -> None:
         """Store a record atomically (write-temp + rename), sealed with
         its content checksum."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"schema": CACHE_SCHEMA, "key": key,
-                 "sha256": _record_checksum(record), "record": record}
+        body = _compact(record)
+        header = _compact({"schema": CACHE_SCHEMA, "key": key,
+                           "sha256": hashlib.sha256(body).hexdigest()})
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            fh.write(header + b"\n" + body + b"\n")
         os.replace(tmp, path)
         self.stores += 1
 
@@ -217,40 +230,32 @@ class ResultCache:
         report: Dict[str, Any] = {"checked": 0, "ok": 0, "stale": 0,
                                   "corrupt": [], "quarantined": [],
                                   "root": str(self.root)}
-        if self.root.exists():
-            for path in sorted(self.root.glob(_SHARD_GLOB)):
-                report["checked"] += 1
-                key = path.stem
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        entry = json.load(fh)
-                except OSError as exc:  # pragma: no cover — evicted mid-walk
-                    report["corrupt"].append({"path": str(path),
-                                              "reason": f"unreadable: {exc}"})
-                    continue
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    entry, problem = None, f"not valid JSON: {exc}"
-                else:
-                    problem = _verify_entry(key, entry)
-                if problem is None:
-                    report["ok"] += 1
-                elif problem == "stale":
-                    report["stale"] += 1
-                else:
-                    report["corrupt"].append({"path": str(path),
-                                              "reason": problem})
-                    if repair:
-                        moved = self._quarantine(path)
-                        if moved is not None:
-                            report["quarantined"].append(str(moved))
+        for path in sorted(Path(f.path) for f in self._entries()):
+            report["checked"] += 1
+            try:
+                _, problem = _read_entry(path.stem, path.read_bytes())
+            except OSError as exc:  # pragma: no cover — evicted mid-walk
+                problem = f"unreadable: {exc}"
+            if not problem:
+                report["ok"] += 1
+            elif problem == "stale":
+                report["stale"] += 1
+            else:
+                report["corrupt"].append({"path": str(path),
+                                          "reason": problem})
+                if repair:
+                    moved = self._quarantine(path)
+                    if moved is not None:
+                        report["quarantined"].append(str(moved))
         report["quarantine_entries"] = self._quarantine_count()
         return report
 
     def _quarantine_count(self) -> int:
-        qdir = self.quarantine_dir()
-        if not qdir.exists():
+        try:
+            with os.scandir(self.quarantine_dir()) as files:
+                return sum(1 for f in files if f.is_file())
+        except OSError:                       # nothing quarantined yet
             return 0
-        return sum(1 for p in qdir.iterdir() if p.is_file())
 
     def stats(self) -> Dict[str, Any]:
         """Cache effectiveness as a first-class number.
@@ -260,15 +265,13 @@ class ResultCache:
         ``quarantined`` (corrupt entries moved aside, by any producer)
         are measured from the store itself.
         """
-        entries = 0
-        size = 0
-        if self.root.exists():
-            for path in self.root.glob(_SHARD_GLOB):
-                entries += 1
-                try:
-                    size += path.stat().st_size
-                except OSError:  # pragma: no cover — entry evicted mid-walk
-                    pass
+        entries = size = 0
+        for entry in self._entries():
+            entries += 1
+            try:
+                size += entry.stat().st_size
+            except OSError:  # pragma: no cover — entry evicted mid-walk
+                pass
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores, "entries": entries, "bytes": size,
                 "quarantined": self._quarantine_count(),
@@ -276,13 +279,10 @@ class ResultCache:
 
     def clear(self) -> int:
         """Delete every entry (quarantine untouched); returns the count."""
-        removed = 0
-        if not self.root.exists():
-            return 0
-        for path in self.root.glob(_SHARD_GLOB):
-            path.unlink()
-            removed += 1
-        return removed
+        entries = list(self._entries())
+        for entry in entries:
+            os.unlink(entry.path)
+        return len(entries)
 
 
 class TelemetryCache:
@@ -305,13 +305,10 @@ class TelemetryCache:
     def lookup(self, preset_name: str, label: str, scale: float,
                native: bool, suite: str) -> Optional[Dict[str, Any]]:
         record = self.store.get(self.key_for(preset_name, label, scale, native))
-        if record is None:
-            return None
-        record = dict(record)
-        # Rename to the requesting context: the cached copy may have been
-        # produced under a sweep's cell id and suite name.
-        record["id"] = f"{preset_name}/{label}"
-        record["suite"] = suite
+        if record is not None:
+            # Rename to the requesting context: the cached copy may have
+            # been produced under a sweep's cell id and suite name.
+            record.update(id=f"{preset_name}/{label}", suite=suite)
         return record
 
     def store_record(self, record: Dict[str, Any]) -> None:

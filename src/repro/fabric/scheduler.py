@@ -655,11 +655,9 @@ def run_sweep(spec: GridSpec, workers: int = 1,
                         progress(sc.cell_id(), "restored")
                     continue
                 if committed.outcome in ("hit", "miss"):
-                    cached = cache.get(key)
-                    if cached is not None:
-                        record = dict(cached)
-                        record["id"] = sc.cell_id()
-                        record["suite"] = spec.suite
+                    record = cache.get(key)
+                    if record is not None:
+                        record.update(id=sc.cell_id(), suite=spec.suite)
                         records[i] = record
                         outcomes[i] = committed
                         restored += 1
@@ -671,11 +669,9 @@ def run_sweep(spec: GridSpec, workers: int = 1,
                     # committed but the cache entry is gone or was
                     # quarantined: the commit record alone is not a
                     # result — demote the cell back to the worklist
-            cached = cache.get(key)
-            if cached is not None:
-                record = dict(cached)
-                record["id"] = sc.cell_id()
-                record["suite"] = spec.suite
+            record = cache.get(key)
+            if record is not None:
+                record.update(id=sc.cell_id(), suite=spec.suite)
                 records[i] = record
                 outcomes[i] = CellOutcome(index=i, id=sc.cell_id(), key=key,
                                           outcome="hit")

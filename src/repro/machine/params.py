@@ -56,6 +56,9 @@ def workload_hash(app: str, params: Dict[str, Any], scale: float,
     })
 
 
+_PERFECT_NETWORK = stable_digest(None)
+
+
 def fault_plan_hash(plan: Any) -> str:
     """Stable identity of a fault plan (None = the perfect network).
 
@@ -64,7 +67,7 @@ def fault_plan_hash(plan: Any) -> str:
     equal plans hash equally regardless of how they were spelled.
     """
     if plan is None:
-        return stable_digest(None)
+        return _PERFECT_NETWORK
     from repro.faults import FaultPlan  # local: machine must not hard-depend on faults
 
     return stable_digest(FaultPlan.coerce(plan).to_dict())

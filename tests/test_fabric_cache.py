@@ -6,6 +6,7 @@ stable across processes, and it changes whenever any swept parameter
 changes.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ClusterConfig, preset
 from repro.errors import ConfigurationError
-from repro.fabric import (ResultCache, Scenario, TelemetryCache,
+from repro.fabric import (GridSpec, ResultCache, Scenario, TelemetryCache,
                           canonical_record, canonical_records_json,
                           scenario_key)
 from repro.faults import FaultPlan
@@ -101,6 +103,40 @@ class TestScenarioKey:
                                      "overrides": {"eth_latency": latency * 2}})
         assert scenario_key(nudged) != scenario_key(sc)
 
+    def test_grid_builds_one_machine_per_value(self):
+        # a cell's address needs its machine's fingerprint; a grid has few
+        # distinct machines, so each is built (and hashed) once
+        assert preset("sw-dsm-4").params() is preset("sw-dsm-2").params()
+        a = ClusterConfig(param_overrides={"eth_latency": 80e-6})
+        b = ClusterConfig(platform="sci", dsm="scivm",
+                          param_overrides={"eth_latency": 80e-6})
+        assert a.params() is b.params()
+        assert a.params() is not ClusterConfig().params()
+        # the shell benchmark's 42-cell smoke grid: HAMSTER and native
+        grid = GridSpec(presets=("smp-2", "sw-dsm-2", "sw-dsm-4", "hybrid-2",
+                                 "hybrid-4", "native-jiajia-4"),
+                        labels=("MatMult", "PI", "SOR opt", "SOR", "LU all",
+                                "WATER 288", "WATER 343"))
+        cells = grid.expand()
+        assert len(cells) == 42
+        assert len({id(sc.build_config().params()) for sc in cells}) == 2
+
+    def test_machine_value_is_spelled_exactly(self):
+        # values equal under == but not under the fingerprint's repr are
+        # distinct machines; unhashable and unknown overrides never raise
+        # a bare TypeError
+        def machine(**overrides):
+            return ClusterConfig(param_overrides=overrides).params()
+
+        assert machine(page_size=4096) is not machine(page_size=4096.0)
+        assert machine(eth_latency=0.0).fingerprint \
+            != machine(eth_latency=-0.0).fingerprint
+        assert machine(coalesce_messaging=False) \
+            is ClusterConfig(integrated_messaging=False).params()
+        assert machine(page_size=[4096]).page_size == [4096]
+        with pytest.raises(ConfigurationError, match="no_such_field"):
+            machine(no_such_field=1)
+
     def test_key_stable_across_processes(self):
         # hash randomization must not leak in: a fresh interpreter
         # computes the identical address
@@ -119,6 +155,7 @@ class TestResultCache:
     def test_roundtrip_and_counters(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
         key = scenario_key(BASE)
+        assert len(cache) == 0 and cache.stats()["entries"] == 0
         assert cache.get(key) is None and cache.misses == 1
         cache.put(key, {"id": "x", "virtual_seconds": 1.0})
         assert key in cache and len(cache) == 1
@@ -126,20 +163,109 @@ class TestResultCache:
         assert cache.hits == 1 and cache.stores == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        # every rejection is a miss, and the entry is quarantined
         cache = ResultCache(str(tmp_path / "c"))
         key = scenario_key(BASE)
+        path = cache.path_for(key)
         cache.put(key, {"id": "x"})
-        cache.path_for(key).write_text("{not json", encoding="utf-8")
-        assert cache.get(key) is None
+        sealed = path.read_bytes()
+
+        def entry(body, **header):
+            head = {"schema": "repro.fabric.cache/3", "key": key,
+                    "sha256": hashlib.sha256(body).hexdigest(), **header}
+            return json.dumps(head).encode() + b"\n" + body + b"\n"
+
+        for n, (data, reason) in enumerate([
+                (b"{not json", "not valid JSON"),
+                (sealed[:-3], "checksum mismatch"),      # truncated record
+                (entry(b'{"id":"x"}', sha256=None), "missing sha256"),
+                (entry(b'["x"]'), "non-object record"),
+                (entry(b"{not json"), "not valid JSON")], 1):
+            path.write_bytes(data)
+            assert reason in cache.fsck()["corrupt"][0]["reason"]
+            assert cache.get(key) is None and cache.quarantined == n
 
     def test_wrong_schema_entry_is_a_miss(self, tmp_path):
+        # a schema this code never wrote is damage, not age: quarantined
         cache = ResultCache(str(tmp_path / "c"))
         key = scenario_key(BASE)
+        path = cache.path_for(key)
+        for n, schema in enumerate(["repro.fabric.cache/0", 5], 1):
+            cache.put(key, {"id": "x"})
+            head, record = path.read_text(encoding="utf-8").splitlines()
+            header = json.loads(head)
+            header["schema"] = schema
+            path.write_text(f"{json.dumps(header)}\n{record}\n",
+                            encoding="utf-8")
+            assert cache.get(key) is None and cache.quarantined == n
+
+    def test_flipped_schema_byte_is_corrupt(self, tmp_path):
+        # only schemas this code once wrote are stale; any other value is
+        # damage, and fsck must say so and quarantine it. Older schemas were
+        # only ever written in the one-object layout, so a one-line header
+        # claiming one (a single flipped bit: '3' -> '2') is damage too.
+        cache = ResultCache(str(tmp_path / "c"))
+        key = scenario_key(BASE)
+        path = cache.path_for(key)
+        flips = [(b"fabric.cache/", b"fabric.cachf/"),
+                 (b"fabric.cache/3", b"fabric.cache/2")]
+        for n, (good, bad) in enumerate(flips, 1):
+            cache.put(key, {"id": "x"})
+            data = path.read_bytes()
+            assert data.count(good) == 1
+            path.write_bytes(data.replace(good, bad))
+            report = cache.fsck()
+            assert (report["ok"], report["stale"], len(report["corrupt"])) \
+                == (0, 0, 1)
+            assert cache.get(key) is None and cache.quarantined == n
+        assert sorted(p.name for p in cache.quarantine_dir().iterdir()) \
+            == [path.name, f"{path.name}.1"]
+
+    def test_old_layout_entry_is_stale_not_corrupt(self, tmp_path):
+        # what the /2 writer left behind: one indented object over many
+        # lines, sealed over the re-serialised record
+        cache = ResultCache(str(tmp_path / "c"))
+        key = scenario_key(BASE)
+        record = {"id": "x", "virtual_seconds": 1.0}
+        seal = hashlib.sha256(json.dumps(
+            record, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(
+            {"schema": "repro.fabric.cache/2", "key": key, "sha256": seal,
+             "record": record}, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+        report = cache.fsck(repair=True)
+        assert (report["ok"], report["stale"], report["corrupt"]) \
+            == (0, 1, [])
+        assert cache.get(key) is None and cache.misses == 1
+        assert cache.quarantined == 0 and path.exists()
+
+    def test_changed_record_value_is_quarantined(self, tmp_path):
+        # the record stays valid JSON; only the seal can tell
+        cache = ResultCache(str(tmp_path / "c"))
+        key = scenario_key(BASE)
+        cache.put(key, {"id": "x", "virtual_seconds": 1.0})
+        path = cache.path_for(key)
+        data = path.read_bytes()
+        assert data.count(b"1.0") == 1
+        path.write_bytes(data.replace(b"1.0", b"2.0"))
+        assert cache.get(key) is None and cache.misses == 1
+        assert cache.quarantined == 1 and not path.exists()
+        assert (cache.quarantine_dir() / path.name).exists()
+
+    def test_entry_under_wrong_key_is_quarantined(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "c"))
+        key = scenario_key(BASE)
+        other = scenario_key(Scenario(preset="sw-dsm-4", label="PI",
+                                      scale=0.05))
         cache.put(key, {"id": "x"})
-        entry = json.loads(cache.path_for(key).read_text(encoding="utf-8"))
-        entry["schema"] = "repro.fabric.cache/0"
-        cache.path_for(key).write_text(json.dumps(entry), encoding="utf-8")
-        assert cache.get(key) is None
+        moved = cache.path_for(other)
+        moved.parent.mkdir(parents=True, exist_ok=True)
+        moved.write_bytes(cache.path_for(key).read_bytes())
+        assert cache.get(other) is None and cache.quarantined == 1
+        assert (cache.quarantine_dir() / moved.name).exists()
+        assert cache.get(key) == {"id": "x"}
 
     def test_clear(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
