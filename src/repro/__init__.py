@@ -16,12 +16,14 @@ cluster substrate. Quick start::
 See ``examples/quickstart.py`` and the README for the full tour.
 """
 
-from repro.config import ClusterConfig, load, loads, preset
-from repro.core.hamster import Hamster
-from repro.core.templates import SpmdEnv
-from repro.faults import FaultPlan, run_chaos
+from repro.lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = ["ClusterConfig", "preset", "load", "loads", "Hamster", "SpmdEnv",
-           "FaultPlan", "run_chaos", "__version__"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.config": ("ClusterConfig", "preset", "load", "loads"),
+    "repro.core.hamster": ("Hamster",),
+    "repro.core.templates": ("SpmdEnv",),
+    "repro.faults": ("FaultPlan", "run_chaos"),
+})
+__all__.append("__version__")

@@ -18,13 +18,10 @@ from the same seeded input, so the DSM protocols are verified end-to-end on
 every benchmark run.
 """
 
-from repro.apps.common import APP_TABLE, AppResult, get_app
-from repro.apps.fft import run_fft
-from repro.apps.lu import run_lu
-from repro.apps.matmult import run_matmult
-from repro.apps.pi import run_pi
-from repro.apps.sor import run_sor
-from repro.apps.water import run_water
+from repro.lazy import lazy_exports
 
-__all__ = ["AppResult", "APP_TABLE", "get_app", "run_matmult",
-           "run_pi", "run_sor", "run_lu", "run_water", "run_fft"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.apps.common": ("AppResult", "APP_TABLE", "get_app"),
+    **{f"repro.apps.{app}": (f"run_{app}",)
+       for app in ("matmult", "pi", "sor", "lu", "water", "fft")},
+})

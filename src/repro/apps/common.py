@@ -117,25 +117,6 @@ def merge_rank_results(results) -> AppResult:
     return merged
 
 
-def _registry() -> Dict[str, Callable]:
-    from repro.apps.lu import run_lu
-    from repro.apps.matmult import run_matmult
-    from repro.apps.pi import run_pi
-    from repro.apps.sor import run_sor
-    from repro.apps.water import run_water
-
-    from repro.apps.fft import run_fft
-
-    return {
-        "matmult": run_matmult,
-        "pi": run_pi,
-        "sor": run_sor,
-        "lu": run_lu,
-        "water": run_water,
-        "fft": run_fft,  # extension: the paper's "ongoing work" direction
-    }
-
-
 #: Table 1 — benchmarks and their working sets (paper's full sizes; the
 #: harness scales these down with the ``scale`` knob for quick runs).
 APP_TABLE = {
@@ -157,7 +138,7 @@ APP_TABLE = {
 
 def get_app(name: str) -> Callable:
     """Benchmark entry point by Table 1 name."""
-    try:
-        return _registry()[name]
-    except KeyError:
-        raise AppError(f"unknown benchmark {name!r}; known: {sorted(APP_TABLE)}") from None
+    if name not in APP_TABLE:
+        raise AppError(f"unknown benchmark {name!r}; known: {sorted(APP_TABLE)}")
+    entry = f"run_{name}"
+    return getattr(__import__(f"repro.apps.{name}", fromlist=[entry]), entry)

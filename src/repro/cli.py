@@ -457,8 +457,10 @@ def _resolve_plan(args):
 def _cmd_run(args) -> int:
     from repro.apps import get_app
     from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
-    from repro.models.native_jiajia import NativeJiaJiaApi
+    if args.native:
+        from repro.models.native_jiajia import NativeJiaJiaApi as Api
+    else:
+        from repro.models.jiajia_api import JiaJiaApi as Api
 
     config = load(args.config) if args.config else preset(args.preset)
     plan = _resolve_plan(args)
@@ -467,7 +469,7 @@ def _cmd_run(args) -> int:
     _apply_obs(config, args)
     params: Dict[str, Any] = dict(args.param)
     plat = config.build()
-    api = NativeJiaJiaApi(plat.hamster) if args.native else JiaJiaApi(plat.hamster)
+    api = Api(plat.hamster)
     fn = get_app(args.app)
     merged = merge_rank_results(api.run(functools.partial(fn, **params)))
 

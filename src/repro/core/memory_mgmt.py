@@ -23,7 +23,7 @@ from repro.errors import CapabilityError
 from repro.memory.address_space import Region
 from repro.memory.layout import Distribution
 from repro.memory.shared_array import SharedArray
-from repro.obs.spans import NULL_SPAN
+from repro.sim.trace import NULL_SPAN
 
 __all__ = ["MemoryMgmt"]
 

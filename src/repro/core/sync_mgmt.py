@@ -23,8 +23,8 @@ from typing import Dict, List, Optional
 
 from repro.core.monitoring import ModuleStats
 from repro.errors import SynchronizationError
-from repro.obs.spans import NULL_SPAN
 from repro.sim.process import PARK
+from repro.sim.trace import NULL_SPAN
 
 __all__ = ["SyncMgmt", "ConditionVar", "Semaphore"]
 
@@ -224,7 +224,8 @@ class SyncMgmt:
     def barrier_g(self):
         """Generator kernel of :meth:`barrier` (``yield from`` it)."""
         engine = self._h.engine
-        with engine.obs.span("svc.barrier"):
+        obs = engine.obs
+        with obs.span("svc.barrier") if obs.enabled else NULL_SPAN:
             yield self._h.call_cost()
             self.stats.incr("barriers")
             sharing = engine.sharing

@@ -13,30 +13,34 @@ control — so the HAMSTER core and every programming model run unmodified on
 each.
 """
 
-from repro.dsm.base import AccessStats, GlobalMemorySystem
-from repro.dsm.smp import SmpMemorySystem
+from repro.errors import ConfigurationError
+from repro.lazy import lazy_exports
+
+#: DSM kind -> the module and class that implement it
+_KINDS = {"smp": ("repro.dsm.smp", "SmpMemorySystem"),
+          "jiajia": ("repro.dsm.jiajia", "JiaJiaSystem"),
+          "scivm": ("repro.dsm.scivm", "SciVmSystem")}
 
 
 def make_dsm(kind: str, cluster, fabric=None, **kw):
-    """Factory used by the cluster-configuration machinery.
+    """Factory used by the cluster-configuration machinery; imports only
+    the substrate it builds.
 
     ``kind`` is one of ``"smp"``, ``"jiajia"`` (SW-DSM), ``"scivm"``
     (hybrid DSM).
     """
-    from repro.dsm.jiajia import JiaJiaSystem
-    from repro.dsm.scivm import SciVmSystem
-
-    kinds = {"smp": SmpMemorySystem, "jiajia": JiaJiaSystem, "scivm": SciVmSystem}
-    try:
-        cls = kinds[kind]
-    except KeyError:
-        from repro.errors import ConfigurationError
-
+    if kind not in _KINDS:
         raise ConfigurationError(
-            f"unknown DSM kind {kind!r}; expected one of {sorted(kinds)}") from None
+            f"unknown DSM kind {kind!r}; expected one of {sorted(_KINDS)}")
+    module, name = _KINDS[kind]
+    cls = getattr(__import__(module, fromlist=[name]), name)
     if kind == "smp":
         return cls(cluster, **kw)
     return cls(cluster, fabric=fabric, **kw)
 
 
-__all__ = ["GlobalMemorySystem", "AccessStats", "SmpMemorySystem", "make_dsm"]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.dsm.base": ("GlobalMemorySystem", "AccessStats"),
+    "repro.dsm.smp": ("SmpMemorySystem",),
+})
+__all__.append("make_dsm")

@@ -50,8 +50,8 @@ from repro.memory.layout import Distribution
 from repro.memory.page import PageState, PageTable
 from repro.msg.active_messages import Reply
 from repro.msg.coalesce import MessagingFabric
-from repro.obs.spans import NULL_SPAN
 from repro.sim.process import PARK
+from repro.sim.trace import NULL_SPAN
 
 __all__ = ["JiaJiaSystem"]
 

@@ -67,8 +67,8 @@ from repro.fabric.gridspec import GridSpec
 from repro.fabric.journal import (JournalError, JournalState, SweepJournal,
                                   replay_journal)
 from repro.fabric.manifest import CellOutcome, SweepManifest
-from repro.fabric.worker import (Job, execute_cell, install_heartbeat,
-                                 worker_main)
+from repro.fabric.worker import (Job, execute_cell, import_cell_path,
+                                 install_heartbeat, worker_main)
 
 __all__ = ["SweepResult", "run_sweep", "DEFAULT_HEARTBEAT",
            "DEFAULT_MAX_RETRIES"]
@@ -315,6 +315,7 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
                     # is dead; the liveness check below recovers its job.
                     results.pop(wpid).close()
 
+    import_cell_path(job.scenario for job in jobs)
     for _ in range(n_workers):
         spawn()
 

@@ -36,13 +36,13 @@ import os
 import queue as _queue_mod
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 import repro.fabric.faultpoints as faultpoints
 from repro.fabric.gridspec import Scenario
 
-__all__ = ["Job", "CellFailed", "execute_cell", "install_heartbeat",
-           "worker_main", "HOOK_EVERY_EVENTS"]
+__all__ = ["Job", "CellFailed", "execute_cell", "import_cell_path",
+           "install_heartbeat", "worker_main", "HOOK_EVERY_EVENTS"]
 
 #: The engine host hook fires every this-many dispatched events; the
 #: heartbeat interval (host seconds) then throttles actual messages.
@@ -98,6 +98,20 @@ def execute_cell(scenario: Scenario, suite: str = "sweep") -> Dict[str, Any]:
                       faults=faults, nodes=scenario.nodes)
     record["id"] = scenario.cell_id()
     return record
+
+
+def import_cell_path(scenarios: Iterable[Scenario]) -> None:
+    """Import what :func:`execute_cell` runs for ``scenarios``, so that
+    workers forked afterwards share it rather than each compiling it."""
+    from repro.apps import get_app
+    from repro.bench.runners import WORKLOADS
+
+    for name in ("repro.core.templates", "repro.dsm.jiajia",
+                 "repro.dsm.scivm", "repro.dsm.smp", "repro.faults",
+                 "repro.machine.sci", "repro.obs.critical_path"):
+        __import__(name)
+    for app in {WORKLOADS[scenario.label].app for scenario in scenarios}:
+        get_app(app)
 
 
 def install_heartbeat(emit: Callable[[int, float], None],

@@ -9,22 +9,14 @@ interconnect models in :mod:`repro.machine.ethernet`,
 machine in :mod:`repro.machine.cluster`.
 """
 
-from repro.machine.cluster import Cluster
-from repro.machine.ethernet import EthernetNetwork
-from repro.machine.interconnect import Message, Network
-from repro.machine.node import Node
-from repro.machine.params import MachineParams, PAPER_PLATFORM
-from repro.machine.sci import SciInterconnect
-from repro.machine.smpbus import MemoryBus
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "Node",
-    "MachineParams",
-    "PAPER_PLATFORM",
-    "Network",
-    "Message",
-    "EthernetNetwork",
-    "SciInterconnect",
-    "MemoryBus",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.machine.cluster": ("Cluster",),
+    "repro.machine.node": ("Node",),
+    "repro.machine.params": ("MachineParams", "PAPER_PLATFORM"),
+    "repro.machine.interconnect": ("Network", "Message"),
+    "repro.machine.ethernet": ("EthernetNetwork",),
+    "repro.machine.sci": ("SciInterconnect",),
+    "repro.machine.smpbus": ("MemoryBus",),
+})

@@ -14,15 +14,17 @@ platforms:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.machine.ethernet import EthernetNetwork
 from repro.machine.interconnect import Network
 from repro.machine.node import Node
 from repro.machine.params import MachineParams, PAPER_PLATFORM
-from repro.machine.sci import SciInterconnect
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:
+    from repro.machine.sci import SciInterconnect
 
 __all__ = ["Cluster"]
 
@@ -68,6 +70,8 @@ class Cluster:
         """SCI-connected cluster with remote-memory transactions."""
         if n_nodes < 1:
             raise ConfigurationError("cluster needs >= 1 node")
+        from repro.machine.sci import SciInterconnect
+
         nodes = [Node(engine, i, params, n_cpus=1) for i in range(n_nodes)]
         net = SciInterconnect(engine, n_nodes, params)
         return cls(engine, nodes, network=net, params=params, kind="sci")
@@ -85,11 +89,13 @@ class Cluster:
                 f"node id {node_id} out of range [0, {self.n_nodes})") from None
 
     @property
-    def sci(self) -> SciInterconnect:
+    def sci(self) -> "SciInterconnect":
         """The SCI fabric; raises if this cluster has none."""
-        if isinstance(self.network, SciInterconnect):
+        if self.has_sci():
             return self.network
         raise ConfigurationError(f"cluster kind {self.kind!r} has no SCI fabric")
 
     def has_sci(self) -> bool:
+        from repro.machine.sci import SciInterconnect
+
         return isinstance(self.network, SciInterconnect)

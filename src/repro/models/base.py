@@ -15,7 +15,7 @@ from typing import Any, Callable, ClassVar, List, Optional, Sequence, Tuple
 
 from repro.core.hamster import Hamster
 from repro.errors import ModelError
-from repro.obs.spans import NULL_SPAN
+from repro.sim.trace import NULL_SPAN
 
 __all__ = ["ProgrammingModel"]
 

@@ -55,9 +55,9 @@ from typing import Any, Callable, Deque, Dict, Optional, Set
 
 from repro.errors import MessagingError, NodeFailedError, TimeoutError
 from repro.machine.interconnect import Message, Network
-from repro.obs.spans import NULL_SPAN
 from repro.sim.process import PARK, SimProcess
 from repro.sim.resources import SimQueue
+from repro.sim.trace import NULL_SPAN
 
 __all__ = ["Reply", "Handler", "RetryPolicy", "ActiveMessageLayer"]
 

@@ -20,8 +20,7 @@ package is those tools:
   compute/protocol/wire/blocked categories.
 * :mod:`repro.obs.profile` — post-run digests: the per-rank protocol
   profile behind ``repro run --profile`` and the trace summary. Import
-  them from the module: the package loads with every engine, this
-  module only when a report is asked for.
+  them from the module, which loads only when a report is asked for.
 * :mod:`repro.obs.export` — the one Chrome ``trace_event`` builder (loads
   in Perfetto or ``chrome://tracing``), its schema validator for CI, and
   the JSON/CSV run exports.
@@ -38,40 +37,36 @@ package is those tools:
   ``python -m repro sweep status`` and ``sweep report``.
 
 Everything is **off by default and costs zero when disabled**: the engine
-carries a shared :data:`~repro.obs.spans.NULL_OBS` sentinel whose every
+carries a shared :data:`~repro.sim.trace.NULL_OBS` sentinel whose every
 operation is a no-op, no virtual time is ever charged by instrumentation,
 and benchmark outputs stay bit-identical — preserving the paper's
 "monitoring independent of the architecture, negligible overhead" property.
-The package loads with every engine, so it imports :mod:`repro.bench` and
-:mod:`repro.fabric` only inside the functions that render with them.
+An unobserved run never imports this package. A name it exports loads
+its submodule when first read, and :mod:`repro.bench` and
+:mod:`repro.fabric` load only inside the functions that render with them.
 """
 
-from repro.obs.critical_path import (CriticalPathReport, RankBreakdown,
-                                     category_of, critical_path,
-                                     critical_path_report)
-from repro.obs.export import (chrome_trace, chrome_trace_json, figure_to_csv,
-                              run_to_json, stats_to_csv, validate_chrome_trace)
-from repro.obs.fleet import FleetReport, WorkerStats
-from repro.obs.diagnose import (SHARING_SCHEMA, classify_sharing,
-                                ping_pong_pages, render_sharing_report,
-                                sharing_chrome_trace, sharing_heatmap_csv,
-                                sharing_report, sharing_summary,
-                                validate_sharing_report)
-from repro.obs.metrics import (AttachedMonitor, CounterEvent, MetricPoint,
-                               MetricsSampler)
-from repro.obs.sharing import NULL_SHARING, NullSharing, SharingRecorder
-from repro.obs.spans import NULL_OBS, NullObserver, ObsRecorder, Span
+from repro.lazy import lazy_exports
+# ``critical_path`` names a submodule and the function it exports; binding
+# the function here keeps a later ``import repro.obs.critical_path`` from
+# leaving the module in its place.
+from repro.obs.critical_path import critical_path
 
-__all__ = [
-    "Span", "ObsRecorder", "NullObserver", "NULL_OBS",
-    "MetricsSampler", "MetricPoint", "AttachedMonitor", "CounterEvent",
-    "CriticalPathReport", "RankBreakdown", "category_of", "critical_path",
-    "critical_path_report",
-    "chrome_trace", "chrome_trace_json", "validate_chrome_trace",
-    "run_to_json", "figure_to_csv", "stats_to_csv",
-    "FleetReport", "WorkerStats",
-    "SharingRecorder", "NullSharing", "NULL_SHARING", "SHARING_SCHEMA",
-    "ping_pong_pages", "classify_sharing", "sharing_report",
-    "render_sharing_report", "validate_sharing_report",
-    "sharing_heatmap_csv", "sharing_chrome_trace", "sharing_summary",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.obs.spans": ("Span", "ObsRecorder", "NullObserver", "NULL_OBS"),
+    "repro.obs.metrics": ("MetricsSampler", "MetricPoint", "AttachedMonitor",
+                          "CounterEvent"),
+    "repro.obs.critical_path": ("CriticalPathReport", "RankBreakdown",
+                                "category_of", "critical_path",
+                                "critical_path_report"),
+    "repro.obs.export": ("chrome_trace", "chrome_trace_json",
+                         "validate_chrome_trace", "run_to_json",
+                         "figure_to_csv", "stats_to_csv"),
+    "repro.obs.fleet": ("FleetReport", "WorkerStats"),
+    "repro.obs.sharing": ("SharingRecorder", "NullSharing", "NULL_SHARING"),
+    "repro.obs.diagnose": ("SHARING_SCHEMA", "ping_pong_pages",
+                           "classify_sharing", "sharing_report",
+                           "render_sharing_report", "validate_sharing_report",
+                           "sharing_heatmap_csv", "sharing_chrome_trace",
+                           "sharing_summary"),
+})

@@ -7,8 +7,8 @@ Two complementary answers to "where did the time go":
   causal parents (falling back to the latest span finishing before the
   current one began) until virtual time zero. The chain crosses ranks
   wherever a message link does.
-* :func:`rank_breakdown` / :func:`critical_path_report` — per-rank
-  attribution of the **entire** run to four categories:
+* :func:`critical_path_report` — per-rank attribution of the **entire**
+  run to four categories:
 
   - ``wire``     — covered by a ``net.*`` transfer span,
   - ``blocked``  — covered by a ``*.wait`` span (and not wire),
@@ -26,19 +26,21 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
 
 from repro.obs.spans import ObsRecorder, Span
 
 __all__ = ["category_of", "RankBreakdown", "CriticalPathReport",
-           "critical_path", "rank_breakdown", "critical_path_report"]
+           "critical_path", "critical_path_report"]
 
 #: attribution categories, in overlap-priority order
 CATEGORIES = ("wire", "blocked", "protocol", "compute")
 
 
+@lru_cache(maxsize=None)
 def category_of(kind: str) -> str:
-    """Map a span kind to its attribution category."""
+    """Map a span kind to its attribution category (once per kind)."""
     if kind.startswith("net."):
         return "wire"
     if kind.endswith(".wait"):
@@ -89,15 +91,9 @@ class RankBreakdown:
         return getattr(self, category) / self.total if self.total > 0 else 0.0
 
 
-def rank_breakdown(recorder: ObsRecorder, rank: int,
-                   total: float) -> RankBreakdown:
-    """Partition ``[0, total]`` for one rank by category priority."""
-    return _breakdown([s for s in recorder.spans if s.rank == rank],
-                      rank, total)
-
-
 def _breakdown(spans: List[Span], rank: int, total: float) -> RankBreakdown:
-    """:func:`rank_breakdown` over ``spans``, the rank's spans in order."""
+    """Partition ``[0, total]`` for one rank by category priority, over
+    ``spans``, the rank's spans in order."""
     by_cat: dict = {"wire": [], "blocked": [], "protocol": []}
     for span in spans:
         interval = _clamped(span, total)
@@ -158,7 +154,13 @@ class CriticalPathReport:
     platform: str
     total_time: float
     ranks: List[RankBreakdown] = field(default_factory=list)
-    path: List[Span] = field(default_factory=list)
+    recorder: Optional[ObsRecorder] = field(default=None, repr=False,
+                                            compare=False)
+
+    @cached_property
+    def path(self) -> List[Span]:
+        """The :func:`critical_path` chain, walked when first read."""
+        return [] if self.recorder is None else critical_path(self.recorder)
 
     def rank(self, rank: int) -> RankBreakdown:
         return self.ranks[rank]
@@ -208,7 +210,7 @@ def critical_path_report(platform) -> CriticalPathReport:
     total = platform.engine.now
     report = CriticalPathReport(
         platform=platform.hamster.platform_description(), total_time=total,
-        path=critical_path(recorder))
+        recorder=recorder)
     by_rank: dict = {}
     for span in recorder.spans:
         by_rank.setdefault(span.rank, []).append(span)

@@ -9,12 +9,12 @@ per-lock wait/hold times and barrier arrival skew. The detectors and
 exporters that turn the stream into a diagnosis live in
 :mod:`repro.obs.diagnose`.
 
-The module follows the :data:`~repro.obs.spans.NULL_OBS` discipline exactly:
+The module follows the :data:`~repro.sim.trace.NULL_OBS` discipline exactly:
 
 * **Zero cost when disabled.** Every engine carries the shared
-  :data:`NULL_SHARING` sentinel; instrumentation sites guard on
-  ``engine.sharing.enabled`` and skip all field computation when it is
-  False. Nothing here ever charges virtual time, so disabled runs are
+  :data:`~repro.sim.trace.NULL_SHARING` sentinel; instrumentation sites
+  guard on ``engine.sharing.enabled`` and skip all field computation when
+  it is False. Nothing here ever charges virtual time, so disabled runs are
   bit-identical (enforced by ``repro.bench.diffcheck``).
 * **Host-side only when enabled.** The recorder appends to plain Python
   structures; it never schedules events, touches node clocks, or perturbs
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.trace import NULL_SHARING, NullSharing
+
 __all__ = ["NullSharing", "NULL_SHARING", "SharingRecorder",
            "PageSharing", "LockSharing", "merge_interval"]
 
@@ -41,53 +43,6 @@ KIND_DOWNGRADE = "downgrade"
 KIND_NOTICE = "notice"
 KIND_REMOTE_READ = "remote.r"
 KIND_REMOTE_WRITE = "remote.w"
-
-
-class NullSharing:
-    """Sharing recorder that records nothing and allocates nothing.
-
-    Installed as every engine's default ``sharing`` attribute so
-    instrumentation sites can exist unconditionally; hot paths check
-    ``enabled`` and skip everything when it is False.
-    """
-
-    enabled = False
-
-    def access(self, rank: int, page: int, lo: int, hi: int,
-               write: bool) -> None:
-        return None
-
-    def fault(self, rank: int, page: int, write: bool, t: float) -> None:
-        return None
-
-    def fetch(self, rank: int, page: int, home: int, nbytes: int,
-              t: float) -> None:
-        return None
-
-    def notice(self, page: int, writer: int, t: float) -> None:
-        return None
-
-    def transition(self, rank: int, page: int, old: int, new: int,
-                   t: float) -> None:
-        return None
-
-    def remote(self, rank: int, page: int, home: int, write: bool,
-               nbytes: int, t: float) -> None:
-        return None
-
-    def lock_acquired(self, lock_id: int, rank: int, t_request: float,
-                      t_acquired: float) -> None:
-        return None
-
-    def lock_released(self, lock_id: int, rank: int, t_released: float) -> None:
-        return None
-
-    def barrier(self, rank: int, t_arrive: float, t_depart: float) -> None:
-        return None
-
-
-#: Shared do-nothing recorder; safe to share because it holds no state.
-NULL_SHARING = NullSharing()
 
 
 def merge_interval(intervals: List[List[int]], lo: int, hi: int) -> None:

@@ -10,16 +10,17 @@ handler's span links back to it — one causal tree across the cluster.
 Design constraints honoured here:
 
 * **Zero cost when disabled.** The engine's default observer is the shared
-  :data:`NULL_OBS` singleton. Per-event sites test ``obs.enabled`` and
-  enter the reusable no-op :data:`NULL_SPAN` without building any fields,
+  :data:`~repro.sim.trace.NULL_OBS` singleton. Per-event sites test
+  ``obs.enabled`` and enter the reusable no-op
+  :data:`~repro.sim.trace.NULL_SPAN` without building any fields,
   nothing allocates, and — crucially — no instrumentation anywhere
   charges virtual time, so disabled runs are bit-identical.
 * **Tracer is the span sink.** Every span close is also emitted as an
   ``obs.span`` event into the engine's :class:`~repro.sim.trace.Tracer`, so
   the existing trace tooling (and the protocol tests built on it) see spans
   through the surface they already consume.
-* **Determinism.** Span ids are a per-recorder counter consumed in event
-  order; a seeded run produces an identical span tree.
+* **Determinism.** Span ids count from 1 in event order, so span ``i``
+  is ``spans[i - 1]``; a seeded run produces an identical span tree.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.sim.trace import NULL_OBS, NULL_SPAN, NullObserver
+
 __all__ = ["Span", "ObsRecorder", "NullObserver", "NULL_OBS", "NULL_SPAN"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One named virtual-time interval in the causal tree."""
 
@@ -56,67 +59,28 @@ class Span:
 
 
 class _SpanCtx:
-    """Context manager closing one span on exit (exceptions included)."""
+    """Context manager closing one span on exit (exceptions included), on
+    the stack it was opened on."""
 
-    __slots__ = ("_recorder", "span")
+    __slots__ = ("_recorder", "span", "_stack")
 
-    def __init__(self, recorder: "ObsRecorder", span: Span) -> None:
+    def __init__(self, recorder: "ObsRecorder", span: Span,
+                 stack: List[Span]) -> None:
         self._recorder = recorder
         self.span = span
+        self._stack = stack
 
     def __enter__(self) -> Span:
         return self.span
 
     def __exit__(self, *exc) -> None:
-        self._recorder.end(self.span)
-
-
-class _NullCtx:
-    """Reusable no-op context manager (the disabled fast path)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-#: The reusable no-op span a site enters when its observer is off
-#: (``with obs.span(...) if obs.enabled else NULL_SPAN:``): no fields built.
-NULL_SPAN = _NullCtx()
-
-
-class NullObserver:
-    """Observer that records nothing and allocates nothing.
-
-    Installed as every engine's default ``obs``. All methods are no-ops;
-    ``enabled`` is False, and per-event instrumentation sites test it
-    before building any span fields (``tests/test_rules.py`` checks this).
-    """
-
-    enabled = False
-    spans: List[Span] = []
-
-    def span(self, kind: str, **fields: Any) -> _NullCtx:
-        return NULL_SPAN
-
-    def begin(self, kind: str, **fields: Any) -> None:
-        return None
-
-    def end(self, span: Any) -> None:
-        return None
-
-    def record(self, kind: str, begin: float, end: float, **fields: Any) -> None:
-        return None
-
-    def current_id(self) -> Optional[int]:
-        return None
-
-
-#: Shared do-nothing observer; safe to share because it holds no state.
-NULL_OBS = NullObserver()
+        span, stack = self.span, self._stack
+        span.end = self._recorder.engine.now
+        if stack[-1] is span:
+            stack.pop()
+        else:                        # closed out of order (defensive)
+            stack.remove(span)
+        self._recorder._sink(span)
 
 
 class ObsRecorder:
@@ -126,20 +90,18 @@ class ObsRecorder:
 
     def __init__(self, engine, sink_to_trace: bool = True) -> None:
         self.engine = engine
+        #: every span, in id order
         self.spans: List[Span] = []
-        self._by_id: Dict[int, Span] = {}
-        self._next_id = 0
-        #: current-span stacks, keyed by SimProcess.pid (None = engine ctx)
-        self._stacks: Dict[Optional[int], List[Span]] = {}
+        #: current-span stacks, keyed by SimProcess (None = engine ctx)
+        self._stacks: Dict[Any, List[Span]] = {}
         self._sink_to_trace = sink_to_trace
 
     # -------------------------------------------------------------- plumbing
     def _stack(self) -> List[Span]:
         proc = self.engine.current_process
-        key = proc.pid if proc is not None else None
-        stack = self._stacks.get(key)
+        stack = self._stacks.get(proc)
         if stack is None:
-            stack = self._stacks[key] = []
+            stack = self._stacks[proc] = []
         return stack
 
     def current_id(self) -> Optional[int]:
@@ -148,22 +110,28 @@ class ObsRecorder:
         return stack[-1].span_id if stack else None
 
     def get(self, span_id: Optional[int]) -> Optional[Span]:
-        return self._by_id.get(span_id) if span_id is not None else None
+        spans = self.spans
+        if span_id is not None and 0 < span_id <= len(spans):
+            return spans[span_id - 1]
+        return None
 
     def _make(self, kind: str, begin: float, parent: Optional[int],
               rank: Optional[int], node: Optional[int],
               fields: Dict[str, Any]) -> Span:
-        self._next_id += 1
-        if rank is None:
-            # Inherit attribution from the causal parent (possibly remote).
-            src = self.get(parent)
-            if src is not None:
-                rank = src.rank
-        span = Span(span_id=self._next_id, kind=kind, begin=begin,
-                    parent=parent, rank=rank, node=node, fields=fields)
-        self.spans.append(span)
-        self._by_id[span.span_id] = span
+        if rank is None and (src := self.get(parent)) is not None:
+            rank = src.rank  # the causal parent's (possibly remote) rank
+        spans = self.spans
+        span = Span(len(spans) + 1, kind, begin, None, parent, rank, node,
+                    fields)
+        spans.append(span)
         return span
+
+    def _sink(self, span: Span) -> None:
+        trace = self.engine.trace
+        if self._sink_to_trace and trace.enabled:
+            trace.emit("obs.span", span_id=span.span_id, span_kind=span.kind,
+                       begin=span.begin, dur=span.end - span.begin,
+                       parent=span.parent, rank=span.rank)
 
     # ------------------------------------------------------------- recording
     def span(self, kind: str, parent: Optional[int] = None,
@@ -173,37 +141,15 @@ class ObsRecorder:
 
         Without an explicit ``parent`` the enclosing span (same process)
         becomes the parent; pass a remote sender's span id to link across
-        ranks (message causality).
+        ranks (message causality). The span stays open until the context
+        exits.
         """
-        return _SpanCtx(self, self.begin(kind, parent=parent, rank=rank,
-                                         node=node, **fields))
-
-    def begin(self, kind: str, parent: Optional[int] = None,
-              rank: Optional[int] = None, node: Optional[int] = None,
-              **fields: Any) -> Span:
-        """Open a span explicitly (pair with :meth:`end`)."""
         stack = self._stack()
         if parent is None and stack:
             parent = stack[-1].span_id
         span = self._make(kind, self.engine.now, parent, rank, node, fields)
         stack.append(span)
-        return span
-
-    def end(self, span: Span) -> None:
-        """Close ``span`` at the current virtual time."""
-        if span.end is not None:
-            return
-        span.end = self.engine.now
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:          # closed out of order (defensive)
-            stack.remove(span)
-        if self._sink_to_trace and self.engine.trace.enabled:
-            self.engine.trace.emit("obs.span", span_id=span.span_id,
-                                   span_kind=span.kind, begin=span.begin,
-                                   dur=span.end - span.begin,
-                                   parent=span.parent, rank=span.rank)
+        return _SpanCtx(self, span, stack)
 
     def record(self, kind: str, begin: float, end: float,
                parent: Optional[int] = None, rank: Optional[int] = None,
@@ -215,11 +161,7 @@ class ObsRecorder:
             parent = self.current_id()
         span = self._make(kind, begin, parent, rank, node, fields)
         span.end = end
-        if self._sink_to_trace and self.engine.trace.enabled:
-            self.engine.trace.emit("obs.span", span_id=span.span_id,
-                                   span_kind=span.kind, begin=span.begin,
-                                   dur=span.end - span.begin,
-                                   parent=span.parent, rank=span.rank)
+        self._sink(span)
         return span
 
     # --------------------------------------------------------------- queries
@@ -235,8 +177,7 @@ class ObsRecorder:
         return [s for s in self.spans if s.parent == span_id]
 
     def roots(self) -> List[Span]:
-        return [s for s in self.spans
-                if s.parent is None or s.parent not in self._by_id]
+        return [s for s in self.spans if self.get(s.parent) is None]
 
     def __len__(self) -> int:
         return len(self.spans)

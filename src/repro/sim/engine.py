@@ -29,11 +29,9 @@ from heapq import heappop, heappush
 from typing import Callable, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.obs.sharing import NULL_SHARING
-from repro.obs.spans import NULL_OBS
 from repro.sim.eventq import make_queue
 from repro.sim.process import PARK, SimProcess, run_unblocked
-from repro.sim.trace import Tracer
+from repro.sim.trace import NULL_OBS, NULL_SHARING, Tracer
 
 _INF = float("inf")
 

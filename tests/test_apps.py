@@ -108,9 +108,7 @@ class TestAppBehaviour:
             return AppResult(app=result.app, rank=result.rank,
                              phases=result.phases, verified=False)
 
-        monkeypatch.setitem(
-            __import__("repro.apps.common", fromlist=["_registry"]).__dict__,
-            "_registry", lambda: {"pi": sabotaged})
+        monkeypatch.setattr(pi_mod, "run_pi", sabotaged)
         with pytest.raises(AssertionError, match="verification"):
             run_app_on(preset("hybrid-2"), "pi", intervals=1024)
 

@@ -111,6 +111,15 @@ class TestObservabilityCommands:
         assert "spans    :" in out
         assert (tmp_path / "m.csv").read_text().startswith("time,")
 
+    def test_trace_output_is_pinned(self, capsys):
+        # sha256 of the breakdown table and the critical chain, so how the
+        # report computes either cannot change what the command prints.
+        import hashlib
+
+        assert main(["trace", "--preset", "sw-dsm-4", "--app", "sor"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() \
+            == "6a4a1838062c08e0629d1ca4b6ca73033d7e115380c6cd97afaf9fb802ee5127"
+
     def test_trace_validate_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "v.trace.json"
         assert main(["trace", "--preset", "sw-dsm-2", "--app", "pi",

@@ -156,6 +156,35 @@ class TestObsRecorder:
         assert rec.current_id() is None
 
 
+class TestDenseSpanIds:
+    """Span ``i`` is ``spans[i - 1]``; the queries built on that give what
+    the id-keyed dict they replaced gave."""
+
+    def test_get_finds_every_span(self):
+        built, _ = run_jiajia_workload(observe=True)
+        spans = built.obs.spans
+        assert [s.span_id for s in spans] == list(range(1, len(spans) + 1))
+        assert all(built.obs.get(s.span_id) is s for s in spans)
+
+    def test_get_misses_return_none(self):
+        built, _ = run_jiajia_workload(observe=True)
+        rec = built.obs
+        for missing in (None, 0, -1, len(rec.spans) + 1):
+            assert rec.get(missing) is None
+
+    def test_queries_match_the_id_dict(self):
+        built, _ = run_jiajia_workload(observe=True)
+        rec = built.obs
+        rec.record("orphan", 0.0, 0.0, parent=len(rec.spans) + 5)
+        by_id = {s.span_id: s for s in rec.spans}
+        assert rec.roots() == [s for s in rec.spans if s.parent is None
+                               or s.parent not in by_id]
+        assert rec.closed() == [s for s in rec.spans if s.end is not None]
+        for span_id in (None, *by_id):
+            assert rec.children(span_id) == [
+                s for s in rec.spans if s.parent == span_id]
+
+
 class TestInstrumentedRun:
     def test_spans_cover_the_whole_stack(self):
         built, _ = run_jiajia_workload(observe=True)
@@ -325,7 +354,7 @@ def _random_recorder(seed, n_spans=120, n_ranks=4):
         rank = rng.choice([*range(n_ranks), None])
         parent = rng.choice([None, *(s.span_id for s in rec.spans[-8:])])
         if rng.random() < 0.1:
-            rec.begin(rng.choice(kinds), parent=parent, rank=rank)  # open
+            rec.span(rng.choice(kinds), parent=parent, rank=rank)  # left open
             continue
         begin = rng.randrange(40) * 0.5
         rec.record(rng.choice(kinds), begin, begin + rng.randrange(8) * 0.5,
@@ -342,10 +371,11 @@ class TestCriticalPathMatchesTheScans:
         rec = _random_recorder(seed)
         assert [s.span_id for s in critical_path(rec)] \
             == [s.span_id for s in _scan_critical_path(rec)]
-        from repro.obs.critical_path import rank_breakdown
+        from repro.obs.critical_path import _breakdown
 
         for rank in range(4):
-            assert rank_breakdown(rec, rank, 18.0) \
+            spans = [s for s in rec.spans if s.rank == rank]
+            assert _breakdown(spans, rank, 18.0) \
                 == _scan_rank_breakdown(rec, rank, 18.0)
 
     @pytest.mark.parametrize("preset_name,label", [

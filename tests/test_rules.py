@@ -7,10 +7,11 @@
   to a generator function from inside ``try … finally`` or ``with`` runs
   its cleanup when the generator is *created*, before its body executes.
 * No fields for an observer that is off: in the packages every simulated
-  event passes through, a ``.emit(`` / ``.span(`` / ``.record(`` call that
-  passes keyword fields sits under its receiver's ``.enabled`` test (an
-  ``if`` or a conditional expression), so a disabled tracer or observer
-  costs one attribute test, not a dict of fields.
+  event passes through, a ``.emit(`` / ``.record(`` call that passes
+  keyword fields, and every ``.span(`` call, sits under its receiver's
+  ``.enabled`` test (an ``if`` or a conditional expression), so a disabled
+  tracer or observer costs one attribute test, not a dict of fields or a
+  call.
 * One clock: only ``sim/engine.py`` assigns an ``._now``.
 * No unseeded randomness under ``src/repro``: no ``random.Random()``
   without a seed, no call of the ``random`` module's global generator, no
@@ -226,7 +227,8 @@ def _enabled_in(test):
 
 def unguarded_observer_calls(tree, where="<seeded>"):
     """``where:line receiver.call()`` for every observer call with keyword
-    fields that its receiver's ``.enabled`` test does not guard."""
+    fields, and every ``.span()`` (which records a span even without
+    fields), that its receiver's ``.enabled`` test does not guard."""
     found = []
     stack = [(tree, frozenset())]
     while stack:
@@ -241,9 +243,10 @@ def unguarded_observer_calls(tree, where="<seeded>"):
             continue
         if isinstance(node, _SCOPES):
             guards = frozenset()            # a test outside does not run here
-        elif (isinstance(node, ast.Call) and node.keywords
+        elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
               and node.func.attr in _OBSERVER_CALLS
+              and (node.keywords or node.func.attr == "span")
               and ast.dump(node.func.value) not in guards):
             found.append(f"{where}:{node.lineno} {ast.unparse(node.func)}()")
         stack.extend((child, guards) for child in ast.iter_child_nodes(node))
@@ -275,7 +278,9 @@ def test_observer_fields_are_built_only_when_enabled():
      []),
     ("if self.engine.trace.enabled:\n"
      "    self.engine.trace.emit('hb', node=1)\n", []),
-    ("with obs.span('svc.barrier'):\n    pass\n", []),
+    ("with obs.span('svc.barrier'):\n    pass\n",
+     ["<seeded>:1 obs.span()"]),
+    ("with obs.span('x') if obs.enabled else NULL_SPAN:\n    pass\n", []),
 ])
 def test_the_observer_rule_fails_on_a_seeded_violation(seeded, expected):
     assert unguarded_observer_calls(ast.parse(seeded)) == expected
