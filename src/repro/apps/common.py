@@ -6,14 +6,17 @@ their node, and verify their shared-memory result against a sequential
 numpy reference computed from the same seeded input.
 
 The seeded input and the sequential reference are host-side facts about
-the run, not about a rank: :func:`once_per_run` builds each once per run (the
-first rank that asks pays) and hands every rank the same read-only arrays.
-Each rank still reads its own slice back through the DSM and compares it
-against its slice of that reference.
+the run, not about a rank: :func:`once_per_run` builds the input once per run
+(the first rank that asks pays) and hands every rank the same read-only
+arrays. :func:`reference_once_per_run` starts the reference on a helper
+thread as soon as that input exists, so it is computed while the ranks
+simulate; verification joins it. Each rank still reads its own slice back
+through the DSM and compares it against its slice of that reference.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -22,8 +25,8 @@ import numpy as np
 from repro.errors import HamsterError
 
 __all__ = ["AppResult", "compute_cost", "memtouch_cost",
-           "row_block", "once_per_run", "reference_once_per_run", "AppError",
-           "APP_TABLE", "get_app", "merge_rank_results"]
+           "row_block", "once_per_run", "reference_once_per_run", "Reference",
+           "AppError", "APP_TABLE", "get_app", "merge_rank_results"]
 
 
 class AppError(HamsterError):
@@ -93,15 +96,59 @@ def once_per_run(api, key: tuple, make: Callable[[], Any]):
     return shared[key]
 
 
-def reference_once_per_run(api, key: tuple, make: Callable[[], np.ndarray]):
-    """``(reference, checksum)`` of the run, computed once (see
-    :func:`once_per_run`); the checksum ``sum(|reference|)`` is
-    partition-independent."""
-    def build():
-        reference = make()
-        return reference, float(np.abs(reference).sum())
+class Reference:
+    """A run's ``(reference, checksum)``, computed on a helper thread.
 
-    return once_per_run(api, key, build)
+    The thread starts with the handle and runs ``make()`` and the
+    partition-independent checksum ``sum(|reference|)``. Nothing it does
+    touches the simulation, so virtual time cannot tell it ran beside the
+    ranks rather than inline.
+    """
+
+    __slots__ = ("_thread", "_value", "_error")
+
+    def __init__(self, make: Callable[[], np.ndarray]) -> None:
+        self._value: Optional[tuple] = None
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(target=self._compute, args=(make,),
+                                        name="repro-reference")
+        self._thread.start()
+
+    def _compute(self, make) -> None:
+        try:
+            reference = make()
+            self._value = (reference, float(np.abs(reference).sum()))
+        except BaseException as exc:  # re-raised by result(), on a rank
+            self._error = exc
+
+    def join(self) -> None:
+        """Wait for the helper thread; raises nothing."""
+        self._thread.join()
+
+    def result(self) -> tuple:
+        """Join the helper; the read-only ``(reference, checksum)``, or the
+        exception ``make()`` raised."""
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+        return _freeze(self._value)
+
+
+def reference_once_per_run(api, key: tuple,
+                           make: Callable[[], np.ndarray]) -> Reference:
+    """The run's :class:`Reference` under ``key``: the first rank to ask
+    starts ``make()`` on a helper thread (see :func:`once_per_run`), every
+    rank gets the same handle. :meth:`Hamster.run_spmd
+    <repro.core.hamster.Hamster.run_spmd>` joins it before it returns, so
+    no helper outlives its run."""
+    hamster = api.hamster
+
+    def start() -> Reference:
+        handle = Reference(make)
+        hamster.helpers.append(handle)
+        return handle
+
+    return once_per_run(api, key, start)
 
 
 def merge_rank_results(results) -> AppResult:

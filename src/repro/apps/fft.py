@@ -67,6 +67,10 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
                                          distribution=block())
     signal, grid = once_per_run(api, ("fft", "input", n1, n2, seed),
                                 lambda: _inputs(n1, n2, seed))
+    if verify:
+        reference = reference_once_per_run(
+            api, ("fft", "reference", n1, n2, seed),
+            lambda: _reference(signal, n1, n2))
     lo, hi = row_block(n1, rank, n_ranks)
     yield from A.set_g((slice(lo, hi), slice(None), slice(None)),
                        _to_pairs(grid[lo:hi, :]))
@@ -117,9 +121,7 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
     verified = True
     checksum = 0.0
     if verify:
-        ref, checksum = reference_once_per_run(
-            api, ("fft", "reference", n1, n2, seed),
-            lambda: _reference(signal, n1, n2))
+        ref, checksum = reference.result()
         mine = _to_complex(
             (yield from B.get_g((slice(t_lo, t_hi), slice(None), slice(None)))))
         verified = bool(np.allclose(mine, ref[t_lo:t_hi, :],

@@ -74,6 +74,10 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
     a_full = once_per_run(
         api, ("lu", "input", n, seed),
         lambda: np.random.default_rng(seed).random((n, n)) + np.eye(n) * n)
+    if verify:
+        reference = reference_once_per_run(
+            api, ("lu", "reference", n, seed, block),
+            lambda: _reference_lu(a_full, block))
 
     # ------------------------------------------------ write-only init (rank 0)
     if rank == 0:
@@ -130,9 +134,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
     verified = True
     checksum = 0.0
     if verify:
-        ref, checksum = reference_once_per_run(
-            api, ("lu", "reference", n, seed, block),
-            lambda: _reference_lu(a_full, block))
+        ref, checksum = reference.result()
         for mp in range(n_panels):
             if mp % n_ranks != rank:
                 continue

@@ -52,6 +52,10 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
 
     a_full, b_full = once_per_run(api, ("matmult", "input", n, seed),
                                   lambda: _inputs(n, seed))
+    if verify:
+        reference = reference_once_per_run(
+            api, ("matmult", "reference", n, seed),
+            lambda: _reference(a_full, b_full))
     lo, hi = row_block(n, rank, n_ranks)
 
     # ------------------------------------------------------------- init
@@ -77,9 +81,7 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
     verified = True
     checksum = 0.0
     if verify:
-        ref, checksum = reference_once_per_run(
-            api, ("matmult", "reference", n, seed),
-            lambda: _reference(a_full, b_full))
+        ref, checksum = reference.result()
         mine = yield from C.get_g((slice(lo, hi), slice(None)))
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-8))
     yield from api.jia_exit_g()

@@ -72,6 +72,10 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     initial = once_per_run(
         api, ("sor", "input", n, seed),
         lambda: np.random.default_rng(seed).random((n, n)))
+    if verify:
+        reference = reference_once_per_run(
+            api, ("sor", "reference", n, seed, iterations),
+            lambda: _reference(initial, iterations))
     lo, hi = row_block(n - 2, rank, n_ranks)
     lo, hi = lo + 1, hi + 1  # interior rows only
     yield from G.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
@@ -96,9 +100,7 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     verified = True
     checksum = 0.0
     if verify:
-        ref, checksum = reference_once_per_run(
-            api, ("sor", "reference", n, seed, iterations),
-            lambda: _reference(initial, iterations))
+        ref, checksum = reference.result()
         mine = yield from G.get_g((slice(lo, hi), slice(None)))
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-10))
     yield from api.jia_exit_g()

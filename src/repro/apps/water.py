@@ -61,6 +61,10 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     initial = once_per_run(
         api, ("water", "input", n, seed),
         lambda: np.random.default_rng(seed).random((n, 3)) * 10.0)
+    if verify:
+        reference = reference_once_per_run(
+            api, ("water", "reference", n, seed, steps),
+            lambda: _reference(initial, steps))
     lo, hi = row_block(n, rank, n_ranks)
     yield from X.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
     if rank == 0:
@@ -104,9 +108,7 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     verified = True
     checksum = 0.0
     if verify:
-        ref, checksum = reference_once_per_run(
-            api, ("water", "reference", n, seed, steps),
-            lambda: _reference(initial, steps))
+        ref, checksum = reference.result()
         mine = yield from X.get_g((slice(lo, hi), slice(None)))
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-8))
     yield from api.jia_exit_g()

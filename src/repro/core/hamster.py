@@ -40,6 +40,9 @@ class Hamster:
         #: values every rank of a run shares host-side (seeded inputs,
         #: sequential references; see :func:`repro.apps.common.once_per_run`)
         self.once_per_run: dict = {}
+        #: helper threads of this run (each with a ``join()``; see
+        #: :func:`repro.apps.common.reference_once_per_run`)
+        self.helpers: list = []
         # The five modules (§4.2). Cluster Control first: it provides
         # services the other modules may use during their own setup.
         self.cluster_ctl = ClusterControl(self)
@@ -85,10 +88,19 @@ class Hamster:
         ``main`` receives an :class:`SpmdEnv` handle exposing this runtime
         plus its own rank — the shape every programming-model layer's
         startup reduces to.
+
+        Every helper thread the run started is joined before this returns
+        or raises, so none outlives its run: a process that later forks (a
+        parallel sweep's ``fork`` workers) must not hold a running thread,
+        which the child would not get.
         """
         from repro.core.templates import spmd_startup
 
-        return spmd_startup(self, main, args=args, ranks=ranks)
+        try:
+            return spmd_startup(self, main, args=args, ranks=ranks)
+        finally:
+            while self.helpers:
+                self.helpers.pop().join()
 
     # -------------------------------------------------------------- queries
     @property

@@ -22,6 +22,7 @@ number of whole-page numpy calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,12 +64,18 @@ def make_diff(page: int, twin: np.ndarray, current: np.ndarray) -> Diff:
         raise MemoryError_(
             f"twin/page size mismatch: {twin.shape} vs {current.shape}")
     neq = twin != current
-    index = np.flatnonzero(neq)
-    # A run starts at each changed byte whose predecessor is unchanged
-    # (or absent, for byte 0).
-    n_runs = int(np.count_nonzero(neq[1:] > neq[:-1])) + int(neq[:1].sum())
-    return Diff(page, index.astype(np.min_scalar_type(len(neq))),
+    index = neq.nonzero()[0]
+    m = index.size
+    # Every changed byte starts a run unless its predecessor changed too.
+    n_runs = m - int(np.count_nonzero(neq[1:] & neq[:-1])) if m else 0
+    return Diff(page, index.astype(_index_dtype(len(neq))),
                 current[index], n_runs)
+
+
+@lru_cache(maxsize=None)
+def _index_dtype(page_len: int) -> np.dtype:
+    """The smallest unsigned dtype that holds an offset into the page."""
+    return np.min_scalar_type(page_len)
 
 
 def apply_diff(target: np.ndarray, diff: Diff) -> int:

@@ -93,25 +93,22 @@ def index_runs(bounds: Sequence[Tuple[int, int]], shape: Tuple[int, ...],
     run_len = (bounds[inner][1] - bounds[inner][0]) * strides[inner]
     if run_len == 0:
         return []
-    runs: List[Run] = []
-
-    def emit(dim: int, offset: int) -> None:
-        if dim == inner:
-            runs.append((offset + bounds[inner][0] * strides[inner], run_len))
-            return
+    # One run per index of the outer dims [0, inner), walked outermost
+    # first (no recursive closure: it would be a reference cycle per call).
+    offsets = [base_offset + bounds[inner][0] * strides[inner]]
+    for dim in range(inner):
         start, stop = bounds[dim]
-        for i in range(start, stop):
-            emit(dim + 1, offset + i * strides[dim])
-
-    emit(0, base_offset)
+        stride = strides[dim]
+        offsets = [off + i * stride for off in offsets
+                   for i in range(start, stop)]
+    offsets.sort()
     # Merge adjacent runs (common when an outer loop walks consecutive rows).
-    runs.sort()
     merged: List[Run] = []
-    for off, ln in runs:
+    for off in offsets:
         if merged and merged[-1][0] + merged[-1][1] == off:
-            merged[-1] = (merged[-1][0], merged[-1][1] + ln)
+            merged[-1] = (merged[-1][0], merged[-1][1] + run_len)
         else:
-            merged.append((off, ln))
+            merged.append((off, run_len))
     return merged
 
 

@@ -2,6 +2,8 @@
 instrumentation, and run-to-run determinism."""
 
 import functools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ import repro.apps.matmult
 import repro.apps.sor
 import repro.apps.water
 from repro.apps import get_app
-from repro.apps.common import (APP_TABLE, AppError, AppResult, merge_rank_results,
-                               once_per_run, row_block)
+from repro.apps.common import (APP_TABLE, AppError, AppResult, Reference,
+                               merge_rank_results, once_per_run,
+                               reference_once_per_run, row_block)
 from repro.bench.runners import run_app_detailed, run_app_on
 from repro.config import ClusterConfig, preset
 from repro.models.jiajia_api import JiaJiaApi
@@ -220,27 +223,34 @@ CORRUPTIONS = {
                          ids=[r[0] for r in REFERENCES])
 class TestEveryRankChecksRealData:
     def corrupt_before_verify(self, monkeypatch, module, app):
-        """Arm ``module`` so that, the moment the first rank enters its
-        verify phase — all compute barriers passed, no rank has read its
-        slice back yet — one element of rank 2's share of the result is
-        changed in shared memory (an SMP platform: one buffer, no copies)."""
+        """Arm the reference's join point so that, the moment the first
+        rank enters its verify phase — all compute barriers passed, no rank
+        has read its slice back yet — one element of rank 2's share of the
+        result is changed in shared memory (an SMP platform: one buffer,
+        no copies). The app's earlier ask for the reference names the
+        run's DSM."""
         array_name, index = CORRUPTIONS[app]
-        real = module.reference_once_per_run
-        done = []
+        ask, join = module.reference_once_per_run, Reference.result
+        dsms, done = [], []
 
-        def corrupting(api, key, make):
+        def asking(api, key, make):
+            dsms.append(api.hamster.dsm)
+            return ask(api, key, make)
+
+        def corrupting(handle):
             if not done:
-                done.append(key)
-                dsm = api.hamster.dsm
+                done.append(handle)
+                dsm = dsms[-1]
                 # (every rank's collective call allocated a region of this
                 # name; the ranks share one of them — hit them all)
                 for array in dsm._arrays.values():
                     if array.name == array_name:
                         buffer = dsm._buffers[array.region.region_id]
                         array._view(buffer)[index] += 1.0
-            return real(api, key, make)
+            return join(handle)
 
-        monkeypatch.setattr(module, "reference_once_per_run", corrupting)
+        monkeypatch.setattr(module, "reference_once_per_run", asking)
+        monkeypatch.setattr(Reference, "result", corrupting)
         return done
 
     def test_corrupted_block_fails_its_own_rank_only(
@@ -257,6 +267,90 @@ class TestEveryRankChecksRealData:
         self.corrupt_before_verify(monkeypatch, module, app)
         with pytest.raises(AssertionError, match="verification"):
             run_app_on(preset("smp-4"), app, **params)
+
+
+def reference_probe(make, before_verify, fail=False):
+    """An SPMD body shaped like the apps: ask for the reference right
+    after the input exists, simulate, call ``before_verify()``, then join
+    the reference (or raise mid-run instead, with ``fail``)."""
+    def main(api):
+        yield from api.jia_init_g()
+        handle = reference_once_per_run(api, ("probe", "reference"), make)
+        yield from api.jia_barrier_g()
+        before_verify()
+        if fail:
+            raise RuntimeError("rank failed mid-run")
+        pair = handle.result()
+        yield from api.jia_exit_g()
+        return pair
+    return main
+
+
+class TestReferenceHelper:
+    """The reference runs on a helper thread beside the ranks and is joined
+    where they verify; no helper outlives its run."""
+
+    def test_reference_is_computed_while_the_ranks_simulate(self):
+        simulated = threading.Event()
+
+        def make():
+            # inline (on the asking rank) this would wait for a simulation
+            # that cannot proceed until it returns
+            assert simulated.wait(timeout=10), \
+                "make() did not run beside the ranks"
+            return np.arange(4.0)
+
+        plat = preset("hybrid-4").build()
+        pairs = JiaJiaApi(plat.hamster).run(reference_probe(make, simulated.set))
+        reference, checksum = pairs[0]
+        assert checksum == 6.0
+        assert all(pair[0] is reference and pair[1] == checksum
+                   for pair in pairs)
+        assert not reference.flags.writeable
+
+    def test_no_helper_outlives_a_run(self):
+        before = threading.active_count()
+        run_app_on(preset("hybrid-4"), "lu", n=64, block=16)
+        assert threading.active_count() == before
+
+    def test_no_helper_outlives_a_failed_run(self):
+        before = threading.active_count()
+        simulated, finished = threading.Event(), []
+
+        def make():
+            simulated.wait(timeout=10)
+            time.sleep(0.05)  # still running when the rank raises
+            finished.append(True)
+            return np.zeros(2)
+
+        plat = preset("hybrid-4").build()
+        with pytest.raises(RuntimeError, match="mid-run"):
+            JiaJiaApi(plat.hamster).run(
+                reference_probe(make, simulated.set, fail=True))
+        assert finished == [True]  # joined before the error left run()
+        assert threading.active_count() == before
+        assert plat.hamster.helpers == []
+
+    def test_verify_false_starts_no_helper(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread))
+        before = threading.active_count()
+        _, plat = run_app_detailed(preset("hybrid-4"), "lu", n=64, block=16,
+                                   verify=False)
+        assert started == [] and plat.hamster.helpers == []
+        assert threading.active_count() == before
+
+    def test_an_error_in_make_surfaces_from_the_verifying_rank(
+            self, monkeypatch):
+        def broken(initial, iterations):
+            raise ValueError("reference blew up")
+
+        monkeypatch.setattr(repro.apps.sor, "_reference", broken)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="reference blew up"):
+            run_app_on(preset("hybrid-4"), "sor", n=32, iterations=1)
+        assert threading.active_count() == before
 
 
 class TestSharedRunState:
@@ -276,7 +370,7 @@ class TestSharedRunState:
                                    iterations=1, seed=3)
         shared = plat.hamster.once_per_run
         initial = shared[("sor", "input", 32, 3)]
-        reference, _checksum = shared[("sor", "reference", 32, 3, 1)]
+        reference, _checksum = shared[("sor", "reference", 32, 3, 1)].result()
         for array in (initial, reference):
             with pytest.raises(ValueError, match="read-only"):
                 array[5, 5] = 0.0

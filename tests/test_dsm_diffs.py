@@ -248,3 +248,56 @@ class TestDiffProperty:
         home = page(data.draw(st.lists(st.integers(0, 255),
                                        min_size=len(twin), max_size=len(twin))))
         assert_matches_oracle(twin_arr, cur, home)
+
+
+def previous_make_diff(page_no, twin, current):
+    """The codec as it was before its run count and index dtype got
+    cheaper; the rewrite must produce exactly this."""
+    neq = twin != current
+    index = np.flatnonzero(neq)
+    n_runs = int(np.count_nonzero(neq[1:] > neq[:-1])) + int(neq[:1].sum())
+    return Diff(page_no, index.astype(np.min_scalar_type(len(neq))),
+                current[index], n_runs)
+
+
+@st.composite
+def diff_cases(draw):
+    """A twin and a changed copy: random scatter, unchanged, fully changed,
+    first and/or last byte only, or one run anywhere."""
+    size = draw(st.sampled_from([1, 2, 17, 255, 256, 257, PAGE]))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    twin = rng.integers(0, 256, size, dtype=np.uint8)
+    cur = twin.copy()
+    kind = draw(st.sampled_from(
+        ["random", "empty", "full", "first", "last", "ends", "single"]))
+    if kind == "random":
+        mask = rng.random(size) < draw(st.sampled_from([0.01, 0.3, 0.9]))
+        cur[mask] ^= 0xFF
+    elif kind == "full":
+        cur ^= 0xFF
+    elif kind in ("first", "ends"):
+        cur[0] ^= 1
+    if kind in ("last", "ends"):
+        cur[-1] ^= 1
+    if kind == "single":
+        lo = draw(st.integers(0, size - 1))
+        hi = draw(st.integers(lo + 1, size))
+        cur[lo:hi] ^= 0x80
+    return twin, cur
+
+
+class TestMatchesPreviousCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(case=diff_cases())
+    def test_identical_output(self, case):
+        twin, cur = case
+        got, want = make_diff(5, twin, cur), previous_make_diff(5, twin, cur)
+        assert got.page == want.page
+        assert got.index.dtype == want.index.dtype
+        assert np.array_equal(got.index, want.index)
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.data, want.data)
+        assert got.n_runs == want.n_runs
+        assert type(got.n_runs) is int
+        assert diff_wire_size(got) == diff_wire_size(want)

@@ -1,5 +1,7 @@
 """Unit + property tests for SharedArray indexing and run lowering."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,24 @@ class TestIndexRuns:
         # Runs are sorted, merged, non-overlapping.
         for (o1, l1), (o2, _l2) in zip(runs, runs[1:]):
             assert o1 + l1 < o2
+
+    @pytest.mark.parametrize("bounds,shape", [
+        ([(1, 5), (2, 7)], (8, 8)),                # 2-D, partial rows
+        ([(0, 3), (1, 4), (2, 6)], (3, 5, 8)),     # 3-D, partial everywhere
+        ([(1, 2), (0, 5), (0, 8)], (3, 5, 8)),     # 3-D, full inner suffix
+        ([(0, 3), (2, 4), (0, 8)], (3, 5, 8)),     # 3-D, partial middle dim
+    ])
+    def test_leaves_no_garbage_for_the_collector(self, bounds, shape):
+        """Lowering a multi-row access builds no reference cycle: the
+        collector, kept off meanwhile, finds nothing to free after it."""
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                assert index_runs(bounds, shape, 8)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 # ------------------------------------------------------------- SharedArray
