@@ -70,7 +70,8 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
     if verify:
         reference = reference_once_per_run(
             api, ("fft", "reference", n1, n2, seed),
-            lambda: _reference(signal, n1, n2))
+            lambda: _reference(signal, n1, n2),
+            flops=_fft_flops(n1, n2) + 6.0 * n1 * n2 + _fft_flops(n2, n1))
     lo, hi = row_block(n1, rank, n_ranks)
     yield from A.set_g((slice(lo, hi), slice(None), slice(None)),
                        _to_pairs(grid[lo:hi, :]))

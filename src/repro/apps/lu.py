@@ -61,6 +61,16 @@ def _reference_lu(a: np.ndarray, block_rows: int) -> np.ndarray:
     return m
 
 
+def _flops(n: int, block_rows: int) -> float:
+    """What the ranks charge in all: each panel's factorisation plus its
+    update of every row below it."""
+    total = 0.0
+    for k0 in range(0, n, block_rows):
+        rows = min(block_rows, n - k0)
+        total += (rows * rows + 2.0 * rows * (n - k0 - rows)) * (n - k0)
+    return total
+
+
 def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
            verify: bool = True) -> AppResult:
     rank, n_ranks = yield from api.jia_init_g()
@@ -77,7 +87,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
     if verify:
         reference = reference_once_per_run(
             api, ("lu", "reference", n, seed, block),
-            lambda: _reference_lu(a_full, block))
+            lambda: _reference_lu(a_full, block), flops=_flops(n, block))
 
     # ------------------------------------------------ write-only init (rank 0)
     if rank == 0:

@@ -55,7 +55,7 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
     if verify:
         reference = reference_once_per_run(
             api, ("matmult", "reference", n, seed),
-            lambda: _reference(a_full, b_full))
+            lambda: _reference(a_full, b_full), flops=2.0 * n ** 3)
     lo, hi = row_block(n, rank, n_ranks)
 
     # ------------------------------------------------------------- init

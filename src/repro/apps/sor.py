@@ -75,7 +75,8 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     if verify:
         reference = reference_once_per_run(
             api, ("sor", "reference", n, seed, iterations),
-            lambda: _reference(initial, iterations))
+            lambda: _reference(initial, iterations),
+            flops=6.0 * iterations * (n - 2) ** 2)
     lo, hi = row_block(n - 2, rank, n_ranks)
     lo, hi = lo + 1, hi + 1  # interior rows only
     yield from G.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])

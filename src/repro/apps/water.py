@@ -64,7 +64,8 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     if verify:
         reference = reference_once_per_run(
             api, ("water", "reference", n, seed, steps),
-            lambda: _reference(initial, steps))
+            lambda: _reference(initial, steps),
+            flops=steps * (300.0 * n * (n - 1) / 2 + 6.0 * n))
     lo, hi = row_block(n, rank, n_ranks)
     yield from X.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
     if rank == 0:

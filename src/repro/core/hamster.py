@@ -40,7 +40,8 @@ class Hamster:
         #: values every rank of a run shares host-side (seeded inputs,
         #: sequential references; see :func:`repro.apps.common.once_per_run`)
         self.once_per_run: dict = {}
-        #: helper threads of this run (each with a ``join()``; see
+        #: helper threads of this run, each with a ``join()``: only a
+        #: reference large enough to be worth a thread registers one (see
         #: :func:`repro.apps.common.reference_once_per_run`)
         self.helpers: list = []
         # The five modules (§4.2). Cluster Control first: it provides

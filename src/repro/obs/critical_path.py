@@ -49,27 +49,14 @@ def category_of(kind: str) -> str:
 
 
 # ---------------------------------------------------------------- intervals
-def _union(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Merge possibly-overlapping intervals into a disjoint sorted list."""
-    out: List[Tuple[float, float]] = []
-    for begin, end in sorted(intervals):
-        if out and begin <= out[-1][1]:
-            if end > out[-1][1]:
-                out[-1] = (out[-1][0], end)
-        else:
-            out.append((begin, end))
-    return out
+#: a category's position in the priority order: an interval of priority
+#: ``i`` counts towards the ``i``-th union and every later one (wire,
+#: wire + blocked, all spans)
+_PRIORITY = {cat: i for i, cat in enumerate(CATEGORIES)}
 
 
 def _measure(intervals: List[Tuple[float, float]]) -> float:
     return sum(end - begin for begin, end in intervals)
-
-
-def _clamped(span: Span, total: float) -> Optional[Tuple[float, float]]:
-    """Span interval clipped to [0, total]; open spans run to ``total``."""
-    begin = max(0.0, span.begin)
-    end = total if span.end is None else min(span.end, total)
-    return (begin, end) if end > begin else None
 
 
 # --------------------------------------------------------------- breakdowns
@@ -93,20 +80,36 @@ class RankBreakdown:
 
 def _breakdown(spans: List[Span], rank: int, total: float) -> RankBreakdown:
     """Partition ``[0, total]`` for one rank by category priority, over
-    ``spans``, the rank's spans in order."""
-    by_cat: dict = {"wire": [], "blocked": [], "protocol": []}
+    ``spans``, the rank's spans in order.
+
+    Each span is clipped to ``[0, total]`` (an open span runs to
+    ``total``) and the clipped intervals are sorted once. One pass merges
+    that sorted list into three disjoint unions at once: the wire spans,
+    wire + blocked, and every span.
+    """
+    intervals = []
     for span in spans:
-        interval = _clamped(span, total)
-        if interval is not None:
-            by_cat[category_of(span.kind)].append(interval)
-    wire = _union(by_cat["wire"])
-    wire_blocked = _union(wire + by_cat["blocked"])
-    covered = _union(wire_blocked + by_cat["protocol"])
+        begin = span.begin if span.begin > 0.0 else 0.0
+        end = span.end
+        if end is None or total < end:
+            end = total
+        if end > begin:
+            intervals.append((begin, end, _PRIORITY[category_of(span.kind)]))
+    intervals.sort()
+    unions: Tuple[list, list, list] = ([], [], [])
+    for begin, end, priority in intervals:
+        for out in unions[priority:]:
+            if out and begin <= out[-1][1]:
+                if end > out[-1][1]:
+                    out[-1] = (out[-1][0], end)
+            else:
+                out.append((begin, end))
+    wire, wire_blocked, covered = map(_measure, unions)
     out = RankBreakdown(rank=rank, total=total)
-    out.wire = _measure(wire)
-    out.blocked = _measure(wire_blocked) - out.wire
-    out.protocol = _measure(covered) - _measure(wire_blocked)
-    out.compute = total - _measure(covered)
+    out.wire = wire
+    out.blocked = wire_blocked - wire
+    out.protocol = covered - wire_blocked
+    out.compute = total - covered
     return out
 
 

@@ -74,13 +74,15 @@ class _SpanCtx:
         return self.span
 
     def __exit__(self, *exc) -> None:
-        span, stack = self.span, self._stack
-        span.end = self._recorder.engine.now
+        span, stack, recorder = self.span, self._stack, self._recorder
+        engine = recorder.engine
+        span.end = engine._now
         if stack[-1] is span:
             stack.pop()
         else:                        # closed out of order (defensive)
             stack.remove(span)
-        self._recorder._sink(span)
+        if recorder._sink_to_trace and engine.trace.enabled:
+            recorder._sink(span)
 
 
 class ObsRecorder:
@@ -97,16 +99,9 @@ class ObsRecorder:
         self._sink_to_trace = sink_to_trace
 
     # -------------------------------------------------------------- plumbing
-    def _stack(self) -> List[Span]:
-        proc = self.engine.current_process
-        stack = self._stacks.get(proc)
-        if stack is None:
-            stack = self._stacks[proc] = []
-        return stack
-
     def current_id(self) -> Optional[int]:
         """Span id at the top of the calling context's stack, or None."""
-        stack = self._stack()
+        stack = self._stacks.get(self.engine._current)
         return stack[-1].span_id if stack else None
 
     def get(self, span_id: Optional[int]) -> Optional[Span]:
@@ -115,25 +110,16 @@ class ObsRecorder:
             return spans[span_id - 1]
         return None
 
-    def _make(self, kind: str, begin: float, parent: Optional[int],
-              rank: Optional[int], node: Optional[int],
-              fields: Dict[str, Any]) -> Span:
-        if rank is None and (src := self.get(parent)) is not None:
-            rank = src.rank  # the causal parent's (possibly remote) rank
-        spans = self.spans
-        span = Span(len(spans) + 1, kind, begin, None, parent, rank, node,
-                    fields)
-        spans.append(span)
-        return span
-
     def _sink(self, span: Span) -> None:
-        trace = self.engine.trace
-        if self._sink_to_trace and trace.enabled:
-            trace.emit("obs.span", span_id=span.span_id, span_kind=span.kind,
-                       begin=span.begin, dur=span.end - span.begin,
-                       parent=span.parent, rank=span.rank)
+        self.engine.trace.emit(
+            "obs.span", span_id=span.span_id, span_kind=span.kind,
+            begin=span.begin, dur=span.end - span.begin, parent=span.parent,
+            rank=span.rank)
 
     # ------------------------------------------------------------- recording
+    # span() and record() run once per span of every observed run, so each
+    # resolves its parent and builds its Span inline. Without an explicit
+    # rank a span takes its causal parent's (possibly remote) rank.
     def span(self, kind: str, parent: Optional[int] = None,
              rank: Optional[int] = None, node: Optional[int] = None,
              **fields: Any) -> _SpanCtx:
@@ -144,10 +130,22 @@ class ObsRecorder:
         ranks (message causality). The span stays open until the context
         exits.
         """
-        stack = self._stack()
-        if parent is None and stack:
-            parent = stack[-1].span_id
-        span = self._make(kind, self.engine.now, parent, rank, node, fields)
+        engine, spans = self.engine, self.spans
+        proc = engine._current
+        stack = self._stacks.get(proc)
+        if stack is None:
+            stack = self._stacks[proc] = []
+        if parent is None:
+            if stack:
+                top = stack[-1]
+                parent = top.span_id
+                if rank is None:
+                    rank = top.rank
+        elif rank is None and 0 < parent <= len(spans):
+            rank = spans[parent - 1].rank
+        span = Span(len(spans) + 1, kind, engine._now, None, parent, rank,
+                    node, fields)
+        spans.append(span)
         stack.append(span)
         return _SpanCtx(self, span, stack)
 
@@ -157,11 +155,21 @@ class ObsRecorder:
         """Record an already-completed interval (e.g. a wire transfer whose
         start/arrival times the network model computed). Does not touch any
         stack; ``parent`` defaults to the calling context's current span."""
+        engine, spans = self.engine, self.spans
         if parent is None:
-            parent = self.current_id()
-        span = self._make(kind, begin, parent, rank, node, fields)
-        span.end = end
-        self._sink(span)
+            stack = self._stacks.get(engine._current)
+            if stack:
+                top = stack[-1]
+                parent = top.span_id
+                if rank is None:
+                    rank = top.rank
+        elif rank is None and 0 < parent <= len(spans):
+            rank = spans[parent - 1].rank
+        span = Span(len(spans) + 1, kind, begin, end, parent, rank, node,
+                    fields)
+        spans.append(span)
+        if self._sink_to_trace and engine.trace.enabled:
+            self._sink(span)
         return span
 
     # --------------------------------------------------------------- queries

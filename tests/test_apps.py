@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.apps.common
 import repro.apps.fft
 import repro.apps.lu
 import repro.apps.matmult
 import repro.apps.sor
 import repro.apps.water
 from repro.apps import get_app
-from repro.apps.common import (APP_TABLE, AppError, AppResult, Reference,
-                               merge_rank_results, once_per_run,
+from repro.apps.common import (APP_TABLE, HELPER_FLOPS, AppError, AppResult,
+                               Reference, merge_rank_results, once_per_run,
                                reference_once_per_run, row_block)
 from repro.bench.runners import run_app_detailed, run_app_on
 from repro.config import ClusterConfig, preset
@@ -233,9 +234,9 @@ class TestEveryRankChecksRealData:
         ask, join = module.reference_once_per_run, Reference.result
         dsms, done = [], []
 
-        def asking(api, key, make):
+        def asking(api, key, make, flops):
             dsms.append(api.hamster.dsm)
-            return ask(api, key, make)
+            return ask(api, key, make, flops)
 
         def corrupting(handle):
             if not done:
@@ -269,13 +270,15 @@ class TestEveryRankChecksRealData:
             run_app_on(preset("smp-4"), app, **params)
 
 
-def reference_probe(make, before_verify, fail=False):
-    """An SPMD body shaped like the apps: ask for the reference right
-    after the input exists, simulate, call ``before_verify()``, then join
-    the reference (or raise mid-run instead, with ``fail``)."""
+def reference_probe(make, before_verify, flops, fail=False):
+    """An SPMD body shaped like the apps: ask for the reference (of
+    ``flops`` work) right after the input exists, simulate, call
+    ``before_verify()``, then join the reference (or raise mid-run
+    instead, with ``fail``)."""
     def main(api):
         yield from api.jia_init_g()
-        handle = reference_once_per_run(api, ("probe", "reference"), make)
+        handle = reference_once_per_run(api, ("probe", "reference"), make,
+                                        flops)
         yield from api.jia_barrier_g()
         before_verify()
         if fail:
@@ -286,9 +289,35 @@ def reference_probe(make, before_verify, fail=False):
     return main
 
 
+def record_thread_starts(monkeypatch):
+    """Every thread started from now on, in order (each still starts)."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+#: each array app at the size a scale-0.05 sweep cell runs it (fft, which
+#: has no figure label, at its default 64 x 64 grid): all below
+#: HELPER_FLOPS, like every cell of the smoke grid
+SMALL_CELLS = [
+    ("sor", repro.apps.sor, "_reference", dict(n=48, iterations=10)),
+    ("lu", repro.apps.lu, "_reference_lu", dict(n=64, block=16)),
+    ("matmult", repro.apps.matmult, "_reference", dict(n=48)),
+    ("water", repro.apps.water, "_reference", dict(molecules=40, steps=2)),
+    ("fft", repro.apps.fft, "_reference", dict(n1=64, n2=64)),
+]
+
+
 class TestReferenceHelper:
-    """The reference runs on a helper thread beside the ranks and is joined
-    where they verify; no helper outlives its run."""
+    """A large reference runs on a helper thread beside the ranks and is
+    joined where they verify; a small one is computed inline, with no
+    thread; no helper outlives its run."""
 
     def test_reference_is_computed_while_the_ranks_simulate(self):
         simulated = threading.Event()
@@ -301,12 +330,36 @@ class TestReferenceHelper:
             return np.arange(4.0)
 
         plat = preset("hybrid-4").build()
-        pairs = JiaJiaApi(plat.hamster).run(reference_probe(make, simulated.set))
+        pairs = JiaJiaApi(plat.hamster).run(
+            reference_probe(make, simulated.set, flops=HELPER_FLOPS))
         reference, checksum = pairs[0]
         assert checksum == 6.0
         assert all(pair[0] is reference and pair[1] == checksum
                    for pair in pairs)
         assert not reference.flags.writeable
+
+    @pytest.mark.parametrize("app,module,name,params", SMALL_CELLS,
+                             ids=[c[0] for c in SMALL_CELLS])
+    def test_a_small_reference_is_computed_inline(
+            self, monkeypatch, app, module, name, params):
+        reference_of = getattr(module, name)
+        calls = count_calls(monkeypatch, module, name)
+        started = record_thread_starts(monkeypatch)
+        _, plat = run_app_detailed(preset("hybrid-4"), app, **params)
+        assert started == [] and plat.hamster.helpers == []
+        (handle,) = [value for key, value in plat.hamster.once_per_run.items()
+                     if key[1] == "reference"]
+        reference, checksum = handle.result()
+        expected = reference_of(*calls[0])
+        assert reference.dtype == expected.dtype
+        assert reference.tobytes() == expected.tobytes()
+        assert checksum == float(np.abs(expected).sum())
+
+    def test_a_large_reference_gets_one_helper(self, monkeypatch):
+        started = record_thread_starts(monkeypatch)
+        _, plat = run_app_detailed(preset("smp-2"), "lu", n=512, block=32)
+        assert [thread.name for thread in started] == ["repro-reference"]
+        assert not started[0].is_alive() and plat.hamster.helpers == []
 
     def test_no_helper_outlives_a_run(self):
         before = threading.active_count()
@@ -326,12 +379,14 @@ class TestReferenceHelper:
         plat = preset("hybrid-4").build()
         with pytest.raises(RuntimeError, match="mid-run"):
             JiaJiaApi(plat.hamster).run(
-                reference_probe(make, simulated.set, fail=True))
+                reference_probe(make, simulated.set, flops=HELPER_FLOPS,
+                                fail=True))
         assert finished == [True]  # joined before the error left run()
         assert threading.active_count() == before
         assert plat.hamster.helpers == []
 
     def test_verify_false_starts_no_helper(self, monkeypatch):
+        monkeypatch.setattr(repro.apps.common, "HELPER_FLOPS", 0.0)
         started = []
         monkeypatch.setattr(threading.Thread, "start",
                             lambda thread: started.append(thread))
@@ -341,15 +396,20 @@ class TestReferenceHelper:
         assert started == [] and plat.hamster.helpers == []
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("helper_flops,helpers", [(0.0, 1), (np.inf, 0)],
+                             ids=["helper", "inline"])
     def test_an_error_in_make_surfaces_from_the_verifying_rank(
-            self, monkeypatch):
+            self, monkeypatch, helper_flops, helpers):
         def broken(initial, iterations):
             raise ValueError("reference blew up")
 
+        monkeypatch.setattr(repro.apps.common, "HELPER_FLOPS", helper_flops)
         monkeypatch.setattr(repro.apps.sor, "_reference", broken)
+        started = record_thread_starts(monkeypatch)
         before = threading.active_count()
         with pytest.raises(ValueError, match="reference blew up"):
             run_app_on(preset("hybrid-4"), "sor", n=32, iterations=1)
+        assert len(started) == helpers
         assert threading.active_count() == before
 
 

@@ -295,10 +295,29 @@ class TestCriticalPath:
                                    "protocol": 0.0, "compute": 0.0}
 
 
+def _clamped(span, total):
+    """Span interval clipped to [0, total]; open spans run to ``total``."""
+    begin = max(0.0, span.begin)
+    end = total if span.end is None else min(span.end, total)
+    return (begin, end) if end > begin else None
+
+
+def _union(intervals):
+    """Merge possibly-overlapping intervals into a disjoint sorted list."""
+    out = []
+    for begin, end in sorted(intervals):
+        if out and begin <= out[-1][1]:
+            if end > out[-1][1]:
+                out[-1] = (out[-1][0], end)
+        else:
+            out.append((begin, end))
+    return out
+
+
 def _scan_rank_breakdown(recorder, rank, total):
-    """The per-rank scan over every span, kept as the oracle."""
-    from repro.obs.critical_path import (RankBreakdown, _clamped, _measure,
-                                         _union)
+    """The per-rank scan over every span, with one sort per category
+    union, kept as the oracle."""
+    from repro.obs.critical_path import RankBreakdown, _measure
 
     by_cat = {"wire": [], "blocked": [], "protocol": []}
     for span in recorder.spans:
@@ -393,6 +412,33 @@ class TestCriticalPathMatchesTheScans:
         assert report.ranks == [
             _scan_rank_breakdown(built.obs, r, built.engine.now)
             for r in range(built.hamster.n_ranks)]
+
+
+#: sha256 of the repr of every span of one observed ``sw-dsm-4`` SOR run
+#: at n = 48, each as ``(span_id, kind, begin, end, parent, rank, node,
+#: sorted(fields.items()))``
+SOR_SPAN_TREE_SHA256 = \
+    "9e04cc0611ea434ebb34b62e3464de3905bc1bebf596fef0dede783c94a21d61"
+
+
+class TestSpanTreePinned:
+    """What the recorder records, span by span, does not drift: ids,
+    parents, inherited ranks, clock readings and fields."""
+
+    def test_sor_span_tree(self):
+        import hashlib
+
+        from repro.bench.runners import WORKLOADS, run_app_detailed
+
+        cfg = preset("sw-dsm-4")
+        cfg.observe = True
+        _, built = run_app_detailed(cfg, "sor",
+                                    **WORKLOADS["SOR"].params(0.05))
+        rows = [(s.span_id, s.kind, s.begin, s.end, s.parent, s.rank, s.node,
+                 sorted(s.fields.items())) for s in built.obs.spans]
+        assert len(rows) == 2000
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() \
+            == SOR_SPAN_TREE_SHA256
 
 
 class TestMetricsSampler:
