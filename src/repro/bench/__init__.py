@@ -1,7 +1,8 @@
 """Evaluation harness (§5) and benchmark telemetry.
 
-* :mod:`repro.bench.runners` — one entry point per table/figure: they run
-  the actual experiments and return structured rows.
+* :mod:`repro.bench.runners` — the runners (a label on a platform, a
+  platform's suite), the figures' pure derivations, and the one table of
+  the paper's claims.
 * :mod:`repro.bench.loc_metrics` — the Table 2 line-counting methodology
   (comment/docstring stripping + logical-line normalization).
 * :mod:`repro.bench.report` — fixed-width text rendering of the rows, used
@@ -14,8 +15,8 @@
   record field as semantic (bit-exact) or host (stripped).
 * :mod:`repro.bench.diffcheck` — the golden store, the one record of what
   was simulated, with its one bit-exact checker and one re-record
-  command, and the paper-shape gate re-asserting the Figure 2-4 orderings
-  from recorded numbers.
+  command, and the paper-shape gate evaluating the paper's claims table
+  (:data:`repro.bench.runners.CLAIMS`) over recorded numbers.
 
 Host time is judged by ``benchmarks/perf`` alone; a record still carries
 the wall seconds of the run that produced it, as a fact to display.
@@ -26,9 +27,6 @@ from repro.bench.report import render_table, telemetry_html, telemetry_markdown
 from repro.bench.runners import (
     BENCH_LABELS,
     advantage_pct,
-    figure2_overhead,
-    figure3_hybrid_vs_sw,
-    figure4_two_nodes,
     normalized_pct,
     overhead_pct,
     run_app_detailed,
@@ -44,9 +42,6 @@ __all__ = [
     "run_app_on",
     "run_app_detailed",
     "table1_rows",
-    "figure2_overhead",
-    "figure3_hybrid_vs_sw",
-    "figure4_two_nodes",
     "overhead_pct",
     "advantage_pct",
     "normalized_pct",

@@ -94,10 +94,10 @@ def _telemetry_sections(doc: Dict[str, Any],
         ["benchmark", "virtual ms", "events", "events/s", "host ms",
          "compute", "protocol", "wire", "blocked"],
         rec_rows))
-    checks = shape_gate(doc.get("records", []))
-    if checks:
+    if doc.get("records"):
         sections.append(("Paper-shape gate", ["finding"],
-                         [[check.describe()] for check in checks]))
+                         [[check.describe()]
+                          for check in shape_gate(doc["records"])]))
     if metrics:
         last = metrics[-1].get("values", {})
         peaks: Dict[str, float] = {}

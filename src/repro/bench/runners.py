@@ -1,13 +1,13 @@
-"""Experiment runners — one per table/figure of §5.
+"""Experiment runners for §5, and the one table of the paper's claims.
 
 Every figure uses the same benchmark label set as the paper's bar charts:
 MatMult, PI, SOR opt, SOR, LU all, LU, LU core, LU bar, WATER 288,
 WATER 343 (one LU execution yields its four split measurements).
 
 ``scale`` scales the working sets: 1.0 is the paper's Table 1 size
-(1024×1024 matrices, 288/343 molecules); the benches default to a reduced
-scale that preserves every qualitative relationship while keeping the
-(real-world) run time of the full suite manageable.
+(1024×1024 matrices, 288/343 molecules). The paper's claims are stated
+at 0.05, 0.25 and 1.0 (:data:`SCALES`); the few that fail at a smaller
+scale are named in :data:`CLAIMS` as exceptions, with their reasons.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.apps import get_app
 from repro.apps.common import AppResult, merge_rank_results
-from repro.config import ClusterConfig, preset
+from repro.config import ClusterConfig
 from repro.models.jiajia_api import JiaJiaApi
 from repro.models.native_jiajia import NativeJiaJiaApi
 
 __all__ = ["BENCH_LABELS", "run_app_on", "run_app_detailed", "run_suite",
-           "table1_rows", "figure2_overhead", "figure3_hybrid_vs_sw",
-           "figure4_two_nodes", "overhead_pct", "advantage_pct",
-           "normalized_pct", "ShapeCheck", "shape_gate", "WORKLOADS"]
+           "table1_rows", "overhead_pct", "advantage_pct",
+           "normalized_pct", "SCALES", "ShapeCheck", "Excepted", "Claim",
+           "CLAIMS", "shape_gate", "WORKLOADS"]
 
 #: Figure bar labels in the paper's order.
 BENCH_LABELS = ["MatMult", "PI", "SOR opt", "SOR", "LU all", "LU",
@@ -135,11 +135,10 @@ def table1_rows() -> List[Tuple[str, str]]:
 
 
 # ------------------------------------------------- figure math (pure)
-# The figure entry points below *run* platforms and then derive the paper's
-# percentages. The derivations are split out as pure functions over
-# label -> seconds mappings so that recorded telemetry (repro.bench.telemetry)
-# can re-derive the same figures from stored numbers without re-running —
-# the golden checker's paper-shape gate leans on this.
+# The paper's percentages, as pure functions over label -> seconds
+# mappings, so that live runs (:func:`run_suite`) and recorded telemetry
+# (repro.bench.telemetry) derive the same figures — the claims table
+# below and repro.bench.experiments lean on this.
 
 def overhead_pct(t_hamster: Dict[str, float],
                  t_native: Dict[str, float]) -> Dict[str, float]:
@@ -171,148 +170,286 @@ def normalized_pct(t_hw: Dict[str, float], t_hy: Dict[str, float],
     return out
 
 
-@dataclass
+# ------------------------------------------------------- the claims table
+# The paper's evaluation (§5) is a set of qualitative orderings. Each is
+# stated once, below, as a predicate over named inputs, and two
+# evaluators read the table: :func:`shape_gate` over recorded rows (the
+# golden store, a telemetry document) and benchmarks/test_paper_claims.py,
+# which measures every input at ``REPRO_SCALE``. An input named after a
+# preset is its label -> seconds; ``"<preset> eth xf"`` / ``"<preset> sci xf"``
+# is the same on the sensitivity labels with the Ethernet (SCI) latency
+# scaled by ``f``; ``"<preset> homes"`` is SOR's placement -> {"seconds",
+# "diffs"} under three home placements (the locality ablation).
+
+#: The scales every claim is stated at: the golden store's, the benchmark
+#: suite's default and the paper's.
+SCALES = (0.05, 0.25, 1.0)
+
+#: Claim outcomes; only ``failed`` and ``stale`` break a gate.
+HELD, EXCEPTED, FAILED, STALE, UNDECIDED = (
+    "held", "excepted", "failed", "stale", "undecided")
+
+#: (held, detail); ``held`` is None when the inputs cannot decide it.
+Verdict = Tuple[Optional[bool], str]
+
+
+@dataclass(frozen=True)
 class ShapeCheck:
-    """One figure-shape assertion evaluated over recorded numbers."""
+    """One claim of the table, evaluated."""
 
     figure: str
     claim: str
-    passed: bool
+    status: str
     detail: str = ""
 
+    @property
+    def passed(self) -> bool:
+        """Decided as the table says: held, or failed where excepted."""
+        return self.status in (HELD, EXCEPTED)
+
+    @property
+    def failed(self) -> bool:
+        """Decided against the table: broken, or excepted yet holding."""
+        return self.status in (FAILED, STALE)
+
     def describe(self) -> str:
-        status = "ok" if self.passed else "FAIL"
-        text = f"[{self.figure}] {self.claim}: {status}"
+        text = f"[{self.figure}] {self.claim}: {self.status}"
         return f"{text} ({self.detail})" if self.detail else text
 
 
-def _label_seconds(rows: List[Dict[str, Any]],
-                   preset_name: str) -> Dict[str, float]:
-    """label -> virtual seconds for one preset, from recorded rows."""
-    out: Dict[str, float] = {}
-    for rec in rows:
-        if rec.get("preset") == preset_name:
-            for label, seconds in rec.get("label_seconds", {}).items():
-                out[label] = float(seconds)
-    return out
+@dataclass(frozen=True)
+class Excepted:
+    """A known red: the claim fails at ``scale`` for ``reason``. Strict:
+    an excepted claim that holds fails as stale."""
+
+    scale: float
+    reason: str
 
 
-def shape_gate(rows: Iterable[Dict[str, Any]],
-               fig2_band_pct: float = 10.0) -> List[ShapeCheck]:
-    """Re-assert the Figure 2-4 qualitative orderings from recorded rows
-    (the golden store's figure rows, or any telemetry document's records)
-    through the derivations above. The gate reads two fields, ``preset``
-    and ``label_seconds``, both declared semantic in
+@dataclass(frozen=True)
+class Claim:
+    """One row of the table: ``holds(*inputs)`` must be true at every
+    scale in ``scales`` except those ``exceptions`` name."""
+
+    key: str
+    figure: str
+    text: str
+    inputs: Tuple[str, ...]
+    holds: Callable[..., Verdict]
+    scales: Tuple[float, ...] = SCALES
+    exceptions: Tuple[Excepted, ...] = ()
+
+    def evaluate(self, inputs: Dict[str, Any],
+                 scale: Optional[float]) -> ShapeCheck:
+        """Judge the claim on ``inputs`` (name -> value) measured at
+        ``scale``; a missing input, or a label a predicate looks up and
+        the inputs lack, leaves it undecided."""
+        missing = [name for name in self.inputs if not inputs.get(name)]
+        if missing:
+            held, detail = None, f"no {', '.join(missing)}"
+        elif scale not in self.scales:
+            held, detail = None, f"not stated at scale {scale}"
+        else:
+            try:
+                held, detail = self.holds(*(inputs[n] for n in self.inputs))
+            except KeyError as exc:
+                held, detail = None, f"no {exc}"
+        known = next((e for e in self.exceptions if e.scale == scale), None)
+        if held is None:
+            status = UNDECIDED
+        elif known is None:
+            status = HELD if held else FAILED
+        else:
+            status = STALE if held else EXCEPTED
+            detail += f"; excepted at {scale:g}: {known.reason}"
+        return ShapeCheck(self.figure, self.text, status, detail)
+
+
+def _every(values: Dict[str, float], ok: Callable[[float], bool]) -> Verdict:
+    """Held when ``ok`` holds for every label."""
+    if not values:
+        return None, "no shared label"
+    bad = {label: round(v, 2) for label, v in values.items() if not ok(v)}
+    if bad:
+        return False, f"offenders {bad}"
+    lo, hi = min(values.values()), max(values.values())
+    return True, f"range {lo:+.2f}..{hi:+.2f}"
+
+
+def _lacks_a_label(*inputs: Dict[str, float]) -> bool:
+    """A count over the benchmarks is decided on all ten labels only."""
+    return any(label not in t for t in inputs for label in BENCH_LABELS)
+
+
+def _both_signs(ham: Dict[str, float], nat: Dict[str, float]) -> Verdict:
+    if _lacks_a_label(ham, nat):
+        return None, "needs all ten benchmarks"
+    overhead = overhead_pct(ham, nat).values()
+    slower = sum(v > 0 for v in overhead)
+    faster = sum(v < 0 for v in overhead)
+    return slower > 0 and faster > 0, f"{slower} slower, {faster} faster"
+
+
+def _hybrid_wins(sw: Dict[str, float], hy: Dict[str, float]) -> Verdict:
+    return _every(advantage_pct(sw, hy), lambda v: v > 0)
+
+
+def _sor_locality(sw: Dict[str, float], hy: Dict[str, float]) -> Verdict:
+    adv = advantage_pct(sw, hy)
+    return (adv["SOR"] > adv["SOR opt"],
+            f"SOR {adv['SOR']:.2f}% vs SOR opt {adv['SOR opt']:.2f}%")
+
+
+def _lu_init(sw: Dict[str, float], hy: Dict[str, float]) -> Verdict:
+    adv = advantage_pct(sw, hy)
+    return (adv["LU all"] >= adv["LU core"] - 1.0,
+            f"LU all {adv['LU all']:.1f}% vs LU core {adv['LU core']:.1f}%")
+
+
+def _matmult_beats_smp(hw: Dict[str, float], hy: Dict[str, float]) -> Verdict:
+    pct = 100.0 * hy["MatMult"] / hw["MatMult"]
+    return pct < 100.0, f"hybrid at {pct:.1f}% of SMP"
+
+
+def _smp_wins_pi(hw: Dict[str, float], hy: Dict[str, float]) -> Verdict:
+    return (hw["PI"] <= hy["PI"] * 1.05,
+            f"SMP at {100.0 * hw['PI'] / hy['PI']:.1f}% of hybrid")
+
+
+def _smp_wins(hw: Dict[str, float], sw: Dict[str, float]) -> Verdict:
+    if _lacks_a_label(hw, sw):
+        return None, "needs all ten benchmarks"
+    wins = sum(sw[label] > hw[label] for label in hw if label != "MatMult")
+    return wins >= 6, f"SMP wins {wins}/9"
+
+
+def _ratio(homes: Dict[str, Dict[str, float]]) -> float:
+    """Worst over best SOR time across the home placements."""
+    times = [run["seconds"] for run in homes.values()]
+    return max(times) / min(times)
+
+
+def _placement_sensitivity(sw: Dict[str, Dict[str, float]],
+                           hy: Dict[str, Dict[str, float]]) -> Verdict:
+    return (_ratio(hy) < _ratio(sw),
+            f"hybrid x{_ratio(hy):.2f}, SW-DSM x{_ratio(sw):.2f}")
+
+
+_FIG3 = ("sw-dsm-4", "hybrid-4")
+CLAIMS: List[Claim] = [
+    # Figure 2 (§5.3): HAMSTER costs native JiaJia little, either way.
+    Claim("fig2-band", "fig2",
+          "every HAMSTER-vs-native overhead lies within -6.5%..+6.5%",
+          ("sw-dsm-4", "native-jiajia-4"),
+          lambda ham, nat: _every(overhead_pct(ham, nat),
+                                  lambda v: -6.5 < v < 6.5),
+          exceptions=(Excepted(0.25, "SOR opt spikes to +12.40%; its "
+                               "mechanism is open (ROADMAP 8(b))"),)),
+    Claim("fig2-signs", "fig2",
+          "HAMSTER is slower on some benchmarks and faster on others",
+          ("sw-dsm-4", "native-jiajia-4"), _both_signs),
+    # Figure 3 (§5.4): the hybrid DSM beats the SW-DSM.
+    Claim("fig3-hybrid-wins", "fig3",
+          "the hybrid DSM is faster than the SW-DSM on every benchmark",
+          _FIG3, _hybrid_wins),
+    Claim("fig3-sor-locality", "fig3",
+          "unoptimized SOR gains more from the hybrid than SOR opt",
+          _FIG3, _sor_locality,
+          exceptions=(Excepted(0.05, "at n=48 SOR opt is the slower SOR "
+                               "on the SW-DSM (64.96 vs 35.35 ms)"),)),
+    Claim("fig3-lu-init", "fig3",
+          "LU gains at least as much overall as in its core (1 point slack)",
+          _FIG3, _lu_init),
+    Claim("fig3-barrier", "fig3",
+          "LU's barrier time on the hybrid is under half the SW-DSM's",
+          _FIG3, lambda sw, hy: (
+              hy["LU bar"] < sw["LU bar"] / 2,
+              f"{hy['LU bar'] * 1e3:.3f} vs {sw['LU bar'] * 1e3:.3f} ms")),
+    # Figure 4 (§5.4): two nodes against the dual-CPU SMP.
+    Claim("fig4-matmult-hybrid", "fig4",
+          "memory-bound MatMult beats the SMP on the hybrid DSM",
+          ("smp-2", "hybrid-2"), _matmult_beats_smp),
+    Claim("fig4-matmult-best", "fig4",
+          "MatMult costs the SW-DSM relatively less than SOR",
+          ("smp-2", "sw-dsm-2"), lambda hw, sw: (
+              sw["MatMult"] / hw["MatMult"] < sw["SOR"] / hw["SOR"],
+              f"MatMult x{sw['MatMult'] / hw['MatMult']:.2f}, "
+              f"SOR x{sw['SOR'] / hw['SOR']:.2f} of SMP")),
+    Claim("fig4-smp-wins", "fig4",
+          "the SMP beats the SW-DSM on at least 6 of the 9 other benchmarks",
+          ("smp-2", "sw-dsm-2"), _smp_wins),
+    Claim("fig4-sw-near-smp", "fig4",
+          "the SW-DSM is never 5% faster than the SMP, MatMult aside",
+          ("smp-2", "sw-dsm-2"), lambda hw, sw: _every(
+              {label: 100.0 * sw[label] / hw[label] for label in hw
+               if label in sw and label != "MatMult"}, lambda v: v > 95.0)),
+    Claim("fig4-sw-vs-hybrid", "fig4",
+          "the SW-DSM is never faster than the hybrid DSM",
+          ("hybrid-2", "sw-dsm-2"), lambda hy, sw: _every(
+              {label: 100.0 * sw[label] / hy[label] for label in hy
+               if label in sw}, lambda v: v >= 100.0)),
+    # The locality ablation: "the Software-DSM relies more heavily on
+    # locality optimizations" (§5.4).
+    Claim("homes-block-fastest", "locality",
+          "owner-computes (block) homes run SOR fastest on the SW-DSM",
+          ("sw-dsm-4 homes",), lambda sw: (
+              sw["block"]["seconds"] < min(sw["cyclic"]["seconds"],
+                                           sw["single-home"]["seconds"]),
+              ", ".join(f"{name} {run['seconds'] * 1e3:.2f} ms"
+                        for name, run in sw.items()))),
+    Claim("homes-block-diffs", "locality",
+          "block homes create no more diffs than cyclic on the SW-DSM",
+          ("sw-dsm-4 homes",), lambda sw: (
+              sw["block"]["diffs"] <= sw["cyclic"]["diffs"],
+              f"{sw['block']['diffs']} vs {sw['cyclic']['diffs']}")),
+    Claim("homes-sensitivity", "locality",
+          "the hybrid DSM is less placement-sensitive than the SW-DSM "
+          "(worst/best time)",
+          ("sw-dsm-4 homes", "hybrid-4 homes"), _placement_sensitivity,
+          exceptions=(Excepted(0.05, "the hybrid's worst/best is x2.78 "
+                               "against the SW-DSM's x2.10 at n=64"),)),
+]
+# Sensitivity: the orderings survive each latency at half and at double.
+_SOR_SENSITIVITY = {0.5: "(0.937 vs 0.942)", 2.0: "(0.955 vs 0.956)"}
+for _f in (0.5, 2.0):
+    CLAIMS += [
+        Claim(f"eth{_f}-hybrid-wins", "sensitivity",
+              f"the hybrid DSM beats the SW-DSM everywhere at Ethernet "
+              f"latency x{_f}", (f"sw-dsm-4 eth x{_f}", "hybrid-4"),
+              _hybrid_wins),
+        Claim(f"eth{_f}-sor-locality", "sensitivity",
+              f"unoptimized SOR gains more than SOR opt at Ethernet "
+              f"latency x{_f}", (f"sw-dsm-4 eth x{_f}", "hybrid-4"),
+              _sor_locality, exceptions=(Excepted(
+                  0.05, "the fig3-sor-locality inversion "
+                  + _SOR_SENSITIVITY[_f]),)),
+        Claim(f"sci{_f}-matmult-hybrid", "sensitivity",
+              f"MatMult beats the SMP on the hybrid at SCI latency x{_f}",
+              ("smp-2", f"hybrid-2 sci x{_f}"), _matmult_beats_smp),
+        Claim(f"sci{_f}-smp-wins-pi", "sensitivity",
+              f"the SMP wins the synchronization-bound PI (5% slack) at "
+              f"SCI latency x{_f}", ("smp-2", f"hybrid-2 sci x{_f}"),
+              _smp_wins_pi),
+    ]
+
+
+def shape_gate(rows: Iterable[Dict[str, Any]]) -> List[ShapeCheck]:
+    """Evaluate every claim of :data:`CLAIMS` over recorded rows (the
+    golden store's figure rows, or any telemetry document's records),
+    at the rows' common ``scale``. The gate reads ``preset``,
+    ``label_seconds`` and ``scale``, all declared semantic in
     :data:`repro.bench.telemetry.FIELDS`: a host field never moves it.
 
-    Checks are per-figure and skip silently when the rows do not contain
-    the platforms a figure needs (a filtered ``--only`` run should not
-    fail the gate on absence). Bounds are loose enough for smoke scale
-    yet tight enough to catch an inverted ordering:
-
-    * Fig. 2 — HAMSTER-vs-native overhead within ``±fig2_band_pct`` for
-      every benchmark (the paper's full-scale band is −4.5%…+6.5%);
-    * Fig. 3 — the hybrid DSM beats the SW-DSM on every benchmark;
-    * Fig. 4 — the SW-DSM is never faster than the hybrid DSM, and
-      memory-bound MatMult beats the SMP on the hybrid (the paper's
-      crossover), while the SMP wins most other benchmarks on SW-DSM.
+    Returns one check per claim. Rows hold no sensitivity or placement
+    run, so those claims, and any a filtered subset lacks the labels
+    for, come back undecided, never passed.
     """
     rows = list(rows)
-    checks: List[ShapeCheck] = []
-
-    # Figure 2: sw-dsm-4 vs native-jiajia-4.
-    t_ham = _label_seconds(rows, "sw-dsm-4")
-    t_nat = _label_seconds(rows, "native-jiajia-4")
-    if t_ham and t_nat:
-        overhead = overhead_pct(t_ham, t_nat)
-        offenders = {k: round(v, 2) for k, v in overhead.items()
-                     if abs(v) > fig2_band_pct}
-        checks.append(ShapeCheck(
-            "fig2", f"|HAMSTER overhead| <= {fig2_band_pct:g}%",
-            passed=not offenders,
-            detail=f"outside band: {offenders}" if offenders else
-                   f"range {min(overhead.values()):+.2f}%"
-                   f"..{max(overhead.values()):+.2f}%"))
-
-    # Figure 3: hybrid-4 vs sw-dsm-4.
-    t_hy4 = _label_seconds(rows, "hybrid-4")
-    if t_ham and t_hy4:
-        adv = advantage_pct(t_ham, t_hy4)
-        losers = {k: round(v, 2) for k, v in adv.items() if v <= 0}
-        checks.append(ShapeCheck(
-            "fig3", "hybrid DSM faster than SW-DSM on every benchmark",
-            passed=not losers,
-            detail=f"hybrid loses: {losers}" if losers else
-                   f"advantage {min(adv.values()):.1f}%"
-                   f"..{max(adv.values()):.1f}%"))
-
-    # Figure 4: smp-2 vs hybrid-2 vs sw-dsm-2.
-    t_hw = _label_seconds(rows, "smp-2")
-    t_hy2 = _label_seconds(rows, "hybrid-2")
-    t_sw2 = _label_seconds(rows, "sw-dsm-2")
-    if t_hw and t_hy2 and t_sw2:
-        norm = normalized_pct(t_hw, t_hy2, t_sw2)
-        inversions = {k: (round(v["hybrid"], 1), round(v["software"], 1))
-                      for k, v in norm.items()
-                      if v["software"] < v["hybrid"]}
-        checks.append(ShapeCheck(
-            "fig4", "SW-DSM never faster than the hybrid DSM",
-            passed=not inversions,
-            detail=f"inversions: {inversions}" if inversions else
-                   f"{len(norm)} benchmarks ordered"))
-        if "MatMult" in norm:
-            checks.append(ShapeCheck(
-                "fig4", "memory-bound MatMult beats the SMP on the hybrid",
-                passed=norm["MatMult"]["hybrid"] < 100.0,
-                detail=f"hybrid at {norm['MatMult']['hybrid']:.1f}% of SMP"))
-        others = [v for k, v in norm.items() if k != "MatMult"]
-        if len(others) >= 3:
-            smp_wins = sum(1 for v in others if v["software"] > 100.0)
-            checks.append(ShapeCheck(
-                "fig4", "SMP wins most benchmarks against the SW-DSM",
-                passed=smp_wins * 2 > len(others),
-                detail=f"SMP wins {smp_wins}/{len(others)}"))
-    return checks
-
-
-# ---------------------------------------------------------------- Figure 2
-def figure2_overhead(scale: float = 1.0, nodes: int = 4,
-                     labels: Optional[List[str]] = None) -> Dict[str, float]:
-    """Overhead (%) of HAMSTER-bound vs native JiaJia on ``nodes`` nodes.
-
-    Positive = HAMSTER slower (degradation), negative = HAMSTER faster —
-    the sign convention of Figure 2.
-    """
-    hamster_cfg = preset(f"sw-dsm-{nodes}")
-    native_cfg = preset(f"native-jiajia-{nodes}")
-    t_hamster = run_suite(hamster_cfg, scale=scale, labels=labels)
-    t_native = run_suite(native_cfg, scale=scale, native=True, labels=labels)
-    return overhead_pct(t_hamster, t_native)
-
-
-# ---------------------------------------------------------------- Figure 3
-def figure3_hybrid_vs_sw(scale: float = 1.0, nodes: int = 4,
-                         labels: Optional[List[str]] = None) -> Dict[str, float]:
-    """Performance advantage (%) of the hybrid DSM over the SW-DSM.
-
-    Positive = hybrid faster (the paper plots hybrid's advantage with
-    SW-DSM as the baseline): ``100 * (t_sw - t_hybrid) / t_sw``.
-    """
-    t_sw = run_suite(preset(f"sw-dsm-{nodes}"), scale=scale, labels=labels)
-    t_hy = run_suite(preset(f"hybrid-{nodes}"), scale=scale, labels=labels)
-    return advantage_pct(t_sw, t_hy)
-
-
-# ---------------------------------------------------------------- Figure 4
-def figure4_two_nodes(scale: float = 1.0,
-                      labels: Optional[List[str]] = None) -> Dict[str, Dict[str, float]]:
-    """Hardware- vs hybrid- vs software-DSM on two nodes (two CPUs for the
-    hardware case), normalized to the hardware-DSM (SMP) time = 100%.
-
-    Returns label -> {"hardware": 100.0, "hybrid": pct, "software": pct}
-    where pct > 100 means slower than the SMP.
-    """
-    t_hw = run_suite(preset("smp-2"), scale=scale, labels=labels)
-    t_hy = run_suite(preset("hybrid-2"), scale=scale, labels=labels)
-    t_sw = run_suite(preset("sw-dsm-2"), scale=scale, labels=labels)
-    return normalized_pct(t_hw, t_hy, t_sw)
+    scales = {rec.get("scale") for rec in rows}
+    scale = scales.pop() if len(scales) == 1 else None
+    inputs: Dict[str, Dict[str, float]] = {}
+    for rec in rows:
+        inputs.setdefault(rec.get("preset"), {}).update(
+            (label, float(seconds))
+            for label, seconds in rec.get("label_seconds", {}).items())
+    return [claim.evaluate(inputs, scale) for claim in CLAIMS]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import diffcheck
-from repro.bench.runners import shape_gate
+from repro.bench.runners import CLAIMS, UNDECIDED, shape_gate
 from repro.bench.telemetry import FIELDS, SEMANTIC
 from tests.conftest import on_threads
 
@@ -45,11 +45,19 @@ def test_every_scenario_has_a_golden(goldens):
 
 
 def test_stored_figure_rows_hold_the_paper_shape(goldens):
+    """The full store decides every claim it has inputs for (every claim
+    over presets' label times), and each holds or fails as excepted."""
     rows = [row for sid, row in goldens["rows"].items()
             if sid.startswith("fig/")]
+    presets = {row["preset"] for row in rows}
     checks = shape_gate(rows)
-    assert len(checks) == 5
-    assert all(c.passed for c in checks), [c.describe() for c in checks]
+    decided = [claim.key for claim, check in zip(CLAIMS, checks)
+               if check.status != UNDECIDED]
+    assert decided == [claim.key for claim in CLAIMS
+                       if set(claim.inputs) <= presets]
+    assert len(decided) == 11
+    assert all(c.passed for c in checks if c.status != UNDECIDED), \
+        [c.describe() for c in checks]
 
 
 @pytest.mark.parametrize("scenario_id", _TIER1)

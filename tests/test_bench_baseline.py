@@ -15,7 +15,8 @@ import pytest
 from repro.bench import diffcheck
 from repro.bench.diffcheck import (GOLDEN_PATH, check_goldens, diff_records,
                                    record_goldens)
-from repro.bench.runners import shape_gate
+from repro.bench.runners import (BENCH_LABELS, CLAIMS, EXCEPTED, FAILED,
+                                  HELD, SCALES, STALE, UNDECIDED, shape_gate)
 from repro.bench.telemetry import (HOST_FIELDS, canonical_record,
                                    run_suite_telemetry)
 
@@ -134,75 +135,154 @@ class TestCompareVerdicts:
         assert f"FAIL {ROW}: events_executed: got " in out
 
 
-def make_record(rec_id, seconds):
+def make_record(rec_id, seconds, scale=1.0):
     """A figure row reduced to what the shape gate reads, plus a host
     field it must ignore."""
     preset_name, label = rec_id.split("/", 1)
     return {"id": rec_id, "preset": preset_name, "benchmark": label,
-            "label_seconds": {label: seconds}, "host_seconds": 0.5}
+            "scale": scale, "label_seconds": {label: seconds},
+            "host_seconds": 0.5}
 
 
-def shape_doc(per_preset):
-    """Rows from preset -> {label: seconds}."""
-    return [make_record(f"{preset_name}/{label}", seconds)
+def shape_doc(per_preset, scale=1.0):
+    """Rows from preset -> {label: seconds}; measured inputs (a perturbed
+    preset, a placement run) have no row."""
+    return [make_record(f"{preset_name}/{label}", seconds, scale)
             for preset_name, labels in per_preset.items()
+            if " " not in preset_name
             for label, seconds in labels.items()]
 
 
-GOOD_SHAPE = {
-    # hamster ~ native (fig2), hybrid < sw (fig3)
-    "sw-dsm-4": {"MatMult": 1.00, "PI": 0.50, "SOR": 2.00},
-    "native-jiajia-4": {"MatMult": 0.98, "PI": 0.51, "SOR": 1.95},
-    "hybrid-4": {"MatMult": 0.40, "PI": 0.30, "SOR": 0.70},
-    # fig4: sw slower than hybrid; MatMult beats the SMP on the hybrid;
-    # SMP wins the rest on sw
-    "smp-2": {"MatMult": 1.00, "PI": 0.40, "SOR": 0.80, "WATER 288": 0.5},
-    "hybrid-2": {"MatMult": 0.90, "PI": 0.42, "SOR": 1.00, "WATER 288": 0.6},
-    "sw-dsm-2": {"MatMult": 1.50, "PI": 0.50, "SOR": 4.00, "WATER 288": 2.0},
+def good_inputs():
+    """Every input of the claims table, shaped so that every claim holds:
+    HAMSTER within 1 % of native either way (Fig 2); the hybrid 4x faster
+    than the SW-DSM, 10x on SOR (Fig 3); on two nodes the SMP fastest but
+    for MatMult, which the hybrid wins (Fig 4); block homes fastest and the
+    hybrid least placement-sensitive (the locality ablation)."""
+    sw4 = dict.fromkeys(BENCH_LABELS, 2.0)
+    hy2 = {**dict.fromkeys(BENCH_LABELS, 1.2), "MatMult": 0.9}
+    inputs = {
+        "sw-dsm-4": sw4,
+        "native-jiajia-4": {label: 2.0 * (1.01 if i % 2 else 0.99)
+                            for i, label in enumerate(BENCH_LABELS)},
+        "hybrid-4": {**dict.fromkeys(BENCH_LABELS, 0.5), "SOR": 0.2},
+        "smp-2": dict.fromkeys(BENCH_LABELS, 1.0),
+        "hybrid-2": hy2,
+        "sw-dsm-2": {**dict.fromkeys(BENCH_LABELS, 3.0), "MatMult": 1.5},
+        "sw-dsm-4 homes": {"block": {"seconds": 1.0, "diffs": 10},
+                           "cyclic": {"seconds": 2.0, "diffs": 40},
+                           "single-home": {"seconds": 3.0, "diffs": 30}},
+        "hybrid-4 homes": {"block": {"seconds": 1.0, "diffs": 0},
+                           "cyclic": {"seconds": 1.1, "diffs": 0},
+                           "single-home": {"seconds": 1.2, "diffs": 0}},
+    }
+    for f in (0.5, 2.0):
+        inputs[f"sw-dsm-4 eth x{f}"] = dict(sw4)
+        inputs[f"hybrid-2 sci x{f}"] = dict(hy2)
+    return inputs
+
+
+#: claim key -> the (input, label, value) edits that invert its ordering
+#: and no other claim's.
+INVERSIONS = {
+    "fig2-band": [("native-jiajia-4", "MatMult", 1.6)],
+    "fig2-signs": [("native-jiajia-4", label, 1.98) for label in BENCH_LABELS],
+    "fig3-hybrid-wins": [("sw-dsm-4", "PI", 0.4),
+                         ("native-jiajia-4", "PI", 0.4)],
+    "fig3-sor-locality": [("sw-dsm-4", "SOR opt", 10.0),
+                          ("native-jiajia-4", "SOR opt", 10.0)],
+    "fig3-lu-init": [("hybrid-4", "LU all", 1.0)],
+    "fig3-barrier": [("hybrid-4", "LU bar", 1.5)],
+    "fig4-matmult-hybrid": [("hybrid-2", "MatMult", 1.1)],
+    "fig4-matmult-best": [("sw-dsm-2", "MatMult", 4.0)],
+    "fig4-smp-wins": [(name, label, seconds)
+                      for label in ("PI", "LU", "LU core", "LU bar")
+                      for name, seconds in (("sw-dsm-2", 0.98),
+                                            ("hybrid-2", 0.96))],
+    "fig4-sw-near-smp": [("sw-dsm-2", "PI", 0.9), ("hybrid-2", "PI", 0.85)],
+    "fig4-sw-vs-hybrid": [("hybrid-2", "WATER 288", 3.5)],
+    "homes-block-fastest": [("sw-dsm-4 homes", "block",
+                             {"seconds": 2.5, "diffs": 10})],
+    "homes-block-diffs": [("sw-dsm-4 homes", "block",
+                           {"seconds": 1.0, "diffs": 50})],
+    "homes-sensitivity": [("hybrid-4 homes", "single-home",
+                           {"seconds": 5.0, "diffs": 0})],
+    **{key: edits for f in (0.5, 2.0) for key, edits in (
+        (f"eth{f}-hybrid-wins", [(f"sw-dsm-4 eth x{f}", "PI", 0.4)]),
+        (f"eth{f}-sor-locality", [(f"sw-dsm-4 eth x{f}", "SOR opt", 10.0)]),
+        (f"sci{f}-matmult-hybrid", [(f"hybrid-2 sci x{f}", "MatMult", 1.1)]),
+        (f"sci{f}-smp-wins-pi", [(f"hybrid-2 sci x{f}", "PI", 0.5)]))},
 }
 
 
-class TestShapeGate:
-    def test_good_shape_passes(self):
-        checks = shape_gate(shape_doc(GOOD_SHAPE))
-        assert len(checks) == 5
-        assert all(c.passed for c in checks)
+def inverted(key):
+    inputs = good_inputs()
+    for name, label, value in INVERSIONS[key]:
+        inputs[name][label] = value
+    return inputs
 
-    def test_fig2_band_violation(self):
-        bad = copy.deepcopy(GOOD_SHAPE)
-        bad["sw-dsm-4"]["MatMult"] = 2.0  # 100% overhead vs native
-        failed = [c for c in shape_gate(shape_doc(bad)) if not c.passed]
-        assert any(c.figure == "fig2" for c in failed)
 
-    def test_fig3_inversion_detected(self):
-        bad = copy.deepcopy(GOOD_SHAPE)
-        bad["hybrid-4"]["SOR"] = 3.0  # hybrid slower than SW-DSM
-        failed = [c for c in shape_gate(shape_doc(bad)) if not c.passed]
-        assert any(c.figure == "fig3" for c in failed)
+def judge(inputs, scale=1.0):
+    """claim key -> its check."""
+    return {claim.key: claim.evaluate(inputs, scale) for claim in CLAIMS}
 
-    def test_fig4_sw_faster_than_hybrid_detected(self):
-        bad = copy.deepcopy(GOOD_SHAPE)
-        bad["sw-dsm-2"]["SOR"] = 0.5  # SW-DSM suddenly beats the hybrid
-        failed = [c for c in shape_gate(shape_doc(bad)) if not c.passed]
-        assert any("never faster" in c.claim for c in failed)
 
-    def test_fig4_matmult_crossover_detected(self):
-        bad = copy.deepcopy(GOOD_SHAPE)
-        bad["hybrid-2"]["MatMult"] = 1.2  # hybrid loses to the SMP
-        failed = [c for c in shape_gate(shape_doc(bad)) if not c.passed]
-        assert any("MatMult" in c.claim for c in failed)
+class TestClaimsTable:
+    def test_good_inputs_hold_every_claim(self):
+        checks = judge(good_inputs())
+        assert all(c.status == HELD for c in checks.values()), \
+            [c.describe() for c in checks.values() if c.status != HELD]
 
-    def test_missing_platforms_skip_checks(self):
-        # no counterpart data
-        assert shape_gate(shape_doc({"sw-dsm-4": {"PI": 1.0}})) == []
+    def test_every_claim_has_an_inversion(self):
+        assert sorted(INVERSIONS) == sorted(claim.key for claim in CLAIMS)
+
+    @pytest.mark.parametrize("key", sorted(INVERSIONS))
+    def test_inverted_ordering_fails_exactly_its_claim(self, key):
+        checks = judge(inverted(key))
+        assert [k for k, c in checks.items() if c.failed] == [key]
+        assert checks[key].status == FAILED
+
+    @pytest.mark.parametrize("key", sorted(INVERSIONS))
+    def test_recorded_rows_judge_as_the_inputs_do(self, key):
+        """The gate over rows is the table's evaluator: on every preset
+        input it reaches the evaluator's verdict, and a claim on a
+        measured input (no row) is undecided."""
+        inputs = inverted(key)
+        gate = shape_gate(shape_doc(inputs))
+        for claim, check in zip(CLAIMS, gate):
+            if all(" " not in name for name in claim.inputs):
+                assert check == claim.evaluate(inputs, 1.0)
+            else:
+                assert check.status == UNDECIDED and not check.passed
+
+    def test_no_exception_at_paper_scale(self):
+        assert sum(len(claim.exceptions) for claim in CLAIMS) == 5
+        assert all(known.scale in SCALES and known.scale != 1.0
+                   for claim in CLAIMS for known in claim.exceptions)
+
+    @pytest.mark.parametrize("claim", [c for c in CLAIMS if c.exceptions],
+                             ids=lambda claim: claim.key)
+    def test_exceptions_are_strict(self, claim):
+        """At an excepted scale the inverted ordering is excepted, and an
+        ordering that holds is reported stale, a failure."""
+        scale = claim.exceptions[0].scale
+        check = claim.evaluate(inverted(claim.key), scale)
+        assert check.status == EXCEPTED and check.passed
+        check = claim.evaluate(good_inputs(), scale)
+        assert check.status == STALE and check.failed
+        assert "excepted at" in check.detail
+
+    def test_unstated_scale_is_undecided(self):
+        checks = shape_gate(shape_doc(good_inputs(), scale=0.04))
+        assert {c.status for c in checks} == {UNDECIDED}
+        assert not any(c.passed or c.failed for c in checks)
 
     def test_shape_violation_fails_compare(self, tmp_path, monkeypatch):
         """The checker gates the shape of the *fresh* figure rows: a
-        simulator whose hybrid loses SOR fails the check even when the
+        simulator whose hybrid loses PI fails the check even when the
         store was recorded from that same simulator."""
-        bad = copy.deepcopy(GOOD_SHAPE)
-        bad["hybrid-4"]["SOR"] = 3.0
-        rows = {f"fig/{r['id']}": r for r in shape_doc(bad)}
+        rows = {f"fig/{r['id']}": r
+                for r in shape_doc(inverted("fig3-hybrid-wins"))}
         monkeypatch.setattr(
             diffcheck, "capture",
             lambda sc, scale=None: copy.deepcopy(
@@ -211,17 +291,34 @@ class TestShapeGate:
         record_goldens(path, only="-4/")
         problems = check_goldens(path, only="-4/")
         assert problems == [
-            "paper shape: [fig3] hybrid DSM faster than SW-DSM on every "
-            "benchmark: FAIL (hybrid loses: {'SOR': -50.0})"]
+            "paper shape: [fig3] the hybrid DSM is faster than the SW-DSM "
+            "on every benchmark: failed (offenders {'PI': -25.0})"]
 
 
-class TestShapeGateOnRealTelemetry:
+class TestClaimsOverTheStore:
+    @pytest.fixture(scope="class")
+    def figure_rows(self):
+        return [row for sid, row in diffcheck.load_goldens()["rows"].items()
+                if sid.startswith("fig/")]
+
+    def test_subset_leaves_claims_undecided_never_passed(self, figure_rows):
+        checks = dict(zip((c.key for c in CLAIMS), shape_gate(
+            row for row in figure_rows if row["benchmark"] == "PI")))
+        for key in ("fig2-signs", "fig3-sor-locality", "fig3-barrier",
+                    "fig4-matmult-hybrid", "fig4-smp-wins",
+                    "homes-sensitivity", "eth0.5-hybrid-wins"):
+            assert checks[key].status == UNDECIDED, checks[key].describe()
+        assert not any(c.failed for c in checks.values())
+        assert all(c.passed for c in checks.values()
+                   if c.status != UNDECIDED)
+
     def test_smoke_subset_passes(self):
         """A real (tiny) two-platform run must clear the fig3 check."""
-        doc = run_suite_telemetry("smoke", scale=0.04, only="4/PI")
+        doc = run_suite_telemetry("smoke", scale=0.05, only="4/PI")
         ids = {r["id"] for r in doc["records"]}
         assert ids == {"sw-dsm-4/PI", "hybrid-4/PI", "native-jiajia-4/PI"}
-        checks = shape_gate(doc["records"])
+        checks = [c for c in shape_gate(doc["records"])
+                  if c.status != UNDECIDED]
         assert checks, "fig2+fig3 checks expected"
         assert all(c.passed for c in checks), [c.describe() for c in checks]
 

@@ -5,7 +5,7 @@ import pytest
 from repro.bench.loc_metrics import (ComplexityRow, count_logical_lines,
                                      model_complexity_table)
 from repro.bench.report import render_bars, render_table
-from repro.bench.runners import (BENCH_LABELS, WORKLOADS, figure4_two_nodes,
+from repro.bench.runners import (BENCH_LABELS, WORKLOADS, normalized_pct,
                                  run_suite, table1_rows)
 from repro.config import preset
 
@@ -90,7 +90,9 @@ class TestRunners:
         assert times["LU bar"] < times["LU all"]
 
     def test_figure4_normalization(self):
-        rows = figure4_two_nodes(scale=0.06, labels=["PI"])
+        rows = normalized_pct(*(run_suite(preset(name), scale=0.06,
+                                          labels=["PI"])
+                                for name in ("smp-2", "hybrid-2", "sw-dsm-2")))
         assert rows["PI"]["hardware"] == 100.0
         assert rows["PI"]["software"] > 100.0  # SW-DSM slower than SMP on pi
 

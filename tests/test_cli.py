@@ -220,7 +220,10 @@ class TestBenchCommands:
         assert list(json.loads(store.read_text())["rows"]) == [self.ROW]
         capsys.readouterr()
         assert self._diffcheck("--check") == 0
-        assert "all scenarios bit-identical" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "all scenarios bit-identical" in out
+        # one sw-dsm-2 row decides no claim: each needs a second preset
+        assert "0 of 22 paper claims decided by these rows" in out
 
     def test_compare_flags_synthetic_regression(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -58,8 +58,8 @@ class TestExperimentsDoc:
             assert (REPO / "benchmarks" / match.group(1)).exists(), match.group(0)
 
     def test_band_claims_match_fig2_bench(self):
-        """EXPERIMENTS and the Figure 2 bench must agree on the band."""
-        bench = read("benchmarks/test_fig2_overhead.py")
+        """EXPERIMENTS and the claims table must agree on the band."""
+        bench = read("src/repro/bench/runners.py")
         assert "6.5" in bench and "6.5" in read("EXPERIMENTS.md")
 
 

@@ -7,9 +7,11 @@ chaos failures, and the serial ``bench run`` path sharing the same cache.
 """
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import struct
 import time
+import types
 
 import pytest
 
@@ -186,22 +188,46 @@ class TestSweepParallel:
     def test_slow_starting_worker_is_not_a_lost_job(self, tmp_path,
                                                     monkeypatch):
         """A job still on the job queue when the stall grace runs out is
-        waiting, not lost: it must not be charged an attempt."""
+        waiting, not lost: it must not be charged an attempt.
+
+        A handshake, not a sleep, orders the two sides: the worker is held
+        until the orchestrator has polled its results for three stall
+        graces, and is released while the orchestrator blocks on its next
+        poll, so the job leaves the queue and its "start" arrives inside
+        that one poll, on any host."""
         import repro.fabric.scheduler as scheduler
 
+        grace = 0.2
+        release = multiprocessing.Event()
         real_main = scheduler.worker_main
+        real_wait = multiprocessing.connection.wait
+        first_poll = []
 
-        def sluggish(*args):
-            time.sleep(0.6)                  # three stall graces
+        def held(*args):
+            release.wait()
             real_main(*args)
 
-        monkeypatch.setattr(scheduler, "worker_main", sluggish)
+        def poll(conns, timeout):
+            if not first_poll:
+                first_poll.append(time.monotonic())
+            if (not release.is_set()
+                    and time.monotonic() - first_poll[0] > 3 * grace):
+                release.set()
+                timeout = 60.0           # until the worker's "start"
+            return real_wait(conns, timeout)
+
+        monkeypatch.setattr(scheduler, "worker_main", held)
+        monkeypatch.setattr(scheduler, "multiprocessing",
+                            types.SimpleNamespace(
+                                get_context=multiprocessing.get_context,
+                                connection=types.SimpleNamespace(wait=poll)))
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.2)
+                           stall_grace=grace)
         cell = result.manifest.cells[0]
         assert cell.outcome == "miss"
         assert cell.attempts == 1
+        assert release.is_set()
 
     def test_timeout_becomes_a_typed_failed_cell(self, tmp_path):
         # A cell no plausible host finishes inside the timeout (~1M events,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bench.report import render_bars, render_table
-from repro.bench.runners import figure2_overhead, figure3_hybrid_vs_sw
+from repro.bench.runners import advantage_pct, overhead_pct, run_suite
+from repro.config import preset
 
 
 class TestRenderTableShapes:
@@ -36,16 +37,22 @@ class TestRenderBars:
 
 
 class TestRunnersSmallScale:
-    """Tiny-scale sanity runs of the figure generators (full scale is the
-    benchmarks' job; this just pins the wiring)."""
+    """Tiny-scale sanity runs of the figures' runners and derivations (full
+    scale is the benchmarks' job; this just pins the wiring)."""
 
     def test_figure2_label_subset(self):
-        data = figure2_overhead(scale=0.04, labels=["PI"])
+        data = overhead_pct(
+            run_suite(preset("sw-dsm-4"), scale=0.04, labels=["PI"]),
+            run_suite(preset("native-jiajia-4"), scale=0.04, native=True,
+                      labels=["PI"]))
         assert set(data) == {"PI"}
         assert isinstance(data["PI"], float)
 
     def test_figure3_label_subset(self):
-        data = figure3_hybrid_vs_sw(scale=0.04, labels=["PI", "SOR opt"])
+        labels = ["PI", "SOR opt"]
+        data = advantage_pct(
+            run_suite(preset("sw-dsm-4"), scale=0.04, labels=labels),
+            run_suite(preset("hybrid-4"), scale=0.04, labels=labels))
         assert set(data) == {"PI", "SOR opt"}
 
 

@@ -178,7 +178,7 @@ def test_no_generator_call_is_returned_from_inside_cleanup():
     assert found == []
 
 
-#: benchmarks/test_ablation_locality.py's helper before the swap moved
+#: The home-placement ablation's helper before the swap moved
 #: around the whole run: every placement silently ran with block homes.
 UNFIXED_ABLATION = '''
 def _sor_with_dist(api, sor_mod, dist_factory, n):
