@@ -33,8 +33,7 @@ from repro.bench.runners import (
     run_app_on,
     table1_rows,
 )
-from repro.bench.telemetry import (SUITES, load_telemetry,
-                                   run_suite_telemetry, telemetry_to_json,
+from repro.bench.telemetry import (load_telemetry, telemetry_to_json,
                                    validate_telemetry)
 
 __all__ = [
@@ -50,8 +49,6 @@ __all__ = [
     "render_table",
     "telemetry_markdown",
     "telemetry_html",
-    "SUITES",
-    "run_suite_telemetry",
     "validate_telemetry",
     "telemetry_to_json",
     "load_telemetry",

@@ -2,8 +2,8 @@
 
 ``tests/golden/golden_runs.json`` holds one row per scenario:
 
-* ``fig/<preset>/<label>`` — every Fig 2-4 cell (the six figure presets
-  x the seven primary workload labels of the ``smoke`` suite, scale
+* ``fig/<preset>/<label>`` — every Fig 2-4 cell (the six presets x the
+  seven workload labels of :data:`repro.fabric.FIGURE_GRID`, at its scale
   0.05): the record :func:`repro.bench.telemetry.run_unit` builds;
 * ``scaling/<preset>/PI`` — the scaling-curve points beyond the figure
   presets (``eth-`` and ``sci-torus-`` 64/256/1024), as ``bench
@@ -50,9 +50,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.runners import UNDECIDED, shape_gate
 from repro.bench.scaling import CURVES, DEFAULT_LABEL, scaling_point
-from repro.bench.telemetry import (FIELDS, HOST_FIELDS, SUITES,
-                                   canonical_record, run_unit, trace_digest)
+from repro.bench.telemetry import (FIELDS, HOST_FIELDS, canonical_record,
+                                   run_unit, trace_digest)
 from repro.config import preset
+from repro.fabric import FIGURE_GRID
 from repro.faults import FaultPlan, NodeCrash
 from repro.faults.chaos import run_chaos
 
@@ -65,9 +66,9 @@ __all__ = ["SCHEMA", "DIFF_SCALE", "GOLDEN_PATH", "FigureScenario",
 #: ``virtual_seconds``.
 SCHEMA = "repro.bench.diffcheck/2"
 
-#: The figure grid: the smoke suite's presets and labels, at its scale.
-_GRID = SUITES["smoke"]
-DIFF_SCALE = _GRID.scale
+#: The figure grid, at its scale.
+_GRID = FIGURE_GRID
+DIFF_SCALE = _GRID.scales[0]
 
 #: The store, resolved from the repo layout
 #: (src/repro/bench/diffcheck.py -> repo root).
@@ -88,7 +89,7 @@ class FigureScenario:
 
     def run(self, scale: float):
         return run_unit(self.preset, self.label, scale, native=self.native,
-                        suite=_GRID.name, trace=True)
+                        suite=_GRID.suite, trace=True)
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,7 @@ class ScalingScenario:
         return f"scaling/{self.preset}/{DEFAULT_LABEL}"
 
     def run(self, scale: float):
-        return scaling_point(self.fabric, self.nodes, self.preset,
-                             scale=scale, trace=True)
+        return scaling_point(self.preset, scale=scale, trace=True)
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,11 @@ _CHAOS_SCENARIOS: Tuple[ChaosScenario, ...] = (
 
 def scenarios() -> List[Any]:
     """Every scenario: figures, then scaling points, then chaos."""
-    figures = {name for name, _native in _GRID.presets}
     return ([FigureScenario(p, native, label)
-             for p, native in _GRID.presets for label in _GRID.labels]
+             for p, native in _GRID.bindings() for label in _GRID.labels]
             + [ScalingScenario(fabric, nodes, p)
                for fabric, ladder in CURVES.items()
-               for nodes, p in ladder if p not in figures]
+               for nodes, p in ladder if p not in _GRID.presets]
             + list(_CHAOS_SCENARIOS))
 
 

@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -46,13 +47,6 @@ PAPER_TABLE2 = {
     "Cray put/get (shmem) API": (505, 29, 17.4),
 }
 
-#: the platforms the figures need; native binding only for the Figure 2
-#: baseline
-_FIGURE_PRESETS = (("sw-dsm-4", False), ("native-jiajia-4", True),
-                   ("hybrid-4", False), ("smp-2", False),
-                   ("hybrid-2", False), ("sw-dsm-2", False))
-
-
 def md_table(headers: List[str], rows: List[List]) -> str:
     out = ["| " + " | ".join(headers) + " |",
            "|" + "|".join("---" for _ in headers) + "|"]
@@ -67,31 +61,30 @@ def collect_times(scale: float, workers: int = 1,
                   ) -> Dict[str, Dict[str, float]]:
     """Run every figure platform once: preset -> label -> virtual seconds.
 
-    With ``workers > 1`` or a ``cache_dir``, the grid runs through the
+    The platforms are those of :data:`repro.fabric.FIGURE_GRID`. With
+    ``workers > 1`` or a ``cache_dir``, the grid runs through the
     experiment fabric (:mod:`repro.fabric`): the preset × workload cells
     execute in parallel worker processes and land in the content-addressed
-    result cache, so regenerating unchanged figures costs zero simulation
-    time. The virtual-time numbers are identical to the serial path — the
-    simulator is deterministic and both paths run the same cells.
+    result cache (``cache_dir``, else the default one), so regenerating
+    unchanged figures costs zero simulation time. The virtual-time
+    numbers are identical to the serial path — the simulator is
+    deterministic and both paths run the same cells.
     """
+    from repro.fabric import (DEFAULT_CACHE_DIR, FIGURE_GRID, ResultCache,
+                              run_sweep)
+
     if workers <= 1 and cache_dir is None:
         return {name: run_suite(preset(name), scale=scale, native=native)
-                for name, native in _FIGURE_PRESETS}
-    from repro.fabric import DEFAULT_CACHE_DIR, GridSpec, run_sweep
-    from repro.bench.telemetry import _PRIMARY_LABELS
-
-    spec = GridSpec(presets=tuple(name for name, _ in _FIGURE_PRESETS),
-                    native=tuple(nat for _, nat in _FIGURE_PRESETS),
-                    labels=_PRIMARY_LABELS, scales=(scale,),
-                    suite="experiments")
+                for name, native in FIGURE_GRID.bindings()}
+    spec = replace(FIGURE_GRID, scales=(scale,), suite="experiments")
     result = run_sweep(spec, workers=workers,
-                       cache_dir=cache_dir or DEFAULT_CACHE_DIR)
+                       cache=ResultCache(cache_dir or DEFAULT_CACHE_DIR))
     bad = result.manifest.failed_cells()
     if bad:
         raise RuntimeError(
             "experiment fabric could not complete the figure grid: "
             + "; ".join(f"{c.id} ({c.error})" for c in bad))
-    times: Dict[str, Dict[str, float]] = {name: {} for name, _ in _FIGURE_PRESETS}
+    times: Dict[str, Dict[str, float]] = {name: {} for name in spec.presets}
     for record in result.records:
         # label_seconds carries the derived LU splits of each execution,
         # so this reconstructs exactly what run_suite returns.

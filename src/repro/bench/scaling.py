@@ -3,9 +3,10 @@
 The paper's testbeds stop at 4 nodes (§5); the continuation-based process
 scheduler removes the one-OS-thread-per-simulated-process ceiling, so the
 simulator can extrapolate both fabrics to commodity-cluster sizes. This
-module runs one workload across a ladder of node counts per fabric and
-emits **standard telemetry records** (:mod:`repro.bench.telemetry`); the
-points above the figure presets are rows of the golden store, checked
+module declares one ladder of node counts per fabric (:data:`CURVES`) and
+runs one workload across it as a sweep (:func:`repro.fabric.run_sweep`),
+emitting **standard telemetry records** (:mod:`repro.bench.telemetry`);
+the points above the figure presets are rows of the golden store, checked
 bit-exactly by :mod:`repro.bench.diffcheck` like the figure cells.
 
 Curve points reuse the evaluation presets at the small end (``sw-dsm-4``,
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.bench.telemetry import run_unit, telemetry_document
+from repro.bench.telemetry import run_unit
 from repro.errors import ConfigurationError
+from repro.fabric import GridSpec, SweepResult, run_sweep
 
 __all__ = ["CURVES", "DEFAULT_LABEL", "DEFAULT_SCALE", "scaling_point",
            "run_scaling_curves", "curve_points", "render_scaling"]
@@ -36,6 +38,10 @@ CURVES: Dict[str, Tuple[Tuple[int, str], ...]] = {
             (1024, "sci-torus-1024")),
 }
 
+#: preset -> (fabric, node count): a ladder point's curve identity
+_POINTS = {name: (fabric, nodes) for fabric, ladder in CURVES.items()
+           for nodes, name in ladder}
+
 #: PI is the scaling workload: its work partitions evenly at any rank
 #: count and its lock+barrier epilogue exercises the synchronization
 #: fan-in that actually limits large clusters.
@@ -43,40 +49,42 @@ DEFAULT_LABEL = "PI"
 DEFAULT_SCALE = 0.05
 
 
-def scaling_point(fabric: str, nodes: int, preset_name: str,
-                  label: str = DEFAULT_LABEL, scale: float = DEFAULT_SCALE,
-                  trace: bool = False) -> Dict[str, Any]:
-    """One curve point: its record (suite ``"scaling"``, plus the curve
-    identity ``fabric`` / ``nodes``)."""
-    record = run_unit(preset_name, label, scale, suite="scaling",
-                      trace=trace)
-    record["fabric"] = fabric
-    record["nodes"] = nodes
+def _with_curve_identity(record: Dict[str, Any]) -> Dict[str, Any]:
+    record["fabric"], record["nodes"] = _POINTS[record["preset"]]
     return record
+
+
+def scaling_point(preset_name: str, label: str = DEFAULT_LABEL,
+                  scale: float = DEFAULT_SCALE,
+                  trace: bool = False) -> Dict[str, Any]:
+    """One curve point run on its own (the golden checker's capture): its
+    record (suite ``"scaling"``, plus the curve identity ``fabric`` /
+    ``nodes``)."""
+    return _with_curve_identity(run_unit(preset_name, label, scale,
+                                         suite="scaling", trace=trace))
 
 
 def run_scaling_curves(fabrics: Sequence[str] = ("eth", "sci"),
                        max_nodes: int = 256,
                        label: str = DEFAULT_LABEL,
                        scale: float = DEFAULT_SCALE,
-                       progress: Optional[Callable[[str], None]] = None,
-                       ) -> Dict[str, Any]:
-    """Run ``label`` across each fabric's node-count ladder up to
-    ``max_nodes``; returns a telemetry document (suite ``"scaling"``)."""
+                       progress: Optional[Callable[[str, str], None]] = None,
+                       ) -> SweepResult:
+    """Sweep ``label`` across each fabric's node-count ladder up to
+    ``max_nodes`` (suite ``"scaling"``); every record gains its curve
+    identity. ``progress`` is :func:`~repro.fabric.run_sweep`'s."""
     unknown = [f for f in fabrics if f not in CURVES]
     if unknown:
         raise ConfigurationError(
             f"unknown fabric(s) {unknown}; known: {sorted(CURVES)}")
-    records: List[Dict[str, Any]] = []
-    for fabric in fabrics:
-        for nodes, preset_name in CURVES[fabric]:
-            if nodes > max_nodes:
-                continue
-            if progress is not None:
-                progress(f"{fabric}/{nodes} ({preset_name}/{label})")
-            records.append(scaling_point(fabric, nodes, preset_name, label,
-                                         scale))
-    return telemetry_document("scaling", scale, records)
+    spec = GridSpec(presets=tuple(name for fabric in fabrics
+                                  for nodes, name in CURVES[fabric]
+                                  if nodes <= max_nodes),
+                    labels=(label,), scales=(scale,), suite="scaling")
+    result = run_sweep(spec, progress=progress)
+    for record in result.records:
+        _with_curve_identity(record)
+    return result
 
 
 def curve_points(doc: Dict[str, Any]) -> Dict[str, List[Dict[str, Any]]]:

@@ -1,11 +1,14 @@
 """Structured, machine-readable benchmark telemetry.
 
 `repro.bench.experiments` prints tables; this module makes every benchmark
-run leave a **comparable, versioned record** instead. One
-:func:`run_suite_telemetry` call produces a JSON document
-(``BENCH_<suite>.json``) holding one record per benchmark execution:
+run leave a **comparable, versioned record** instead. :func:`run_unit`
+builds one record per benchmark execution; a sweep
+(:func:`repro.fabric.run_sweep`, behind ``bench run``, ``bench scaling``
+and ``sweep run``) wraps its records in one JSON document
+(:func:`telemetry_document`, ``BENCH_<suite>.json``). A record holds:
 
-* identity — benchmark id (``<preset>/<label>``), app, params, preset,
+* identity — benchmark id (``<preset>/<label>``; a sweep renames it to
+  the cell id, ``<preset>/<label>@<scale>``), app, params, preset,
   platform description, scale, native-binding flag, and a config
   **fingerprint** (sha256 over everything that determines the run);
 * the run's outcome — verified flag and result checksum;
@@ -36,18 +39,16 @@ import platform as _host_platform
 import re
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.bench.runners import WORKLOADS, run_app_detailed
 from repro.config import ClusterConfig, preset
 from repro.errors import ConfigurationError
 
 __all__ = ["SCHEMA", "CP_CATEGORIES", "SEMANTIC", "HOST", "Field", "FIELDS",
-           "HOST_FIELDS", "canonical_record", "SuiteSpec", "SUITES",
-           "config_fingerprint", "stream_digest", "trace_digest", "run_unit",
-           "telemetry_document",
-           "run_suite_telemetry", "validate_telemetry", "telemetry_to_json",
-           "load_telemetry"]
+           "HOST_FIELDS", "canonical_record", "config_fingerprint",
+           "stream_digest", "trace_digest", "run_unit", "telemetry_document",
+           "validate_telemetry", "telemetry_to_json", "load_telemetry"]
 
 #: Schema identifier; bump the suffix on breaking record changes.
 #: (/2: one run per record; its host fields are optional. /3: checksum
@@ -126,52 +127,11 @@ def canonical_record(record: Dict[str, Any]) -> Dict[str, Any]:
     return {k: v for k, v in record.items() if k not in HOST_FIELDS}
 
 
-# ------------------------------------------------------------------ suites
-@dataclass
-class SuiteSpec:
-    """A named set of benchmark executions (preset x workload)."""
-
-    name: str
-    #: default working-set scale (1.0 = the paper's Table 1 sizes)
-    scale: float
-    #: (preset name, native binding) pairs to run
-    presets: Tuple[Tuple[str, bool], ...]
-    #: primary figure labels to execute per preset; labels sharing an
-    #: execution (the LU splits) are covered by their primary ("LU all")
-    labels: Tuple[str, ...]
-
-    def unit_ids(self) -> List[str]:
-        return [f"{name}/{label}" for name, _native in self.presets
-                for label in self.labels]
-
-
-#: Workload labels that stand for one execution each; the LU splits
-#: (LU / LU core / LU bar) ride on "LU all" via its recorded phases.
-_PRIMARY_LABELS = ("MatMult", "PI", "SOR opt", "SOR", "LU all",
-                   "WATER 288", "WATER 343")
-
+# ------------------------------------------------------------- labels
 #: Extra figure labels each primary label's execution also covers:
 #: primary label -> {figure label: phase name}.
 _DERIVED_LABELS: Dict[str, Dict[str, str]] = {
     "LU all": {"LU": "no_init", "LU core": "core", "LU bar": "barrier"},
-}
-
-SUITES: Dict[str, SuiteSpec] = {
-    # CI-speed suite: every platform the paper-shape gate needs, tiny
-    # working sets. Full run is a few host seconds.
-    "smoke": SuiteSpec(
-        name="smoke", scale=0.05,
-        presets=(("smp-2", False), ("sw-dsm-2", False), ("sw-dsm-4", False),
-                 ("hybrid-2", False), ("hybrid-4", False),
-                 ("native-jiajia-4", True)),
-        labels=_PRIMARY_LABELS),
-    # The paper's full working sets (minutes of host time).
-    "paper": SuiteSpec(
-        name="paper", scale=1.0,
-        presets=(("smp-2", False), ("sw-dsm-2", False), ("sw-dsm-4", False),
-                 ("hybrid-2", False), ("hybrid-4", False),
-                 ("native-jiajia-4", True)),
-        labels=_PRIMARY_LABELS),
 }
 
 
@@ -265,7 +225,7 @@ def run_unit(preset_name: str, label: str, scale: float,
              trace: bool = False) -> Dict[str, Any]:
     """Execute one benchmark unit once and return its record.
 
-    The one record function: sweeps, suites and the golden checker
+    The one record function: sweeps and the golden checker
     (:mod:`repro.bench.diffcheck`) all build their records here.
     ``overrides`` / ``faults`` / ``nodes`` are the sweep axes of
     :mod:`repro.fabric`: machine-parameter overrides merged into the
@@ -349,57 +309,6 @@ def telemetry_document(suite: str, scale: float,
         },
         "records": records,
     }
-
-
-def run_suite_telemetry(suite: str = "smoke", scale: Optional[float] = None,
-                        only: Optional[str] = None,
-                        progress: Optional[Callable[[str], None]] = None,
-                        cache: Optional[Any] = None,
-                        sharing: bool = False) -> Dict[str, Any]:
-    """Run a named suite and return its telemetry document.
-
-    ``only`` filters unit ids by substring (CI smoke tests run single
-    units).
-
-    ``cache`` is a duck-typed result cache (the fabric's
-    :class:`repro.fabric.cache.TelemetryCache`): when given, every unit
-    is looked up by its content address before running — serial runs and
-    parallel sweeps share hits — and fresh records are stored back.
-
-    ``sharing`` attaches the sharing-pattern rollup to every record (see
-    :func:`run_unit`); the cache is bypassed in that mode so records with
-    and without the extra field never mix under one content address.
-    """
-    try:
-        spec = SUITES[suite]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown suite {suite!r}; known: {sorted(SUITES)}") from None
-    use_scale = spec.scale if scale is None else scale
-    if sharing:
-        cache = None
-    records: List[Dict[str, Any]] = []
-    for preset_name, native in spec.presets:
-        for label in spec.labels:
-            unit_id = f"{preset_name}/{label}"
-            if only is not None and only not in unit_id:
-                continue
-            if cache is not None:
-                record = cache.lookup(preset_name, label, use_scale, native,
-                                      suite)
-                if record is not None:
-                    if progress is not None:
-                        progress(f"{unit_id} [cache hit]")
-                    records.append(record)
-                    continue
-            if progress is not None:
-                progress(unit_id)
-            record = run_unit(preset_name, label, use_scale, native=native,
-                              suite=suite, sharing=sharing)
-            if cache is not None:
-                cache.store_record(record)
-            records.append(record)
-    return telemetry_document(suite, use_scale, records)
 
 
 # ------------------------------------------------------------------ schema

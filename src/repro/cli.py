@@ -21,10 +21,15 @@ Commands:
       python -m repro trace --preset sw-dsm-4 --app sor --param n=128 \\
           --trace-out sor.trace.json
 
-* ``bench`` — benchmark telemetry (:mod:`repro.bench.telemetry`); the
-  golden store and its checker are ``python -m repro.bench.diffcheck``::
+* ``bench`` — benchmark telemetry (:mod:`repro.bench.telemetry`): ``run``
+  sweeps a suite of the paper's figure grid, ``scaling`` the node-count
+  ladders, both serially through the fabric's one runner; ``--cache DIR``
+  shares the result cache of ``sweep run``, so a cell a sweep computed is
+  a hit. The golden store and its checker are ``python -m
+  repro.bench.diffcheck``::
 
       python -m repro bench run --suite smoke --json-out BENCH.json
+      python -m repro bench run --only sw-dsm-2/PI --cache .fabric-cache
       python -m repro bench scaling --max-nodes 1024
       python -m repro bench report --json BENCH.json --out report.md
 
@@ -264,13 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = bench.add_subparsers(dest="bench_command", required=True)
 
     brun = bsub.add_parser("run", help="run a suite, record telemetry")
-    brun.add_argument("--suite", default="smoke",
-                      help="suite name (smoke, paper)")
+    brun.add_argument("--suite", default="smoke", choices=("smoke", "paper"),
+                      help="the figure grid at scale 0.05 or 1.0")
     brun.add_argument("--scale", type=float, default=None,
                       help="override the suite's working-set scale")
     brun.add_argument("--only", metavar="SUBSTR",
-                      help="run only unit ids containing SUBSTR "
-                           "(e.g. 'sw-dsm-2/PI')")
+                      help="run only the cells whose <preset>/<label> "
+                           "contains SUBSTR (e.g. 'sw-dsm-2/PI')")
     brun.add_argument("--json-out", metavar="FILE",
                       help="write the telemetry document (BENCH_<suite>.json)")
     brun.add_argument("--cache", metavar="DIR", dest="cache_dir",
@@ -281,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     brun.add_argument("--sharing", action="store_true",
                       help="attach the sharing-pattern rollup (ping-pong/"
                            "false-sharing counts, hot page/lock, barrier "
-                           "skew) to every record; bypasses --cache")
+                           "skew) to every record; cached apart from "
+                           "plain records")
 
     bscale = bsub.add_parser(
         "scaling", help="run the node-count scaling curves, record telemetry")
@@ -642,62 +648,72 @@ def _print_bench_summary(doc) -> None:
                     f"({len(rows)} benchmarks)"))
 
 
+def _bench_progress(cell: str, outcome: str) -> None:
+    print(f"[bench] {cell}: {outcome}")
+
+
+def _write_telemetry(doc, json_out) -> bool:
+    """Schema-check ``doc``, then write it to ``json_out`` if given. False,
+    with every problem printed, when it is invalid: a bug in the code that
+    built it, not a perf problem."""
+    from repro.bench.telemetry import telemetry_to_json, validate_telemetry
+
+    errors = validate_telemetry(doc)
+    for err in errors:
+        print(f"schema error: {err}")
+    if not errors and json_out:
+        Path(json_out).write_text(telemetry_to_json(doc), encoding="utf-8")
+        print(f"telemetry: written to {json_out}")
+    return not errors
+
+
+def _finish_bench(result, render, json_out) -> int:
+    """Shared tail of ``bench run`` / ``bench scaling``: name failed cells
+    (exit 1), render, schema-check (exit 2) and write the document."""
+    failed = result.manifest.failed_cells()
+    for cell in failed:
+        print(f"failed   : {cell.id}: {cell.error}")
+    if failed:
+        return 1
+    print()
+    render(result.doc)
+    return 0 if _write_telemetry(result.doc, json_out) else 2
+
+
 def _cmd_bench(args) -> int:
-    from repro.bench.telemetry import (load_telemetry, run_suite_telemetry,
-                                       telemetry_to_json, validate_telemetry)
+    from repro.bench.telemetry import load_telemetry
 
     if args.bench_command == "run":
-        cache = None
-        if args.cache_dir:
-            from repro.fabric import ResultCache, TelemetryCache
+        from dataclasses import replace
 
-            cache = TelemetryCache(ResultCache(args.cache_dir))
-        doc = run_suite_telemetry(
-            args.suite, scale=args.scale, only=args.only,
-            cache=cache, sharing=args.sharing,
-            progress=lambda unit: print(f"[bench] {unit}"))
-        if not doc["records"]:
+        from repro.fabric import SUITES, ResultCache, run_sweep
+
+        spec = SUITES[args.suite]
+        spec = replace(spec, only=args.only, sharing=args.sharing,
+                       scales=spec.scales if args.scale is None
+                       else (args.scale,))
+        cache = ResultCache(args.cache_dir) if args.cache_dir else None
+        result = run_sweep(spec, cache=cache, progress=_bench_progress)
+        if not result.manifest.cells:
             print(f"--only {args.only!r} matched no benchmark in suite "
                   f"{args.suite!r}")
             return 2
-        errors = validate_telemetry(doc)
-        if errors:  # a telemetry bug, not a perf problem — fail loudly
-            for err in errors:
-                print(f"schema error: {err}")
-            return 2
-        print()
-        _print_bench_summary(doc)
         if cache is not None:
-            store = cache.store
-            print(f"cache    : {store.hits} hit(s), {store.misses} miss(es) "
-                  f"in {store.root}")
-        if args.json_out:
-            Path(args.json_out).write_text(telemetry_to_json(doc),
-                                           encoding="utf-8")
-            print(f"telemetry: written to {args.json_out}")
-        return 0
+            print(f"cache    : {cache.hits} hit(s), {cache.misses} miss(es) "
+                  f"in {cache.root}")
+        return _finish_bench(result, _print_bench_summary, args.json_out)
 
     if args.bench_command == "scaling":
         from repro.bench.scaling import (DEFAULT_SCALE, render_scaling,
                                          run_scaling_curves)
 
-        doc = run_scaling_curves(
+        result = run_scaling_curves(
             fabrics=tuple(args.fabric) if args.fabric else ("eth", "sci"),
             max_nodes=args.max_nodes,
             scale=args.scale if args.scale is not None else DEFAULT_SCALE,
-            progress=lambda point: print(f"[scaling] {point}"))
-        errors = validate_telemetry(doc)
-        if errors:
-            for err in errors:
-                print(f"schema error: {err}")
-            return 2
-        print()
-        print(render_scaling(doc))
-        if args.json_out:
-            Path(args.json_out).write_text(telemetry_to_json(doc),
-                                           encoding="utf-8")
-            print(f"telemetry: written to {args.json_out}")
-        return 0
+            progress=_bench_progress)
+        return _finish_bench(result, lambda doc: print(render_scaling(doc)),
+                             args.json_out)
 
     if args.bench_command == "report":
         import json as _json
@@ -841,21 +857,12 @@ def _finish_sweep(result, json_out, journal_path,
     outputs, name the offenders, map the sweep status to an exit code
     (0 ok, 1 failed cells, 2 schema, 3 expect-cached, 4 aborted,
     5 interrupted)."""
-    from repro.bench.telemetry import telemetry_to_json, validate_telemetry
-
     manifest = result.manifest
     print()
     print(manifest.render())
     if result.doc is not None:
-        errors = validate_telemetry(result.doc)
-        if errors:  # a fabric bug, not a perf problem — fail loudly
-            for err in errors:
-                print(f"schema error: {err}")
+        if not _write_telemetry(result.doc, json_out):
             return 2
-        if json_out:
-            Path(json_out).write_text(telemetry_to_json(result.doc),
-                                      encoding="utf-8")
-            print(f"telemetry: written to {json_out}")
     elif json_out:
         print("telemetry: no successful cells, nothing written")
     if journal_path:
@@ -983,7 +990,7 @@ def _cmd_sweep(args) -> int:
         if args.heartbeat is not None:
             sweep_kwargs["heartbeat"] = args.heartbeat
         result = run_sweep(
-            spec, workers=args.workers, cache_dir=cache_dir,
+            spec, workers=args.workers, cache=ResultCache(cache_dir),
             timeout=args.timeout, journal=journal_path,
             max_retries=args.max_retries, max_failures=args.max_failures,
             retry_backoff=args.retry_backoff, handle_signals=True,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.consistency import MODELS, ConsistencyModel, can_host, get_model, strength
+from repro.consistency import MODELS, ConsistencyModel, can_host, get_model
 from repro.core.monitoring import ModuleStats
 from repro.errors import ConsistencyError
 
@@ -93,9 +93,6 @@ class ConsistencyMgmt:
         yield self._h.call_cost()
         self.stats.incr("fences")
         yield from self.active().fence_g()
-
-    def strength_of(self, model_name: str) -> int:
-        return strength(model_name)
 
     def check_model(self, model_name: str) -> None:
         if model_name not in MODELS:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.core.monitoring import ModuleStats
 from repro.errors import TaskError
@@ -76,13 +76,6 @@ class TaskMgmt:
         """Generator kernel of :meth:`n_tasks` (``yield from`` it)."""
         yield self._h.call_cost()
         return self.dsm.n_procs
-
-    def my_task(self) -> Optional[TaskHandle]:
-        proc = self._h.engine.require_process()
-        for handle in self._tasks.values():
-            if handle.proc is proc:
-                return handle
-        return None
 
     # ------------------------------------------------------------- spawning
     def spawn_local(self, rank: int, fn: Callable, args: tuple = (),
@@ -167,9 +160,6 @@ class TaskMgmt:
             return self._tasks[handle_or_tid]
         except KeyError:
             raise TaskError(f"unknown task id {handle_or_tid}") from None
-
-    def live_tasks(self) -> List[TaskHandle]:
-        return [h for h in self._tasks.values() if h.alive]
 
     # ----------------------------------------------------------------- hooks
     def on_exit(self, hook: Callable[[TaskHandle], None]) -> None:

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, MemoryError_, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.machine.cluster import Cluster
 from repro.memory.address_space import GlobalAddressSpace, Region
 from repro.memory.allocator import GlobalAllocator
@@ -131,10 +131,6 @@ class GlobalMemorySystem(ABC):
     def node_of(self, rank: int) -> int:
         return self.placement[rank]
 
-    def current_node(self):
-        """The :class:`~repro.machine.node.Node` the calling task runs on."""
-        return self.cluster.node(self.node_of(self.current_rank()))
-
     # ------------------------------------------------------------ allocate
     def allocate(self, nbytes: int, name: str = "",
                  distribution: Optional[Distribution] = None) -> Region:
@@ -163,12 +159,6 @@ class GlobalMemorySystem(ABC):
         self._teardown_region(region)
         self._arrays.pop(region.region_id, None)
         self.allocator.free(region)
-
-    def array_for(self, region: Region) -> SharedArray:
-        try:
-            return self._arrays[region.region_id]
-        except KeyError:
-            raise MemoryError_(f"no shared array bound to {region!r}") from None
 
     def default_distribution(self) -> Distribution:
         return cyclic()

@@ -58,9 +58,6 @@ class RemoteMapper:
     def unmap(self, page: int) -> None:
         self._mapped.pop(page, None)
 
-    def unmap_all(self) -> None:
-        self._mapped.clear()
-
     def require_mapped(self, page: int) -> None:
         if page not in self._mapped:
             raise ProtectionError(

@@ -42,7 +42,7 @@ from repro.fabric.gridspec import Scenario
 from repro.machine.params import fault_plan_hash, stable_digest, workload_hash
 
 __all__ = ["CACHE_SCHEMA", "DEFAULT_CACHE_DIR", "scenario_key",
-           "ResultCache", "TelemetryCache", "canonical_records_json"]
+           "ResultCache", "canonical_records_json"]
 
 #: Cache layout / compatibility version. Bump whenever the simulator's
 #: cost model or the record contents change meaning: old entries become
@@ -60,17 +60,25 @@ QUARANTINE_DIR = "quarantine"
 
 
 def scenario_key(scenario: Scenario) -> str:
-    """The content address of one grid cell's result."""
+    """The content address of one grid cell's result.
+
+    A record carrying the sharing rollup is addressed apart from the
+    plain one; a plain cell's address does not mention sharing, so it is
+    the same as before the rollup existed.
+    """
     config = scenario.build_config()
     app, params = scenario.workload()
-    return stable_digest({
+    material = {
         "schema": [CACHE_SCHEMA, telemetry.SCHEMA],
         "machine": config.params().fingerprint,
         "config": config.to_text(),
         "workload": workload_hash(app, params, scenario.scale),
         "faults": fault_plan_hash(config.faults),
         "native": bool(scenario.native),
-    })
+    }
+    if scenario.sharing:
+        material["sharing"] = True
+    return stable_digest(material)
 
 
 def canonical_records_json(records: List[Dict[str, Any]]) -> str:
@@ -284,34 +292,3 @@ class ResultCache:
             os.unlink(entry.path)
         return len(entries)
 
-
-class TelemetryCache:
-    """Adapter giving serial ``bench run`` the same cache sweeps use.
-
-    :func:`repro.bench.telemetry.run_suite_telemetry` takes this
-    duck-typed object (telemetry never imports the fabric); the key is
-    derived through :func:`scenario_key`, so a cell executed by a sweep
-    is a hit for the serial path and vice versa.
-    """
-
-    def __init__(self, store: ResultCache) -> None:
-        self.store = store
-
-    def key_for(self, preset_name: str, label: str, scale: float,
-                native: bool) -> str:
-        return scenario_key(Scenario(preset=preset_name, label=label,
-                                     scale=scale, native=native))
-
-    def lookup(self, preset_name: str, label: str, scale: float,
-               native: bool, suite: str) -> Optional[Dict[str, Any]]:
-        record = self.store.get(self.key_for(preset_name, label, scale, native))
-        if record is not None:
-            # Rename to the requesting context: the cached copy may have
-            # been produced under a sweep's cell id and suite name.
-            record.update(id=f"{preset_name}/{label}", suite=suite)
-        return record
-
-    def store_record(self, record: Dict[str, Any]) -> None:
-        self.store.put(self.key_for(record["preset"], record["benchmark"],
-                                    record["scale"], record["native"]),
-                       record)

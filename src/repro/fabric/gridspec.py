@@ -16,18 +16,22 @@ counts — and every scaling item on the ROADMAP multiplies it further. A
 :class:`Scenario` cells. A scenario is pure, picklable data: the worker
 protocol ships it to a worker process, and the content-addressed cache
 (:mod:`repro.fabric.cache`) derives the cell's identity from it alone.
+
+:data:`FIGURE_GRID` is the paper's figure grid, declared once; the
+``bench run`` suites (:data:`SUITES`), the golden store's figure rows and
+``repro experiments`` all read it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import PRESETS, ClusterConfig, preset
 from repro.errors import ConfigurationError
 
-__all__ = ["Scenario", "GridSpec"]
+__all__ = ["Scenario", "GridSpec", "FIGURE_GRID", "SUITES"]
 
 
 def _canonical_faults(value: Any) -> Optional[str]:
@@ -62,6 +66,10 @@ class Scenario:
     overrides: Tuple[Tuple[str, Any], ...] = ()
     #: canonical fault-plan JSON, or None for the perfect network
     faults: Optional[str] = None
+    #: attach the sharing-pattern rollup to the record
+    #: (:func:`repro.bench.telemetry.run_unit`); part of the cell's
+    #: content address, not of its id
+    sharing: bool = False
 
     # --------------------------------------------------------------- identity
     def cell_id(self) -> str:
@@ -107,7 +115,7 @@ class Scenario:
         return {"preset": self.preset, "label": self.label,
                 "scale": self.scale, "native": self.native,
                 "nodes": self.nodes, "overrides": dict(self.overrides),
-                "faults": self.faults}
+                "faults": self.faults, "sharing": self.sharing}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "Scenario":
@@ -119,7 +127,8 @@ class Scenario:
                    scale=float(d["scale"]), native=bool(d.get("native", False)),
                    nodes=d.get("nodes"),
                    overrides=tuple(sorted(d.get("overrides", {}).items())),
-                   faults=d.get("faults"))
+                   faults=d.get("faults"),
+                   sharing=bool(d.get("sharing", False)))
 
 
 _GRID_KEYS = {"suite", "presets", "labels", "scales", "native", "nodes",
@@ -142,6 +151,11 @@ class GridSpec:
     suite: str = "sweep"
     #: per-cell wall-clock timeout in host seconds (None = no limit)
     timeout: Optional[float] = None
+    # In-process selectors of ``bench run``, never written to grid JSON:
+    #: keep only cells whose ``<preset>/<label>`` contains this substring
+    only: Optional[str] = None
+    #: attach the sharing rollup to every record (see Scenario.sharing)
+    sharing: bool = False
 
     def __post_init__(self) -> None:
         if not self.presets:
@@ -170,14 +184,21 @@ class GridSpec:
                 f"timeout must be > 0 seconds, got {self.timeout}")
 
     # ---------------------------------------------------------------- expand
+    def bindings(self) -> List[Tuple[str, bool]]:
+        """Each preset with its native-binding flag."""
+        if self.native is not None:
+            return list(zip(self.presets, self.native))
+        return [(name, name.startswith("native-")) for name in self.presets]
+
     def expand(self) -> List[Scenario]:
         """Cross the axes into cells, in deterministic grid order."""
         cells: List[Scenario] = []
-        for i, preset_name in enumerate(self.presets):
-            native = (self.native[i] if self.native is not None
-                      else preset_name.startswith("native-"))
+        for preset_name, native in self.bindings():
             for nodes in self.nodes:
                 for label in self.labels:
+                    if self.only is not None \
+                            and self.only not in f"{preset_name}/{label}":
+                        continue
                     for scale in self.scales:
                         for ovr in self.overrides:
                             for faults in self.faults:
@@ -186,7 +207,8 @@ class GridSpec:
                                     scale=float(scale), native=native,
                                     nodes=nodes,
                                     overrides=tuple(sorted(ovr.items())),
-                                    faults=_canonical_faults(faults)))
+                                    faults=_canonical_faults(faults),
+                                    sharing=self.sharing))
         return cells
 
     # -------------------------------------------------------------------- io
@@ -240,3 +262,22 @@ class GridSpec:
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+#: The paper's figure grid (§5, Figures 2-4): the six platforms the
+#: figures compare x the seven workload labels that are one execution
+#: each (the LU splits ride on "LU all"). ``native-jiajia-4`` binds the
+#: JiaJia API natively: the Figure 2 baseline.
+FIGURE_GRID = GridSpec(
+    presets=("smp-2", "sw-dsm-2", "sw-dsm-4", "hybrid-2", "hybrid-4",
+             "native-jiajia-4"),
+    labels=("MatMult", "PI", "SOR opt", "SOR", "LU all", "WATER 288",
+            "WATER 343"),
+    scales=(0.05,), suite="smoke")
+
+#: ``bench run --suite``: the figure grid at CI speed (the golden store's
+#: scale) and at the paper's Table 1 sizes (minutes of host time).
+SUITES: Dict[str, GridSpec] = {
+    "smoke": FIGURE_GRID,
+    "paper": replace(FIGURE_GRID, scales=(1.0,), suite="paper"),
+}

@@ -5,7 +5,8 @@
 1. expand the :class:`~repro.fabric.gridspec.GridSpec` into (content
    address, scenario) cells;
 2. serve every cell already in the :class:`~repro.fabric.cache.ResultCache`
-   (a fully-unchanged grid costs zero simulation time);
+   (a fully-unchanged grid costs zero simulation time; with no cache,
+   nothing is served or persisted);
 3. dispatch the misses — inline when ``workers <= 1`` (the reference
    serial path), otherwise to N worker processes over bounded queues;
 4. recover: a job that exceeds the per-cell wall-clock timeout gets its
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import repro.fabric.faultpoints as faultpoints
-from repro.fabric.cache import DEFAULT_CACHE_DIR, ResultCache, scenario_key
+from repro.fabric.cache import ResultCache, scenario_key
 from repro.fabric.gridspec import GridSpec
 from repro.fabric.journal import (JournalError, JournalState, SweepJournal,
                                   replay_journal)
@@ -526,7 +527,6 @@ def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
 # --------------------------------------------------------------- run_sweep
 def run_sweep(spec: GridSpec, workers: int = 1,
               cache: Optional[ResultCache] = None,
-              cache_dir: str = DEFAULT_CACHE_DIR,
               timeout: Optional[float] = None,
               progress: Optional[Progress] = None,
               stall_grace: float = 5.0,
@@ -540,6 +540,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
               handle_signals: bool = False) -> SweepResult:
     """Run one sweep; see the module docstring for the full contract.
 
+    ``cache`` serves and stores cell records; None persists nothing.
     ``journal`` enables the sweep's durable log (a path or a pre-built
     :class:`~repro.fabric.journal.SweepJournal`); ``heartbeat`` is the
     in-cell progress period in host seconds (None disables heartbeats);
@@ -561,8 +562,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
         raise ValueError(f"max_failures must be >= 1, got {max_failures}")
     if retry_backoff < 0:
         raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
-    if cache is None:
-        cache = ResultCache(cache_dir)
+    lookup = cache.get if cache is not None else (lambda key: None)
     if timeout is None:
         timeout = spec.timeout
     t0 = time.monotonic()
@@ -587,7 +587,8 @@ def run_sweep(spec: GridSpec, workers: int = 1,
         else:
             jnl = SweepJournal(journal, header={
                 "suite": spec.suite, "cells": len(cells),
-                "workers": int(workers), "cache_dir": str(cache.root),
+                "workers": int(workers),
+                "cache_dir": str(cache.root) if cache is not None else None,
                 "grid": spec.to_dict()})
     elif journal is not None:
         jnl = journal
@@ -615,7 +616,8 @@ def run_sweep(spec: GridSpec, workers: int = 1,
         """A cell executed: store, then durably commit its outcome."""
         i = job.index
         sc = cells[i]
-        cache.put(job.key, record)
+        if cache is not None:
+            cache.put(job.key, record)
         faultpoints.maybe_crash(faultpoints.ORCH_PRE_COMMIT)
         records[i] = record
         outcomes[i] = CellOutcome(
@@ -656,7 +658,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
                         progress(sc.cell_id(), "restored")
                     continue
                 if committed.outcome in ("hit", "miss"):
-                    record = cache.get(key)
+                    record = lookup(key)
                     if record is not None:
                         record.update(id=sc.cell_id(), suite=spec.suite)
                         records[i] = record
@@ -670,7 +672,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
                     # committed but the cache entry is gone or was
                     # quarantined: the commit record alone is not a
                     # result — demote the cell back to the worklist
-            record = cache.get(key)
+            record = lookup(key)
             if record is not None:
                 record.update(id=sc.cell_id(), suite=spec.suite)
                 records[i] = record
@@ -761,7 +763,8 @@ def run_sweep(spec: GridSpec, workers: int = 1,
             suite=spec.suite, workers=workers,
             cells=[outcomes[i] for i in range(len(cells))],
             elapsed=time.monotonic() - t0,
-            cache=cache.stats(), status=status)
+            cache=cache.stats() if cache is not None else None,
+            status=status)
         emit("sweep-end", data={"counts": manifest.counts(),
                                 "elapsed": manifest.elapsed,
                                 "status": status,

@@ -95,7 +95,8 @@ def execute_cell(scenario: Scenario, suite: str = "sweep") -> Dict[str, Any]:
     record = run_unit(scenario.preset, scenario.label, scenario.scale,
                       native=scenario.native, suite=suite,
                       overrides=dict(scenario.overrides),
-                      faults=faults, nodes=scenario.nodes)
+                      faults=faults, nodes=scenario.nodes,
+                      sharing=scenario.sharing)
     record["id"] = scenario.cell_id()
     return record
 

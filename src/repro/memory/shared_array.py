@@ -178,12 +178,6 @@ class SharedArray:
             index = tuple(slice(None) for _ in self.shape)
         return self[index]
 
-    def read_g(self, index: Any = ()):
-        """Generator kernel of :meth:`read` (``yield from`` it)."""
-        if index == ():
-            index = tuple(slice(None) for _ in self.shape)
-        return self.get_g(index)
-
     def write(self, index: Any, value: Any) -> None:
         """Alias for ``self[index] = value``."""
         self[index] = value
@@ -198,12 +192,6 @@ class SharedArray:
         if index == ():
             index = tuple(slice(None) for _ in self.shape)
         self.dsm.refresh_runs(self.region, self._runs(index))
-
-    def refresh_g(self, index: Any = ()):
-        """Generator kernel of :meth:`refresh` (``yield from`` it)."""
-        if index == ():
-            index = tuple(slice(None) for _ in self.shape)
-        return self.dsm.refresh_runs_g(self.region, self._runs(index))
 
     # --------------------------------------------------------------- sugar
     @property

@@ -81,9 +81,6 @@ class ProfileReport:
         waits = self.total("lock_wait") + self.total("barrier_wait")
         return waits / (self.total_time * len(self.ranks))
 
-    def communication_per_rank(self) -> float:
-        return self.wire_bytes / len(self.ranks) if self.ranks else 0.0
-
     def hotspots(self, top: int = 3) -> List[RankProfile]:
         """Ranks ranked by protocol work (faults+fetches+diffs)."""
         return sorted(self.ranks, key=lambda r: -(r.faults + r.fetches + r.diffs))[:top]

@@ -9,6 +9,7 @@ re-record command.
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,8 +18,8 @@ from repro.bench.diffcheck import (GOLDEN_PATH, check_goldens, diff_records,
                                    record_goldens)
 from repro.bench.runners import (BENCH_LABELS, CLAIMS, EXCEPTED, FAILED,
                                   HELD, SCALES, STALE, UNDECIDED, shape_gate)
-from repro.bench.telemetry import (HOST_FIELDS, canonical_record,
-                                   run_suite_telemetry)
+from repro.bench.telemetry import HOST_FIELDS, canonical_record
+from repro.fabric import SUITES, run_sweep
 
 ROW = "fig/hybrid-2/PI"
 
@@ -314,26 +315,42 @@ class TestClaimsOverTheStore:
 
     def test_smoke_subset_passes(self):
         """A real (tiny) two-platform run must clear the fig3 check."""
-        doc = run_suite_telemetry("smoke", scale=0.05, only="4/PI")
-        ids = {r["id"] for r in doc["records"]}
-        assert ids == {"sw-dsm-4/PI", "hybrid-4/PI", "native-jiajia-4/PI"}
-        checks = [c for c in shape_gate(doc["records"])
+        records = run_sweep(replace(SUITES["smoke"], only="4/PI")).records
+        ids = {r["id"] for r in records}
+        assert ids == {"sw-dsm-4/PI@0.05", "hybrid-4/PI@0.05",
+                       "native-jiajia-4/PI@0.05"}
+        checks = [c for c in shape_gate(records)
                   if c.status != UNDECIDED]
         assert checks, "fig2+fig3 checks expected"
         assert all(c.passed for c in checks), [c.describe() for c in checks]
 
 
-def semantic(record, drop=()):
-    """What a telemetry record and a stored row share: everything but the
-    host fields and the checker's trace digest."""
-    return {k: v for k, v in canonical_record(record).items()
-            if k not in ("digest", "trace_events", *drop)}
+#: Fields only a golden row has: the checker's trace digest.
+GOLDEN_ONLY = ("digest", "trace_events")
+
+
+def row_for(record, stored, kind):
+    """The golden row a sweep record reproduces, checked field by field.
+
+    A sweep names its record by cell id, ``<preset>/<label>@<scale>``; the
+    row holds the same record under ``<preset>/<label>``, without host
+    fields, plus the trace digest. Those are the only differences: no
+    other field may be missing on either side or differ."""
+    name = f"{record['preset']}/{record['benchmark']}"
+    assert record["id"] == f"{name}@{record['scale']:g}"
+    row = stored[f"{kind}/{name}"]
+    assert row["id"] == name
+    got = {k: v for k, v in canonical_record(record).items() if k != "id"}
+    want = {k: v for k, v in row.items()
+            if k != "id" and k not in GOLDEN_ONLY}
+    assert got == want
+    return row
 
 
 class TestCommittedBaselines:
     """Re-recording at an unchanged simulator is an empty diff, and
-    ``bench run`` / ``bench scaling`` records are the store's rows: one
-    record function builds both."""
+    ``bench run`` / ``bench scaling`` records are the store's rows under
+    their cell ids: one record function builds both."""
 
     def test_smoke_suite_reproduces_its_baseline_byte_for_byte(self,
                                                                 tmp_path):
@@ -343,19 +360,22 @@ class TestCommittedBaselines:
         record_goldens(copy_path, only="fig/sw-dsm-2/PI")
         assert copy_path.read_text() == committed
         stored = json.loads(committed)["rows"]
-        for rec in run_suite_telemetry("smoke", only="sw-dsm-2/PI")["records"]:
-            assert semantic(rec) == semantic(stored[f"fig/{rec['id']}"])
+        spec = replace(SUITES["smoke"], only="sw-dsm-2/PI")
+        [rec] = run_sweep(spec).records
+        row_for(rec, stored, "fig")
 
     def test_scaling_curves_reproduce_their_baseline_up_to_64_nodes(self):
         from repro.bench.scaling import run_scaling_curves
 
         stored = json.loads(GOLDEN_PATH.read_text())["rows"]
-        records = run_scaling_curves(max_nodes=64)["records"]
+        records = run_scaling_curves(max_nodes=64).records
         assert len(records) == 4
         for rec in records:
-            if f"scaling/{rec['id']}" in stored:
-                assert semantic(rec) == semantic(stored[f"scaling/{rec['id']}"])
+            if rec["nodes"] > 4:
+                row_for(rec, stored, "scaling")
             else:  # the 4-node points are figure rows of another suite
-                identity = ("suite", "fabric", "nodes")
-                assert semantic(rec, identity) \
-                    == semantic(stored[f"fig/{rec['id']}"], identity)
+                curve = {k: rec.pop(k) for k in ("fabric", "nodes")}
+                fabric = "eth" if rec["preset"] == "sw-dsm-4" else "sci"
+                assert curve == {"fabric": fabric, "nodes": 4}
+                rec["suite"] = "smoke"
+                row_for(rec, stored, "fig")

@@ -12,7 +12,7 @@ from repro.errors import ConfigurationError
 
 @pytest.fixture(scope="module")
 def eth_doc():
-    return run_scaling_curves(fabrics=("eth",), max_nodes=64)
+    return run_scaling_curves(fabrics=("eth",), max_nodes=64).doc
 
 
 class TestCurveLadders:
@@ -49,8 +49,8 @@ class TestScalingDocument:
         assert all(r["events_per_sec"] > 0 for r in points)
 
     def test_max_nodes_truncates_the_ladder(self):
-        doc = run_scaling_curves(fabrics=("sci",), max_nodes=4)
-        assert [r["nodes"] for r in doc["records"]] == [4]
+        result = run_scaling_curves(fabrics=("sci",), max_nodes=4)
+        assert [r["nodes"] for r in result.records] == [4]
 
     def test_more_nodes_more_events(self, eth_doc):
         """The curve's point: event volume grows with the cluster (the

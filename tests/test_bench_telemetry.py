@@ -2,16 +2,17 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.bench.telemetry import (FIELDS, HOST_FIELDS, SCHEMA, SUITES,
+from repro.bench.telemetry import (FIELDS, HOST_FIELDS, SCHEMA,
                                    canonical_record, config_fingerprint,
-                                   load_telemetry, run_suite_telemetry,
-                                   run_unit, telemetry_to_json,
-                                   validate_telemetry)
+                                   load_telemetry, run_unit,
+                                   telemetry_to_json, validate_telemetry)
+from repro.cli import build_parser
 from repro.config import preset
-from repro.errors import ConfigurationError
+from repro.fabric import SUITES, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +108,9 @@ class TestFingerprint:
 
 class TestSuiteRunner:
     def test_filtered_suite_round_trips(self, tmp_path):
-        doc = run_suite_telemetry("smoke", only="sw-dsm-2/PI")
-        assert doc["schema"] == SCHEMA
-        assert [r["id"] for r in doc["records"]] == ["sw-dsm-2/PI"]
+        doc = run_sweep(replace(SUITES["smoke"], only="sw-dsm-2/PI")).doc
+        assert doc["schema"] == SCHEMA and doc["suite"] == "smoke"
+        assert [r["id"] for r in doc["records"]] == ["sw-dsm-2/PI@0.05"]
         assert validate_telemetry(doc) == []
         path = tmp_path / "telemetry.json"
         path.write_text(telemetry_to_json(doc))
@@ -117,13 +118,17 @@ class TestSuiteRunner:
         assert loaded == json.loads(telemetry_to_json(doc))
 
     def test_unknown_suite_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_suite_telemetry("nope")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "run", "--suite", "nope"])
+        for suite in SUITES:
+            assert build_parser().parse_args(
+                ["bench", "run", "--suite", suite]).suite == suite
 
     def test_suite_specs_consistent(self):
         for spec in SUITES.values():
-            assert spec.scale > 0
-            assert len(spec.unit_ids()) == len(set(spec.unit_ids()))
+            assert all(scale > 0 for scale in spec.scales)
+            ids = [cell.cell_id() for cell in spec.expand()]
+            assert len(ids) == len(set(ids))
 
 
 class TestSchemaValidator:

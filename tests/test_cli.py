@@ -154,6 +154,46 @@ class TestObservabilityCommands:
         assert "outcome  : completed" in capsys.readouterr().out
         assert validate_chrome_trace(path.read_text()) == []
 
+    def test_chaos_crash_flag_ends_in_a_typed_node_failure(self, capsys):
+        # A permanent crash is the plan's expected outcome: exit 0.
+        assert main(["chaos", "--preset", "sw-dsm-2", "--app", "sor",
+                     "--crash", "1@0.004"]) == 0
+        out = capsys.readouterr().out
+        assert "outcome  : node-failed" in out
+        assert "failed=[1]" in out
+
+    def test_chaos_crash_flag_rejects_a_malformed_spec(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--preset", "sw-dsm-2", "--app", "sor",
+                  "--crash", "1"])
+        assert exc.value.code == 2
+        assert "--crash expects NODE@AT[@RESTART]" in capsys.readouterr().err
+
+    def test_chaos_drop_rate_replaces_the_plans_drop_rate(self, monkeypatch,
+                                                          capsys):
+        import dataclasses
+
+        import repro.faults
+        from repro.faults import FaultPlan
+
+        seeded = FaultPlan.seeded(42)
+        assert seeded.link.drop_rate > 0
+        plans = []
+        real = repro.faults.run_chaos
+
+        def spy(*args, **kwargs):
+            plans.append(kwargs["plan"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.faults, "run_chaos", spy)
+        assert main(["chaos", "--preset", "sw-dsm-2", "--app", "sor",
+                     "--param", "n=64", "--param", "iterations=3",
+                     "--fault-seed", "42", "--drop-rate", "0"]) == 0
+        assert plans == [seeded.with_overrides(
+            link=dataclasses.replace(seeded.link, drop_rate=0.0))]
+        out = capsys.readouterr().out
+        assert "outcome  : completed" in out and "dropped=0," in out
+
 
 class TestBenchCommands:
     ONLY = ["--only", "sw-dsm-2/PI"]
@@ -182,9 +222,9 @@ class TestBenchCommands:
                      "--json-out", str(out)])
         assert code == 0
         doc = load_telemetry(str(out))  # raises if schema-invalid
-        assert [r["id"] for r in doc["records"]] == ["sw-dsm-2/PI"]
+        assert [r["id"] for r in doc["records"]] == ["sw-dsm-2/PI@0.02"]
         stdout = capsys.readouterr().out
-        assert "[bench] sw-dsm-2/PI" in stdout
+        assert "[bench] sw-dsm-2/PI@0.02: miss" in stdout
         assert "events/s" in stdout
 
     def test_run_only_no_match_fails(self, capsys):

@@ -6,6 +6,7 @@ stable across processes, and it changes whenever any swept parameter
 changes.
 """
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench import telemetry
 from repro.config import ClusterConfig, preset
 from repro.errors import ConfigurationError
-from repro.fabric import (GridSpec, ResultCache, Scenario, TelemetryCache,
-                          canonical_record, canonical_records_json,
-                          scenario_key)
+from repro.fabric import (CACHE_SCHEMA, FIGURE_GRID, GridSpec, ResultCache,
+                          Scenario, canonical_record, canonical_records_json,
+                          run_sweep, scenario_key)
 from repro.faults import FaultPlan
 from repro.machine.params import (MachineParams, fault_plan_hash,
                                   stable_digest, workload_hash)
@@ -74,6 +76,7 @@ class TestScenarioKey:
         dict(nodes=3),
         dict(overrides=(("eth_latency", 80e-6),)),
         dict(faults=FaultPlan.seeded(42).dumps()),
+        dict(sharing=True),
     ])
     def test_key_changes_when_any_swept_parameter_changes(self, variant):
         changed = Scenario.from_dict({**BASE.to_dict(), **{
@@ -112,12 +115,8 @@ class TestScenarioKey:
                           param_overrides={"eth_latency": 80e-6})
         assert a.params() is b.params()
         assert a.params() is not ClusterConfig().params()
-        # the shell benchmark's 42-cell smoke grid: HAMSTER and native
-        grid = GridSpec(presets=("smp-2", "sw-dsm-2", "sw-dsm-4", "hybrid-2",
-                                 "hybrid-4", "native-jiajia-4"),
-                        labels=("MatMult", "PI", "SOR opt", "SOR", "LU all",
-                                "WATER 288", "WATER 343"))
-        cells = grid.expand()
+        # the 42-cell figure grid: HAMSTER and native
+        cells = FIGURE_GRID.expand()
         assert len(cells) == 42
         assert len({id(sc.build_config().params()) for sc in cells}) == 2
 
@@ -288,15 +287,32 @@ class TestCanonicalForm:
         assert a == b
 
 
-class TestTelemetryCacheAdapter:
-    def test_lookup_rewrites_identity_to_requesting_context(self, tmp_path):
+class TestHitIdentity:
+    def test_hit_takes_the_requesting_grid_identity(self, tmp_path):
+        # A record stored by one producer (a sweep's suite and cell id) is
+        # renamed to the sweep that finds it, e.g. ``bench run``.
         store = ResultCache(str(tmp_path / "c"))
-        adapter = TelemetryCache(store)
-        record = {"id": "sw-dsm-2/PI@0.05", "suite": "sweep",
-                  "preset": "sw-dsm-2", "benchmark": "PI", "scale": 0.05,
-                  "native": False, "virtual_seconds": 1.0}
-        adapter.store_record(record)
-        hit = adapter.lookup("sw-dsm-2", "PI", 0.05, False, suite="smoke")
-        assert hit["id"] == "sw-dsm-2/PI" and hit["suite"] == "smoke"
+        store.put(scenario_key(BASE), {
+            "id": "sw-dsm-2/PI@0.05", "suite": "sweep", "preset": "sw-dsm-2",
+            "benchmark": "PI", "scale": 0.05, "native": False,
+            "virtual_seconds": 1.0})
+        spec = GridSpec(presets=("sw-dsm-2",), labels=("PI",),
+                        scales=(0.05,), suite="smoke")
+        [hit] = run_sweep(spec, cache=store).records
+        assert hit["id"] == "sw-dsm-2/PI@0.05" and hit["suite"] == "smoke"
         assert hit["virtual_seconds"] == 1.0
-        assert adapter.lookup("sw-dsm-2", "PI", 0.06, False, "smoke") is None
+        assert store.get(scenario_key(dataclasses.replace(BASE, scale=0.06))) \
+            is None
+
+    def test_sharing_is_addressed_apart_and_plain_keys_stand(self):
+        # the sharing flag moves the address (TestScenarioKey), not the id
+        assert dataclasses.replace(BASE, sharing=True).cell_id() \
+            == BASE.cell_id()
+        # the plain address never mentions sharing: caches written before
+        # the rollup existed stay valid
+        assert scenario_key(BASE) == stable_digest({
+            "schema": [CACHE_SCHEMA, telemetry.SCHEMA],
+            "machine": BASE.build_config().params().fingerprint,
+            "config": BASE.build_config().to_text(),
+            "workload": workload_hash("pi", BASE.workload()[1], 0.05),
+            "faults": fault_plan_hash(None), "native": False})

@@ -721,6 +721,9 @@ class TestSweepEvents:
         assert flag.read_text().split() == [faultpoints.WORKER_CELL_STALL] * 2
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"
+        assert cell.error.startswith("timeout: ")
+        assert cell.attempts == 2            # retried once before giving up
+        assert result.doc is None            # nothing succeeded
         assert cell.progress is not None
         assert cell.progress["events_executed"] == HOOK_EVERY_EVENTS
         assert cell.progress["virtual_seconds"] > 0.0

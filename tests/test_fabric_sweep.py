@@ -6,6 +6,7 @@ content-addressed cache, crash-once recovery, per-cell timeouts, typed
 chaos failures, and the serial ``bench run`` path sharing the same cache.
 """
 
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -15,9 +16,10 @@ import types
 
 import pytest
 
-from repro.bench.telemetry import run_suite_telemetry, validate_telemetry
+from repro.bench.telemetry import validate_telemetry
+from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.fabric import (GridSpec, ResultCache, Scenario, TelemetryCache,
+from repro.fabric import (GridSpec, ResultCache, Scenario,
                           canonical_records_json, execute_cell, faultpoints,
                           run_sweep, scenario_key)
 
@@ -89,6 +91,15 @@ class TestSweepSerial:
         # cached rerun reproduces the document byte-for-byte (canonically)
         assert canonical_records_json(second.records) == \
             canonical_records_json(first.records)
+
+    def test_no_cache_persists_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
+        for _ in range(2):
+            result = run_sweep(spec)
+            assert result.manifest.counts()["miss"] == 1
+            assert result.manifest.cache is None
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_cells_execute_once(self, tmp_path):
         spec = GridSpec(presets=("smp-2", "smp-2"), labels=("PI",),
@@ -229,20 +240,6 @@ class TestSweepParallel:
         assert cell.attempts == 1
         assert release.is_set()
 
-    def test_timeout_becomes_a_typed_failed_cell(self, tmp_path):
-        # A cell no plausible host finishes inside the timeout (~1M events,
-        # 40x the MatMult@0.5 cell this used to race against) and whose
-        # events start flowing, heartbeats with them, within milliseconds.
-        spec = GridSpec(presets=("sw-dsm-4",), labels=("SOR",),
-                        scales=(2.0,), timeout=0.3)
-        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5)
-        cell = result.manifest.cells[0]
-        assert cell.outcome == "failed"
-        assert cell.error.startswith("timeout: ")
-        assert cell.attempts == 2            # retried once before giving up
-        assert result.doc is None            # nothing succeeded
-
     @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                         reason="speedup needs >= 4 host cores")
     def test_parallel_sweep_is_faster(self, tmp_path):  # pragma: no cover
@@ -258,25 +255,42 @@ class TestSweepParallel:
 
 
 class TestCacheSharing:
-    def test_serial_bench_run_hits_sweep_results(self, tmp_path):
+    def bench_run(self, tmp_path, *extra):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "run", "--only", "smp-2/PI", "--cache",
+                     str(tmp_path / "cache"), "--json-out", str(out),
+                     *extra]) == 0
+        return json.loads(out.read_text())["records"]
+
+    def test_serial_bench_run_hits_sweep_results(self, tmp_path, capsys):
         store = small_cache(tmp_path)
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.05,))
         run_sweep(spec, cache=store)
         assert store.stores == 1
 
-        doc = run_suite_telemetry("smoke", only="smp-2/PI",
-                                  cache=TelemetryCache(store))
-        assert store.hits >= 1
-        [record] = doc["records"]
-        assert record["id"] == "smp-2/PI" and record["suite"] == "smoke"
+        [record] = self.bench_run(tmp_path)
+        out = capsys.readouterr().out
+        assert "[bench] smp-2/PI@0.05: hit" in out
+        assert "cache    : 1 hit(s), 0 miss(es)" in out
+        assert record["id"] == "smp-2/PI@0.05" and record["suite"] == "smoke"
 
     def test_sweep_hits_serial_bench_results(self, tmp_path):
-        store = small_cache(tmp_path)
-        run_suite_telemetry("smoke", only="smp-2/PI",
-                            cache=TelemetryCache(store))
+        self.bench_run(tmp_path)
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.05,))
-        result = run_sweep(spec, cache=store)
+        result = run_sweep(spec, cache=small_cache(tmp_path))
         assert result.manifest.counts() == {"hit": 1, "miss": 0, "failed": 0, "pending": 0}
+
+    def test_sharing_records_have_their_own_address(self, tmp_path, capsys):
+        [plain] = self.bench_run(tmp_path)
+        capsys.readouterr()
+        [shared] = self.bench_run(tmp_path, "--sharing")
+        assert "sharing" not in plain and "sharing" in shared
+        assert "cache    : 0 hit(s), 1 miss(es)" in capsys.readouterr().out
+        assert {k: v for k, v in shared.items() if k != "sharing"}.keys() \
+            == plain.keys()
+        [again] = self.bench_run(tmp_path, "--sharing")
+        assert again["sharing"] == shared["sharing"]
+        assert "cache    : 1 hit(s), 0 miss(es)" in capsys.readouterr().out
 
     def test_execute_cell_matches_cached_identity(self, tmp_path):
         sc = Scenario(preset="smp-2", label="PI", scale=0.04)
