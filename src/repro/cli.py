@@ -110,6 +110,21 @@ def _parse_crash(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _add_target(cmd, preset: str = "sw-dsm-4",
+                app: Optional[str] = "sor") -> None:
+    """The single-run target: ``--preset`` or ``--config``, ``--app``
+    (required when ``app`` is None) and ``--param``."""
+    target = cmd.add_mutually_exclusive_group()
+    target.add_argument("--preset", default=preset,
+                        help=f"platform preset ({', '.join(sorted(PRESETS))})")
+    target.add_argument("--config", help="cluster configuration file")
+    cmd.add_argument("--app", default=app, required=app is None,
+                     help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
+    cmd.add_argument("--param", action="append", type=_parse_param,
+                     default=[], metavar="NAME=VALUE",
+                     help="benchmark parameter override (repeatable)")
+
+
 def _add_fault_options(cmd) -> None:
     fault = cmd.add_mutually_exclusive_group()
     fault.add_argument("--fault-seed", type=int, metavar="SEED",
@@ -185,15 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one benchmark on one platform")
-    target = run.add_mutually_exclusive_group()
-    target.add_argument("--preset", default="sw-dsm-4",
-                        help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    target.add_argument("--config", help="cluster configuration file")
-    run.add_argument("--app", required=True,
-                     help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    run.add_argument("--param", action="append", type=_parse_param,
-                     default=[], metavar="NAME=VALUE",
-                     help="benchmark parameter override (repeatable)")
+    _add_target(run, app=None)
     run.add_argument("--native", action="store_true",
                      help="bind the JiaJia API natively (Figure 2 baseline)")
     run.add_argument("--profile", action="store_true",
@@ -205,15 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos", help="run one benchmark under a seeded fault plan")
-    ctarget = chaos.add_mutually_exclusive_group()
-    ctarget.add_argument("--preset", default="sw-dsm-2",
-                         help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    ctarget.add_argument("--config", help="cluster configuration file")
-    chaos.add_argument("--app", default="sor",
-                       help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    chaos.add_argument("--param", action="append", type=_parse_param,
-                       default=[], metavar="NAME=VALUE",
-                       help="benchmark parameter override (repeatable)")
+    _add_target(chaos, preset="sw-dsm-2")
     _add_fault_options(chaos)
     chaos.add_argument("--drop-rate", type=float, metavar="P",
                        help="override the plan's per-message drop probability")
@@ -228,15 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--validate", metavar="FILE",
                        help="validate an exported Chrome trace JSON file "
                             "and exit (no run)")
-    ttarget = trace.add_mutually_exclusive_group()
-    ttarget.add_argument("--preset", default="sw-dsm-4",
-                         help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    ttarget.add_argument("--config", help="cluster configuration file")
-    trace.add_argument("--app", default="sor",
-                       help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    trace.add_argument("--param", action="append", type=_parse_param,
-                       default=[], metavar="NAME=VALUE",
-                       help="benchmark parameter override (repeatable)")
+    _add_target(trace)
     _add_fault_options(trace)
     _add_obs_options(trace)
 
@@ -246,15 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--validate", metavar="FILE",
                       help="validate an exported sharing report JSON file "
                            "and exit (no run)")
-    dtarget = diag.add_mutually_exclusive_group()
-    dtarget.add_argument("--preset", default="sw-dsm-4",
-                         help=f"platform preset ({', '.join(sorted(PRESETS))})")
-    dtarget.add_argument("--config", help="cluster configuration file")
-    diag.add_argument("--app", default="sor",
-                      help=f"benchmark ({', '.join(sorted(APP_TABLE))})")
-    diag.add_argument("--param", action="append", type=_parse_param,
-                      default=[], metavar="NAME=VALUE",
-                      help="benchmark parameter override (repeatable)")
+    _add_target(diag)
     diag.add_argument("--json-out", metavar="FILE",
                       help="write the repro.obs.sharing/1 report as JSON")
     diag.add_argument("--heatmap-out", metavar="FILE",
@@ -460,10 +443,15 @@ def _resolve_plan(args):
     return None
 
 
-def _cmd_run(args) -> int:
+def _run_target(args, native: bool = False, obs: bool = True,
+                **switches: Any):
+    """Build the target's platform, run its app once, and print the
+    platform / benchmark / verified lines; returns (platform, merged
+    result). ``switches`` are config fields forced on before the
+    ``--trace-out``-style observability flags apply (``obs``)."""
     from repro.apps import get_app
     from repro.apps.common import merge_rank_results
-    if args.native:
+    if native:
         from repro.models.native_jiajia import NativeJiaJiaApi as Api
     else:
         from repro.models.jiajia_api import JiaJiaApi as Api
@@ -472,17 +460,40 @@ def _cmd_run(args) -> int:
     plan = _resolve_plan(args)
     if plan is not None:
         config.faults = plan
-    _apply_obs(config, args)
+    for name, value in switches.items():
+        setattr(config, name, value)
+    if obs:
+        _apply_obs(config, args)
     params: Dict[str, Any] = dict(args.param)
     plat = config.build()
     api = Api(plat.hamster)
     fn = get_app(args.app)
     merged = merge_rank_results(api.run(functools.partial(fn, **params)))
-
     print(f"platform : {plat.hamster.platform_description()}"
-          f"{' [native binding]' if args.native else ''}")
+          f"{' [native binding]' if native else ''}")
     print(f"benchmark: {args.app} {params or ''}")
     print(f"verified : {merged.verified}")
+    return plat, merged
+
+
+def _validate_file(path: str, validate, describe) -> int:
+    """``trace --validate`` / ``diagnose --validate``: load the JSON file,
+    print each schema error (exit 1), or ``describe(doc)`` (exit 0)."""
+    import json
+
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    errors = validate(doc)
+    for err in errors:
+        print(f"invalid: {err}")
+    if errors:
+        return 1
+    print(describe(doc))
+    return 0
+
+
+def _cmd_run(args) -> int:
+    plat, merged = _run_target(args, native=args.native)
     for phase, seconds in sorted(merged.phases.items()):
         print(f"  {phase:>10s}: {seconds * 1e3:10.3f} ms")
     if args.profile:
@@ -531,40 +542,17 @@ def _cmd_chaos(args) -> int:
 
 def _cmd_trace(args) -> int:
     if args.validate:
-        import json
-
         from repro.obs import validate_chrome_trace
 
-        with open(args.validate, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        errors = validate_chrome_trace(doc)
-        if errors:
-            for err in errors:
-                print(f"invalid: {err}")
-            return 1
-        print(f"valid Chrome trace: {args.validate} "
-              f"({len(doc['traceEvents'])} events)")
-        return 0
+        return _validate_file(
+            args.validate, validate_chrome_trace,
+            lambda doc: f"valid Chrome trace: {args.validate} "
+                        f"({len(doc['traceEvents'])} events)")
 
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
     from repro.obs import critical_path_report
 
-    config = load(args.config) if args.config else preset(args.preset)
-    plan = _resolve_plan(args)
-    if plan is not None:
-        config.faults = plan
-    config.observe = True  # the whole point of this subcommand
-    _apply_obs(config, args)
-    params: Dict[str, Any] = dict(args.param)
-    plat = config.build()
-    api = JiaJiaApi(plat.hamster)
-    fn = get_app(args.app)
-    merged = merge_rank_results(api.run(functools.partial(fn, **params)))
-    print(f"platform : {plat.hamster.platform_description()}")
-    print(f"benchmark: {args.app} {params or ''}")
-    print(f"verified : {merged.verified}")
+    # observing is the whole point of this subcommand
+    plat, merged = _run_target(args, observe=True)
     print(f"spans    : {len(plat.obs)}")
     print()
     print(critical_path_report(plat).render())
@@ -578,41 +566,23 @@ def _cmd_diagnose(args) -> int:
     if args.validate:
         from repro.obs import validate_sharing_report
 
-        with open(args.validate, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        errors = validate_sharing_report(doc)
-        if errors:
-            for err in errors:
-                print(f"invalid: {err}")
-            return 1
-        print(f"valid sharing report: {args.validate} "
-              f"({len(doc['ping_pong'])} ping-pong pages, "
-              f"{len(doc['false_sharing']['pages'])} false sharing)")
-        return 0
+        return _validate_file(
+            args.validate, validate_sharing_report,
+            lambda doc: f"valid sharing report: {args.validate} "
+                        f"({len(doc['ping_pong'])} ping-pong pages, "
+                        f"{len(doc['false_sharing']['pages'])} false "
+                        f"sharing)")
 
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
     from repro.obs import (render_sharing_report, sharing_chrome_trace,
                            sharing_heatmap_csv, sharing_report)
 
-    config = load(args.config) if args.config else preset(args.preset)
-    plan = _resolve_plan(args)
-    if plan is not None:
-        config.faults = plan
-    config.sharing = True  # the whole point of this subcommand
-    params: Dict[str, Any] = dict(args.param)
-    plat = config.build()
-    api = JiaJiaApi(plat.hamster)
-    fn = get_app(args.app)
-    merged = merge_rank_results(api.run(functools.partial(fn, **params)))
+    # recording sharing is the whole point of this subcommand; its
+    # --trace-out writes counter tracks, not the span trace
+    plat, merged = _run_target(args, obs=False, sharing=True)
     pname = plat.hamster.platform_description()
     doc = sharing_report(plat.sharing, platform_name=pname,
                          n_ranks=plat.dsm.n_procs,
                          page_size=plat.dsm.space.page_size)
-    print(f"platform : {pname}")
-    print(f"benchmark: {args.app} {params or ''}")
-    print(f"verified : {merged.verified}")
     print()
     print(render_sharing_report(doc))
     if args.json_out:

@@ -3,10 +3,10 @@
 The crash-recovery paths (worker respawn, journal resume) are only
 trustworthy if tests can kill the *real* processes at the *real*
 moments. This helper is a small registry of named points spanning both
-sides of the queue: arm one through the environment and the process
-hard-exits
-(``os._exit`` — no ``finally`` blocks, no atexit, exactly what SIGKILL
-looks like from the outside) the first time execution reaches it.
+sides of a worker's pipe: arm one through the environment and the
+process hard-exits (``os._exit`` — no ``finally`` blocks, no atexit,
+exactly what SIGKILL looks like from the outside) the first time
+execution reaches it.
 
 Spec format, in :data:`FAULTPOINT_ENV`::
 
@@ -16,7 +16,7 @@ The flag file is created *before* exiting, so each armed point fires at
 most once — the retried attempt (worker) or the resumed sweep
 (orchestrator) sails past it. Known points:
 
-* ``worker-cell-start`` — a worker, after taking a job, before
+* ``worker-cell-start`` — a worker, after receiving a job, before
   executing the cell;
 * ``orchestrator-pre-commit`` — the scheduler, after the cell's result
   is stored in the cache but before its journal commit record is

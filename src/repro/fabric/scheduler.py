@@ -8,7 +8,8 @@
    (a fully-unchanged grid costs zero simulation time; with no cache,
    nothing is served or persisted);
 3. dispatch the misses — inline when ``workers <= 1`` (the reference
-   serial path), otherwise to N worker processes over bounded queues;
+   serial path), otherwise to N worker processes, each sent one job at a
+   time over its own pipe;
 4. recover: a job that exceeds the per-cell wall-clock timeout gets its
    worker killed; a dead worker's job is retried (``max_retries`` times,
    with exponential backoff between attempts); exhausted retries (or any
@@ -31,8 +32,8 @@ outcomes (verifying each against the live cache — a quarantined entry
 demotes its cell back to the worklist) and re-executes only the rest;
 the canonical records of an interrupted-then-resumed sweep are
 byte-identical to an uninterrupted run. Workers report in-cell progress
-heartbeats (engine events executed, virtual seconds) over their result
-pipes into the same journal — so a live sweep can be watched (``sweep
+heartbeats (engine events executed, virtual seconds) over their pipes
+into the same journal — so a live sweep can be watched (``sweep
 status``), a slow cell can be told from a stuck one, and a timed-out
 cell's outcome records its progress-at-kill. Host-side timestamps stay
 in the journal; they never enter ``canonical_record``, so the telemetry
@@ -52,15 +53,15 @@ consume fabric output directly.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
-import queue as _queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import repro.fabric.faultpoints as faultpoints
 from repro.fabric.cache import ResultCache, scenario_key
@@ -88,12 +89,15 @@ DEFAULT_HEARTBEAT = 1.0
 #: cell, same as an executed one.
 Progress = Callable[[str, str], None]
 
-#: Result sinks the runners feed as cells resolve: ``on_done(job,
-#: record)`` and ``on_fail(job, kind, detail, progress_at_kill)``.
-#: run_sweep's implementations commit each result durably (cache +
-#: journal fsync) the moment it lands.
-_OnDone = Callable[[Job, Dict[str, Any]], None]
-_OnFail = Callable[[Job, str, str, Optional[Dict[str, Any]]], None]
+#: The two sinks the runners report every final outcome through:
+#: ``commit_done(job, worker, record)`` and ``commit_failed(job, worker,
+#: kind, detail, progress_at_kill)`` (``worker`` is None for a job whose
+#: worker is already gone). run_sweep's implementations journal the
+#: outcome, commit it durably (cache + journal fsync), report progress
+#: and count the ``max_failures`` budget.
+_CommitDone = Callable[[Job, int, Dict[str, Any]], None]
+_CommitFailed = Callable[[Job, Optional[int], str, str,
+                          Optional[Dict[str, Any]]], None]
 
 def _null_emit(kind: str, **fields: Any) -> None:
     """Lifecycle sink when the sweep keeps no journal."""
@@ -102,19 +106,26 @@ def _null_emit(kind: str, **fields: Any) -> None:
 class _StopControl:
     """Cooperative shutdown state shared with the signal handlers.
 
-    ``level`` escalates: 0 = run, 1 = drain (no new dispatch, in-flight
-    cells finish), 2+ = abandon the drain too.
+    ``level`` counts signals: 0 = run, 1 = drain (no new dispatch,
+    in-flight cells finish), 2+ = abandon the drain too. A spent
+    ``max_failures`` budget calls :meth:`abort`, which drains like one
+    signal without raising ``level``, so one SIGINT after it still
+    drains.
     """
 
     def __init__(self) -> None:
         self.level = 0
+        self.aborted = False
 
     def request(self) -> None:
         self.level += 1
 
+    def abort(self) -> None:
+        self.aborted = True
+
     @property
     def stopping(self) -> bool:
-        return self.level >= 1
+        return self.aborted or self.level >= 1
 
 
 def _install_signal_handlers(stop: _StopControl) -> Dict[int, Any]:
@@ -164,26 +175,20 @@ class SweepResult:
 
 
 # ------------------------------------------------------------ serial path
-def _run_jobs_serial(jobs: List[Job], suite: str, progress: Optional[Progress],
+def _run_jobs_serial(jobs: List[Job], suite: str, stop: _StopControl,
+                     commit_done: _CommitDone, commit_failed: _CommitFailed,
                      emit: Callable[..., Any] = _null_emit,
-                     heartbeat: Optional[float] = None,
-                     on_done: Optional[_OnDone] = None,
-                     on_fail: Optional[_OnFail] = None,
-                     stop: Optional[_StopControl] = None,
-                     max_failures: Optional[int] = None) -> bool:
+                     heartbeat: Optional[float] = None) -> None:
     """Reference execution: same cell path as the workers, inline.
 
     Per-cell timeouts are not enforced inline (there is no worker to
     kill); in-cell exceptions still become typed failures. With a
     journal attached, the inline path reports as worker 0 — including
-    heartbeats, via the same engine hook the worker processes use.
-    Returns True when the ``max_failures`` budget aborted the run;
-    a stop request (checked between cells — an executing cell always
-    finishes) simply leaves the remaining jobs unresolved.
+    heartbeats, via the same engine hook the worker processes use. A
+    stop (checked between cells — an executing cell always finishes)
+    leaves the remaining jobs unresolved.
     """
     current: Dict[str, Any] = {"index": -1}
-    failures = 0
-    aborted = False
     hooked = False
     if heartbeat is not None and emit is not _null_emit:
         def beat(events: int, virtual: float) -> None:
@@ -197,43 +202,28 @@ def _run_jobs_serial(jobs: List[Job], suite: str, progress: Optional[Progress],
     emit("worker-spawn", worker=0, data={"inline": True})
     try:
         for job in jobs:
-            if aborted or (stop is not None and stop.stopping):
+            if stop.stopping:
                 break
-            cell_id = job.scenario.cell_id()
-            emit("dispatched", cell=job.index, id=cell_id, key=job.key,
-                 data={"attempt": job.attempt})
-            emit("started", cell=job.index, id=cell_id, worker=0)
+            emit("dispatched", cell=job.index, id=job.scenario.cell_id(),
+                 key=job.key, data={"attempt": job.attempt})
+            emit("started", cell=job.index, id=job.scenario.cell_id(),
+                 worker=0)
             current["index"] = job.index
             try:
                 record = execute_cell(job.scenario, suite=suite)
-                emit("done", cell=job.index, id=cell_id, worker=0,
-                     data={"events_executed": record["events_executed"],
-                           "virtual_seconds": record["virtual_seconds"],
-                           "host_seconds": record["host_seconds"]})
-                if on_done is not None:
-                    on_done(job, record)
-                if progress is not None:
-                    progress(cell_id, "miss")
             except Exception as exc:  # noqa: BLE001 — typed CellFailed outcome
-                detail = f"{type(exc).__name__}: {exc}"
-                emit("failed", cell=job.index, id=cell_id, worker=0,
-                     data={"kind": "error", "detail": detail})
-                if on_fail is not None:
-                    on_fail(job, "error", detail, None)
-                if progress is not None:
-                    progress(cell_id, "failed")
-                failures += 1
-                if max_failures is not None and failures >= max_failures:
-                    aborted = True
-            finally:
                 current["index"] = -1
+                commit_failed(job, 0, "error",
+                              f"{type(exc).__name__}: {exc}", None)
+            else:
+                current["index"] = -1
+                commit_done(job, 0, record)
     finally:
         if hooked:
             from repro.sim.engine import clear_host_hook
 
             clear_host_hook()
         emit("worker-exit", worker=0, data={"inline": True})
-    return aborted
 
 
 # ---------------------------------------------------------- parallel path
@@ -246,282 +236,168 @@ def _kill(proc: multiprocessing.Process) -> None:
 
 
 def _run_jobs_parallel(jobs: List[Job], workers: int, suite: str,
-                       timeout: Optional[float],
-                       progress: Optional[Progress],
-                       stall_grace: float = 5.0,
+                       timeout: Optional[float], stop: _StopControl,
+                       commit_done: _CommitDone,
+                       commit_failed: _CommitFailed,
+                       progress: Optional[Progress] = None,
                        emit: Callable[..., Any] = _null_emit,
                        heartbeat: Optional[float] = DEFAULT_HEARTBEAT,
-                       on_done: Optional[_OnDone] = None,
-                       on_fail: Optional[_OnFail] = None,
-                       stop: Optional[_StopControl] = None,
                        max_retries: int = DEFAULT_MAX_RETRIES,
-                       max_failures: Optional[int] = None,
-                       retry_backoff: float = 0.0) -> bool:
+                       retry_backoff: float = 0.0) -> None:
     """Dispatch jobs over N worker processes; see run_sweep's contract.
 
-    Returns True when the ``max_failures`` budget aborted the run. A
-    stop request drains: nothing new is dispatched, cells already handed
-    to the pool finish (a second request abandons even those), and
-    unresolved jobs are left for the caller to mark pending.
+    Each worker has one duplex pipe of its own, and the scheduler sends
+    it one job at a time, so the scheduler always knows which job each
+    worker holds: a worker that dies or is killed gives its job back at
+    once, and no job can be lost. A per-worker pipe needs no lock (one
+    writer each way, synchronous sends) and dies with its worker,
+    whereas a shared queue's lock held by a killed worker would mute
+    every other worker. A freed worker gets its next job only after its
+    last result is committed, so in the journal each worker's
+    ``started`` follows the outcome of the cell before.
+
+    A stop drains: nothing new is sent, cells already running finish (a
+    second signal abandons even those), and unresolved jobs are left for
+    the caller to mark pending.
     """
-    stop = stop or _StopControl()
     max_attempts = 1 + max(0, max_retries)
     ctx = multiprocessing.get_context()
     n_workers = min(workers, len(jobs))
-    job_q = ctx.Queue(maxsize=max(2, 2 * n_workers))  # bounded by design
-    procs: Dict[int, Any] = {}
-    # Results come back over one pipe per worker, not a shared queue: a
-    # queue's writers serialise on a cross-process lock, and a worker
-    # killed (timeout) or crashed while its feeder thread holds it
-    # silences every other worker for good. A private pipe needs no lock
-    # (one writer, synchronous sends) and dies with its worker.
-    results: Dict[int, Any] = {}   # worker pid -> read end of its pipe
-    inbox: deque = deque()         # messages received, not yet handled
-    wids: Dict[int, int] = {}      # worker pid -> stable worker id
-    next_wid = [0]
-
-    def spawn(respawn: bool = False) -> None:
-        reader, writer = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=worker_main,
-                           args=(job_q, writer, suite, heartbeat),
-                           daemon=True)
-        proc.start()
-        writer.close()             # the worker holds the only write end
-        procs[proc.pid] = proc
-        results[proc.pid] = reader
-        wids[proc.pid] = next_wid[0]
-        emit("worker-respawn" if respawn else "worker-spawn",
-             worker=next_wid[0], data={"pid": proc.pid})
-        next_wid[0] += 1
-
-    def retire(wpid: int) -> Any:
-        """Forget a dead or killed worker; what it had sent but the
-        scheduler had not yet read is dropped with its pipe (its job is
-        recovered as a crash or a lost job, never half-reported)."""
-        reader = results.pop(wpid, None)
-        if reader is not None:
-            reader.close()
-        return procs.pop(wpid, None)
-
-    def receive(wait: float) -> None:
-        """Move what the workers have sent (waiting up to ``wait`` host
-        seconds for something) into the inbox."""
-        ready = multiprocessing.connection.wait(list(results.values()), wait)
-        for wpid, reader in list(results.items()):
-            if reader in ready:
-                try:
-                    inbox.append(reader.recv())
-                except (EOFError, OSError):
-                    # Write end gone (possibly mid-message): the worker
-                    # is dead; the liveness check below recovers its job.
-                    results.pop(wpid).close()
-
-    import_cell_path(job.scenario for job in jobs)
-    for _ in range(n_workers):
-        spawn()
-
-    jobs_by_index: Dict[int, Job] = {job.index: job for job in jobs}
+    procs: Dict[int, Any] = {}     # worker id -> process
+    conns: Dict[int, Any] = {}     # worker id -> scheduler end of its pipe
+    running: Dict[int, Tuple[Job, float]] = {}   # worker id -> (job, sent at)
+    beats: Dict[int, Dict[str, Any]] = {}        # worker id -> last progress
     pending = deque(jobs)
     delayed: List[Tuple[float, Job]] = []         # (ready_at, job) backoff
-    handed: Set[int] = set()       # on the job queue, no "start" seen yet
-    inflight: Dict[int, Tuple[Job, float]] = {}   # worker pid -> (job, t0)
-    last_beat: Dict[int, Dict[str, Any]] = {}     # job index -> progress
-    outstanding = set(jobs_by_index)
-    failures = [0]
-    aborted = [False]
+    wids = itertools.count()       # worker ids; the first n_workers spawn
 
-    def resolve_fail(job: Job, kind: str, detail: str,
-                     prog: Optional[Dict[str, Any]] = None) -> None:
-        """Retry a lost job (with backoff), then record the typed failure.
+    def spawn() -> None:
+        wid = next(wids)
+        ours, theirs = ctx.Pipe()
+        proc = ctx.Process(target=worker_main,
+                           args=(theirs, suite, heartbeat), daemon=True)
+        proc.start()
+        theirs.close()             # the worker holds the only other end
+        procs[wid], conns[wid] = proc, ours
+        emit("worker-respawn" if wid >= n_workers else "worker-spawn",
+             worker=wid, data={"pid": proc.pid})
 
-        While stopping/aborting, a lost job is simply left unresolved —
-        the caller reports it pending and resume re-runs it."""
-        cell_id = job.scenario.cell_id()
-        handed.discard(job.index)
-        if stop.stopping or aborted[0]:
-            last_beat.pop(job.index, None)
+    def retire(wid: int) -> Tuple[Any, Optional[Job], Optional[Dict]]:
+        """Forget a dead or killed worker: its process, the job it held
+        (None when idle) and that job's last progress. What it had sent
+        but the scheduler had not read is dropped with its pipe."""
+        conns.pop(wid).close()
+        job = running.pop(wid, (None, 0.0))[0]
+        return procs.pop(wid), job, beats.pop(wid, None)
+
+    def lose(job: Job, kind: str, detail: str,
+             prog: Optional[Dict[str, Any]]) -> None:
+        """A worker died or was killed holding ``job``: retry it after a
+        backoff, or commit the typed failure once attempts run out.
+        While stopping it stays unresolved — resume re-runs it."""
+        if stop.stopping:
             return
-        if job.attempt < max_attempts:
-            retry = Job(index=job.index, key=job.key,
-                        scenario=job.scenario, attempt=job.attempt + 1)
-            jobs_by_index[job.index] = retry
-            delay = retry_backoff * (2 ** (job.attempt - 1))
-            if delay > 0.0:
-                delayed.append((time.monotonic() + delay, retry))
-            else:
-                pending.append(retry)
-            last_beat.pop(job.index, None)  # stale: belongs to the dead try
-            emit("retried", cell=job.index, id=cell_id,
-                 data={"attempt": retry.attempt, "kind": kind,
-                       "detail": detail, "backoff": round(delay, 3)})
-            if progress is not None:
-                progress(cell_id, "retry")
-        else:
-            outstanding.discard(job.index)
-            last_beat.pop(job.index, None)
-            emit("failed", cell=job.index, id=cell_id,
-                 data={"kind": kind, "detail": detail})
-            if on_fail is not None:
-                on_fail(job, kind, detail, prog)
-            if progress is not None:
-                progress(cell_id, "failed")
-            failures[0] += 1
-            if max_failures is not None and failures[0] >= max_failures:
-                aborted[0] = True
+        if job.attempt >= max_attempts:
+            commit_failed(job, None, kind, detail, prog)
+            return
+        delay = retry_backoff * (2 ** (job.attempt - 1))
+        delayed.append((time.monotonic() + delay,
+                        replace(job, attempt=job.attempt + 1)))
+        emit("retried", cell=job.index, id=job.scenario.cell_id(),
+             data={"attempt": job.attempt + 1, "kind": kind,
+                   "detail": detail, "backoff": round(delay, 3)})
+        if progress is not None:
+            progress(job.scenario.cell_id(), "retry")
 
+    import_cell_path(job.scenario for job in jobs)
     try:
-        last_activity = time.monotonic()
-        while outstanding:
-            now = time.monotonic()
-            draining = stop.stopping or aborted[0]
-            if draining:
+        while True:
+            if stop.stopping:
                 pending.clear()
                 delayed.clear()
-                if stop.level >= 2:
-                    break               # abandon the drain: hard stop
-                if not inflight and not handed:
-                    break               # drained clean
-                if not procs:
-                    break               # nobody left to finish anything
+                if stop.level >= 2 or not running:
+                    break              # abandoned, or drained clean
             else:
-                # Matured backoff retries re-enter the dispatch queue.
-                if delayed:
-                    ready = [j for at, j in delayed if at <= now]
-                    if ready:
-                        delayed[:] = [(at, j) for at, j in delayed
-                                      if at > now]
-                        pending.extend(ready)
-                while pending:
-                    try:
-                        job_q.put_nowait(pending[0])
-                    except _queue.Full:
-                        break
+                now = time.monotonic()
+                pending.extend(job for at, job in delayed if at <= now)
+                delayed[:] = [(at, job) for at, job in delayed if at > now]
+                unresolved = len(pending) + len(delayed) + len(running)
+                if not unresolved:
+                    break
+                while len(procs) < min(n_workers, unresolved):
+                    spawn()
+                for wid, conn in conns.items():
+                    if not pending or wid in running:
+                        continue
                     job = pending.popleft()
-                    handed.add(job.index)
+                    try:
+                        conn.send(job)
+                    except OSError:    # already dead: its EOF retires it
+                        pending.appendleft(job)
+                        continue
+                    running[wid] = (job, time.monotonic())
                     emit("dispatched", cell=job.index,
                          id=job.scenario.cell_id(), key=job.key,
                          data={"attempt": job.attempt})
-            if not inbox:
-                receive(0.05)
-            tag, idx, payload, pid = (inbox.popleft() if inbox
-                                      else (None, None, None, None))
-            now = time.monotonic()
-            if tag is not None:
-                last_activity = now
-            if tag == "start" and pid in procs:
-                handed.discard(idx)
-                inflight[pid] = (jobs_by_index[idx], now)
-                emit("started", cell=idx,
-                     id=jobs_by_index[idx].scenario.cell_id(),
-                     worker=wids.get(pid))
-            elif tag == "beat":
-                # Progress from a live cell; stale beats (job already
-                # resolved, worker already reaped) are dropped.
-                if idx in outstanding and pid in procs:
-                    last_beat[idx] = payload
-                    emit("heartbeat", cell=idx, worker=wids.get(pid),
+                    emit("started", cell=job.index,
+                         id=job.scenario.cell_id(), worker=wid)
+            ready = multiprocessing.connection.wait(list(conns.values()),
+                                                    0.05)
+            for wid in [w for w, conn in conns.items() if conn in ready]:
+                try:
+                    tag, payload = conns[wid].recv()
+                except (EOFError, OSError):
+                    # Its end of the pipe closed, possibly mid-message:
+                    # the worker is dead, and so is any job it held.
+                    proc, job, prog = retire(wid)
+                    _kill(proc)   # reaps it; an exiting process keeps its code
+                    emit("worker-death", worker=wid,
+                         data={"pid": proc.pid, "exitcode": proc.exitcode})
+                    if job is not None:
+                        lose(job, "crash",
+                             f"worker exited with code {proc.exitcode}",
+                             prog)
+                    continue
+                job = running[wid][0]
+                if tag == "beat":
+                    beats[wid] = payload
+                    emit("heartbeat", cell=job.index, worker=wid,
                          data=payload)
-            elif tag == "done":
-                job = jobs_by_index[idx]
-                outstanding.discard(idx)
-                handed.discard(idx)
-                inflight.pop(pid, None)
-                last_beat.pop(idx, None)
-                emit("done", cell=idx, id=job.scenario.cell_id(),
-                     worker=wids.get(pid),
-                     data={"events_executed": payload["events_executed"],
-                           "virtual_seconds": payload["virtual_seconds"],
-                           "host_seconds": payload["host_seconds"]})
-                if on_done is not None:
-                    on_done(job, payload)
-                if progress is not None:
-                    progress(job.scenario.cell_id(), "miss")
-            elif tag == "fail":
-                job = jobs_by_index[idx]
-                inflight.pop(pid, None)
-                outstanding.discard(idx)
-                handed.discard(idx)
-                last_beat.pop(idx, None)
-                emit("failed", cell=idx, id=job.scenario.cell_id(),
-                     worker=wids.get(pid),
-                     data={"kind": "error", "detail": payload})
-                if on_fail is not None:
-                    on_fail(job, "error", payload, None)
-                if progress is not None:
-                    progress(job.scenario.cell_id(), "failed")
-                failures[0] += 1
-                if max_failures is not None and failures[0] >= max_failures:
-                    aborted[0] = True
+                    continue
+                del running[wid]
+                beats.pop(wid, None)
+                if tag == "done":
+                    commit_done(job, wid, payload)
+                else:
+                    commit_failed(job, wid, "error", payload, None)
             # Per-job wall-clock timeout: kill the worker, recover the job.
             if timeout is not None:
-                for wpid in list(inflight):
-                    job, t0 = inflight[wpid]
-                    if now - t0 > timeout:
-                        inflight.pop(wpid)
-                        proc = retire(wpid)
-                        prog = last_beat.get(job.index)
-                        emit("worker-kill", worker=wids.get(wpid, -1),
-                             cell=job.index, data={
-                                 "pid": wpid, "timeout": timeout,
-                                 "progress": prog})
-                        if proc is not None:
-                            _kill(proc)
-                        detail = f"exceeded {timeout:g}s wall clock"
-                        if prog is not None:
-                            detail += (f" at {prog['events_executed']} "
-                                       f"events / "
-                                       f"{prog['virtual_seconds']:.6f}s "
-                                       f"virtual")
-                        resolve_fail(job, "timeout", detail, prog)
-            # Dead workers: recover their in-flight job, keep the pool full.
-            for wpid in list(procs):
-                proc = procs[wpid]
-                if proc.is_alive():
-                    continue
-                retire(wpid)
-                emit("worker-death", worker=wids.get(wpid, -1),
-                     data={"pid": wpid, "exitcode": proc.exitcode})
-                entry = inflight.pop(wpid, None)
-                if entry is not None:
-                    job = entry[0]
-                    prog = last_beat.get(job.index)
-                    detail = f"worker exited with code {proc.exitcode}"
-                    resolve_fail(job, "crash", detail, prog)
-            if (outstanding and not stop.stopping and not aborted[0]
-                    and len(procs) < min(n_workers, len(outstanding))):
-                spawn(respawn=True)
-            # Lost-job recovery. A worker that dies between taking a job
-            # off the queue and its "start" message flushing leaves the
-            # job unaccounted: not pending, not in flight, never resolved.
-            # After a quiet grace period with nothing running and nothing
-            # queued, re-queue the unaccounted jobs (re-execution is
-            # harmless: cells are deterministic and content-addressed).
-            # A job still on the job queue is not lost, only waiting for a
-            # worker slow to come up; charging it an attempt (and queueing
-            # it a second time) would fail a cell nothing happened to.
-            if (outstanding and not inflight and not pending and not delayed
-                    and now - last_activity > stall_grace and job_q.empty()):
-                for idx in sorted(outstanding):
-                    resolve_fail(jobs_by_index[idx], "crash",
-                                 "worker died before reporting the job")
-                last_activity = now
+                now = time.monotonic()
+                for wid in [w for w, (_, t0) in running.items()
+                            if now - t0 > timeout]:
+                    proc, job, prog = retire(wid)
+                    emit("worker-kill", worker=wid, cell=job.index,
+                         data={"pid": proc.pid, "timeout": timeout,
+                               "progress": prog})
+                    _kill(proc)
+                    detail = f"exceeded {timeout:g}s wall clock"
+                    if prog is not None:
+                        detail += (f" at {prog['events_executed']} events / "
+                                   f"{prog['virtual_seconds']:.6f}s virtual")
+                    lose(job, "timeout", detail, prog)
     finally:
-        for _ in range(len(procs)):
+        for conn in conns.values():
             try:
-                job_q.put_nowait(None)
-            except _queue.Full:  # pragma: no cover
-                break
+                conn.send(None)        # the shutdown sentinel
+            except OSError:
+                pass
         deadline = time.monotonic() + 2.0
-        for pid, proc in procs.items():
+        for wid, proc in procs.items():
             proc.join(timeout=max(0.0, deadline - time.monotonic()))
             if proc.is_alive():
                 _kill(proc)
-            emit("worker-exit", worker=wids.get(pid, -1), data={"pid": pid})
-        for reader in results.values():
-            reader.close()
-        job_q.cancel_join_thread()
-
-    return aborted[0]
+            emit("worker-exit", worker=wid, data={"pid": proc.pid})
+            conns[wid].close()
 
 
 # --------------------------------------------------------------- run_sweep
@@ -529,7 +405,6 @@ def run_sweep(spec: GridSpec, workers: int = 1,
               cache: Optional[ResultCache] = None,
               timeout: Optional[float] = None,
               progress: Optional[Progress] = None,
-              stall_grace: float = 5.0,
               heartbeat: Optional[float] = DEFAULT_HEARTBEAT,
               journal: Optional[Union[str, SweepJournal]] = None,
               resume_from: Optional[Union[str, JournalState]] = None,
@@ -610,12 +485,16 @@ def run_sweep(spec: GridSpec, workers: int = 1,
     dependents: Dict[str, List[int]] = {}
     jobs: List[Job] = []
     restored = 0
-    aborted = False
+    failures = 0
 
-    def commit_done(job: Job, record: Dict[str, Any]) -> None:
+    def commit_done(job: Job, worker: int, record: Dict[str, Any]) -> None:
         """A cell executed: store, then durably commit its outcome."""
         i = job.index
         sc = cells[i]
+        emit("done", cell=i, id=sc.cell_id(), worker=worker,
+             data={"events_executed": record["events_executed"],
+                   "virtual_seconds": record["virtual_seconds"],
+                   "host_seconds": record["host_seconds"]})
         if cache is not None:
             cache.put(job.key, record)
         faultpoints.maybe_crash(faultpoints.ORCH_PRE_COMMIT)
@@ -627,16 +506,27 @@ def run_sweep(spec: GridSpec, workers: int = 1,
         if jnl is not None:
             jnl.commit(outcomes[i])
             faultpoints.maybe_crash(faultpoints.ORCH_POST_COMMIT)
+        if progress is not None:
+            progress(sc.cell_id(), "miss")
 
-    def commit_failed(job: Job, kind: str, detail: str,
-                      prog: Optional[Dict[str, Any]]) -> None:
+    def commit_failed(job: Job, worker: Optional[int], kind: str,
+                      detail: str, prog: Optional[Dict[str, Any]]) -> None:
+        """A cell failed for good: commit it, and spend the budget."""
+        nonlocal failures
         i = job.index
         sc = cells[i]
+        emit("failed", cell=i, id=sc.cell_id(), worker=worker,
+             data={"kind": kind, "detail": detail})
         outcomes[i] = CellOutcome(
             index=i, id=sc.cell_id(), key=job.key, outcome="failed",
             attempts=job.attempt, error=f"{kind}: {detail}", progress=prog)
         if jnl is not None:
             jnl.commit(outcomes[i])
+        if progress is not None:
+            progress(sc.cell_id(), "failed")
+        failures += 1
+        if max_failures is not None and failures >= max_failures:
+            stop.abort()
 
     try:
         for i, (sc, key) in enumerate(zip(cells, keys)):
@@ -696,16 +586,13 @@ def run_sweep(spec: GridSpec, workers: int = 1,
         if not jobs:
             pass
         elif workers <= 1:
-            aborted = _run_jobs_serial(
-                jobs, spec.suite, progress, emit=emit, heartbeat=heartbeat,
-                on_done=commit_done, on_fail=commit_failed, stop=stop,
-                max_failures=max_failures)
+            _run_jobs_serial(jobs, spec.suite, stop, commit_done,
+                             commit_failed, emit=emit, heartbeat=heartbeat)
         else:
-            aborted = _run_jobs_parallel(
-                jobs, workers, spec.suite, timeout, progress,
-                stall_grace=stall_grace, emit=emit, heartbeat=heartbeat,
-                on_done=commit_done, on_fail=commit_failed, stop=stop,
-                max_retries=max_retries, max_failures=max_failures,
+            _run_jobs_parallel(
+                jobs, workers, spec.suite, timeout, stop, commit_done,
+                commit_failed, progress=progress, emit=emit,
+                heartbeat=heartbeat, max_retries=max_retries,
                 retry_backoff=retry_backoff)
 
         # Unresolved jobs (interrupted / aborted) are pending, not failed:
@@ -752,7 +639,7 @@ def run_sweep(spec: GridSpec, workers: int = 1,
 
         pending_cells = sum(1 for oc in outcomes.values()
                             if oc.outcome == "pending")
-        if aborted:
+        if stop.aborted:
             status = "aborted"
         elif stop.stopping and pending_cells:
             status = "interrupted"

@@ -1,14 +1,16 @@
 """Worker protocol for the experiment fabric.
 
-A worker process runs :func:`worker_main` over two channels: it takes
-:class:`Job` objects off the (bounded, shared) job queue and answers on
-the write end of its own result pipe with tagged tuples::
+A worker process runs :func:`worker_main` over one duplex pipe of its
+own. The scheduler sends it one :class:`Job` at a time (``None`` is the
+shutdown sentinel), and the worker answers about that job with tagged
+tuples::
 
-    ("start", index, None,   pid)   # picked the job up (arms the timeout)
-    ("beat",  index, prog,   pid)   # in-cell progress heartbeat
-    ("done",  index, record, pid)   # cell executed, record attached
-    ("fail",  index, detail, pid)   # cell raised a typed error
-    ("bye",   index, None,   pid)   # saw the shutdown sentinel (None job)
+    ("beat", prog)     # in-cell progress heartbeat
+    ("done", record)   # cell executed, record attached
+    ("fail", detail)   # cell raised a typed error
+
+The scheduler knows which job it sent to which pipe, so the messages
+name neither the job nor the worker.
 
 ``prog`` is ``{"events_executed": int, "virtual_seconds": float}`` —
 the engine counters of the cell being executed, sampled from a periodic
@@ -23,7 +25,7 @@ The scheduler (:mod:`repro.fabric.scheduler`) owns retries, timeouts,
 and crash recovery; the worker itself is deliberately dumb. Anything a
 cell raises is reported as a ``fail`` message — only a *dying worker
 process* (signal, hard crash, timeout kill) is recovered by the
-scheduler respawning the worker and re-queueing its job.
+scheduler respawning the worker and sending its job out again.
 
 :func:`execute_cell` is the single execution path for a cell: the serial
 sweep mode, the parallel workers, and the parity tests all call it, so
@@ -33,7 +35,6 @@ a cell's virtual-time result cannot depend on where it ran.
 from __future__ import annotations
 
 import os
-import queue as _queue_mod
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional
@@ -139,66 +140,60 @@ def install_heartbeat(emit: Callable[[int, float], None],
     set_host_hook(hook, every_events=HOOK_EVERY_EVENTS)
 
 
-def worker_main(job_q: Any, results: Any, suite: str = "sweep",
+def worker_main(conn: Any, suite: str = "sweep",
                 heartbeat: Optional[float] = None) -> None:
-    """Worker process entry point: drain jobs until the None sentinel.
+    """Worker process entry point: run jobs until the None sentinel.
 
-    ``results`` is the write end of this worker's own result pipe (a
-    ``multiprocessing`` connection; anything with ``send``). With
-    ``heartbeat`` set, a periodic engine hook reports the running cell's
-    progress as ``("beat", index, prog, pid)`` messages at most every
+    ``conn`` is the worker's end of its own duplex pipe (a
+    ``multiprocessing`` connection): jobs come in, tagged results go
+    out. With ``heartbeat`` set, a periodic engine hook reports the
+    running cell's progress as ``("beat", prog)`` messages at most every
     ``heartbeat`` host seconds.
 
     Workers ignore SIGINT: a terminal Ctrl-C lands on the whole process
     group, and graceful shutdown means the *orchestrator* decides —
-    in-flight cells drain to completion unless it escalates (SIGTERM
-    from the scheduler's kill path still works).
+    in-flight cells drain to completion unless it escalates. SIGTERM is
+    reset to its default, so the scheduler's kill path ends a worker at
+    once even when the worker was forked with the orchestrator's own
+    drain handler installed.
 
-    An idle worker polls the queue and checks that its parent is still
+    An idle worker polls its pipe and checks that its parent is still
     alive between polls: if the orchestrator is SIGKILL'd (so neither
     the sentinel nor multiprocessing's daemon cleanup ever arrives),
-    the orphaned worker exits on its own instead of blocking on the job
-    queue forever and pinning the inherited pipes open.
+    the orphaned worker exits on its own. It cannot wait for EOF
+    instead: under fork, a worker spawned later inherits the
+    orchestrator's end of this pipe and keeps it open.
     """
     import signal as _signal
 
     try:
         _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
+        _signal.signal(_signal.SIGTERM, _signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover — non-main thread
         pass
-    pid = os.getpid()
     parent = os.getppid()
-    current: Dict[str, int] = {"index": -1}
     if heartbeat is not None:
         def emit(events: int, virtual: float) -> None:
-            if current["index"] >= 0:
-                results.send(("beat", current["index"],
-                              {"events_executed": int(events),
-                               "virtual_seconds": float(virtual)}, pid))
-                faultpoints.maybe_stall(faultpoints.WORKER_CELL_STALL)
+            conn.send(("beat", {"events_executed": int(events),
+                                "virtual_seconds": float(virtual)}))
+            faultpoints.maybe_stall(faultpoints.WORKER_CELL_STALL)
 
         install_heartbeat(emit, heartbeat)
     try:
         while True:
-            try:
-                job = job_q.get(timeout=1.0)
-            except _queue_mod.Empty:
+            if not conn.poll(1.0):
                 if os.getppid() != parent:   # orphaned: orchestrator is gone
                     return
                 continue
+            job = conn.recv()
             if job is None:
-                results.send(("bye", -1, None, pid))
                 return
-            results.send(("start", job.index, None, pid))
-            current["index"] = job.index
             faultpoints.maybe_crash(faultpoints.WORKER_CELL_START)
             try:
                 record = execute_cell(job.scenario, suite=suite)
-                current["index"] = -1
-                results.send(("done", job.index, record, pid))
             except Exception as exc:  # noqa: BLE001 — typed failure, not death
-                current["index"] = -1
-                results.send(("fail", job.index,
-                              f"{type(exc).__name__}: {exc}", pid))
-    except BrokenPipeError:
+                conn.send(("fail", f"{type(exc).__name__}: {exc}"))
+            else:
+                conn.send(("done", record))
+    except (EOFError, OSError):
         return      # the orchestrator is gone: nobody is left to report to

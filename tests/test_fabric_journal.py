@@ -19,6 +19,7 @@ tested with the engine (test_sim_engine.py).
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -379,7 +380,7 @@ class TestFailurePolicy:
                            f"{faultpoints.WORKER_CELL_START}@{flag}")
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5, max_retries=0)
+                           max_retries=0)
         cell = result.manifest.cells[0]
         assert cell.outcome == "failed"
         assert cell.attempts == 1
@@ -392,8 +393,7 @@ class TestFailurePolicy:
                            f"{faultpoints.WORKER_CELL_START}@{flag}")
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5, max_retries=2,
-                           retry_backoff=0.05)
+                           max_retries=2, retry_backoff=0.05)
         cell = result.manifest.cells[0]
         assert cell.outcome == "miss"
         assert cell.attempts == 2
@@ -673,6 +673,55 @@ class TestSweepEvents:
         assert [e["worker"] for e in spawns] == [0, 1]
         assert all(e["kind"] != "worker-respawn" for e in events)
 
+    def test_each_worker_runs_one_cell_at_a_time(self, tmp_path,
+                                                 monkeypatch):
+        # A worker is sent its next cell only after its last one resolved,
+        # so its lines read started -> heartbeat* -> one outcome, repeated;
+        # a crashed worker's line is its death, and its retry starts on a
+        # fresh worker.
+        flag = tmp_path / "crash-once"
+        monkeypatch.setenv(faultpoints.FAULTPOINT_ENV,
+                           f"{faultpoints.WORKER_CELL_START}@{flag}")
+        path = str(tmp_path / "journal.jsonl")
+        result = run_sweep(SMALL, workers=2, cache=small_cache(tmp_path),
+                           journal=path, heartbeat=0.02)
+        assert flag.exists()
+        assert validate_journal(path) == []
+        assert result.manifest.counts()["miss"] == 4
+        letters = {"started": "s", "heartbeat": "h", "done": "o",
+                   "failed": "o", "worker-kill": "k", "worker-death": "k"}
+        lines: dict = {}
+        for e in replay_journal(path).events:
+            if e["kind"] in letters and "worker" in e:
+                lines[e["worker"]] = (lines.get(e["worker"], "")
+                                      + letters[e["kind"]])
+        assert "k" in "".join(lines.values())     # the crash was seen
+        for worker, seq in lines.items():
+            assert re.fullmatch(r"(sh*[ok])*", seq), (worker, seq)
+
+    def test_timeout_kill_is_prompt_under_signal_handling(self, tmp_path,
+                                                          monkeypatch):
+        # The CLI arms its SIGTERM drain handler before the workers fork;
+        # a worker that kept it would swallow the kill path's terminate()
+        # and hold the whole sweep for the one-second join before SIGKILL.
+        flag = tmp_path / "stalled"
+        monkeypatch.setenv(faultpoints.FAULTPOINT_ENV,
+                           f"{faultpoints.WORKER_CELL_STALL}@{flag}")
+        spec = GridSpec(presets=("sw-dsm-4",), labels=("SOR",),
+                        scales=(0.05,))
+        path = str(tmp_path / "journal.jsonl")
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
+                           timeout=1.0, journal=path, heartbeat=0.02,
+                           handle_signals=True)
+        assert result.manifest.cells[0].error.startswith("timeout: ")
+        events = replay_journal(path).events
+        kills = [i for i, e in enumerate(events) if e["kind"] == "worker-kill"]
+        assert len(kills) == 2
+        for i in kills:
+            after = next(e for e in events[i:]
+                         if e["kind"] in ("retried", "failed"))
+            assert after["t"] - events[i]["t"] < 0.5
+
     def test_event_log_cannot_change_canonical_records(self, tmp_path):
         plain = run_sweep(SMALL, cache=small_cache(tmp_path, "a"))
         logged = run_sweep(SMALL, cache=small_cache(tmp_path, "b"),
@@ -716,7 +765,7 @@ class TestSweepEvents:
                         scales=(0.05,), timeout=1.0)
         path = str(tmp_path / "journal.jsonl")
         result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5, journal=path, heartbeat=0.02)
+                           journal=path, heartbeat=0.02)
         assert validate_journal(path) == []
         assert flag.read_text().split() == [faultpoints.WORKER_CELL_STALL] * 2
         cell = result.manifest.cells[0]

@@ -144,8 +144,7 @@ class TestSweepParallel:
                 faultpoints.WORKER_CELL_START, str(flag)).items():
             monkeypatch.setenv(name, spec)
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
-        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5)
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path))
         assert flag.exists()                 # the crash really happened
         cell = result.manifest.cells[0]
         assert cell.outcome == "miss"
@@ -158,8 +157,8 @@ class TestSweepParallel:
         and nothing else. Results used to share one multiprocessing.Queue:
         a worker that crashed or was timeout-killed while its feeder thread
         held the queue's cross-process write lock left every other worker
-        (the respawned one too) unable to report, so the lost-job sweep
-        charged a second attempt and a one-crash cell ended ``failed``."""
+        (the respawned one too) unable to report, so a one-crash cell was
+        charged a second attempt and ended ``failed``."""
         import repro.fabric.scheduler as scheduler
 
         flag = tmp_path / "died-once"
@@ -169,8 +168,11 @@ class TestSweepParallel:
             def __init__(self, conn):
                 self.conn = conn
 
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
             def send(self, message):
-                if message[0] == "start":
+                if message[0] == "done":
                     try:
                         flag.touch(exist_ok=False)   # atomic: one death
                     except FileExistsError:
@@ -183,12 +185,10 @@ class TestSweepParallel:
 
         monkeypatch.setattr(
             scheduler, "worker_main",
-            lambda job_q, results, *rest: real_main(
-                job_q, DiesOnceMidSend(results), *rest))
+            lambda conn, *rest: real_main(DiesOnceMidSend(conn), *rest))
         spec = GridSpec(presets=("smp-2", "sw-dsm-2"), labels=("PI",),
                         scales=(0.04,))
-        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=0.5)
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path))
         assert flag.exists()                 # the death really happened
         cells = result.manifest.cells
         assert [c.outcome for c in cells] == ["miss", "miss"]
@@ -198,33 +198,28 @@ class TestSweepParallel:
     @patches_workers_by_fork
     def test_slow_starting_worker_is_not_a_lost_job(self, tmp_path,
                                                     monkeypatch):
-        """A job still on the job queue when the stall grace runs out is
-        waiting, not lost: it must not be charged an attempt.
+        """A worker slow to take its first job costs that job nothing: the
+        job waits in the worker's pipe, however long the scheduler polls.
 
         A handshake, not a sleep, orders the two sides: the worker is held
-        until the orchestrator has polled its results for three stall
-        graces, and is released while the orchestrator blocks on its next
-        poll, so the job leaves the queue and its "start" arrives inside
-        that one poll, on any host."""
+        until the orchestrator has polled its pipes three times, then
+        released while the orchestrator blocks on its next poll."""
         import repro.fabric.scheduler as scheduler
 
-        grace = 0.2
         release = multiprocessing.Event()
         real_main = scheduler.worker_main
         real_wait = multiprocessing.connection.wait
-        first_poll = []
+        polls = []
 
         def held(*args):
             release.wait()
             real_main(*args)
 
         def poll(conns, timeout):
-            if not first_poll:
-                first_poll.append(time.monotonic())
-            if (not release.is_set()
-                    and time.monotonic() - first_poll[0] > 3 * grace):
+            polls.append(timeout)
+            if len(polls) > 3 and not release.is_set():
                 release.set()
-                timeout = 60.0           # until the worker's "start"
+                timeout = 60.0           # until the worker reports
             return real_wait(conns, timeout)
 
         monkeypatch.setattr(scheduler, "worker_main", held)
@@ -233,8 +228,7 @@ class TestSweepParallel:
                                 get_context=multiprocessing.get_context,
                                 connection=types.SimpleNamespace(wait=poll)))
         spec = GridSpec(presets=("smp-2",), labels=("PI",), scales=(0.04,))
-        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path),
-                           stall_grace=grace)
+        result = run_sweep(spec, workers=2, cache=small_cache(tmp_path))
         cell = result.manifest.cells[0]
         assert cell.outcome == "miss"
         assert cell.attempts == 1
