@@ -334,11 +334,11 @@ class JiaJiaSystem(GlobalMemorySystem):
         return Reply(payload=buf[off:off + length].copy(), size=length + PAGE_WIRE_HEADER)
 
     def _make_twin_g(self, rank: int, region: Region, page: int):
-        if page in self._twins[rank]:
+        twins = self._twins[rank]
+        if page in twins:
             return
         off, length = region.page_extent(page)
-        buf = self._buffer(rank, region)
-        self._twins[rank][page] = buf[off:off + length].copy()
+        twins[page] = self._buffer(rank, region)[off:off + length].copy()
         node = self.cluster.node(self.node_of(rank))
         yield node.cpu_cost(self.params.twin_fixed_cost)
         yield node.bus.touch_cost(2 * length)
@@ -393,10 +393,15 @@ class JiaJiaSystem(GlobalMemorySystem):
                 streak[page] = self.ASSUME_STREAK - 1  # one fault re-enters
                 pt.set_state(page, PageState.READ_ONLY)
         twins = self._twins[rank]
+        homes = self._home
+        cpu_cost, touch_cost = node.cpu_cost, node.bus.touch_cost
+        diff_cost = self.params.diff_fixed_cost
         buf_region = buf = None  # dirty pages cluster by region
         for page, region in dirty.items():
             notices.append(WriteNotice(page=page, writer=rank))
-            home = yield from self.home_of_g(page, rank)
+            home = homes.get(page)
+            if home is None:
+                home = yield from self.home_of_g(page, rank)
             if home == rank:
                 streak[page] = streak.get(page, 0) + 1
                 if streak[page] >= self.ASSUME_STREAK:
@@ -411,8 +416,8 @@ class JiaJiaSystem(GlobalMemorySystem):
             if region is not buf_region:
                 buf_region, buf = region, self._buffer(rank, region)
             off, length = region.page_extent(page)
-            yield node.cpu_cost(self.params.diff_fixed_cost)
-            yield node.bus.touch_cost(2 * length)
+            yield cpu_cost(diff_cost)
+            yield touch_cost(2 * length)
             diff = make_diff(page, twin, buf[off:off + length])
             st.diffs_created += 1
             st.diff_bytes += diff.changed_bytes
@@ -442,6 +447,8 @@ class JiaJiaSystem(GlobalMemorySystem):
         # home, and homes never migrate), clustered by region.
         home = self._home[diffs[0].page]
         node = self.cluster.node(self.node_of(home))
+        cpu_cost, touch_cost = node.cpu_cost, node.bus.touch_cost
+        apply_cost = self.params.diff_apply_fixed_cost
         page_size = self.space.page_size
         region = buf = None
         for diff in diffs:
@@ -450,9 +457,9 @@ class JiaJiaSystem(GlobalMemorySystem):
                 region = self.space.region_at(gaddr)
                 buf = self._buffer(home, region)
             off, length = region.page_extent(diff.page)
-            yield node.cpu_cost(self.params.diff_apply_fixed_cost)
+            yield cpu_cost(apply_cost)
             written = apply_diff(buf[off:off + length], diff)
-            yield node.bus.touch_cost(2 * written)
+            yield touch_cost(2 * written)
         return Reply(payload=True, size=8)
 
     # ----------------------------------------------------------- invalidation

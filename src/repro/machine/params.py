@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Dict, NamedTuple, Optional
+
+from repro.errors import ConfigurationError
 
 __all__ = ["MachineParams", "DerivedCosts", "PAPER_PLATFORM",
            "stable_digest", "workload_hash", "fault_plan_hash"]
@@ -201,6 +204,23 @@ class MachineParams:
     #: Cost of spawning a task/thread on a node.
     task_spawn_cost: float = 55e-6
 
+    def __post_init__(self) -> None:
+        # A NaN or infinite cost runs to a NaN clock that still verifies,
+        # a negative one shortens times, and a NumPy scalar turns the
+        # clock into one: reject each here, where every config file, grid
+        # override and ``param_overrides`` entry arrives.
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if (type(value) not in (int, float) or not math.isfinite(value)
+                    or value < 0):
+                raise ConfigurationError(
+                    f"machine parameter {name} must be a finite int or float "
+                    f">= 0, got {value!r}")
+        if type(self.coalesce_messaging) is not bool:
+            raise ConfigurationError(
+                "machine parameter coalesce_messaging must be a bool, "
+                f"got {self.coalesce_messaging!r}")
+
     def with_overrides(self, **kw) -> "MachineParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **kw)
@@ -234,6 +254,10 @@ class MachineParams:
         """Per-message software overhead under the active messaging config."""
         return self._derived.msg_stack_overhead
 
+
+#: Every field but the one flag: costs, rates, sizes and counts.
+_NUMERIC_FIELDS = tuple(f.name for f in fields(MachineParams)
+                        if f.name != "coalesce_messaging")
 
 #: Default parameters mirroring the paper's testbed.
 PAPER_PLATFORM = MachineParams()

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsm.jiajia.diffs import (DIFF_HEADER_BYTES, RUN_HEADER_BYTES,
-                                    Diff, apply_diff, diff_wire_size,
-                                    make_diff)
+                                    apply_diff, diff_wire_size, make_diff)
 from repro.errors import MemoryError_
 
 PAGE = 4096
@@ -40,6 +39,13 @@ def oracle_apply(target, runs):
     return out
 
 
+def changes(d):
+    """The ``(offsets, values)`` a mask-form diff writes, as lists."""
+    if d.mask is None:
+        return [], []
+    return np.flatnonzero(d.mask).tolist(), d.data[d.mask].tolist()
+
+
 def assert_matches_oracle(twin, current, home):
     """Encode ``twin -> current`` and apply it to ``home`` both ways."""
     runs = oracle_runs(twin, current)
@@ -49,9 +55,10 @@ def assert_matches_oracle(twin, current, home):
     assert d.n_runs == len(runs)
     assert d.changed_bytes == changed
     assert d.empty == (not runs)
-    assert d.index.tolist() == [off + k for off, data in runs
-                                for k in range(len(data))]
-    assert d.data.tolist() == [v for _, data in runs for v in data]
+    assert type(d.changed_bytes) is int and type(d.n_runs) is int
+    assert changes(d) == ([off + k for off, data in runs
+                           for k in range(len(data))],
+                          [v for _, data in runs for v in data])
     assert diff_wire_size(d) == (DIFF_HEADER_BYTES
                                  + len(runs) * RUN_HEADER_BYTES + changed)
     target = home.copy()
@@ -72,8 +79,8 @@ class TestMakeDiff:
         cur = twin.copy()
         cur[2:5] = [9, 9, 9]
         d = make_diff(0, twin, cur)
-        assert d.n_runs == 1
-        assert d.index.tolist() == [2, 3, 4] and d.data.tolist() == [9, 9, 9]
+        assert d.n_runs == 1 and d.changed_bytes == 3
+        assert changes(d) == ([2, 3, 4], [9, 9, 9])
 
     def test_multiple_runs(self):
         twin = page([0] * 10)
@@ -83,8 +90,7 @@ class TestMakeDiff:
         cur[9] = 3
         d = make_diff(0, twin, cur)
         assert d.n_runs == 3
-        assert d.index.tolist() == [0, 5, 6, 9]
-        assert d.data.tolist() == [1, 2, 2, 3]
+        assert changes(d) == ([0, 5, 6, 9], [1, 2, 2, 3])
         assert d.changed_bytes == 4
 
     def test_size_mismatch_rejected(self):
@@ -99,7 +105,7 @@ class TestMakeDiff:
         assert d.data[0] == 5
 
     def test_dense_float64_page_has_hundreds_of_runs(self):
-        """The SOR case the array form exists for: a stencil update of
+        """The SOR case the mask form exists for: a stencil update of
         random float64 data changes the low mantissa bytes of every word
         and leaves most exponent bytes alone."""
         rng = np.random.default_rng(12)
@@ -109,6 +115,9 @@ class TestMakeDiff:
         d = assert_matches_oracle(old.view(np.uint8), new.view(np.uint8),
                                   old.view(np.uint8))
         assert d.n_runs >= 200
+        offsets, values = changes(d)
+        assert len(offsets) == d.changed_bytes
+        assert values == new.view(np.uint8)[offsets].tolist()
 
     def test_runs_touching_first_and_last_byte(self):
         twin = page([0] * 16)
@@ -116,23 +125,40 @@ class TestMakeDiff:
         cur[0] = 1
         cur[15] = 2
         d = assert_matches_oracle(twin, cur, twin)
-        assert d.n_runs == 2 and d.index.tolist() == [0, 15]
+        assert d.n_runs == 2 and changes(d) == ([0, 15], [1, 2])
 
     def test_fully_changed_page_is_one_run(self):
         twin = np.zeros(PAGE, dtype=np.uint8)
         cur = np.full(PAGE, 255, dtype=np.uint8)
         d = assert_matches_oracle(twin, cur, twin)
         assert d.n_runs == 1 and d.changed_bytes == PAGE
+        assert d.mask.all() and d.data.tolist() == [255] * PAGE
         assert diff_wire_size(d) == DIFF_HEADER_BYTES + RUN_HEADER_BYTES + PAGE
 
-    def test_index_is_compact(self):
-        """Two bytes per offset on a 4 KiB page: an in-flight diff is no
-        larger than the run list it replaced."""
+    def test_mask_and_data_are_page_sized_snapshots(self):
+        """One bool and one byte per page byte, whatever changed; ``data``
+        owns its bytes, so later writes to the page (or the twin) do not
+        reach a diff in flight."""
         twin = np.zeros(PAGE, dtype=np.uint8)
         cur = twin.copy()
         cur[PAGE - 1] = 1
         d = make_diff(0, twin, cur)
-        assert d.index.dtype == np.uint16 and d.index.tolist() == [PAGE - 1]
+        assert d.mask.dtype == np.bool_ and d.mask.shape == (PAGE,)
+        assert d.data.dtype == np.uint8 and d.data.shape == (PAGE,)
+        assert changes(d) == ([PAGE - 1], [1])
+        assert not np.shares_memory(d.data, cur)
+        assert not np.shares_memory(d.data, twin)
+        assert not np.shares_memory(d.mask, twin)
+        cur[:] = 7
+        twin[:] = 3
+        assert changes(d) == ([PAGE - 1], [1]) and d.n_runs == 1
+
+    def test_empty_diff_carries_no_arrays(self):
+        twin = np.zeros(PAGE, dtype=np.uint8)
+        d = make_diff(0, twin, twin.copy())
+        assert d.mask is None and d.data is None
+        target = np.ones(PAGE, dtype=np.uint8)
+        assert apply_diff(target, d) == 0 and target.all()
 
 
 class TestApplyDiff:
@@ -165,11 +191,15 @@ class TestApplyDiff:
         with pytest.raises(MemoryError_):
             apply_diff(home, d)
         assert home.tolist() == [1] * 8
-        # one byte past the end is out of range too
-        edge = Diff(0, np.array([0, 8], dtype=np.uint16), page([5, 5]), 2)
-        with pytest.raises(MemoryError_):
-            apply_diff(home, edge)
-        assert home.tolist() == [1] * 8
+        # a page one byte longer does not fit, and neither does one a byte
+        # shorter, although every changed byte of it would
+        for size in (9, 7):
+            twin, cur = page([0] * size), page([5] * size)
+            edge = make_diff(0, twin, cur)
+            assert edge.changed_bytes == size
+            with pytest.raises(MemoryError_):
+                apply_diff(home, edge)
+            assert home.tolist() == [1] * 8
 
     def test_reapplying_a_diff_is_idempotent(self):
         """Chaos can deliver one ``putdiffs`` twice; the second application
@@ -250,14 +280,18 @@ class TestDiffProperty:
         assert_matches_oracle(twin_arr, cur, home)
 
 
-def previous_make_diff(page_no, twin, current):
-    """The codec as it was before its run count and index dtype got
-    cheaper; the rewrite must produce exactly this."""
+def previous_codec(twin, current, home):
+    """The index-form codec the mask form replaced: the ascending offsets
+    of the changed bytes, their values, the run count, the wire size and
+    the home page after ``home[index] = values``. The rewrite must agree
+    with it on every one."""
     neq = twin != current
     index = np.flatnonzero(neq)
     n_runs = int(np.count_nonzero(neq[1:] > neq[:-1])) + int(neq[:1].sum())
-    return Diff(page_no, index.astype(np.min_scalar_type(len(neq))),
-                current[index], n_runs)
+    applied = home.copy()
+    applied[index] = current[index]
+    wire = DIFF_HEADER_BYTES + n_runs * RUN_HEADER_BYTES + index.size
+    return index.tolist(), current[index].tolist(), n_runs, wire, applied
 
 
 @st.composite
@@ -284,20 +318,25 @@ def diff_cases(draw):
         lo = draw(st.integers(0, size - 1))
         hi = draw(st.integers(lo + 1, size))
         cur[lo:hi] ^= 0x80
-    return twin, cur
+    home = rng.integers(0, 256, size, dtype=np.uint8)
+    return twin, cur, home
 
 
 class TestMatchesPreviousCodec:
     @settings(max_examples=150, deadline=None)
     @given(case=diff_cases())
     def test_identical_output(self, case):
-        twin, cur = case
-        got, want = make_diff(5, twin, cur), previous_make_diff(5, twin, cur)
-        assert got.page == want.page
-        assert got.index.dtype == want.index.dtype
-        assert np.array_equal(got.index, want.index)
-        assert got.data.dtype == want.data.dtype
-        assert np.array_equal(got.data, want.data)
-        assert got.n_runs == want.n_runs
-        assert type(got.n_runs) is int
-        assert diff_wire_size(got) == diff_wire_size(want)
+        twin, cur, home = case
+        index, values, n_runs, wire, applied = previous_codec(twin, cur, home)
+        got = make_diff(5, twin, cur)
+        assert got.page == 5
+        assert changes(got) == (index, values)
+        if got.data is not None:
+            assert got.data.dtype == cur.dtype
+        assert got.n_runs == n_runs and got.changed_bytes == len(index)
+        assert type(got.n_runs) is int and type(got.changed_bytes) is int
+        assert diff_wire_size(got) == wire
+        assert type(diff_wire_size(got)) is int
+        target = home.copy()
+        assert apply_diff(target, got) == len(index)
+        assert np.array_equal(target, applied)

@@ -123,7 +123,8 @@ class TestScenarioKey:
     def test_machine_value_is_spelled_exactly(self):
         # values equal under == but not under the fingerprint's repr are
         # distinct machines; unhashable and unknown overrides never raise
-        # a bare TypeError
+        # a bare TypeError (a list is no machine value: it is refused
+        # by name)
         def machine(**overrides):
             return ClusterConfig(param_overrides=overrides).params()
 
@@ -132,7 +133,8 @@ class TestScenarioKey:
             != machine(eth_latency=-0.0).fingerprint
         assert machine(coalesce_messaging=False) \
             is ClusterConfig(integrated_messaging=False).params()
-        assert machine(page_size=[4096]).page_size == [4096]
+        with pytest.raises(ConfigurationError, match="page_size"):
+            machine(page_size=[4096])
         with pytest.raises(ConfigurationError, match="no_such_field"):
             machine(no_such_field=1)
 

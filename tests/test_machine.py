@@ -1,8 +1,15 @@
 """Unit tests for the machine layer: params, nodes, buses, clusters."""
 
+import dataclasses
+import re
+
+import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.config import PRESETS, loads
 from repro.errors import ConfigurationError
+from repro.fabric import Scenario, scenario_key
 from repro.machine.cluster import Cluster
 from repro.machine.node import Node
 from repro.machine.params import MachineParams, PAPER_PLATFORM
@@ -36,6 +43,59 @@ class TestParams:
         p = PAPER_PLATFORM
         assert p.sci_read_latency < p.eth_latency
         assert p.sci_write_latency < p.sci_read_latency  # posted writes
+
+
+BAD_VALUES = [float("nan"), float("inf"), float("-inf"), -1e-6, -1, "1e-6",
+              None, True, np.float64(1e-6)]
+
+
+class TestParamValidation:
+    """A NaN or infinite cost used to run to ``total: nan ms`` and still
+    verify; a negative one shortened times; a NumPy scalar reaches the
+    clock. Each is a ConfigurationError naming the field and the value."""
+
+    @pytest.mark.parametrize("value", BAD_VALUES, ids=repr)
+    def test_rejected_at_construction(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"mem_latency .* got {re.escape(repr(value))}"):
+            MachineParams(mem_latency=value)
+        with pytest.raises(ConfigurationError, match="page_size"):
+            PAPER_PLATFORM.with_overrides(page_size=value)
+
+    def test_zero_and_every_default_accepted(self):
+        assert MachineParams(mem_latency=0, sci_torus_width=0).mem_latency == 0
+        assert MachineParams(eth_latency=-0.0).eth_latency == 0
+
+    def test_flag_must_be_a_bool(self):
+        with pytest.raises(ConfigurationError, match="coalesce_messaging"):
+            MachineParams(coalesce_messaging="false")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-1e-6"])
+    def test_config_file_value_rejected(self, text):
+        cfg = loads(f"[params]\nmem_latency = {text}\n")
+        with pytest.raises(ConfigurationError, match="mem_latency"):
+            cfg.build()
+
+    def test_cli_run_refuses_the_config(self, tmp_path):
+        path = tmp_path / "nan.ini"
+        path.write_text("[params]\nmem_latency = nan\n")
+        with pytest.raises(ConfigurationError, match="mem_latency"):
+            main(["run", "--config", str(path), "--app", "pi",
+                  "--param", "intervals=4096"])
+
+    def test_param_overrides_and_grid_overrides_rejected(self):
+        bad = dataclasses.replace(
+            PRESETS["sw-dsm-2"], param_overrides={"eth_latency": float("nan")})
+        with pytest.raises(ConfigurationError, match="eth_latency"):
+            bad.params()
+        cell = Scenario(preset="sw-dsm-2", label="PI", scale=0.05,
+                        overrides=(("eth_latency", -70e-6),))
+        with pytest.raises(ConfigurationError, match="eth_latency"):
+            scenario_key(cell)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_still_builds(self, name):
+        assert PRESETS[name].build().cluster.params is PRESETS[name].params()
 
 
 class TestNode:
