@@ -61,6 +61,28 @@ def _reference_lu(a: np.ndarray, block_rows: int) -> np.ndarray:
     return m
 
 
+def _factor_g(A, k0: int, k1: int):
+    """Factor the diagonal panel, rows [k0, k1) of the shared ``A``,
+    through a private copy that dies here, before the rank's next yield
+    (docs/performance.md §6)."""
+    panel = yield from A.get_g((slice(k0, k1), slice(None)))
+    for k in range(k0, k1):
+        i = k - k0
+        panel[i + 1:, k] /= panel[i, k]
+        panel[i + 1:, k + 1:] -= panel[i + 1:, k, None] * panel[i, k + 1:]
+    yield from A.set_g((slice(k0, k1), slice(None)), panel)
+
+
+def _eliminate_g(A, piv: np.ndarray, k0: int, k1: int, m0: int, m1: int):
+    """Eliminate the pivot rows ``piv`` (rows [k0, k1)) from rows [m0, m1)
+    of the shared ``A``, through a private copy that dies here."""
+    rows = yield from A.get_g((slice(m0, m1), slice(None)))
+    for k in range(k0, k1):
+        rows[:, k] /= piv[k - k0, k]
+        rows[:, k + 1:] -= rows[:, k, None] * piv[k - k0, k + 1:]
+    yield from A.set_g((slice(m0, m1), slice(None)), rows)
+
+
 def _flops(n: int, block_rows: int) -> float:
     """What the ranks charge in all: each panel's factorisation plus its
     update of every row below it."""
@@ -105,12 +127,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
         owner = kp % n_ranks
         tc = yield from api.jia_wtime_g()
         if rank == owner:
-            panel = yield from A.get_g((slice(k0, k1), slice(None)))
-            for k in range(k0, k1):
-                i = k - k0
-                panel[i + 1:, k] /= panel[i, k]
-                panel[i + 1:, k + 1:] -= panel[i + 1:, k, None] * panel[i, k + 1:]
-            yield from A.set_g((slice(k0, k1), slice(None)), panel)
+            yield from _factor_g(A, k0, k1)
             rows = k1 - k0
             yield compute_cost(api, rows * rows * (n - k0))
         t_core += (yield from api.jia_wtime_g()) - tc
@@ -126,12 +143,9 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
             if mp % n_ranks != rank:
                 continue
             m0, m1 = mp * block, min((mp + 1) * block, n)
-            rows = yield from A.get_g((slice(m0, m1), slice(None)))
-            for k in range(k0, k1):
-                rows[:, k] /= piv[k - k0, k]
-                rows[:, k + 1:] -= rows[:, k, None] * piv[k - k0, k + 1:]
-            yield from A.set_g((slice(m0, m1), slice(None)), rows)
+            yield from _eliminate_g(A, piv, k0, k1, m0, m1)
             yield compute_cost(api, 2.0 * (m1 - m0) * (k1 - k0) * (n - k0))
+        del piv  # every rank has a copy: none is held into the barrier
         t_core += (yield from api.jia_wtime_g()) - tc
 
         tb = yield from api.jia_wtime_g()
@@ -149,8 +163,8 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
             if mp % n_ranks != rank:
                 continue
             m0, m1 = mp * block, min((mp + 1) * block, n)
-            mine = yield from A.get_g((slice(m0, m1), slice(None)))
-            if not np.allclose(mine, ref[m0:m1, :], atol=1e-6):
+            if not np.allclose((yield from A.get_g((slice(m0, m1), slice(None)))),
+                               ref[m0:m1, :], atol=1e-6):
                 verified = False
                 break
     yield from api.jia_exit_g()

@@ -38,6 +38,19 @@ def _reference(a_full: np.ndarray, b_full: np.ndarray) -> np.ndarray:
     return a_full @ b_full
 
 
+def _multiply_g(api, A, B, C, lo: int, hi: int, n: int):
+    """Compute, charge and write rows [lo, hi) of ``C = A @ B``. The rank's
+    copies of its rows of A and of all of B die with the product, and the
+    product once written (docs/performance.md §6): held by the rank body,
+    every rank's copy of B would be held at once."""
+    c_block = ((yield from A.get_g((slice(lo, hi), slice(None))))
+               @ (yield from B.get_g((slice(None), slice(None)))))
+    flops = 2.0 * (hi - lo) * n * n
+    yield compute_cost(api, flops)
+    yield memtouch_cost(api, flops * MEM_REUSE_BYTES_PER_FLOP)
+    yield from C.set_g((slice(lo, hi), slice(None)), c_block)
+
+
 def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppResult:
     """Run the benchmark on the calling rank; returns its :class:`AppResult`."""
     rank, n_ranks = yield from api.jia_init_g()
@@ -67,13 +80,7 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
 
     # ---------------------------------------------------------- compute
     t1 = yield from api.jia_wtime_g()
-    a_block = yield from A.get_g((slice(lo, hi), slice(None)))
-    b = yield from B.get_g((slice(None), slice(None)))
-    c_block = a_block @ b
-    flops = 2.0 * (hi - lo) * n * n
-    yield compute_cost(api, flops)
-    yield memtouch_cost(api, flops * MEM_REUSE_BYTES_PER_FLOP)
-    yield from C.set_g((slice(lo, hi), slice(None)), c_block)
+    yield from _multiply_g(api, A, B, C, lo, hi, n)
     yield from api.jia_barrier_g()
     t_comp = (yield from api.jia_wtime_g()) - t1
 
@@ -82,8 +89,9 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
     checksum = 0.0
     if verify:
         ref, checksum = reference.result()
-        mine = yield from C.get_g((slice(lo, hi), slice(None)))
-        verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-8))
+        verified = bool(np.allclose(
+            (yield from C.get_g((slice(lo, hi), slice(None)))),
+            ref[lo:hi, :], atol=1e-8))
     yield from api.jia_exit_g()
 
     return AppResult(app="matmult", rank=rank,

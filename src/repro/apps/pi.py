@@ -20,6 +20,16 @@ __all__ = ["run_pi"]
 PI_LOCK = 3
 
 
+def _partial_sum(rank: int, n_ranks: int, intervals: int):
+    """This rank's share of the integral and its interval count. Its
+    arrays die here, before the rank's next yield (docs/performance.md
+    §6), so the ranks never hold them all at once."""
+    h = 1.0 / intervals
+    idx = np.arange(rank, intervals, n_ranks, dtype=np.float64)
+    x = h * (idx + 0.5)
+    return float((4.0 / (1.0 + x * x)).sum() * h), len(idx)
+
+
 def run_pi(api, intervals: int = 1 << 23, verify: bool = True) -> AppResult:
     # Generator body: runs stackless (see repro.sim.process).
     rank, n_ranks = yield from api.jia_init_g()
@@ -32,11 +42,8 @@ def run_pi(api, intervals: int = 1 << 23, verify: bool = True) -> AppResult:
     t_init = (yield from api.jia_wtime_g()) - t0
 
     t1 = yield from api.jia_wtime_g()
-    h = 1.0 / intervals
-    idx = np.arange(rank, intervals, n_ranks, dtype=np.float64)
-    x = h * (idx + 0.5)
-    local = float((4.0 / (1.0 + x * x)).sum() * h)
-    yield compute_cost(api, 6.0 * len(idx))
+    local, count = _partial_sum(rank, n_ranks, intervals)
+    yield compute_cost(api, 6.0 * count)
 
     yield from api.jia_lock_g(PI_LOCK)
     current = float((yield from acc.get_g(0)))

@@ -48,6 +48,15 @@ def _sweep(grid: np.ndarray, phase: int, lo: int, hi: int, n: int) -> None:
             + grid[own, j0 - 1:n - 2:2] + grid[own, j0 + 1:n:2])  # left, right
 
 
+def _half_sweep_g(G, phase: int, lo: int, hi: int, n: int):
+    """One half-sweep of rows [lo, hi) of the shared grid ``G``: read them
+    with their halo rows, sweep, write them back. The private copy dies
+    here, before the rank's next yield (docs/performance.md §6)."""
+    local = yield from G.get_g((slice(lo - 1, hi + 1), slice(None)))
+    _sweep(local, phase, lo, hi, n)
+    yield from G.set_g((slice(lo, hi), slice(None)), local[1:-1, :])
+
+
 def _reference(initial: np.ndarray, iterations: int) -> np.ndarray:
     """Sequential red-black SOR on a copy of ``initial``: the same
     :func:`_sweep` the ranks run, over the whole interior at once. A
@@ -90,10 +99,7 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     t1 = yield from api.jia_wtime_g()
     for _ in range(iterations):
         for phase in (0, 1):
-            # own rows + halo
-            local = yield from G.get_g((slice(lo - 1, hi + 1), slice(None)))
-            _sweep(local, phase, lo, hi, n)
-            yield from G.set_g((slice(lo, hi), slice(None)), local[1:-1, :])
+            yield from _half_sweep_g(G, phase, lo, hi, n)
             yield compute_cost(api, 6.0 * (hi - lo) * (n - 2) / 2)
             yield from api.jia_barrier_g()
     t_comp = (yield from api.jia_wtime_g()) - t1
@@ -102,8 +108,9 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
     checksum = 0.0
     if verify:
         ref, checksum = reference.result()
-        mine = yield from G.get_g((slice(lo, hi), slice(None)))
-        verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-10))
+        verified = bool(np.allclose(
+            (yield from G.get_g((slice(lo, hi), slice(None)))),
+            ref[lo:hi, :], atol=1e-10))
     yield from api.jia_exit_g()
 
     name = "sor_opt" if locality else "sor"

@@ -24,6 +24,7 @@ plus an acquire (the sleeper).
 from __future__ import annotations
 
 import _thread
+import sys
 import time as _time
 from heapq import heappop, heappush
 from typing import Callable, Optional, Tuple
@@ -34,6 +35,10 @@ from repro.sim.process import PARK, SimProcess, run_unblocked
 from repro.sim.trace import NULL_OBS, NULL_SHARING, Tracer
 
 _INF = float("inf")
+#: The largest limit of a run: a non-finite ``when`` (NaN, inf) fails
+#: every ``when <= limit`` test, so it never takes the own-resume fast
+#: path and meets the finiteness check on the push path instead.
+_UNBOUNDED = sys.float_info.max
 
 #: Process-wide default host hook, applied to every Engine built after
 #: :func:`set_host_hook`. Sweep worker processes use it to attach progress
@@ -64,6 +69,11 @@ def set_host_hook(callback: Optional[Callable[["Engine"], None]],
 def clear_host_hook() -> None:
     """Remove the process-wide host hook (idempotent)."""
     set_host_hook(None)
+
+
+def _not_finite(action, duration) -> str:
+    return (f"{action}: a hold or delay of {duration!r} s does not end at "
+            "a finite virtual time")
 
 
 class Engine:
@@ -140,14 +150,18 @@ class Engine:
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action()`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative; zero-delay events run after all
-        events already scheduled for the current instant (FIFO within a
-        timestamp).
+        ``delay`` must be non-negative and end at a finite time; zero-delay
+        events run after all events already scheduled for the current
+        instant (FIFO within a timestamp).
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event in the past (delay={delay})")
+        when = self._now + delay
+        if not (delay >= 0 and when < _INF):
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule event in the past (delay={delay})")
+            raise SimulationError(_not_finite(action, delay))
         self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, action))
+        heappush(self._heap, (when, self._seq, action))
 
     def schedule_at(self, when: float, action: Callable[[], None]) -> None:
         """Schedule ``action()`` at absolute virtual time ``when``."""
@@ -228,11 +242,12 @@ class Engine:
         """
         heap = self._heap
         until = self._until
-        limit = _INF if until is None else until
+        limit = _UNBOUNDED if until is None else min(until, _UNBOUNDED)
         # Locals, not globals: the loop body runs once per event.
         proc_type = SimProcess
         park = PARK
         pop, push = heappop, heappush
+        inf = _INF
         while True:
             if self._pending_exc is not None:
                 return self._stop(origin, "exc")
@@ -283,12 +298,9 @@ class Engine:
                 if effect is park:
                     break
                 if not isinstance(effect, (float, int)):
-                    err = SimulationError(
+                    self._fail(action, SimulationError(
                         f"{action}: generator body yielded {effect!r}; "
-                        "expected PARK or a hold duration in seconds")
-                    action.exception = self._pending_exc = err
-                    action._gen.close()
-                    action._finish()
+                        "expected PARK or a hold duration in seconds"))
                     break
                 if effect <= 0:
                     continue  # non-positive holds are no-ops, like hold()
@@ -302,9 +314,19 @@ class Engine:
                             and self.events_executed >= self._hook_next):
                         self._fire_host_hook()
                     continue
+                if not when < inf:  # NaN or inf: the fast path refused it
+                    self._fail(action, SimulationError(
+                        _not_finite(action, effect)))
+                    break
                 push(heap, (when, self._seq, action))
                 break
             self._current = None
+
+    def _fail(self, action, err: SimulationError) -> None:
+        """End stackless ``action`` with ``err``, re-raised from run()."""
+        action.exception = self._pending_exc = err
+        action._gen.close()
+        action._finish()
 
     def _stop(self, origin, reason: str):
         """A stop condition was hit while dispatching: report it to run()."""

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event engine."""
 
+import sys
 from functools import partial
 
 import pytest
@@ -297,6 +298,77 @@ class TestOwnResumeFastPath:
         engine.schedule(1.0, lambda: order.append(("call", engine.now)))
         engine.run()
         assert order == [("call", 1.0), ("proc", 1.0)]
+
+    def test_a_hold_ending_exactly_at_until_still_runs(self, engine):
+        seen = []
+
+        def holder(proc):
+            yield 1.0
+            seen.append(engine.now)
+            yield 1.0
+            seen.append(engine.now)
+
+        SimProcess(engine, holder).start()
+        assert engine.run(until=2.0) == 2.0
+        assert seen == [1.0, 2.0]
+
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite hold or delay raises, naming the process (or
+    callback) and the value, instead of putting the clock out of order."""
+
+    @pytest.mark.parametrize("until", [None, float("inf")])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_stackless_hold(self, engine, bad, until):
+        seen = []
+
+        def bad_body(proc):
+            yield bad
+
+        def other(proc):
+            yield 7e-6
+            seen.append(engine.now)
+
+        SimProcess(engine, bad_body, name="bad").start()
+        SimProcess(engine, other, name="other").start()
+        with pytest.raises(SimulationError, match=rf"bad#1: .*{bad}"):
+            engine.run(until=until)
+        assert seen == [] and engine.now == 0.0
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_thread_backed_hold(self, engine, bad):
+        def bad_body(proc):
+            proc.hold(bad)
+
+        SimProcess(engine, bad_body, name="blocking").start()
+        with pytest.raises(SimulationError, match=rf"blocking#1: .*{bad}"):
+            engine.run()
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_scheduled_delay(self, engine, bad):
+        with pytest.raises(SimulationError, match=rf"{bad}"):
+            engine.schedule(bad, lambda: None)
+        assert len(engine._heap) == 0
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_wake_delay(self, engine, bad):
+        def sleeper(proc):
+            yield PARK
+
+        proc = SimProcess(engine, sleeper, name="sleeper", daemon=True).start()
+        with pytest.raises(SimulationError, match=rf"sleeper#1: .*{bad}"):
+            proc.wake(bad)
+
+    def test_finite_delays_that_sum_past_the_largest_float_are_refused(
+            self, engine):
+        biggest = sys.float_info.max
+        engine.schedule(biggest, lambda: engine.schedule(biggest, lambda: None))
+        with pytest.raises(SimulationError, match="finite"):
+            engine.run()
+        assert engine.now == biggest  # the largest finite time still runs
 
 
 class TestEngineHostHook:
