@@ -10,6 +10,7 @@ exposes pure per-call and synchronization overhead.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -28,6 +29,15 @@ def _partial_sum(rank: int, n_ranks: int, intervals: int):
     idx = np.arange(rank, intervals, n_ranks, dtype=np.float64)
     x = h * (idx + 0.5)
     return float((4.0 / (1.0 + x * x)).sum() * h), len(idx)
+
+
+def error_bound(intervals: int, n_ranks: int) -> float:
+    """How far a correct run's sum may lie from π: the midpoint rule's
+    own error, h²/24 · max|f''| with max|f''| = 8 on [0, 1], plus the
+    rounding of ``intervals`` terms summed in ``n_ranks`` partial sums. A
+    run that loses one rank's share misses it by orders of magnitude."""
+    h = 1.0 / intervals
+    return h * h / 3.0 + 8.0 * (intervals + n_ranks) * sys.float_info.epsilon
 
 
 def run_pi(api, intervals: int = 1 << 23, verify: bool = True) -> AppResult:
@@ -53,7 +63,8 @@ def run_pi(api, intervals: int = 1 << 23, verify: bool = True) -> AppResult:
     t_comp = (yield from api.jia_wtime_g()) - t1
 
     pi_value = float((yield from acc.get_g(0)))
-    verified = (abs(pi_value - math.pi) < 1e-4) if verify else True
+    verified = (abs(pi_value - math.pi) <= error_bound(intervals, n_ranks)
+                if verify else True)
     yield from api.jia_exit_g()
 
     return AppResult(app="pi", rank=rank,

@@ -20,7 +20,7 @@ import importlib
 import io
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 __all__ = ["count_logical_lines", "ComplexityRow", "model_complexity_table"]
 
@@ -91,10 +91,6 @@ def count_logical_lines(source: str, *, include_g_twins: bool = True) -> int:
             line_start = None
     return count
 
-
-def count_file(path: str) -> int:
-    with open(path, "r", encoding="utf-8") as fh:
-        return count_logical_lines(fh.read())
 
 
 @dataclass

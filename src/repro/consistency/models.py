@@ -16,7 +16,7 @@ extra flushes; weaker-on-stronger costs nothing extra (§4.5).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ConsistencyError
 
@@ -99,16 +99,9 @@ class ConsistencyModel:
         """Generator kernel of :meth:`release` (``yield from`` it)."""
         return self.dsm.unlock_g(scope)
 
-    def fence(self) -> None:
-        """Full consistency point for this rank."""
-        return self.dsm.engine.kernel(self.fence_g())
-
     def fence_g(self):
         """Generator kernel of :meth:`fence` (``yield from`` it)."""
         return self.dsm.sync_consistency_g()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} on {self.native}>"
 
 
 class SequentialConsistency(ConsistencyModel):
@@ -165,22 +158,10 @@ class ScopeConsistency(ConsistencyModel):
 
 
 class EntryConsistency(ConsistencyModel):
-    """Entry consistency — data is explicitly bound to its guard. We carry
-    the binding so that acquire can (on future substrates) limit fetches to
-    the bound region; semantically it behaves like scope consistency here."""
+    """Entry consistency — data is explicitly bound to its guard. On these
+    substrates it behaves like scope consistency."""
 
     name = "entry"
-
-    def __init__(self, dsm) -> None:
-        super().__init__(dsm)
-        self._bindings: Dict[int, list] = {}
-
-    def bind(self, scope: int, region) -> None:
-        """Associate a global region with a synchronization scope."""
-        self._bindings.setdefault(scope, []).append(region)
-
-    def bound_regions(self, scope: int) -> list:
-        return list(self._bindings.get(scope, ()))
 
 
 MODELS = {

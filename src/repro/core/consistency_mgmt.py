@@ -9,7 +9,7 @@ target API's semantics to the substrate.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.consistency import MODELS, ConsistencyModel, can_host, get_model
 from repro.core.monitoring import ModuleStats
@@ -33,14 +33,6 @@ class ConsistencyMgmt:
             self._active = "release"
 
     # ------------------------------------------------------------ selection
-    def supported_models(self) -> List[str]:
-        self._h.charge_call()
-        return sorted(MODELS)
-
-    def native_model(self) -> str:
-        """The substrate's own consistency model."""
-        self._h.charge_call()
-        return self.dsm.consistency_model()
 
     def can_host(self, program_model: str) -> bool:
         """Does the substrate guarantee ``program_model`` without extra

@@ -181,12 +181,6 @@ class MemoryMgmt:
         """Generator kernel of :meth:`supports` (``yield from`` it)."""
         return capability in (yield from self.capabilities_g())
 
-    def require(self, capability: str) -> None:
-        if not self.supports(capability):
-            raise CapabilityError(
-                f"memory subsystem {self.dsm.kind!r} does not support "
-                f"{capability!r}; available: {sorted(self.dsm.capabilities())}")
-
     def require_g(self, capability: str):
         """Generator kernel of :meth:`require` (``yield from`` it)."""
         if not (yield from self.supports_g(capability)):
@@ -195,16 +189,6 @@ class MemoryMgmt:
                 f"{capability!r}; available: {sorted(self.dsm.capabilities())}")
 
     # ------------------------------------------------------------- queries
-    def allocator_stats(self) -> dict:
-        a = self.dsm.allocator
-        return {
-            "allocated_bytes": a.allocated_bytes,
-            "peak_bytes": a.peak_bytes,
-            "free_bytes": a.free_bytes(),
-            "fragmentation": a.fragmentation(),
-            "n_allocs": a.n_allocs,
-            "n_frees": a.n_frees,
-        }
 
     def access_stats(self, rank: Optional[int] = None) -> dict:
         """Per-rank DSM access statistics (monitoring feed)."""

@@ -98,11 +98,6 @@ class MonitoringRegistry:
     def __init__(self) -> None:
         self._modules: Dict[str, ModuleStats] = {}
 
-    def module(self, name: str) -> ModuleStats:
-        if name not in self._modules:
-            self._modules[name] = ModuleStats(name)
-        return self._modules[name]
-
     def query_all(self) -> Dict[str, Dict[str, float]]:
         return {name: stats.query() for name, stats in self._modules.items()}
 

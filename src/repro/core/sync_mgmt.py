@@ -211,11 +211,6 @@ class SyncMgmt:
                 # actually experiences.
                 engine.sharing.lock_released(lock_id, rank, engine.now)
 
-    def held_locks(self, rank: Optional[int] = None) -> List[int]:
-        if rank is None:
-            rank = self.dsm.current_rank()
-        return list(self._held.get(rank, ()))
-
     # --------------------------------------------------------------- barrier
     def barrier(self) -> None:
         """Global barrier with barrier consistency."""

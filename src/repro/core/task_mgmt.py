@@ -3,14 +3,14 @@
 HAMSTER's inherent task model is SPMD: one task per rank, started together.
 This module deliberately does *not* define a new thread API (that would
 impose semantics); instead it provides the mechanisms programming models use
-to integrate native thread services: local task spawning on a rank, join,
-task identity queries, and task-exit hooks. Thread-API layers (POSIX/Win32
+to integrate native thread services: local task spawning on a rank, join
+and task identity queries. Thread-API layers (POSIX/Win32
 models) add command *forwarding* on top via the messaging primitives — see
 :mod:`repro.models.forwarding`.
 
 Task bodies may be plain callables (thread-backed) or generator functions
-(stackless) — both receive identical bind/unbind and exit-hook
-treatment. Blocking services follow the
+(stackless) — both receive identical bind/unbind treatment. Blocking
+services follow the
 twin-kernel convention of :mod:`repro.sim.process`.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict
 
 from repro.core.monitoring import ModuleStats
 from repro.errors import TaskError
@@ -35,17 +35,6 @@ class TaskHandle:
         self.rank = rank
         self.proc = proc
 
-    @property
-    def alive(self) -> bool:
-        return self.proc.alive
-
-    @property
-    def result(self) -> Any:
-        return self.proc.result
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<TaskHandle {self.tid} rank={self.rank}>"
-
 
 class TaskMgmt:
     """SPMD task model + thread-service integration mechanisms."""
@@ -56,7 +45,6 @@ class TaskMgmt:
         self.stats = ModuleStats("task")
         self._tids = itertools.count(1)
         self._tasks: Dict[int, TaskHandle] = {}
-        self._exit_hooks: List[Callable[[TaskHandle], None]] = []
 
     # -------------------------------------------------------------- identity
     def my_rank(self) -> int:
@@ -108,35 +96,28 @@ class TaskMgmt:
 
     def _make_task(self, tid: int, rank: int, fn: Callable, args: tuple,
                    name: str) -> TaskHandle:
-        # Both body shapes perform the same bind/unbind + exit-hook
-        # bookkeeping; only the execution style differs (see module docs).
+        # Both body shapes perform the same bind/unbind bookkeeping; only
+        # the execution style differs (see module docs).
         if inspect.isgeneratorfunction(fn):
             def body(proc: SimProcess):
                 self.dsm.bind_task(proc, rank)
                 try:
                     return (yield from fn(*args))
                 finally:
-                    self._task_exited(proc, tid)
+                    self.dsm.unbind_task(proc)
         else:
             def body(proc: SimProcess) -> Any:
                 self.dsm.bind_task(proc, rank)
                 try:
                     return fn(*args)
                 finally:
-                    self._task_exited(proc, tid)
+                    self.dsm.unbind_task(proc)
 
         proc = SimProcess(self._h.engine, body,
                           name=name or f"task{tid}@r{rank}")
         handle = TaskHandle(tid, rank, proc)
         self._tasks[tid] = handle
         return handle
-
-    def _task_exited(self, proc: SimProcess, tid: int) -> None:
-        self.dsm.unbind_task(proc)
-        handle = self._tasks.get(tid)
-        if handle is not None:
-            for hook in self._exit_hooks:
-                hook(handle)
 
     def join(self, handle_or_tid) -> Any:
         """Wait for a task to finish; returns its result."""
@@ -150,9 +131,6 @@ class TaskMgmt:
         me = self._h.engine.require_process()
         return (yield from me.join_g(handle.proc))
 
-    def task(self, tid: int) -> TaskHandle:
-        return self._resolve(tid)
-
     def _resolve(self, handle_or_tid) -> TaskHandle:
         if isinstance(handle_or_tid, TaskHandle):
             return handle_or_tid
@@ -160,8 +138,3 @@ class TaskMgmt:
             return self._tasks[handle_or_tid]
         except KeyError:
             raise TaskError(f"unknown task id {handle_or_tid}") from None
-
-    # ----------------------------------------------------------------- hooks
-    def on_exit(self, hook: Callable[[TaskHandle], None]) -> None:
-        """Register a task-exit hook (model layers use this for cleanup)."""
-        self._exit_hooks.append(hook)

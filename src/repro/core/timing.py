@@ -38,10 +38,6 @@ class PhaseTimer:
         self.count += 1
         return elapsed
 
-    @property
-    def running(self) -> bool:
-        return self._started_at is not None
-
 
 class TimingServices:
     """Wall-clock and phase timing over the (virtual) platform clock."""
@@ -61,8 +57,3 @@ class TimingServices:
             self._phases[name] = PhaseTimer(lambda: self.engine.now)
         return self._phases[name]
 
-    def phase_totals(self) -> Dict[str, float]:
-        return {name: t.total for name, t in self._phases.items()}
-
-    def reset(self) -> None:
-        self._phases.clear()

@@ -216,12 +216,6 @@ class GlobalMemorySystem(ABC):
         barrier in between. No-op on substrates without remote caching."""
         return self.engine.kernel(self.refresh_runs_g(region, runs))
 
-    def sync_consistency(self) -> None:
-        """Make all of the calling rank's writes globally visible (a full
-        flush — the strongest, model-agnostic consistency action).
-        Hardware-coherent substrates make this a no-op."""
-        return self.engine.kernel(self.sync_consistency_g())
-
     # ------------------------------------------------------------ abstract
     @abstractmethod
     def _setup_region(self, region: Region, distribution: Distribution) -> None:

@@ -24,7 +24,7 @@ hardware path — faster than either substrate hosting everything.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -102,13 +102,6 @@ class CompositeMemorySystem(GlobalMemorySystem):
                                    distribution=distribution)
         finally:
             self._pending_system = None
-
-    def system_of(self, region: Region) -> str:
-        child = self._owner(region)
-        for key, candidate in self.children.items():
-            if candidate is child:
-                return key
-        raise MemoryError_(f"{region!r} has no owning system")  # pragma: no cover
 
     # --------------------------------------------------------------- routing
     def _owner(self, region: Region) -> GlobalMemorySystem:

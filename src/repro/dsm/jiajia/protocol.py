@@ -769,6 +769,3 @@ class JiaJiaSystem(GlobalMemorySystem):
         return frozenset(caps)
 
     # ---------------------------------------------------------------- debug
-    def page_state(self, rank: int, page: int) -> PageState:
-        """Inspect a rank's protection state for a page (tests)."""
-        return self._ptables[rank].state(page)

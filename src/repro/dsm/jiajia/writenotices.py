@@ -116,5 +116,3 @@ class NoticeLog:
         """Notices after ``cursor`` plus the new cursor."""
         return _LogSlice(self, max(cursor, 0)), self.seq
 
-    def __len__(self) -> int:
-        return len(self._log)

@@ -15,9 +15,6 @@ one-time per-page mapping cost, and an ATT capacity with FIFO eviction
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict
-
-from repro.errors import ProtectionError
 
 __all__ = ["RemoteMapper"]
 
@@ -34,9 +31,6 @@ class RemoteMapper:
         # ---------------------------------------------------- statistics
         self.maps = 0
         self.evictions = 0
-
-    def is_mapped(self, page: int) -> bool:
-        return page in self._mapped
 
     def ensure_mapped(self, page: int) -> bool:
         """Map ``page`` if needed; returns True when a new mapping was
@@ -58,7 +52,3 @@ class RemoteMapper:
     def unmap(self, page: int) -> None:
         self._mapped.pop(page, None)
 
-    def require_mapped(self, page: int) -> None:
-        if page not in self._mapped:
-            raise ProtectionError(
-                f"rank {self.rank}: hardware access to unmapped page {page}")

@@ -18,7 +18,7 @@ the paper observes for the hybrid system (Fig. 3 "LU bar").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -216,5 +216,3 @@ class SciVmSystem(GlobalMemorySystem):
         })
 
     # ---------------------------------------------------------------- debug
-    def is_mapped(self, rank: int, page: int) -> bool:
-        return self._mappers[rank].is_mapped(page)

@@ -35,13 +35,13 @@ from repro.fabric.journal import (EVENT_KINDS, JOURNAL_SCHEMA, JournalError,
 from repro.fabric.manifest import CellOutcome, SweepManifest
 from repro.fabric.scheduler import (DEFAULT_HEARTBEAT, DEFAULT_MAX_RETRIES,
                                     SweepResult, run_sweep)
-from repro.fabric.worker import CellFailed, Job, execute_cell
+from repro.fabric.worker import Job, execute_cell
 
 __all__ = ["GridSpec", "Scenario", "FIGURE_GRID", "SUITES", "ResultCache",
            "scenario_key", "canonical_record", "canonical_records_json",
            "CACHE_SCHEMA", "DEFAULT_CACHE_DIR",
            "CellOutcome", "SweepManifest", "SweepResult", "run_sweep",
-           "CellFailed", "Job", "execute_cell", "DEFAULT_HEARTBEAT",
+           "Job", "execute_cell", "DEFAULT_HEARTBEAT",
            "DEFAULT_MAX_RETRIES", "EVENT_KINDS", "JOURNAL_SCHEMA",
            "JournalError", "JournalState", "SweepJournal", "replay_journal",
            "validate_journal"]

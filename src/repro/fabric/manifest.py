@@ -35,8 +35,8 @@ class CellOutcome:
     index: int
     id: str
     key: str
-    #: "hit" (served from cache), "miss" (executed), "failed" (typed
-    #: CellFailed: error / crash after retries / timeout), "pending"
+    #: "hit" (served from cache), "miss" (executed), "failed" (error,
+    #: crash after retries, or timeout), "pending"
     #: (sweep interrupted/aborted before the cell resolved)
     outcome: str
     attempts: int = 1

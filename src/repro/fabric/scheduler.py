@@ -211,7 +211,7 @@ def _run_jobs_serial(jobs: List[Job], suite: str, stop: _StopControl,
             current["index"] = job.index
             try:
                 record = execute_cell(job.scenario, suite=suite)
-            except Exception as exc:  # noqa: BLE001 — typed CellFailed outcome
+            except Exception as exc:  # noqa: BLE001 — a typed failed outcome
                 current["index"] = -1
                 commit_failed(job, 0, "error",
                               f"{type(exc).__name__}: {exc}", None)

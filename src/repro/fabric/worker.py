@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, Iterable, Optional
 import repro.fabric.faultpoints as faultpoints
 from repro.fabric.gridspec import Scenario
 
-__all__ = ["Job", "CellFailed", "execute_cell", "import_cell_path",
+__all__ = ["Job", "execute_cell", "import_cell_path",
            "install_heartbeat", "worker_main", "HOOK_EVERY_EVENTS"]
 
 #: The engine host hook fires every this-many dispatched events; the
@@ -60,22 +60,6 @@ class Job:
     key: str
     scenario: Scenario
     attempt: int = 1
-
-
-class CellFailed(Exception):
-    """Typed per-cell failure recorded in the cell's outcome.
-
-    A failed cell never aborts the sweep: the scheduler converts crashes
-    (after one retry), timeouts, and cell-level exceptions into this
-    outcome and carries on with the rest of the grid.
-    """
-
-    def __init__(self, cell_id: str, kind: str, detail: str) -> None:
-        super().__init__(f"{cell_id}: {kind}: {detail}")
-        self.cell_id = cell_id
-        #: "error" | "crash" | "timeout"
-        self.kind = kind
-        self.detail = detail
 
 
 def execute_cell(scenario: Scenario, suite: str = "sweep") -> Dict[str, Any]:

@@ -54,13 +54,6 @@ class ChaosResult:
     #: handle observability exports (trace/metrics) read from
     built: Any = None
 
-    @property
-    def masked(self) -> bool:
-        """Whether faults were injected yet the run still completed verified."""
-        injected = sum(v for k, v in self.faults.items()
-                       if k != "heartbeats_lost")
-        return self.outcome == "completed" and self.verified and injected > 0
-
     def summary(self) -> str:
         lines = [f"chaos: {self.app} on {self.platform}",
                  f"outcome  : {self.outcome}"

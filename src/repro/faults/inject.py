@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
@@ -50,11 +49,6 @@ class FaultyNetwork:
         self.heartbeats_lost = 0
         network.send = self._send  # type: ignore[method-assign]
         network.faults = self  # type: ignore[attr-defined]
-
-    def detach(self) -> None:
-        """Restore the undecorated ``send`` (used by tests)."""
-        self.network.send = self._inner_send  # type: ignore[method-assign]
-        self.network.faults = None  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------ injection
     def _trace_down(self, node: int, now: float) -> None:
@@ -134,8 +128,6 @@ class FaultyNetwork:
         return False
 
     # ------------------------------------------------------------- queries
-    def node_down(self, node: int, now: Optional[float] = None) -> bool:
-        return self.plan.node_down(node, self.engine.now if now is None else now)
 
     def stats(self) -> dict:
         return {"dropped": self.dropped,

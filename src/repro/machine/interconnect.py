@@ -143,13 +143,6 @@ class Network:
                                    arrive=arrive, msg_id=msg.msg_id)
 
     # ------------------------------------------------------------ overheads
-    def sender_cpu_overhead(self) -> float:
-        """CPU seconds the sending process burns per message (stack cost)."""
-        return 0.0
-
-    def receiver_cpu_overhead(self) -> float:
-        """CPU seconds the receiving process burns per message."""
-        return 0.0
 
     def reset_stats(self) -> None:
         self.messages_sent = 0

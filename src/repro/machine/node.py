@@ -49,9 +49,6 @@ class Node:
         #: accumulated compute seconds charged on this node (monitoring)
         self.compute_time: float = 0.0
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Node {self.node_id} cpus={self.n_cpus}>"
-
     # -------------------------------------------------------------- charges
     def cpu_cost(self, seconds: float) -> float:
         """Book ``seconds`` of raw CPU time; returns the hold to charge."""
@@ -77,10 +74,6 @@ class Node:
         """Charge the calling process for ``flops`` floating-point operations."""
         if flops > 0:
             self.engine.require_process().hold(self.compute_cost(flops))
-
-    def cpu_cycles(self, cycles: float) -> None:
-        """Charge CPU cycles at the node clock rate."""
-        self.cpu_time(cycles / self.params.cpu_hz)
 
     def mem_touch(self, nbytes: int) -> None:
         """Charge bulk memory traffic through this node's (shared) bus."""

@@ -58,11 +58,6 @@ class Region:
     def contains(self, gaddr: int) -> bool:
         return self.gaddr <= gaddr < self.end
 
-    def page_of(self, offset: int) -> int:
-        """Global page number holding byte ``offset`` within the region."""
-        self._check_range(offset, 1)
-        return (self.gaddr + offset) // self.page_size
-
     def pages_for(self, offset: int, nbytes: int) -> range:
         """Global page numbers touched by ``nbytes`` at region ``offset``."""
         if nbytes == 0:

@@ -99,9 +99,3 @@ class GlobalAllocator:
     def largest_free_block(self) -> int:
         return max((size for _, size in self._free), default=0)
 
-    def fragmentation(self) -> float:
-        """1 - largest_free/total_free; 0 when the free space is one block."""
-        total = self.free_bytes()
-        if total == 0:
-            return 0.0
-        return 1.0 - self.largest_free_block() / total

@@ -61,9 +61,6 @@ class Distribution:
             homes.append(node)
         return homes
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Distribution {self.name}>"
-
 
 def block(n_pages: int = 0) -> Distribution:
     """Contiguous equal blocks of pages, node 0 first."""

@@ -182,10 +182,6 @@ class SharedArray:
         """Alias for ``self[index] = value``."""
         self[index] = value
 
-    def write_g(self, index: Any, value: Any):
-        """Generator kernel of :meth:`write` (``yield from`` it)."""
-        return self.set_g(index, value)
-
     def refresh(self, index: Any = ()) -> None:
         """Drop stale cached copies of the pages under ``index`` (whole
         array by default); used by one-sided get operations."""

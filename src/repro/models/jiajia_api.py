@@ -58,12 +58,6 @@ class JiaJiaApi(ProgrammingModel):
             return self.hamster.memory.alloc_collective(
                 nbytes, distribution=distribution)
 
-    def jia_alloc_g(self, nbytes: int, distribution: Optional[Distribution] = None):
-        """Generator kernel of :meth:`jia_alloc` (``yield from`` it)."""
-        with self._obs_span("jia_alloc"):
-            return (yield from self.hamster.memory.alloc_collective_g(
-                nbytes, distribution=distribution))
-
     def jia_alloc_array(self, shape: Sequence[int], dtype: Any = np.float64,
                         name: str = "", distribution: Optional[Distribution] = None):
         with self._obs_span("jia_alloc_array"):

@@ -85,11 +85,6 @@ class NativeJiaJiaApi:
         self._charge()
         return self._collective(lambda: self.dsm.allocate(nbytes, distribution=distribution))
 
-    def jia_alloc_g(self, nbytes: int, distribution: Optional[Distribution] = None):
-        yield self._cost()
-        return (yield from self._collective_g(
-            lambda: self.dsm.allocate(nbytes, distribution=distribution)))
-
     def jia_alloc_array(self, shape: Sequence[int], dtype: Any = np.float64,
                         name: str = "", distribution: Optional[Distribution] = None):
         self._charge()

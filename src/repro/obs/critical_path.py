@@ -165,9 +165,6 @@ class CriticalPathReport:
         """The :func:`critical_path` chain, walked when first read."""
         return [] if self.recorder is None else critical_path(self.recorder)
 
-    def rank(self, rank: int) -> RankBreakdown:
-        return self.ranks[rank]
-
     def totals(self) -> dict:
         """Cluster-wide seconds per category (summed over ranks)."""
         return {cat: sum(getattr(r, cat) for r in self.ranks)

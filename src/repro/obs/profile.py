@@ -81,10 +81,6 @@ class ProfileReport:
         waits = self.total("lock_wait") + self.total("barrier_wait")
         return waits / (self.total_time * len(self.ranks))
 
-    def hotspots(self, top: int = 3) -> List[RankProfile]:
-        """Ranks ranked by protocol work (faults+fetches+diffs)."""
-        return sorted(self.ranks, key=lambda r: -(r.faults + r.fetches + r.diffs))[:top]
-
     def render(self) -> str:
         from repro.bench.report import render_table
 
@@ -155,25 +151,12 @@ class TraceSummary:
     duration: float = 0.0
     #: message kind -> (count, total bytes)
     messages_by_kind: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: (src, dst) -> message count
-    traffic_matrix: Dict[Tuple[int, int], int] = field(default_factory=dict)
     #: page fetch events: (time, rank, page, home)
     fetches: List[Tuple[float, int, int, int]] = field(default_factory=list)
-    #: invalidation events: (time, rank, pages)
-    invalidations: List[Tuple[float, int, int]] = field(default_factory=list)
     #: every trace kind -> occurrence count
     events_by_kind: Dict[str, int] = field(default_factory=dict)
 
     # -------------------------------------------------------------- queries
-    def message_count(self, kind_prefix: str = "") -> int:
-        return sum(count for kind, (count, _) in self.messages_by_kind.items()
-                   if kind.startswith(kind_prefix))
-
-    def busiest_pair(self) -> Tuple[Tuple[int, int], int]:
-        if not self.traffic_matrix:
-            return (0, 0), 0
-        pair = max(self.traffic_matrix, key=self.traffic_matrix.get)
-        return pair, self.traffic_matrix[pair]
 
     def hottest_pages(self, top: int = 5) -> List[Tuple[int, int]]:
         """Pages by fetch count (page, count) — the false-sharing/ping-pong
@@ -182,16 +165,6 @@ class TraceSummary:
         for _, _, page, _ in self.fetches:
             counts[page] = counts.get(page, 0) + 1
         return sorted(counts.items(), key=lambda kv: -kv[1])[:top]
-
-    def fetch_rate_timeline(self, buckets: int = 10) -> List[int]:
-        """Fetch counts over ``buckets`` equal slices of the run."""
-        out = [0] * buckets
-        if not self.fetches or self.duration <= 0:
-            return out
-        for time, *_ in self.fetches:
-            index = min(buckets - 1, int(time / self.duration * buckets))
-            out[index] += 1
-        return out
 
     def render(self) -> str:
         from repro.bench.report import render_table
@@ -225,13 +198,8 @@ def summarize_trace(trace) -> TraceSummary:
             count, nbytes = summary.messages_by_kind.get(kind, (0, 0))
             summary.messages_by_kind[kind] = (count + 1,
                                               nbytes + event.get("size", 0))
-            pair = (event.get("src", -1), event.get("dst", -1))
-            summary.traffic_matrix[pair] = summary.traffic_matrix.get(pair, 0) + 1
         elif event.kind == "jj.fetch":
             summary.fetches.append((event.time, event.get("rank", -1),
                                     event.get("page", -1), event.get("home", -1)))
-        elif event.kind == "jj.invalidate":
-            summary.invalidations.append((event.time, event.get("rank", -1),
-                                          event.get("pages", 0)))
     summary.duration = last_time
     return summary

@@ -27,7 +27,7 @@ The module follows the :data:`~repro.sim.trace.NULL_OBS` discipline exactly:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.trace import NULL_SHARING, NullSharing
 
@@ -332,16 +332,3 @@ class SharingRecorder:
             out.extend((t, page, rank) for t, rank in ps.writer_log)
         return out
 
-    def ranks_seen(self) -> List[int]:
-        ranks = set()
-        for ps in self.pages.values():
-            ranks.update(ps.by_rank)
-            ranks.update(ps.write_ranges)
-        for ls in self.locks.values():
-            ranks.update(ls.by_rank)
-        for ep in self.barrier_episodes:
-            ranks.update(ep["arrive"])
-        return sorted(ranks)
-
-    def __len__(self) -> int:
-        return len(self.events)

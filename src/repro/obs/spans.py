@@ -184,8 +184,5 @@ class ObsRecorder:
     def children(self, span_id: int) -> List[Span]:
         return [s for s in self.spans if s.parent == span_id]
 
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if self.get(s.parent) is None]
-
     def __len__(self) -> int:
         return len(self.spans)

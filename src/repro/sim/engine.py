@@ -163,10 +163,6 @@ class Engine:
         self._seq += 1
         heappush(self._heap, (when, self._seq, action))
 
-    def schedule_at(self, when: float, action: Callable[[], None]) -> None:
-        """Schedule ``action()`` at absolute virtual time ``when``."""
-        self.schedule(when - self._now, action)
-
     # -------------------------------------------------------------- processes
     def register(self, process) -> None:
         self._processes.append(process)
@@ -372,14 +368,6 @@ class Engine:
             self._running = False
             self._until = None
             self.host_seconds += _time.perf_counter() - host_t0
-
-    def run_process(self, fn, *args, name: str = "proc", **kwargs):
-        """Convenience: wrap ``fn`` in a process, run to completion, return
-        its result. Used heavily by tests."""
-        proc = SimProcess(self, fn, args=args, kwargs=kwargs, name=name)
-        proc.start()
-        self.run()
-        return proc.result
 
     # ----------------------------------------------------------------- hooks
     def set_host_hook(self, callback: Optional[Callable[["Engine"], None]],

@@ -58,9 +58,6 @@ class _Park:
 
     __slots__ = ()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "PARK"
-
 
 #: Yield this from a generator-style process body to block indefinitely
 #: until another process/event schedules the process (see module docs).
@@ -129,10 +126,6 @@ class SimProcess:
         self.exception: Optional[BaseException] = None
         self._waiters: list = []            # processes blocked in join()
         engine.register(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self.alive else ("done" if self.started else "new")
-        return f"<SimProcess {self.name}#{self.pid} {state}>"
 
     def __str__(self) -> str:
         return f"{self.name}#{self.pid}"

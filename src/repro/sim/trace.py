@@ -40,7 +40,7 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects trace events; supports filtering and live sinks."""
+    """Collects trace events; supports filtering."""
 
     def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
         self.enabled = enabled
@@ -49,15 +49,11 @@ class Tracer:
         self.events: Deque[TraceEvent] = deque(maxlen=capacity)
         #: events evicted because the ring was full
         self.dropped = 0
-        self._sinks: List[Callable[[TraceEvent], None]] = []
         self._clock: Callable[[], float] = lambda: 0.0
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Attach the engine's clock so events carry virtual timestamps."""
         self._clock = clock
-
-    def add_sink(self, sink: Callable[[TraceEvent], None]) -> None:
-        self._sinks.append(sink)
 
     def emit(self, kind: str, **fields: Any) -> None:
         if not self.enabled:
@@ -66,8 +62,6 @@ class Tracer:
         if self.capacity is not None and len(self.events) == self.capacity:
             self.dropped += 1  # the deque evicts the oldest on append
         self.events.append(ev)
-        for sink in self._sinks:
-            sink(ev)
 
     def of_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]

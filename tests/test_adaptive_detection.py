@@ -36,7 +36,7 @@ class TestAssumptionLifecycle:
                     A[0] = 1.0
                 env.barrier()
                 if env.rank == 0:
-                    states.append((dsm.page_state(0, page),
+                    states.append((dsm._ptables[0].state(page),
                                    page in dsm._assumed[0]))
             return states if env.rank == 0 else None
 

@@ -81,6 +81,40 @@ class TestAppBehaviour:
         result = run_app_on(preset("hybrid-4"), "pi", intervals=1 << 14)
         assert abs(result.checksum - math.pi) < 1e-4
 
+    @pytest.mark.parametrize("intervals", range(1, 9))
+    def test_pi_verifies_at_few_intervals(self, intervals):
+        # The midpoint rule's own error (0.026 at 1 interval) is no fault
+        # of the run: PI is judged against the rule's bound.
+        assert run_app_on(preset("sw-dsm-4"), "pi", intervals=intervals).verified
+
+    @pytest.mark.parametrize("n_ranks", [2, 4, 1024])
+    def test_pi_bound_separates_a_right_sum_from_a_lost_share(self, n_ranks):
+        import math
+
+        from repro.apps.pi import _partial_sum, error_bound
+
+        for intervals in (1, 4, 1024, 4096, 1 << 14):
+            shares = [_partial_sum(r, n_ranks, intervals)[0]
+                      for r in range(n_ranks)]
+            bound = error_bound(intervals, n_ranks)
+            assert abs(sum(shares) - math.pi) <= 0.25 * bound * (1 + 1e-6)
+            lost = min(abs(sum(shares) - s - math.pi) for s in shares if s)
+            assert lost > (1e5 if intervals >= 4096 else 9) * bound
+
+    @pytest.mark.parametrize("intervals", [4, 1024])
+    def test_pi_fails_when_a_partial_sum_is_lost(self, monkeypatch, intervals):
+        import repro.apps.pi as pi_mod
+
+        original = pi_mod._partial_sum
+
+        def losing(rank, n_ranks, intervals):
+            local, count = original(rank, n_ranks, intervals)
+            return (0.0 if rank == 0 else local), count
+
+        monkeypatch.setattr(pi_mod, "_partial_sum", losing)
+        with pytest.raises(AssertionError, match="verification"):
+            run_app_on(preset("sw-dsm-4"), "pi", intervals=intervals)
+
     def test_water_sizes(self):
         for molecules in (24, 33):
             result = run_app_on(preset("hybrid-2"), "water",

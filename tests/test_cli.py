@@ -154,6 +154,30 @@ class TestObservabilityCommands:
         assert "outcome  : completed" in capsys.readouterr().out
         assert validate_chrome_trace(path.read_text()) == []
 
+    def test_chaos_reads_a_fault_plan_file(self, tmp_path, monkeypatch, capsys):
+        import repro.faults
+        from repro.errors import ConfigurationError
+        from repro.faults import FaultPlan
+
+        plan = FaultPlan.seeded(7)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan.to_dict()))
+        plans = []
+        real = repro.faults.run_chaos
+
+        def spy(*args, **kwargs):
+            plans.append(kwargs["plan"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.faults, "run_chaos", spy)
+        assert main(["chaos", "--preset", "sw-dsm-2", "--app", "sor",
+                     "--param", "n=64", "--fault-plan", str(path)]) == 0
+        assert plans == [plan]
+        assert "outcome  : completed" in capsys.readouterr().out
+        with pytest.raises(ConfigurationError, match="cannot read fault plan"):
+            main(["chaos", "--preset", "sw-dsm-2", "--app", "sor",
+                  "--fault-plan", str(tmp_path / "missing.json")])
+
     def test_chaos_crash_flag_ends_in_a_typed_node_failure(self, capsys):
         # A permanent crash is the plan's expected outcome: exit 0.
         assert main(["chaos", "--preset", "sw-dsm-2", "--app", "sor",

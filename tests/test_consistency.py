@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import preset
 from repro.consistency import (MODELS, can_host, get_model, strength)
-from repro.consistency.models import (EntryConsistency, ReleaseConsistency,
-                                      ScopeConsistency, SequentialConsistency)
+from repro.consistency.models import (ReleaseConsistency, ScopeConsistency,
+                                      SequentialConsistency)
 from repro.errors import ConsistencyError
 from tests.conftest import spmd
 
@@ -82,19 +82,11 @@ class TestModelOverSubstrates:
         assert model.name == "sequential"
         assert not model.free_ride
 
-    def test_entry_bindings(self, smp2):
-        model = EntryConsistency(smp2.dsm)
-        model.bind(1, "regionA")
-        model.bind(1, "regionB")
-        model.bind(2, "regionC")
-        assert model.bound_regions(1) == ["regionA", "regionB"]
-        assert model.bound_regions(99) == []
-
 
 class TestConsistencyMgmt:
     def test_native_model_reported(self, smp2, swdsm4, hybrid4):
         def main(env):
-            return env.hamster.consistency.native_model()
+            return env.hamster.dsm.consistency_model()
 
         assert spmd(smp2, main)[0] == "processor"
         assert spmd(swdsm4, main)[0] == "scope"
@@ -123,12 +115,6 @@ class TestConsistencyMgmt:
             return env.hamster.consistency.stats.query("fences")
 
         assert spmd(smp2, main)[-1] == 4  # both ranks, shared counter
-
-    def test_supported_models_sorted(self, smp2):
-        def main(env):
-            return env.hamster.consistency.supported_models()
-
-        assert spmd(smp2, main)[0] == sorted(MODELS)
 
     def test_check_model(self, smp2):
         def main(env):

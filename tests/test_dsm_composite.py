@@ -15,6 +15,12 @@ from repro.sim.engine import Engine
 from tests.conftest import spmd
 
 
+def system_of(dsm, region):
+    """The name of the child system that holds ``region``."""
+    owner = dsm._owner(region)
+    return next(key for key, child in dsm.children.items() if child is owner)
+
+
 def build_composite(nodes=2):
     cfg = ClusterConfig(platform="sci", dsm="composite", nodes=nodes,
                         name=f"composite-{nodes}")
@@ -65,7 +71,7 @@ class TestRouting:
             if env.rank == 0:
                 a = dsm.make_array_on("jiajia", (64,), name="cached")
                 b = dsm.make_array_on("scivm", (64,), name="streamed")
-                return dsm.system_of(a.region), dsm.system_of(b.region)
+                return system_of(dsm, a.region), system_of(dsm, b.region)
             return None
 
         assert spmd(plat, main)[0] == ("jiajia", "scivm")
@@ -77,7 +83,7 @@ class TestRouting:
         def main(env):
             if env.rank == 0:
                 region = dsm.allocate(4096, name="default")
-                return dsm.system_of(region)
+                return system_of(dsm, region)
             return None
 
         assert spmd(plat, main)[0] == "jiajia"
@@ -92,7 +98,7 @@ class TestRouting:
             if env.rank == 0:
                 small = dsm.allocate(4096, name="s")
                 large = dsm.allocate(65536, name="l")
-                return dsm.system_of(small), dsm.system_of(large)
+                return system_of(dsm, small), system_of(dsm, large)
             return None
 
         assert spmd(plat, main)[0] == ("jiajia", "scivm")
@@ -104,7 +110,7 @@ class TestRouting:
 
         fake = Region(999, 0x4000_0000, 4096, 4096)
         with pytest.raises(MemoryError_):
-            dsm.system_of(fake)
+            dsm._owner(fake)
 
     def test_free_routes_to_owner(self):
         plat = build_composite()

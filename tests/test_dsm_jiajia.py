@@ -38,9 +38,9 @@ class TestFaultLifecycle:
                 A[:] = 7.0
             env.barrier()
             if env.rank == 1:
-                before = dsm.page_state(1, page)
+                before = dsm._ptables[1].state(page)
                 value = float(A[0])
-                after = dsm.page_state(1, page)
+                after = dsm._ptables[1].state(page)
                 return before, value, after
             return None
 
@@ -57,7 +57,7 @@ class TestFaultLifecycle:
             env.barrier()
             if env.rank == 1:
                 A[0] = 1.0  # remote write fault
-                return (dsm.page_state(1, page),
+                return (dsm._ptables[1].state(page),
                         page in dsm._twins[1],
                         page in dsm._dirty[1])
             return None
@@ -92,7 +92,7 @@ class TestFaultLifecycle:
             if env.rank == 1:
                 A[0] = 1.0
                 env.barrier()  # flush
-                return dsm.page_state(1, page), page in dsm._twins[1]
+                return dsm._ptables[1].state(page), page in dsm._twins[1]
             env.barrier()
             return None
 
@@ -256,6 +256,24 @@ class TestHomes:
         homes = spmd(plat, main)
         assert homes == [0, 1]
 
+    def test_first_touch_asks_the_directory(self):
+        # Each rank first touches the page whose directory (page mod
+        # n_procs) is the other rank, so the claim travels as a gethome
+        # request, and the directory records the requester as the home.
+        plat = build()
+        dsm = plat.dsm
+
+        def main(env):
+            A = env.alloc_array((1024,), name="A", distribution=first_touch())
+            env.barrier()
+            page = next(p for p in A.region.pages() if p % 2 != env.rank)
+            offset = (page - A.region.first_page) * 512
+            A[offset:offset + 512] = 1.0
+            env.barrier()
+            return dsm.home_of(page) == env.rank
+
+        assert spmd(plat, main) == [True, True]
+
     def test_block_homes_match_partition(self):
         plat = build(nodes=4)
         dsm = plat.dsm
@@ -284,6 +302,25 @@ class TestLocks:
                 env.unlock(3)
             env.barrier()
             return float(A[0])
+
+        assert spmd(plat, main) == [20.0] * 4
+
+    def test_fence_inside_critical_section_keeps_notices_in_scope(self):
+        # The fence ships the write home early and empties the dirty set,
+        # so the unlock's own flush finds nothing: only binding every
+        # pending notice puts the write into the lock's scope, where the
+        # next holder's grant invalidates its stale copy.
+        plat = build(nodes=4)
+
+        def main(env):
+            acc = env.alloc_array((1,), name="acc")
+            for _ in range(5):
+                env.lock(3)
+                acc[0] = float(acc[0]) + 1.0
+                env.hamster.consistency.fence()
+                env.unlock(3)
+            env.barrier()
+            return float(acc[0])
 
         assert spmd(plat, main) == [20.0] * 4
 

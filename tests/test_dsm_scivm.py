@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import ClusterConfig, preset
 from repro.dsm.scivm.mapping import RemoteMapper
-from repro.errors import ProtectionError
 from repro.machine.cluster import Cluster
 from repro.machine.params import PAPER_PLATFORM
 from repro.memory.layout import block, cyclic, first_touch, single_home
@@ -178,18 +177,12 @@ class TestMapper:
             assert mapper.ensure_mapped(2)
             assert not mapper.ensure_mapped(1)  # already mapped
             assert mapper.ensure_mapped(3)       # evicts page 1 (FIFO)
-            return mapper.is_mapped(1), mapper.is_mapped(2), mapper.is_mapped(3)
+            return tuple(page in mapper._mapped for page in (1, 2, 3))
 
         from tests.conftest import run_procs
         res = run_procs(engine, body)[0]
         assert res == (False, True, True)
         assert mapper.evictions == 1
-
-    def test_require_mapped(self, engine):
-        cl = Cluster.sci_cluster(engine, 2)
-        mapper = RemoteMapper(cl.sci, 0)
-        with pytest.raises(ProtectionError):
-            mapper.require_mapped(5)
 
 
 class TestProperties:

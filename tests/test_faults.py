@@ -114,15 +114,6 @@ class TestFaultyNetwork:
         with pytest.raises(ConfigurationError):
             FaultyNetwork(plat.cluster.network, FaultPlan.seeded(2))
 
-    def test_detach_restores_send(self):
-        plat = preset("sw-dsm-2").build()
-        original = plat.cluster.network.send
-        inj = FaultyNetwork(plat.cluster.network, FaultPlan.seeded(1))
-        assert plat.cluster.network.send != original
-        inj.detach()
-        assert plat.cluster.network.send == original
-        assert plat.cluster.network.faults is None
-
     def test_same_seed_same_faults(self):
         def faults_of(seed):
             cfg = preset("sw-dsm-2")

@@ -5,8 +5,7 @@ import ast
 import pytest
 
 from repro.bench.loc_metrics import (ComplexityRow, _module_source,
-                                     _twin_kernel_lines, count_file,
-                                     count_logical_lines,
+                                     _twin_kernel_lines, count_logical_lines,
                                      model_complexity_table)
 
 
@@ -61,11 +60,6 @@ class TestLogicalLines:
         # docstring (only the first statement of a suite is).
         src = "class A:\n    x = 1\n    'not a docstring'\n"
         assert count_logical_lines(src) == 3
-
-    def test_count_file(self, tmp_path):
-        path = tmp_path / "m.py"
-        path.write_text("# header\nx = 1\n\ny = 2\n")
-        assert count_file(str(path)) == 2
 
 
 class TestGeneratorTwins:

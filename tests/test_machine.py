@@ -108,15 +108,6 @@ class TestNode:
 
         assert run_procs(engine, body) == [pytest.approx(1.0)]
 
-    def test_cpu_cycles(self, engine):
-        node = Node(engine, 0, PAPER_PLATFORM)
-
-        def body(proc):
-            node.cpu_cycles(PAPER_PLATFORM.cpu_hz)  # one second of cycles
-            return proc.now
-
-        assert run_procs(engine, body) == [pytest.approx(1.0)]
-
     def test_zero_charges_are_free(self, engine):
         node = Node(engine, 0, PAPER_PLATFORM)
 

@@ -26,9 +26,6 @@ class TestRegistry:
         for name in MODEL_REGISTRY:
             assert load_model(name).CONSISTENCY in MODELS
 
-    def test_openmp_extension_not_in_table2(self):
-        assert "OpenMP-like model" not in MODEL_REGISTRY
-
 
 class TestBaseClass:
     def test_check_manifest_catches_missing_method(self):

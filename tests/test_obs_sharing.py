@@ -164,7 +164,6 @@ class TestRecorderMechanics:
         rec.notice(4, 1, 0.2)
         rec.remote(2, 8, 0, True, 8, 0.3)
         assert rec.write_events() == [(0.1, 4, 0), (0.2, 4, 1), (0.3, 8, 2)]
-        assert rec.ranks_seen() == [0, 1, 2]
 
 
 # ------------------------------------------------------------ unit: detectors

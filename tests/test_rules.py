@@ -6,6 +6,9 @@
 * No cleanup that outlives nothing: a plain function that returns a call
   to a generator function from inside ``try … finally`` or ``with`` runs
   its cleanup when the generator is *created*, before its body executes.
+* The yield contract: a call to a name defined only as a generator
+  function is ``yield from``-ed, returned, handed to a call or a loop, or
+  bound to a name that is. Otherwise it does nothing, silently.
 * No fields for an observer that is off: in the packages every simulated
   event passes through, a ``.emit(`` / ``.record(`` call that passes
   keyword fields, and every ``.span(`` call, sits under its receiver's
@@ -104,33 +107,81 @@ class _Function:
     name: str
     params: set
     generator: bool = False
+    #: the body is a docstring, ``pass``, ``...`` or a ``raise``
+    stub: bool = False
+    #: the called name of each return value (None if it is not a call)
+    returns: list = field(default_factory=list)
     #: return statements inside the function's own try/finally or with
     guarded_returns: list = field(default_factory=list)
+    #: (name, call) of every call whose value nothing here consumes
+    dropped_calls: list = field(default_factory=list)
+    #: (bound name, name, call) of every call bound to a plain name
+    bound_calls: list = field(default_factory=list)
+    #: names whose value is consumed (yield from, return, argument, loop)
+    consumed: set = field(default_factory=set)
+
+
+def _consumes(parent, node):
+    """Does ``parent`` drive, hand on or return the value of ``node``?"""
+    if isinstance(parent, (ast.YieldFrom, ast.Return, ast.Await)):
+        return True
+    if isinstance(parent, ast.Call):
+        return node is not parent.func
+    if isinstance(parent, (ast.For, ast.AsyncFor, ast.comprehension)):
+        return node is parent.iter
+    # a lambda returns it, ``with`` enters it, a tuple or list hands it on
+    return isinstance(parent, (ast.Lambda, ast.withitem, ast.Tuple, ast.List))
+
+
+def _called_name(call):
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
 
 
 def functions_of(tree):
-    """One pass over ``tree``: every function, with what the rule needs."""
+    """One pass over ``tree``: every function, with what the rules need."""
     out = []
-    stack = [(tree, None, False)]
+    stack = [(tree, None, False, None)]
     while stack:
-        node, fn, guarded = stack.pop()
+        node, fn, guarded, parent = stack.pop()
         if isinstance(node, _DEFS):
             fn = _Function(node.name, {a.arg for a in ast.walk(node.args)
-                                       if isinstance(a, ast.arg)})
+                                       if isinstance(a, ast.arg)},
+                           stub=all(isinstance(st, (ast.Pass, ast.Raise)) or (
+                               isinstance(st, ast.Expr)
+                               and isinstance(st.value, ast.Constant))
+                               for st in node.body))
             out.append(fn)
-            stack.extend((child, fn, False) for child in node.body)
+            stack.extend((child, fn, False, node) for child in node.body)
             continue
         if isinstance(node, (ast.Lambda, ast.ClassDef)):
             fn = None                      # a scope of its own
         elif fn is not None:
             if isinstance(node, (ast.Yield, ast.YieldFrom)):
                 fn.generator = True
-            elif isinstance(node, ast.Return) and guarded:
-                fn.guarded_returns.append(node)
+            elif isinstance(node, ast.Return):
+                fn.returns.append(_called_name(node.value)
+                                  if isinstance(node.value, ast.Call) else None)
+                if guarded:
+                    fn.guarded_returns.append(node)
+            elif isinstance(node, ast.Name) and _consumes(parent, node):
+                fn.consumed.add(node.id)
+            elif isinstance(node, ast.Call) and not _consumes(parent, node):
+                name = _called_name(node)
+                if isinstance(parent, ast.Assign) and len(parent.targets) == 1 \
+                        and isinstance(parent.targets[0], ast.Name):
+                    fn.bound_calls.append((parent.targets[0].id, name, node))
+                elif name is not None:
+                    fn.dropped_calls.append((name, node))
             guarded = guarded or isinstance(node, (ast.With, ast.AsyncWith)) \
                 or (isinstance(node, ast.Try) and bool(node.finalbody))
         for child in ast.iter_child_nodes(node):
-            stack.append((child, fn, guarded))
+            if isinstance(child, ast.keyword):
+                child = child.value        # an argument like any other
+            # either branch of ``a if c else b`` goes where the whole goes
+            up = parent if isinstance(node, ast.IfExp) \
+                and child is not node.test else node
+            stack.append((child, fn, guarded, up))
     return out
 
 
@@ -143,10 +194,13 @@ def scanned_functions():
 
 def generator_names(extra=()):
     """(names of generator functions, names defined *only* as such) over
-    the scanned tree plus the ``extra`` functions."""
-    gens, plain = set(), set()
-    for fn in [*(fn for _, fns in scanned_functions() for fn in fns), *extra]:
-        (gens if fn.generator else plain).add(fn.name)
+    the scanned tree plus the ``extra`` functions. An abstract stub, and a
+    plain function that only returns a generator call, do not make a name
+    plain."""
+    fns = [*(fn for _, fns in scanned_functions() for fn in fns), *extra]
+    gens = {fn.name for fn in fns if fn.generator}
+    plain = {fn.name for fn in fns if not fn.generator and not fn.stub
+             and not (fn.returns and all(r in gens for r in fn.returns))}
     return gens, gens - plain
 
 
@@ -209,6 +263,56 @@ def _sor_with_dist(api, sor_mod, dist_factory, n):
 def test_the_cleanup_rule_fails_on_a_seeded_violation(seeded, expected):
     fns = functions_of(ast.parse(seeded))
     assert cleanup_findings(fns, *generator_names(fns)) == expected
+
+
+# ------------------------------------------------------------ yield contract
+def dropped_generator_calls(functions, only_gens, where="<seeded>"):
+    """``where:line name()`` for every call of a name defined only as a
+    generator function whose generator nothing drives: its value is not
+    ``yield from``-ed, returned, handed to a call (a spawn, ``partial``, a
+    loop) or iterated, and not bound to a name that is. Such a call does
+    nothing: a bare ``barrier_g()`` synchronises no one."""
+    found = []
+    for fn in functions:
+        calls = fn.dropped_calls + [(name, call) for bound, name, call
+                                    in fn.bound_calls if bound not in fn.consumed]
+        found += [f"{where}:{call.lineno} {name}()" for name, call in calls
+                  if name in only_gens and not (isinstance(call.func, ast.Name)
+                                                and name in fn.params)]
+    return sorted(found)
+
+
+def test_every_generator_call_is_driven():
+    _, only_gens = generator_names()
+    found = [f for path, fns in scanned_functions()
+             for f in dropped_generator_calls(fns, only_gens,
+                                              str(path.relative_to(ROOT)))]
+    assert found == []
+
+
+_GENS = "def barrier_g():\n    yield 1\ndef grant_g(n):\n    yield n\n"
+
+
+@pytest.mark.parametrize("seeded,expected", [
+    ("def f(s):\n    s.barrier_g()\n", ["<seeded>:2 barrier_g()"]),
+    ("def f():\n    g = grant_g(1)\n    yield 2\n", ["<seeded>:2 grant_g()"]),
+    ("def f():\n    yield barrier_g()\n", ["<seeded>:2 barrier_g()"]),
+    ("def f(a):\n    a.x = barrier_g()\n", ["<seeded>:2 barrier_g()"]),
+    # driven, returned, handed on, iterated or entered
+    ("def f(s):\n    yield from s.barrier_g()\n    return grant_g(1)\n", []),
+    ("def f(e):\n    g = grant_g(1)\n    e.spawn(g)\n    h = barrier_g()\n"
+     "    yield from h\n", []),
+    ("def f(e):\n    e.kernel(barrier_g())\n    e.go(body=grant_g(2))\n", []),
+    ("def f():\n    for x in grant_g(3):\n        pass\n"
+     "    with barrier_g():\n        pass\n    yield ('spawn', grant_g(4))\n", []),
+    ("def f(grant_g):\n    grant_g(1)\n", []),      # a callback
+    ("def f(x):\n    with barrier_g() if x else y():\n        pass\n", []),
+    ("def f(x):\n    barrier_g() if x else None\n", ["<seeded>:2 barrier_g()"]),
+    ("def f():\n    barrier()\n", []),
+])
+def test_the_yield_contract_fails_on_a_seeded_violation(seeded, expected):
+    fns = functions_of(ast.parse(seeded + _GENS))
+    assert dropped_generator_calls(fns, generator_names(fns)[1]) == expected
 
 
 # ------------------------------------------- no fields for an observer that is off

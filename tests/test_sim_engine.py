@@ -54,12 +54,6 @@ class TestScheduling:
         engine.run()
         assert seen == ["first", "second", "nested"]
 
-    def test_schedule_at_absolute_time(self, engine):
-        seen = []
-        engine.schedule_at(1.5, lambda: seen.append(engine.now))
-        engine.run()
-        assert seen == [1.5]
-
     def test_run_until_bounds_time(self, engine):
         seen = []
         engine.schedule(1.0, lambda: seen.append(1))
@@ -415,14 +409,6 @@ class TestEngineHostHook:
 
 
 class TestProcessesAndErrors:
-    def test_run_process_returns_result(self, engine):
-        def body(proc):
-            proc.hold(1.0)
-            return 42
-
-        assert engine.run_process(body) == 42
-        assert engine.now == 1.0
-
     def test_exception_in_process_propagates(self, engine):
         def body(proc):
             raise ValueError("boom")

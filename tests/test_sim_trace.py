@@ -63,14 +63,6 @@ class TestTracer:
         assert t.count("x") == 1  # the first x was evicted
         assert t.matching(v=3)[0].kind == "x"
 
-    def test_sink_called_live(self):
-        t = Tracer()
-        seen = []
-        t.add_sink(lambda e: seen.append(e.kind))
-        t.emit("a")
-        t.emit("b")
-        assert seen == ["a", "b"]
-
     def test_clock_binding(self):
         engine = Engine(trace=Tracer(enabled=True))
         engine.schedule(1.5, lambda: engine.trace.emit("tick"))

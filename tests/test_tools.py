@@ -129,14 +129,6 @@ class TestProfileReport:
         report = profile_platform(plat)
         assert 0.0 <= report.sync_share() <= 1.0
 
-    def test_hotspots_ordering(self):
-        plat = preset("sw-dsm-4").build()
-        run_workload(plat)
-        report = profile_platform(plat)
-        spots = report.hotspots(top=4)
-        work = [r.faults + r.fetches + r.diffs for r in spots]
-        assert work == sorted(work, reverse=True)
-
     def test_render(self):
         plat = preset("hybrid-2").build()
         run_workload(plat)
@@ -204,15 +196,6 @@ class TestTraceSummary:
         run_workload(plat)
         summary = summarize_trace(plat.engine.trace)
         assert summary.n_events > 0
-        assert summary.message_count("jiajia.") > 0
-        assert summary.message_count() >= summary.message_count("jiajia.")
-
-    def test_traffic_matrix(self):
-        plat = self._traced_platform()
-        run_workload(plat)
-        summary = summarize_trace(plat.engine.trace)
-        (src, dst), count = summary.busiest_pair()
-        assert count > 0 and src != dst
 
     def test_fetches_and_hot_pages(self):
         plat = self._traced_platform()
@@ -221,14 +204,6 @@ class TestTraceSummary:
         assert len(summary.fetches) >= 1
         hottest = summary.hottest_pages(1)
         assert hottest and hottest[0][1] >= 1
-
-    def test_fetch_timeline_buckets(self):
-        plat = self._traced_platform()
-        run_workload(plat)
-        summary = summarize_trace(plat.engine.trace)
-        timeline = summary.fetch_rate_timeline(buckets=5)
-        assert len(timeline) == 5
-        assert sum(timeline) == len(summary.fetches)
 
     def test_render(self):
         plat = self._traced_platform()
@@ -241,5 +216,3 @@ class TestTraceSummary:
 
         summary = summarize_trace(Tracer())
         assert summary.n_events == 0
-        assert summary.busiest_pair() == ((0, 0), 0)
-        assert summary.fetch_rate_timeline() == [0] * 10
