@@ -107,6 +107,7 @@ FIELDS: Dict[str, Field] = {
     "outcome": Field(SEMANTIC, str, required=False),
     "faults": Field(SEMANTIC, dict, required=False),
     "messaging": Field(SEMANTIC, dict, required=False),
+    "model": Field(SEMANTIC, str, required=False),
     "host_seconds": Field(HOST, _NUM, required=False),
     "events_per_sec": Field(HOST, _NUM, required=False),
 }
