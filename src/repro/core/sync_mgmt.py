@@ -147,7 +147,11 @@ class SyncMgmt:
     # ----------------------------------------------------------------- locks
     def new_lock(self) -> int:
         """Allocate a fresh global lock id."""
-        self._h.charge_call()
+        return self._h.engine.kernel(self.new_lock_g())
+
+    def new_lock_g(self):
+        """Generator kernel of :meth:`new_lock` (``yield from`` it)."""
+        yield self._h.call_cost()
         self.stats.incr("locks_created")
         return next(self._lock_ids)
 

@@ -3,48 +3,32 @@ programming models produces identical results on the same platform —
 retargetability without semantic drift (§4.4).
 
 The computation: block-fill an n×n matrix, barrier, lock-protected global
-reduction — expressed natively in five APIs.
+reduction — expressed natively in seven APIs. SPMD, SMP/SPMD, TreadMarks
+and HLRC run the kernels of the golden store's model rows
+(:mod:`repro.bench.model_kernels`).
 """
+
+import threading
 
 import numpy as np
 import pytest
 
+from repro.bench.model_kernels import KERNELS, N, expected
 from repro.config import preset
+from repro.models import load_model
 from repro.models.anl import AnlMacros
-from repro.models.hlrc import HlrcApi
 from repro.models.jiajia_api import JiaJiaApi
-from repro.models.pthreads import PosixThreadsApi
 from repro.models.shmem import ShmemApi
-from repro.models.spmd import SpmdModel
-from repro.models.treadmarks import TreadMarksApi
-
-N = 16
 
 
-def expected(n_ranks: int) -> float:
-    rows = N // n_ranks
-    return float(sum((r + 1) * rows * N for r in range(n_ranks)))
+def via_kernel(model):
+    """The golden rows' kernel of ``model`` (generator calls, stackless)."""
+    name, kernel = KERNELS[model]
 
+    def run(plat):
+        return load_model(name)(plat.hamster).run(kernel)
 
-def via_spmd(plat):
-    model = SpmdModel(plat.hamster)
-
-    def main(m):
-        pid = m.spmd_init()
-        A = m.spmd_alloc_array((N, N), name="A")
-        total = m.spmd_alloc_array((1,), name="t")
-        rows = N // m.spmd_num_procs()
-        A[pid * rows:(pid + 1) * rows, :] = float(pid + 1)
-        m.spmd_barrier()
-        m.spmd_lock(0)
-        total[0] = float(total[0]) + float(A[pid * rows:(pid + 1) * rows, :].sum())
-        m.spmd_unlock(0)
-        m.spmd_barrier()
-        value = float(total[0])
-        m.spmd_exit()
-        return value
-
-    return model.run(main)
+    return run
 
 
 def via_jiajia(plat):
@@ -63,32 +47,6 @@ def via_jiajia(plat):
         a.jia_barrier()
         value = float(total[0])
         a.jia_exit()
-        return value
-
-    return api.run(main)
-
-
-def via_treadmarks(plat):
-    api = TreadMarksApi(plat.hamster)
-
-    def main(t):
-        t.Tmk_startup()
-        pid, nprocs = t.Tmk_proc_id(), t.Tmk_nprocs()
-        if pid == 0:
-            A = t.Tmk_distribute("A", t.Tmk_malloc_array((N, N), name="A"))
-            total = t.Tmk_distribute("t", t.Tmk_malloc_array((1,), name="t"))
-        else:
-            A = t.Tmk_distribute("A")
-            total = t.Tmk_distribute("t")
-        rows = N // nprocs
-        A[pid * rows:(pid + 1) * rows, :] = float(pid + 1)
-        t.Tmk_barrier()
-        t.Tmk_lock_acquire(0)
-        total[0] = float(total[0]) + float(A[pid * rows:(pid + 1) * rows, :].sum())
-        t.Tmk_lock_release(0)
-        t.Tmk_barrier()
-        value = float(total[0])
-        t.Tmk_exit()
         return value
 
     return api.run(main)
@@ -139,9 +97,8 @@ def via_shmem(plat):
 
 
 RUNNERS = {
-    "spmd": via_spmd,
+    **{model: via_kernel(model) for model in KERNELS},
     "jiajia": via_jiajia,
-    "treadmarks": via_treadmarks,
     "anl": via_anl,
     "shmem": via_shmem,
 }
@@ -163,3 +120,28 @@ def test_all_models_agree_pairwise(platform):
         plat = preset(platform).build()
         values.add(round(runner(plat)[0], 9))
     assert len(values) == 1, values
+
+
+@pytest.mark.parametrize("model,platform", [
+    ("spmd", "sw-dsm-4"), ("smp_spmd", "smp-2"), ("treadmarks", "hybrid-4"),
+    ("hlrc", "sw-dsm-4")])
+def test_a_generator_main_runs_stackless(model, platform, monkeypatch):
+    """SPMD, SMP/SPMD, TreadMarks and HLRC calls are generator functions:
+    a generator ``main`` over them starts no backing thread, and every
+    process of the run, the message servers included, is stackless."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    plat = preset(platform).build()
+    results = RUNNERS[model](plat)
+    assert results == [expected(plat.hamster.n_ranks)] * plat.hamster.n_ranks
+    assert started == []
+    procs = plat.engine._processes
+    assert len(procs) >= plat.hamster.n_ranks
+    assert all(p.stackless for p in procs), [p.name for p in procs
+                                             if not p.stackless]

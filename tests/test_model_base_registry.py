@@ -50,7 +50,7 @@ class TestBaseClass:
         model = load_model("SPMD model")(smp2.hamster)
 
         def main(m, a, b):
-            return (a, b, m.spmd_proc_id())
+            return (a, b, (yield from m.spmd_proc_id()))
 
         results = model.run(main, args=(1, "x"))
         assert results == [(1, "x", 0), (1, "x", 1)]
