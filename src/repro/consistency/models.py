@@ -7,10 +7,10 @@ Each model translates three abstract operations into substrate actions:
 * ``release(dsm, scope)`` — leaving it (making writes visible per model),
 * ``fence(dsm)`` — a full, scope-free consistency point.
 
-The substrate hooks available are ``dsm.lock/unlock`` (which carry the
+The substrate hooks available are ``dsm.lock_g/unlock_g`` (which carry the
 substrate's *native* acquire/release semantics — e.g. scope-bound write
-notices on JiaJia), ``dsm.sync_consistency`` (flush this rank's writes), and
-``dsm.barrier``. Stronger-model-on-weaker-substrate gaps are closed with
+notices on JiaJia), ``dsm.sync_consistency_g`` (flush this rank's writes),
+and ``dsm.barrier_g``. Stronger-model-on-weaker-substrate gaps are closed with
 extra flushes; weaker-on-stronger costs nothing extra (§4.5).
 """
 
@@ -70,9 +70,9 @@ def can_host(substrate_model: str, program_model: str) -> bool:
 class ConsistencyModel:
     """Base descriptor + implementation of one consistency model.
 
-    Blocking operations follow the twin-kernel convention of
-    :mod:`repro.sim.process`: subclasses override the ``*_g`` kernels; the
-    blocking methods trampoline them through :meth:`Engine.kernel`.
+    Its operations are generator kernels (``yield from model.acquire_g(s)``)
+    following the yield contract of :mod:`repro.sim.process`; subclasses
+    override them.
     """
 
     name = "abstract"
@@ -85,22 +85,17 @@ class ConsistencyModel:
 
     # Default implementations: ride the substrate's lock semantics and
     # strengthen with flushes where the lattice says the substrate is weaker.
-    def acquire(self, scope: int) -> None:
-        return self.dsm.engine.kernel(self.acquire_g(scope))
-
     def acquire_g(self, scope: int):
-        """Generator kernel of :meth:`acquire` (``yield from`` it)."""
+        """Enter scope ``scope`` (``yield from`` it)."""
         return self.dsm.lock_g(scope)
 
-    def release(self, scope: int) -> None:
-        return self.dsm.engine.kernel(self.release_g(scope))
-
     def release_g(self, scope: int):
-        """Generator kernel of :meth:`release` (``yield from`` it)."""
+        """Leave scope ``scope``, making its writes visible per the model
+        (``yield from`` it)."""
         return self.dsm.unlock_g(scope)
 
     def fence_g(self):
-        """Generator kernel of :meth:`fence` (``yield from`` it)."""
+        """Full consistency point (``yield from`` it)."""
         return self.dsm.sync_consistency_g()
 
 

@@ -55,22 +55,14 @@ class ConsistencyMgmt:
         return self._models[self._active]
 
     # ------------------------------------------------------------ operations
-    def acquire(self, scope: int) -> None:
-        """Enter a consistency scope under the active model."""
-        return self._h.engine.kernel(self.acquire_g(scope))
-
     def acquire_g(self, scope: int):
-        """Generator kernel of :meth:`acquire` (``yield from`` it)."""
+        """Enter a consistency scope under the active model."""
         yield self._h.call_cost()
         self.stats.incr("acquires")
         yield from self.active().acquire_g(scope)
 
-    def release(self, scope: int) -> None:
-        """Leave a consistency scope under the active model."""
-        return self._h.engine.kernel(self.release_g(scope))
-
     def release_g(self, scope: int):
-        """Generator kernel of :meth:`release` (``yield from`` it)."""
+        """Leave a consistency scope under the active model."""
         yield self._h.call_cost()
         self.stats.incr("releases")
         yield from self.active().release_g(scope)

@@ -194,13 +194,9 @@ class JiaJiaSystem(GlobalMemorySystem):
         return buf
 
     # ---------------------------------------------------------------- homes
-    def home_of(self, page: int, rank: Optional[int] = None) -> int:
+    def home_of_g(self, page: int, rank: Optional[int] = None):
         """Home rank of ``page``; resolves first-touch homes through the
         page's directory rank (page mod n_procs) on first use."""
-        return self.engine.kernel(self.home_of_g(page, rank))
-
-    def home_of_g(self, page: int, rank: Optional[int] = None):
-        """Generator kernel of :meth:`home_of` (``yield from`` it)."""
         h = self._home.get(page)
         if h is not None:
             return h

@@ -32,13 +32,9 @@ class RemoteMapper:
         self.maps = 0
         self.evictions = 0
 
-    def ensure_mapped(self, page: int) -> bool:
+    def ensure_mapped_g(self, page: int):
         """Map ``page`` if needed; returns True when a new mapping was
         created (and its kernel cost charged)."""
-        return self.sci.engine.kernel(self.ensure_mapped_g(page))
-
-    def ensure_mapped_g(self, page: int):
-        """Generator kernel of :meth:`ensure_mapped` (``yield from`` it)."""
         if page in self._mapped:
             return False
         if len(self._mapped) >= self.att_entries:

@@ -10,9 +10,10 @@ Two faces:
 * :class:`SciInterconnect` is also a regular :class:`Network` (SCI carries
   message traffic too — HAMSTER's unified messaging uses it when present),
   with much lower latency and per-message software cost than TCP/Ethernet.
-* The transaction API (:meth:`remote_read`, :meth:`remote_write`,
-  :meth:`remote_atomic`, :meth:`flush_write_buffer`) charges the *calling
-  process* synchronously, exactly like a CPU stalling on a remote load.
+* The transaction API (:meth:`remote_read_g`, :meth:`remote_write_g`,
+  :meth:`remote_atomic_g`, :meth:`flush_write_buffer_g`, :meth:`map_pages_g`)
+  charges the *calling process* synchronously, exactly like a CPU stalling
+  on a remote load: each yields its hold (``yield from sci.remote_read_g(n)``).
 """
 
 from __future__ import annotations
@@ -93,17 +94,10 @@ class SciInterconnect(Network):
         return (p.sci_read_latency + self.hop_delay(src, dst)
                 + nbytes / p.sci_read_bandwidth)
 
-    def remote_read(self, nbytes: int, src: Optional[int] = None,
-                    dst: Optional[int] = None) -> None:
-        """Charge the calling process for reading ``nbytes`` from a remote
-        node's memory. Reads stall the CPU for the full round trip."""
-        if nbytes <= 0:
-            return
-        self.engine.require_process().hold(self._read_cost(nbytes, src, dst))
-
     def remote_read_g(self, nbytes: int, src: Optional[int] = None,
                       dst: Optional[int] = None):
-        """Stackless twin of :meth:`remote_read`."""
+        """Charge the calling process for reading ``nbytes`` from a remote
+        node's memory. Reads stall the CPU for the full round trip."""
         if nbytes <= 0:
             return
         yield self._read_cost(nbytes, src, dst)
@@ -116,18 +110,11 @@ class SciInterconnect(Network):
         return (p.sci_write_latency + self.hop_delay(src, dst)
                 + nbytes / p.sci_write_bandwidth)
 
-    def remote_write(self, nbytes: int, src: Optional[int] = None,
-                     dst: Optional[int] = None) -> None:
+    def remote_write_g(self, nbytes: int, src: Optional[int] = None,
+                       dst: Optional[int] = None):
         """Charge for writing ``nbytes`` to remote memory. Posted writes are
         pipelined through the write buffer, so the visible latency is low
         and bulk streams run at the write bandwidth."""
-        if nbytes <= 0:
-            return
-        self.engine.require_process().hold(self._write_cost(nbytes, src, dst))
-
-    def remote_write_g(self, nbytes: int, src: Optional[int] = None,
-                       dst: Optional[int] = None):
-        """Stackless twin of :meth:`remote_write`."""
         if nbytes <= 0:
             return
         yield self._write_cost(nbytes, src, dst)
@@ -136,34 +123,19 @@ class SciInterconnect(Network):
         self.atomics += 1
         return self.params.sci_atomic_latency + self.hop_delay(src, dst)
 
-    def remote_atomic(self, src: Optional[int] = None,
-                      dst: Optional[int] = None) -> None:
-        """Charge for one remote atomic transaction (fetch&inc — the lock
-        and barrier substrate on SCI)."""
-        self.engine.require_process().hold(self._atomic_cost(src, dst))
-
     def remote_atomic_g(self, src: Optional[int] = None,
                         dst: Optional[int] = None):
-        """Stackless twin of :meth:`remote_atomic`."""
+        """Charge for one remote atomic transaction (fetch&inc — the lock
+        and barrier substrate on SCI)."""
         yield self._atomic_cost(src, dst)
 
-    def flush_write_buffer(self) -> None:
-        """Charge for draining the posted-write buffer (consistency point)."""
-        self.engine.require_process().hold(self.params.sci_flush_cost)
-
     def flush_write_buffer_g(self):
-        """Stackless twin of :meth:`flush_write_buffer`."""
+        """Charge for draining the posted-write buffer (consistency point)."""
         yield self.params.sci_flush_cost
 
-    def map_pages(self, n_pages: int) -> None:
+    def map_pages_g(self, n_pages: int):
         """Charge the one-time kernel cost of mapping ``n_pages`` remote
         pages into the local address space (the SCI-VM kernel component)."""
-        if n_pages <= 0:
-            return
-        self.engine.require_process().hold(n_pages * self.params.sci_map_page_cost)
-
-    def map_pages_g(self, n_pages: int):
-        """Stackless twin of :meth:`map_pages`."""
         if n_pages <= 0:
             return
         yield n_pages * self.params.sci_map_page_cost

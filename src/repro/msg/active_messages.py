@@ -283,7 +283,7 @@ class ActiveMessageLayer:
 
     def post_g(self, src: int, dst: int, kind: str, payload: Any = None,
                size: int = 0):
-        """Generator kernel of :meth:`post` (``yield from`` it)."""
+        """One-way active message from ``src`` to ``dst``."""
         obs = self.engine.obs
         with (obs.span("am.post", msg=kind, src=src, dst=dst)
               if obs.enabled else NULL_SPAN):
@@ -301,11 +301,6 @@ class ActiveMessageLayer:
                 # An undeliverable one-way message means protocol state is
                 # lost for good: abort with a typed error, never corrupt.
                 self._track(msg, self.engine._report_exception)
-
-    def post(self, src: int, dst: int, kind: str, payload: Any = None,
-             size: int = 0) -> None:
-        """One-way active message from ``src`` to ``dst``."""
-        return self.engine.kernel(self.post_g(src, dst, kind, payload, size))
 
     def rpc_g(self, src: int, dst: int, kind: str, payload: Any = None,
               size: int = 0):

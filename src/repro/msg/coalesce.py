@@ -52,10 +52,6 @@ class Channel:
         for node_id in range(self.layer.cluster.n_nodes):
             self.layer.register(node_id, self._kind(kind), handler_factory(node_id))
 
-    def post(self, src: int, dst: int, kind: str, payload: Any = None,
-             size: int = 0) -> None:
-        self.layer.post(src, dst, self._kind(kind), payload, size)
-
     def post_g(self, src: int, dst: int, kind: str, payload: Any = None,
                size: int = 0):
         return self.layer.post_g(src, dst, self._kind(kind), payload, size)

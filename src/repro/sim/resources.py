@@ -5,13 +5,12 @@ synchronization (HAMSTER locks, barriers, DSM protocol waits) is built on.
 They are strictly FIFO, which keeps runs deterministic and makes fairness
 properties testable.
 
-Every blocking operation is implemented **once**, as a generator kernel
-(``acquire_g``, ``wait_g``, ``get_g``, …) following the yield-point
-contract of :mod:`repro.sim.process`; the blocking method is a one-line
-wrapper that trampolines the kernel on the calling thread-backed process
-(:meth:`repro.sim.engine.Engine.kernel`). Stackless processes reach the
-kernels directly with ``yield from`` — blocking and generator bodies
-therefore execute identical wait/wake sequences by construction.
+Every blocking operation is a generator kernel (``acquire_g``, ``wait_g``,
+``get_g``, …) following the yield-point contract of
+:mod:`repro.sim.process`: a body reaches it with ``yield from``. A
+thread-backed body that must block runs it through
+:meth:`repro.sim.engine.Engine.kernel`, so both kinds of body execute
+identical wait/wake sequences by construction.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ class SimLock:
         yield PARK
         # We are resumed by release() after it made us the owner.
 
-    def acquire(self) -> None:
-        return self.engine.kernel(self.acquire_g())
-
     def release(self) -> None:
         proc = self.engine.require_process()
         if self.owner is not proc:
@@ -63,13 +59,6 @@ class SimLock:
             nxt.wake()
         else:
             self.owner = None
-
-    def __enter__(self) -> "SimLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
 
 
 class SimSemaphore:
@@ -95,9 +84,6 @@ class SimSemaphore:
         self._waiters.append(proc)
         yield PARK
 
-    def acquire(self) -> None:
-        return self.engine.kernel(self.acquire_g())
-
     def release(self, n: int = 1) -> None:
         for _ in range(n):
             if self._waiters:
@@ -109,7 +95,7 @@ class SimSemaphore:
 class SimCondition:
     """Condition variable associated with a :class:`SimLock`.
 
-    Semantics follow POSIX: :meth:`wait` atomically releases the lock and
+    Semantics follow POSIX: :meth:`wait_g` atomically releases the lock and
     blocks; :meth:`signal`/:meth:`broadcast` move waiters to the lock queue.
     """
 
@@ -127,9 +113,6 @@ class SimCondition:
         self.lock.release()
         yield PARK
         yield from self.lock.acquire_g()
-
-    def wait(self) -> None:
-        return self.engine.kernel(self.wait_g())
 
     def signal(self) -> None:
         if self._waiters:
@@ -168,9 +151,6 @@ class SimQueue:
             yield PARK
         return self._items.popleft()
 
-    def get(self) -> Any:
-        return self.engine.kernel(self.get_g())
-
     def try_get(self) -> Any:
         """Non-blocking get; returns ``None`` when empty."""
         if self._items:
@@ -193,6 +173,8 @@ class SimBarrier:
         self.generation = 0
 
     def wait_g(self):
+        """Block until ``parties`` processes arrive; returns the generation
+        index that completed."""
         proc = self.engine.require_process()
         gen = self.generation
         self._waiting.append(proc)
@@ -205,8 +187,3 @@ class SimBarrier:
             return gen
         yield PARK
         return gen
-
-    def wait(self) -> int:
-        """Block until ``parties`` processes arrive; returns the generation
-        index that completed."""
-        return self.engine.kernel(self.wait_g())

@@ -57,22 +57,22 @@ class TestModelOverSubstrates:
         def main(env):
             cons = env.hamster.consistency
             cons.use("release")
-            A = env.alloc_array((512,), name="A")
-            _ = A[:]  # cache everywhere
-            env.barrier()
+            A = yield from env.alloc_array_g((512,), name="A")
+            yield from A.get_g(slice(None))  # cache everywhere
+            yield from env.barrier_g()
             if env.rank == 0:
-                cons.acquire(1)
-                A[0] = 7.0
-                cons.release(1)
-                env.hamster.cluster_ctl.send_msg(1, "go")
-                env.barrier()
+                yield from cons.acquire_g(1)
+                yield from A.set_g(0, 7.0)
+                yield from cons.release_g(1)
+                yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
+                yield from env.barrier_g()
                 return None
-            env.hamster.cluster_ctl.recv_msg()
-            cons.acquire(2)           # DIFFERENT lock
-            A.refresh(0)              # RC: data must be home by now
-            value = float(A[0])
-            cons.release(2)
-            env.barrier()
+            yield from env.hamster.cluster_ctl.recv_msg_g()
+            yield from cons.acquire_g(2)  # DIFFERENT lock
+            A.refresh(0)                  # RC: data must be home by now
+            value = float((yield from A.get_g(0)))
+            yield from cons.release_g(2)
+            yield from env.barrier_g()
             return value
 
         assert spmd(plat, main)[1] == 7.0

@@ -130,22 +130,22 @@ class TestContracts:
         assert Requirement(1, 2) in report.enforced
 
         def main(env):
-            A = env.alloc_array((512,), name="A")
-            _ = A[:]  # cache everywhere
-            env.barrier()
+            A = yield from env.alloc_array_g((512,), name="A")
+            yield from A.get_g(slice(None))  # cache everywhere
+            yield from env.barrier_g()
             if env.rank == 0:
-                model.acquire(1)
-                A[0] = 11.0
-                model.release(1)          # contract: flushes globally
-                env.hamster.cluster_ctl.send_msg(1, "go")
-                env.barrier()
+                yield from model.acquire_g(1)
+                yield from A.set_g(0, 11.0)
+                yield from model.release_g(1)  # contract: flushes globally
+                yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
+                yield from env.barrier_g()
                 return None
-            env.hamster.cluster_ctl.recv_msg()
-            model.acquire(2)              # different scope
+            yield from env.hamster.cluster_ctl.recv_msg_g()
+            yield from model.acquire_g(2)      # different scope
             A.refresh(0)
-            value = float(A[0])
-            model.release(2)
-            env.barrier()
+            value = float((yield from A.get_g(0)))
+            yield from model.release_g(2)
+            yield from env.barrier_g()
             return value
 
         assert spmd(plat, main)[1] == 11.0

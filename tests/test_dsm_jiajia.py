@@ -145,21 +145,22 @@ class TestScopeConsistency:
         plat = build()
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = yield from env.alloc_array_g((512,), name="A",
+                                             distribution=single_home(0))
             if env.rank == 1:
-                _ = float(A[0])  # cache the page (value 0.0)
-            env.barrier()
+                yield from A.get_g(0)  # cache the page (value 0.0)
+            yield from env.barrier_g()
             if env.rank == 0:
-                env.lock(1)
-                A[0] = 99.0
-                env.unlock(1)
-                env.hamster.cluster_ctl.send_msg(1, "written")
+                yield from env.lock_g(1)
+                yield from A.set_g(0, 99.0)
+                yield from env.unlock_g(1)
+                yield from env.hamster.cluster_ctl.send_msg_g(1, "written")
             else:
-                env.hamster.cluster_ctl.recv_msg()
-                stale = float(A[0])       # no acquire: may be stale
-                env.lock(1)
-                fresh = float(A[0])       # acquire of scope 1: must be fresh
-                env.unlock(1)
+                yield from env.hamster.cluster_ctl.recv_msg_g()
+                stale = float((yield from A.get_g(0)))  # no acquire: may be stale
+                yield from env.lock_g(1)
+                fresh = float((yield from A.get_g(0)))  # scope 1 acquired: fresh
+                yield from env.unlock_g(1)
                 return stale, fresh
             return None
 
@@ -245,13 +246,14 @@ class TestHomes:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((1024,), name="A", distribution=first_touch())
+            A = yield from env.alloc_array_g((1024,), name="A",
+                                             distribution=first_touch())
             # 2 pages; rank r touches page r first.
-            env.barrier()
-            A[env.rank * 512:(env.rank + 1) * 512] = 1.0
-            env.barrier()
+            yield from env.barrier_g()
+            yield from A.set_g(slice(env.rank * 512, (env.rank + 1) * 512), 1.0)
+            yield from env.barrier_g()
             first = A.region.first_page
-            return dsm.home_of(first + env.rank)
+            return (yield from dsm.home_of_g(first + env.rank))
 
         homes = spmd(plat, main)
         assert homes == [0, 1]
@@ -264,13 +266,14 @@ class TestHomes:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((1024,), name="A", distribution=first_touch())
-            env.barrier()
+            A = yield from env.alloc_array_g((1024,), name="A",
+                                             distribution=first_touch())
+            yield from env.barrier_g()
             page = next(p for p in A.region.pages() if p % 2 != env.rank)
             offset = (page - A.region.first_page) * 512
-            A[offset:offset + 512] = 1.0
-            env.barrier()
-            return dsm.home_of(page) == env.rank
+            yield from A.set_g(slice(offset, offset + 512), 1.0)
+            yield from env.barrier_g()
+            return (yield from dsm.home_of_g(page)) == env.rank
 
         assert spmd(plat, main) == [True, True]
 
@@ -279,10 +282,14 @@ class TestHomes:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((8, 512), name="A", distribution=block())
-            env.barrier()
+            A = yield from env.alloc_array_g((8, 512), name="A",
+                                             distribution=block())
+            yield from env.barrier_g()
             first = A.region.first_page
-            return [dsm.home_of(first + i) for i in range(8)]
+            homes = []
+            for i in range(8):
+                homes.append((yield from dsm.home_of_g(first + i)))
+            return homes
 
         assert spmd(plat, main)[0] == [0, 0, 1, 1, 2, 2, 3, 3]
 
@@ -329,16 +336,16 @@ class TestLocks:
         dsm = plat.dsm
 
         def main(env):
-            env.barrier()
+            yield from env.barrier_g()
             if env.rank == 0:
-                assert dsm.try_lock(5)            # free -> granted
-                env.barrier()                      # let rank 1 try
-                env.barrier()
-                dsm.unlock(5)
+                assert (yield from dsm.try_lock_g(5))  # free -> granted
+                yield from env.barrier_g()             # let rank 1 try
+                yield from env.barrier_g()
+                yield from dsm.unlock_g(5)
                 return True
-            env.barrier()
-            got = dsm.try_lock(5)                 # held by rank 0 -> refused
-            env.barrier()
+            yield from env.barrier_g()
+            got = yield from dsm.try_lock_g(5)  # held by rank 0 -> refused
+            yield from env.barrier_g()
             return got
 
         assert spmd(plat, main) == [True, False]
@@ -348,14 +355,14 @@ class TestLocks:
 
         def main(env):
             if env.rank == 0:
-                env.hamster.dsm.lock(7)
-            env.barrier()
+                yield from env.hamster.dsm.lock_g(7)
+            yield from env.barrier_g()
             if env.rank == 1:
                 with pytest.raises(SynchronizationError):
-                    env.hamster.dsm.unlock(7)
-            env.barrier()
+                    yield from env.hamster.dsm.unlock_g(7)
+            yield from env.barrier_g()
             if env.rank == 0:
-                env.hamster.dsm.unlock(7)
+                yield from env.hamster.dsm.unlock_g(7)
             return True
 
         # The manager-side error surfaces in the engine for remote releases;

@@ -72,14 +72,15 @@ class TestAccessPath:
         plat = build()
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
-            env.barrier()
+            A = yield from env.alloc_array_g((512,), name="A",
+                                             distribution=single_home(0))
+            yield from env.barrier_g()
             if env.rank == 0:
-                A[0] = 5.0
-                env.hamster.cluster_ctl.send_msg(1, "go")
+                yield from A.set_g(0, 5.0)
+                yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
             else:
-                env.hamster.cluster_ctl.recv_msg()
-                return float(A[0])  # no lock needed: single copy
+                yield from env.hamster.cluster_ctl.recv_msg_g()
+                return float((yield from A.get_g(0)))  # no lock: single copy
             return None
 
         assert spmd(plat, main)[1] == 5.0
@@ -107,9 +108,9 @@ class TestSync:
         sci = plat.cluster.sci
 
         def main(env):
-            env.hamster.dsm.lock(1)
-            env.hamster.dsm.unlock(1)
-            env.barrier()
+            yield from env.hamster.dsm.lock_g(1)
+            yield from env.hamster.dsm.unlock_g(1)
+            yield from env.barrier_g()
             return True
 
         spmd(plat, main)
@@ -121,9 +122,9 @@ class TestSync:
 
         def main(env):
             if env.rank == 0:
-                env.hamster.dsm.lock(1)
-                env.hamster.dsm.unlock(1)
-            env.barrier()
+                yield from env.hamster.dsm.lock_g(1)
+                yield from env.hamster.dsm.unlock_g(1)
+            yield from env.barrier_g()
             return True
 
         spmd(plat, main)
@@ -152,16 +153,16 @@ class TestSync:
         dsm = plat.dsm
 
         def main(env):
-            env.barrier()
+            yield from env.barrier_g()
             if env.rank == 0:
-                ok = dsm.try_lock(9)
-                env.barrier()
-                env.barrier()
-                dsm.unlock(9)
+                ok = yield from dsm.try_lock_g(9)
+                yield from env.barrier_g()
+                yield from env.barrier_g()
+                yield from dsm.unlock_g(9)
                 return ok
-            env.barrier()
-            got = dsm.try_lock(9)
-            env.barrier()
+            yield from env.barrier_g()
+            got = yield from dsm.try_lock_g(9)
+            yield from env.barrier_g()
             return got
 
         assert spmd(plat, main) == [True, False]
@@ -173,10 +174,10 @@ class TestMapper:
         mapper = RemoteMapper(cl.sci, 0, att_entries=2)
 
         def body(proc):
-            assert mapper.ensure_mapped(1)
-            assert mapper.ensure_mapped(2)
-            assert not mapper.ensure_mapped(1)  # already mapped
-            assert mapper.ensure_mapped(3)       # evicts page 1 (FIFO)
+            assert (yield from mapper.ensure_mapped_g(1))
+            assert (yield from mapper.ensure_mapped_g(2))
+            assert not (yield from mapper.ensure_mapped_g(1))  # already mapped
+            assert (yield from mapper.ensure_mapped_g(3))  # evicts page 1 (FIFO)
             return tuple(page in mapper._mapped for page in (1, 2, 3))
 
         from tests.conftest import run_procs

@@ -13,14 +13,14 @@ from tests.conftest import spmd
 class TestSmpSemantics:
     def test_single_copy_immediately_coherent(self, smp2):
         def main(env):
-            A = env.alloc_array((64,), name="A")
-            env.barrier()
+            A = yield from env.alloc_array_g((64,), name="A")
+            yield from env.barrier_g()
             if env.rank == 0:
-                A[0] = 3.0
-                env.hamster.cluster_ctl.send_msg(1, "go")
+                yield from A.set_g(0, 3.0)
+                yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
             else:
-                env.hamster.cluster_ctl.recv_msg()
-                return float(A[0])
+                yield from env.hamster.cluster_ctl.recv_msg_g()
+                return float((yield from A.get_g(0)))
             return None
 
         assert spmd(smp2, main)[1] == 3.0
@@ -63,16 +63,16 @@ class TestSmpSemantics:
         dsm = smp2.dsm
 
         def main(env):
-            env.barrier()
+            yield from env.barrier_g()
             if env.rank == 0:
-                ok = dsm.try_lock(1)
-                env.barrier()
-                env.barrier()
-                dsm.unlock(1)
+                ok = yield from dsm.try_lock_g(1)
+                yield from env.barrier_g()
+                yield from env.barrier_g()
+                yield from dsm.unlock_g(1)
                 return ok
-            env.barrier()
-            got = dsm.try_lock(1)
-            env.barrier()
+            yield from env.barrier_g()
+            got = yield from dsm.try_lock_g(1)
+            yield from env.barrier_g()
             return got
 
         assert spmd(smp2, main) == [True, False]

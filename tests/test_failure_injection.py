@@ -45,7 +45,7 @@ class TestDeadlocks:
 
         def main(env):
             if env.rank == 0:
-                env.hamster.cluster_ctl.recv_msg()
+                yield from env.hamster.cluster_ctl.recv_msg_g()
             return None
 
         with pytest.raises(DeadlockError):
@@ -84,7 +84,7 @@ class TestResourceExhaustion:
         def main(env):
             if env.rank == 0:
                 with pytest.raises(AllocationError, match="largest free block"):
-                    env.hamster.memory.alloc(40960)
+                    yield from env.hamster.memory.alloc_g(40960)
             return True
 
         assert all(spmd(plat, main))
@@ -148,7 +148,7 @@ class TestMisuseSurfacesCorrectly:
         def main(env):
             if env.rank == 0:
                 with pytest.raises(MessagingError):
-                    env.hamster.cluster_ctl.send_msg(7, "x")
+                    yield from env.hamster.cluster_ctl.send_msg_g(7, "x")
             return True
 
         assert all(spmd(plat, main))

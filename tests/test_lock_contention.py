@@ -67,17 +67,18 @@ class TestDistributedLockFairness:
         plat = preset("sw-dsm-4").build()
 
         def main(env):
-            env.barrier()
+            dsm = env.hamster.dsm
+            yield from env.barrier_g()
             t0 = env.wtime()
-            env.hamster.dsm.lock(env.rank + 4)       # manager == self (id%4)
-            env.hamster.dsm.unlock(env.rank + 4)
+            yield from dsm.lock_g(env.rank + 4)       # manager == self (id%4)
+            yield from dsm.unlock_g(env.rank + 4)
             local = env.wtime() - t0
-            env.barrier()
+            yield from env.barrier_g()
             t0 = env.wtime()
-            env.hamster.dsm.lock(env.rank + 1 + 4 * 2)  # manager == rank+1
-            env.hamster.dsm.unlock(env.rank + 1 + 4 * 2)
+            yield from dsm.lock_g(env.rank + 1 + 4 * 2)  # manager == rank+1
+            yield from dsm.unlock_g(env.rank + 1 + 4 * 2)
             remote = env.wtime() - t0
-            env.barrier()
+            yield from env.barrier_g()
             return local, remote
 
         for local, remote in spmd(plat, main):

@@ -23,7 +23,7 @@ class TestActiveMessages:
         layer.register(1, "evt", lambda msg: got.append(msg.payload))
 
         def client(proc):
-            layer.post(0, 1, "evt", payload={"k": 1}, size=16)
+            yield from layer.post_g(0, 1, "evt", payload={"k": 1}, size=16)
 
         SimProcess(engine, client).start()
         engine.run()
@@ -73,7 +73,7 @@ class TestActiveMessages:
         layer = ActiveMessageLayer(cl)
 
         def client(proc):
-            layer.post(0, 1, "nope")
+            yield from layer.post_g(0, 1, "nope")
 
         SimProcess(engine, client).start()
         with pytest.raises(MessagingError, match="no handler"):
@@ -94,8 +94,8 @@ class TestActiveMessages:
         layer.register_all("tag", lambda nid: (lambda msg: hits.append(nid)))
 
         def client(proc):
-            layer.post(0, 1, "tag")
-            layer.post(0, 2, "tag")
+            yield from layer.post_g(0, 1, "tag")
+            yield from layer.post_g(0, 2, "tag")
 
         SimProcess(engine, client).start()
         engine.run()
@@ -107,8 +107,8 @@ class TestActiveMessages:
         layer.register(1, "x", lambda msg: Reply())
 
         def client(proc):
-            layer.rpc(0, 1, "x")
-            layer.post(0, 1, "x")
+            yield from layer.rpc_g(0, 1, "x")
+            yield from layer.post_g(0, 1, "x")
 
         SimProcess(engine, client).start()
         engine.run()
@@ -154,8 +154,8 @@ class TestChannelOverheads:
         b.register_all("k", lambda nid: (lambda msg: got.append("b")))
 
         def client(proc):
-            a.post(0, 1, "k")
-            b.post(0, 1, "k")
+            yield from a.post_g(0, 1, "k")
+            yield from b.post_g(0, 1, "k")
 
         SimProcess(engine, client).start()
         engine.run()
@@ -173,7 +173,7 @@ class TestChannelOverheads:
         ch.register_all("e", lambda nid: (lambda msg: None))
 
         def client(proc):
-            ch.post(0, 1, "e", size=10)
+            yield from ch.post_g(0, 1, "e", size=10)
 
         SimProcess(engine, client).start()
         engine.run()

@@ -257,15 +257,14 @@ class TestAnlMacros:
     def test_getsub_self_scheduling(self, smp2):
         api = AnlMacros(smp2.hamster)
 
+        shared = {}
+
         def main(a):
-            gs = a.GSDEC() if a.hamster.task.my_rank() == 0 else None
-            # Share the handle through the registry.
-            cc = a.hamster.cluster_ctl
-            if gs is not None:
-                a.GSINIT(gs, limit=10)
-                cc.publish("gs", gs)
+            if a.hamster.task.my_rank() == 0:
+                shared["gs"] = a.GSDEC()
+                a.GSINIT(shared["gs"], limit=10)
             a.BARRIER()
-            gs = cc.lookup("gs")
+            gs = shared["gs"]   # rank 0's handle, visible past the barrier
             got = []
             while True:
                 index = a.GETSUB(gs)

@@ -30,7 +30,7 @@ class TestMessagingProperties:
 
         def sender(proc):
             for i, (src, dst, size) in enumerate(sends):
-                chan.post(src, dst, "m", payload=i, size=size)
+                yield from chan.post_g(src, dst, "m", payload=i, size=size)
 
         # One driver process issues all posts (charges costs on src nodes).
         SimProcess(engine, sender).start()

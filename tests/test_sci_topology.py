@@ -1,5 +1,7 @@
 """Tests for the SCI ringlet topology model (hop-dependent latency)."""
 
+from functools import partial
+
 import pytest
 
 from repro.machine.cluster import Cluster
@@ -46,10 +48,10 @@ class TestTransactionCosts:
 
         def reader(proc, dst):
             t0 = proc.now
-            sci.remote_read(64, src=0, dst=dst)
+            yield from sci.remote_read_g(64, src=0, dst=dst)
             times[dst] = proc.now - t0
 
-        run_procs(engine, lambda p: reader(p, 1), lambda p: reader(p, 3))
+        run_procs(engine, partial(reader, dst=1), partial(reader, dst=3))
         assert times[3] > times[1]
         assert times[3] - times[1] == pytest.approx(
             2 * sci.params.sci_hop_latency)
@@ -59,7 +61,7 @@ class TestTransactionCosts:
 
         def body(proc):
             t0 = proc.now
-            sci.remote_atomic(src=0, dst=7)
+            yield from sci.remote_atomic_g(src=0, dst=7)
             return proc.now - t0
 
         elapsed = run_procs(engine, body)[0]
@@ -72,7 +74,7 @@ class TestTransactionCosts:
 
         def body(proc):
             t0 = proc.now
-            sci.remote_read(64)
+            yield from sci.remote_read_g(64)
             return proc.now - t0
 
         elapsed = run_procs(engine, body)[0]

@@ -145,13 +145,13 @@ class TestSuspendWake:
 class TestJoin:
     def test_join_returns_result(self, engine):
         def worker(proc):
-            proc.hold(1.0)
+            yield 1.0
             return "payload"
 
         w = SimProcess(engine, worker).start()
 
         def joiner(proc):
-            return proc.join(w)
+            return (yield from proc.join_g(w))
 
         j = SimProcess(engine, joiner).start()
         engine.run()
@@ -164,8 +164,8 @@ class TestJoin:
         w = SimProcess(engine, worker).start()
 
         def joiner(proc):
-            proc.hold(5.0)  # worker long dead by now
-            return proc.join(w)
+            yield 5.0  # worker long dead by now
+            return (yield from proc.join_g(w))
 
         j = SimProcess(engine, joiner).start()
         engine.run()
@@ -173,17 +173,20 @@ class TestJoin:
 
     def test_multiple_joiners_all_wake(self, engine):
         def worker(proc):
-            proc.hold(1.0)
+            yield 1.0
             return "x"
 
+        def joiner(proc):
+            return (yield from proc.join_g(w))
+
         w = SimProcess(engine, worker).start()
-        results = run_procs(engine, *([lambda proc: proc.join(w)] * 3))
+        results = run_procs(engine, *([joiner] * 3))
         assert results == ["x", "x", "x"]
 
     def test_self_join_rejected(self, engine):
         def body(proc):
             with pytest.raises(SimulationError):
-                proc.join(proc)
+                yield from proc.join_g(proc)
 
         run_procs(engine, body)
 

@@ -1,5 +1,7 @@
 """Unit + property tests for virtual-time synchronization resources."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +19,13 @@ class TestSimLock:
         inside = []
 
         def body(proc, i):
-            with lock:
-                inside.append(i)
-                assert len(inside) == i + 1  # one at a time, FIFO
-                proc.hold(1.0)
+            yield from lock.acquire_g()
+            inside.append(i)
+            assert len(inside) == i + 1  # one at a time, FIFO
+            yield 1.0
+            lock.release()
 
-        run_procs(engine, *(lambda p, i=i: body(p, i) for i in range(3)))
+        run_procs(engine, *(partial(body, i=i) for i in range(3)))
         assert inside == [0, 1, 2]
         assert engine.now == 3.0  # fully serialized
 
@@ -31,24 +34,25 @@ class TestSimLock:
         order = []
 
         def body(proc, i):
-            proc.hold(0.001 * i)  # arrival order = index order
-            with lock:
-                order.append(i)
-                proc.hold(1.0)
+            yield 0.001 * i  # arrival order = index order
+            yield from lock.acquire_g()
+            order.append(i)
+            yield 1.0
+            lock.release()
 
-        run_procs(engine, *(lambda p, i=i: body(p, i) for i in range(5)))
+        run_procs(engine, *(partial(body, i=i) for i in range(5)))
         assert order == [0, 1, 2, 3, 4]
 
     def test_release_by_non_owner_rejected(self, engine):
         lock = SimLock(engine)
 
         def owner(proc):
-            lock.acquire()
-            proc.hold(2.0)
+            yield from lock.acquire_g()
+            yield 2.0
             lock.release()
 
         def intruder(proc):
-            proc.hold(1.0)
+            yield 1.0
             with pytest.raises(SynchronizationError):
                 lock.release()
 
@@ -58,9 +62,9 @@ class TestSimLock:
         lock = SimLock(engine)
 
         def body(proc):
-            lock.acquire()
+            yield from lock.acquire_g()
             with pytest.raises(SynchronizationError):
-                lock.acquire()
+                yield from lock.acquire_g()
             lock.release()
 
         run_procs(engine, body)
@@ -70,8 +74,9 @@ class TestSimLock:
 
         def body(proc):
             assert not lock.locked
-            with lock:
-                assert lock.locked
+            yield from lock.acquire_g()
+            assert lock.locked
+            lock.release()
             assert not lock.locked
 
         run_procs(engine, body)
@@ -82,7 +87,7 @@ class TestSimSemaphore:
         sem = SimSemaphore(engine, value=2)
 
         def body(proc):
-            sem.acquire()
+            yield from sem.acquire_g()
             return proc.now
 
         assert run_procs(engine, body, body) == [0.0, 0.0]
@@ -91,11 +96,11 @@ class TestSimSemaphore:
         sem = SimSemaphore(engine, value=0)
 
         def taker(proc):
-            sem.acquire()
+            yield from sem.acquire_g()
             return proc.now
 
         def giver(proc):
-            proc.hold(2.0)
+            yield 2.0
             sem.release()
 
         t, _ = run_procs(engine, taker, giver)
@@ -105,11 +110,11 @@ class TestSimSemaphore:
         sem = SimSemaphore(engine, value=0)
 
         def taker(proc):
-            sem.acquire()
+            yield from sem.acquire_g()
             return proc.now
 
         def giver(proc):
-            proc.hold(1.0)
+            yield 1.0
             sem.release(3)
 
         res = run_procs(engine, taker, taker, taker, giver)
@@ -127,16 +132,18 @@ class TestSimCondition:
         state = {"ready": False}
 
         def waiter(proc):
-            with cond.lock:
-                while not state["ready"]:
-                    cond.wait()
+            yield from cond.lock.acquire_g()
+            while not state["ready"]:
+                yield from cond.wait_g()
+            cond.lock.release()
             return proc.now
 
         def signaler(proc):
-            proc.hold(3.0)
-            with cond.lock:
-                state["ready"] = True
-                cond.signal()
+            yield 3.0
+            yield from cond.lock.acquire_g()
+            state["ready"] = True
+            cond.signal()
+            cond.lock.release()
 
         t, _ = run_procs(engine, waiter, signaler)
         assert t == 3.0
@@ -145,14 +152,16 @@ class TestSimCondition:
         cond = SimCondition(engine)
 
         def waiter(proc):
-            with cond.lock:
-                cond.wait()
+            yield from cond.lock.acquire_g()
+            yield from cond.wait_g()
+            cond.lock.release()
             return proc.now
 
         def caster(proc):
-            proc.hold(1.0)
-            with cond.lock:
-                cond.broadcast()
+            yield 1.0
+            yield from cond.lock.acquire_g()
+            cond.broadcast()
+            cond.lock.release()
 
         res = run_procs(engine, waiter, waiter, waiter, caster)
         assert res[:3] == [1.0, 1.0, 1.0]
@@ -162,7 +171,7 @@ class TestSimCondition:
 
         def body(proc):
             with pytest.raises(SynchronizationError):
-                cond.wait()
+                yield from cond.wait_g()
 
         run_procs(engine, body)
 
@@ -173,11 +182,14 @@ class TestSimQueue:
 
         def producer(proc):
             for i in range(3):
-                proc.hold(1.0)
+                yield 1.0
                 q.put(i)
 
         def consumer(proc):
-            return [q.get() for _ in range(3)]
+            got = []
+            for _ in range(3):
+                got.append((yield from q.get_g()))
+            return got
 
         _, got = run_procs(engine, producer, consumer)
         assert got == [0, 1, 2]
@@ -186,11 +198,11 @@ class TestSimQueue:
         q = SimQueue(engine)
 
         def consumer(proc):
-            q.get()
+            yield from q.get_g()
             return proc.now
 
         def producer(proc):
-            proc.hold(5.0)
+            yield 5.0
             q.put("x")
 
         t, _ = run_procs(engine, consumer, producer)
@@ -212,11 +224,11 @@ class TestSimBarrier:
         bar = SimBarrier(engine, 3)
 
         def body(proc, i):
-            proc.hold(float(i))
-            bar.wait()
+            yield float(i)
+            yield from bar.wait_g()
             return proc.now
 
-        res = run_procs(engine, *(lambda p, i=i: body(p, i) for i in range(3)))
+        res = run_procs(engine, *(partial(body, i=i) for i in range(3)))
         assert res == [2.0, 2.0, 2.0]  # all leave when the slowest arrives
 
     def test_generations(self, engine):
@@ -224,8 +236,8 @@ class TestSimBarrier:
         gens = []
 
         def body(proc):
-            gens.append(bar.wait())
-            gens.append(bar.wait())
+            gens.append((yield from bar.wait_g()))
+            gens.append((yield from bar.wait_g()))
 
         run_procs(engine, body, body)
         assert sorted(gens) == [0, 0, 1, 1]
@@ -234,7 +246,7 @@ class TestSimBarrier:
         bar = SimBarrier(engine, 1)
 
         def body(proc):
-            return [bar.wait(), bar.wait()]
+            return [(yield from bar.wait_g()), (yield from bar.wait_g())]
 
         assert run_procs(engine, body) == [[0, 1]]
 
@@ -255,15 +267,15 @@ class TestLockFairnessProperty:
         arrivals, grants = [], []
 
         def body(proc, i, d):
-            proc.hold(d * 1e-3)
+            yield d * 1e-3
             arrivals.append((proc.now, i))
-            lock.acquire()
+            yield from lock.acquire_g()
             grants.append(i)
-            proc.hold(1.0)  # force queuing
+            yield 1.0  # force queuing
             lock.release()
 
         for i, d in enumerate(delays):
-            SimProcess(engine, lambda p, i=i, d=d: body(p, i, d)).start()
+            SimProcess(engine, partial(body, i=i, d=d)).start()
         engine.run()
         expected = [i for _, i in sorted(arrivals, key=lambda t: (t[0],))]
         # Stable arrival order: holds of equal delay arrive in start order,
