@@ -91,11 +91,3 @@ class GlobalAllocator:
             if s0 + z0 == s:
                 self._free[idx - 1] = (s0, z0 + z)
                 del self._free[idx]
-
-    # ------------------------------------------------------------- queries
-    def free_bytes(self) -> int:
-        return sum(size for _, size in self._free)
-
-    def largest_free_block(self) -> int:
-        return max((size for _, size in self._free), default=0)
-

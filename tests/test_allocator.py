@@ -68,13 +68,27 @@ class TestFree:
         with pytest.raises(AllocationError):
             a.free(r)
 
-    def test_coalescing_restores_one_block(self):
-        a = make_allocator(capacity=8 * PAGE)
-        regions = [a.alloc(2 * PAGE) for _ in range(4)]
-        # Free out of order to exercise left+right merging.
-        for r in (regions[1], regions[3], regions[0], regions[2]):
-            a.free(r)
-        assert a.largest_free_block() == 8 * PAGE
+    @staticmethod
+    def assert_one_free_block(a, start, pages):
+        """Behaviourally, the free space holds one ``pages``-page block at
+        ``start``: a page more does not fit, the block itself does, there."""
+        with pytest.raises(AllocationError):
+            a.alloc((pages + 1) * PAGE)
+        assert a.alloc(pages * PAGE).gaddr == start
+
+    @pytest.mark.parametrize("order,merged", [
+        ((1, 0), (0, 2)),        # the freed block merges with its right
+        ((0, 1), (0, 2)),        # ... with its left
+        ((0, 2, 1), (0, 3)),     # ... with both at once
+        ((1, 3, 0, 2), (0, 4)),  # out of order, every neighbour
+    ])
+    def test_freed_neighbours_coalesce(self, order, merged):
+        a = make_allocator(capacity=5 * PAGE)
+        pages = [a.alloc(PAGE) for _ in range(5)]   # the space is full
+        for i in order:
+            a.free(pages[i])
+        first, n = merged
+        self.assert_one_free_block(a, pages[first].gaddr, n)
 
     def test_free_space_left_in_pieces(self):
         a = make_allocator(capacity=6 * PAGE)
@@ -84,8 +98,9 @@ class TestFree:
             a.alloc(PAGE)
         for r in keep:
             a.free(r)  # free every other page -> fragmented
-        assert a.free_bytes() == 3 * PAGE
-        assert a.largest_free_block() == PAGE
+        with pytest.raises(AllocationError):
+            a.alloc(2 * PAGE)
+        assert [a.alloc(PAGE).gaddr for _ in keep] == [r.gaddr for r in keep]
 
 
 class TestAllocatorProperty:
@@ -94,9 +109,9 @@ class TestAllocatorProperty:
         st.tuples(st.sampled_from(["alloc", "free"]),
                   st.integers(1, 5)), min_size=1, max_size=40))
     def test_invariants_under_random_workload(self, ops):
-        """Accounting invariants hold for any alloc/free sequence:
-        allocated + free == capacity, live regions never overlap, and
-        freeing everything restores a single free block."""
+        """Accounting invariants hold for any alloc/free sequence: the
+        allocated bytes are the live regions' sizes, live regions never
+        overlap, and freeing everything restores a single free block."""
         capacity = 64 * PAGE
         a = make_allocator(capacity=capacity)
         live = []
@@ -108,11 +123,10 @@ class TestAllocatorProperty:
                     pass
             elif live:
                 a.free(live.pop(len(live) // 2))
-            assert a.allocated_bytes + a.free_bytes() == capacity
+            assert a.allocated_bytes == sum(r.size for r in live)
             spans = sorted((r.gaddr, r.end) for r in live)
             for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
                 assert e1 <= s2
         for r in live:
             a.free(r)
-        assert a.free_bytes() == capacity
-        assert a.largest_free_block() == capacity
+        TestFree.assert_one_free_block(a, GlobalAddressSpace.BASE, 64)

@@ -9,6 +9,9 @@
 * The yield contract: a call to a name defined only as a generator
   function is ``yield from``-ed, returned, handed to a call or a loop, or
   bound to a name that is. Otherwise it does nothing, silently.
+* No test-only twins: a blocking method ``X`` beside its ``X_g`` kernel
+  in one class is called by name in ``src/`` outside the pair or in
+  ``examples/``, or is a Table 2 API call. Otherwise only tests keep it.
 * No fields for an observer that is off: in the packages every simulated
   event passes through, a ``.emit(`` / ``.record(`` call that passes
   keyword fields, and every ``.span(`` call, sits under its receiver's
@@ -119,6 +122,10 @@ class _Function:
     bound_calls: list = field(default_factory=list)
     #: names whose value is consumed (yield from, return, argument, loop)
     consumed: set = field(default_factory=set)
+    #: the class a method is defined in, "" at module level, None nested
+    owner: str = None
+    #: every name it calls, lambdas inside it included
+    calls: set = field(default_factory=set)
 
 
 def _consumes(parent, node):
@@ -141,19 +148,23 @@ def _called_name(call):
 def functions_of(tree):
     """One pass over ``tree``: every function, with what the rules need."""
     out = []
-    stack = [(tree, None, False, None)]
+    stack = [(tree, None, False, None, None)]
     while stack:
-        node, fn, guarded, parent = stack.pop()
+        node, fn, guarded, parent, caller = stack.pop()
         if isinstance(node, _DEFS):
+            owner = (parent.name if isinstance(parent, ast.ClassDef)
+                     else "" if isinstance(parent, ast.Module) else None)
             fn = _Function(node.name, {a.arg for a in ast.walk(node.args)
                                        if isinstance(a, ast.arg)},
                            stub=all(isinstance(st, (ast.Pass, ast.Raise)) or (
                                isinstance(st, ast.Expr)
                                and isinstance(st.value, ast.Constant))
-                               for st in node.body))
+                               for st in node.body), owner=owner)
             out.append(fn)
-            stack.extend((child, fn, False, node) for child in node.body)
+            stack.extend((child, fn, False, node, fn) for child in node.body)
             continue
+        if isinstance(node, ast.Call) and caller is not None:
+            caller.calls.add(_called_name(node))
         if isinstance(node, (ast.Lambda, ast.ClassDef)):
             fn = None                      # a scope of its own
         elif fn is not None:
@@ -181,7 +192,7 @@ def functions_of(tree):
             # either branch of ``a if c else b`` goes where the whole goes
             up = parent if isinstance(node, ast.IfExp) \
                 and child is not node.test else node
-            stack.append((child, fn, guarded, up))
+            stack.append((child, fn, guarded, up, caller))
     return out
 
 
@@ -313,6 +324,73 @@ _GENS = "def barrier_g():\n    yield 1\ndef grant_g(n):\n    yield n\n"
 def test_the_yield_contract_fails_on_a_seeded_violation(seeded, expected):
     fns = functions_of(ast.parse(seeded + _GENS))
     assert dropped_generator_calls(fns, generator_names(fns)[1]) == expected
+
+
+# ------------------------------------------------------ no test-only twins
+def twin_findings(src, callers, api_calls):
+    """``where::Owner.X`` for every method ``X`` defined beside ``X_g`` in
+    one class (or module) of ``src`` that nothing keeps: no function of
+    ``src`` outside the pair and none of ``callers`` calls ``X`` by name,
+    and it is no Table 2 API call (``api_calls``). ``src`` is
+    ``(where, functions)`` per file; ``callers`` is more functions."""
+    found = []
+    for where, fns in src:
+        scopes = {}
+        for fn in fns:
+            if fn.owner is not None:
+                scopes.setdefault(fn.owner, {})[fn.name] = fn
+        for owner, defs in scopes.items():
+            for name in sorted(defs):
+                if name + "_g" not in defs or name in api_calls:
+                    continue
+                pair = (id(defs[name]), id(defs[name + "_g"]))
+                if not any(name in fn.calls for fn in callers) and not any(
+                        name in fn.calls and id(fn) not in pair
+                        for _, others in src for fn in others):
+                    found.append(f"{where}::{owner or '<module>'}.{name}")
+    return sorted(found)
+
+
+def table2_api_calls():
+    from repro.models import MODEL_REGISTRY, load_model
+
+    return {call for row in MODEL_REGISTRY
+            for call in load_model(row).API_CALLS}
+
+
+def test_no_blocking_twin_only_tests_call():
+    """A blocking ``X`` beside its ``X_g`` kernel stays only while the
+    program calls it: once every caller in ``src/`` and ``examples/`` has
+    moved to the kernel, the twin goes, and its tests run the kernel."""
+    src = [(str(path.relative_to(ROOT)), fns)
+           for path, fns in scanned_functions() if SRC in path.parents]
+    callers = [fn for path, fns in scanned_functions()
+               if ROOT / "examples" in path.parents for fn in fns]
+    assert twin_findings(src, callers, table2_api_calls()) == []
+
+
+_TWINS = ("class Bar:\n    def wait(self):\n        return kernel(self.wait_g())\n"
+          "    def wait_g(self):\n        yield 1\n")
+
+
+@pytest.mark.parametrize("seeded,caller,api,expected", [
+    # only the pair itself (and tests, not scanned here) calls it
+    (_TWINS, "", (), ["<seeded>::Bar.wait"]),
+    (_TWINS + "def wait_g():\n    yield 2\n", "", (),
+     ["<seeded>::Bar.wait"]),            # the module has no plain wait
+    # kept by a call in src outside the pair, by an example, or by Table 2
+    (_TWINS + "def body(b):\n    b.wait()\n", "", (), []),
+    (_TWINS, "def main(b):\n    return b.wait()\n", (), []),
+    (_TWINS + "def body(b):\n    f = lambda: b.wait()\n", "", (), []),
+    (_TWINS, "", ("wait",), []),
+    # a kernel without a blocking twin is no twin
+    ("class Bar:\n    def wait_g(self):\n        yield 1\n", "", (), []),
+])
+def test_the_twin_rule_fails_on_a_seeded_test_only_twin(seeded, caller, api,
+                                                        expected):
+    src = [("<seeded>", functions_of(ast.parse(seeded)))]
+    callers = functions_of(ast.parse(caller))
+    assert twin_findings(src, callers, set(api)) == expected
 
 
 # ------------------------------------------- no fields for an observer that is off
