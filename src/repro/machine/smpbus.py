@@ -45,12 +45,6 @@ class MemoryBus:
         self.bytes_transferred += nbytes
         return self._free_at - now
 
-    def touch(self, nbytes: int) -> None:
-        """Charge the calling process for moving ``nbytes`` over this bus;
-        it blocks until its transfer completes."""
-        if nbytes > 0:
-            self.engine.require_process().hold(self.touch_cost(nbytes))
-
     def reset_stats(self) -> None:
         self.bytes_transferred = 0
         self.contention_time = 0.0

@@ -66,13 +66,6 @@ class Tracer:
     def of_kind(self, kind: str) -> List[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def matching(self, **fields: Any) -> List[TraceEvent]:
-        out = []
-        for e in self.events:
-            if all(e.get(k) == v for k, v in fields.items()):
-                out.append(e)
-        return out
-
     def count(self, kind: str) -> int:
         return sum(1 for e in self.events if e.kind == kind)
 
