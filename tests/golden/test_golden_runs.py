@@ -25,8 +25,8 @@ _SCENARIOS = {sc.id: sc for sc in diffcheck.scenarios()}
 _TIER1 = [sid for sid, sc in sorted(_SCENARIOS.items())
           if getattr(sc, "nodes", 0) <= 64]
 #: The rows checked again with every generator body driven on a backing
-#: thread: every figure cell and chaos plan (not the scaling rows, whose
-#: hundreds of processes would each need an OS thread).
+#: thread: every figure cell, chaos plan and model row (not the scaling
+#: rows, whose hundreds of processes would each need an OS thread).
 _ON_THREADS = [sid for sid, sc in sorted(_SCENARIOS.items())
                 if not getattr(sc, "nodes", 0)]
 

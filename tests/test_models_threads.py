@@ -541,6 +541,7 @@ class TestWin32Sync:
 
         def main(w):
             info = w.GetSystemInfo()
-            return info["dwNumberOfProcessors"], info["dwNumberOfNodes"]
+            return (info["dwNumberOfProcessors"], info["dwNumberOfNodes"],
+                    w.GetCurrentProcessorNumber())
 
-        assert api.run(main) == (4, 4)
+        assert api.run(main) == (4, 4, 0)   # the main thread runs on node 0
