@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.apps.common import (AppResult, compute_cost, once_per_run,
                                reference_once_per_run)
+from repro.errors import ConfigurationError
 from repro.memory.layout import explicit
 
 __all__ = ["run_lu"]
@@ -44,21 +45,47 @@ def _panel_homes(n: int, block_rows: int, page_size: int, n_ranks: int,
 
 
 def _reference_lu(a: np.ndarray, block_rows: int) -> np.ndarray:
-    """Sequential blocked elimination, structured like the parallel code."""
+    """Sequential blocked elimination, structured like the parallel code
+    and built from the same two kernels."""
     m = a.copy()
     n = m.shape[0]
     for k0 in range(0, n, block_rows):
         k1 = min(k0 + block_rows, n)
-        # Factor the diagonal panel.
-        for k in range(k0, k1):
-            m[k + 1:k1, k] /= m[k, k]
-            m[k + 1:k1, k + 1:] -= m[k + 1:k1, k, None] * m[k, k + 1:]
-        # Update the trailing rows.
-        piv = m[k0:k1, :]
-        for k in range(k0, k1):
-            m[k1:, k] /= piv[k - k0, k]
-            m[k1:, k + 1:] -= m[k1:, k, None] * piv[k - k0, k + 1:]
+        _factor(m[k0:k1, :], k0)
+        _eliminate(m[k1:, :], m[k0:k1, :], k0, k1)
     return m
+
+
+def _factor(panel: np.ndarray, k0: int) -> None:
+    """Factor the diagonal panel ``panel`` (rows [k0, k0 + len(panel)) of
+    the matrix, every column) in place: L below its diagonal block's
+    diagonal, U on and to the right of it.
+
+    Only the square diagonal block is factored row by row; the columns
+    right of it then solve ``L · U = panel[:, k1:]`` for U in one call."""
+    b = panel.shape[0]
+    k1 = k0 + b
+    for i in range(b):
+        k = k0 + i
+        panel[i + 1:, k] /= panel[i, k]
+        panel[i + 1:, k + 1:k1] -= panel[i + 1:, k, None] * panel[i, k + 1:k1]
+    panel[:, k1:] = np.linalg.solve(np.tril(panel[:, k0:k1], -1) + np.eye(b),
+                                    panel[:, k1:])
+
+
+def _eliminate(rows: np.ndarray, piv: np.ndarray, k0: int, k1: int) -> None:
+    """Eliminate the factored pivot rows ``piv`` (rows [k0, k1) of the
+    matrix, every column) from ``rows`` in place.
+
+    The panel's columns solve ``L · U = rows[:, k0:k1]`` for L, U being the
+    pivot block's upper triangle; the trailing columns then lose ``L @
+    piv[:, k1:]`` in one GEMM. This is the rank-1 loop over the pivot rows
+    regrouped, so it rounds differently (``tests/test_apps.py`` holds it to
+    that loop); every write lands on a page its writer homes
+    (:func:`_panel_homes`), so no diff, and no simulated field, sees it."""
+    u = np.triu(piv[:, k0:k1])
+    rows[:, k0:k1] = np.linalg.solve(u.T, rows[:, k0:k1].T).T
+    rows[:, k1:] -= rows[:, k0:k1] @ piv[:, k1:]
 
 
 def _factor_g(A, k0: int, k1: int):
@@ -66,10 +93,7 @@ def _factor_g(A, k0: int, k1: int):
     through a private copy that dies here, before the rank's next yield
     (docs/performance.md §6)."""
     panel = yield from A.get_g((slice(k0, k1), slice(None)))
-    for k in range(k0, k1):
-        i = k - k0
-        panel[i + 1:, k] /= panel[i, k]
-        panel[i + 1:, k + 1:] -= panel[i + 1:, k, None] * panel[i, k + 1:]
+    _factor(panel, k0)
     yield from A.set_g((slice(k0, k1), slice(None)), panel)
 
 
@@ -77,9 +101,7 @@ def _eliminate_g(A, piv: np.ndarray, k0: int, k1: int, m0: int, m1: int):
     """Eliminate the pivot rows ``piv`` (rows [k0, k1)) from rows [m0, m1)
     of the shared ``A``, through a private copy that dies here."""
     rows = yield from A.get_g((slice(m0, m1), slice(None)))
-    for k in range(k0, k1):
-        rows[:, k] /= piv[k - k0, k]
-        rows[:, k + 1:] -= rows[:, k, None] * piv[k - k0, k + 1:]
+    _eliminate(rows, piv, k0, k1)
     yield from A.set_g((slice(m0, m1), slice(None)), rows)
 
 
@@ -95,6 +117,15 @@ def _flops(n: int, block_rows: int) -> float:
 
 def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
            verify: bool = True) -> AppResult:
+    """Factor an ``n`` × ``n`` matrix in row panels of ``block`` rows.
+
+    ``n < 1`` or ``block < 1`` raises :class:`ConfigurationError` before
+    anything is allocated. ``block >= n`` is a legal one-panel run: rank 0
+    factors the whole matrix and nothing is eliminated."""
+    if n < 1:
+        raise ConfigurationError(f"lu: n must be >= 1, got n={n!r}")
+    if block < 1:
+        raise ConfigurationError(f"lu: block must be >= 1, got block={block!r}")
     rank, n_ranks = yield from api.jia_init_g()
     page = api.hamster.params.page_size
     homes = _panel_homes(n, block, page, n_ranks)

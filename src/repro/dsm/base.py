@@ -193,13 +193,6 @@ class GlobalMemorySystem(ABC):
             st.bytes_read += nbytes
         return (yield from self._access_g(rank, region, runs, write))
 
-    def refresh_runs(self, region: Region, runs: List[Run]) -> None:
-        """Drop any stale cached copies of the pages under ``runs`` so the
-        next read observes the home's current data. One-sided (put/get)
-        models need this: a ``get`` must see remote puts without a lock or
-        barrier in between. No-op on substrates without remote caching."""
-        return self.engine.kernel(self.refresh_runs_g(region, runs))
-
     # ------------------------------------------------------------ abstract
     @abstractmethod
     def _setup_region(self, region: Region, distribution: Distribution) -> None:
@@ -248,7 +241,11 @@ class GlobalMemorySystem(ABC):
         yield  # unreachable; makes this a generator function
 
     def refresh_runs_g(self, region: Region, runs: List[Run]):
-        """Generator kernel of :meth:`refresh_runs` (default: no-op)."""
+        """Drop any stale cached copies of the pages under ``runs`` so the
+        next read observes the home's current data (``yield from`` it).
+        One-sided (put/get) models need this: a ``get`` must see remote
+        puts without a lock or barrier in between. No-op on substrates
+        without remote caching."""
         return
         yield  # unreachable; makes this a generator function
 

@@ -185,9 +185,13 @@ class SharedArray:
     def refresh(self, index: Any = ()) -> None:
         """Drop stale cached copies of the pages under ``index`` (whole
         array by default); used by one-sided get operations."""
+        return self.dsm.engine.kernel(self.refresh_g(index))
+
+    def refresh_g(self, index: Any = ()):
+        """Generator kernel of :meth:`refresh` (``yield from`` it)."""
         if index == ():
             index = tuple(slice(None) for _ in self.shape)
-        self.dsm.refresh_runs(self.region, self._runs(index))
+        yield from self.dsm.refresh_runs_g(self.region, self._runs(index))
 
     # --------------------------------------------------------------- sugar
     @property

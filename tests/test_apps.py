@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import repro.apps.common
 import repro.apps.fft
@@ -15,6 +15,7 @@ import repro.apps.lu
 import repro.apps.matmult
 import repro.apps.sor
 import repro.apps.water
+import repro.dsm.jiajia.protocol
 from repro.apps import get_app
 from repro.apps.common import (APP_TABLE, HELPER_FLOPS, AppError, AppResult,
                                Reference, merge_rank_results, once_per_run,
@@ -22,6 +23,7 @@ from repro.apps.common import (APP_TABLE, HELPER_FLOPS, AppError, AppResult,
 from repro.bench.runners import run_app_detailed, run_app_on
 from repro.config import ClusterConfig, preset
 from repro.models.jiajia_api import JiaJiaApi
+from repro.models.native_jiajia import NativeJiaJiaApi
 
 PLATFORMS = ["smp-2", "sw-dsm-4", "hybrid-4", "sw-dsm-2", "hybrid-2"]
 
@@ -197,6 +199,110 @@ class TestSorSweep:
                 first = 1 + (lo + phase) % 2
                 assert list(changed) == list(range(first, 8, 2))
                 assert np.array_equal(local[[0, 2]], before[[0, 2]])  # halo
+
+
+def eliminate_by_rank1(rows, piv, k0, k1):
+    """The rank-1 loop over the pivot rows ``lu._eliminate`` was before it
+    became a panel solve plus one GEMM; kept as its oracle."""
+    for k in range(k0, k1):
+        rows[:, k] /= piv[k - k0, k]
+        rows[:, k + 1:] -= rows[:, k, None] * piv[k - k0, k + 1:]
+
+
+def factor_by_rank1(panel, k0):
+    """The rank-1 loop ``lu._factor`` was, over the whole panel width,
+    before the columns right of the diagonal block became one solve."""
+    for i in range(panel.shape[0]):
+        k = k0 + i
+        panel[i + 1:, k] /= panel[i, k]
+        panel[i + 1:, k + 1:] -= panel[i + 1:, k, None] * panel[i, k + 1:]
+
+
+def elimination_inputs(n, k0, k1, m, seed):
+    """``m`` rows to eliminate and pivot rows [k0, k1) of an ``n``-column
+    matrix, every entry in [1, 2) but the pivot block's diagonal, which
+    adds 8n: no factor or elimination subtracts more than half of an
+    entry, so no result is near zero and a relative tolerance means
+    something."""
+    rng = np.random.default_rng(seed)
+    piv = 1 + rng.random((k1 - k0, n))
+    piv[:, k0:k1] += np.eye(k1 - k0) * 8 * n
+    return 1 + rng.random((m, n)), piv
+
+
+@st.composite
+def elimination_cases(draw):
+    n = draw(st.integers(1, 40))
+    block = draw(st.integers(1, n))
+    k0 = block * draw(st.integers(0, (n - 1) // block))  # any panel, last too
+    m = draw(st.integers(0, 2 * block))                   # zero rows too
+    return n, k0, min(k0 + block, n), m, draw(st.integers(0, 2**32 - 1))
+
+
+class TestLuKernels:
+    @given(elimination_cases())
+    @example((40, 16, 32, 16, 0))   # a middle panel: k0 > 0, columns after it
+    @example((40, 32, 40, 5, 0))    # ragged last panel: the GEMM has no columns
+    @example((40, 7, 8, 9, 0))      # block == 1
+    @example((40, 16, 32, 0, 0))    # no rows
+    def test_blocked_elimination_matches_the_rank1_loop(self, case):
+        rows, piv = elimination_inputs(*case)
+        before, expected = rows.copy(), rows.copy()
+        eliminate_by_rank1(expected, piv, *case[1:3])
+        repro.apps.lu._eliminate(rows, piv, *case[1:3])
+        np.testing.assert_allclose(rows, expected, rtol=1e-12)
+        k0 = case[1]
+        assert np.array_equal(rows[:, :k0], before[:, :k0])  # earlier L kept
+
+    @given(elimination_cases())
+    def test_blocked_factor_matches_the_rank1_loop(self, case):
+        n, k0, k1, _, seed = case
+        _, panel = elimination_inputs(n, k0, k1, 0, seed)
+        expected = panel.copy()
+        factor_by_rank1(expected, k0)
+        repro.apps.lu._factor(panel, k0)
+        np.testing.assert_allclose(panel, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n,block", [(96, 16), (96, 40), (33, 1),
+                                         (20, 64)])
+    def test_reference_factors_rebuild_the_input(self, n, block):
+        a = (np.random.default_rng(n).random((n, n)) + np.eye(n) * n)
+        m = repro.apps.lu._reference_lu(a, block)
+        lower = np.tril(m, -1) + np.eye(n)
+        assert np.abs(lower @ np.triu(m) - a).max() <= 1e-10
+
+
+class TestLuWritesStayHome:
+    """The LU kernels round differently from the loops they replaced, and
+    no simulated field sees it, because after the init barrier every LU
+    write lands on a page its writer homes (``_panel_homes``): JiaJia keeps
+    no twin of a home page, so it makes no diff of one."""
+
+    @pytest.mark.parametrize("name", ["sw-dsm-4", "native-jiajia-4"])
+    def test_every_diff_is_made_by_the_end_of_init(self, monkeypatch, name):
+        plat = preset(name).build()
+        native = name.startswith("native")
+        api = (NativeJiaJiaApi if native else JiaJiaApi)(plat.hamster)
+        diffs, factors = [], []
+        real_diff = repro.dsm.jiajia.protocol.make_diff
+        real_factor = repro.apps.lu._factor_g
+
+        def make_diff(*args):
+            diffs.append(plat.engine.now)
+            return real_diff(*args)
+
+        def factor_g(*args):  # the first call starts the factor phase
+            factors.append(plat.engine.now)
+            return (yield from real_factor(*args))
+
+        monkeypatch.setattr(repro.dsm.jiajia.protocol, "make_diff", make_diff)
+        monkeypatch.setattr(repro.apps.lu, "_factor_g", factor_g)
+        results = api.run(functools.partial(repro.apps.lu.run_lu, n=128,
+                                            block=16))
+        assert all(r.verified for r in results)
+        assert diffs, "rank 0's init writes to remote pages make diffs"
+        assert len(factors) == 128 // 16
+        assert max(diffs) <= min(factors)
 
 
 #: (app, module, its sequential-reference function, small params)

@@ -6,7 +6,9 @@ import pytest
 
 from repro.apps import get_app
 from repro.apps.common import merge_rank_results
+from repro.apps.lu import run_lu
 from repro.config import ClusterConfig, preset
+from repro.errors import ConfigurationError
 from repro.models.jiajia_api import JiaJiaApi
 
 
@@ -47,9 +49,10 @@ class TestUnevenPartitions:
 
 
 class TestDegenerateSizes:
-    def test_lu_single_panel(self):
-        cfg = preset("sw-dsm-2")
-        merged = run(cfg, "lu", n=16, block=16)  # one panel: no updates
+    # one panel, no updates; block > n is a legal one-panel run too
+    @pytest.mark.parametrize("n,block", [(16, 16), (24, 40), (1, 1)])
+    def test_lu_single_panel(self, n, block):
+        merged = run(preset("sw-dsm-2"), "lu", n=n, block=block)
         assert merged.phases["core"] >= 0
 
     def test_sor_minimum_interior(self):
@@ -68,6 +71,20 @@ class TestDegenerateSizes:
         cfg = preset("hybrid-2")
         merged = run(cfg, "pi", intervals=1, verify=False)
         assert merged.phases["total"] > 0
+
+
+class TestLuSizes:
+    @pytest.mark.parametrize("params,named", [
+        (dict(n=0), "n=0"), (dict(n=-8), "n=-8"),
+        (dict(n=16, block=0), "block=0"), (dict(n=16, block=-1), "block=-1"),
+    ])
+    def test_malformed_sizes_are_refused_before_anything_is_allocated(
+            self, params, named):
+        body = run_lu(None, **params)  # touching the api would raise
+        with pytest.raises(ConfigurationError, match=named):
+            next(body)
+        with pytest.raises(ConfigurationError, match=named):
+            run(preset("sw-dsm-2"), "lu", **params)
 
 
 class TestPhaseAccounting:

@@ -69,7 +69,7 @@ class TestModelOverSubstrates:
                 return None
             yield from env.hamster.cluster_ctl.recv_msg_g()
             yield from cons.acquire_g(2)  # DIFFERENT lock
-            A.refresh(0)                  # RC: data must be home by now
+            yield from A.refresh_g(0)     # RC: data must be home by now
             value = float((yield from A.get_g(0)))
             yield from cons.release_g(2)
             yield from env.barrier_g()

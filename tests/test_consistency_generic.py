@@ -142,7 +142,7 @@ class TestContracts:
                 return None
             yield from env.hamster.cluster_ctl.recv_msg_g()
             yield from model.acquire_g(2)      # different scope
-            A.refresh(0)
+            yield from A.refresh_g(0)
             value = float((yield from A.get_g(0)))
             yield from model.release_g(2)
             yield from env.barrier_g()

@@ -196,3 +196,32 @@ class TestSharedArrayAccess:
             return A[:].sum()
 
         assert spmd(smp2, main) == [10, 10]
+
+
+class TestRefresh:
+    def test_a_generator_body_drops_a_page_the_other_rank_wrote(self):
+        """Rank 1 caches a page homed on rank 0, rank 0 writes it, and
+        nothing in between invalidates rank 1's copy: only the refresh
+        makes the next read see the write. ``run_spmd`` is handed the
+        generator function itself, so the bodies run stackless (the
+        ``spmd`` helper's lambda would put them on threads)."""
+        plat = preset("sw-dsm-2").build()
+
+        def main(env):
+            A = yield from env.alloc_array_g((512,), name="A")  # one page
+            yield from A.get_g(slice(None))  # every rank caches it
+            yield from env.barrier_g()
+            if env.rank == 0:
+                yield from A.set_g(0, 7.0)
+                yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
+                yield from env.barrier_g()
+                return None
+            yield from env.hamster.cluster_ctl.recv_msg_g()
+            stale = float((yield from A.get_g(0)))
+            yield from A.refresh_g(0)
+            fresh = float((yield from A.get_g(0)))
+            yield from env.barrier_g()
+            return stale, fresh
+
+        assert plat.hamster.run_spmd(main)[1] == (0.0, 7.0)
+        assert plat.dsm.rank_stats[1].pages_invalidated >= 1
