@@ -11,10 +11,13 @@ molecules. Run at the paper's two working sets: 288 and 343 molecules.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.apps.common import (AppResult, compute_cost, once_per_run,
                                reference_once_per_run, row_block)
+from repro.errors import ConfigurationError
 from repro.memory.layout import block
 
 __all__ = ["run_water"]
@@ -23,19 +26,49 @@ __all__ = ["run_water"]
 FORCE_LOCK_BASE = 100
 DT = 1e-3
 EPS = 0.25
+#: rows of the pair triangle one :func:`_pair_forces` block evaluates: at
+#: 343 molecules a block's temporaries stay under 1 MB (docs/performance.md
+#: §6.2 has the sizes timed)
+BLOCK = 32
+_ON_OR_BELOW = np.tri(BLOCK, dtype=bool)
 
 
 def _pair_forces(pos: np.ndarray, i_lo: int, i_hi: int) -> np.ndarray:
-    """Forces on all molecules from pairs (i, j>i) with i in [i_lo, i_hi)."""
+    """Forces on all molecules from pairs (i, j>i) with i in [i_lo, i_hi).
+
+    Bit-for-bit the row loop ``for i: f = kernel(pos[i+1:] - pos[i]);
+    forces[i] -= f.sum(axis=0); forces[i+1:] += f``, evaluated
+    :data:`BLOCK` rows at a time: every sum keeps the loop's order, so
+    the result is the same bits. Each block holds its pairs as ``(row,
+    component, column)`` over the columns ``j >= b0``, with ``j <= i``
+    zeroed; a zero pair adds nothing to a force's bits. A column's sum
+    is carried from block to block as row 0 of the next block's buffer,
+    so column ``j`` still adds ``f[i, j]`` in ``i`` order. A row's sum
+    runs over a copy whose outer axis is ``j``, because numpy sums along
+    the contiguous axis pairwise, not in order."""
     n = pos.shape[0]
     forces = np.zeros_like(pos)
-    for i in range(i_lo, i_hi):
-        delta = pos[i + 1:] - pos[i]                    # (n-i-1, 3)
-        r2 = (delta * delta).sum(axis=1) + EPS
+    if i_hi <= i_lo:
+        return forces
+    p = np.ascontiguousarray(pos.T)                     # (3, n)
+    carry = np.zeros((3, n - i_lo))                     # column sums so far
+    for b0 in range(i_lo, i_hi, BLOCK):
+        rows = min(BLOCK, i_hi - b0)
+        buf = np.empty((rows + 1, 3, n - b0))
+        buf[0] = carry
+        f = np.subtract(p[None, :, b0:], pos[b0:b0 + rows, :, None],
+                        out=buf[1:])                    # (rows, 3, n-b0)
+        dx, dy, dz = f[:, 0], f[:, 1], f[:, 2]
+        r2 = dx * dx + dy * dy + dz * dz + EPS
         inv = 1.0 / (r2 * r2 * np.sqrt(r2))             # ~ 1/r^5 kernel
-        f = delta * inv[:, None]
-        forces[i] -= f.sum(axis=0)
-        forces[i + 1:] += f
+        inv[:, :rows][_ON_OR_BELOW[:rows, :rows]] = 0.0
+        f *= inv[:, None, :]
+        col = np.add.reduce(buf, axis=0)
+        row = np.add.reduce(np.ascontiguousarray(f.transpose(2, 0, 1)),
+                            axis=0)
+        forces[b0:b0 + rows] = col[:, :rows].T - row
+        carry = col[:, rows:]
+    forces[i_hi:] = carry.T
     return forces
 
 
@@ -48,10 +81,26 @@ def _reference(initial: np.ndarray, steps: int) -> np.ndarray:
     return pos
 
 
+def _whole(value) -> bool:
+    return isinstance(value, numbers.Real) and float(value).is_integer()
+
+
 def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
               verify: bool = True) -> AppResult:
+    """Simulate ``steps`` time steps of ``molecules`` molecules.
+
+    A ``molecules`` that is not a whole number >= 1 (NaN included), or a
+    ``steps`` that is not a whole number >= 0, raises
+    :class:`ConfigurationError` before anything is allocated. ``steps=0``
+    is a legal zero-step run: the positions stay the input and verify."""
+    if not (_whole(molecules) and molecules >= 1):
+        raise ConfigurationError(f"water: molecules must be a whole number "
+                                 f">= 1, got molecules={molecules!r}")
+    if not (_whole(steps) and steps >= 0):
+        raise ConfigurationError(f"water: steps must be a whole number "
+                                 f">= 0, got steps={steps!r}")
+    n, steps = int(molecules), int(steps)
     rank, n_ranks = yield from api.jia_init_g()
-    n = molecules
 
     t0 = yield from api.jia_wtime_g()
     X = yield from api.jia_alloc_array_g((n, 3), np.float64, name="water.pos",

@@ -42,7 +42,11 @@ class ConsistencyMgmt:
 
     def use(self, model_name: str) -> ConsistencyModel:
         """Select (and cache) the optimized implementation of a model."""
-        self._h.charge_call()
+        return self._h.engine.kernel(self.use_g(model_name))
+
+    def use_g(self, model_name: str):
+        """Generator kernel of :meth:`use` (``yield from`` it)."""
+        yield self._h.call_cost()
         if model_name not in self._models:
             self._models[model_name] = get_model(model_name, self.dsm)
             self.stats.incr("models_instantiated")

@@ -81,8 +81,9 @@ def on_threads():
 
 
 def spmd(plat, fn, *args):
-    """Run ``fn(env, *args)`` on every rank of a built platform."""
-    return plat.hamster.run_spmd(lambda env, *a: fn(env, *a), args=args)
+    """Run ``fn(env, *args)`` on every rank of a built platform; a
+    generator-function ``fn`` runs stackless."""
+    return plat.hamster.run_spmd(fn, args=args)
 
 
 @pytest.fixture

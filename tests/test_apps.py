@@ -272,6 +272,49 @@ class TestLuKernels:
         assert np.abs(lower @ np.triu(m) - a).max() <= 1e-10
 
 
+def pair_forces_by_row(pos, i_lo, i_hi):
+    """The row loop ``water._pair_forces`` was before it became blocked
+    numpy; kept as its oracle."""
+    forces = np.zeros_like(pos)
+    for i in range(i_lo, i_hi):
+        delta = pos[i + 1:] - pos[i]
+        r2 = (delta * delta).sum(axis=1) + repro.apps.water.EPS
+        inv = 1.0 / (r2 * r2 * np.sqrt(r2))
+        f = delta * inv[:, None]
+        forces[i] -= f.sum(axis=0)
+        forces[i + 1:] += f
+    return forces
+
+
+@st.composite
+def pair_cases(draw):
+    n = draw(st.integers(1, 150))
+    i_lo = draw(st.integers(0, n))
+    i_hi = draw(st.integers(i_lo, n))                 # i_lo == i_hi: no rows
+    # whole-number positions repeat, so some deltas and sums are exactly 0
+    return n, i_lo, i_hi, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestWaterKernel:
+    @given(pair_cases())
+    @example((40, 17, 17, False, 0))    # an empty range
+    @example((40, 39, 40, False, 0))    # the last row alone
+    @example((1, 0, 1, False, 0))       # one molecule
+    @example((64, 0, 64, False, 0))     # whole blocks only (BLOCK is 32)
+    @example((65, 0, 65, False, 0))     # a one-row last block
+    @example((129, 0, 129, False, 0))   # four whole blocks and one row
+    @example((129, 50, 129, True, 0))   # blocks from row 50, repeats
+    def test_blocked_forces_are_bit_identical_to_the_row_loop(self, case):
+        n, i_lo, i_hi, whole, seed = case
+        pos = np.random.default_rng(seed).random((n, 3)) * 10.0
+        if whole:
+            pos = np.floor(pos)
+        expected = pair_forces_by_row(pos, i_lo, i_hi)
+        forces = repro.apps.water._pair_forces(pos, i_lo, i_hi)
+        assert np.array_equal(forces.view(np.uint64),
+                              expected.view(np.uint64))
+
+
 class TestLuWritesStayHome:
     """The LU kernels round differently from the loops they replaced, and
     no simulated field sees it, because after the init barrier every LU

@@ -7,6 +7,7 @@ import pytest
 from repro.apps import get_app
 from repro.apps.common import merge_rank_results
 from repro.apps.lu import run_lu
+from repro.apps.water import run_water
 from repro.config import ClusterConfig, preset
 from repro.errors import ConfigurationError
 from repro.models.jiajia_api import JiaJiaApi
@@ -85,6 +86,32 @@ class TestLuSizes:
             next(body)
         with pytest.raises(ConfigurationError, match=named):
             run(preset("sw-dsm-2"), "lu", **params)
+
+
+class TestWaterSizes:
+    @pytest.mark.parametrize("params,named", [
+        (dict(molecules=0), "molecules=0"),
+        (dict(molecules=-3), "molecules=-3"),
+        (dict(molecules=float("nan")), "molecules=nan"),
+        (dict(molecules=2.5), r"molecules=2\.5"),
+        (dict(molecules=8, steps=-1), "steps=-1"),
+    ])
+    def test_malformed_sizes_are_refused_before_anything_is_allocated(
+            self, params, named):
+        body = run_water(None, **params)  # touching the api would raise
+        with pytest.raises(ConfigurationError, match=named):
+            next(body)
+        with pytest.raises(ConfigurationError, match=named):
+            run(preset("sw-dsm-2"), "water", **params)
+
+    def test_zero_steps_leave_the_input_and_verify(self):
+        merged = run(preset("sw-dsm-2"), "water", molecules=8, steps=0)
+        assert merged.extra["steps"] == 0
+
+    def test_a_whole_float_counts_molecules(self):
+        merged = run(preset("sw-dsm-2"), "water", molecules=8.0, steps=1)
+        assert merged.app == "water8"
+        assert merged.extra["molecules"] == 8
 
 
 class TestPhaseAccounting:

@@ -56,7 +56,7 @@ class TestModelOverSubstrates:
 
         def main(env):
             cons = env.hamster.consistency
-            cons.use("release")
+            yield from cons.use_g("release")
             A = yield from env.alloc_array_g((512,), name="A")
             yield from A.get_g(slice(None))  # cache everywhere
             yield from env.barrier_g()
