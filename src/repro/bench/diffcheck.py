@@ -8,10 +8,11 @@
 * ``scaling/<preset>/PI`` — the scaling-curve points beyond the figure
   presets (``eth-`` and ``sci-torus-`` 64/256/1024), as ``bench
   scaling`` records them;
-* ``chaos/<preset>/<name>`` — three seeded fault plans: two masked-fault
-  runs and one crash with its typed ``node-failed`` outcome;
-* ``model/<model>/<preset>`` — the cross-model kernel of each DSM-API
-  model (:mod:`repro.bench.model_kernels`) on the platforms it runs on.
+* ``chaos/<preset>/<name>`` — seeded fault plans: two masked-fault app
+  runs, one crash with its typed ``node-failed`` outcome, and one
+  masked-fault run of each thread API's model kernel;
+* ``model/<model>/<preset>`` — the cross-model kernel of each model
+  (:mod:`repro.bench.model_kernels`) on the platforms it runs on.
 
 Every row also carries ``digest`` / ``trace_events``: the checker runs
 each scenario **once**, with tracing and observability both on, and
@@ -44,6 +45,7 @@ cost-model change, a protocol fix); see docs/performance.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -112,9 +114,19 @@ class ScalingScenario:
         return scaling_point(self.preset, scale=scale, trace=True)
 
 
+def run_kernel(model: str, plat) -> Tuple[bool, float]:
+    """Run ``model``'s cross-model kernel on a built platform; returns
+    (every value is the expected total, their sum)."""
+    name, kernel = KERNELS[model]
+    values = load_model(name)(plat.hamster).run(kernel)
+    n = plat.hamster.n_ranks
+    return values == [expected(n)] * n, sum(values)
+
+
 @dataclass(frozen=True)
 class ChaosScenario:
-    """One seeded fault-plan run."""
+    """One seeded fault-plan run of an app, or of a model's kernel when
+    ``app`` names one (a key of :data:`repro.bench.model_kernels.KERNELS`)."""
 
     name: str
     preset: str
@@ -130,8 +142,10 @@ class ChaosScenario:
         del scale  # chaos params are absolute, not scaled
         cfg = preset(self.preset)
         cfg.trace = True
+        run = (functools.partial(run_kernel, self.app)
+               if self.app in KERNELS else None)
         res = run_chaos(cfg, app=self.app, app_params=dict(self.params),
-                        plan=self.plan)
+                        plan=self.plan, run=run)
         return {
             "preset": self.preset,
             "app": self.app,
@@ -146,9 +160,10 @@ class ChaosScenario:
 
 
 #: Chaos scenarios: two masked-fault runs (losses/dups/jitter absorbed by
-#: the reliable layer, run completes verified) and a crash plan
-#: (deterministic typed node-failed outcome). Timing of every
-#: retransmission lands in the trace digest.
+#: the reliable layer, run completes verified), a crash plan
+#: (deterministic typed node-failed outcome), and a masked-fault run of
+#: each thread API, whose forwarded commands ride the same reliable layer.
+#: Timing of every retransmission lands in the trace digest.
 _CHAOS_SCENARIOS: Tuple[ChaosScenario, ...] = (
     ChaosScenario("sor-seed42", "sw-dsm-2", "sor",
                   (("n", 64), ("iterations", 3)), FaultPlan.seeded(42)),
@@ -157,6 +172,10 @@ _CHAOS_SCENARIOS: Tuple[ChaosScenario, ...] = (
     ChaosScenario("sor-crash", "sw-dsm-2", "sor",
                   (("n", 96), ("iterations", 4)),
                   FaultPlan(seed=5, crashes=(NodeCrash(node=1, at=4e-3),))),
+    ChaosScenario("pthreads-seed42", "sw-dsm-2", "pthreads", (),
+                  FaultPlan.seeded(42)),
+    ChaosScenario("win32-seed77", "sw-dsm-2", "win32", (),
+                  FaultPlan.seeded(77)),
 )
 
 
@@ -176,12 +195,10 @@ class ModelScenario:
         cfg = preset(self.preset)
         cfg.observe = cfg.trace = True
         plat = cfg.build()
-        name, kernel = KERNELS[self.model]
-        values = load_model(name)(plat.hamster).run(kernel)
-        n = plat.hamster.n_ranks
-        return {"model": name, "preset": self.preset,
-                "verified": values == [expected(n)] * n,
-                "checksum": sum(values), **_run_facts(plat)}
+        verified, checksum = run_kernel(self.model, plat)
+        return {"model": KERNELS[self.model][0], "preset": self.preset,
+                "verified": verified, "checksum": checksum,
+                **_run_facts(plat)}
 
 
 def _run_facts(plat) -> Dict[str, Any]:
@@ -192,11 +209,13 @@ def _run_facts(plat) -> Dict[str, Any]:
             "digest": digest, "trace_events": trace_events}
 
 
-#: Model scenarios: every DSM-API model on the SW-DSM and the hybrid, and
-#: SMP/SPMD also on the SMP, where its node-local barrier has peers.
-_MODEL_SCENARIOS = tuple(ModelScenario(model, p) for model in KERNELS
-                         for p in ("sw-dsm-4", "hybrid-4")) + (
-                             ModelScenario("smp_spmd", "smp-2"),)
+#: Model scenarios: every model on the SW-DSM and the hybrid; SMP/SPMD
+#: also on the SMP, where its node-local barrier has peers, and the thread
+#: APIs too, where no create or join is forwarded.
+_MODEL_SCENARIOS = tuple(
+    ModelScenario(model, p) for model in KERNELS
+    for p in ("sw-dsm-4", "hybrid-4") + (
+        ("smp-2",) if model in ("smp_spmd", "pthreads", "win32") else ()))
 
 
 def scenarios() -> List[Any]:

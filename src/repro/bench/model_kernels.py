@@ -1,13 +1,22 @@
-"""The cross-model kernel, once per DSM-API model of Table 2, as the golden
+"""The cross-model kernel, once per model of Table 2 it runs, as the golden
 store's ``model/<model>/<preset>`` rows run it (:mod:`repro.bench.diffcheck`).
 
 Each rank block-fills an ``N x N`` shared matrix, meets the others at a
 barrier, adds its block into a lock-protected total, meets them again and
 reads the total back; then it makes each of its model's other charging
 calls once (identity, allocation, consistency, trylock, messaging, timing).
+The thread APIs run the same block sum on threads: a main thread
+allocates, creates one thread per rank (a create to another node is
+forwarded there), joins them and returns their values, then makes each
+of the model's other charging calls once.
 """
 
 from __future__ import annotations
+
+import inspect
+from functools import partial
+
+import numpy as np
 
 from repro.memory.layout import first_touch
 
@@ -23,26 +32,46 @@ def expected(n_ranks: int) -> float:
     return float(sum((r + 1) * rows * N for r in range(n_ranks)))
 
 
-def _block_sum(pid, nprocs, A, total, barrier, lock, unlock):
-    """Block fill, barrier, lock-protected reduction, barrier, read-back."""
+def _do(value):
+    """A model call's value, driven when the call is a generator."""
+    if inspect.isgenerator(value):
+        value = yield from value
+    return value
+
+
+def _plain(m, body):
+    """Generator function ``body`` as a blocking callable."""
+    return lambda *args: m.hamster.engine.kernel(body(*args))
+
+
+def _block_sum(pid, nprocs, A, total, barrier, lock, unlock, locked=False):
+    """Block fill, barrier, lock-protected reduction, barrier, read-back
+    (under the lock when ``locked``: a thread API's barrier is built on a
+    lock of its own, so on a scope-consistent DSM it makes the total's
+    last update visible to no one)."""
     rows = N // nprocs
     mine = (slice(pid * rows, (pid + 1) * rows), slice(None))
     yield from A.set_g(mine, float(pid + 1))
-    yield from barrier()
-    yield from lock(0)
+    yield from _do(barrier())
+    yield from _do(lock())
     acc = yield from total.get_g(0)
     part = yield from A.get_g(mine)
     yield from total.set_g(0, float(acc) + float(part.sum()))
-    yield from unlock(0)
-    yield from barrier()
-    return float((yield from total.get_g(0)))
+    yield from _do(unlock())
+    yield from _do(barrier())
+    if not locked:
+        return float((yield from total.get_g(0)))
+    yield from _do(lock())
+    value = yield from total.get_g(0)
+    yield from _do(unlock())
+    return float(value)
 
 
 def _each(m, *calls):
     """Make each call of ``m`` in turn: a name, or ``(name, *args)``."""
     for call in calls:
         name, *args = (call,) if isinstance(call, str) else call
-        yield from getattr(m, name)(*args)
+        yield from _do(getattr(m, name)(*args))
 
 
 def spmd(m):
@@ -50,8 +79,9 @@ def spmd(m):
     n = yield from m.spmd_num_procs()
     A = yield from m.spmd_alloc_array((N, N), name="A")
     t = yield from m.spmd_alloc_array((1,), name="t")
-    value = yield from _block_sum(pid, n, A, t, m.spmd_barrier, m.spmd_lock,
-                                  m.spmd_unlock)
+    value = yield from _block_sum(pid, n, A, t, m.spmd_barrier,
+                                  partial(m.spmd_lock, 0),
+                                  partial(m.spmd_unlock, 0))
     yield from _each(m, "spmd_proc_id", "spmd_node_id", "spmd_num_nodes")
     region = yield from m.spmd_alloc(4096, name="r")
     if pid == 0:
@@ -85,7 +115,8 @@ def treadmarks(m):
     A = yield from m.Tmk_distribute("A", A)
     t = yield from m.Tmk_distribute("t", t)
     value = yield from _block_sum(pid, n, A, t, m.Tmk_barrier,
-                                  m.Tmk_lock_acquire, m.Tmk_lock_release)
+                                  partial(m.Tmk_lock_acquire, 0),
+                                  partial(m.Tmk_lock_release, 0))
     region = yield from m.Tmk_malloc(4096, name=f"r{pid}")
     yield from m.Tmk_free(region)
     if (yield from m.Tmk_trylock(1)):
@@ -99,8 +130,9 @@ def hlrc(m):
     n = yield from m.hlrc_num_procs()
     A = yield from m.hlrc_malloc_array((N, N), name="A")
     t = yield from m.hlrc_malloc_array((1,), name="t")
-    value = yield from _block_sum(pid, n, A, t, m.hlrc_barrier, m.hlrc_lock,
-                                  m.hlrc_unlock)
+    value = yield from _block_sum(pid, n, A, t, m.hlrc_barrier,
+                                  partial(m.hlrc_lock, 0),
+                                  partial(m.hlrc_unlock, 0))
     yield from _each(m, "hlrc_my_pid", "hlrc_my_node", "hlrc_num_nodes")
     region = yield from m.hlrc_malloc(4096)
     if pid == 0:
@@ -122,10 +154,159 @@ def hlrc(m):
     return value
 
 
+def _threads(m, sync, create, join):
+    """The main thread's part: allocate, create one thread per rank that
+    runs the block sum, join them; returns the threads' values."""
+    n = m.hamster.n_ranks
+    memory = m.hamster.memory
+    A = yield from memory.alloc_array_g((N, N), name="A")
+    t = yield from memory.alloc_array_g((1,), name="t")
+    barrier, lock, unlock = yield from sync(n)
+
+    def worker(pid):
+        return (yield from _block_sum(pid, n, A, t, barrier, lock, unlock,
+                                      locked=True))
+
+    handles = []
+    for pid in range(n):
+        handles.append((yield from create(worker, pid)))
+    values = []
+    for handle in handles:
+        values.append((yield from join(handle)))
+    return values
+
+
+def pthreads(m):
+    def sync(n):
+        bar = yield from _do(m.pthread_barrier_init(n))
+        mutex = yield from _do(m.pthread_mutex_init())
+        return (partial(m.pthread_barrier_wait, bar),
+                partial(m.pthread_mutex_lock, mutex),
+                partial(m.pthread_mutex_unlock, mutex))
+
+    def create(worker, pid):
+        attr = yield from _do(m.pthread_attr_init())
+        yield from _do(m.pthread_attr_setnode(attr, pid))
+        return (yield from _do(m.pthread_create(_plain(m, worker), pid, attr)))
+
+    def join(tid):
+        _, value = yield from _do(m.pthread_join(tid))
+        return value
+
+    values = yield from _threads(m, sync, create, join)
+    n = m.hamster.n_ranks
+
+    def leaver(code):
+        yield from _do(m.sched_yield())
+        yield from _do(m.pthread_exit(code))
+
+    # an exit on the last rank, forwarded there and joined from here
+    attr = yield from _do(m.pthread_attr_init())
+    yield from _do(m.pthread_attr_setnode(attr, n - 1))
+    tid = yield from _do(m.pthread_create(_plain(m, leaver), 7, attr))
+    yield from _do(m.pthread_join(tid))
+
+    def init():
+        yield from _do(m.sched_yield())
+
+    yield from _do(m.pthread_once("once", _plain(m, init)))
+    mutex = yield from _do(m.pthread_mutex_init())
+    yield from _do(m.pthread_mutex_trylock(mutex))
+    cond = yield from _do(m.pthread_cond_init(mutex))
+    yield from _each(m, ("pthread_cond_timedwait", cond, mutex, 1e-4),
+                     ("pthread_cond_signal", cond),
+                     ("pthread_cond_broadcast", cond),
+                     ("pthread_mutex_unlock", mutex))
+    rw = yield from _do(m.pthread_rwlock_init())
+    yield from _each(m, ("pthread_rwlock_rdlock", rw),
+                     ("pthread_rwlock_tryrdlock", rw),
+                     ("pthread_rwlock_unlock", rw),
+                     ("pthread_rwlock_unlock", rw),
+                     ("pthread_rwlock_trywrlock", rw),
+                     ("pthread_rwlock_unlock", rw),
+                     ("pthread_rwlock_wrlock", rw),
+                     ("pthread_rwlock_unlock", rw))
+    return values
+
+
+def win32(m):
+    def sync(n):
+        # Win32 has no barrier: one interlocked arrival count, and the
+        # n-th arrival of each phase sets that phase's manual-reset event.
+        count = yield from m.hamster.memory.alloc_array_g(
+            (1,), dtype=np.int64, name="count")
+        events = []
+        for _ in range(2):
+            events.append((yield from _do(m.CreateEvent(True))))
+        cs = yield from _do(m.InitializeCriticalSection())
+
+        def barrier():
+            arrived = yield from _do(m.InterlockedIncrement(count))
+            event = events[(arrived - 1) // n]
+            if arrived % n == 0:
+                yield from _do(m.SetEvent(event))
+            yield from _do(m.WaitForSingleObject(event))
+
+        return (barrier, partial(m.EnterCriticalSection, cs),
+                partial(m.LeaveCriticalSection, cs))
+
+    def create(worker, pid):
+        return (yield from _do(m.CreateRemoteThread(pid, _plain(m, worker),
+                                                    pid)))
+
+    def join(handle):
+        yield from _do(m.WaitForSingleObject(handle))
+        return (yield from _do(m.GetExitCodeThread(handle)))
+
+    values = yield from _threads(m, sync, create, join)
+
+    def sleeper(ms):
+        yield from _do(m.Sleep(ms))
+        yield from _do(m.SwitchToThread())
+        yield from _do(m.ExitThread(ms))
+
+    def apc(ms):
+        yield from _do(m.Sleep(ms))
+
+    # round-robin placement: forwarded whenever it lands on another node
+    quick = yield from _do(m.CreateThread(_plain(m, sleeper), 1))
+    slow = yield from _do(m.CreateThread(_plain(m, sleeper), 3))
+    yield from _each(m, ("QueueUserAPC", _plain(m, apc), slow, 1),
+                     ("WaitForSingleObject", slow, 0.5),
+                     ("WaitForMultipleObjects", [quick, slow], False),
+                     ("WaitForMultipleObjects", [quick, slow], True))
+    mutex = yield from _do(m.CreateMutex(True))
+    yield from _each(m, ("ReleaseMutex", mutex),
+                     ("WaitForSingleObject", mutex, 0),
+                     ("ReleaseMutex", mutex))
+    sem = yield from _do(m.CreateSemaphore(1, 2))
+    yield from _each(m, ("WaitForSingleObject", sem),
+                     ("WaitForSingleObject", sem, 0.2),
+                     ("ReleaseSemaphore", sem, 1))
+    event = yield from _do(m.CreateEvent(False, True))
+    yield from _each(m, ("WaitForSingleObject", event, 0),
+                     ("SetEvent", event), ("PulseEvent", event),
+                     ("ResetEvent", event),
+                     ("WaitForSingleObject", event, 0.2))
+    cs = yield from _do(m.InitializeCriticalSection())
+    if (yield from _do(m.TryEnterCriticalSection(cs))):
+        yield from _do(m.LeaveCriticalSection(cs))
+    count = yield from m.hamster.memory.alloc_array_g(
+        (1,), dtype=np.int64, name="c")
+    yield from _each(m, ("InterlockedExchange", count, 5),
+                     ("InterlockedDecrement", count),
+                     ("InterlockedCompareExchange", count, 9, 4),
+                     ("InterlockedExchangeAdd", count, 2),
+                     "GetCurrentProcessorNumber", "GetSystemInfo")
+    return values
+
+
 #: model key -> (Table 2 row name, kernel)
 KERNELS = {
     "spmd": ("SPMD model", spmd),
     "smp_spmd": ("SMP/SPMD model", smp_spmd),
     "treadmarks": ("TreadMarks API", treadmarks),
     "hlrc": ("HLRC API", hlrc),
+    "pthreads": ("POSIX threads", pthreads),
+    "win32": ("WIN32 threads", win32),
 }

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.config import ClusterConfig, preset
 from repro.errors import NodeFailedError, TimeoutError
@@ -87,31 +87,30 @@ def _resolve_config(config: Union[str, ClusterConfig]) -> ClusterConfig:
 def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
               app_params: Optional[Dict[str, Any]] = None,
               plan: Optional[Union[FaultPlan, int, Dict[str, Any]]] = None,
-              native: bool = False) -> ChaosResult:
+              native: bool = False,
+              run: Optional[Callable[[Any], Tuple[bool, float]]] = None
+              ) -> ChaosResult:
     """Run one benchmark under ``plan`` and classify the outcome.
 
     ``plan`` overrides whatever ``config.faults`` carries; pass ``None`` to
-    keep the config's own plan (or run fault-free).
+    keep the config's own plan (or run fault-free). ``run``, when given,
+    replaces the benchmark: ``run(platform)`` returns ``(verified,
+    checksum)``, and ``app`` only names the result.
     """
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
-    from repro.models.native_jiajia import NativeJiaJiaApi
-
     cfg = _resolve_config(config)
     if plan is not None:
         cfg.faults = FaultPlan.coerce(plan)
     plat = cfg.build()
-    api = NativeJiaJiaApi(plat.hamster) if native else JiaJiaApi(plat.hamster)
-    fn = get_app(app)
-    params = dict(app_params or {})
     result = ChaosResult(app=app, platform=cfg.name or cfg.platform,
                          outcome="completed", built=plat)
     try:
-        merged = merge_rank_results(api.run(functools.partial(fn, **params)))
-        result.verified = merged.verified
-        result.checksum = merged.checksum
-        result.phases = dict(merged.phases)
+        if run is not None:
+            result.verified, result.checksum = run(plat)
+        else:
+            merged = _run_app(plat, app, app_params, native)
+            result.verified = merged.verified
+            result.checksum = merged.checksum
+            result.phases = dict(merged.phases)
     except NodeFailedError as exc:
         result.outcome = "node-failed"
         result.error = str(exc)
@@ -133,6 +132,20 @@ def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
         detector.stop()
         result.detector = detector.status()
     return result
+
+
+def _run_app(plat, app: str, app_params: Optional[Dict[str, Any]],
+             native: bool):
+    """One benchmark SPMD-style over (native) JiaJia; its merged result."""
+    from repro.apps import get_app
+    from repro.apps.common import merge_rank_results
+    from repro.models.jiajia_api import JiaJiaApi
+    from repro.models.native_jiajia import NativeJiaJiaApi
+
+    api = NativeJiaJiaApi(plat.hamster) if native else JiaJiaApi(plat.hamster)
+    fn = get_app(app)
+    return merge_rank_results(api.run(functools.partial(fn, **dict(
+        app_params or {}))))
 
 
 def fault_free_fingerprint(config: Union[str, ClusterConfig],
