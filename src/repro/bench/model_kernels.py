@@ -13,7 +13,6 @@ of the model's other charging calls once.
 
 from __future__ import annotations
 
-import inspect
 from functools import partial
 
 import numpy as np
@@ -32,18 +31,6 @@ def expected(n_ranks: int) -> float:
     return float(sum((r + 1) * rows * N for r in range(n_ranks)))
 
 
-def _do(value):
-    """A model call's value, driven when the call is a generator."""
-    if inspect.isgenerator(value):
-        value = yield from value
-    return value
-
-
-def _plain(m, body):
-    """Generator function ``body`` as a blocking callable."""
-    return lambda *args: m.hamster.engine.kernel(body(*args))
-
-
 def _block_sum(pid, nprocs, A, total, barrier, lock, unlock, locked=False):
     """Block fill, barrier, lock-protected reduction, barrier, read-back
     (under the lock when ``locked``: a thread API's barrier is built on a
@@ -52,18 +39,18 @@ def _block_sum(pid, nprocs, A, total, barrier, lock, unlock, locked=False):
     rows = N // nprocs
     mine = (slice(pid * rows, (pid + 1) * rows), slice(None))
     yield from A.set_g(mine, float(pid + 1))
-    yield from _do(barrier())
-    yield from _do(lock())
+    yield from barrier()
+    yield from lock()
     acc = yield from total.get_g(0)
     part = yield from A.get_g(mine)
     yield from total.set_g(0, float(acc) + float(part.sum()))
-    yield from _do(unlock())
-    yield from _do(barrier())
+    yield from unlock()
+    yield from barrier()
     if not locked:
         return float((yield from total.get_g(0)))
-    yield from _do(lock())
+    yield from lock()
     value = yield from total.get_g(0)
-    yield from _do(unlock())
+    yield from unlock()
     return float(value)
 
 
@@ -71,7 +58,7 @@ def _each(m, *calls):
     """Make each call of ``m`` in turn: a name, or ``(name, *args)``."""
     for call in calls:
         name, *args = (call,) if isinstance(call, str) else call
-        yield from _do(getattr(m, name)(*args))
+        yield from getattr(m, name)(*args)
 
 
 def spmd(m):
@@ -178,46 +165,46 @@ def _threads(m, sync, create, join):
 
 def pthreads(m):
     def sync(n):
-        bar = yield from _do(m.pthread_barrier_init(n))
-        mutex = yield from _do(m.pthread_mutex_init())
+        bar = yield from m.pthread_barrier_init(n)
+        mutex = yield from m.pthread_mutex_init()
         return (partial(m.pthread_barrier_wait, bar),
                 partial(m.pthread_mutex_lock, mutex),
                 partial(m.pthread_mutex_unlock, mutex))
 
     def create(worker, pid):
-        attr = yield from _do(m.pthread_attr_init())
-        yield from _do(m.pthread_attr_setnode(attr, pid))
-        return (yield from _do(m.pthread_create(_plain(m, worker), pid, attr)))
+        attr = yield from m.pthread_attr_init()
+        yield from m.pthread_attr_setnode(attr, pid)
+        return (yield from m.pthread_create(worker, pid, attr))
 
     def join(tid):
-        _, value = yield from _do(m.pthread_join(tid))
+        _, value = yield from m.pthread_join(tid)
         return value
 
     values = yield from _threads(m, sync, create, join)
     n = m.hamster.n_ranks
 
     def leaver(code):
-        yield from _do(m.sched_yield())
-        yield from _do(m.pthread_exit(code))
+        yield from m.sched_yield()
+        yield from m.pthread_exit(code)
 
     # an exit on the last rank, forwarded there and joined from here
-    attr = yield from _do(m.pthread_attr_init())
-    yield from _do(m.pthread_attr_setnode(attr, n - 1))
-    tid = yield from _do(m.pthread_create(_plain(m, leaver), 7, attr))
-    yield from _do(m.pthread_join(tid))
+    attr = yield from m.pthread_attr_init()
+    yield from m.pthread_attr_setnode(attr, n - 1)
+    tid = yield from m.pthread_create(leaver, 7, attr)
+    yield from m.pthread_join(tid)
 
     def init():
-        yield from _do(m.sched_yield())
+        yield from m.sched_yield()
 
-    yield from _do(m.pthread_once("once", _plain(m, init)))
-    mutex = yield from _do(m.pthread_mutex_init())
-    yield from _do(m.pthread_mutex_trylock(mutex))
-    cond = yield from _do(m.pthread_cond_init(mutex))
+    yield from m.pthread_once("once", init)
+    mutex = yield from m.pthread_mutex_init()
+    yield from m.pthread_mutex_trylock(mutex)
+    cond = yield from m.pthread_cond_init(mutex)
     yield from _each(m, ("pthread_cond_timedwait", cond, mutex, 1e-4),
                      ("pthread_cond_signal", cond),
                      ("pthread_cond_broadcast", cond),
                      ("pthread_mutex_unlock", mutex))
-    rw = yield from _do(m.pthread_rwlock_init())
+    rw = yield from m.pthread_rwlock_init()
     yield from _each(m, ("pthread_rwlock_rdlock", rw),
                      ("pthread_rwlock_tryrdlock", rw),
                      ("pthread_rwlock_unlock", rw),
@@ -237,60 +224,60 @@ def win32(m):
             (1,), dtype=np.int64, name="count")
         events = []
         for _ in range(2):
-            events.append((yield from _do(m.CreateEvent(True))))
-        cs = yield from _do(m.InitializeCriticalSection())
+            events.append((yield from m.CreateEvent(True)))
+        cs = yield from m.InitializeCriticalSection()
 
         def barrier():
-            arrived = yield from _do(m.InterlockedIncrement(count))
+            arrived = yield from m.InterlockedIncrement(count)
             event = events[(arrived - 1) // n]
             if arrived % n == 0:
-                yield from _do(m.SetEvent(event))
-            yield from _do(m.WaitForSingleObject(event))
+                yield from m.SetEvent(event)
+            yield from m.WaitForSingleObject(event)
 
         return (barrier, partial(m.EnterCriticalSection, cs),
                 partial(m.LeaveCriticalSection, cs))
 
     def create(worker, pid):
-        return (yield from _do(m.CreateRemoteThread(pid, _plain(m, worker),
-                                                    pid)))
+        return (yield from m.CreateRemoteThread(pid, worker,
+                                                    pid))
 
     def join(handle):
-        yield from _do(m.WaitForSingleObject(handle))
-        return (yield from _do(m.GetExitCodeThread(handle)))
+        yield from m.WaitForSingleObject(handle)
+        return (yield from m.GetExitCodeThread(handle))
 
     values = yield from _threads(m, sync, create, join)
 
     def sleeper(ms):
-        yield from _do(m.Sleep(ms))
-        yield from _do(m.SwitchToThread())
-        yield from _do(m.ExitThread(ms))
+        yield from m.Sleep(ms)
+        yield from m.SwitchToThread()
+        yield from m.ExitThread(ms)
 
     def apc(ms):
-        yield from _do(m.Sleep(ms))
+        yield from m.Sleep(ms)
 
     # round-robin placement: forwarded whenever it lands on another node
-    quick = yield from _do(m.CreateThread(_plain(m, sleeper), 1))
-    slow = yield from _do(m.CreateThread(_plain(m, sleeper), 3))
-    yield from _each(m, ("QueueUserAPC", _plain(m, apc), slow, 1),
+    quick = yield from m.CreateThread(sleeper, 1)
+    slow = yield from m.CreateThread(sleeper, 3)
+    yield from _each(m, ("QueueUserAPC", apc, slow, 1),
                      ("WaitForSingleObject", slow, 0.5),
                      ("WaitForMultipleObjects", [quick, slow], False),
                      ("WaitForMultipleObjects", [quick, slow], True))
-    mutex = yield from _do(m.CreateMutex(True))
+    mutex = yield from m.CreateMutex(True)
     yield from _each(m, ("ReleaseMutex", mutex),
                      ("WaitForSingleObject", mutex, 0),
                      ("ReleaseMutex", mutex))
-    sem = yield from _do(m.CreateSemaphore(1, 2))
+    sem = yield from m.CreateSemaphore(1, 2)
     yield from _each(m, ("WaitForSingleObject", sem),
                      ("WaitForSingleObject", sem, 0.2),
                      ("ReleaseSemaphore", sem, 1))
-    event = yield from _do(m.CreateEvent(False, True))
+    event = yield from m.CreateEvent(False, True)
     yield from _each(m, ("WaitForSingleObject", event, 0),
                      ("SetEvent", event), ("PulseEvent", event),
                      ("ResetEvent", event),
                      ("WaitForSingleObject", event, 0.2))
-    cs = yield from _do(m.InitializeCriticalSection())
-    if (yield from _do(m.TryEnterCriticalSection(cs))):
-        yield from _do(m.LeaveCriticalSection(cs))
+    cs = yield from m.InitializeCriticalSection()
+    if (yield from m.TryEnterCriticalSection(cs)):
+        yield from m.LeaveCriticalSection(cs)
     count = yield from m.hamster.memory.alloc_array_g(
         (1,), dtype=np.int64, name="c")
     yield from _each(m, ("InterlockedExchange", count, 5),

@@ -235,20 +235,13 @@ class ClusterControl:
             self._chan = None
 
     # -------------------------------------------------------------- identity
-    def my_node(self) -> int:
-        """Cluster node hosting the calling task."""
-        return self._h.engine.kernel(self.my_node_g())
-
     def my_node_g(self):
-        """Generator kernel of :meth:`my_node` (``yield from`` it)."""
+        """Cluster node hosting the calling task (``yield from`` it)."""
         yield self._h.call_cost()
         return self.dsm.node_of(self.dsm.current_rank())
 
-    def n_nodes(self) -> int:
-        return self._h.engine.kernel(self.n_nodes_g())
-
     def n_nodes_g(self):
-        """Generator kernel of :meth:`n_nodes` (``yield from`` it)."""
+        """Number of cluster nodes (``yield from`` it)."""
         yield self._h.call_cost()
         return self.cluster.n_nodes
 

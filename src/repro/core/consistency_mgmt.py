@@ -34,10 +34,10 @@ class ConsistencyMgmt:
 
     # ------------------------------------------------------------ selection
 
-    def can_host(self, program_model: str) -> bool:
+    def can_host_g(self, program_model: str):
         """Does the substrate guarantee ``program_model`` without extra
-        enforcement? (§4.5 weaker-onto-stronger rule.)"""
-        self._h.charge_call()
+        enforcement? (§4.5 weaker-onto-stronger rule; ``yield from`` it.)"""
+        yield self._h.call_cost()
         return can_host(self.dsm.consistency_model(), program_model)
 
     def use(self, model_name: str) -> ConsistencyModel:

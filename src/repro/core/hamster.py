@@ -73,12 +73,6 @@ class Hamster:
         return self.cluster.node(
             self.dsm.node_of(rank)).cpu_cost(self.call_overhead)
 
-    def charge_call(self) -> None:
-        """Blocking form of :meth:`call_cost`: the calling task holds it."""
-        cost = self.call_cost()
-        if cost > 0:
-            self.engine.current_process.hold(cost)
-
     # ------------------------------------------------------------- startup
     def run_spmd(self, main: Callable, args: tuple = (),
                  ranks: Optional[Sequence[int]] = None) -> List[Any]:

@@ -63,19 +63,12 @@ class MemoryMgmt:
             self.stats.incr("allocated_bytes", region.size)
             return region
 
-    def alloc_array(self, shape: Sequence[int], dtype: Any = np.float64,
-                    name: str = "", distribution: Optional[Distribution] = None,
-                    coherence: Optional[str] = None) -> SharedArray:
-        """Allocate a typed shared array (the common application path)."""
-        return self._h.engine.kernel(
-            self.alloc_array_g(shape, dtype=dtype, name=name,
-                               distribution=distribution, coherence=coherence))
-
     def alloc_array_g(self, shape: Sequence[int], dtype: Any = np.float64,
                       name: str = "",
                       distribution: Optional[Distribution] = None,
                       coherence: Optional[str] = None):
-        """Generator kernel of :meth:`alloc_array` (``yield from`` it)."""
+        """Allocate a typed shared array (the common application path;
+        ``yield from`` it)."""
         obs = self._h.engine.obs
         with obs.span("svc.alloc", name=name) if obs.enabled else NULL_SPAN:
             yield self._h.call_cost()
@@ -128,7 +121,7 @@ class MemoryMgmt:
                                name: str = "",
                                distribution: Optional[Distribution] = None,
                                coherence: Optional[str] = None) -> SharedArray:
-        """Collective form of :meth:`alloc_array`."""
+        """Collective form of :meth:`alloc_array_g`."""
         return self._h.engine.kernel(
             self.alloc_array_collective_g(shape, dtype=dtype, name=name,
                                           distribution=distribution,

@@ -10,10 +10,11 @@ Conditions and semaphores are built from HAMSTER primitives (locks + the
 cluster-control messaging), exactly the "implementable on top" layering the
 paper prescribes for model-specific constructs.
 
-Every blocking service follows the twin-kernel convention of
-:mod:`repro.sim.process`: the ``*_g`` generator kernel holds the logic and
-the blocking method trampolines it, so blocking and generator bodies
-execute identical synchronization sequences.
+Every service is a ``*_g`` generator kernel following the yield contract
+of :mod:`repro.sim.process`. The blocking forms that thread-backed model
+layers still call (``new_lock``, ``lock``, ``unlock``, ``barrier``)
+trampoline their kernel, so blocking and generator bodies execute
+identical synchronization sequences.
 """
 
 from __future__ import annotations
@@ -48,12 +49,9 @@ class ConditionVar:
         #: waiting simulated processes, manager-side, FIFO
         self._waiters: List[object] = []
 
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Wait for a signal; returns False on timeout, True otherwise."""
-        return self.sync._h.engine.kernel(self.wait_g(timeout))
-
     def wait_g(self, timeout: Optional[float] = None):
-        """Generator kernel of :meth:`wait` (``yield from`` it)."""
+        """Wait for a signal (``yield from`` it); returns False on timeout,
+        True otherwise."""
         sync = self.sync
         yield sync._h.call_cost()
         sync.stats.incr("cond_waits")
@@ -75,42 +73,34 @@ class ConditionVar:
         yield from sync.lock_g(self.lock_id)
         return not timed_out[0]
 
-    def signal(self) -> None:
-        return self.sync._h.engine.kernel(self.signal_g())
-
     def signal_g(self):
-        """Generator kernel of :meth:`signal` (``yield from`` it)."""
+        """Wake the longest waiter, if any (``yield from`` it)."""
         yield self.sync._h.call_cost()
         self.sync.stats.incr("cond_signals")
         self.sync._cond_kick(self, broadcast=False)
 
-    def broadcast(self) -> None:
-        return self.sync._h.engine.kernel(self.broadcast_g())
-
     def broadcast_g(self):
-        """Generator kernel of :meth:`broadcast` (``yield from`` it)."""
+        """Wake every waiter (``yield from`` it)."""
         yield self.sync._h.call_cost()
         self.sync.stats.incr("cond_signals")
         self.sync._cond_kick(self, broadcast=True)
 
 
 class Semaphore:
-    """Cross-rank counting semaphore built on a lock + condition."""
+    """Cross-rank counting semaphore built on a lock + condition (made by
+    :meth:`SyncMgmt.new_semaphore_g`)."""
 
-    def __init__(self, sync: "SyncMgmt", sem_id: int, value: int = 0) -> None:
-        if value < 0:
-            raise SynchronizationError("semaphore value must be >= 0")
+    def __init__(self, sync: "SyncMgmt", sem_id: int, value: int,
+                 lock_id: int, cond: ConditionVar) -> None:
         self.sync = sync
         self.sem_id = sem_id
         self.value = value
-        self._lock_id = sync.new_lock()
-        self._cond = sync.new_condition(self._lock_id)
-
-    def acquire(self) -> None:
-        return self.sync._h.engine.kernel(self.acquire_g())
+        self._lock_id = lock_id
+        self._cond = cond
 
     def acquire_g(self):
-        """Generator kernel of :meth:`acquire` (``yield from`` it)."""
+        """Take one unit, waiting while there is none (``yield from``
+        it)."""
         yield from self.sync.lock_g(self._lock_id)
         try:
             while self.value == 0:
@@ -119,11 +109,9 @@ class Semaphore:
         finally:
             yield from self.sync.unlock_g(self._lock_id)
 
-    def release(self, n: int = 1) -> None:
-        return self.sync._h.engine.kernel(self.release_g(n))
-
     def release_g(self, n: int = 1):
-        """Generator kernel of :meth:`release` (``yield from`` it)."""
+        """Return ``n`` units, waking a waiter for each (``yield from``
+        it)."""
         yield from self.sync.lock_g(self._lock_id)
         try:
             self.value += n
@@ -177,12 +165,9 @@ class SyncMgmt:
                 yield from self.dsm.lock_g(lock_id)
                 self._held.setdefault(self.dsm.current_rank(), []).append(lock_id)
 
-    def try_lock(self, lock_id: int) -> bool:
-        """Non-blocking lock attempt; True on success."""
-        return self._h.engine.kernel(self.try_lock_g(lock_id))
-
     def try_lock_g(self, lock_id: int):
-        """Generator kernel of :meth:`try_lock` (``yield from`` it)."""
+        """Non-blocking lock attempt (``yield from`` it); True on
+        success."""
         yield self._h.call_cost()
         self.stats.incr("lock_tries")
         if (yield from self.dsm.try_lock_g(lock_id)):
@@ -237,9 +222,10 @@ class SyncMgmt:
                 yield from self.dsm.barrier_g()
 
     # ------------------------------------------------------------ conditions
-    def new_condition(self, lock_id: int) -> ConditionVar:
-        """Create a condition variable bound to ``lock_id``."""
-        self._h.charge_call()
+    def new_condition_g(self, lock_id: int):
+        """Create a condition variable bound to ``lock_id`` (``yield
+        from`` it)."""
+        yield self._h.call_cost()
         self.stats.incr("conds_created")
         return ConditionVar(self, next(self._cond_ids), lock_id)
 
@@ -255,7 +241,14 @@ class SyncMgmt:
             proc.wake()
 
     # ------------------------------------------------------------ semaphores
-    def new_semaphore(self, value: int = 0) -> Semaphore:
-        self._h.charge_call()
+    def new_semaphore_g(self, value: int = 0):
+        """Create a counting semaphore holding ``value`` units, with a lock
+        and a condition of its own (``yield from`` it)."""
+        yield self._h.call_cost()
         self.stats.incr("semaphores_created")
-        return Semaphore(self, next(self._cond_ids), value)
+        sem_id = next(self._cond_ids)
+        if value < 0:
+            raise SynchronizationError("semaphore value must be >= 0")
+        lock_id = yield from self.new_lock_g()
+        cond = yield from self.new_condition_g(lock_id)
+        return Semaphore(self, sem_id, value, lock_id, cond)

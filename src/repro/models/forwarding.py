@@ -7,9 +7,10 @@ instead it is built here — once — on top of the messaging primitives, and
 shared by both thread models ("all communication uses some form of active
 message present within the HAMSTER modules").
 
-Blocking commands (join, wait) must not stall the target node's message
-server, so every forwarded command runs in a transient worker task that
-answers with a deferred reply.
+A command is a generator function (it may block: join, wait), and so is
+:meth:`ForwardingService.invoke`. A command must not stall the target
+node's message server, so every forwarded one runs in a transient
+stackless worker task that answers with a deferred reply.
 """
 
 from __future__ import annotations
@@ -37,28 +38,29 @@ class ForwardingService:
             self._chan.register_all("cmd", lambda nid: self._h_cmd)
 
     def register(self, name: str, fn: Callable) -> None:
-        """Register ``fn(*args)`` as a forwardable command."""
+        """Register generator function ``fn(*args)`` as a forwardable
+        command."""
         if name in self._commands:
             raise ModelError(f"forwarding command {name!r} already registered")
         self._commands[name] = fn
 
-    def invoke(self, rank: int, name: str, *args: Any, bind: bool = False) -> Any:
-        """Run command ``name`` on ``rank``'s node; blocks for the result.
+    def invoke(self, rank: int, name: str, *args: Any, bind: bool = False):
+        """Run command ``name`` on ``rank``'s node and return its result
+        (``yield from`` it).
 
         With ``bind=True`` the remote worker executes bound to ``rank``, so
         the command may itself use rank-contextual services (locks, shared
         memory) on the target's behalf.
         """
         fn = self._lookup(name)
-        my_rank = self.dsm.current_rank()
-        src_node = self.dsm.node_of(my_rank)
+        src_node = self.dsm.node_of(self.dsm.current_rank())
         dst_node = self.dsm.node_of(rank)
         if self._chan is None or src_node == dst_node:
-            return fn(*args)
-        return self._chan.rpc(src_node, dst_node, "cmd",
-                              payload={"name": name, "args": args,
-                                       "bind": rank if bind else None},
-                              size=96)
+            return (yield from fn(*args))
+        return (yield from self._chan.rpc_g(
+            src_node, dst_node, "cmd", payload={
+                "name": name, "args": args, "bind": rank if bind else None},
+            size=96))
 
     def _lookup(self, name: str) -> Callable:
         try:
@@ -73,15 +75,15 @@ class ForwardingService:
         args = msg.payload["args"]
         bind_rank = msg.payload.get("bind")
 
-        def worker(proc: SimProcess) -> None:
+        def worker(proc: SimProcess):
             if bind_rank is not None:
                 self.dsm.bind_task(proc, bind_rank)
             try:
-                result = fn(*args)
+                result = yield from fn(*args)
             finally:
                 if bind_rank is not None:
                     self.dsm.unbind_task(proc)
-            self._chan.reply(msg, payload=result, size=64)
+            yield from self._chan.reply_g(msg, payload=result, size=64)
 
         SimProcess(self.hamster.engine, worker, name=f"fwd.{msg.payload['name']}",
                    daemon=True).start()

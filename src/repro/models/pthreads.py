@@ -9,6 +9,9 @@ where the new thread *should* run. Forwarding rides the active-message
 facility of :mod:`repro.models.forwarding`; HAMSTER itself deliberately
 offers no forwarding service.
 
+Every call is a generator function (``tid = yield from
+p.pthread_create(start, arg)``), and so are the main function, start
+routines and ``pthread_once`` initialisers: the whole model runs stackless.
 Error returns follow the POSIX convention (0 on success / errno values),
 except where Python exceptions are clearly better (invalid handles).
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ModelError
 from repro.models.base import ProgrammingModel
@@ -128,8 +131,9 @@ class PosixThreadsApi(ProgrammingModel):
 
     # -------------------------------------------------------------- startup
     def run(self, main: Callable, args: tuple = ()) -> Any:
-        """Thread task structure: one *main thread* on rank 0; all other
-        parallelism comes from pthread_create."""
+        """Thread task structure: generator function ``main(model, *args)``
+        is the *main thread*, on rank 0; all other parallelism comes from
+        pthread_create."""
         def entry(env):
             if env.rank != 0:
                 return None  # other ranks host created threads only
@@ -137,7 +141,7 @@ class PosixThreadsApi(ProgrammingModel):
             self._threads[1] = me
             self._proc_tid[env.proc.pid] = 1
             try:
-                return main(self, *args)
+                return (yield from main(self, *args))
             except _PthreadExit as stop:
                 return stop.retval
         results = self.hamster.run_spmd(entry)
@@ -145,8 +149,9 @@ class PosixThreadsApi(ProgrammingModel):
 
     # ------------------------------------------------------ thread lifecycle
     def pthread_create(self, start_routine: Callable, arg: Any = None,
-                       attr: Optional[PthreadAttr] = None) -> int:
-        """Create a thread; executes the creation on the node where the
+                       attr: Optional[PthreadAttr] = None):
+        """Create a thread running generator function
+        ``start_routine(arg)``; executes the creation on the node where the
         thread will run (forwarded when remote). Returns the new tid."""
         attr = attr or PthreadAttr()
         if attr.node is not None:
@@ -154,20 +159,20 @@ class PosixThreadsApi(ProgrammingModel):
         else:
             rank = next(self._next_rank) % self._nranks()
         tid = next(self._tids)
-        self.fwd.invoke(rank, "create", tid, rank, start_routine, arg,
-                        attr.detachstate == PTHREAD_CREATE_DETACHED)
+        yield from self.fwd.invoke(rank, "create", tid, rank, start_routine,
+                                   arg, attr.detachstate == PTHREAD_CREATE_DETACHED)
         return tid
 
     def _do_create(self, tid: int, rank: int, start_routine: Callable,
-                   arg: Any, detached: bool) -> int:
+                   arg: Any, detached: bool):
         thread = _Thread(tid=tid, rank=rank, detached=detached)
         self._threads[tid] = thread
 
-        def body() -> Any:
+        def body():
             proc = self.hamster.engine.require_process()
             self._proc_tid[proc.pid] = tid
             try:
-                thread.retval = start_routine(arg)
+                thread.retval = yield from start_routine(arg)
             except _PthreadExit as stop:
                 thread.retval = stop.retval
             finally:
@@ -175,315 +180,348 @@ class PosixThreadsApi(ProgrammingModel):
                 self._proc_tid.pop(proc.pid, None)
             return thread.retval
 
-        thread.handle = self.hamster.task.spawn_local(rank, body,
-                                                      name=f"pthread{tid}")
+        thread.handle = yield from self.hamster.task.spawn_local_g(
+            rank, body, name=f"pthread{tid}")
         return tid
 
-    def pthread_exit(self, retval: Any = None) -> None:
+    def pthread_exit(self, retval: Any = None):
         raise _PthreadExit(retval)
+        yield  # unreachable; every call is a generator
 
-    def pthread_join(self, tid: int) -> Tuple[int, Any]:
+    def pthread_join(self, tid: int):
         """Join; forwarded to the node hosting the target thread. Returns
         (0, retval) POSIX-style."""
         thread = self._thread(tid)
         if thread.detached:
             return EINVAL, None
-        retval = self.fwd.invoke(thread.rank, "join", tid)
+        retval = yield from self.fwd.invoke(thread.rank, "join", tid)
         self._threads.pop(tid, None)
         return 0, retval
 
-    def _do_join(self, tid: int) -> Any:
+    def _do_join(self, tid: int):
         thread = self._thread(tid)
         if thread.handle is not None:
-            self.hamster.task.join(thread.handle)
+            yield from self.hamster.task.join_g(thread.handle)
         return PTHREAD_CANCELED if thread.cancel_requested and thread.finished \
             and thread.retval is None and thread.cancel_state == PTHREAD_CANCEL_ENABLE \
             else thread.retval
 
-    def pthread_detach(self, tid: int) -> int:
+    def pthread_detach(self, tid: int):
         self._thread(tid).detached = True
         return 0
+        yield  # unreachable
 
-    def pthread_self(self) -> int:
-        proc = self.hamster.engine.require_process()
-        return self._proc_tid.get(proc.pid, 0)
+    def pthread_self(self):
+        return self._self()
+        yield  # unreachable
 
-    def pthread_equal(self, a: int, b: int) -> bool:
+    def pthread_equal(self, a: int, b: int):
         return a == b
+        yield  # unreachable
 
-    def pthread_once(self, once_control: str, init_routine: Callable) -> int:
-        self.hamster.sync.lock(self._once_lock)
+    def pthread_once(self, once_control: str, init_routine: Callable):
+        """Run generator function ``init_routine()`` once per
+        ``once_control``."""
+        sync = self.hamster.sync
+        yield from sync.lock_g(self._once_lock)
         try:
             if once_control not in self._once_done:
                 self._once_done.add(once_control)
-                init_routine()
+                yield from init_routine()
         finally:
-            self.hamster.sync.unlock(self._once_lock)
+            yield from sync.unlock_g(self._once_lock)
         return 0
 
-    def pthread_cancel(self, tid: int) -> int:
+    def pthread_cancel(self, tid: int):
         """Deferred cancellation: marks the thread; it terminates at its
         next cancellation point (pthread_testcancel)."""
         self._thread(tid).cancel_requested = True
         return 0
+        yield  # unreachable
 
-    def pthread_testcancel(self) -> None:
-        tid = self.pthread_self()
-        thread = self._threads.get(tid)
+    def pthread_testcancel(self):
+        thread = self._threads.get(self._self())
         if (thread is not None and thread.cancel_requested
                 and thread.cancel_state == PTHREAD_CANCEL_ENABLE):
             raise _PthreadExit(PTHREAD_CANCELED)
+        return
+        yield  # unreachable
 
-    def pthread_setcancelstate(self, state: int) -> int:
-        thread = self._threads.get(self.pthread_self())
+    def pthread_setcancelstate(self, state: int):
+        thread = self._threads.get(self._self())
         if thread is None or state not in (PTHREAD_CANCEL_ENABLE, PTHREAD_CANCEL_DISABLE):
             return EINVAL
         thread.cancel_state = state
         return 0
+        yield  # unreachable
 
-    def sched_yield(self) -> int:
-        self.hamster.engine.require_process().hold(1e-6)
+    def sched_yield(self):
+        yield 1e-6
         return 0
 
     # ----------------------------------------------------------------- attrs
-    def pthread_attr_init(self) -> PthreadAttr:
+    def pthread_attr_init(self):
         return PthreadAttr()
+        yield  # unreachable
 
-    def pthread_attr_destroy(self, attr: PthreadAttr) -> int:
+    def pthread_attr_destroy(self, attr: PthreadAttr):
         return 0
+        yield  # unreachable
 
-    def pthread_attr_setdetachstate(self, attr: PthreadAttr, state: int) -> int:
+    def pthread_attr_setdetachstate(self, attr: PthreadAttr, state: int):
         if state not in (PTHREAD_CREATE_JOINABLE, PTHREAD_CREATE_DETACHED):
             return EINVAL
         attr.detachstate = state
         return 0
+        yield  # unreachable
 
-    def pthread_attr_getdetachstate(self, attr: PthreadAttr) -> int:
+    def pthread_attr_getdetachstate(self, attr: PthreadAttr):
         return attr.detachstate
+        yield  # unreachable
 
-    def pthread_attr_setnode(self, attr: PthreadAttr, rank: int) -> int:
+    def pthread_attr_setnode(self, attr: PthreadAttr, rank: int):
         """Distributed extension: pin the new thread to a rank."""
         if not (0 <= rank < self._nranks()):
             return EINVAL
         attr.node = rank
         return 0
+        yield  # unreachable
 
-    def pthread_attr_getnode(self, attr: PthreadAttr) -> Optional[int]:
+    def pthread_attr_getnode(self, attr: PthreadAttr):
         return attr.node
+        yield  # unreachable
 
     # --------------------------------------------------------------- mutexes
-    def pthread_mutex_init(self, kind: int = PTHREAD_MUTEX_NORMAL) -> _Mutex:
-        return _Mutex(self.hamster.sync.new_lock(), kind)
+    def pthread_mutex_init(self, kind: int = PTHREAD_MUTEX_NORMAL):
+        return _Mutex((yield from self.hamster.sync.new_lock_g()), kind)
 
-    def pthread_mutex_destroy(self, mutex: _Mutex) -> int:
+    def pthread_mutex_destroy(self, mutex: _Mutex):
         return EBUSY if mutex.owner is not None else 0
+        yield  # unreachable
 
-    def pthread_mutex_lock(self, mutex: _Mutex) -> int:
-        tid = self.pthread_self()
+    def pthread_mutex_lock(self, mutex: _Mutex):
+        tid = self._self()
         if mutex.kind == PTHREAD_MUTEX_RECURSIVE and mutex.owner == tid:
             mutex.depth += 1
             return 0
-        self.hamster.sync.lock(mutex.lock_id)
+        yield from self.hamster.sync.lock_g(mutex.lock_id)
         mutex.owner, mutex.depth = tid, 1
         return 0
 
-    def pthread_mutex_trylock(self, mutex: _Mutex) -> int:
-        tid = self.pthread_self()
+    def pthread_mutex_trylock(self, mutex: _Mutex):
+        tid = self._self()
         if mutex.kind == PTHREAD_MUTEX_RECURSIVE and mutex.owner == tid:
             mutex.depth += 1
             return 0
-        if self.hamster.sync.try_lock(mutex.lock_id):
+        if (yield from self.hamster.sync.try_lock_g(mutex.lock_id)):
             mutex.owner, mutex.depth = tid, 1
             return 0
         return EBUSY
 
-    def pthread_mutex_unlock(self, mutex: _Mutex) -> int:
-        if mutex.owner != self.pthread_self():
+    def pthread_mutex_unlock(self, mutex: _Mutex):
+        if mutex.owner != self._self():
             return EINVAL
         mutex.depth -= 1
         if mutex.depth == 0:
             mutex.owner = None
-            self.hamster.sync.unlock(mutex.lock_id)
+            yield from self.hamster.sync.unlock_g(mutex.lock_id)
         return 0
 
-    def pthread_mutexattr_init(self) -> dict:
+    def pthread_mutexattr_init(self):
         return {"type": PTHREAD_MUTEX_NORMAL}
+        yield  # unreachable
 
-    def pthread_mutexattr_destroy(self, attr: dict) -> int:
+    def pthread_mutexattr_destroy(self, attr: dict):
         return 0
+        yield  # unreachable
 
-    def pthread_mutexattr_settype(self, attr: dict, kind: int) -> int:
+    def pthread_mutexattr_settype(self, attr: dict, kind: int):
         if kind not in (PTHREAD_MUTEX_NORMAL, PTHREAD_MUTEX_RECURSIVE):
             return EINVAL
         attr["type"] = kind
         return 0
+        yield  # unreachable
 
-    def pthread_mutexattr_gettype(self, attr: dict) -> int:
+    def pthread_mutexattr_gettype(self, attr: dict):
         return attr["type"]
+        yield  # unreachable
 
     # ------------------------------------------------------------ conditions
     def pthread_cond_init(self, mutex: _Mutex):
-        return self.hamster.sync.new_condition(mutex.lock_id)
+        return (yield from self.hamster.sync.new_condition_g(mutex.lock_id))
 
-    def pthread_cond_destroy(self, cond) -> int:
+    def pthread_cond_destroy(self, cond):
         return EBUSY if cond._waiters else 0
+        yield  # unreachable
 
-    def pthread_cond_wait(self, cond, mutex: _Mutex) -> int:
-        tid = self.pthread_self()
+    def pthread_cond_wait(self, cond, mutex: _Mutex):
+        tid = self._self()
         mutex.owner = None
-        cond.wait()
+        yield from cond.wait_g()
         mutex.owner, mutex.depth = tid, 1
         return 0
 
-    def pthread_cond_timedwait(self, cond, mutex: _Mutex, timeout: float) -> int:
-        tid = self.pthread_self()
+    def pthread_cond_timedwait(self, cond, mutex: _Mutex, timeout: float):
+        tid = self._self()
         mutex.owner = None
-        signaled = cond.wait(timeout=timeout)
+        signaled = yield from cond.wait_g(timeout)
         mutex.owner, mutex.depth = tid, 1
         return 0 if signaled else ETIMEDOUT
 
-    def pthread_cond_signal(self, cond) -> int:
-        cond.signal()
+    def pthread_cond_signal(self, cond):
+        yield from cond.signal_g()
         return 0
 
-    def pthread_cond_broadcast(self, cond) -> int:
-        cond.broadcast()
+    def pthread_cond_broadcast(self, cond):
+        yield from cond.broadcast_g()
         return 0
 
-    def pthread_condattr_init(self) -> dict:
+    def pthread_condattr_init(self):
         return {}
+        yield  # unreachable
 
-    def pthread_condattr_destroy(self, attr: dict) -> int:
+    def pthread_condattr_destroy(self, attr: dict):
         return 0
+        yield  # unreachable
 
     # -------------------------------------------------------- thread-specific
-    def pthread_key_create(self) -> int:
+    def pthread_key_create(self):
         key = next(self._keys)
         self._live_keys.add(key)
         return key
+        yield  # unreachable
 
-    def pthread_key_delete(self, key: int) -> int:
+    def pthread_key_delete(self, key: int):
         if key not in self._live_keys:
             return EINVAL
         self._live_keys.discard(key)
         for thread in self._threads.values():
             thread.specific.pop(key, None)
         return 0
+        yield  # unreachable
 
-    def pthread_setspecific(self, key: int, value: Any) -> int:
+    def pthread_setspecific(self, key: int, value: Any):
         if key not in self._live_keys:
             return EINVAL
-        self._thread(self.pthread_self()).specific[key] = value
+        self._thread(self._self()).specific[key] = value
         return 0
+        yield  # unreachable
 
-    def pthread_getspecific(self, key: int) -> Any:
-        thread = self._threads.get(self.pthread_self())
+    def pthread_getspecific(self, key: int):
+        thread = self._threads.get(self._self())
         return None if thread is None else thread.specific.get(key)
+        yield  # unreachable
 
     # ----------------------------------------------------------------- rwlock
-    def pthread_rwlock_init(self) -> dict:
-        mutex = self.pthread_mutex_init()
-        return {"mutex": mutex, "cond": self.pthread_cond_init(mutex),
+    def pthread_rwlock_init(self):
+        mutex = yield from self.pthread_mutex_init()
+        return {"mutex": mutex, "cond": (yield from self.pthread_cond_init(mutex)),
                 "readers": 0, "writer": False}
 
-    def pthread_rwlock_destroy(self, rw: dict) -> int:
+    def pthread_rwlock_destroy(self, rw: dict):
         return EBUSY if rw["readers"] or rw["writer"] else 0
+        yield  # unreachable
 
-    def pthread_rwlock_rdlock(self, rw: dict) -> int:
-        self.pthread_mutex_lock(rw["mutex"])
+    def pthread_rwlock_rdlock(self, rw: dict):
+        yield from self.pthread_mutex_lock(rw["mutex"])
         while rw["writer"]:
-            self.pthread_cond_wait(rw["cond"], rw["mutex"])
+            yield from self.pthread_cond_wait(rw["cond"], rw["mutex"])
         rw["readers"] += 1
-        self.pthread_mutex_unlock(rw["mutex"])
+        yield from self.pthread_mutex_unlock(rw["mutex"])
         return 0
 
-    def pthread_rwlock_tryrdlock(self, rw: dict) -> int:
-        if self.pthread_mutex_trylock(rw["mutex"]) != 0:
+    def pthread_rwlock_tryrdlock(self, rw: dict):
+        if (yield from self.pthread_mutex_trylock(rw["mutex"])) != 0:
             return EBUSY
-        try:
-            if rw["writer"]:
-                return EBUSY
+        busy = rw["writer"]
+        if not busy:
             rw["readers"] += 1
-            return 0
-        finally:
-            self.pthread_mutex_unlock(rw["mutex"])
+        yield from self.pthread_mutex_unlock(rw["mutex"])
+        return EBUSY if busy else 0
 
-    def pthread_rwlock_wrlock(self, rw: dict) -> int:
-        self.pthread_mutex_lock(rw["mutex"])
+    def pthread_rwlock_wrlock(self, rw: dict):
+        yield from self.pthread_mutex_lock(rw["mutex"])
         while rw["writer"] or rw["readers"]:
-            self.pthread_cond_wait(rw["cond"], rw["mutex"])
+            yield from self.pthread_cond_wait(rw["cond"], rw["mutex"])
         rw["writer"] = True
-        self.pthread_mutex_unlock(rw["mutex"])
+        yield from self.pthread_mutex_unlock(rw["mutex"])
         return 0
 
-    def pthread_rwlock_trywrlock(self, rw: dict) -> int:
-        if self.pthread_mutex_trylock(rw["mutex"]) != 0:
+    def pthread_rwlock_trywrlock(self, rw: dict):
+        if (yield from self.pthread_mutex_trylock(rw["mutex"])) != 0:
             return EBUSY
-        try:
-            if rw["writer"] or rw["readers"]:
-                return EBUSY
+        busy = rw["writer"] or rw["readers"]
+        if not busy:
             rw["writer"] = True
-            return 0
-        finally:
-            self.pthread_mutex_unlock(rw["mutex"])
+        yield from self.pthread_mutex_unlock(rw["mutex"])
+        return EBUSY if busy else 0
 
-    def pthread_rwlock_unlock(self, rw: dict) -> int:
-        self.pthread_mutex_lock(rw["mutex"])
+    def pthread_rwlock_unlock(self, rw: dict):
+        yield from self.pthread_mutex_lock(rw["mutex"])
         if rw["writer"]:
             rw["writer"] = False
         elif rw["readers"]:
             rw["readers"] -= 1
         else:
-            self.pthread_mutex_unlock(rw["mutex"])
+            yield from self.pthread_mutex_unlock(rw["mutex"])
             return EINVAL
-        self.pthread_cond_broadcast(rw["cond"])
-        self.pthread_mutex_unlock(rw["mutex"])
+        yield from self.pthread_cond_broadcast(rw["cond"])
+        yield from self.pthread_mutex_unlock(rw["mutex"])
         return 0
 
     # ---------------------------------------------------------------- barrier
-    def pthread_barrier_init(self, count: int) -> dict:
+    def pthread_barrier_init(self, count: int):
         if count < 1:
             raise ModelError("pthread_barrier_init: count must be >= 1")
-        mutex = self.pthread_mutex_init()
-        return {"mutex": mutex, "cond": self.pthread_cond_init(mutex),
+        mutex = yield from self.pthread_mutex_init()
+        return {"mutex": mutex, "cond": (yield from self.pthread_cond_init(mutex)),
                 "count": count, "arrived": 0, "generation": 0}
 
-    def pthread_barrier_destroy(self, bar: dict) -> int:
+    def pthread_barrier_destroy(self, bar: dict):
         return EBUSY if bar["arrived"] else 0
+        yield  # unreachable
 
-    def pthread_barrier_wait(self, bar: dict) -> int:
+    def pthread_barrier_wait(self, bar: dict):
         """Returns PTHREAD_BARRIER_SERIAL_THREAD (-1) for one waiter."""
-        self.pthread_mutex_lock(bar["mutex"])
+        yield from self.pthread_mutex_lock(bar["mutex"])
         gen = bar["generation"]
         bar["arrived"] += 1
         if bar["arrived"] == bar["count"]:
             bar["arrived"] = 0
             bar["generation"] += 1
-            self.pthread_cond_broadcast(bar["cond"])
-            self.pthread_mutex_unlock(bar["mutex"])
+            yield from self.pthread_cond_broadcast(bar["cond"])
+            yield from self.pthread_mutex_unlock(bar["mutex"])
             return -1
         while bar["generation"] == gen:
-            self.pthread_cond_wait(bar["cond"], bar["mutex"])
-        self.pthread_mutex_unlock(bar["mutex"])
+            yield from self.pthread_cond_wait(bar["cond"], bar["mutex"])
+        yield from self.pthread_mutex_unlock(bar["mutex"])
         return 0
 
-    def pthread_barrierattr_init(self) -> dict:
+    def pthread_barrierattr_init(self):
         return {}
+        yield  # unreachable
 
-    def pthread_barrierattr_destroy(self, attr: dict) -> int:
+    def pthread_barrierattr_destroy(self, attr: dict):
         return 0
+        yield  # unreachable
 
     # ----------------------------------------------------------- concurrency
-    def pthread_getconcurrency(self) -> int:
+    def pthread_getconcurrency(self):
         return self._concurrency
+        yield  # unreachable
 
-    def pthread_setconcurrency(self, level: int) -> int:
+    def pthread_setconcurrency(self, level: int):
         if level < 0:
             return EINVAL
         self._concurrency = level
         return 0
+        yield  # unreachable
 
     # ------------------------------------------------------------- internals
+    def _self(self) -> int:
+        """The calling thread's tid (0 outside any thread)."""
+        return self._proc_tid.get(self.hamster.engine.require_process().pid, 0)
+
     def _thread(self, tid: int) -> _Thread:
         try:
             return self._threads[tid]

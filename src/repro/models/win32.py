@@ -8,7 +8,10 @@ the command-forwarding mechanism for cross-node thread control.
 
 Semantics follow the Win32 originals: manual- vs auto-reset events,
 WaitForMultipleObjects with wait-all/wait-any, INFINITE timeouts, DWORD
-return codes (WAIT_OBJECT_0, WAIT_TIMEOUT, WAIT_FAILED).
+return codes (WAIT_OBJECT_0, WAIT_TIMEOUT, WAIT_FAILED). Every call is a
+generator function (``h = yield from w.CreateThread(start, arg)``), and so
+are the main function, start routines and APC bodies: the whole model
+runs stackless.
 """
 
 from __future__ import annotations
@@ -82,12 +85,14 @@ class Win32ThreadsApi(ProgrammingModel):
 
     # -------------------------------------------------------------- startup
     def run(self, main: Callable, args: tuple = ()) -> Any:
+        """Generator function ``main(model, *args)`` is the main thread, on
+        rank 0; all other parallelism comes from CreateThread."""
         def entry(env):
             if env.rank != 0:
                 return None
             h = self._new_handle("thread", rank=0, finished=False, code=STILL_ACTIVE)
             self._proc_tid[env.proc.pid] = h.hid
-            result = main(self, *args)
+            result = yield from main(self, *args)
             h.state["finished"] = True
             h.state["code"] = 0
             return result
@@ -106,30 +111,38 @@ class Win32ThreadsApi(ProgrammingModel):
             raise ModelError(f"HANDLE {h.hid:#x} is a {h.kind}, expected {kind}")
         return h
 
+    def _tid(self) -> int:
+        """The calling thread's id (0 outside any thread)."""
+        return self._proc_tid.get(self.hamster.engine.require_process().pid, 0)
+
     # --------------------------------------------------------------- threads
     def CreateThread(self, start_routine: Callable, parameter: Any = None,
-                     rank: Optional[int] = None) -> _Handle:
-        """Create a thread (optionally pinned to a rank); returns its HANDLE."""
+                     rank: Optional[int] = None):
+        """Create a thread running generator function
+        ``start_routine(parameter)`` (optionally pinned to a rank); returns
+        its HANDLE."""
         target = rank if rank is not None else next(self._next_rank) % self._nranks()
         h = self._new_handle("thread", rank=target, finished=False,
                              code=STILL_ACTIVE, suspended=False, priority=0)
-        self.fwd.invoke(target, "create", h.hid, target, start_routine, parameter)
+        yield from self.fwd.invoke(target, "create", h.hid, target,
+                                   start_routine, parameter)
         return h
 
     def CreateRemoteThread(self, rank: int, start_routine: Callable,
-                           parameter: Any = None) -> _Handle:
+                           parameter: Any = None):
         """Explicitly-placed creation (the Win32 cross-process analogue)."""
-        return self.CreateThread(start_routine, parameter, rank=rank)
+        return (yield from self.CreateThread(start_routine, parameter,
+                                             rank=rank))
 
     def _do_create(self, hid: int, rank: int, start_routine: Callable,
-                   parameter: Any) -> int:
+                   parameter: Any):
         h = self._handles[hid]
 
-        def body() -> Any:
+        def body():
             proc = self.hamster.engine.require_process()
             self._proc_tid[proc.pid] = hid
             try:
-                code = start_routine(parameter)
+                code = yield from start_routine(parameter)
             except _Win32Exit as stop:
                 code = stop.code
             finally:
@@ -138,202 +151,213 @@ class Win32ThreadsApi(ProgrammingModel):
             h.state["code"] = code if code is not None else 0
             return code
 
-        h.state["task"] = self.hamster.task.spawn_local(rank, body,
-                                                        name=f"win32.{hid:#x}")
+        h.state["task"] = yield from self.hamster.task.spawn_local_g(
+            rank, body, name=f"win32.{hid:#x}")
         return hid
 
-    def ExitThread(self, exit_code: int = 0) -> None:
+    def ExitThread(self, exit_code: int = 0):
         raise _Win32Exit(exit_code)
+        yield  # unreachable; every call is a generator
 
-    def TerminateThread(self, handle, exit_code: int = 1) -> bool:
+    def TerminateThread(self, handle, exit_code: int = 1):
         """Cooperative approximation: marks the thread terminated; the
         paper-era caveat (dangerous, avoid) applies here too."""
         h = self._get(handle, "thread")
         h.state["finished"] = True
         h.state["code"] = exit_code
         return True
+        yield  # unreachable
 
-    def GetCurrentThread(self) -> Optional[_Handle]:
-        proc = self.hamster.engine.require_process()
-        hid = self._proc_tid.get(proc.pid)
+    def GetCurrentThread(self):
+        hid = self._proc_tid.get(self.hamster.engine.require_process().pid)
         return None if hid is None else self._handles.get(hid)
+        yield  # unreachable
 
-    def GetCurrentThreadId(self) -> int:
-        proc = self.hamster.engine.require_process()
-        return self._proc_tid.get(proc.pid, 0)
+    def GetCurrentThreadId(self):
+        return self._tid()
+        yield  # unreachable
 
-    def GetExitCodeThread(self, handle) -> int:
+    def GetExitCodeThread(self, handle):
         h = self._get(handle, "thread")
         return h.state["code"] if h.state["finished"] else STILL_ACTIVE
+        yield  # unreachable
 
-    def SuspendThread(self, handle) -> int:
+    def SuspendThread(self, handle):
         h = self._get(handle, "thread")
         h.state["suspended"] = True
         return 0
+        yield  # unreachable
 
-    def ResumeThread(self, handle) -> int:
+    def ResumeThread(self, handle):
         h = self._get(handle, "thread")
         was = h.state.get("suspended", False)
         h.state["suspended"] = False
         return 1 if was else 0
+        yield  # unreachable
 
-    def SwitchToThread(self) -> bool:
-        self.hamster.engine.require_process().hold(1e-6)
+    def SwitchToThread(self):
+        yield 1e-6
         return True
 
-    def Sleep(self, milliseconds: float) -> None:
-        self.hamster.engine.require_process().hold(milliseconds / 1e3)
+    def Sleep(self, milliseconds: float):
+        yield milliseconds / 1e3
 
-    def GetThreadPriority(self, handle) -> int:
+    def GetThreadPriority(self, handle):
         return self._get(handle, "thread").state.get("priority", 0)
+        yield  # unreachable
 
-    def SetThreadPriority(self, handle, priority: int) -> bool:
+    def SetThreadPriority(self, handle, priority: int):
         self._get(handle, "thread").state["priority"] = priority
         return True
+        yield  # unreachable
 
     # ----------------------------------------------------------------- waits
-    def WaitForSingleObject(self, handle, timeout: float = INFINITE) -> int:
+    def WaitForSingleObject(self, handle, timeout: float = INFINITE):
         """Wait on any waitable HANDLE (thread/mutex/semaphore/event)."""
         h = self._get(handle)
+        sync = self.hamster.sync
         if h.kind == "thread":
             if not h.state["finished"]:
                 if timeout != INFINITE:
                     # Bounded thread wait: poll until deadline.
                     deadline = self.hamster.engine.now + timeout / 1e3
-                    proc = self.hamster.engine.require_process()
                     while not h.state["finished"]:
                         if self.hamster.engine.now >= deadline:
                             return WAIT_TIMEOUT
-                        proc.hold(50e-6)
+                        yield 50e-6
                     return WAIT_OBJECT_0
-                self.fwd.invoke(h.state["rank"], "wait_thread", h.hid)
+                yield from self.fwd.invoke(h.state["rank"], "wait_thread", h.hid)
             return WAIT_OBJECT_0
         if h.kind == "mutex":
             if timeout == INFINITE:
-                self.hamster.sync.lock(h.state["lock"])
+                yield from sync.lock_g(h.state["lock"])
                 return WAIT_OBJECT_0
-            return (WAIT_OBJECT_0 if self.hamster.sync.try_lock(h.state["lock"])
+            return (WAIT_OBJECT_0 if (yield from sync.try_lock_g(h.state["lock"]))
                     else WAIT_TIMEOUT)
         if h.kind == "semaphore":
-            return self._sem_wait(h, timeout)
+            return (yield from self._sem_wait(h, timeout))
         if h.kind == "event":
-            return self._event_wait(h, timeout)
+            return (yield from self._event_wait(h, timeout))
         return WAIT_FAILED
 
-    def _do_wait_thread(self, hid: int) -> int:
+    def _do_wait_thread(self, hid: int):
         h = self._handles[hid]
         task = h.state.get("task")
         if task is not None:
-            self.hamster.task.join(task)
+            yield from self.hamster.task.join_g(task)
         return 0
 
     def WaitForMultipleObjects(self, handles: List[Any], wait_all: bool = True,
-                               timeout: float = INFINITE) -> int:
+                               timeout: float = INFINITE):
         """Wait-all joins every handle; wait-any polls for the first
         signaled one and returns WAIT_OBJECT_0 + its index."""
         if wait_all:
             for h in handles:
-                code = self.WaitForSingleObject(h, timeout)
+                code = yield from self.WaitForSingleObject(h, timeout)
                 if code != WAIT_OBJECT_0:
                     return code
             return WAIT_OBJECT_0
         deadline = (None if timeout == INFINITE
                     else self.hamster.engine.now + timeout / 1e3)
-        proc = self.hamster.engine.require_process()
         while True:
             for i, h in enumerate(handles):
-                if self.WaitForSingleObject(h, 0) == WAIT_OBJECT_0:
+                if (yield from self.WaitForSingleObject(h, 0)) == WAIT_OBJECT_0:
                     return WAIT_OBJECT_0 + i
             if deadline is not None and self.hamster.engine.now >= deadline:
                 return WAIT_TIMEOUT
-            proc.hold(50e-6)
+            yield 50e-6
 
-    def CloseHandle(self, handle) -> bool:
+    def CloseHandle(self, handle):
         h = self._get(handle)
         h.closed = True
         return True
+        yield  # unreachable
 
     # ---------------------------------------------------------------- mutexes
-    def CreateMutex(self, initial_owner: bool = False) -> _Handle:
-        h = self._new_handle("mutex", lock=self.hamster.sync.new_lock())
+    def CreateMutex(self, initial_owner: bool = False):
+        sync = self.hamster.sync
+        h = self._new_handle("mutex", lock=(yield from sync.new_lock_g()))
         if initial_owner:
-            self.hamster.sync.lock(h.state["lock"])
+            yield from sync.lock_g(h.state["lock"])
         return h
 
-    def ReleaseMutex(self, handle) -> bool:
+    def ReleaseMutex(self, handle):
         h = self._get(handle, "mutex")
-        self.hamster.sync.unlock(h.state["lock"])
+        yield from self.hamster.sync.unlock_g(h.state["lock"])
         return True
 
     # -------------------------------------------------------------- semaphores
-    def CreateSemaphore(self, initial: int, maximum: int) -> _Handle:
+    def CreateSemaphore(self, initial: int, maximum: int):
         if initial < 0 or maximum < 1 or initial > maximum:
             raise ModelError("CreateSemaphore: invalid counts")
-        return self._new_handle("semaphore",
-                                sem=self.hamster.sync.new_semaphore(initial),
-                                maximum=maximum)
+        sem = yield from self.hamster.sync.new_semaphore_g(initial)
+        return self._new_handle("semaphore", sem=sem, maximum=maximum)
 
-    def ReleaseSemaphore(self, handle, count: int = 1) -> bool:
+    def ReleaseSemaphore(self, handle, count: int = 1):
         h = self._get(handle, "semaphore")
         sem = h.state["sem"]
         if sem.value + count > h.state["maximum"]:
             self._last_error = 0x12A  # ERROR_TOO_MANY_POSTS
             return False
-        sem.release(count)
+        yield from sem.release_g(count)
         return True
 
-    def _sem_wait(self, h: _Handle, timeout: float) -> int:
+    def _sem_wait(self, h: _Handle, timeout: float):
         sem = h.state["sem"]
         if timeout == INFINITE:
-            sem.acquire()
+            yield from sem.acquire_g()
             return WAIT_OBJECT_0
         deadline = self.hamster.engine.now + timeout / 1e3
-        proc = self.hamster.engine.require_process()
         while True:
             if sem.value > 0:
-                sem.acquire()
+                yield from sem.acquire_g()
                 return WAIT_OBJECT_0
             if self.hamster.engine.now >= deadline:
                 return WAIT_TIMEOUT
-            proc.hold(50e-6)
+            yield 50e-6
 
     # ------------------------------------------------------------------ events
     def CreateEvent(self, manual_reset: bool = False,
-                    initial_state: bool = False) -> _Handle:
-        lock = self.hamster.sync.new_lock()
+                    initial_state: bool = False):
+        sync = self.hamster.sync
+        lock = yield from sync.new_lock_g()
+        cond = yield from sync.new_condition_g(lock)
         return self._new_handle("event", manual=manual_reset,
-                                signaled=initial_state, lock=lock,
-                                cond=self.hamster.sync.new_condition(lock))
+                                signaled=initial_state, lock=lock, cond=cond)
 
-    def SetEvent(self, handle) -> bool:
+    def SetEvent(self, handle):
         h = self._get(handle, "event")
-        self.hamster.sync.lock(h.state["lock"])
+        sync = self.hamster.sync
+        yield from sync.lock_g(h.state["lock"])
         h.state["signaled"] = True
-        if h.state["manual"]:
-            h.state["cond"].broadcast()
-        else:
-            h.state["cond"].signal()
-        self.hamster.sync.unlock(h.state["lock"])
+        yield from self._wake(h)
+        yield from sync.unlock_g(h.state["lock"])
         return True
 
-    def ResetEvent(self, handle) -> bool:
+    def ResetEvent(self, handle):
         h = self._get(handle, "event")
         h.state["signaled"] = False
         return True
+        yield  # unreachable
 
-    def PulseEvent(self, handle) -> bool:
+    def PulseEvent(self, handle):
         h = self._get(handle, "event")
-        self.hamster.sync.lock(h.state["lock"])
-        if h.state["manual"]:
-            h.state["cond"].broadcast()
-        else:
-            h.state["cond"].signal()
+        sync = self.hamster.sync
+        yield from sync.lock_g(h.state["lock"])
+        yield from self._wake(h)
         h.state["signaled"] = False
-        self.hamster.sync.unlock(h.state["lock"])
+        yield from sync.unlock_g(h.state["lock"])
         return True
 
-    def _event_wait(self, h: _Handle, timeout: float) -> int:
-        self.hamster.sync.lock(h.state["lock"])
+    def _wake(self, h: _Handle):
+        """Wake every waiter of a manual-reset event, one of an auto-reset
+        one."""
+        cond = h.state["cond"]
+        yield from (cond.broadcast_g() if h.state["manual"] else cond.signal_g())
+
+    def _event_wait(self, h: _Handle, timeout: float):
+        sync = self.hamster.sync
+        yield from sync.lock_g(h.state["lock"])
         try:
             if h.state["signaled"]:
                 if not h.state["manual"]:
@@ -341,118 +365,119 @@ class Win32ThreadsApi(ProgrammingModel):
                 return WAIT_OBJECT_0
             if timeout == 0:
                 return WAIT_TIMEOUT
-            ok = h.state["cond"].wait(None if timeout == INFINITE else timeout / 1e3)
+            ok = yield from h.state["cond"].wait_g(
+                None if timeout == INFINITE else timeout / 1e3)
             if not ok:
                 return WAIT_TIMEOUT
             if not h.state["manual"]:
                 h.state["signaled"] = False
             return WAIT_OBJECT_0
         finally:
-            self.hamster.sync.unlock(h.state["lock"])
+            yield from sync.unlock_g(h.state["lock"])
 
     # -------------------------------------------------------- critical sections
-    def InitializeCriticalSection(self) -> _Handle:
-        return self._new_handle("critsec", lock=self.hamster.sync.new_lock())
+    def InitializeCriticalSection(self):
+        return self._new_handle(
+            "critsec", lock=(yield from self.hamster.sync.new_lock_g()))
 
-    def DeleteCriticalSection(self, handle) -> None:
+    def DeleteCriticalSection(self, handle):
         self._get(handle, "critsec").closed = True
+        return
+        yield  # unreachable
 
-    def EnterCriticalSection(self, handle) -> None:
-        self.hamster.sync.lock(self._get(handle, "critsec").state["lock"])
+    def EnterCriticalSection(self, handle):
+        yield from self.hamster.sync.lock_g(
+            self._get(handle, "critsec").state["lock"])
 
-    def LeaveCriticalSection(self, handle) -> None:
-        self.hamster.sync.unlock(self._get(handle, "critsec").state["lock"])
+    def LeaveCriticalSection(self, handle):
+        yield from self.hamster.sync.unlock_g(
+            self._get(handle, "critsec").state["lock"])
 
-    def TryEnterCriticalSection(self, handle) -> bool:
-        return self.hamster.sync.try_lock(self._get(handle, "critsec").state["lock"])
+    def TryEnterCriticalSection(self, handle):
+        return (yield from self.hamster.sync.try_lock_g(
+            self._get(handle, "critsec").state["lock"]))
 
     # ---------------------------------------------------------------- atomics
-    def _interlocked(self, fn: Callable[[], Any]) -> Any:
-        self.hamster.sync.lock(self._interlock)
+    def _interlocked(self, arr, index: Any, update: Callable):
+        """Under the interlock, ``update(old) -> (new, result)``; a new
+        value (not ``None``) is written and fenced. Returns the result."""
+        sync = self.hamster.sync
+        yield from sync.lock_g(self._interlock)
         try:
-            return fn()
+            old = int((yield from arr.get_g(index)))
+            new, result = update(old)
+            if new is not None:
+                yield from arr.set_g(index, new)
+                yield from self.hamster.consistency.fence_g()
+            return result
         finally:
-            self.hamster.sync.unlock(self._interlock)
+            yield from sync.unlock_g(self._interlock)
 
-    def InterlockedIncrement(self, arr, index: Any = 0) -> int:
-        def op() -> int:
-            value = int(arr[index]) + 1
-            arr[index] = value
-            self.hamster.consistency.fence()
-            return value
-        return self._interlocked(op)
+    def InterlockedIncrement(self, arr, index: Any = 0):
+        return (yield from self._interlocked(
+            arr, index, lambda old: (old + 1, old + 1)))
 
-    def InterlockedDecrement(self, arr, index: Any = 0) -> int:
-        def op() -> int:
-            value = int(arr[index]) - 1
-            arr[index] = value
-            self.hamster.consistency.fence()
-            return value
-        return self._interlocked(op)
+    def InterlockedDecrement(self, arr, index: Any = 0):
+        return (yield from self._interlocked(
+            arr, index, lambda old: (old - 1, old - 1)))
 
-    def InterlockedExchange(self, arr, value: int, index: Any = 0) -> int:
-        def op() -> int:
-            old = int(arr[index])
-            arr[index] = value
-            self.hamster.consistency.fence()
-            return old
-        return self._interlocked(op)
+    def InterlockedExchange(self, arr, value: int, index: Any = 0):
+        return (yield from self._interlocked(
+            arr, index, lambda old: (value, old)))
 
     def InterlockedCompareExchange(self, arr, value: int, comparand: int,
-                                   index: Any = 0) -> int:
-        def op() -> int:
-            old = int(arr[index])
-            if old == comparand:
-                arr[index] = value
-                self.hamster.consistency.fence()
-            return old
-        return self._interlocked(op)
+                                   index: Any = 0):
+        return (yield from self._interlocked(
+            arr, index, lambda old: (value if old == comparand else None, old)))
 
-    def InterlockedExchangeAdd(self, arr, delta: int, index: Any = 0) -> int:
-        def op() -> int:
-            old = int(arr[index])
-            arr[index] = old + delta
-            self.hamster.consistency.fence()
-            return old
-        return self._interlocked(op)
+    def InterlockedExchangeAdd(self, arr, delta: int, index: Any = 0):
+        return (yield from self._interlocked(
+            arr, index, lambda old: (old + delta, old)))
 
     # -------------------------------------------------------------------- TLS
-    def TlsAlloc(self) -> int:
+    def TlsAlloc(self):
         key = next(self._tls_keys)
         self._tls[key] = {}
         return key
+        yield  # unreachable
 
-    def TlsFree(self, key: int) -> bool:
+    def TlsFree(self, key: int):
         return self._tls.pop(key, None) is not None
+        yield  # unreachable
 
-    def TlsSetValue(self, key: int, value: Any) -> bool:
+    def TlsSetValue(self, key: int, value: Any):
         if key not in self._tls:
             return False
-        self._tls[key][self.GetCurrentThreadId()] = value
+        self._tls[key][self._tid()] = value
         return True
+        yield  # unreachable
 
-    def TlsGetValue(self, key: int) -> Any:
-        return self._tls.get(key, {}).get(self.GetCurrentThreadId())
+    def TlsGetValue(self, key: int):
+        return self._tls.get(key, {}).get(self._tid())
+        yield  # unreachable
 
     # ------------------------------------------------------------------- misc
-    def GetCurrentProcessorNumber(self) -> int:
-        return self.hamster.cluster_ctl.my_node()
+    def GetCurrentProcessorNumber(self):
+        return (yield from self.hamster.cluster_ctl.my_node_g())
 
-    def GetSystemInfo(self) -> dict:
+    def GetSystemInfo(self):
         return {"dwNumberOfProcessors": self._nranks(),
                 "dwPageSize": self.hamster.params.page_size,
-                "dwNumberOfNodes": self.hamster.cluster_ctl.n_nodes()}
+                "dwNumberOfNodes": (
+                    yield from self.hamster.cluster_ctl.n_nodes_g())}
 
-    def QueueUserAPC(self, fn: Callable, handle, arg: Any = None) -> bool:
-        """Asynchronous procedure call: runs ``fn(arg)`` on the target
-        thread's rank (forwarded fire-and-forget via a transient task)."""
+    def QueueUserAPC(self, fn: Callable, handle, arg: Any = None):
+        """Asynchronous procedure call: runs generator function ``fn(arg)``
+        on the target thread's rank (forwarded fire-and-forget via a
+        transient task)."""
         h = self._get(handle, "thread")
-        self.hamster.task.spawn_local(h.state["rank"], lambda: fn(arg),
-                                      name="win32.apc")
+        yield from self.hamster.task.spawn_local_g(h.state["rank"], fn,
+                                                   args=(arg,), name="win32.apc")
         return True
 
-    def GetLastError(self) -> int:
+    def GetLastError(self):
         return self._last_error
+        yield  # unreachable
 
 
 class _Win32Exit(Exception):

@@ -8,12 +8,12 @@ SIGIO handler of a real SW-DSM system.
 
 Two interaction styles:
 
-* :meth:`ActiveMessageLayer.post` — one-way active message.
-* :meth:`ActiveMessageLayer.rpc` — request/reply; the caller blocks in
+* :meth:`ActiveMessageLayer.post_g` — one-way active message.
+* :meth:`ActiveMessageLayer.rpc_g` — request/reply; the caller parks in
   virtual time until the remote handler answers. Handlers answer either by
   returning a :class:`Reply` immediately or by stashing the message and
-  calling :meth:`ActiveMessageLayer.reply` later (deferred grant — how the
-  distributed lock manager queues contended requests).
+  calling :meth:`ActiveMessageLayer.reply_g` later (deferred grant — how
+  the distributed lock manager queues contended requests).
 
 Per-message *software stack* cost is a constructor parameter: the coalesced
 HAMSTER channel is cheaper per message than a stand-alone DSM stack
@@ -101,7 +101,7 @@ class Reply:
 
 
 #: Handler signature: ``handler(msg) -> Optional[Reply]``. Returning ``None``
-#: for an RPC message defers the reply (handler must call ``reply()`` later).
+#: for an RPC message defers the reply (handler must call ``reply_g`` later).
 #: A handler may instead be a generator function following the yield-point
 #: contract of :mod:`repro.sim.process`; the server loop drives it inline
 #: and its ``return`` value plays the same ``Optional[Reply]`` role.
@@ -304,7 +304,8 @@ class ActiveMessageLayer:
 
     def rpc_g(self, src: int, dst: int, kind: str, payload: Any = None,
               size: int = 0):
-        """Generator kernel of :meth:`rpc` (``yield from`` it)."""
+        """Request/reply (``yield from`` it): parks the calling process
+        until the handler at ``dst`` answers; returns the reply payload."""
         caller = self.engine.require_process()
         obs = self.engine.obs
         with (obs.span("am.rpc", msg=kind, src=src, dst=dst)
@@ -341,16 +342,12 @@ class ActiveMessageLayer:
                 raise call.failed
             return call.result
 
-    def rpc(self, src: int, dst: int, kind: str, payload: Any = None,
-            size: int = 0) -> Any:
-        """Request/reply; blocks the calling process until the handler at
-        ``dst`` answers. Returns the reply payload."""
-        return self.engine.kernel(self.rpc_g(src, dst, kind, payload, size))
-
     def reply_g(self, request: Message, payload: Any = None, size: int = 0):
-        """Generator kernel of :meth:`reply` (``yield from`` it)."""
+        """Answer an RPC ``request`` (``yield from`` it): immediately from
+        its handler, or later from any process on the handling node —
+        deferred grant."""
         if request.rpc_token is None:
-            raise MessagingError("reply() to a message that is not an rpc")
+            raise MessagingError("reply to a message that is not an rpc")
         yield self._send_cost(request.dst, request.kind)
         msg = Message(src=request.dst, dst=request.src, kind="__reply__",
                       size=size + AM_HEADER_BYTES, payload=payload,
@@ -360,15 +357,6 @@ class ActiveMessageLayer:
         self.network.send(msg)
         if self._reliable is not None and request.src not in self._dead:
             self._track(msg, self.engine._report_exception)
-
-    def reply(self, request: Message, payload: Any = None, size: int = 0) -> None:
-        """Answer an RPC ``request`` (immediately from its handler, or later
-        from any process on the handling node — deferred grant)."""
-        if request.rpc_token is None:
-            # Validate before requiring process context, so misuse from
-            # engine context still surfaces as a messaging error.
-            raise MessagingError("reply() to a message that is not an rpc")
-        return self.engine.kernel(self.reply_g(request, payload, size))
 
     # ------------------------------------------------------- reliable mode
     @property

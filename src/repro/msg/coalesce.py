@@ -56,16 +56,9 @@ class Channel:
                size: int = 0):
         return self.layer.post_g(src, dst, self._kind(kind), payload, size)
 
-    def rpc(self, src: int, dst: int, kind: str, payload: Any = None,
-            size: int = 0) -> Any:
-        return self.layer.rpc(src, dst, self._kind(kind), payload, size)
-
     def rpc_g(self, src: int, dst: int, kind: str, payload: Any = None,
               size: int = 0):
         return self.layer.rpc_g(src, dst, self._kind(kind), payload, size)
-
-    def reply(self, request, payload: Any = None, size: int = 0) -> None:
-        self.layer.reply(request, payload, size)
 
     def reply_g(self, request, payload: Any = None, size: int = 0):
         return self.layer.reply_g(request, payload, size)

@@ -8,9 +8,8 @@ time. How it executes depends only on its body:
   (:meth:`Engine._advance`) resumes its frame in place. No OS thread, no
   baton lock, ~KBs of state per process — this is what makes 1024-node
   topologies practical.
-* a *plain callable* — now only the POSIX/Win32 thread, ANL and SHMEM
-  layers, command forwarding and plain user bodies — gets a backing Python
-  thread with strict baton hand-off, so it can block (:meth:`hold`,
+* a *plain callable* — now only the ANL and SHMEM layers and plain user
+  bodies — gets a backing Python thread with strict baton hand-off, so it can block (:meth:`hold`,
   :meth:`suspend`, the middleware's blocking wrappers) anywhere in its
   call stack. Those wrappers drive the same ``*_g`` kernels
   (:meth:`Engine.kernel`), so a blocking body and a stackless one execute

@@ -95,7 +95,8 @@ class TestConsistencyMgmt:
     def test_can_host_service(self, smp2):
         def main(env):
             c = env.hamster.consistency
-            return c.can_host("scope"), c.can_host("sequential")
+            return ((yield from c.can_host_g("scope")),
+                    (yield from c.can_host_g("sequential")))
 
         assert spmd(smp2, main)[0] == (True, False)
 

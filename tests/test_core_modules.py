@@ -102,8 +102,8 @@ class TestSyncMgmt:
         # thread-model tests; here check creation bookkeeping.
         def main2(env):
             s = env.hamster.sync
-            lock = s.new_lock()
-            cond = s.new_condition(lock)
+            lock = yield from s.new_lock_g()
+            cond = yield from s.new_condition_g(lock)
             return cond.lock_id == lock
 
         assert all(spmd(swdsm4, main2))
@@ -115,14 +115,14 @@ class TestSyncMgmt:
         def main(env):
             s = env.hamster.sync
             if env.rank == 0:
-                sems["s"] = s.new_semaphore(0)
-            env.barrier()
+                sems["s"] = yield from s.new_semaphore_g(0)
+            yield from env.barrier_g()
             sem = sems["s"]
             if env.rank == 0:
-                env.hamster.engine.current_process.hold(0.001)
-                sem.release(1)
+                yield 0.001
+                yield from sem.release_g(1)
                 return "released"
-            sem.acquire()
+            yield from sem.acquire_g()
             return env.wtime() > 0
 
         res = spmd(plat, main)

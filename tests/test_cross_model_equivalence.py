@@ -3,9 +3,10 @@ programming models produces identical results on the same platform —
 retargetability without semantic drift (§4.4).
 
 The computation: block-fill an n×n matrix, barrier, lock-protected global
-reduction — expressed natively in seven APIs. SPMD, SMP/SPMD, TreadMarks
-and HLRC run the kernels of the golden store's model rows
-(:mod:`repro.bench.model_kernels`).
+reduction — expressed natively in nine APIs. SPMD, SMP/SPMD, TreadMarks,
+HLRC and the POSIX and Win32 thread APIs run the kernels of the golden
+store's model rows (:mod:`repro.bench.model_kernels`); a thread API's
+main thread returns its threads' values, one per rank.
 """
 
 import threading
@@ -124,11 +125,13 @@ def test_all_models_agree_pairwise(platform):
 
 @pytest.mark.parametrize("model,platform", [
     ("spmd", "sw-dsm-4"), ("smp_spmd", "smp-2"), ("treadmarks", "hybrid-4"),
-    ("hlrc", "sw-dsm-4")])
+    ("hlrc", "sw-dsm-4"), ("pthreads", "sw-dsm-4"), ("win32", "sw-dsm-4"),
+    ("pthreads", "hybrid-4"), ("win32", "smp-2")])
 def test_a_generator_main_runs_stackless(model, platform, monkeypatch):
-    """SPMD, SMP/SPMD, TreadMarks and HLRC calls are generator functions:
-    a generator ``main`` over them starts no backing thread, and every
-    process of the run, the message servers included, is stackless."""
+    """SPMD, SMP/SPMD, TreadMarks, HLRC and the thread APIs' calls are
+    generator functions: a generator ``main`` over them starts no backing
+    thread, and every process of the run, the message servers, created
+    threads and forwarding workers included, is stackless."""
     started = []
     real_start = threading.Thread.start
 

@@ -134,10 +134,11 @@ class TestMisuseSurfacesCorrectly:
 
         def main(env):
             if env.rank == 0:
-                arr = env.hamster.memory.alloc_array((64,), name="tmp")
-                env.hamster.memory.free(arr)
+                memory = env.hamster.memory
+                arr = yield from memory.alloc_array_g((64,), name="tmp")
+                yield from memory.free_g(arr)
                 with pytest.raises(KeyError):
-                    arr[0] = 1.0  # backing store is gone
+                    yield from arr.set_g(0, 1.0)  # backing store is gone
             return True
 
         assert all(spmd(plat, main))
@@ -168,7 +169,7 @@ class TestHandlerFaults:
 
         def main(env):
             if env.rank == 0:
-                chan.rpc(0, 1, "boom")
+                yield from chan.rpc_g(0, 1, "boom")
             return None
 
         with pytest.raises(ValueError, match="handler crashed"):

@@ -194,7 +194,8 @@ class TestReliableMessaging:
                 return None
             layer.mark_node_failed(1)
             with pytest.raises(NodeFailedError):
-                layer.rpc(0, 1, "cc.reg.get", payload="k", size=8)
+                yield from layer.rpc_g(0, 1, "cc.reg.get", payload="k",
+                                       size=8)
             return "refused"
 
         out = spmd(plat, rank0)

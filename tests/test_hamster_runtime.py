@@ -26,7 +26,8 @@ class TestRuntime:
 
     def test_charge_outside_task_is_free(self):
         plat = preset("smp-2").build()
-        plat.hamster.charge_call()  # launcher context: no process, no charge
+        # launcher context: no process, no charge
+        assert plat.hamster.call_cost() == 0.0
         assert plat.engine.now == 0.0
 
     def test_charge_from_unbound_process_is_free(self):
@@ -35,7 +36,8 @@ class TestRuntime:
         plat = preset("smp-2").build()
 
         def rogue(proc):
-            plat.hamster.charge_call()  # process exists but has no rank
+            # the process exists but has no rank
+            assert plat.hamster.call_cost() == 0.0
             return proc.now
 
         p = SimProcess(plat.engine, rogue).start()

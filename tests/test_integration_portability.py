@@ -75,17 +75,21 @@ class TestEveryModelOnEveryPlatform:
         cls = load_model(model_name)
         api = cls(plat.hamster)
 
+        def echo(arg):
+            return arg
+            yield  # unreachable
+
         if model_name == "POSIX threads":
             def main(p):
-                tid = p.pthread_create(lambda arg: arg, 5)
-                return p.pthread_join(tid)[1]
+                tid = yield from p.pthread_create(echo, 5)
+                return (yield from p.pthread_join(tid))[1]
 
             assert api.run(main) == 5
         elif model_name == "WIN32 threads":
             def main(w):
-                h = w.CreateThread(lambda arg: 5, None)
-                w.WaitForSingleObject(h)
-                return w.GetExitCodeThread(h)
+                h = yield from w.CreateThread(echo, 5)
+                yield from w.WaitForSingleObject(h)
+                return (yield from w.GetExitCodeThread(h))
 
             assert api.run(main) == 5
         elif model_name == "Cray put/get (shmem) API":

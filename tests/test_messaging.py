@@ -35,7 +35,7 @@ class TestActiveMessages:
         layer.register(1, "double", lambda msg: Reply(payload=msg.payload * 2, size=8))
 
         def client(proc):
-            return layer.rpc(0, 1, "double", payload=21, size=8)
+            return (yield from layer.rpc_g(0, 1, "double", payload=21, size=8))
 
         p = SimProcess(engine, client).start()
         engine.run()
@@ -53,11 +53,11 @@ class TestActiveMessages:
         layer.register(1, "slow", handler)
 
         def replier(proc):
-            proc.hold(2.0)
-            layer.reply(parked[0], payload="late", size=8)
+            yield 2.0
+            yield from layer.reply_g(parked[0], payload="late", size=8)
 
         def client(proc):
-            result = layer.rpc(0, 1, "slow")
+            result = yield from layer.rpc_g(0, 1, "slow")
             return result, proc.now
 
         # Replier must run on node 1 (it charges node-1 send costs).
@@ -84,8 +84,9 @@ class TestActiveMessages:
         layer = ActiveMessageLayer(cl)
         from repro.machine.interconnect import Message
 
+        # refused before any charge, so from launcher context too
         with pytest.raises(MessagingError):
-            layer.reply(Message(src=0, dst=1, kind="x", size=0))
+            next(layer.reply_g(Message(src=0, dst=1, kind="x", size=0)))
 
     def test_register_all(self, engine):
         cl = make_cluster(engine, 3)
@@ -136,7 +137,7 @@ class TestChannelOverheads:
             ch.register_all("ping", lambda nid: (lambda msg: Reply()))
 
             def client(proc):
-                ch.rpc(0, 1, "ping")
+                yield from ch.rpc_g(0, 1, "ping")
                 return proc.now
 
             p = SimProcess(engine, client).start()

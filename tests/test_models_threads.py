@@ -1,4 +1,8 @@
-"""Tests for the POSIX and Win32 thread model layers + command forwarding."""
+"""Tests for the POSIX and Win32 thread model layers + command forwarding.
+
+Every call of both models, and every main function, start routine and
+forwarded command, is a generator function: the bodies here run
+stackless."""
 
 import numpy as np
 import pytest
@@ -13,15 +17,28 @@ from repro.models.win32 import (INFINITE, STILL_ACTIVE, WAIT_OBJECT_0,
 from tests.conftest import spmd
 
 
+def returns(value):
+    """A generator function of any arguments that returns ``value``."""
+    def returned(*args):
+        return value
+        yield  # unreachable
+    return returned
+
+
 # ------------------------------------------------------------- forwarding
 class TestForwarding:
     def test_local_invoke_direct(self, swdsm4):
         fwd = ForwardingService(swdsm4.hamster, channel_name="t1")
-        fwd.register("add", lambda a, b: a + b)
+
+        def add(a, b):
+            return a + b
+            yield  # unreachable
+
+        fwd.register("add", add)
 
         def main(env):
             if env.rank == 0:
-                return fwd.invoke(0, "add", 2, 3)
+                return (yield from fwd.invoke(0, "add", 2, 3))
             return None
 
         assert spmd(swdsm4, main)[0] == 5
@@ -33,12 +50,13 @@ class TestForwarding:
         def where():
             executed_on.append("remote")
             return "done"
+            yield  # unreachable
 
         fwd.register("where", where)
 
         def main(env):
             if env.rank == 0:
-                return fwd.invoke(2, "where")
+                return (yield from fwd.invoke(2, "where"))
             return None
 
         assert spmd(swdsm4, main)[0] == "done"
@@ -46,12 +64,12 @@ class TestForwarding:
 
     def test_remote_invoke_costs_time(self, swdsm4):
         fwd = ForwardingService(swdsm4.hamster, channel_name="t3")
-        fwd.register("noop", lambda: None)
+        fwd.register("noop", returns(None))
 
         def main(env):
             if env.rank == 0:
                 t0 = env.wtime()
-                fwd.invoke(3, "noop")
+                yield from fwd.invoke(3, "noop")
                 return env.wtime() - t0
             return None
 
@@ -60,25 +78,30 @@ class TestForwarding:
     def test_bound_invoke_runs_in_rank_context(self, swdsm4):
         fwd = ForwardingService(swdsm4.hamster, channel_name="t4")
         dsm = swdsm4.dsm
-        fwd.register("whoami", lambda: dsm.current_rank())
+
+        def whoami():
+            return dsm.current_rank()
+            yield  # unreachable
+
+        fwd.register("whoami", whoami)
 
         def main(env):
             if env.rank == 0:
-                return fwd.invoke(2, "whoami", bind=True)
+                return (yield from fwd.invoke(2, "whoami", bind=True))
             return None
 
         assert spmd(swdsm4, main)[0] == 2
 
     def test_unknown_and_duplicate_commands(self, swdsm4):
         fwd = ForwardingService(swdsm4.hamster, channel_name="t5")
-        fwd.register("x", lambda: None)
+        fwd.register("x", returns(None))
         with pytest.raises(ModelError):
-            fwd.register("x", lambda: None)
+            fwd.register("x", returns(None))
 
         def main(env):
             if env.rank == 0:
                 with pytest.raises(ModelError):
-                    fwd.invoke(0, "nope")
+                    yield from fwd.invoke(0, "nope")
             return True
 
         assert all(spmd(swdsm4, main))
@@ -90,13 +113,27 @@ def pthreads_on(preset_name="sw-dsm-4"):
     return plat, PosixThreadsApi(plat.hamster)
 
 
+def join_all(p, tids):
+    """Join every tid in turn; their return values."""
+    values = []
+    for tid in tids:
+        values.append((yield from p.pthread_join(tid))[1])
+    return values
+
+
 class TestPthreadLifecycle:
     def test_create_join_round_robin(self):
         plat, api = pthreads_on()
 
+        def times10(arg):
+            return arg * 10
+            yield  # unreachable
+
         def main(p):
-            tids = [p.pthread_create(lambda arg: arg * 10, i) for i in range(4)]
-            return [p.pthread_join(t)[1] for t in tids]
+            tids = []
+            for i in range(4):
+                tids.append((yield from p.pthread_create(times10, i)))
+            return (yield from join_all(p, tids))
 
         assert api.run(main) == [0, 10, 20, 30]
 
@@ -104,12 +141,15 @@ class TestPthreadLifecycle:
         plat, api = pthreads_on()
         dsm = plat.dsm
 
-        def main(p):
-            def whereami(_):
-                return dsm.current_rank()
+        def whereami(_):
+            return dsm.current_rank()
+            yield  # unreachable
 
-            tids = [p.pthread_create(whereami, None) for _ in range(4)]
-            return sorted(p.pthread_join(t)[1] for t in tids)
+        def main(p):
+            tids = []
+            for _ in range(4):
+                tids.append((yield from p.pthread_create(whereami, None)))
+            return sorted((yield from join_all(p, tids)))
 
         assert api.run(main) == [0, 1, 2, 3]
 
@@ -117,11 +157,15 @@ class TestPthreadLifecycle:
         plat, api = pthreads_on()
         dsm = plat.dsm
 
+        def whereami(_):
+            return dsm.current_rank()
+            yield  # unreachable
+
         def main(p):
-            attr = p.pthread_attr_init()
-            assert p.pthread_attr_setnode(attr, 3) == 0
-            tid = p.pthread_create(lambda _: dsm.current_rank(), None, attr)
-            return p.pthread_join(tid)[1]
+            attr = yield from p.pthread_attr_init()
+            assert (yield from p.pthread_attr_setnode(attr, 3)) == 0
+            tid = yield from p.pthread_create(whereami, None, attr)
+            return (yield from p.pthread_join(tid))[1]
 
         assert api.run(main) == 3
 
@@ -130,11 +174,11 @@ class TestPthreadLifecycle:
 
         def main(p):
             def body(_):
-                p.pthread_exit("early")
+                yield from p.pthread_exit("early")
                 return "late"  # unreachable
 
-            tid = p.pthread_create(body, None)
-            return p.pthread_join(tid)[1]
+            tid = yield from p.pthread_create(body, None)
+            return (yield from p.pthread_join(tid))[1]
 
         assert api.run(main) == "early"
 
@@ -142,10 +186,11 @@ class TestPthreadLifecycle:
         plat, api = pthreads_on("smp-2")
 
         def main(p):
-            attr = p.pthread_attr_init()
-            p.pthread_attr_setdetachstate(attr, PTHREAD_CREATE_DETACHED)
-            tid = p.pthread_create(lambda _: None, None, attr)
-            code, _ = p.pthread_join(tid)
+            attr = yield from p.pthread_attr_init()
+            yield from p.pthread_attr_setdetachstate(attr,
+                                                     PTHREAD_CREATE_DETACHED)
+            tid = yield from p.pthread_create(returns(None), None, attr)
+            code, _ = yield from p.pthread_join(tid)
             return code
 
         assert api.run(main) == EINVAL
@@ -154,10 +199,14 @@ class TestPthreadLifecycle:
         plat, api = pthreads_on("smp-2")
 
         def main(p):
-            main_tid = p.pthread_self()
-            child = p.pthread_create(lambda _: p.pthread_self(), None)
-            child_tid = p.pthread_join(child)[1]
-            return main_tid, child_tid, p.pthread_equal(main_tid, main_tid)
+            def body(_):
+                return (yield from p.pthread_self())
+
+            main_tid = yield from p.pthread_self()
+            child = yield from p.pthread_create(body, None)
+            child_tid = (yield from p.pthread_join(child))[1]
+            return main_tid, child_tid, (yield from p.pthread_equal(
+                main_tid, main_tid))
 
         main_tid, child_tid, eq = api.run(main)
         assert main_tid == 1 and child_tid != 1 and eq
@@ -169,14 +218,16 @@ class TestPthreadLifecycle:
         def main(p):
             def init():
                 calls.append(1)
+                yield from p.sched_yield()
 
             def body(_):
-                p.pthread_once("ctrl", init)
+                yield from p.pthread_once("ctrl", init)
 
-            tids = [p.pthread_create(body, None) for _ in range(3)]
-            for t in tids:
-                p.pthread_join(t)
-            p.pthread_once("ctrl", init)
+            tids = []
+            for _ in range(3):
+                tids.append((yield from p.pthread_create(body, None)))
+            yield from join_all(p, tids)
+            yield from p.pthread_once("ctrl", init)
             return len(calls)
 
         assert api.run(main) == 1
@@ -188,16 +239,15 @@ class TestPthreadLifecycle:
             from repro.models.pthreads import PTHREAD_CANCELED
 
             def body(_):
-                proc = p.hamster.engine.require_process()
                 for _ in range(100):
-                    proc.hold(1e-3)
-                    p.pthread_testcancel()
+                    yield 1e-3
+                    yield from p.pthread_testcancel()
                 return "finished"
 
-            tid = p.pthread_create(body, None)
-            p.hamster.engine.require_process().hold(5e-3)
-            p.pthread_cancel(tid)
-            result = p.pthread_join(tid)[1]
+            tid = yield from p.pthread_create(body, None)
+            yield 5e-3
+            yield from p.pthread_cancel(tid)
+            result = (yield from p.pthread_join(tid))[1]
             return result is PTHREAD_CANCELED
 
         assert api.run(main)
@@ -208,21 +258,23 @@ class TestPthreadSync:
         plat, api = pthreads_on()
 
         def main(p):
-            arr = p.hamster.memory.alloc_array((1,), name="ctr")
-            arr[0] = 0.0
-            mutex = p.pthread_mutex_init()
+            arr = yield from p.hamster.memory.alloc_array_g((1,), name="ctr")
+            yield from arr.set_g(0, 0.0)
+            mutex = yield from p.pthread_mutex_init()
 
             def body(_):
                 for _ in range(5):
-                    p.pthread_mutex_lock(mutex)
-                    arr[0] = float(arr[0]) + 1.0
-                    p.pthread_mutex_unlock(mutex)
+                    yield from p.pthread_mutex_lock(mutex)
+                    value = yield from arr.get_g(0)
+                    yield from arr.set_g(0, float(value) + 1.0)
+                    yield from p.pthread_mutex_unlock(mutex)
 
-            tids = [p.pthread_create(body, None) for _ in range(4)]
-            for t in tids:
-                p.pthread_join(t)
-            arr.refresh()
-            return float(arr[0])
+            tids = []
+            for _ in range(4):
+                tids.append((yield from p.pthread_create(body, None)))
+            yield from join_all(p, tids)
+            yield from arr.refresh_g()
+            return float((yield from arr.get_g(0)))
 
         assert api.run(main) == 20.0
 
@@ -232,21 +284,21 @@ class TestPthreadSync:
         def main(p):
             from repro.models.pthreads import PTHREAD_MUTEX_RECURSIVE
 
-            m = p.pthread_mutex_init(PTHREAD_MUTEX_RECURSIVE)
-            assert p.pthread_mutex_lock(m) == 0
-            assert p.pthread_mutex_lock(m) == 0   # recursive re-entry
-            assert p.pthread_mutex_unlock(m) == 0
-            assert p.pthread_mutex_unlock(m) == 0
+            m = yield from p.pthread_mutex_init(PTHREAD_MUTEX_RECURSIVE)
+            assert (yield from p.pthread_mutex_lock(m)) == 0
+            assert (yield from p.pthread_mutex_lock(m)) == 0  # re-entry
+            assert (yield from p.pthread_mutex_unlock(m)) == 0
+            assert (yield from p.pthread_mutex_unlock(m)) == 0
 
-            plain = p.pthread_mutex_init()
-            assert p.pthread_mutex_trylock(plain) == 0
+            plain = yield from p.pthread_mutex_init()
+            assert (yield from p.pthread_mutex_trylock(plain)) == 0
 
             def contender(_):
-                return p.pthread_mutex_trylock(plain)
+                return (yield from p.pthread_mutex_trylock(plain))
 
-            tid = p.pthread_create(contender, None)
-            busy = p.pthread_join(tid)[1]
-            p.pthread_mutex_unlock(plain)
+            tid = yield from p.pthread_create(contender, None)
+            busy = (yield from p.pthread_join(tid))[1]
+            yield from p.pthread_mutex_unlock(plain)
             return busy
 
         assert api.run(main) == EBUSY
@@ -255,15 +307,15 @@ class TestPthreadSync:
         plat, api = pthreads_on("smp-2")
 
         def main(p):
-            m = p.pthread_mutex_init()
+            m = yield from p.pthread_mutex_init()
 
             def body(_):
-                return p.pthread_mutex_unlock(m)
+                return (yield from p.pthread_mutex_unlock(m))
 
-            p.pthread_mutex_lock(m)
-            tid = p.pthread_create(body, None)
-            err = p.pthread_join(tid)[1]
-            p.pthread_mutex_unlock(m)
+            yield from p.pthread_mutex_lock(m)
+            tid = yield from p.pthread_create(body, None)
+            err = (yield from p.pthread_join(tid))[1]
+            yield from p.pthread_mutex_unlock(m)
             return err
 
         assert api.run(main) == EINVAL
@@ -272,24 +324,24 @@ class TestPthreadSync:
         plat, api = pthreads_on("smp-2")
 
         def main(p):
-            m = p.pthread_mutex_init()
-            cond = p.pthread_cond_init(m)
+            m = yield from p.pthread_mutex_init()
+            cond = yield from p.pthread_cond_init(m)
             state = {"ready": False}
 
             def waiter(_):
-                p.pthread_mutex_lock(m)
+                yield from p.pthread_mutex_lock(m)
                 while not state["ready"]:
-                    p.pthread_cond_wait(cond, m)
-                p.pthread_mutex_unlock(m)
+                    yield from p.pthread_cond_wait(cond, m)
+                yield from p.pthread_mutex_unlock(m)
                 return p.hamster.timing.wtime()
 
-            tid = p.pthread_create(waiter, None)
-            p.hamster.engine.require_process().hold(0.01)
-            p.pthread_mutex_lock(m)
+            tid = yield from p.pthread_create(waiter, None)
+            yield 0.01
+            yield from p.pthread_mutex_lock(m)
             state["ready"] = True
-            p.pthread_cond_signal(cond)
-            p.pthread_mutex_unlock(m)
-            return p.pthread_join(tid)[1] >= 0.01
+            yield from p.pthread_cond_signal(cond)
+            yield from p.pthread_mutex_unlock(m)
+            return (yield from p.pthread_join(tid))[1] >= 0.01
 
         assert api.run(main)
 
@@ -297,11 +349,11 @@ class TestPthreadSync:
         plat, api = pthreads_on("smp-2")
 
         def main(p):
-            m = p.pthread_mutex_init()
-            cond = p.pthread_cond_init(m)
-            p.pthread_mutex_lock(m)
-            code = p.pthread_cond_timedwait(cond, m, timeout=0.01)
-            p.pthread_mutex_unlock(m)
+            m = yield from p.pthread_mutex_init()
+            cond = yield from p.pthread_cond_init(m)
+            yield from p.pthread_mutex_lock(m)
+            code = yield from p.pthread_cond_timedwait(cond, m, timeout=0.01)
+            yield from p.pthread_mutex_unlock(m)
             return code
 
         assert api.run(main) == ETIMEDOUT
@@ -310,15 +362,15 @@ class TestPthreadSync:
         plat, api = pthreads_on("smp-2")
 
         def main(p):
-            rw = p.pthread_rwlock_init()
-            assert p.pthread_rwlock_rdlock(rw) == 0
-            assert p.pthread_rwlock_tryrdlock(rw) == 0   # readers share
-            assert p.pthread_rwlock_trywrlock(rw) == EBUSY
-            p.pthread_rwlock_unlock(rw)
-            p.pthread_rwlock_unlock(rw)
-            assert p.pthread_rwlock_trywrlock(rw) == 0
-            assert p.pthread_rwlock_tryrdlock(rw) == EBUSY
-            return p.pthread_rwlock_unlock(rw)
+            rw = yield from p.pthread_rwlock_init()
+            assert (yield from p.pthread_rwlock_rdlock(rw)) == 0
+            assert (yield from p.pthread_rwlock_tryrdlock(rw)) == 0  # share
+            assert (yield from p.pthread_rwlock_trywrlock(rw)) == EBUSY
+            yield from p.pthread_rwlock_unlock(rw)
+            yield from p.pthread_rwlock_unlock(rw)
+            assert (yield from p.pthread_rwlock_trywrlock(rw)) == 0
+            assert (yield from p.pthread_rwlock_tryrdlock(rw)) == EBUSY
+            return (yield from p.pthread_rwlock_unlock(rw))
 
         assert api.run(main) == 0
 
@@ -326,17 +378,18 @@ class TestPthreadSync:
         plat, api = pthreads_on()
 
         def main(p):
-            bar = p.pthread_barrier_init(3)
+            bar = yield from p.pthread_barrier_init(3)
             stamps = []
 
             def body(i):
-                p.hamster.engine.require_process().hold(0.001 * (i + 1))
-                p.pthread_barrier_wait(bar)
+                yield 0.001 * (i + 1)
+                yield from p.pthread_barrier_wait(bar)
                 stamps.append(p.hamster.timing.wtime())
 
-            tids = [p.pthread_create(body, i) for i in range(3)]
-            for t in tids:
-                p.pthread_join(t)
+            tids = []
+            for i in range(3):
+                tids.append((yield from p.pthread_create(body, i)))
+            yield from join_all(p, tids)
             return max(stamps) - min(stamps) < 1e-3
 
         assert api.run(main)
@@ -345,16 +398,18 @@ class TestPthreadSync:
         plat, api = pthreads_on("smp-2")
 
         def main(p):
-            key = p.pthread_key_create()
+            key = yield from p.pthread_key_create()
 
             def body(i):
-                p.pthread_setspecific(key, i * 100)
-                return p.pthread_getspecific(key)
+                yield from p.pthread_setspecific(key, i * 100)
+                return (yield from p.pthread_getspecific(key))
 
-            tids = [p.pthread_create(body, i) for i in range(2)]
-            vals = [p.pthread_join(t)[1] for t in tids]
-            assert p.pthread_key_delete(key) == 0
-            assert p.pthread_key_delete(key) == EINVAL
+            tids = []
+            for i in range(2):
+                tids.append((yield from p.pthread_create(body, i)))
+            vals = yield from join_all(p, tids)
+            assert (yield from p.pthread_key_delete(key)) == 0
+            assert (yield from p.pthread_key_delete(key)) == EINVAL
             return vals
 
         assert api.run(main) == [0, 100]
@@ -366,15 +421,27 @@ def win32_on(preset_name="sw-dsm-4"):
     return plat, Win32ThreadsApi(plat.hamster)
 
 
+def sleeper(w):
+    """A start routine that sleeps ``ms`` and returns it."""
+    def body(ms):
+        yield from w.Sleep(ms)
+        return ms
+    return body
+
+
 class TestWin32Threads:
     def test_create_wait_exit_code(self):
         plat, api = win32_on()
 
+        def plus1(arg):
+            return arg + 1
+            yield  # unreachable
+
         def main(w):
-            h = w.CreateThread(lambda arg: arg + 1, 41)
-            assert w.GetExitCodeThread(h) in (STILL_ACTIVE, 42)
-            assert w.WaitForSingleObject(h) == WAIT_OBJECT_0
-            return w.GetExitCodeThread(h)
+            h = yield from w.CreateThread(plus1, 41)
+            assert (yield from w.GetExitCodeThread(h)) in (STILL_ACTIVE, 42)
+            assert (yield from w.WaitForSingleObject(h)) == WAIT_OBJECT_0
+            return (yield from w.GetExitCodeThread(h))
 
         assert api.run(main) == 42
 
@@ -382,10 +449,14 @@ class TestWin32Threads:
         plat, api = win32_on()
         dsm = plat.dsm
 
+        def whereami(_):
+            return dsm.current_rank()
+            yield  # unreachable
+
         def main(w):
-            h = w.CreateRemoteThread(2, lambda _: dsm.current_rank())
-            w.WaitForSingleObject(h)
-            return w.GetExitCodeThread(h)
+            h = yield from w.CreateRemoteThread(2, whereami)
+            yield from w.WaitForSingleObject(h)
+            return (yield from w.GetExitCodeThread(h))
 
         assert api.run(main) == 2
 
@@ -394,11 +465,11 @@ class TestWin32Threads:
 
         def main(w):
             def body(_):
-                w.ExitThread(7)
+                yield from w.ExitThread(7)
 
-            h = w.CreateThread(body)
-            w.WaitForSingleObject(h)
-            return w.GetExitCodeThread(h)
+            h = yield from w.CreateThread(body)
+            yield from w.WaitForSingleObject(h)
+            return (yield from w.GetExitCodeThread(h))
 
         assert api.run(main) == 7
 
@@ -406,13 +477,13 @@ class TestWin32Threads:
         plat, api = win32_on()
 
         def main(w):
-            def body(ms):
-                w.Sleep(ms)
-                return ms
-
-            handles = [w.CreateThread(body, ms) for ms in (5, 1, 10)]
-            first = w.WaitForMultipleObjects(list(handles), wait_all=False)
-            all_code = w.WaitForMultipleObjects(list(handles), wait_all=True)
+            handles = []
+            for ms in (5, 1, 10):
+                handles.append((yield from w.CreateThread(sleeper(w), ms)))
+            first = yield from w.WaitForMultipleObjects(list(handles),
+                                                        wait_all=False)
+            all_code = yield from w.WaitForMultipleObjects(list(handles),
+                                                           wait_all=True)
             return first >= WAIT_OBJECT_0, all_code == WAIT_OBJECT_0
 
         assert api.run(main) == (True, True)
@@ -421,9 +492,9 @@ class TestWin32Threads:
         plat, api = win32_on("smp-2")
 
         def main(w):
-            h = w.CreateThread(lambda _: w.Sleep(100))  # 100 ms
-            code = w.WaitForSingleObject(h, timeout=1)  # 1 ms
-            w.WaitForSingleObject(h)
+            h = yield from w.CreateThread(sleeper(w), 100)  # 100 ms
+            code = yield from w.WaitForSingleObject(h, timeout=1)  # 1 ms
+            yield from w.WaitForSingleObject(h)
             return code
 
         assert api.run(main) == WAIT_TIMEOUT
@@ -434,11 +505,13 @@ class TestWin32Sync:
         plat, api = win32_on("smp-2")
 
         def main(w):
-            m = w.CreateMutex()
-            assert w.WaitForSingleObject(m) == WAIT_OBJECT_0
-            assert w.WaitForSingleObject(m, timeout=0) == WAIT_TIMEOUT  # held
-            assert w.ReleaseMutex(m)
-            assert w.CloseHandle(m)
+            m = yield from w.CreateMutex()
+            assert (yield from w.WaitForSingleObject(m)) == WAIT_OBJECT_0
+            # held: a zero-timeout wait fails
+            assert (yield from w.WaitForSingleObject(m, timeout=0)) \
+                == WAIT_TIMEOUT
+            assert (yield from w.ReleaseMutex(m))
+            assert (yield from w.CloseHandle(m))
             return True
 
         assert api.run(main)
@@ -447,11 +520,12 @@ class TestWin32Sync:
         plat, api = win32_on("smp-2")
 
         def main(w):
-            s = w.CreateSemaphore(1, 2)
-            assert w.WaitForSingleObject(s) == WAIT_OBJECT_0
-            assert w.ReleaseSemaphore(s, 2)
-            assert not w.ReleaseSemaphore(s, 1)  # would exceed maximum
-            return w.GetLastError() != 0
+            s = yield from w.CreateSemaphore(1, 2)
+            assert (yield from w.WaitForSingleObject(s)) == WAIT_OBJECT_0
+            assert (yield from w.ReleaseSemaphore(s, 2))
+            # would exceed the maximum
+            assert not (yield from w.ReleaseSemaphore(s, 1))
+            return (yield from w.GetLastError()) != 0
 
         assert api.run(main)
 
@@ -459,16 +533,21 @@ class TestWin32Sync:
         plat, api = win32_on()
 
         def main(w):
-            ev = w.CreateEvent(manual_reset=True)
+            ev = yield from w.CreateEvent(manual_reset=True)
 
             def body(_):
-                return w.WaitForSingleObject(ev)
+                return (yield from w.WaitForSingleObject(ev))
 
-            hs = [w.CreateThread(body) for _ in range(3)]
-            w.Sleep(5)
-            w.SetEvent(ev)
-            results = [w.WaitForSingleObject(h) for h in hs]
-            codes = [w.GetExitCodeThread(h) for h in hs]
+            hs = []
+            for _ in range(3):
+                hs.append((yield from w.CreateThread(body)))
+            yield from w.Sleep(5)
+            yield from w.SetEvent(ev)
+            results, codes = [], []
+            for h in hs:
+                results.append((yield from w.WaitForSingleObject(h)))
+            for h in hs:
+                codes.append((yield from w.GetExitCodeThread(h)))
             return results, codes
 
         results, codes = api.run(main)
@@ -479,10 +558,12 @@ class TestWin32Sync:
         plat, api = win32_on("smp-2")
 
         def main(w):
-            ev = w.CreateEvent(manual_reset=False, initial_state=True)
-            assert w.WaitForSingleObject(ev, timeout=0) == WAIT_OBJECT_0
+            ev = yield from w.CreateEvent(manual_reset=False,
+                                          initial_state=True)
+            assert (yield from w.WaitForSingleObject(ev, timeout=0)) \
+                == WAIT_OBJECT_0
             # auto-reset consumed the signal
-            return w.WaitForSingleObject(ev, timeout=0)
+            return (yield from w.WaitForSingleObject(ev, timeout=0))
 
         assert api.run(main) == WAIT_TIMEOUT
 
@@ -490,13 +571,14 @@ class TestWin32Sync:
         plat, api = win32_on("smp-2")
 
         def main(w):
-            cs = w.InitializeCriticalSection()
-            w.EnterCriticalSection(cs)
-            assert not w.TryEnterCriticalSection(cs) or True  # held by us
-            w.LeaveCriticalSection(cs)
-            assert w.TryEnterCriticalSection(cs)
-            w.LeaveCriticalSection(cs)
-            w.DeleteCriticalSection(cs)
+            cs = yield from w.InitializeCriticalSection()
+            yield from w.EnterCriticalSection(cs)
+            # held by us
+            assert not (yield from w.TryEnterCriticalSection(cs)) or True
+            yield from w.LeaveCriticalSection(cs)
+            assert (yield from w.TryEnterCriticalSection(cs))
+            yield from w.LeaveCriticalSection(cs)
+            yield from w.DeleteCriticalSection(cs)
             return True
 
         assert api.run(main)
@@ -505,14 +587,15 @@ class TestWin32Sync:
         plat, api = win32_on("smp-2")
 
         def main(w):
-            arr = w.hamster.memory.alloc_array((1,), np.int64, name="i")
-            arr[0] = 10
-            assert w.InterlockedIncrement(arr) == 11
-            assert w.InterlockedDecrement(arr) == 10
-            assert w.InterlockedExchange(arr, 5) == 10
-            assert w.InterlockedCompareExchange(arr, 99, 5) == 5
-            assert w.InterlockedExchangeAdd(arr, 1) == 99
-            return int(arr[0])
+            arr = yield from w.hamster.memory.alloc_array_g((1,), np.int64,
+                                                            name="i")
+            yield from arr.set_g(0, 10)
+            assert (yield from w.InterlockedIncrement(arr)) == 11
+            assert (yield from w.InterlockedDecrement(arr)) == 10
+            assert (yield from w.InterlockedExchange(arr, 5)) == 10
+            assert (yield from w.InterlockedCompareExchange(arr, 99, 5)) == 5
+            assert (yield from w.InterlockedExchangeAdd(arr, 1)) == 99
+            return int((yield from arr.get_g(0)))
 
         assert api.run(main) == 100
 
@@ -520,18 +603,20 @@ class TestWin32Sync:
         plat, api = win32_on("smp-2")
 
         def main(w):
-            key = w.TlsAlloc()
+            key = yield from w.TlsAlloc()
 
             def body(i):
-                w.TlsSetValue(key, i)
-                return w.TlsGetValue(key)
+                yield from w.TlsSetValue(key, i)
+                return (yield from w.TlsGetValue(key))
 
-            hs = [w.CreateThread(body, i) for i in range(2)]
+            hs = []
+            for i in range(2):
+                hs.append((yield from w.CreateThread(body, i)))
             vals = []
             for h in hs:
-                w.WaitForSingleObject(h)
-                vals.append(w.GetExitCodeThread(h))
-            assert w.TlsFree(key)
+                yield from w.WaitForSingleObject(h)
+                vals.append((yield from w.GetExitCodeThread(h)))
+            assert (yield from w.TlsFree(key))
             return sorted(vals)
 
         assert api.run(main) == [0, 1]
@@ -540,8 +625,8 @@ class TestWin32Sync:
         plat, api = win32_on()
 
         def main(w):
-            info = w.GetSystemInfo()
+            info = yield from w.GetSystemInfo()
             return (info["dwNumberOfProcessors"], info["dwNumberOfNodes"],
-                    w.GetCurrentProcessorNumber())
+                    (yield from w.GetCurrentProcessorNumber()))
 
         assert api.run(main) == (4, 4, 0)   # the main thread runs on node 0

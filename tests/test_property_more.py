@@ -56,8 +56,11 @@ class TestMessagingProperties:
             lambda msg: Reply(payload=("echo", msg.payload), size=8)))
 
         def client(proc):
-            return [chan.rpc(0, 1, "echo", payload=p, size=8)
-                    for p in payloads]
+            replies = []
+            for p in payloads:
+                replies.append((yield from chan.rpc_g(0, 1, "echo", payload=p,
+                                                      size=8)))
+            return replies
 
         proc = SimProcess(engine, client).start()
         engine.run()

@@ -104,7 +104,6 @@ class TestZeroHoldsAreNoOps:
         hamster = plat.hamster
         assert hamster.call_overhead > 0
         assert hamster.call_cost() == 0.0
-        hamster.charge_call()
         # a service kernel now yields its zero call cost from here
         assert hamster.task.n_tasks() == 4
         assert plat.engine.now == 0.0

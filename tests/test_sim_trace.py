@@ -91,7 +91,7 @@ class TestEngineTraceIntegration:
         ch.register_all("ping", lambda nid: (lambda msg: Reply(payload="pong")))
 
         def client(proc):
-            return ch.rpc(0, 1, "ping")
+            return (yield from ch.rpc_g(0, 1, "ping"))
 
         SimProcess(engine, client).start()
         engine.run()

@@ -11,6 +11,14 @@ from repro.models.pthreads import (PTHREAD_CANCEL_DISABLE,
 from repro.models.win32 import (STILL_ACTIVE, WAIT_OBJECT_0, Win32ThreadsApi)
 
 
+def sleeps(w, ms, code=None):
+    """A start routine: sleep ``ms``, then return ``code``."""
+    def body(_):
+        yield from w.Sleep(ms)
+        return code
+    return body
+
+
 class TestPthreadCancellation:
     def test_cancel_disabled_thread_survives(self):
         plat = preset("smp-2").build()
@@ -18,17 +26,16 @@ class TestPthreadCancellation:
 
         def main(p):
             def body(_):
-                p.pthread_setcancelstate(PTHREAD_CANCEL_DISABLE)
-                proc = p.hamster.engine.require_process()
+                yield from p.pthread_setcancelstate(PTHREAD_CANCEL_DISABLE)
                 for _ in range(10):
-                    proc.hold(1e-3)
-                    p.pthread_testcancel()   # ignored while disabled
+                    yield 1e-3
+                    yield from p.pthread_testcancel()  # ignored: disabled
                 return "survived"
 
-            tid = p.pthread_create(body, None)
-            p.hamster.engine.require_process().hold(2e-3)
-            p.pthread_cancel(tid)
-            return p.pthread_join(tid)[1]
+            tid = yield from p.pthread_create(body, None)
+            yield 2e-3
+            yield from p.pthread_cancel(tid)
+            return (yield from p.pthread_join(tid))[1]
 
         assert api.run(main) == "survived"
 
@@ -37,7 +44,7 @@ class TestPthreadCancellation:
         api = PosixThreadsApi(plat.hamster)
 
         def main(p):
-            return p.pthread_setcancelstate(42)
+            return (yield from p.pthread_setcancelstate(42))
 
         assert api.run(main) == EINVAL
 
@@ -45,11 +52,15 @@ class TestPthreadCancellation:
         plat = preset("smp-2").build()
         api = PosixThreadsApi(plat.hamster)
 
+        def done(_):
+            return "done"
+            yield  # unreachable
+
         def main(p):
-            tid = p.pthread_create(lambda _: "done", None)
-            p.hamster.engine.require_process().hold(1e-3)
-            assert p.pthread_cancel(tid) == 0
-            return p.pthread_join(tid)[1]
+            tid = yield from p.pthread_create(done, None)
+            yield 1e-3
+            assert (yield from p.pthread_cancel(tid)) == 0
+            return (yield from p.pthread_join(tid))[1]
 
         assert api.run(main) == "done"
 
@@ -60,12 +71,12 @@ class TestWin32ThreadControl:
         api = Win32ThreadsApi(plat.hamster)
 
         def main(w):
-            h = w.CreateThread(lambda _: w.Sleep(5) or 1)
-            assert w.SuspendThread(h) == 0      # previous suspend count
-            assert w.ResumeThread(h) == 1       # was suspended
-            assert w.ResumeThread(h) == 0       # was not
-            w.WaitForSingleObject(h)
-            return w.GetExitCodeThread(h)
+            h = yield from w.CreateThread(sleeps(w, 5, code=1))
+            assert (yield from w.SuspendThread(h)) == 0  # previous count
+            assert (yield from w.ResumeThread(h)) == 1   # was suspended
+            assert (yield from w.ResumeThread(h)) == 0   # was not
+            yield from w.WaitForSingleObject(h)
+            return (yield from w.GetExitCodeThread(h))
 
         assert api.run(main) == 1
 
@@ -74,10 +85,10 @@ class TestWin32ThreadControl:
         api = Win32ThreadsApi(plat.hamster)
 
         def main(w):
-            h = w.CreateThread(lambda _: w.Sleep(1))
-            assert w.SetThreadPriority(h, 2)
-            level = w.GetThreadPriority(h)
-            w.WaitForSingleObject(h)
+            h = yield from w.CreateThread(sleeps(w, 1))
+            assert (yield from w.SetThreadPriority(h, 2))
+            level = yield from w.GetThreadPriority(h)
+            yield from w.WaitForSingleObject(h)
             return level
 
         assert api.run(main) == 2
@@ -88,11 +99,14 @@ class TestWin32ThreadControl:
         dsm = plat.dsm
         where = []
 
+        def apc(arg):
+            where.append(dsm.current_rank())
+            yield from api.Sleep(1)
+
         def main(w):
-            h = w.CreateRemoteThread(2, lambda _: w.Sleep(10))
-            assert w.QueueUserAPC(lambda arg: where.append(dsm.current_rank()),
-                                  h, None)
-            w.WaitForSingleObject(h)
+            h = yield from w.CreateRemoteThread(2, sleeps(w, 10))
+            assert (yield from w.QueueUserAPC(apc, h, None))
+            yield from w.WaitForSingleObject(h)
             return True
 
         assert api.run(main)
@@ -103,9 +117,9 @@ class TestWin32ThreadControl:
         api = Win32ThreadsApi(plat.hamster)
 
         def main(w):
-            h = w.CreateThread(lambda _: w.Sleep(60_000))  # long sleeper
-            assert w.TerminateThread(h, exit_code=99)
-            return w.GetExitCodeThread(h)
+            h = yield from w.CreateThread(sleeps(w, 60_000))  # long sleeper
+            assert (yield from w.TerminateThread(h, exit_code=99))
+            return (yield from w.GetExitCodeThread(h))
 
         assert api.run(main) == 99
 
@@ -116,10 +130,10 @@ class TestWin32ThreadControl:
         api = Win32ThreadsApi(plat.hamster)
 
         def main(w):
-            m = w.CreateMutex()
-            w.CloseHandle(m)
+            m = yield from w.CreateMutex()
+            yield from w.CloseHandle(m)
             with pytest.raises(ModelError):
-                w.WaitForSingleObject(m)
+                yield from w.WaitForSingleObject(m)
             return True
 
         assert api.run(main)
@@ -131,9 +145,9 @@ class TestWin32ThreadControl:
         api = Win32ThreadsApi(plat.hamster)
 
         def main(w):
-            m = w.CreateMutex()
+            m = yield from w.CreateMutex()
             with pytest.raises(ModelError):
-                w.GetExitCodeThread(m)  # mutex is not a thread
+                yield from w.GetExitCodeThread(m)  # a mutex is no thread
             return True
 
         assert api.run(main)
@@ -148,19 +162,22 @@ class TestThreadsOnComposite:
 
         def main(p):
             arr = p.hamster.dsm.make_array_on("scivm", (1,), name="c")
-            arr[0] = 0.0
-            mutex = p.pthread_mutex_init()
+            yield from arr.set_g(0, 0.0)
+            mutex = yield from p.pthread_mutex_init()
 
             def body(_):
                 for _ in range(3):
-                    p.pthread_mutex_lock(mutex)
-                    arr[0] = float(arr[0]) + 1.0
-                    p.pthread_mutex_unlock(mutex)
+                    yield from p.pthread_mutex_lock(mutex)
+                    value = yield from arr.get_g(0)
+                    yield from arr.set_g(0, float(value) + 1.0)
+                    yield from p.pthread_mutex_unlock(mutex)
 
-            tids = [p.pthread_create(body, None) for _ in range(2)]
+            tids = []
+            for _ in range(2):
+                tids.append((yield from p.pthread_create(body, None)))
             for t in tids:
-                p.pthread_join(t)
-            return float(arr[0])
+                yield from p.pthread_join(t)
+            return float((yield from arr.get_g(0)))
 
         assert api.run(main) == 6.0
 
@@ -169,11 +186,16 @@ class TestThreadsOnComposite:
         api = Win32ThreadsApi(plat.hamster)
 
         def main(w):
-            ev = w.CreateEvent(manual_reset=False, initial_state=False)
-            h = w.CreateThread(lambda _: w.WaitForSingleObject(ev))
-            w.Sleep(1)
-            w.SetEvent(ev)
-            w.WaitForSingleObject(h)
-            return w.GetExitCodeThread(h)
+            ev = yield from w.CreateEvent(manual_reset=False,
+                                          initial_state=False)
+
+            def waiter(_):
+                return (yield from w.WaitForSingleObject(ev))
+
+            h = yield from w.CreateThread(waiter)
+            yield from w.Sleep(1)
+            yield from w.SetEvent(ev)
+            yield from w.WaitForSingleObject(h)
+            return (yield from w.GetExitCodeThread(h))
 
         assert api.run(main) == WAIT_OBJECT_0
