@@ -8,6 +8,7 @@ from repro.consistency import (MODELS, can_host, get_model, strength)
 from repro.consistency.models import (ReleaseConsistency, ScopeConsistency,
                                       SequentialConsistency)
 from repro.errors import ConsistencyError
+from repro.memory.layout import single_home
 from tests.conftest import spmd
 
 
@@ -36,6 +37,42 @@ class TestLattice:
     def test_registry_complete(self):
         assert set(MODELS) == {"sequential", "processor", "release",
                                "scope", "entry"}
+
+
+def run_section(model):
+    """Rank 0 of ``sw-dsm-2`` writes a page homed on rank 1 outside any
+    section, enters scope 1 under ``model``, tells rank 1, and leaves.
+    Returns what rank 1 then reads from its home copy, and rank 0's DSM
+    lock, unlock and fence calls in order."""
+    plat = preset("sw-dsm-2").build()
+    dsm = plat.dsm
+    calls = []
+    for name in ("lock_g", "unlock_g", "sync_consistency_g"):
+        def spied(*args, _real=getattr(dsm, name), _name=name):
+            if dsm.current_rank() == 0:
+                calls.append(_name)
+            return (yield from _real(*args))
+        setattr(dsm, name, spied)
+
+    def main(env):
+        cons = env.hamster.consistency
+        yield from cons.use_g(model)
+        A = yield from env.alloc_array_g((512,), name="A",
+                                         distribution=single_home(1))
+        yield from env.barrier_g()
+        if env.rank == 0:
+            yield from A.set_g(0, 7.0)          # before any section
+            yield from cons.acquire_g(1)
+            yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
+            yield from cons.release_g(1)
+            yield from env.barrier_g()
+            return None
+        yield from env.hamster.cluster_ctl.recv_msg_g()
+        seen = float((yield from A.get_g(0)))
+        yield from env.barrier_g()
+        return seen
+
+    return spmd(plat, main)[1], calls
 
 
 class TestModelOverSubstrates:
@@ -82,6 +119,32 @@ class TestModelOverSubstrates:
         assert model.name == "sequential"
         assert not model.free_ride
 
+    def test_sequential_acquire_flushes_writes_made_before_it(self):
+        """SC on a scope-consistent DSM: the acquire is a global fence, so
+        a write made before the section is home when the acquirer says
+        so."""
+        seen, calls = run_section("sequential")
+        assert seen == 7.0
+        assert calls[:2] == ["lock_g", "sync_consistency_g"]
+
+    def test_sequential_release_flushes_before_the_unlock(self):
+        # JiaJia's unlock flushes as well, so only the order shows it
+        seen, calls = run_section("sequential")
+        assert calls == ["lock_g", "sync_consistency_g",
+                         "sync_consistency_g", "unlock_g"]
+
+    def test_processor_release_flushes_before_the_unlock(self):
+        """PC flushes at release only: a write made before the section is
+        not home yet when the acquirer tells the home."""
+        seen, calls = run_section("processor")
+        assert seen == 0.0
+        assert calls == ["lock_g", "sync_consistency_g", "unlock_g"]
+
+    def test_scope_section_adds_no_fence(self):
+        """The control: scope consistency is JiaJia's own, so its section
+        is the bare lock and unlock, and the early write stays away."""
+        assert run_section("scope") == (0.0, ["lock_g", "unlock_g"])
+
 
 class TestConsistencyMgmt:
     def test_native_model_reported(self, smp2, swdsm4, hybrid4):
@@ -124,3 +187,4 @@ class TestConsistencyMgmt:
             return True
 
         assert all(spmd(smp2, main))
+
