@@ -19,15 +19,16 @@ slice of that reference.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import HamsterError
+from repro.errors import ConfigurationError, HamsterError
 
-__all__ = ["AppResult", "compute_cost", "memtouch_cost",
+__all__ = ["AppResult", "whole_params", "compute_cost", "memtouch_cost",
            "row_block", "once_per_run", "reference_once_per_run", "Reference",
            "HELPER_FLOPS", "AppError", "APP_TABLE", "get_app",
            "merge_rank_results"]
@@ -48,6 +49,21 @@ class AppResult:
     verified: bool = False
     checksum: float = 0.0
     extra: Dict[str, Any] = field(default_factory=dict)
+
+
+def whole_params(app: str, minimum: int, **params: Any) -> List[int]:
+    """``params``' values as ints, in order, each a whole number >=
+    ``minimum``: 1 for a size, 0 for a count. A whole float counts (8.0 is
+    8); a fraction, NaN, infinity or a smaller value raises
+    :class:`ConfigurationError` naming ``app`` and the parameter. An app
+    checks before ``jia_init_g``, so nothing is allocated."""
+    for name, value in params.items():
+        if not (isinstance(value, numbers.Real)
+                and float(value).is_integer() and value >= minimum):
+            raise ConfigurationError(
+                f"{app}: {name} must be a whole number >= {minimum}, "
+                f"got {name}={value!r}")
+    return [int(value) for value in params.values()]
 
 
 def compute_cost(api, flops: float) -> float:

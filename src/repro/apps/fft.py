@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.common import (AppResult, compute_cost, once_per_run,
-                               reference_once_per_run, row_block)
+                               reference_once_per_run, row_block,
+                               whole_params)
 from repro.memory.layout import block
 
 __all__ = ["run_fft"]
@@ -57,6 +58,7 @@ def _reference(signal: np.ndarray, n1: int, n2: int) -> np.ndarray:
 def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
             verify: bool = True) -> AppResult:
     """Run the benchmark on the calling rank (N = n1*n2 points)."""
+    n1, n2 = whole_params("fft", 1, n1=n1, n2=n2)
     rank, n_ranks = yield from api.jia_init_g()
 
     t0 = yield from api.jia_wtime_g()

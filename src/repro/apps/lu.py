@@ -23,8 +23,7 @@ from typing import List
 import numpy as np
 
 from repro.apps.common import (AppResult, compute_cost, once_per_run,
-                               reference_once_per_run)
-from repro.errors import ConfigurationError
+                               reference_once_per_run, whole_params)
 from repro.memory.layout import explicit
 
 __all__ = ["run_lu"]
@@ -119,13 +118,11 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
            verify: bool = True) -> AppResult:
     """Factor an ``n`` × ``n`` matrix in row panels of ``block`` rows.
 
-    ``n < 1`` or ``block < 1`` raises :class:`ConfigurationError` before
-    anything is allocated. ``block >= n`` is a legal one-panel run: rank 0
-    factors the whole matrix and nothing is eliminated."""
-    if n < 1:
-        raise ConfigurationError(f"lu: n must be >= 1, got n={n!r}")
-    if block < 1:
-        raise ConfigurationError(f"lu: block must be >= 1, got block={block!r}")
+    An ``n`` or ``block`` that is not a whole number >= 1 raises
+    :class:`ConfigurationError` before anything is allocated. ``block >=
+    n`` is a legal one-panel run: rank 0 factors the whole matrix and
+    nothing is eliminated."""
+    n, block = whole_params("lu", 1, n=n, block=block)
     rank, n_ranks = yield from api.jia_init_g()
     page = api.hamster.params.page_size
     homes = _panel_homes(n, block, page, n_ranks)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.apps.common import (AppResult, compute_cost, memtouch_cost,
                                once_per_run, reference_once_per_run,
-                               row_block)
+                               row_block, whole_params)
 from repro.memory.layout import block, cyclic
 
 __all__ = ["run_matmult"]
@@ -53,6 +53,7 @@ def _multiply_g(api, A, B, C, lo: int, hi: int, n: int):
 
 def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppResult:
     """Run the benchmark on the calling rank; returns its :class:`AppResult`."""
+    n, = whole_params("matmult", 1, n=n)
     rank, n_ranks = yield from api.jia_init_g()
 
     t0 = yield from api.jia_wtime_g()

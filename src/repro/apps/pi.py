@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from repro.apps.common import AppResult, compute_cost
+from repro.apps.common import AppResult, compute_cost, whole_params
 
 __all__ = ["run_pi"]
 
@@ -42,6 +42,7 @@ def error_bound(intervals: int, n_ranks: int) -> float:
 
 def run_pi(api, intervals: int = 1 << 23, verify: bool = True) -> AppResult:
     # Generator body: runs stackless (see repro.sim.process).
+    intervals, = whole_params("pi", 1, intervals=intervals)
     rank, n_ranks = yield from api.jia_init_g()
 
     t0 = yield from api.jia_wtime_g()

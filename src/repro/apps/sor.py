@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.common import (AppResult, compute_cost, once_per_run,
-                               reference_once_per_run, row_block)
+                               reference_once_per_run, row_block,
+                               whole_params)
 from repro.memory.layout import block, cyclic
 
 __all__ = ["run_sor"]
@@ -72,6 +73,8 @@ def _reference(initial: np.ndarray, iterations: int) -> np.ndarray:
 
 def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
             seed: int = 7, verify: bool = True) -> AppResult:
+    n, = whole_params("sor", 1, n=n)
+    iterations, = whole_params("sor", 0, iterations=iterations)
     rank, n_ranks = yield from api.jia_init_g()
     dist = block() if locality else cyclic()
 

@@ -11,13 +11,11 @@ molecules. Run at the paper's two working sets: 288 and 343 molecules.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from repro.apps.common import (AppResult, compute_cost, once_per_run,
-                               reference_once_per_run, row_block)
-from repro.errors import ConfigurationError
+                               reference_once_per_run, row_block,
+                               whole_params)
 from repro.memory.layout import block
 
 __all__ = ["run_water"]
@@ -81,10 +79,6 @@ def _reference(initial: np.ndarray, steps: int) -> np.ndarray:
     return pos
 
 
-def _whole(value) -> bool:
-    return isinstance(value, numbers.Real) and float(value).is_integer()
-
-
 def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
               verify: bool = True) -> AppResult:
     """Simulate ``steps`` time steps of ``molecules`` molecules.
@@ -93,13 +87,8 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     ``steps`` that is not a whole number >= 0, raises
     :class:`ConfigurationError` before anything is allocated. ``steps=0``
     is a legal zero-step run: the positions stay the input and verify."""
-    if not (_whole(molecules) and molecules >= 1):
-        raise ConfigurationError(f"water: molecules must be a whole number "
-                                 f">= 1, got molecules={molecules!r}")
-    if not (_whole(steps) and steps >= 0):
-        raise ConfigurationError(f"water: steps must be a whole number "
-                                 f">= 0, got steps={steps!r}")
-    n, steps = int(molecules), int(steps)
+    n, = whole_params("water", 1, molecules=molecules)
+    steps, = whole_params("water", 0, steps=steps)
     rank, n_ranks = yield from api.jia_init_g()
 
     t0 = yield from api.jia_wtime_g()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.apps import get_app
-from repro.apps.common import AppResult, merge_rank_results
+from repro.apps.common import AppError, AppResult, merge_rank_results
 from repro.config import ClusterConfig
 from repro.models.jiajia_api import JiaJiaApi
 from repro.models.native_jiajia import NativeJiaJiaApi
@@ -80,7 +80,8 @@ def run_app_detailed(config: ClusterConfig, app: str, native: bool = False,
     """Like :func:`run_app_on`, but also return the built platform so the
     caller can harvest telemetry (engine counters, spans, stats) from it.
 
-    Returns ``(merged AppResult, BuiltPlatform)``.
+    Returns ``(merged AppResult, BuiltPlatform)``; a failed verification
+    raises :class:`~repro.apps.common.AppError`.
     """
     plat = config.build()
     api = NativeJiaJiaApi(plat.hamster) if native else JiaJiaApi(plat.hamster)
@@ -90,7 +91,7 @@ def run_app_detailed(config: ClusterConfig, app: str, native: bool = False,
     per_rank = api.run(functools.partial(fn, **params))
     merged = merge_rank_results(per_rank)
     if not merged.verified:
-        raise AssertionError(
+        raise AppError(
             f"benchmark {app!r} failed verification on {config.name or config.platform}")
     return merged, plat
 

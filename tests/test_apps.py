@@ -114,7 +114,7 @@ class TestAppBehaviour:
             return (0.0 if rank == 0 else local), count
 
         monkeypatch.setattr(pi_mod, "_partial_sum", losing)
-        with pytest.raises(AssertionError, match="verification"):
+        with pytest.raises(AppError, match="verification"):
             run_app_on(preset("sw-dsm-4"), "pi", intervals=intervals)
 
     def test_water_sizes(self):
@@ -149,7 +149,7 @@ class TestAppBehaviour:
                              phases=result.phases, verified=False)
 
         monkeypatch.setattr(pi_mod, "run_pi", sabotaged)
-        with pytest.raises(AssertionError, match="verification"):
+        with pytest.raises(AppError, match="verification"):
             run_app_on(preset("hybrid-2"), "pi", intervals=1024)
 
 
@@ -449,7 +449,7 @@ class TestEveryRankChecksRealData:
     def test_corrupted_block_fails_the_run(
             self, monkeypatch, app, module, name, params):
         self.corrupt_before_verify(monkeypatch, module, app)
-        with pytest.raises(AssertionError, match="verification"):
+        with pytest.raises(AppError, match="verification"):
             run_app_on(preset("smp-4"), app, **params)
 
 

@@ -8,6 +8,7 @@ from repro.apps import get_app
 from repro.apps.common import merge_rank_results
 from repro.apps.lu import run_lu
 from repro.apps.water import run_water
+from repro.bench.runners import run_app_detailed
 from repro.config import ClusterConfig, preset
 from repro.errors import ConfigurationError
 from repro.models.jiajia_api import JiaJiaApi
@@ -86,6 +87,40 @@ class TestLuSizes:
             next(body)
         with pytest.raises(ConfigurationError, match=named):
             run(preset("sw-dsm-2"), "lu", **params)
+
+
+class TestMalformedSizesOfTheOtherApps:
+    """Every size is a whole number >= 1 and every count one >= 0, checked
+    before ``jia_init_g`` (``repro.apps.common.whole_params``): each of
+    these raised an ``IndexError``, ``ValueError``, ``ZeroDivisionError``
+    or ``AssertionError`` from deep inside the run, or (a negative SOR
+    iteration count) ran and verified."""
+
+    @pytest.mark.parametrize("app,params,named", [
+        ("sor", dict(n=0), "n=0"), ("sor", dict(n=-8), "n=-8"),
+        ("sor", dict(n=8, iterations=-1), "iterations=-1"),
+        ("pi", dict(intervals=0), "intervals=0"),
+        ("pi", dict(intervals=float("nan")), "intervals=nan"),
+        ("pi", dict(intervals=-5), "intervals=-5"),
+        ("matmult", dict(n=float("nan")), "n=nan"),
+        ("matmult", dict(n=-4), "n=-4"),
+        ("fft", dict(n1=0), "n1=0"),
+    ])
+    def test_refused_before_anything_is_allocated(self, app, params, named):
+        body = get_app(app)(None, **params)  # touching the api would raise
+        with pytest.raises(ConfigurationError, match=f"{app}: .*{named}"):
+            next(body)
+        with pytest.raises(ConfigurationError, match=named):
+            run_app_detailed(preset("sw-dsm-4"), app, **params)
+
+    @pytest.mark.parametrize("app,params", [
+        ("sor", dict(n=8.0, iterations=1.0)), ("pi", dict(intervals=8.0)),
+        ("matmult", dict(n=4.0)), ("fft", dict(n1=4.0, n2=4.0)),
+        ("lu", dict(n=8.0, block=4.0)), ("water", dict(molecules=4.0)),
+    ])
+    def test_a_whole_float_is_a_size(self, app, params):
+        merged, _ = run_app_detailed(preset("sw-dsm-2"), app, **params)
+        assert merged.verified
 
 
 class TestWaterSizes:
