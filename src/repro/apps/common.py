@@ -52,11 +52,10 @@ class AppResult:
 
 
 def whole_params(app: str, minimum: int, **params: Any) -> List[int]:
-    """``params``' values as ints, in order, each a whole number >=
-    ``minimum``: 1 for a size, 0 for a count. A whole float counts (8.0 is
-    8); a fraction, NaN, infinity or a smaller value raises
-    :class:`ConfigurationError` naming ``app`` and the parameter. An app
-    checks before ``jia_init_g``, so nothing is allocated."""
+    """``params``' values as ints, each a whole number >= ``minimum`` (1
+    for a size, 0 for a count; 8.0 counts as 8); anything else, NaN
+    included, raises :class:`ConfigurationError`. Apps call it before
+    ``jia_init_g``, so nothing is allocated."""
     for name, value in params.items():
         if not (isinstance(value, numbers.Real)
                 and float(value).is_integer() and value >= minimum):

@@ -37,16 +37,16 @@ DYNAMIC_LOCK_BASE = 1 << 16
 class ConditionVar:
     """Cross-rank condition variable bound to a HAMSTER lock.
 
-    Waiters park at a manager rank (cond id mod n_procs); signal/broadcast
-    travel as active messages. Follows POSIX semantics: ``wait`` atomically
-    releases the bound lock and re-acquires it before returning.
+    Waiters park in FIFO order; signal/broadcast wake them directly (the
+    waker holds the bound lock). Follows POSIX semantics: ``wait``
+    atomically releases the bound lock and re-acquires it before
+    returning.
     """
 
-    def __init__(self, sync: "SyncMgmt", cond_id: int, lock_id: int) -> None:
+    def __init__(self, sync: "SyncMgmt", lock_id: int) -> None:
         self.sync = sync
-        self.cond_id = cond_id
         self.lock_id = lock_id
-        #: waiting simulated processes, manager-side, FIFO
+        #: waiting simulated processes, FIFO
         self._waiters: List[object] = []
 
     def wait_g(self, timeout: Optional[float] = None):
@@ -74,26 +74,30 @@ class ConditionVar:
         return not timed_out[0]
 
     def signal_g(self):
-        """Wake the longest waiter, if any (``yield from`` it)."""
+        """Wake the longest waiter, if any (``yield from`` it). The waker
+        holds the bound lock, so the waiter list is race-free, and a wake-up
+        is scheduled, so the waiter resumes after the waker unlocks."""
         yield self.sync._h.call_cost()
         self.sync.stats.incr("cond_signals")
-        self.sync._cond_kick(self, broadcast=False)
+        if self._waiters:
+            self._waiters.pop(0).wake()
 
     def broadcast_g(self):
-        """Wake every waiter (``yield from`` it)."""
+        """Wake every waiter, as :meth:`signal_g` wakes one."""
         yield self.sync._h.call_cost()
         self.sync.stats.incr("cond_signals")
-        self.sync._cond_kick(self, broadcast=True)
+        waiters, self._waiters = self._waiters, []
+        for proc in waiters:
+            proc.wake()
 
 
 class Semaphore:
     """Cross-rank counting semaphore built on a lock + condition (made by
     :meth:`SyncMgmt.new_semaphore_g`)."""
 
-    def __init__(self, sync: "SyncMgmt", sem_id: int, value: int,
-                 lock_id: int, cond: ConditionVar) -> None:
+    def __init__(self, sync: "SyncMgmt", value: int, lock_id: int,
+                 cond: ConditionVar) -> None:
         self.sync = sync
-        self.sem_id = sem_id
         self.value = value
         self._lock_id = lock_id
         self._cond = cond
@@ -129,7 +133,6 @@ class SyncMgmt:
         self.dsm = hamster.dsm
         self.stats = ModuleStats("sync")
         self._lock_ids = itertools.count(DYNAMIC_LOCK_BASE)
-        self._cond_ids = itertools.count(1)
         self._held: Dict[int, List[int]] = {}  # rank -> stack of held lock ids
 
     # ----------------------------------------------------------------- locks
@@ -227,18 +230,7 @@ class SyncMgmt:
         from`` it)."""
         yield self._h.call_cost()
         self.stats.incr("conds_created")
-        return ConditionVar(self, next(self._cond_ids), lock_id)
-
-    def _cond_kick(self, cond: ConditionVar, broadcast: bool) -> None:
-        # The waker holds the bound lock, so manipulating the waiter list is
-        # race-free; wakeups are scheduled so waiters resume after the waker
-        # releases the lock.
-        if broadcast:
-            waiters, cond._waiters = cond._waiters, []
-        else:
-            waiters = [cond._waiters.pop(0)] if cond._waiters else []
-        for proc in waiters:
-            proc.wake()
+        return ConditionVar(self, lock_id)
 
     # ------------------------------------------------------------ semaphores
     def new_semaphore_g(self, value: int = 0):
@@ -246,9 +238,8 @@ class SyncMgmt:
         and a condition of its own (``yield from`` it)."""
         yield self._h.call_cost()
         self.stats.incr("semaphores_created")
-        sem_id = next(self._cond_ids)
         if value < 0:
             raise SynchronizationError("semaphore value must be >= 0")
         lock_id = yield from self.new_lock_g()
         cond = yield from self.new_condition_g(lock_id)
-        return Semaphore(self, sem_id, value, lock_id, cond)
+        return Semaphore(self, value, lock_id, cond)

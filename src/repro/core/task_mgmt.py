@@ -68,7 +68,13 @@ class TaskMgmt:
     # ------------------------------------------------------------- spawning
     def spawn_local(self, rank: int, fn: Callable, args: tuple = (),
                     name: str = "") -> TaskHandle:
-        """Start a new task bound to ``rank`` (on that rank's node).
+        """Blocking form of :meth:`spawn_local_g`."""
+        return self._h.engine.kernel(self.spawn_local_g(rank, fn, args, name))
+
+    def spawn_local_g(self, rank: int, fn: Callable, args: tuple = (),
+                      name: str = ""):
+        """Start a new task bound to ``rank`` (on that rank's node;
+        ``yield from`` it).
 
         This is the integration point for thread creation: the POSIX/Win32
         model layers forward create-requests to the target rank and call
@@ -76,11 +82,6 @@ class TaskMgmt:
         charged on the target node. A generator-function ``fn`` runs
         stackless.
         """
-        return self._h.engine.kernel(self.spawn_local_g(rank, fn, args, name))
-
-    def spawn_local_g(self, rank: int, fn: Callable, args: tuple = (),
-                      name: str = ""):
-        """Generator kernel of :meth:`spawn_local` (``yield from`` it)."""
         yield self._h.call_cost()
         tid = next(self._tids)
         node = self._h.cluster.node(self.dsm.node_of(rank))

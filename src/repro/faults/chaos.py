@@ -93,10 +93,15 @@ def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
     """Run one benchmark under ``plan`` and classify the outcome.
 
     ``plan`` overrides whatever ``config.faults`` carries; pass ``None`` to
-    keep the config's own plan (or run fault-free). ``run``, when given,
+    keep the config's own plan (or run fault-free). A given ``run``
     replaces the benchmark: ``run(platform)`` returns ``(verified,
     checksum)``, and ``app`` only names the result.
     """
+    from repro.apps import get_app
+    from repro.apps.common import merge_rank_results
+    from repro.models.jiajia_api import JiaJiaApi
+    from repro.models.native_jiajia import NativeJiaJiaApi
+
     cfg = _resolve_config(config)
     if plan is not None:
         cfg.faults = FaultPlan.coerce(plan)
@@ -107,9 +112,10 @@ def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
         if run is not None:
             result.verified, result.checksum = run(plat)
         else:
-            merged = _run_app(plat, app, app_params, native)
-            result.verified = merged.verified
-            result.checksum = merged.checksum
+            api = (NativeJiaJiaApi if native else JiaJiaApi)(plat.hamster)
+            fn = functools.partial(get_app(app), **dict(app_params or {}))
+            merged = merge_rank_results(api.run(fn))
+            result.verified, result.checksum = merged.verified, merged.checksum
             result.phases = dict(merged.phases)
     except NodeFailedError as exc:
         result.outcome = "node-failed"
@@ -132,20 +138,6 @@ def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
         detector.stop()
         result.detector = detector.status()
     return result
-
-
-def _run_app(plat, app: str, app_params: Optional[Dict[str, Any]],
-             native: bool):
-    """One benchmark SPMD-style over (native) JiaJia; its merged result."""
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
-    from repro.models.native_jiajia import NativeJiaJiaApi
-
-    api = NativeJiaJiaApi(plat.hamster) if native else JiaJiaApi(plat.hamster)
-    fn = get_app(app)
-    return merge_rank_results(api.run(functools.partial(fn, **dict(
-        app_params or {}))))
 
 
 def fault_free_fingerprint(config: Union[str, ClusterConfig],

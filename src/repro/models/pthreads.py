@@ -70,14 +70,12 @@ class _Thread:
     specific: Dict[int, Any] = field(default_factory=dict)
 
 
+@dataclass
 class _Mutex:
-    __slots__ = ("lock_id", "kind", "owner", "depth")
-
-    def __init__(self, lock_id: int, kind: int) -> None:
-        self.lock_id = lock_id
-        self.kind = kind
-        self.owner: Optional[int] = None
-        self.depth = 0
+    lock_id: int
+    kind: int
+    owner: Optional[int] = None
+    depth: int = 0
 
 
 class PosixThreadsApi(ProgrammingModel):
@@ -137,15 +135,13 @@ class PosixThreadsApi(ProgrammingModel):
         def entry(env):
             if env.rank != 0:
                 return None  # other ranks host created threads only
-            me = _Thread(tid=1, rank=0)
-            self._threads[1] = me
+            self._threads[1] = _Thread(tid=1, rank=0)
             self._proc_tid[env.proc.pid] = 1
             try:
                 return (yield from main(self, *args))
             except _PthreadExit as stop:
                 return stop.retval
-        results = self.hamster.run_spmd(entry)
-        return results[0]
+        return self.hamster.run_spmd(entry)[0]
 
     # ------------------------------------------------------ thread lifecycle
     def pthread_create(self, start_routine: Callable, arg: Any = None,
@@ -222,14 +218,13 @@ class PosixThreadsApi(ProgrammingModel):
     def pthread_once(self, once_control: str, init_routine: Callable):
         """Run generator function ``init_routine()`` once per
         ``once_control``."""
-        sync = self.hamster.sync
-        yield from sync.lock_g(self._once_lock)
+        yield from self.hamster.sync.lock_g(self._once_lock)
         try:
             if once_control not in self._once_done:
                 self._once_done.add(once_control)
                 yield from init_routine()
         finally:
-            yield from sync.unlock_g(self._once_lock)
+            yield from self.hamster.sync.unlock_g(self._once_lock)
         return 0
 
     def pthread_cancel(self, tid: int):

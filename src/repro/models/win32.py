@@ -169,8 +169,7 @@ class Win32ThreadsApi(ProgrammingModel):
         yield  # unreachable
 
     def GetCurrentThread(self):
-        hid = self._proc_tid.get(self.hamster.engine.require_process().pid)
-        return None if hid is None else self._handles.get(hid)
+        return self._handles.get(self._tid())  # no HANDLE has id 0
         yield  # unreachable
 
     def GetCurrentThreadId(self):
@@ -217,16 +216,13 @@ class Win32ThreadsApi(ProgrammingModel):
         h = self._get(handle)
         sync = self.hamster.sync
         if h.kind == "thread":
-            if not h.state["finished"]:
-                if timeout != INFINITE:
-                    # Bounded thread wait: poll until deadline.
-                    deadline = self.hamster.engine.now + timeout / 1e3
-                    while not h.state["finished"]:
-                        if self.hamster.engine.now >= deadline:
-                            return WAIT_TIMEOUT
-                        yield 50e-6
-                    return WAIT_OBJECT_0
-                yield from self.fwd.invoke(h.state["rank"], "wait_thread", h.hid)
+            if h.state["finished"]:
+                return WAIT_OBJECT_0
+            if timeout != INFINITE:
+                finished = yield from self._poll(
+                    lambda: h.state["finished"], timeout)
+                return WAIT_OBJECT_0 if finished else WAIT_TIMEOUT
+            yield from self.fwd.invoke(h.state["rank"], "wait_thread", h.hid)
             return WAIT_OBJECT_0
         if h.kind == "mutex":
             if timeout == INFINITE:
@@ -239,6 +235,16 @@ class Win32ThreadsApi(ProgrammingModel):
         if h.kind == "event":
             return (yield from self._event_wait(h, timeout))
         return WAIT_FAILED
+
+    def _poll(self, ready: Callable[[], bool], timeout: float):
+        """Check ``ready()`` every 50 µs until it holds (True) or
+        ``timeout`` ms have passed (False)."""
+        deadline = self.hamster.engine.now + timeout / 1e3
+        while not ready():
+            if self.hamster.engine.now >= deadline:
+                return False
+            yield 50e-6
+        return True
 
     def _do_wait_thread(self, hid: int):
         h = self._handles[hid]
@@ -304,17 +310,11 @@ class Win32ThreadsApi(ProgrammingModel):
 
     def _sem_wait(self, h: _Handle, timeout: float):
         sem = h.state["sem"]
-        if timeout == INFINITE:
-            yield from sem.acquire_g()
-            return WAIT_OBJECT_0
-        deadline = self.hamster.engine.now + timeout / 1e3
-        while True:
-            if sem.value > 0:
-                yield from sem.acquire_g()
-                return WAIT_OBJECT_0
-            if self.hamster.engine.now >= deadline:
-                return WAIT_TIMEOUT
-            yield 50e-6
+        if timeout != INFINITE and not (
+                yield from self._poll(lambda: sem.value > 0, timeout)):
+            return WAIT_TIMEOUT
+        yield from sem.acquire_g()
+        return WAIT_OBJECT_0
 
     # ------------------------------------------------------------------ events
     def CreateEvent(self, manual_reset: bool = False,

@@ -225,6 +225,22 @@ class TestAnlMacros:
 
         assert api.run(main) == [sum(16 * r for r in range(4))] * 4
 
+    def test_g_free_releases_the_region(self, smp2):
+        """G_FREE hands the region back: its backing store is gone."""
+        api = AnlMacros(smp2.hamster)
+
+        def main(a):
+            a.MAIN_INITENV()
+            arr = a.G_MALLOC_ARRAY((64,), name="tmp")
+            if a.hamster.task.my_rank() == 0:
+                a.G_FREE(arr)
+                with pytest.raises(KeyError):
+                    arr[0] = 1.0
+            a.MAIN_END()
+            return True
+
+        assert all(api.run(main))
+
     def test_locks_and_alock(self, smp2):
         api = AnlMacros(smp2.hamster)
 
