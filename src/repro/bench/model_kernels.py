@@ -238,8 +238,7 @@ def win32(m):
                 partial(m.LeaveCriticalSection, cs))
 
     def create(worker, pid):
-        return (yield from m.CreateRemoteThread(pid, worker,
-                                                    pid))
+        return (yield from m.CreateRemoteThread(pid, worker, pid))
 
     def join(handle):
         yield from m.WaitForSingleObject(handle)
