@@ -181,7 +181,8 @@ class GlobalMemorySystem(ABC):
         return self.engine.kernel(self.access_runs_g(region, runs, write))
 
     def access_runs_g(self, region: Region, runs: List[Run], write: bool):
-        """Generator kernel of :meth:`access_runs` (``yield from`` it)."""
+        """Generator kernel of :meth:`access_runs` (``yield from`` it): books
+        the statistics and returns :meth:`_access_g`'s generator itself."""
         rank = self.current_rank()
         nbytes = sum(ln for _, ln in runs)
         st = self.rank_stats[rank]
@@ -191,7 +192,7 @@ class GlobalMemorySystem(ABC):
         else:
             st.reads += 1
             st.bytes_read += nbytes
-        return (yield from self._access_g(rank, region, runs, write))
+        return self._access_g(rank, region, runs, write)
 
     # ------------------------------------------------------------ abstract
     @abstractmethod

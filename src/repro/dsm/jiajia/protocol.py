@@ -102,6 +102,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         self.fabric = fabric if fabric is not None else MessagingFabric(
             cluster, integrated=cluster.params.coalesce_messaging)
         self.chan = self.fabric.channel("jiajia")
+        self._nodes = [cluster.node(n) for n in self.placement]  # per rank
         #: scope consistency (JiaJia) vs lazy-release-style global notice
         #: delivery on every acquire (the consistency ablation)
         self.scope_consistency = scope_consistency
@@ -130,11 +131,13 @@ class JiaJiaSystem(GlobalMemorySystem):
         self._barrier_round: List[object] = []      # Message | _LocalWaiter
         self._barrier_notices = NoticeBatch()
         self._barrier_generation = 0
+        self._global_log = NoticeLog()  # what acquires deliver in RC mode
 
         # ------------------------------------------------------- home mapping
         self._home: Dict[int, int] = {}             # page -> home rank
         self._lazy_pages: Set[int] = set()          # pages with first-touch homes
         self._home_cache: List[Dict[int, int]] = [dict() for _ in range(self.n_procs)]
+        self._regions: Dict[int, Region] = {}       # region id -> region
 
         self._install_handlers()
 
@@ -162,6 +165,7 @@ class JiaJiaSystem(GlobalMemorySystem):
     # --------------------------------------------------------------- regions
     def _setup_region(self, region: Region, distribution: Distribution) -> None:
         homes = distribution.assign(region.n_pages, self.n_procs)
+        self._regions[region.region_id] = region
         for i, page in enumerate(region.pages()):
             if homes[i] is None:
                 self._lazy_pages.add(page)
@@ -170,6 +174,7 @@ class JiaJiaSystem(GlobalMemorySystem):
 
     def _teardown_region(self, region: Region) -> None:
         pages = set(region.pages())
+        self._regions.pop(region.region_id, None)
         for rank in range(self.n_procs):
             self._buffers.pop((rank, region.region_id), None)
             for page in region.pages():
@@ -231,7 +236,7 @@ class JiaJiaSystem(GlobalMemorySystem):
     # ---------------------------------------------------------------- access
     def _access_g(self, rank: int, region: Region, runs: List[Run],
                   write: bool):
-        node = self.cluster.node(self.node_of(rank))
+        node = self._nodes[rank]
         pt = self._ptables[rank]
         buf = self._buffer(rank, region)
         # Contiguous accesses travel as page spans; the table walk expands
@@ -252,31 +257,62 @@ class JiaJiaSystem(GlobalMemorySystem):
             for page in faulting:
                 sharing.fault(rank, page, write, now)
             self._sharing_record_access(rank, region, runs, write)
-        obs = self.engine.obs
+        # The whole fault path, fetch and twin included, runs in this one
+        # frame, with its lookups and charge methods bound once per access.
+        engine, obs, params = self.engine, self.engine.obs, self.params
+        cpu_cost, touch_cost = node.cpu_cost, node.bus.touch_cost
+        fault_cost = params.fault_handling_cost + params.hamster_fault_hook
+        states, homes = pt.states, self._home
+        dirty, twins = self._dirty[rank], self._twins[rank]
+        page_size, base, size = region.page_size, region.gaddr, region.size
+        src = self.node_of(rank)
         for page in faulting:
             # One span per page fault (the simulated SIGSEGV); its getpage
             # fetch, the fetch's wire transfers and any fault-injected
             # retransmissions all hang below it in the causal tree.
             with (obs.span("dsm.fault", rank=rank, page=page, write=write)
                   if obs.enabled else NULL_SPAN):
-                home = yield from self.home_of_g(page, rank)
-                state = pt.state(page)
-                yield node.cpu_cost(self.params.fault_handling_cost
-                                           + self.params.hamster_fault_hook)
+                home = homes.get(page)
+                if home is None:  # a first-touch page not yet resolved
+                    home = yield from self.home_of_g(page, rank)
+                state = states.get(page, PageState.INVALID)
+                yield cpu_cost(fault_cost)
                 if home == rank:
                     # Home pages are served locally; first touch enables them.
                     pt.set_state(page, PageState.READ_WRITE)
                 else:
+                    off = page * page_size - base
+                    length = min(page_size, size - off)
                     if state is PageState.INVALID:
-                        yield from self._fetch_page_g(rank, region, page, home)
-                        state = PageState.READ_ONLY
+                        # getpage: the home's bytes land in the local copy
+                        with (obs.span("dsm.fetch", rank=rank, page=page,
+                                       home=home)
+                              if obs.enabled else NULL_SPAN):
+                            data = yield from self.chan.rpc_g(
+                                src, self.node_of(home), "getpage",
+                                payload={"page": page,
+                                         "region": region.region_id},
+                                size=PAGE_WIRE_HEADER)
+                            buf[off:off + length] = data
+                            yield touch_cost(length)
+                        st.pages_fetched += 1
+                        if engine.sharing.enabled:
+                            engine.sharing.fetch(rank, page, home, length,
+                                                 engine.now)
+                        if engine.trace.enabled:
+                            engine.trace.emit("jj.fetch", rank=rank,
+                                              page=page, home=home)
                     if write:
-                        yield from self._make_twin_g(rank, region, page)
+                        if page not in twins:
+                            twins[page] = buf[off:off + length].copy()
+                            yield cpu_cost(params.twin_fixed_cost)
+                            yield touch_cost(2 * length)
+                            st.twins_created += 1
                         pt.set_state(page, PageState.READ_WRITE)
                     else:
                         pt.set_state(page, PageState.READ_ONLY)
                 if write:
-                    self._dirty[rank][page] = region
+                    dirty[page] = region
         if write:
             # Non-faulting writes to pages already RW in this interval are
             # already in the dirty set; home pages reached RW earlier may be
@@ -286,59 +322,26 @@ class JiaJiaSystem(GlobalMemorySystem):
             # single-writer assumption stay out of the dirty set (they are
             # auto-announced at flush without detection).
             assumed = self._assumed[rank]
-            dirty = self._dirty[rank]
             for first, last in spans:
                 for page in range(first, last + 1):
                     if (page not in dirty and page not in assumed
-                            and pt.state(page) is PageState.READ_WRITE):
+                            and states.get(page) is PageState.READ_WRITE):
                         dirty[page] = region
         nbytes = sum(ln for _, ln in runs)
-        yield node.bus.touch_cost(nbytes)
+        yield touch_cost(nbytes)
         return buf
-
-    def _fetch_page_g(self, rank: int, region: Region, page: int, home: int):
-        """getpage round trip; copies real home bytes into the local copy."""
-        off, length = region.page_extent(page)
-        obs = self.engine.obs
-        with (obs.span("dsm.fetch", rank=rank, page=page, home=home)
-              if obs.enabled else NULL_SPAN):
-            data = yield from self.chan.rpc_g(
-                self.node_of(rank), self.node_of(home), "getpage",
-                payload={"page": page, "region": region.region_id},
-                size=PAGE_WIRE_HEADER)
-            buf = self._buffer(rank, region)
-            buf[off:off + length] = data
-            node = self.cluster.node(self.node_of(rank))
-            yield node.bus.touch_cost(length)
-        st = self.rank_stats[rank]
-        st.pages_fetched += 1
-        if self.engine.sharing.enabled:
-            self.engine.sharing.fetch(rank, page, home, length,
-                                      self.engine.now)
-        if self.engine.trace.enabled:
-            self.engine.trace.emit("jj.fetch", rank=rank, page=page, home=home)
 
     def _h_getpage(self, msg):
         page = msg.payload["page"]
         home = self._home[page]
-        region = self.space.region_at(page * self.space.page_size)
-        off, length = region.page_extent(page)
+        region = self._regions[msg.payload["region"]]
+        off = page * region.page_size - region.gaddr
+        length = min(region.page_size, region.size - off)
         buf = self._buffer(home, region)
-        node = self.cluster.node(self.node_of(home))
+        node = self._nodes[home]
         yield node.cpu_cost(self.params.page_serve_cost)
         yield node.bus.touch_cost(length)
         return Reply(payload=buf[off:off + length].copy(), size=length + PAGE_WIRE_HEADER)
-
-    def _make_twin_g(self, rank: int, region: Region, page: int):
-        twins = self._twins[rank]
-        if page in twins:
-            return
-        off, length = region.page_extent(page)
-        twins[page] = self._buffer(rank, region)[off:off + length].copy()
-        node = self.cluster.node(self.node_of(rank))
-        yield node.cpu_cost(self.params.twin_fixed_cost)
-        yield node.bus.touch_cost(2 * length)
-        self.rank_stats[rank].twins_created += 1
 
     # ----------------------------------------------------------------- flush
     def _flush_g(self, rank: int):
@@ -373,7 +376,7 @@ class JiaJiaSystem(GlobalMemorySystem):
 
     def _flush_dirty_g(self, rank: int, dirty: Dict[int, Region],
                        assumed: Dict[int, int]):
-        node = self.cluster.node(self.node_of(rank))
+        node = self._nodes[rank]
         pt = self._ptables[rank]
         notices: List[WriteNotice] = []
         by_home: Dict[int, List[Diff]] = {}
@@ -382,7 +385,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         # Auto-announced pages: notice without detection; periodic
         # revalidation drops them back to the detected path.
         for page in list(assumed):
-            notices.append(WriteNotice(page=page, writer=rank))
+            notices.append(WriteNotice(page, rank))
             assumed[page] += 1
             if assumed[page] >= self.ASSUME_REVALIDATE:
                 del assumed[page]
@@ -392,9 +395,10 @@ class JiaJiaSystem(GlobalMemorySystem):
         homes = self._home
         cpu_cost, touch_cost = node.cpu_cost, node.bus.touch_cost
         diff_cost = self.params.diff_fixed_cost
+        page_size = self.space.page_size
         buf_region = buf = None  # dirty pages cluster by region
         for page, region in dirty.items():
-            notices.append(WriteNotice(page=page, writer=rank))
+            notices.append(WriteNotice(page, rank))
             home = homes.get(page)
             if home is None:
                 home = yield from self.home_of_g(page, rank)
@@ -411,7 +415,8 @@ class JiaJiaSystem(GlobalMemorySystem):
             twin = twins.pop(page)
             if region is not buf_region:
                 buf_region, buf = region, self._buffer(rank, region)
-            off, length = region.page_extent(page)
+            off = page * page_size - region.gaddr
+            length = min(page_size, region.size - off)
             yield cpu_cost(diff_cost)
             yield touch_cost(2 * length)
             diff = make_diff(page, twin, buf[off:off + length])
@@ -442,7 +447,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         # One message carries one home's diffs (_flush_dirty_g groups by
         # home, and homes never migrate), clustered by region.
         home = self._home[diffs[0].page]
-        node = self.cluster.node(self.node_of(home))
+        node = self._nodes[home]
         cpu_cost, touch_cost = node.cpu_cost, node.bus.touch_cost
         apply_cost = self.params.diff_apply_fixed_cost
         page_size = self.space.page_size
@@ -452,7 +457,8 @@ class JiaJiaSystem(GlobalMemorySystem):
             if region is None or not region.contains(gaddr):
                 region = self.space.region_at(gaddr)
                 buf = self._buffer(home, region)
-            off, length = region.page_extent(diff.page)
+            off = gaddr - region.gaddr
+            length = min(page_size, region.size - off)
             yield cpu_cost(apply_cost)
             written = apply_diff(buf[off:off + length], diff)
             yield touch_cost(2 * written)
@@ -472,7 +478,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         keep = None
         if any(n.writer != rank and n.page not in dirty for n in notices):
             keep = set(dirty)
-        node = self.cluster.node(self.node_of(rank))
+        node = self._nodes[rank]
         # Scanning the notice list is a cheap vectorized pass; the real
         # per-page cost (mprotect) applies only to pages actually present.
         yield node.cpu_cost(len(notices) * self.params.notice_scan_cost)
@@ -501,8 +507,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         obs = self.engine.obs
         with (obs.span("dsm.lock", rank=rank, lock=lock_id)
               if obs.enabled else NULL_SPAN):
-            yield self.cluster.node(self.node_of(rank)).cpu_cost(
-                self.params.hamster_sync_hook)
+            yield self._nodes[rank].cpu_cost(self.params.hamster_sync_hook)
             st = self.rank_stats[rank]
             st.lock_acquires += 1
             t0 = self.engine.now
@@ -523,7 +528,7 @@ class JiaJiaSystem(GlobalMemorySystem):
             st.lock_wait_time += self.engine.now - t0
 
     def _local_lock_acquire_g(self, lock_id: int, rank: int, cursor: int):
-        node = self.cluster.node(self.node_of(rank))
+        node = self._nodes[rank]
         yield node.cpu_cost(self.params.os_sync_cost)
         ls = self._lock_state(lock_id)
         if ls.holder is None:
@@ -552,7 +557,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         cursor_key = lock_id if self.scope_consistency else -1
         cursor = self._cursors[rank].get(cursor_key, 0)
         if manager == rank:
-            node = self.cluster.node(self.node_of(rank))
+            node = self._nodes[rank]
             yield node.cpu_cost(self.params.os_sync_cost)
             ls = self._lock_state(lock_id)
             if ls.holder is not None:
@@ -599,8 +604,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         obs = self.engine.obs
         with (obs.span("dsm.unlock", rank=rank, lock=lock_id)
               if obs.enabled else NULL_SPAN):
-            yield self.cluster.node(self.node_of(rank)).cpu_cost(
-                self.params.hamster_sync_hook)
+            yield self._nodes[rank].cpu_cost(self.params.hamster_sync_hook)
             self.rank_stats[rank].lock_releases += 1
             yield from self._flush_g(rank)
             # Bind every notice since the last release to this lock's scope
@@ -618,7 +622,7 @@ class JiaJiaSystem(GlobalMemorySystem):
 
     def _local_lock_release_g(self, lock_id: int, rank: int,
                               notices: List[WriteNotice]):
-        node = self.cluster.node(self.node_of(rank))
+        node = self._nodes[rank]
         yield node.cpu_cost(self.params.os_sync_cost)
         yield from self._do_release_g(lock_id, rank, notices)
 
@@ -652,22 +656,12 @@ class JiaJiaSystem(GlobalMemorySystem):
         else:
             ls.holder = None
 
-    # non-scope (RC ablation) global log
-    @property
-    def _global_log(self) -> NoticeLog:
-        log = getattr(self, "_global_log_obj", None)
-        if log is None:
-            log = NoticeLog()
-            self._global_log_obj = log
-        return log
-
     # --------------------------------------------------------------- barrier
     def barrier_g(self):
         rank = self.current_rank()
         obs = self.engine.obs
         with obs.span("dsm.barrier", rank=rank) if obs.enabled else NULL_SPAN:
-            yield self.cluster.node(self.node_of(rank)).cpu_cost(
-                self.params.hamster_sync_hook)
+            yield self._nodes[rank].cpu_cost(self.params.hamster_sync_hook)
             st = self.rank_stats[rank]
             st.barriers += 1
             t0 = self.engine.now
@@ -712,7 +706,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         self._barrier_notices = NoticeBatch()
         self._barrier_round = []
         self._barrier_generation += 1
-        node0 = self.cluster.node(self.node_of(0))
+        node0 = self._nodes[0]
         yield node0.cpu_cost(len(merged) * self.params.notice_scan_cost)
         size = 16 + len(merged) * NOTICE_WIRE_BYTES
         for arrival in arrivals:
@@ -730,7 +724,7 @@ class JiaJiaSystem(GlobalMemorySystem):
         rank = self.current_rank()
         pt = self._ptables[rank]
         dirty = self._dirty[rank]
-        node = self.cluster.node(self.node_of(rank))
+        node = self._nodes[rank]
         pages = []
         for p in self._pages_touched(region, runs):
             home = yield from self.home_of_g(p, rank)

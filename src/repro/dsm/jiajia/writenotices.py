@@ -21,8 +21,7 @@ notice of a batch that all P receivers share.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 __all__ = ["WriteNotice", "NoticeBatch", "NoticeLog", "NOTICE_WIRE_BYTES"]
 
@@ -30,9 +29,9 @@ __all__ = ["WriteNotice", "NoticeBatch", "NoticeLog", "NOTICE_WIRE_BYTES"]
 NOTICE_WIRE_BYTES = 10
 
 
-@dataclass(frozen=True)
-class WriteNotice:
-    """One page-modification record."""
+class WriteNotice(NamedTuple):
+    """One page-modification record (a tuple: a flush builds one per
+    dirty page, so construction stays cheap)."""
 
     page: int
     writer: int

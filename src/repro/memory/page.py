@@ -9,7 +9,7 @@ fault and triggers the same protocol transitions.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.errors import ProtectionError
 
@@ -42,6 +42,12 @@ class PageTable:
         # ---------------------------------------------------- statistics
         self.read_faults = 0
         self.write_faults = 0
+
+    @property
+    def states(self) -> Mapping[int, PageState]:
+        """The live page -> state map (an absent page is INVALID), for loops
+        that probe many pages; states change only through the methods."""
+        return self._states
 
     def state(self, page: int) -> PageState:
         return self._states.get(page, PageState.INVALID)

@@ -88,7 +88,7 @@ class _NullCtx:
     def __enter__(self) -> None:
         return None
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         return None
 
 

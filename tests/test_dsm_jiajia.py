@@ -376,6 +376,60 @@ class TestLocks:
         assert [dsm._manager_of(i) for i in range(4)] == [0, 1, 2, 3]
 
 
+_FAULT_COUNTERS = ("read_faults", "write_faults", "pages_fetched",
+                   "twins_created")
+
+
+class TestFaultPathCharges:
+    """One fault on rank 1 of ``sw-dsm-2``, its virtual time, counters and
+    the run's end time and event count held to the values the fault path
+    has always given. A dropped or reordered charge, fetch or directory
+    lookup moves at least one of them."""
+
+    @pytest.mark.parametrize("case, dt, counts, end, events", [
+        # remote read fault: getpage round trip, page READ_ONLY
+        ("read", 0.0007200594805194805, (1, 0, 1, 0),
+         0.0016200594805194806, 68),
+        # remote write fault on an invalid page: fetch, then twin
+        ("write", 0.0007466451948051949, (0, 1, 1, 1),
+         0.001973385974025974, 87),
+        # write to an unresolved first-touch page: the directory (rank 0)
+        # names the writer its home, so no fetch and no twin
+        ("first_touch", 0.00031720285714285717, (0, 1, 0, 0),
+         0.0012171028571428568, 62),
+    ], ids=["read", "write", "first_touch"])
+    def test_one_fault(self, case, dt, counts, end, events):
+        plat = build()
+        dsm, engine = plat.dsm, plat.engine
+        out = {}
+
+        def main(env):
+            dist = first_touch() if case == "first_touch" else single_home(0)
+            A = yield from env.alloc_array_g((1024,), name="A",
+                                             distribution=dist)
+            if case != "first_touch" and env.rank == 0:
+                yield from A.set_g(slice(None), 7.0)
+            yield from env.barrier_g()
+            if env.rank == 1:
+                before = [dsm.stats(1)[k] for k in _FAULT_COUNTERS]
+                t0 = engine.now
+                if case == "read":
+                    yield from A.get_g(0)
+                elif case == "write":
+                    yield from A.set_g(0, 1.0)
+                else:
+                    page = next(p for p in A.region.pages() if p % 2 == 0)
+                    yield from A.set_g((page - A.region.first_page) * 512, 1.0)
+                out["dt"] = engine.now - t0
+                out["counts"] = tuple(dsm.stats(1)[k] - b for k, b
+                                      in zip(_FAULT_COUNTERS, before))
+            yield from env.barrier_g()
+
+        spmd(plat, main)
+        assert (out["dt"], out["counts"]) == (dt, counts)
+        assert (engine.now, engine.events_executed) == (end, events)
+
+
 class TestStats:
     def test_fault_and_fetch_counters(self):
         plat = build()
