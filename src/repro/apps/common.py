@@ -19,6 +19,8 @@ slice of that reference.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import numbers
 import threading
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ from repro.errors import ConfigurationError, HamsterError
 
 __all__ = ["AppResult", "whole_params", "compute_cost", "memtouch_cost",
            "row_block", "once_per_run", "reference_once_per_run", "Reference",
-           "HELPER_FLOPS", "AppError", "APP_TABLE", "get_app",
+           "HELPER_FLOPS", "AppError", "APP_TABLE", "get_app", "bind_app",
            "merge_rank_results"]
 
 
@@ -233,3 +235,18 @@ def get_app(name: str) -> Callable:
         raise AppError(f"unknown benchmark {name!r}; known: {sorted(APP_TABLE)}")
     entry = f"run_{name}"
     return getattr(__import__(f"repro.apps.{name}", fromlist=[entry]), entry)
+
+
+def bind_app(name: str, params: Dict[str, Any]) -> Callable:
+    """The rank body an API's ``run`` takes: benchmark ``name``'s entry
+    point with ``params`` bound. A parameter the entry point does not take
+    raises :class:`ConfigurationError` naming the app and the parameter;
+    callers bind before they build a platform, so nothing is built."""
+    fn = get_app(name)
+    try:
+        inspect.signature(fn).bind(None, **params)  # None stands for the API
+    except TypeError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
+    # functools.partial (not a lambda) so generator-function app bodies are
+    # detected by the API's isgeneratorfunction dispatch and run stackless.
+    return functools.partial(fn, **params)

@@ -12,12 +12,11 @@ scale are named in :data:`CLAIMS` as exceptions, with their reasons.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.apps import get_app
-from repro.apps.common import AppError, AppResult, merge_rank_results
+from repro.apps.common import (AppError, AppResult, bind_app,
+                               merge_rank_results)
 from repro.config import ClusterConfig
 from repro.models.jiajia_api import JiaJiaApi
 from repro.models.native_jiajia import NativeJiaJiaApi
@@ -83,12 +82,10 @@ def run_app_detailed(config: ClusterConfig, app: str, native: bool = False,
     Returns ``(merged AppResult, BuiltPlatform)``; a failed verification
     raises :class:`~repro.apps.common.AppError`.
     """
+    body = bind_app(app, params)
     plat = config.build()
     api = NativeJiaJiaApi(plat.hamster) if native else JiaJiaApi(plat.hamster)
-    fn = get_app(app)
-    # functools.partial (not a lambda) so generator-function app bodies are
-    # detected by the API's isgeneratorfunction dispatch and run stackless.
-    per_rank = api.run(functools.partial(fn, **params))
+    per_rank = api.run(body)
     merged = merge_rank_results(per_rank)
     if not merged.verified:
         raise AppError(

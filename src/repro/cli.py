@@ -66,7 +66,6 @@ only-the-config-changes workflow from the shell.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
@@ -449,8 +448,7 @@ def _run_target(args, native: bool = False, obs: bool = True,
     platform / benchmark / verified lines; returns (platform, merged
     result). ``switches`` are config fields forced on before the
     ``--trace-out``-style observability flags apply (``obs``)."""
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
+    from repro.apps.common import bind_app, merge_rank_results
     if native:
         from repro.models.native_jiajia import NativeJiaJiaApi as Api
     else:
@@ -465,10 +463,9 @@ def _run_target(args, native: bool = False, obs: bool = True,
     if obs:
         _apply_obs(config, args)
     params: Dict[str, Any] = dict(args.param)
+    body = bind_app(args.app, params)
     plat = config.build()
-    api = Api(plat.hamster)
-    fn = get_app(args.app)
-    merged = merge_rank_results(api.run(functools.partial(fn, **params)))
+    merged = merge_rank_results(Api(plat.hamster).run(body))
     print(f"platform : {plat.hamster.platform_description()}"
           f"{' [native binding]' if native else ''}")
     print(f"benchmark: {args.app} {params or ''}")

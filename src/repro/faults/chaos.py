@@ -18,7 +18,6 @@ statistics, and event trace.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
@@ -97,14 +96,14 @@ def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
     replaces the benchmark: ``run(platform)`` returns ``(verified,
     checksum)``, and ``app`` only names the result.
     """
-    from repro.apps import get_app
-    from repro.apps.common import merge_rank_results
+    from repro.apps.common import bind_app, merge_rank_results
     from repro.models.jiajia_api import JiaJiaApi
     from repro.models.native_jiajia import NativeJiaJiaApi
 
     cfg = _resolve_config(config)
     if plan is not None:
         cfg.faults = FaultPlan.coerce(plan)
+    body = bind_app(app, dict(app_params or {})) if run is None else None
     plat = cfg.build()
     result = ChaosResult(app=app, platform=cfg.name or cfg.platform,
                          outcome="completed", built=plat)
@@ -113,8 +112,7 @@ def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
             result.verified, result.checksum = run(plat)
         else:
             api = (NativeJiaJiaApi if native else JiaJiaApi)(plat.hamster)
-            fn = functools.partial(get_app(app), **dict(app_params or {}))
-            merged = merge_rank_results(api.run(fn))
+            merged = merge_rank_results(api.run(body))
             result.verified, result.checksum = merged.verified, merged.checksum
             result.phases = dict(merged.phases)
     except NodeFailedError as exc:

@@ -1,11 +1,13 @@
 """Edge cases for the benchmark applications: uneven partitions, odd rank
 counts, degenerate sizes, and phase accounting."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.apps.common import merge_rank_results
+from repro.apps.common import bind_app, merge_rank_results
 from repro.apps.lu import run_lu
 from repro.apps.water import run_water
 from repro.bench.runners import run_app_detailed
@@ -120,6 +122,37 @@ class TestMalformedSizesOfTheOtherApps:
     ])
     def test_a_whole_float_is_a_size(self, app, params):
         merged, _ = run_app_detailed(preset("sw-dsm-2"), app, **params)
+        assert merged.verified
+
+
+class TestUnknownParameters:
+    """A parameter the app's entry point does not take is refused by
+    ``repro.apps.common.bind_app`` before the platform is built; it used
+    to reach the rank body as a builtin ``TypeError``."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the platform was built")
+        monkeypatch.setattr(ClusterConfig, "build", refuse)
+
+    @pytest.mark.parametrize("app,params,named", [
+        ("sor", dict(bogus=3), "bogus"),
+        ("pi", dict(intervals=8, n=4), "'n'"),
+        ("lu", dict(api=None), "api"),   # the API is not a parameter
+    ])
+    def test_refused_before_the_platform_is_built(self, no_build, app,
+                                                   params, named):
+        with pytest.raises(ConfigurationError, match=f"{app}: .*{named}"):
+            bind_app(app, params)
+        with pytest.raises(ConfigurationError, match=named):
+            run_app_detailed(preset("sw-dsm-4"), app, **params)
+
+    def test_the_bound_body_runs_stackless(self):
+        body = bind_app("pi", dict(intervals=64))
+        assert inspect.isgeneratorfunction(body)
+        merged = merge_rank_results(
+            JiaJiaApi(preset("sw-dsm-2").build().hamster).run(body))
         assert merged.verified
 
 

@@ -1,6 +1,10 @@
 """Tests for the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from repro.cli import build_parser, main
 from repro.config import preset
 from repro.obs.profile import profile_platform
 from tests.test_tools import SOR, tiny_run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParsing:
@@ -85,6 +91,31 @@ class TestCommands:
 
         with pytest.raises(AppError):
             main(["run", "--preset", "hybrid-2", "--app", "doom"])
+
+    def test_run_unknown_param_is_refused_before_the_build(self,
+                                                           monkeypatch):
+        from repro.config import ClusterConfig
+        from repro.errors import ConfigurationError
+
+        def refuse(config):
+            raise AssertionError("the platform was built")
+
+        monkeypatch.setattr(ClusterConfig, "build", refuse)
+        with pytest.raises(ConfigurationError, match="sor: .*'bogus'"):
+            main(["run", "--app", "sor", "--preset", "sw-dsm-4",
+                  "--param", "bogus=3"])
+
+    def test_python_m_repro_prints_a_framework_error_as_one_line(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--app", "sor", "--preset",
+             "sw-dsm-4", "--param", "bogus=3"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "repro: ConfigurationError: sor: "
+            "got an unexpected keyword argument 'bogus'"]
 
 
 class TestObservabilityCommands:
