@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional
 
 from repro.errors import MessagingError
 
@@ -46,6 +47,8 @@ class Message:
     size: int
     payload: Any = None
     msg_id: Optional[int] = None
+    #: virtual send time, and the delivery time the wire model fixes at
+    #: that send (a retransmission restamps both)
     send_time: float = 0.0
     recv_time: float = 0.0
     #: RPC bookkeeping (used by the active-message layer): token of the
@@ -73,7 +76,8 @@ class Network:
         self.engine = engine
         self.n_nodes = n_nodes
         self._nic_free_at = [0.0] * n_nodes
-        self._delivery: Dict[int, Callable[[Message], None]] = {}
+        self._delivery: List[Optional[Callable[[Message], None]]] = (
+            [None] * n_nodes)
         # Per-network id counter: message ids are deterministic within one
         # simulation and independent of any other cluster ever built in the
         # same interpreter (reproducible traces regardless of test order).
@@ -106,27 +110,36 @@ class Network:
         while an earlier one is still on the wire starts after it. Delivery
         fires at ``tx_start + tx_time + latency``.
         """
-        self._check_node(msg.src)
-        self._check_node(msg.dst)
-        if msg.dst not in self._delivery:
-            raise MessagingError(f"no delivery callback registered for node {msg.dst}")
+        src, dst = msg.src, msg.dst
+        n = self.n_nodes
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_node(src)
+            self._check_node(dst)
+        on_arrival = self._delivery[dst]
+        if on_arrival is None:
+            raise MessagingError(f"no delivery callback registered for node {dst}")
         self.assign_id(msg)
-        now = self.engine.now
+        engine = self.engine
+        now = engine._now
         msg.send_time = now
         wire_bytes = msg.size + self.framing_bytes
-        start = max(now, self._nic_free_at[msg.src])
+        nic_free_at = self._nic_free_at
+        start = nic_free_at[src]
+        if start < now:
+            start = now
         tx_time = wire_bytes / self.bandwidth
-        self._nic_free_at[msg.src] = start + tx_time
+        nic_free_at[src] = start + tx_time
         arrive = start + tx_time + self.latency
         self.messages_sent += 1
         self.bytes_sent += wire_bytes
 
-        def deliver() -> None:
-            msg.recv_time = self.engine.now
-            self._delivery[msg.dst](msg)
-
-        self.engine.schedule(arrive - now, deliver)
-        obs = self.engine.obs
+        # Scheduled as a delay, so the delivery lands at now + (arrive -
+        # now), the engine's own sum (never at ``arrive`` itself), and
+        # ``recv_time`` is stamped with that same sum here.
+        delay = arrive - now
+        msg.recv_time = now + delay
+        engine.schedule(delay, partial(on_arrival, msg))
+        obs = engine.obs
         if obs.enabled:
             if msg.span_id is None:
                 msg.span_id = obs.current_id()
@@ -137,10 +150,10 @@ class Network:
                        parent=msg.span_id, node=msg.src, src=msg.src,
                        dst=msg.dst, msg=msg.kind, size=msg.size,
                        msg_id=msg.msg_id)
-        if self.engine.trace.enabled:
-            self.engine.trace.emit("net.send", src=msg.src, dst=msg.dst,
-                                   msg_kind=msg.kind, size=msg.size,
-                                   arrive=arrive, msg_id=msg.msg_id)
+        if engine.trace.enabled:
+            engine.trace.emit("net.send", src=msg.src, dst=msg.dst,
+                              msg_kind=msg.kind, size=msg.size,
+                              arrive=arrive, msg_id=msg.msg_id)
 
     # ------------------------------------------------------------ overheads
 

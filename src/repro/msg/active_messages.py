@@ -47,16 +47,15 @@ handler that defers a reply blocks nothing, and the caller keeps waiting
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional, Set
+from types import GeneratorType
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.errors import MessagingError, NodeFailedError, TimeoutError
 from repro.machine.interconnect import Message, Network
 from repro.sim.process import PARK, SimProcess
-from repro.sim.resources import SimQueue
 from repro.sim.trace import NULL_SPAN
 
 __all__ = ["Reply", "Handler", "RetryPolicy", "ActiveMessageLayer"]
@@ -122,6 +121,14 @@ class _PendingCall:
         self.failed: Optional[BaseException] = None
 
 
+def _observed(obs, body, kind: str, **fields: Any):
+    """Drive ``body`` inside one ``kind`` span: the observed form of a
+    send whose span covers its whole body. Unobserved, the send returns
+    ``body`` bare, so a message pays for no span at all."""
+    with (obs.span(kind, **fields) if obs.enabled else NULL_SPAN):
+        return (yield from body)
+
+
 class _Outstanding:
     """Sender-side state of one unacknowledged reliable message."""
 
@@ -147,18 +154,21 @@ class ActiveMessageLayer:
         self.name = name
         self.stack_overhead = (stack_overhead if stack_overhead is not None
                                else cluster.params.msg_stack_overhead())
+        self._nodes = cluster.nodes
         self._handlers: Dict[int, Dict[str, Handler]] = {
             n: {} for n in range(cluster.n_nodes)}
-        self._queues: Dict[int, SimQueue] = {}
-        self._servers: Dict[int, SimProcess] = {}
+        #: node -> delivered messages its server has not taken yet
+        self._inboxes: Dict[int, Deque[Message]] = {}
         self._tokens = itertools.count(1)
         self._pending: Dict[int, _PendingCall] = {}
         # kind-prefix -> per-message stack overhead; lets a "separate stack"
         # channel (native DSM deployment) coexist with the cheaper coalesced
         # HAMSTER channel on the same wire (see repro.msg.coalesce).
         self._channel_overhead: Dict[str, float] = {}
-        #: kind -> receiver-side cost per message (network + channel stack)
-        self._recv_cost: Dict[str, float] = {}
+        #: kind -> sender- / receiver-side cost per message (network +
+        #: channel stack); set_channel_overhead clears both
+        self._send_costs: Dict[str, float] = {}
+        self._recv_costs: Dict[str, float] = {}
         # ------------------------------------------------ reliable mode
         # None -> perfect-network fast path: no acks, no timers, no state.
         self._reliable: Optional[RetryPolicy] = None
@@ -179,27 +189,36 @@ class ActiveMessageLayer:
 
     # ------------------------------------------------------------- servers
     def _start_server(self, node_id: int) -> None:
-        q = SimQueue(self.engine, name=f"{self.name}.q{node_id}")
-        self._queues[node_id] = q
-        self.network.register_delivery(node_id, q.put)
-        proc = SimProcess(self.engine, self._server_loop, args=(node_id, q),
-                          name=f"{self.name}.srv{node_id}", daemon=True)
-        proc.start()
-        self._servers[node_id] = proc
+        inbox: Deque[Message] = deque()
+        # the server, while it waits on an empty inbox
+        parked: List[SimProcess] = []
+        schedule = self.engine.schedule
 
-    def _server_loop(self, proc: SimProcess, node_id: int, q: SimQueue):
+        def deliver(msg: Message) -> None:
+            inbox.append(msg)
+            if parked:
+                schedule(0.0, parked.pop())  # the server's wake
+
+        self._inboxes[node_id] = inbox
+        self.network.register_delivery(node_id, deliver)
+        SimProcess(self.engine, self._server_loop,
+                   args=(node_id, inbox, parked),
+                   name=f"{self.name}.srv{node_id}", daemon=True).start()
+
+    def _server_loop(self, proc: SimProcess, node_id: int,
+                     inbox: Deque[Message], parked: List[SimProcess]):
         # Generator-function body: the server runs stackless.
         # Per-message lookups are hoisted: the observer is installed before
         # the first dispatch, and the handler dict is updated in place.
-        node = self.cluster.node(node_id)
+        node = self._nodes[node_id]
         obs = self.engine.obs
         handlers = self._handlers[node_id]
-        recv_cost = self._recv_cost
-        try_get = q.try_get
+        recv_cost = self._recv_costs
         while True:
-            msg = try_get()  # drain what is queued without a get_g frame
-            if msg is None:
-                msg = yield from q.get_g()
+            while not inbox:
+                parked.append(proc)
+                yield PARK
+            msg = inbox.popleft()
             kind = msg.kind
             if kind == ACK_KIND:
                 # Pure control frame: cancels the retransmission timer.
@@ -230,7 +249,7 @@ class ActiveMessageLayer:
                     raise MessagingError(
                         f"node {node_id}: no handler for message kind {kind!r}")
                 result = handler(msg)
-                if inspect.isgenerator(result):
+                if type(result) is GeneratorType:
                     # Generator handler: run it inline on the server's
                     # process context, exactly like a plain call.
                     result = yield from result
@@ -249,7 +268,7 @@ class ActiveMessageLayer:
             self._on_fail.pop(call.req_id, None)
         call.result = msg.payload
         call.done = True
-        call.caller.wake()
+        self.engine.schedule(0.0, call.caller)  # the caller's wake
 
     # ------------------------------------------------------------ reg / send
     def register(self, node_id: int, kind: str, handler: Handler) -> None:
@@ -265,7 +284,8 @@ class ActiveMessageLayer:
         """Assign a per-message software overhead to all message kinds that
         start with ``kind_prefix`` (longest prefix wins)."""
         self._channel_overhead[kind_prefix] = overhead
-        self._recv_cost.clear()
+        self._send_costs.clear()
+        self._recv_costs.clear()
 
     def _overhead_for(self, kind: str) -> float:
         best: Optional[str] = None
@@ -278,69 +298,85 @@ class ActiveMessageLayer:
 
     def _send_cost(self, src: int, kind: str) -> float:
         """Book the sender's per-message software cost; returns the hold."""
-        return self.cluster.node(src).cpu_cost(
-            self.network.sender_cpu_overhead() + self._overhead_for(kind))
+        cost = self._send_costs.get(kind)
+        if cost is None:
+            cost = self._send_costs[kind] = (
+                self.network.sender_cpu_overhead() + self._overhead_for(kind))
+        return self._nodes[src].cpu_cost(cost)
 
+    # A send's am.post / am.rpc span covers its whole body, so each send
+    # hands its body back bare unless the observer is on.
     def post_g(self, src: int, dst: int, kind: str, payload: Any = None,
                size: int = 0):
         """One-way active message from ``src`` to ``dst``."""
         obs = self.engine.obs
-        with (obs.span("am.post", msg=kind, src=src, dst=dst)
-              if obs.enabled else NULL_SPAN):
+        if obs.enabled:
+            return _observed(obs, self._post_g(src, dst, kind, payload, size),
+                             "am.post", msg=kind, src=src, dst=dst)
+        return self._post_g(src, dst, kind, payload, size)
+
+    def _post_g(self, src: int, dst: int, kind: str, payload: Any, size: int):
+        if self._reliable is not None:
             self._check_dead(dst)
-            self.posts += 1
-            yield self._send_cost(src, kind)
-            msg = Message(src=src, dst=dst, kind=kind,
-                          size=size + AM_HEADER_BYTES, payload=payload)
-            if obs.enabled:
-                # Stamp the causal origin before any fault injector can
-                # defer the transmission into engine context.
-                msg.span_id = obs.current_id()
-            self.network.send(msg)
-            if self._reliable is not None:
-                # An undeliverable one-way message means protocol state is
-                # lost for good: abort with a typed error, never corrupt.
-                self._track(msg, self.engine._report_exception)
+        self.posts += 1
+        yield self._send_cost(src, kind)
+        # Positional fields: keywords would cost more than the cost lookup.
+        msg = Message(src, dst, kind, size + AM_HEADER_BYTES, payload)
+        obs = self.engine.obs
+        if obs.enabled:
+            # Stamp the causal origin before any fault injector can
+            # defer the transmission into engine context.
+            msg.span_id = obs.current_id()
+        self.network.send(msg)
+        if self._reliable is not None:
+            # An undeliverable one-way message means protocol state is
+            # lost for good: abort with a typed error, never corrupt.
+            self._track(msg, self.engine._report_exception)
 
     def rpc_g(self, src: int, dst: int, kind: str, payload: Any = None,
               size: int = 0):
         """Request/reply (``yield from`` it): parks the calling process
         until the handler at ``dst`` answers; returns the reply payload."""
-        caller = self.engine.require_process()
         obs = self.engine.obs
-        with (obs.span("am.rpc", msg=kind, src=src, dst=dst)
-              if obs.enabled else NULL_SPAN):
+        if obs.enabled:
+            return _observed(obs, self._rpc_g(src, dst, kind, payload, size),
+                             "am.rpc", msg=kind, src=src, dst=dst)
+        return self._rpc_g(src, dst, kind, payload, size)
+
+    def _rpc_g(self, src: int, dst: int, kind: str, payload: Any, size: int):
+        caller = self.engine.require_process()
+        if self._reliable is not None:
             self._check_dead(dst)
-            token = next(self._tokens)
-            call = _PendingCall(caller, dst=dst)
-            self._pending[token] = call
-            self.rpcs += 1
-            yield self._send_cost(src, kind)
-            msg = Message(src=src, dst=dst, kind=kind,
-                          size=size + AM_HEADER_BYTES, payload=payload,
-                          rpc_token=token)
-            if obs.enabled:
-                msg.span_id = obs.current_id()
-            self.network.send(msg)
-            if self._reliable is not None:
-                call.req_id = msg.msg_id
+        token = next(self._tokens)
+        call = _PendingCall(caller, dst)
+        self._pending[token] = call
+        self.rpcs += 1
+        yield self._send_cost(src, kind)
+        msg = Message(src, dst, kind, size + AM_HEADER_BYTES, payload)
+        msg.rpc_token = token
+        obs = self.engine.obs
+        if obs.enabled:
+            msg.span_id = obs.current_id()
+        self.network.send(msg)
+        if self._reliable is not None:
+            call.req_id = msg.msg_id
 
-                def fail(exc: BaseException) -> None:
-                    call.failed = exc
-                    self._pending.pop(token, None)
-                    call.caller.wake()
+            def fail(exc: BaseException) -> None:
+                call.failed = exc
+                self._pending.pop(token, None)
+                call.caller.wake()
 
-                self._track(msg, fail)
-            # The reply-wait is the blocked share of the round trip — kept
-            # as its own child span so critical-path attribution can split
-            # protocol work from time spent parked.
-            with (obs.span("am.wait", msg=kind, dst=dst)
-                  if obs.enabled else NULL_SPAN):
-                while not call.done and call.failed is None:
-                    yield PARK
-            if call.failed is not None:
-                raise call.failed
-            return call.result
+            self._track(msg, fail)
+        # The reply-wait is the blocked share of the round trip — kept
+        # as its own child span so critical-path attribution can split
+        # protocol work from time spent parked.
+        with (obs.span("am.wait", msg=kind, dst=dst)
+              if obs.enabled else NULL_SPAN):
+            while not call.done and call.failed is None:
+                yield PARK
+        if call.failed is not None:
+            raise call.failed
+        return call.result
 
     def reply_g(self, request: Message, payload: Any = None, size: int = 0):
         """Answer an RPC ``request`` (``yield from`` it): immediately from
@@ -349,11 +385,13 @@ class ActiveMessageLayer:
         if request.rpc_token is None:
             raise MessagingError("reply to a message that is not an rpc")
         yield self._send_cost(request.dst, request.kind)
-        msg = Message(src=request.dst, dst=request.src, kind="__reply__",
-                      size=size + AM_HEADER_BYTES, payload=payload,
-                      rpc_token=request.rpc_token, is_reply=True)
-        if self.engine.obs.enabled:
-            msg.span_id = self.engine.obs.current_id()
+        msg = Message(request.dst, request.src, "__reply__",
+                      size + AM_HEADER_BYTES, payload)
+        msg.rpc_token = request.rpc_token
+        msg.is_reply = True
+        obs = self.engine.obs
+        if obs.enabled:
+            msg.span_id = obs.current_id()
         self.network.send(msg)
         if self._reliable is not None and request.src not in self._dead:
             self._track(msg, self.engine._report_exception)
@@ -371,7 +409,8 @@ class ActiveMessageLayer:
         return self._reliable
 
     def _check_dead(self, dst: int) -> None:
-        if self._reliable is not None and dst in self._dead:
+        """Reliable mode: refuse traffic to a node declared dead."""
+        if dst in self._dead:
             raise NodeFailedError(dst, "refusing to message a failed node")
 
     def mark_node_failed(self, node: int,

@@ -41,24 +41,22 @@ class Channel:
         self.fabric = fabric
         self.name = name
         self.layer = fabric.layer
-
-    def _kind(self, kind: str) -> str:
-        return f"{self.name}.{kind}"
+        self._prefix = name + "."
 
     def register(self, node_id: int, kind: str, handler: Handler) -> None:
-        self.layer.register(node_id, self._kind(kind), handler)
+        self.layer.register(node_id, self._prefix + kind, handler)
 
     def register_all(self, kind: str, handler_factory) -> None:
         for node_id in range(self.layer.cluster.n_nodes):
-            self.layer.register(node_id, self._kind(kind), handler_factory(node_id))
+            self.layer.register(node_id, self._prefix + kind, handler_factory(node_id))
 
     def post_g(self, src: int, dst: int, kind: str, payload: Any = None,
                size: int = 0):
-        return self.layer.post_g(src, dst, self._kind(kind), payload, size)
+        return self.layer.post_g(src, dst, self._prefix + kind, payload, size)
 
     def rpc_g(self, src: int, dst: int, kind: str, payload: Any = None,
               size: int = 0):
-        return self.layer.rpc_g(src, dst, self._kind(kind), payload, size)
+        return self.layer.rpc_g(src, dst, self._prefix + kind, payload, size)
 
     def reply_g(self, request, payload: Any = None, size: int = 0):
         return self.layer.reply_g(request, payload, size)

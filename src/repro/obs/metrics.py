@@ -108,8 +108,8 @@ class MetricsSampler:
         if fabric is not None:
             layer = fabric.layer
             total = 0
-            for node_id, queue in layer._queues.items():
-                depth = len(queue)
+            for node_id, inbox in layer._inboxes.items():
+                depth = len(inbox)
                 total += depth
                 values[f"am.qdepth.n{node_id}"] = float(depth)
             values["am.qdepth.total"] = float(total)

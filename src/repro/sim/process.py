@@ -246,7 +246,9 @@ class SimProcess:
             self._baton.acquire()
 
     def wake(self, delay: float = 0.0) -> None:
-        """Schedule a suspended process to resume ``delay`` seconds from now."""
+        """Schedule a suspended process to resume ``delay`` seconds from now.
+        A hot path may call ``engine.schedule(delay, proc)`` itself: it is
+        the same event."""
         self.engine.schedule(delay, self)
 
     def join_g(self, other: "SimProcess"):

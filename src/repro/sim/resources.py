@@ -126,8 +126,8 @@ class SimCondition:
 class SimQueue:
     """Unbounded FIFO message queue; ``get`` blocks in virtual time.
 
-    The messaging layer delivers into per-node queues through this class, so
-    message arrival order is the deterministic network-delivery order.
+    HAMSTER's user-level messages (:mod:`repro.core.cluster_ctrl`) queue
+    per rank through this class, so they are taken in delivery order.
     """
 
     def __init__(self, engine, name: str = "queue") -> None:
@@ -135,9 +135,6 @@ class SimQueue:
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[SimProcess] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> None:
         self._items.append(item)
@@ -150,12 +147,6 @@ class SimQueue:
             self._getters.append(proc)
             yield PARK
         return self._items.popleft()
-
-    def try_get(self) -> Any:
-        """Non-blocking get; returns ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
-        return None
 
 
 class SimBarrier:

@@ -2,6 +2,8 @@
 real files, and recorded numbers that are cheap to recompute must match the
 code (stale docs are bugs here, not cosmetics)."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -34,6 +36,91 @@ class TestDesignDoc:
         """DESIGN.md must not carry the title-mismatch warning — the
         provided text matched the claimed paper."""
         assert "mismatch" not in read("DESIGN.md").split("\n\n")[0].lower()
+
+
+#: the prose deliverables whose citations must name something real
+CITING = ("DESIGN.md", "README.md", "EXPERIMENTS.md", "CONTRIBUTING.md",
+          *sorted(str(p.relative_to(REPO)) for p in REPO.glob("docs/*.md")))
+_SPAN = re.compile(r"`([^`\n]+)`")
+_REF = re.compile(r"(?<![\w./-])((?:src|tests)/[\w./*-]*(?:::[\w.\[\]-]+)*"
+                  r"|repro(?:\.[\w*]+)+(?:/\d+)?)")
+
+
+def cited(text):
+    """Every ``src/`` or ``tests/`` path, ``tests/…::Name`` and ``repro.…``
+    dotted name inside a backticked span of ``text``."""
+    for span in _SPAN.finditer(text):
+        for ref in _REF.finditer(span.group(1)):
+            yield ref.group(1)
+
+
+def _defines(path, names):
+    scope = ast.parse(path.read_text(encoding="utf-8")).body
+    for name in names:
+        hits = [node for node in scope if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == name.split("[")[0]]      # a test id's params
+        if not hits:
+            return False
+        scope = hits[0].body
+    return True
+
+
+def unresolved(ref):
+    """Why ``ref`` names nothing, or None when it resolves. ``name/N`` is
+    a schema string (``repro.fabric.cache/3``), not a dotted name."""
+    if ref.startswith(("src/", "tests/")):
+        path, *names = ref.split("::")
+        hits = sorted(REPO.glob(path)) if "*" in path else [
+            REPO / path] if (REPO / path).exists() else []
+        if not hits:
+            return "no such path"
+        if names and not _defines(hits[0], names):
+            return "no such name"
+        return None
+    if re.search(r"/\d+$", ref):
+        return None
+    parts = ref.split(".")
+    while parts[-1] == "*":
+        parts.pop()
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return f"no attribute {attr}"
+            obj = getattr(obj, attr)
+        return None
+    return "no module"
+
+
+class TestEveryCitationResolves:
+    """A deleted function, test or module cannot stay documented."""
+
+    @pytest.mark.parametrize("doc", CITING)
+    def test_every_cited_name_resolves(self, doc):
+        refs = list(cited(read(doc)))
+        assert [f"{ref}: {unresolved(ref)}" for ref in refs
+                if unresolved(ref)] == []
+
+    @pytest.mark.parametrize("text,expected", [
+        ("the server drains `SimQueue.try_get` via "
+         "`tests/test_sim_resources.py::TestSimQueue::test_try_get`",
+         ["tests/test_sim_resources.py::TestSimQueue::test_try_get"]),
+        ("see `repro.msg.active_messages.SimQueue` and `src/repro/msg/inbox.py`",
+         ["repro.msg.active_messages.SimQueue", "src/repro/msg/inbox.py"]),
+        ("`repro.msgs` and `python -m repro.bench.diffchek --check`",
+         ["repro.msgs", "repro.bench.diffchek"]),
+        # real names, globs, line numbers and schema strings resolve
+        ("`tests/test_messaging.py::TestRoundTripPinned::test_round_trip[sci]`"
+         " `src/repro/msg/active_messages.py:279` `src/repro/dsm/*.py`"
+         " `repro.fabric.cachf/3` `repro.obs.*` `repro.msg.coalesce.Channel`",
+         []),
+    ])
+    def test_the_check_fails_on_a_seeded_stale_name(self, text, expected):
+        assert [ref for ref in cited(text) if unresolved(ref)] == expected
 
 
 class TestExperimentsDoc:

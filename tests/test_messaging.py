@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import MessagingError
+from repro.faults.inject import FaultyNetwork
+from repro.faults.plan import FaultPlan, LinkFaults
 from repro.machine.cluster import Cluster
 from repro.machine.params import PAPER_PLATFORM
 from repro.msg.active_messages import ActiveMessageLayer, Reply
@@ -126,6 +128,31 @@ class TestChannelOverheads:
         assert layer._overhead_for("dsm.fast.ping") == 5e-6
         assert layer._overhead_for("other.x") == 10e-6
 
+    def test_both_cost_caches_follow_the_channel_overhead(self, engine):
+        """Sender and receiver cache each kind's per-message cost; pinning
+        a channel's overhead after its messages flowed reprices both."""
+        cl = make_cluster(engine)
+        net = cl.network
+        layer = ActiveMessageLayer(cl, stack_overhead=10e-6)
+        layer.register(1, "ch.k", lambda msg: None)
+        booked = []
+
+        def client(proc):
+            for overhead in (10e-6, 50e-6):
+                layer.set_channel_overhead("ch.", overhead)
+                before = [node.compute_time for node in cl.nodes]
+                yield from layer.post_g(0, 1, "ch.k")
+                yield 1.0                    # long after the post is handled
+                booked.append([node.compute_time - b
+                               for node, b in zip(cl.nodes, before)])
+
+        SimProcess(engine, client).start()
+        engine.run()
+        for overhead, (sent, received) in zip((10e-6, 50e-6), booked):
+            assert sent == pytest.approx(net.sender_cpu_overhead() + overhead)
+            assert received == pytest.approx(
+                net.receiver_cpu_overhead() + overhead)
+
     def test_integrated_fabric_is_cheaper(self):
         """The §3.3 claim in miniature: the same RPC completes sooner on the
         coalesced fabric than on separate stacks."""
@@ -180,6 +207,73 @@ class TestChannelOverheads:
         engine.run()
         assert fab.messages_sent == 1
         assert fab.bytes_sent > 10
+
+
+def round_trip(build):
+    """One post, one RPC answered at once, one RPC answered later by a
+    generator handler, on a three-node cluster from ``build``."""
+    engine = Engine()
+    cl = build(engine, 3)
+    layer = ActiveMessageLayer(cl)
+    got, parked = [], []
+    layer.register(1, "evt", lambda msg: got.append(msg.payload))
+    layer.register(1, "now", lambda msg: Reply(payload=msg.payload * 2, size=8))
+    layer.register(2, "slow", parked.append)
+
+    def release(msg):
+        yield 3e-6
+        yield from layer.reply_g(parked.pop(), payload="late", size=24)
+
+    layer.register(2, "release", release)
+
+    def waiter(proc):
+        return (yield from layer.rpc_g(0, 2, "slow", size=100))
+
+    def client(proc):
+        yield from layer.post_g(0, 1, "evt", payload="e", size=16)
+        doubled = yield from layer.rpc_g(0, 1, "now", payload=21, size=8)
+        yield from layer.post_g(1, 2, "release", size=4)
+        return doubled
+
+    w = SimProcess(engine, waiter).start()
+    c = SimProcess(engine, client).start()
+    engine.run()
+    assert (got, w.result, c.result) == (["e"], "late", 42)
+    return (repr(engine.now), engine.events_executed, cl.network.messages_sent,
+            cl.network.bytes_sent, [repr(n.compute_time) for n in cl.nodes])
+
+
+class TestRoundTripPinned:
+    """What a message costs in virtual time, events and per-node charges,
+    as recorded before the send path was made lean: a host-side change to
+    the layer or the wire must leave every figure here as it is."""
+
+    @pytest.mark.parametrize("build,expected", [
+        (Cluster.beowulf, ("0.0006428636363636363", 31, 6, 748,
+                           ["0.0001675", "0.000134", "0.0001005"])),
+        (Cluster.sci_cluster, ("7.431176470588234e-05", 31, 6, 448,
+                               ["3.35e-05", "2.68e-05", "2.01e-05"])),
+    ], ids=["ethernet", "sci"])
+    def test_round_trip(self, build, expected):
+        assert round_trip(build) == expected
+
+    def test_a_fault_injector_attached_later_sees_every_send(self, engine):
+        """``FaultyNetwork`` patches ``network.send`` after the layer is
+        built, so the layer must look the method up on every send."""
+        cl = make_cluster(engine)
+        layer = ActiveMessageLayer(cl)
+        got = []
+        layer.register(1, "evt", got.append)
+        faults = FaultyNetwork(cl.network, FaultPlan(
+            link=LinkFaults(drop_rate=1.0), heartbeat=False))
+
+        def client(proc):
+            yield from layer.post_g(0, 1, "evt")
+
+        SimProcess(engine, client).start()
+        engine.run()
+        assert got == [] and faults.dropped == 1
+        assert cl.network.messages_sent == 0
 
 
 class TestSmpHasNoMessaging:

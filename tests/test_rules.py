@@ -207,9 +207,17 @@ def generator_names(extra=()):
     """(names of generator functions, names defined *only* as such) over
     the scanned tree plus the ``extra`` functions. An abstract stub, and a
     plain function that only returns a generator call, do not make a name
-    plain."""
+    plain; a plain ``X_g`` that only returns generator calls (a send that
+    wraps its body in a span only when observed) makes ``X_g`` a generator
+    name."""
     fns = [*(fn for _, fns in scanned_functions() for fn in fns), *extra]
     gens = {fn.name for fn in fns if fn.generator}
+    while True:
+        more = {fn.name for fn in fns if fn.name.endswith("_g") and fn.returns
+                and all(r in gens for r in fn.returns)} - gens
+        if not more:
+            break
+        gens |= more
     plain = {fn.name for fn in fns if not fn.generator and not fn.stub
              and not (fn.returns and all(r in gens for r in fn.returns))}
     return gens, gens - plain
@@ -320,6 +328,10 @@ _GENS = "def barrier_g():\n    yield 1\ndef grant_g(n):\n    yield n\n"
     ("def f(x):\n    with barrier_g() if x else y():\n        pass\n", []),
     ("def f(x):\n    barrier_g() if x else None\n", ["<seeded>:2 barrier_g()"]),
     ("def f():\n    barrier()\n", []),
+    # a plain ``X_g`` that only hands out a generator is one to drive too
+    ("def post_g(a):\n    return grant_g(a)\ndef f(s):\n    s.post_g(1)\n",
+     ["<seeded>:4 post_g()"]),
+    ("def post(a):\n    return grant_g(a)\ndef f(s):\n    s.post(1)\n", []),
 ])
 def test_the_yield_contract_fails_on_a_seeded_violation(seeded, expected):
     fns = functions_of(ast.parse(seeded + _GENS))

@@ -208,16 +208,6 @@ class TestSimQueue:
         t, _ = run_procs(engine, consumer, producer)
         assert t == 5.0
 
-    def test_try_get(self, engine):
-        q = SimQueue(engine)
-
-        def body(proc):
-            assert q.try_get() is None
-            q.put(1)
-            assert q.try_get() == 1
-
-        run_procs(engine, body)
-
 
 class TestSimBarrier:
     def test_all_parties_synchronize(self, engine):
