@@ -22,8 +22,7 @@ __all__ = ["RemoteMapper"]
 class RemoteMapper:
     """Per-rank remote page mapping table with bounded ATT capacity."""
 
-    def __init__(self, sci, rank: int, att_entries: int = 16384) -> None:
-        self.sci = sci
+    def __init__(self, rank: int, att_entries: int = 16384) -> None:
         self.rank = rank
         self.att_entries = att_entries
         #: mapped page -> True; ordered for FIFO eviction
@@ -32,9 +31,9 @@ class RemoteMapper:
         self.maps = 0
         self.evictions = 0
 
-    def ensure_mapped_g(self, page: int):
+    def ensure_mapped(self, page: int) -> bool:
         """Map ``page`` if needed; returns True when a new mapping was
-        created (and its kernel cost charged)."""
+        booked, whose kernel cost (``sci.map_cost(1)``) the caller holds."""
         if page in self._mapped:
             return False
         if len(self._mapped) >= self.att_entries:
@@ -42,7 +41,6 @@ class RemoteMapper:
             self.evictions += 1
         self._mapped[page] = True
         self.maps += 1
-        yield from self.sci.map_pages_g(1)
         return True
 
     def unmap(self, page: int) -> None:

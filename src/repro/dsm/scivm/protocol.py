@@ -53,19 +53,18 @@ class SciVmSystem(GlobalMemorySystem):
         self._home: Dict[int, int] = {}                 # page -> home rank
         self._lazy: Dict[int, Optional[int]] = {}       # first-touch pages
         self._mappers: List[RemoteMapper] = [
-            RemoteMapper(self.sci, r, att_entries) for r in range(self.n_procs)]
+            RemoteMapper(r, att_entries) for r in range(self.n_procs)]
         self._locks: Dict[int, SimLock] = {}
         self._barrier = SimBarrier(self.engine, self.n_procs, name="scivm.barrier")
 
     # --------------------------------------------------------------- regions
     def _setup_region(self, region: Region, distribution: Distribution) -> None:
         self._buffers[region.region_id] = np.zeros(region.size, dtype=np.uint8)
-        homes = distribution.assign(region.n_pages, self.n_procs)
-        for i, page in enumerate(region.pages()):
-            if homes[i] is None:
-                self._lazy[page] = None
-            else:
-                self._home[page] = homes[i]
+        if distribution.lazy:
+            self._lazy.update(dict.fromkeys(region.pages()))
+        else:
+            self._home.update(zip(region.pages(), distribution.assign(
+                region.n_pages, self.n_procs)))
 
     def _teardown_region(self, region: Region) -> None:
         self._buffers.pop(region.region_id, None)
@@ -93,19 +92,24 @@ class SciVmSystem(GlobalMemorySystem):
     # ---------------------------------------------------------------- access
     def _access_g(self, rank: int, region: Region, runs: List[Run],
                   write: bool):
-        node = self.cluster.node(self.node_of(rank))
-        mapper = self._mappers[rank]
         st = self.rank_stats[rank]
         local_bytes = 0
         # Per-page byte attribution: split each run at page boundaries.
         # Remote transactions stay per page chunk (that is how the hardware
         # issues them, and what the cost model charges); the span treatment
         # here is host-side only — resolved homes come from one dict probe
-        # per page, falling back to the first-touch path on a miss.
+        # per page, falling back to the first-touch path on a miss (at the
+        # page's turn: another task may first-touch it during a hold). Each
+        # charge is booked by a bound cost method and yielded from here,
+        # so one access is one generator frame.
         psize = self.space.page_size
         home_map = self._home
         placement = self.placement
         src_node = placement[rank]
+        ensure_mapped = self._mappers[rank].ensure_mapped
+        sci = self.sci
+        map_cost = sci.map_cost
+        txn_cost = sci.write_cost if write else sci.read_cost
         sharing = self.engine.sharing
         if sharing.enabled:
             self._sharing_record_access(rank, region, runs, write)
@@ -114,29 +118,28 @@ class SciVmSystem(GlobalMemorySystem):
             end = gaddr + ln
             while gaddr < end:
                 page = gaddr // psize
-                chunk = min(end, (page + 1) * psize) - gaddr
+                stop = (page + 1) * psize
+                chunk = (end if end < stop else stop) - gaddr
                 home = home_map.get(page)
                 if home is None:
                     home = self.home_of(page, rank)
                 if home == rank:
                     local_bytes += chunk
                 else:
-                    if (yield from mapper.ensure_mapped_g(page)):
+                    if ensure_mapped(page):
+                        yield map_cost(1)
                         st.pages_mapped += 1
                     if write:
                         st.remote_writes += 1
-                        yield from self.sci.remote_write_g(
-                            chunk, src=src_node, dst=placement[home])
                     else:
                         st.remote_reads += 1
-                        yield from self.sci.remote_read_g(
-                            chunk, src=src_node, dst=placement[home])
+                    yield txn_cost(chunk, src_node, placement[home])
                     if sharing.enabled:
                         sharing.remote(rank, page, home, write, chunk,
                                        self.engine.now)
                 gaddr += chunk
         if local_bytes:
-            yield node.bus.touch_cost(local_bytes)
+            yield self.cluster.node(src_node).bus.touch_cost(local_bytes)
         return self._buffers[region.region_id]
 
     # ------------------------------------------------------------------ sync
@@ -154,19 +157,18 @@ class SciVmSystem(GlobalMemorySystem):
         # node; contended waiters poll the grant word (one more read when
         # woken).
         manager_node = self.node_of(lock_id % self.n_procs)
-        yield from self.sci.remote_atomic_g(src=self.node_of(rank),
-                                            dst=manager_node)
+        yield self.sci.atomic_cost(self.node_of(rank), manager_node)
         lk = self._lock_for(lock_id)
         contended = lk.locked
         yield from lk.acquire_g()
         if contended:
-            yield from self.sci.remote_read_g(8)
+            yield self.sci.read_cost(8)
         st.lock_wait_time += self.engine.now - t0
 
     def try_lock_g(self, lock_id: int):
         rank = self.current_rank()
         # One compare&swap transaction either way.
-        yield from self.sci.remote_atomic_g()
+        yield self.sci.atomic_cost()
         lk = self._lock_for(lock_id)
         if lk.locked:
             return False
@@ -178,8 +180,8 @@ class SciVmSystem(GlobalMemorySystem):
         rank = self.current_rank()
         self.rank_stats[rank].lock_releases += 1
         # Release consistency: drain the posted-write buffer, then release.
-        yield from self.sci.flush_write_buffer_g()
-        yield from self.sci.remote_atomic_g()
+        yield self.sci.params.sci_flush_cost
+        yield self.sci.atomic_cost()
         self._lock_for(lock_id).release()
 
     def barrier_g(self):
@@ -187,16 +189,16 @@ class SciVmSystem(GlobalMemorySystem):
         st = self.rank_stats[rank]
         st.barriers += 1
         t0 = self.engine.now
-        yield from self.sci.flush_write_buffer_g()
-        yield from self.sci.remote_atomic_g(src=self.node_of(rank),
-                                            dst=self.node_of(0))  # arrival fetch&inc
+        sci = self.sci
+        yield sci.params.sci_flush_cost
+        yield sci.atomic_cost(self.node_of(rank), self.node_of(0))  # arrival
         yield from self._barrier.wait_g()
-        yield from self.sci.remote_read_g(8)   # observe the release word
+        yield sci.read_cost(8)   # observe the release word
         st.barrier_wait_time += self.engine.now - t0
 
     # ------------------------------------------------------------ consistency
     def sync_consistency_g(self):
-        yield from self.sci.flush_write_buffer_g()
+        yield self.sci.params.sci_flush_cost   # drain the posted writes
 
     def consistency_model(self) -> str:
         return "release"

@@ -10,10 +10,11 @@ Two faces:
 * :class:`SciInterconnect` is also a regular :class:`Network` (SCI carries
   message traffic too — HAMSTER's unified messaging uses it when present),
   with much lower latency and per-message software cost than TCP/Ethernet.
-* The transaction API (:meth:`remote_read_g`, :meth:`remote_write_g`,
-  :meth:`remote_atomic_g`, :meth:`flush_write_buffer_g`, :meth:`map_pages_g`)
-  charges the *calling process* synchronously, exactly like a CPU stalling
-  on a remote load: each yields its hold (``yield from sci.remote_read_g(n)``).
+* The transaction costs (:meth:`read_cost`, :meth:`write_cost`,
+  :meth:`atomic_cost`, :meth:`map_cost`) charge the *calling process*
+  synchronously, exactly like a CPU stalling on a remote load: each books
+  its counters and returns the hold (``yield sci.read_cost(n, src, dst)``).
+  A write-buffer flush holds ``params.sci_flush_cost``.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ class SciInterconnect(Network):
         self.framing_bytes = 16
         # Ring-hop latency table: hop_delay() reduces to one indexed load.
         # Each entry is the product the old code computed per call, so the
-        # memoized cost is bit-identical. Torus routing indexes the same
-        # table (its worst-case hop count never exceeds N-1).
+        # memoized cost is bit-identical; zero hops, or hops not modelled
+        # (``sci_hop_latency == 0``), cost 0.0. Torus routing indexes the
+        # same table (its worst-case hop count never exceeds N-1).
+        lat = params.sci_hop_latency
         self._hop_cost: List[float] = [
-            h * params.sci_hop_latency for h in range(n_nodes)]
+            h * lat if h and lat > 0 else 0.0 for h in range(n_nodes)]
         self._torus_width = params.sci_torus_width
         self._torus_height = ((n_nodes + self._torus_width - 1)
                               // self._torus_width
@@ -76,8 +79,7 @@ class SciInterconnect(Network):
         property that keeps 1024-node SCI latencies flat.
 
         Zero when topology modelling is disabled or endpoints unknown."""
-        if (src is None or dst is None or src == dst
-                or self.params.sci_hop_latency <= 0):
+        if src is None or dst is None:
             return 0.0
         w = self._torus_width
         if w > 0:
@@ -86,8 +88,13 @@ class SciInterconnect(Network):
             return self._hop_cost[hops]
         return self._hop_cost[(dst - src) % self.n_nodes]
 
-    def _read_cost(self, nbytes: int, src: Optional[int],
-                   dst: Optional[int]) -> float:
+    def read_cost(self, nbytes: int, src: Optional[int] = None,
+                  dst: Optional[int] = None) -> float:
+        """Book a read of ``nbytes`` from a remote node's memory; returns
+        the hold (``yield sci.read_cost(n, src, dst)``). Reads stall the
+        CPU for the full round trip."""
+        if nbytes <= 0:
+            return 0.0
         p = self.params
         self.remote_reads += 1
         self.remote_read_bytes += nbytes
@@ -96,14 +103,17 @@ class SciInterconnect(Network):
 
     def remote_read_g(self, nbytes: int, src: Optional[int] = None,
                       dst: Optional[int] = None):
-        """Charge the calling process for reading ``nbytes`` from a remote
-        node's memory. Reads stall the CPU for the full round trip."""
-        if nbytes <= 0:
-            return
-        yield self._read_cost(nbytes, src, dst)
+        """Generator form of :meth:`read_cost` (``yield from`` it)."""
+        yield self.read_cost(nbytes, src, dst)
 
-    def _write_cost(self, nbytes: int, src: Optional[int],
-                    dst: Optional[int]) -> float:
+    def write_cost(self, nbytes: int, src: Optional[int] = None,
+                   dst: Optional[int] = None) -> float:
+        """Book a write of ``nbytes`` to remote memory; returns the hold.
+        Posted writes are pipelined through the write buffer, so the
+        visible latency is low and bulk streams run at the write
+        bandwidth."""
+        if nbytes <= 0:
+            return 0.0
         p = self.params
         self.remote_writes += 1
         self.remote_write_bytes += nbytes
@@ -112,33 +122,20 @@ class SciInterconnect(Network):
 
     def remote_write_g(self, nbytes: int, src: Optional[int] = None,
                        dst: Optional[int] = None):
-        """Charge for writing ``nbytes`` to remote memory. Posted writes are
-        pipelined through the write buffer, so the visible latency is low
-        and bulk streams run at the write bandwidth."""
-        if nbytes <= 0:
-            return
-        yield self._write_cost(nbytes, src, dst)
+        """Generator form of :meth:`write_cost` (``yield from`` it)."""
+        yield self.write_cost(nbytes, src, dst)
 
-    def _atomic_cost(self, src: Optional[int], dst: Optional[int]) -> float:
+    def atomic_cost(self, src: Optional[int] = None,
+                    dst: Optional[int] = None) -> float:
+        """Book one remote atomic transaction (fetch&inc: the lock and
+        barrier substrate on SCI); returns the hold."""
         self.atomics += 1
         return self.params.sci_atomic_latency + self.hop_delay(src, dst)
 
-    def remote_atomic_g(self, src: Optional[int] = None,
-                        dst: Optional[int] = None):
-        """Charge for one remote atomic transaction (fetch&inc — the lock
-        and barrier substrate on SCI)."""
-        yield self._atomic_cost(src, dst)
-
-    def flush_write_buffer_g(self):
-        """Charge for draining the posted-write buffer (consistency point)."""
-        yield self.params.sci_flush_cost
-
-    def map_pages_g(self, n_pages: int):
-        """Charge the one-time kernel cost of mapping ``n_pages`` remote
-        pages into the local address space (the SCI-VM kernel component)."""
-        if n_pages <= 0:
-            return
-        yield n_pages * self.params.sci_map_page_cost
+    def map_cost(self, n_pages: int) -> float:
+        """The one-time kernel cost of mapping ``n_pages`` remote pages
+        into the local address space (the SCI-VM kernel component)."""
+        return n_pages * self.params.sci_map_page_cost
 
     def reset_stats(self) -> None:
         super().reset_stats()

@@ -51,14 +51,14 @@ class Distribution:
         policies, to be filled by the protocol at first touch)."""
         if self.lazy:
             return [None] * n_pages
-        homes = []
-        for i in range(n_pages):
-            node = self._fn(i, n_pages, n_nodes)
-            if not (0 <= node < n_nodes):
-                raise ConfigurationError(
-                    f"distribution {self.name!r} placed page {i} on invalid "
-                    f"node {node} (cluster has {n_nodes})")
-            homes.append(node)
+        fn = self._fn
+        homes = [fn(i, n_pages, n_nodes) for i in range(n_pages)]
+        if homes and not (0 <= min(homes) and max(homes) < n_nodes):
+            i, node = next((i, node) for i, node in enumerate(homes)
+                           if not 0 <= node < n_nodes)
+            raise ConfigurationError(
+                f"distribution {self.name!r} placed page {i} on invalid "
+                f"node {node} (cluster has {n_nodes})")
         return homes
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.config import ClusterConfig, preset
 from repro.dsm.scivm.mapping import RemoteMapper
-from repro.machine.cluster import Cluster
 from repro.machine.params import PAPER_PLATFORM
 from repro.memory.layout import block, cyclic, first_touch, single_home
 from repro.sim.engine import Engine
@@ -102,6 +101,100 @@ class TestAccessPath:
         assert stats["remote_writes"] == 1   # only the remote page's chunk
 
 
+def _charges_case(case, env, dsm, A):
+    """The accesses of one :class:`TestAccessCharges` case, on each rank."""
+    rank = env.rank
+    if case == "read_across_pages" and rank == 1:
+        yield from A.get_g(slice(500, 520))      # 96 B of page 0, 64 B of 1
+    elif case == "write" and rank == 1:
+        yield from A.set_g(slice(0, 4), 1.0)
+    elif case == "mapped_twice" and rank == 1:
+        yield from A.get_g(0)                    # first map
+        yield from A.get_g(1)                    # already mapped
+    elif case == "att_eviction" and rank == 1:
+        for i in (0, 512, 1024, 0):              # pages 0, 1, 2, then 0
+            yield from A.get_g(i)
+    elif case == "first_touch":
+        if rank == 0:
+            yield from A.set_g(0, 1.0)           # page 0 homed on rank 0
+        yield from env.barrier_g()
+        if rank == 1:                            # page 1 resolves at its turn:
+            yield from A.set_g(slice(0, 1024), 2.0)
+        elif rank == 2:                          # rank 2 claims it meanwhile
+            yield from A.set_g(512, 3.0)
+    elif case == "mixed" and rank == 0:
+        yield from A.set_g(slice(None), 1.0)     # page 0 local, 1-3 remote
+    elif case == "lock_barrier":
+        yield from dsm.lock_g(1)                 # contended by all four
+        yield from A.set_g(rank, float(rank))
+        yield from dsm.unlock_g(1)
+        if rank == 3 and (yield from dsm.try_lock_g(2)):
+            yield from dsm.unlock_g(2)
+    yield from env.barrier_g()
+
+
+class TestAccessCharges:
+    """Each hybrid-DSM charge on ``hybrid-4`` held to the values the data
+    path has always given: the run's end time and event count, per-rank
+    remote reads / writes / pages mapped, the SCI counters and each
+    mapper's maps and evictions. A dropped, doubled or reordered charge,
+    or a hop left out, moves at least one of them."""
+
+    @pytest.mark.parametrize("case, end, events, ranks, sci, mappers", [
+        # rank 1 reads across a page boundary: two partial chunks, two maps
+        ("read_across_pages", "9.088076923076922e-05", 73,
+         ((0, 0, 0), (2, 0, 2), (0, 0, 0), (0, 0, 0)),
+         (14, 0, 256, 0, 12), ((0, 0), (2, 0), (0, 0), (0, 0))),
+        # one remote write: map, then the write with its hop
+        ("write", "6.234570135746606e-05", 71,
+         ((0, 0, 0), (0, 1, 1), (0, 0, 0), (0, 0, 0)),
+         (12, 1, 96, 32, 12), ((0, 0), (1, 0), (0, 0), (0, 0))),
+        # the second read of a page pays no map
+        ("mapped_twice", "7.066538461538463e-05", 72,
+         ((0, 0, 0), (2, 0, 1), (0, 0, 0), (0, 0, 0)),
+         (14, 0, 112, 0, 12), ((0, 0), (1, 0), (0, 0), (0, 0))),
+        # two ATT entries: page 0 is evicted and mapped again
+        ("att_eviction", "0.0001360115384615385", 77,
+         ((0, 0, 0), (4, 0, 4), (0, 0, 0), (0, 0, 0)),
+         (16, 0, 128, 0, 12), ((0, 0), (4, 2), (0, 0), (0, 0))),
+        # page 1 is first-touched by rank 2 during rank 1's page-0 hold
+        ("first_touch", "0.000191918778280543", 94,
+         ((0, 0, 0), (0, 2, 2), (0, 0, 0), (0, 0, 0)),
+         (16, 2, 128, 8192, 16), ((0, 0), (2, 0), (0, 0), (0, 0))),
+        # block over four: page 0 local to rank 0, pages 1-3 remote
+        ("mixed", "0.0002576167937944409", 76,
+         ((0, 3, 3), (0, 0, 0), (0, 0, 0), (0, 0, 0)),
+         (12, 3, 96, 12288, 12), ((3, 0), (0, 0), (0, 0), (0, 0))),
+        # a lock all four contend for, a try_lock, then the barrier
+        ("lock_barrier", "0.00015122367162249522", 97,
+         ((0, 0, 0), (0, 1, 1), (0, 1, 1), (0, 1, 1)),
+         (15, 3, 120, 24, 22), ((0, 0), (1, 0), (1, 0), (1, 0))),
+    ], ids=["read_across_pages", "write", "mapped_twice", "att_eviction",
+            "first_touch", "mixed", "lock_barrier"])
+    def test_charges(self, case, end, events, ranks, sci, mappers):
+        plat = build(4)
+        dsm, engine, net = plat.dsm, plat.engine, plat.cluster.sci
+        if case == "att_eviction":
+            for mapper in dsm._mappers:
+                mapper.att_entries = 2
+
+        def main(env):
+            dist = first_touch() if case == "first_touch" else (
+                block() if case == "mixed" else single_home(0))
+            A = yield from env.alloc_array_g((2048,), name="A",
+                                             distribution=dist)
+            yield from env.barrier_g()
+            yield from _charges_case(case, env, dsm, A)
+
+        spmd(plat, main)
+        assert (repr(engine.now), engine.events_executed) == (end, events)
+        assert tuple((s["remote_reads"], s["remote_writes"], s["pages_mapped"])
+                     for s in map(dsm.stats, range(4))) == ranks
+        assert (net.remote_reads, net.remote_writes, net.remote_read_bytes,
+                net.remote_write_bytes, net.atomics) == sci
+        assert tuple((m.maps, m.evictions) for m in dsm._mappers) == mappers
+
+
 class TestSync:
     def test_lock_and_barrier_use_atomics(self):
         plat = build()
@@ -169,21 +262,15 @@ class TestSync:
 
 
 class TestMapper:
-    def test_att_eviction(self, engine):
-        cl = Cluster.sci_cluster(engine, 2)
-        mapper = RemoteMapper(cl.sci, 0, att_entries=2)
-
-        def body(proc):
-            assert (yield from mapper.ensure_mapped_g(1))
-            assert (yield from mapper.ensure_mapped_g(2))
-            assert not (yield from mapper.ensure_mapped_g(1))  # already mapped
-            assert (yield from mapper.ensure_mapped_g(3))  # evicts page 1 (FIFO)
-            return tuple(page in mapper._mapped for page in (1, 2, 3))
-
-        from tests.conftest import run_procs
-        res = run_procs(engine, body)[0]
-        assert res == (False, True, True)
-        assert mapper.evictions == 1
+    def test_att_eviction(self):
+        mapper = RemoteMapper(0, att_entries=2)
+        assert mapper.ensure_mapped(1)
+        assert mapper.ensure_mapped(2)
+        assert not mapper.ensure_mapped(1)  # already mapped
+        assert mapper.ensure_mapped(3)      # evicts page 1 (FIFO)
+        assert tuple(page in mapper._mapped for page in (1, 2, 3)) == (
+            False, True, True)
+        assert (mapper.maps, mapper.evictions) == (3, 1)
 
 
 class TestProperties:

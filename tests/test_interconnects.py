@@ -106,28 +106,22 @@ class TestSciTransactions:
         run_procs(engine, remote_reader, remote_writer)
         assert times["w"] < times["r"]
 
-    def test_atomic_and_flush_costs(self, engine):
+    def test_atomic_cost(self, engine):
         p = PAPER_PLATFORM
         sci = SciInterconnect(engine, 2, p)
 
         def body(proc):
-            yield from sci.remote_atomic_g()
-            yield from sci.flush_write_buffer_g()
+            yield sci.atomic_cost()
             return proc.now
 
-        t = run_procs(engine, body)[0]
-        assert t == pytest.approx(p.sci_atomic_latency + p.sci_flush_cost)
+        assert run_procs(engine, body)[0] == p.sci_atomic_latency
         assert sci.atomics == 1
 
     def test_page_mapping_cost(self, engine):
         p = PAPER_PLATFORM
         sci = SciInterconnect(engine, 2, p)
-
-        def body(proc):
-            yield from sci.map_pages_g(3)
-            return proc.now
-
-        assert run_procs(engine, body)[0] == pytest.approx(3 * p.sci_map_page_cost)
+        assert sci.map_cost(3) == pytest.approx(3 * p.sci_map_page_cost)
+        assert sci.map_cost(0) == 0.0
 
     def test_transactions_require_process_context(self, engine):
         sci = SciInterconnect(engine, 2, PAPER_PLATFORM)
@@ -145,7 +139,9 @@ class TestSciTransactions:
             return proc.now
 
         assert run_procs(engine, body) == [0.0]
-        assert sci.remote_reads == 0
+        assert (sci.read_cost(0, 0, 1), sci.write_cost(0, 0, 1)) == (0.0, 0.0)
+        assert (sci.remote_reads, sci.remote_writes) == (0, 0)
+        assert (sci.remote_read_bytes, sci.remote_write_bytes) == (0, 0)
 
     def test_reset_stats_clears_the_transaction_counters(self, engine):
         sci = SciInterconnect(engine, 2, PAPER_PLATFORM)
@@ -153,7 +149,7 @@ class TestSciTransactions:
         def body(proc):
             yield from sci.remote_read_g(64)
             yield from sci.remote_write_g(32)
-            yield from sci.remote_atomic_g()
+            yield sci.atomic_cost()
 
         run_procs(engine, body)
         counters = ("remote_reads", "remote_writes", "remote_read_bytes",

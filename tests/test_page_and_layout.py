@@ -96,6 +96,11 @@ class TestDistributions:
         with pytest.raises(ConfigurationError):
             explicit([0, 9, 0]).assign(3, 4)
 
+    def test_explicit_bad_node_names_the_first(self):
+        with pytest.raises(ConfigurationError,
+                           match="placed page 1 on invalid node 9 .cluster has 4"):
+            explicit([0, 9, -1]).assign(3, 4)
+
     def test_first_touch_is_lazy(self):
         d = first_touch()
         assert d.lazy

@@ -61,7 +61,7 @@ class TestTransactionCosts:
 
         def body(proc):
             t0 = proc.now
-            yield from sci.remote_atomic_g(src=0, dst=7)
+            yield sci.atomic_cost(src=0, dst=7)
             return proc.now - t0
 
         elapsed = run_procs(engine, body)[0]
