@@ -8,12 +8,9 @@ numpy reference computed from the same seeded input.
 The seeded input and the sequential reference are host-side facts about
 the run, not about a rank: :func:`once_per_run` builds the input once per run
 (the first rank that asks pays) and hands every rank the same read-only
-arrays. :func:`reference_once_per_run` hands every rank one handle on the
-reference. A large reference starts on a helper thread as soon as that
-input exists, so it is computed while the ranks simulate and verification
-joins it; a small one is computed inline by the first rank to verify,
-because a thread costs it more than the overlap saves. Each rank still
-reads its own slice back through the DSM and compares it against its
+arrays. :func:`reference_once_per_run` does the same for the reference and
+its checksum, computed by the first rank to reach verification. Each rank
+still reads its own slice back through the DSM and compares it against its
 slice of that reference.
 """
 
@@ -22,18 +19,16 @@ from __future__ import annotations
 import functools
 import inspect
 import numbers
-import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, HamsterError
 
 __all__ = ["AppResult", "whole_params", "compute_cost", "memtouch_cost",
-           "row_block", "once_per_run", "reference_once_per_run", "Reference",
-           "HELPER_FLOPS", "AppError", "APP_TABLE", "get_app", "bind_app",
-           "merge_rank_results"]
+           "row_block", "once_per_run", "reference_once_per_run", "AppError",
+           "APP_TABLE", "get_app", "bind_app", "merge_rank_results"]
 
 
 class AppError(HamsterError):
@@ -117,84 +112,18 @@ def once_per_run(api, key: tuple, make: Callable[[], Any]):
     return shared[key]
 
 
-#: The least work, in the flop units the ranks charge through
-#: :func:`compute_cost`, for which a reference runs on a helper thread.
-#: Below it the thread costs more than it overlaps: creating and joining
-#: it, and handing the GIL between two cores while numpy works on small
-#: arrays (docs/performance.md §10).
-HELPER_FLOPS = 3e6
+def reference_once_per_run(api, key: tuple, make: Callable[[], np.ndarray]):
+    """The run's read-only ``(reference, checksum)`` under ``key`` (see
+    :func:`once_per_run`): the first rank to ask calls ``make()`` and the
+    partition-independent checksum ``sum(|reference|)``, and every rank gets
+    the same pair. Apps ask where they verify, so ``verify=False`` never
+    calls ``make()``, and an exception from it surfaces on the verifying
+    rank. Nothing here touches the simulation."""
+    def pair() -> tuple:
+        reference = make()
+        return reference, float(np.abs(reference).sum())
 
-
-class Reference:
-    """A run's ``(reference, checksum)``: ``make()`` and the
-    partition-independent checksum ``sum(|reference|)``.
-
-    With ``threaded`` they run on a helper thread that starts with the
-    handle; otherwise the first :meth:`result` computes them inline.
-    Nothing either does touches the simulation, so virtual time cannot tell
-    where they ran.
-    """
-
-    __slots__ = ("_make", "_thread", "_value", "_error")
-
-    def __init__(self, make: Callable[[], np.ndarray],
-                 threaded: bool = False) -> None:
-        self._make = make
-        self._value: Optional[tuple] = None
-        self._error: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
-        if threaded:
-            self._thread = threading.Thread(target=self._compute,
-                                            name="repro-reference")
-            self._thread.start()
-
-    def _compute(self) -> None:
-        try:
-            reference = self._make()
-            self._value = (reference, float(np.abs(reference).sum()))
-        except BaseException as exc:  # re-raised by result(), on a rank
-            self._error = exc
-
-    def join(self) -> None:
-        """Wait for the helper thread of a threaded handle; raises
-        nothing."""
-        self._thread.join()
-
-    def result(self) -> tuple:
-        """Join the helper (or compute inline, the first time); the
-        read-only ``(reference, checksum)``, or the exception ``make()``
-        raised."""
-        if self._thread is not None:
-            self._thread.join()
-        elif self._value is None and self._error is None:
-            self._compute()
-        if self._error is not None:
-            raise self._error
-        return _freeze(self._value)
-
-
-def reference_once_per_run(api, key: tuple, make: Callable[[], np.ndarray],
-                           flops: float) -> Reference:
-    """The run's :class:`Reference` under ``key`` (see
-    :func:`once_per_run`): every rank gets the same handle.
-
-    ``flops`` is the reference's work in the units the ranks charge through
-    :func:`compute_cost`. From :data:`HELPER_FLOPS` up, the first rank to
-    ask starts ``make()`` on a helper thread and the handle joins
-    ``hamster.helpers``; :meth:`Hamster.run_spmd
-    <repro.core.hamster.Hamster.run_spmd>` joins it before it returns, so no
-    helper outlives its run. A smaller reference starts nothing and is
-    computed by the first rank that asks for its result."""
-    hamster = api.hamster
-
-    def start() -> Reference:
-        if flops < HELPER_FLOPS:
-            return Reference(make)
-        handle = Reference(make, threaded=True)
-        hamster.helpers.append(handle)
-        return handle
-
-    return once_per_run(api, key, start)
+    return once_per_run(api, key, pair)
 
 
 def merge_rank_results(results) -> AppResult:

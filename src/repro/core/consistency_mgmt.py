@@ -19,18 +19,18 @@ __all__ = ["ConsistencyMgmt"]
 
 
 class ConsistencyMgmt:
-    """Consistency services + model selection."""
+    """Consistency services + model selection.
+
+    The scope services take the :class:`ConsistencyModel` to enforce: each
+    programming model owns its own (``ProgrammingModel.consistency_model``),
+    so two models built on one platform each keep theirs.
+    """
 
     def __init__(self, hamster) -> None:
         self._h = hamster
         self.dsm = hamster.dsm
         self.stats = ModuleStats("consistency")
         self._models: Dict[str, ConsistencyModel] = {}
-        self._active = self.dsm.consistency_model()
-        if self._active not in MODELS:
-            # Substrates may report hardware model names outside the API's
-            # registry; fall back to release consistency.
-            self._active = "release"
 
     # ------------------------------------------------------------ selection
 
@@ -40,47 +40,38 @@ class ConsistencyMgmt:
         yield self._h.call_cost()
         return can_host(self.dsm.consistency_model(), program_model)
 
-    def use(self, model_name: str) -> ConsistencyModel:
-        """Select (and cache) the optimized implementation of a model."""
-        return self._h.engine.kernel(self.use_g(model_name))
-
     def use_g(self, model_name: str):
-        """Generator kernel of :meth:`use` (``yield from`` it)."""
+        """The (cached) optimized implementation of a model, to hand to
+        the scope services (``yield from`` it)."""
         yield self._h.call_cost()
         if model_name not in self._models:
             self._models[model_name] = get_model(model_name, self.dsm)
             self.stats.incr("models_instantiated")
-        self._active = model_name
         return self._models[model_name]
 
-    def active(self) -> ConsistencyModel:
-        if self._active not in self._models:
-            self._models[self._active] = get_model(self._active, self.dsm)
-        return self._models[self._active]
-
     # ------------------------------------------------------------ operations
-    def acquire_g(self, scope: int):
-        """Enter a consistency scope under the active model."""
+    def acquire_g(self, model: ConsistencyModel, scope: int):
+        """Enter a consistency scope under ``model``."""
         yield self._h.call_cost()
         self.stats.incr("acquires")
-        yield from self.active().acquire_g(scope)
+        yield from model.acquire_g(scope)
 
-    def release_g(self, scope: int):
-        """Leave a consistency scope under the active model."""
+    def release_g(self, model: ConsistencyModel, scope: int):
+        """Leave a consistency scope under ``model``."""
         yield self._h.call_cost()
         self.stats.incr("releases")
-        yield from self.active().release_g(scope)
+        yield from model.release_g(scope)
 
-    def fence(self) -> None:
-        """Full consistency point: all of this rank's writes become
-        globally fetchable."""
-        return self._h.engine.kernel(self.fence_g())
+    def fence(self, model: ConsistencyModel) -> None:
+        """Full consistency point under ``model``: all of this rank's
+        writes become globally fetchable."""
+        return self._h.engine.kernel(self.fence_g(model))
 
-    def fence_g(self):
+    def fence_g(self, model: ConsistencyModel):
         """Generator kernel of :meth:`fence` (``yield from`` it)."""
         yield self._h.call_cost()
         self.stats.incr("fences")
-        yield from self.active().fence_g()
+        yield from model.fence_g()
 
     def check_model(self, model_name: str) -> None:
         if model_name not in MODELS:

@@ -49,7 +49,7 @@ class AnlMacros(ProgrammingModel):
         self.hamster.sync.barrier()
 
     def MAIN_END(self) -> None:
-        self.hamster.consistency.fence()
+        self.hamster.consistency.fence(self.consistency_model)
         self.hamster.sync.barrier()
 
     def CREATE(self, fn: Callable, *args: Any) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, ClassVar, List, Optional, Sequence, Tuple
 
+from repro.consistency import get_model
 from repro.core.hamster import Hamster
 from repro.errors import ModelError
 from repro.sim.trace import NULL_SPAN
@@ -32,15 +33,11 @@ class ProgrammingModel:
 
     def __init__(self, hamster: Hamster) -> None:
         self.hamster = hamster
-        self._check_consistency()
-
-    def _check_consistency(self) -> None:
         # §4.5: the model's consistency must be recreatable on the
         # substrate. Weaker-than-substrate rides free; otherwise the
-        # consistency module's optimized implementation closes the gap —
-        # instantiate it so acquire/release go through it when needed.
-        self.hamster.consistency.check_model(self.CONSISTENCY)
-        self._cons = self.hamster.consistency.use(self.CONSISTENCY)
+        # optimized implementation closes the gap. The model owns it, and
+        # its acquire/release/fence calls hand it to the consistency module.
+        self.consistency_model = get_model(self.CONSISTENCY, hamster.dsm)
 
     # -------------------------------------------------------- observability
     def _obs_span(self, call: str):

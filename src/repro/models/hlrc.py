@@ -43,7 +43,7 @@ class HlrcApi(ProgrammingModel):
         return self._rank()
 
     def hlrc_exit(self):
-        yield from self.hamster.consistency.fence_g()
+        yield from self.hamster.consistency.fence_g(self.consistency_model)
         yield from self.hamster.sync.barrier_g()
 
     def hlrc_my_pid(self):
@@ -96,13 +96,15 @@ class HlrcApi(ProgrammingModel):
 
     # ------------------------------------------------------------ consistency
     def hlrc_acquire(self, scope: int):
-        yield from self.hamster.consistency.acquire_g(scope)
+        yield from self.hamster.consistency.acquire_g(
+            self.consistency_model, scope)
 
     def hlrc_release(self, scope: int):
-        yield from self.hamster.consistency.release_g(scope)
+        yield from self.hamster.consistency.release_g(
+            self.consistency_model, scope)
 
     def hlrc_flush(self):
-        yield from self.hamster.consistency.fence_g()
+        yield from self.hamster.consistency.fence_g(self.consistency_model)
 
     # ------------------------------------------------------- synchronization
     def hlrc_lock(self, lock_id: int):

@@ -120,7 +120,7 @@ class ShmemApi(ProgrammingModel):
         """Write ``value`` into PE ``pe``'s slab at ``index``; remotely
         complete before returning (one-sided semantics)."""
         sym.write(pe, index, value)
-        self.hamster.consistency.fence()
+        self.hamster.consistency.fence(self.consistency_model)
 
     def shmem_get(self, sym: SymmetricArray, index: Any, pe: int):
         """Read from PE ``pe``'s slab, observing its latest completed puts."""
@@ -160,11 +160,11 @@ class ShmemApi(ProgrammingModel):
 
     def shmem_fence(self) -> None:
         """Order puts to each PE (completion not required)."""
-        self.hamster.consistency.fence()
+        self.hamster.consistency.fence(self.consistency_model)
 
     def shmem_quiet(self) -> None:
         """Complete all outstanding puts."""
-        self.hamster.consistency.fence()
+        self.hamster.consistency.fence(self.consistency_model)
 
     def shmem_wait(self, sym: SymmetricArray, index: int, not_value: Any) -> Any:
         """Spin until own slab's ``index`` differs from ``not_value``."""
@@ -189,7 +189,7 @@ class ShmemApi(ProgrammingModel):
         try:
             old = self.shmem_g(sym, index, pe)
             sym.write(pe, index, value)
-            self.hamster.consistency.fence()
+            self.hamster.consistency.fence(self.consistency_model)
             return old
         finally:
             self.hamster.sync.unlock(self._atomic())
@@ -202,7 +202,7 @@ class ShmemApi(ProgrammingModel):
         try:
             old = int(self.shmem_g(sym, index, pe))
             sym.write(pe, index, old + delta)
-            self.hamster.consistency.fence()
+            self.hamster.consistency.fence(self.consistency_model)
             return old
         finally:
             self.hamster.sync.unlock(self._atomic())
@@ -224,7 +224,7 @@ class ShmemApi(ProgrammingModel):
         else:
             raise ModelError(f"unknown reduction op {op!r}")
         sym.write(self.shmem_my_pe(), index, result)
-        self.hamster.consistency.fence()
+        self.hamster.consistency.fence(self.consistency_model)
         self.hamster.sync.barrier()
         return result
 
@@ -242,7 +242,7 @@ class ShmemApi(ProgrammingModel):
         self.hamster.sync.barrier()
         data = self.shmem_get(sym, index, root)
         sym.write(self.shmem_my_pe(), index, data)
-        self.hamster.consistency.fence()
+        self.hamster.consistency.fence(self.consistency_model)
         self.hamster.sync.barrier()
         return data
 

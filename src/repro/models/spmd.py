@@ -45,7 +45,7 @@ class SpmdModel(ProgrammingModel):
 
     def spmd_exit(self):
         """Terminate the task's participation (final barrier + flush)."""
-        yield from self.hamster.consistency.fence_g()
+        yield from self.hamster.consistency.fence_g(self.consistency_model)
         yield from self.hamster.sync.barrier_g()
 
     # -------------------------------------------------------------- identity
@@ -97,13 +97,15 @@ class SpmdModel(ProgrammingModel):
 
     # ------------------------------------------------------------ consistency
     def spmd_acquire(self, scope: int):
-        yield from self.hamster.consistency.acquire_g(scope)
+        yield from self.hamster.consistency.acquire_g(
+            self.consistency_model, scope)
 
     def spmd_release(self, scope: int):
-        yield from self.hamster.consistency.release_g(scope)
+        yield from self.hamster.consistency.release_g(
+            self.consistency_model, scope)
 
     def spmd_fence(self):
-        yield from self.hamster.consistency.fence_g()
+        yield from self.hamster.consistency.fence_g(self.consistency_model)
 
     # -------------------------------------------------------------- messaging
     def spmd_send(self, dst: int, payload: Any, size: int = 64):

@@ -39,7 +39,7 @@ class TreadMarksApi(ProgrammingModel):
         yield from self.hamster.sync.barrier_g()
 
     def Tmk_exit(self, status: int = 0):
-        yield from self.hamster.consistency.fence_g()
+        yield from self.hamster.consistency.fence_g(self.consistency_model)
         yield from self.hamster.sync.barrier_g()
         return status
 

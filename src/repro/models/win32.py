@@ -408,7 +408,8 @@ class Win32ThreadsApi(ProgrammingModel):
             new, result = update(old)
             if new is not None:
                 yield from arr.set_g(index, new)
-                yield from self.hamster.consistency.fence_g()
+                yield from self.hamster.consistency.fence_g(
+                    self.consistency_model)
             return result
         finally:
             yield from sync.unlock_g(self._interlock)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import inspect
 import os
-import threading
 from contextlib import contextmanager
 
 import pytest
@@ -22,22 +21,6 @@ from repro.sim.process import SimProcess
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("fuzz", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
-
-
-@pytest.fixture(autouse=True)
-def no_reference_helper_outlives_its_test():
-    """Fail any test that leaves a reference helper thread running: the run
-    that starts a helper joins it before returning or raising
-    (``Hamster.run_spmd``), so one still alive here is a leak. The leaked
-    threads are joined first, so the next test starts clean."""
-    yield
-    leaked = [thread for thread in threading.enumerate()
-              if thread.name == "repro-reference"]
-    for thread in leaked:
-        thread.join(timeout=30)
-    if leaked:
-        pytest.fail(f"{len(leaked)} reference helper thread(s) outlived "
-                    f"the test", pytrace=False)
 
 
 @pytest.fixture

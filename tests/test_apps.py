@@ -3,7 +3,6 @@ instrumentation, and run-to-run determinism."""
 
 import functools
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -17,9 +16,8 @@ import repro.apps.sor
 import repro.apps.water
 import repro.dsm.jiajia.protocol
 from repro.apps import get_app
-from repro.apps.common import (APP_TABLE, HELPER_FLOPS, AppError, AppResult,
-                               Reference, merge_rank_results, once_per_run,
-                               reference_once_per_run, row_block)
+from repro.apps.common import (APP_TABLE, AppError, AppResult,
+                               merge_rank_results, once_per_run, row_block)
 from repro.bench.runners import run_app_detailed, run_app_on
 from repro.config import ClusterConfig, preset
 from repro.models.jiajia_api import JiaJiaApi
@@ -407,34 +405,28 @@ CORRUPTIONS = {
                          ids=[r[0] for r in REFERENCES])
 class TestEveryRankChecksRealData:
     def corrupt_before_verify(self, monkeypatch, module, app):
-        """Arm the reference's join point so that, the moment the first
-        rank enters its verify phase — all compute barriers passed, no rank
-        has read its slice back yet — one element of rank 2's share of the
-        result is changed in shared memory (an SMP platform: one buffer,
-        no copies). The app's earlier ask for the reference names the
-        run's DSM."""
+        """Arm the reference's join point, the app's one call of
+        ``reference_once_per_run`` where it verifies, so that the moment the
+        first rank enters its verify phase — all compute barriers passed,
+        no rank has read its slice back yet — one element of rank 2's share
+        of the result is changed in shared memory (an SMP platform: one
+        buffer, no copies)."""
         array_name, index = CORRUPTIONS[app]
-        ask, join = module.reference_once_per_run, Reference.result
-        dsms, done = [], []
+        ask, done = module.reference_once_per_run, []
 
-        def asking(api, key, make, flops):
-            dsms.append(api.hamster.dsm)
-            return ask(api, key, make, flops)
-
-        def corrupting(handle):
+        def corrupting(api, key, make):
             if not done:
-                done.append(handle)
-                dsm = dsms[-1]
+                done.append(key)
+                dsm = api.hamster.dsm
                 # (every rank's collective call allocated a region of this
                 # name; the ranks share one of them — hit them all)
                 for array in dsm._arrays.values():
                     if array.name == array_name:
                         buffer = dsm._buffers[array.region.region_id]
                         array._view(buffer)[index] += 1.0
-            return join(handle)
+            return ask(api, key, make)
 
-        monkeypatch.setattr(module, "reference_once_per_run", asking)
-        monkeypatch.setattr(Reference, "result", corrupting)
+        monkeypatch.setattr(module, "reference_once_per_run", corrupting)
         return done
 
     def test_corrupted_block_fails_its_own_rank_only(
@@ -453,25 +445,6 @@ class TestEveryRankChecksRealData:
             run_app_on(preset("smp-4"), app, **params)
 
 
-def reference_probe(make, before_verify, flops, fail=False):
-    """An SPMD body shaped like the apps: ask for the reference (of
-    ``flops`` work) right after the input exists, simulate, call
-    ``before_verify()``, then join the reference (or raise mid-run
-    instead, with ``fail``)."""
-    def main(api):
-        yield from api.jia_init_g()
-        handle = reference_once_per_run(api, ("probe", "reference"), make,
-                                        flops)
-        yield from api.jia_barrier_g()
-        before_verify()
-        if fail:
-            raise RuntimeError("rank failed mid-run")
-        pair = handle.result()
-        yield from api.jia_exit_g()
-        return pair
-    return main
-
-
 def record_thread_starts(monkeypatch):
     """Every thread started from now on, in order (each still starts)."""
     started = []
@@ -486,114 +459,61 @@ def record_thread_starts(monkeypatch):
 
 
 #: each array app at the size a scale-0.05 sweep cell runs it (fft, which
-#: has no figure label, at its default 64 x 64 grid): all below
-#: HELPER_FLOPS, like every cell of the smoke grid
-SMALL_CELLS = [
-    ("sor", repro.apps.sor, "_reference", dict(n=48, iterations=10)),
-    ("lu", repro.apps.lu, "_reference_lu", dict(n=64, block=16)),
-    ("matmult", repro.apps.matmult, "_reference", dict(n=48)),
-    ("water", repro.apps.water, "_reference", dict(molecules=40, steps=2)),
-    ("fft", repro.apps.fft, "_reference", dict(n1=64, n2=64)),
+#: has no figure label, at its default 64 x 64 grid), and LU at the size of
+#: `LU all@0.5`, where the reference is the cell's largest host step
+INLINE_CELLS = [
+    ("sor", repro.apps.sor, "_reference", "hybrid-4",
+     dict(n=48, iterations=10)),
+    ("lu", repro.apps.lu, "_reference_lu", "hybrid-4", dict(n=64, block=16)),
+    ("matmult", repro.apps.matmult, "_reference", "hybrid-4", dict(n=48)),
+    ("water", repro.apps.water, "_reference", "hybrid-4",
+     dict(molecules=40, steps=2)),
+    ("fft", repro.apps.fft, "_reference", "hybrid-4", dict(n1=64, n2=64)),
+    ("lu", repro.apps.lu, "_reference_lu", "smp-2", dict(n=512, block=32)),
 ]
 
 
-class TestReferenceHelper:
-    """A large reference runs on a helper thread beside the ranks and is
-    joined where they verify; a small one is computed inline, with no
-    thread; no helper outlives its run."""
+class TestReferenceAtVerification:
+    """The first rank to verify computes the reference on the run's own
+    thread, whatever its size; ``verify=False`` never asks for it."""
 
-    def test_reference_is_computed_while_the_ranks_simulate(self):
-        simulated = threading.Event()
-
-        def make():
-            # inline (on the asking rank) this would wait for a simulation
-            # that cannot proceed until it returns
-            assert simulated.wait(timeout=10), \
-                "make() did not run beside the ranks"
-            return np.arange(4.0)
-
-        plat = preset("hybrid-4").build()
-        pairs = JiaJiaApi(plat.hamster).run(
-            reference_probe(make, simulated.set, flops=HELPER_FLOPS))
-        reference, checksum = pairs[0]
-        assert checksum == 6.0
-        assert all(pair[0] is reference and pair[1] == checksum
-                   for pair in pairs)
-        assert not reference.flags.writeable
-
-    @pytest.mark.parametrize("app,module,name,params", SMALL_CELLS,
-                             ids=[c[0] for c in SMALL_CELLS])
-    def test_a_small_reference_is_computed_inline(
-            self, monkeypatch, app, module, name, params):
+    @pytest.mark.parametrize("app,module,name,platform,params", INLINE_CELLS,
+                             ids=[f"{c[0]}-{c[3]}" for c in INLINE_CELLS])
+    def test_the_pair_is_a_direct_call_of_the_reference(
+            self, monkeypatch, app, module, name, platform, params):
         reference_of = getattr(module, name)
         calls = count_calls(monkeypatch, module, name)
         started = record_thread_starts(monkeypatch)
-        _, plat = run_app_detailed(preset("hybrid-4"), app, **params)
-        assert started == [] and plat.hamster.helpers == []
-        (handle,) = [value for key, value in plat.hamster.once_per_run.items()
-                     if key[1] == "reference"]
-        reference, checksum = handle.result()
+        _, plat = run_app_detailed(preset(platform), app, **params)
+        assert started == []
+        ((reference, checksum),) = [
+            value for key, value in plat.hamster.once_per_run.items()
+            if key[1] == "reference"]
         expected = reference_of(*calls[0])
         assert reference.dtype == expected.dtype
         assert reference.tobytes() == expected.tobytes()
         assert checksum == float(np.abs(expected).sum())
 
-    def test_a_large_reference_gets_one_helper(self, monkeypatch):
-        started = record_thread_starts(monkeypatch)
-        _, plat = run_app_detailed(preset("smp-2"), "lu", n=512, block=32)
-        assert [thread.name for thread in started] == ["repro-reference"]
-        assert not started[0].is_alive() and plat.hamster.helpers == []
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_make_runs_only_when_the_run_verifies(self, monkeypatch, verify):
+        made, ask = [], repro.apps.lu.reference_once_per_run
 
-    def test_no_helper_outlives_a_run(self):
-        before = threading.active_count()
-        run_app_on(preset("hybrid-4"), "lu", n=64, block=16)
-        assert threading.active_count() == before
+        def asking(api, key, make):
+            return ask(api, key, lambda: made.append(key) or make())
 
-    def test_no_helper_outlives_a_failed_run(self):
-        before = threading.active_count()
-        simulated, finished = threading.Event(), []
+        monkeypatch.setattr(repro.apps.lu, "reference_once_per_run", asking)
+        run_app_detailed(preset("hybrid-4"), "lu", n=64, block=16,
+                         verify=verify)
+        assert made == [("lu", "reference", 64, 11, 16)] * verify
 
-        def make():
-            simulated.wait(timeout=10)
-            time.sleep(0.05)  # still running when the rank raises
-            finished.append(True)
-            return np.zeros(2)
-
-        plat = preset("hybrid-4").build()
-        with pytest.raises(RuntimeError, match="mid-run"):
-            JiaJiaApi(plat.hamster).run(
-                reference_probe(make, simulated.set, flops=HELPER_FLOPS,
-                                fail=True))
-        assert finished == [True]  # joined before the error left run()
-        assert threading.active_count() == before
-        assert plat.hamster.helpers == []
-
-    def test_verify_false_starts_no_helper(self, monkeypatch):
-        monkeypatch.setattr(repro.apps.common, "HELPER_FLOPS", 0.0)
-        started = []
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda thread: started.append(thread))
-        before = threading.active_count()
-        _, plat = run_app_detailed(preset("hybrid-4"), "lu", n=64, block=16,
-                                   verify=False)
-        assert started == [] and plat.hamster.helpers == []
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("helper_flops,helpers", [(0.0, 1), (np.inf, 0)],
-                             ids=["helper", "inline"])
     def test_an_error_in_make_surfaces_from_the_verifying_rank(
-            self, monkeypatch, helper_flops, helpers):
+            self, monkeypatch):
         def broken(initial, iterations):
             raise ValueError("reference blew up")
 
-        monkeypatch.setattr(repro.apps.common, "HELPER_FLOPS", helper_flops)
         monkeypatch.setattr(repro.apps.sor, "_reference", broken)
-        started = record_thread_starts(monkeypatch)
-        before = threading.active_count()
         with pytest.raises(ValueError, match="reference blew up"):
             run_app_on(preset("hybrid-4"), "sor", n=32, iterations=1)
-        assert len(started) == helpers
-        assert threading.active_count() == before
 
 
 class TestSharedRunState:
@@ -613,7 +533,7 @@ class TestSharedRunState:
                                    iterations=1, seed=3)
         shared = plat.hamster.once_per_run
         initial = shared[("sor", "input", 32, 3)]
-        reference, _checksum = shared[("sor", "reference", 32, 3, 1)].result()
+        reference, _checksum = shared[("sor", "reference", 32, 3, 1)]
         for array in (initial, reference):
             with pytest.raises(ValueError, match="read-only"):
                 array[5, 5] = 0.0

@@ -4,11 +4,13 @@ optimized model implementations over each substrate."""
 import pytest
 
 from repro.config import preset
-from repro.consistency import (MODELS, can_host, get_model, strength)
+from repro.consistency import (MODELS, ConsistencyModel, can_host,
+                               get_model, strength)
 from repro.consistency.models import (ReleaseConsistency, ScopeConsistency,
                                       SequentialConsistency)
 from repro.errors import ConsistencyError
 from repro.memory.layout import single_home
+from repro.models import load_model
 from tests.conftest import spmd
 
 
@@ -39,13 +41,8 @@ class TestLattice:
                                "scope", "entry"}
 
 
-def run_section(model):
-    """Rank 0 of ``sw-dsm-2`` writes a page homed on rank 1 outside any
-    section, enters scope 1 under ``model``, tells rank 1, and leaves.
-    Returns what rank 1 then reads from its home copy, and rank 0's DSM
-    lock, unlock and fence calls in order."""
-    plat = preset("sw-dsm-2").build()
-    dsm = plat.dsm
+def spy_rank0(dsm):
+    """Rank 0's DSM lock, unlock and fence calls, in order, from now on."""
     calls = []
     for name in ("lock_g", "unlock_g", "sync_consistency_g"):
         def spied(*args, _real=getattr(dsm, name), _name=name):
@@ -53,18 +50,28 @@ def run_section(model):
                 calls.append(_name)
             return (yield from _real(*args))
         setattr(dsm, name, spied)
+    return calls
+
+
+def run_section(model):
+    """Rank 0 of ``sw-dsm-2`` writes a page homed on rank 1 outside any
+    section, enters scope 1 under ``model``, tells rank 1, and leaves.
+    Returns what rank 1 then reads from its home copy, and rank 0's DSM
+    lock, unlock and fence calls in order."""
+    plat = preset("sw-dsm-2").build()
+    calls = spy_rank0(plat.dsm)
 
     def main(env):
         cons = env.hamster.consistency
-        yield from cons.use_g(model)
+        chosen = yield from cons.use_g(model)
         A = yield from env.alloc_array_g((512,), name="A",
                                          distribution=single_home(1))
         yield from env.barrier_g()
         if env.rank == 0:
             yield from A.set_g(0, 7.0)          # before any section
-            yield from cons.acquire_g(1)
+            yield from cons.acquire_g(chosen, 1)
             yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
-            yield from cons.release_g(1)
+            yield from cons.release_g(chosen, 1)
             yield from env.barrier_g()
             return None
         yield from env.hamster.cluster_ctl.recv_msg_g()
@@ -93,22 +100,22 @@ class TestModelOverSubstrates:
 
         def main(env):
             cons = env.hamster.consistency
-            yield from cons.use_g("release")
+            rc = yield from cons.use_g("release")
             A = yield from env.alloc_array_g((512,), name="A")
             yield from A.get_g(slice(None))  # cache everywhere
             yield from env.barrier_g()
             if env.rank == 0:
-                yield from cons.acquire_g(1)
+                yield from cons.acquire_g(rc, 1)
                 yield from A.set_g(0, 7.0)
-                yield from cons.release_g(1)
+                yield from cons.release_g(rc, 1)
                 yield from env.hamster.cluster_ctl.send_msg_g(1, "go")
                 yield from env.barrier_g()
                 return None
             yield from env.hamster.cluster_ctl.recv_msg_g()
-            yield from cons.acquire_g(2)  # DIFFERENT lock
-            yield from A.refresh_g(0)     # RC: data must be home by now
+            yield from cons.acquire_g(rc, 2)  # DIFFERENT lock
+            yield from A.refresh_g(0)         # RC: data must be home by now
             value = float((yield from A.get_g(0)))
-            yield from cons.release_g(2)
+            yield from cons.release_g(rc, 2)
             yield from env.barrier_g()
             return value
 
@@ -166,19 +173,54 @@ class TestConsistencyMgmt:
     def test_use_caches_models(self, smp2):
         def main(env):
             c = env.hamster.consistency
-            m1 = c.use("release")
-            m2 = c.use("release")
+            m1 = yield from c.use_g("release")
+            m2 = yield from c.use_g("release")
             return m1 is m2
 
         assert all(spmd(smp2, main))
 
     def test_fence_counts(self, smp2):
         def main(env):
-            env.hamster.consistency.fence()
-            env.hamster.consistency.fence()
+            model = get_model("processor", env.hamster.dsm)
+            env.hamster.consistency.fence(model)
+            env.hamster.consistency.fence(model)
             return env.hamster.consistency.stats.query("fences")
 
         assert spmd(smp2, main)[-1] == 4  # both ranks, shared counter
+
+    def test_each_model_keeps_its_own_consistency(self):
+        """§4.5 per model, not per platform: SPMD (scope) built after HLRC
+        (release) on one JiaJia platform leaves HLRC's sections release
+        consistent, a fence before the unlock, and SPMD's bare."""
+        plat = preset("sw-dsm-2").build()
+        hlrc = load_model("HLRC API")(plat.hamster)
+        spmd_model = load_model("SPMD model")(plat.hamster)
+        calls = spy_rank0(plat.dsm)
+        acquired = []
+        real_acquire = ConsistencyModel.acquire_g
+
+        def acquire_g(model, scope):
+            acquired.append(model.name)
+            return real_acquire(model, scope)
+
+        def main(m):
+            yield from m.hlrc_init()
+            if (yield from m.hlrc_my_pid()) == 0:
+                yield from m.hlrc_acquire(1)
+                yield from m.hlrc_release(1)
+                calls.append("|")
+                yield from spmd_model.spmd_acquire(2)
+                yield from spmd_model.spmd_release(2)
+            yield from m.hlrc_barrier()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ConsistencyModel, "acquire_g", acquire_g)
+            hlrc.run(main)
+        assert (hlrc.consistency_model.name,
+                spmd_model.consistency_model.name) == ("release", "scope")
+        assert acquired == ["release", "scope"]
+        assert calls == ["lock_g", "sync_consistency_g", "unlock_g", "|",
+                         "lock_g", "unlock_g"]
 
     def test_check_model(self, smp2):
         def main(env):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, preset
+from repro.consistency import get_model
 from repro.dsm.composite import CompositeMemorySystem
 from repro.dsm.jiajia import JiaJiaSystem
 from repro.dsm.scivm import SciVmSystem
@@ -254,7 +255,8 @@ class TestOverridesOfTheBase:
         def main(env):
             if env.rank == 0:
                 yield from A.set_g(0, 7.0)            # a twin and a dirty page
-                yield from env.hamster.consistency.fence_g()
+                yield from env.hamster.consistency.fence_g(
+                    get_model(dsm.consistency_model(), dsm))
                 yield from cc.send_msg_g(1, "fenced")
                 return None
             yield from cc.recv_msg_g()

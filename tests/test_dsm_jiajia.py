@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import preset
+from repro.consistency import get_model
 from repro.dsm.jiajia.writenotices import NoticeBatch, NoticeLog, WriteNotice
 from repro.errors import SynchronizationError
 from repro.memory.layout import block, cyclic, first_touch, single_home
@@ -321,10 +322,11 @@ class TestLocks:
 
         def main(env):
             acc = env.alloc_array((1,), name="acc")
+            scope = get_model("scope", env.hamster.dsm)
             for _ in range(5):
                 env.lock(3)
                 acc[0] = float(acc[0]) + 1.0
-                env.hamster.consistency.fence()
+                env.hamster.consistency.fence(scope)
                 env.unlock(3)
             env.barrier()
             return float(acc[0])

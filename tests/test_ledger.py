@@ -1,8 +1,8 @@
 """The reachability ledger's collector (``tests/ledger/sitecustomize.py``)
 sees every process and thread an entry point starts: a sweep worker is a
-forked child that ends in ``os._exit``, a reference helper is a thread,
-and ``benchmarks/perf`` profiles with cProfile, whose ``disable()`` clears
-any profile hook."""
+forked child that ends in ``os._exit``, a plain-function process body runs
+on a backing thread, and ``benchmarks/perf`` profiles with cProfile, whose
+``disable()`` clears any profile hook."""
 
 import os
 import subprocess

@@ -41,10 +41,10 @@ class TestBaseClass:
 
     def test_model_instantiation_selects_consistency(self, swdsm4):
         model = load_model("TreadMarks API")(swdsm4.hamster)
-        # TreadMarks promises release consistency; the optimized
-        # implementation over the scope substrate must be active.
-        assert model._cons.name == "release"
-        assert not model._cons.free_ride  # scope substrate: needs help
+        # TreadMarks promises release consistency; the model owns the
+        # optimized implementation, which the scope substrate needs.
+        assert model.consistency_model.name == "release"
+        assert not model.consistency_model.free_ride
 
     def test_run_passes_args(self, smp2):
         model = load_model("SPMD model")(smp2.hamster)

@@ -3,6 +3,9 @@
 * ``src/repro`` neither reads the host clock nor profiles itself, except
   in the files listed here with the reason each needs to. Judging host
   time is ``benchmarks/perf``'s job.
+* One OS thread per simulated run: ``threading`` / ``_thread`` are imported
+  under ``src/repro`` only by the engine and the process module (the
+  backing threads of plain-function bodies) and by the sweep fabric.
 * No cleanup that outlives nothing: a plain function that returns a call
   to a generator function from inside ``try … finally`` or ``with`` runs
   its cleanup when the generator is *created*, before its body executes.
@@ -74,8 +77,8 @@ def statements(tree):
                      if isinstance(child, _BLOCKS))
 
 
-def clock_imports(source):
-    """Clock modules imported by ``source`` (text or a parsed tree)."""
+def top_imports(source):
+    """Top-level modules imported by ``source`` (text or a parsed tree)."""
     found = set()
     tree = ast.parse(source) if isinstance(source, str) else source
     for node in statements(tree):
@@ -83,7 +86,12 @@ def clock_imports(source):
             found |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.add(node.module.split(".")[0])
-    return found & CLOCKS
+    return found
+
+
+def clock_imports(source):
+    """Clock modules imported by ``source`` (text or a parsed tree)."""
+    return top_imports(source) & CLOCKS
 
 
 def test_host_clock_is_imported_only_where_allowed():
@@ -99,6 +107,40 @@ def test_the_check_fails_on_a_seeded_violation():
                    "def f():\n    import cProfile", "import pstats"):
         assert clock_imports(seeded), seeded
     assert not clock_imports("import os\nfrom repro.sim import trace\ntime = 3")
+
+
+# ------------------------------------------------ one OS thread per simulated run
+THREADS = {"threading", "_thread"}
+#: where ``src/repro`` may import them: the engine and the process module
+#: (a plain-function body runs on a backing thread), and the sweep fabric
+THREADED = ("sim/engine.py", "sim/process.py", "fabric/")
+
+
+def thread_findings(files):
+    """The files of ``files`` (``path relative to src/repro -> source``)
+    that import a thread module outside :data:`THREADED`."""
+    return sorted(name for name, tree in files.items()
+                  if not name.startswith(THREADED)
+                  and top_imports(tree) & THREADS)
+
+
+def test_threads_are_imported_only_where_allowed():
+    assert thread_findings({str(path.relative_to(SRC)): parsed(path)
+                            for path in sorted(SRC.rglob("*.py"))}) == []
+
+
+@pytest.mark.parametrize("files,expected", [
+    ({"apps/common.py": "import threading\n"}, ["apps/common.py"]),
+    ({"core/hamster.py": "def run():\n    from threading import Thread\n",
+      "sim/trace.py": "import _thread as t\n"},
+     ["core/hamster.py", "sim/trace.py"]),
+    ({"sim/process.py": "import _thread\nimport threading\n",
+      "sim/engine.py": "import _thread\n",
+      "fabric/scheduler.py": "import threading\n",
+      "apps/lu.py": "import os\nthreading = None\n"}, []),
+])
+def test_the_thread_rule_fails_on_a_seeded_violation(files, expected):
+    assert thread_findings(files) == expected
 
 
 # ------------------------------------------------- cleanup that outlives nothing
