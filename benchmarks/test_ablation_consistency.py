@@ -9,6 +9,8 @@ calls ScC "well suited for the fine-grain consistency mechanisms of
 HAMSTER services").
 """
 
+from functools import partial
+
 from repro.apps import get_app
 from repro.apps.common import merge_rank_results
 from repro.bench.report import render_table
@@ -30,7 +32,7 @@ def _run_water(scope: bool, molecules: int):
     hamster = Hamster(cluster, dsm, fabric=fabric)
     api = JiaJiaApi(hamster)
     fn = get_app("water")
-    results = api.run(lambda a: fn(a, molecules=molecules, steps=2))
+    results = api.run(partial(fn, molecules=molecules, steps=2))
     merged = merge_rank_results(results)
     assert merged.verified
     notices = sum(dsm.stats(r)["write_notices_received"] for r in range(4))

@@ -50,7 +50,8 @@ def _homes(platform: str, scale: float) -> dict:
         sor_mod.block = factory
         try:
             results = JiaJiaApi(plat.hamster).run(
-                lambda a: sor_mod.run_sor(a, n=n, iterations=6, locality=True))
+                functools.partial(sor_mod.run_sor, n=n, iterations=6,
+                                  locality=True))
         finally:
             sor_mod.block = block
         merged = merge_rank_results(results)

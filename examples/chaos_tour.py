@@ -53,15 +53,12 @@ def act3_crash_mid_sor():
     cfg = preset("sw-dsm-2")
     cfg.trace = True  # capture hb.suspect / hb.confirm event times
     cfg.faults = FaultPlan(seed=7, crashes=(NodeCrash(node=1, at=4e-3),))
-    plat = cfg.build()
+    from repro.apps.common import prepare_app
+
+    plat, run = prepare_app(cfg, "sor", SOR)
     monitor = AttachedMonitor(plat).attach()
-
-    from repro.apps import get_app
-    from repro.models.jiajia_api import JiaJiaApi
-
-    api = JiaJiaApi(plat.hamster)
     try:
-        api.run(lambda a: get_app("sor")(a, **SOR))
+        run()
         raise AssertionError("the crash must abort the run")
     except NodeFailedError as exc:
         print(f"typed failure : {exc}")

@@ -18,61 +18,67 @@ from repro.models.base import ProgrammingModel
 
 
 class OmpLite(ProgrammingModel):
-    """A tiny OpenMP-style model — the §4.4 retargeting recipe in action."""
+    """A tiny OpenMP-style model — the §4.4 retargeting recipe in action.
+    Each call is a generator function (``yield from omp.omp_barrier()``),
+    and a region body handed to one is a generator function too."""
 
     MODEL_NAME = "OmpLite (demo)"
     CONSISTENCY = "release"
     API_CALLS = ("omp_get_thread_num", "omp_get_num_threads", "omp_for",
                  "omp_critical", "omp_barrier", "omp_single", "omp_reduce")
 
-    def omp_get_thread_num(self) -> int:
-        return self.hamster.task.my_rank()
+    def omp_get_thread_num(self):
+        return (yield from self.hamster.task.my_rank_g())
 
-    def omp_get_num_threads(self) -> int:
-        return self.hamster.task.n_tasks()
+    def omp_get_num_threads(self):
+        return (yield from self.hamster.task.n_tasks_g())
 
     def omp_for(self, n: int):
         """Static schedule: this thread's [lo, hi) slice of range(n)."""
-        me, width = self.omp_get_thread_num(), self.omp_get_num_threads()
+        me = yield from self.omp_get_thread_num()
+        width = yield from self.omp_get_num_threads()
         per = (n + width - 1) // width
         return range(me * per, min((me + 1) * per, n))
 
     def omp_critical(self, body):
-        self.hamster.sync.lock(0)
-        try:
-            return body()
-        finally:
-            self.hamster.sync.unlock(0)
+        yield from self.hamster.sync.lock_g(0)
+        result = yield from body()
+        yield from self.hamster.sync.unlock_g(0)
+        return result
 
-    def omp_barrier(self) -> None:
-        self.hamster.sync.barrier()
+    def omp_barrier(self):
+        yield from self.hamster.sync.barrier_g()
 
     def omp_single(self, body):
         """Execute body on thread 0 only; implicit barrier after."""
-        result = body() if self.omp_get_thread_num() == 0 else None
-        self.omp_barrier()
+        result = None
+        if (yield from self.omp_get_thread_num()) == 0:
+            result = yield from body()
+        yield from self.omp_barrier()
         return result
 
-    def omp_reduce(self, shared_acc, value: float) -> None:
+    def omp_reduce(self, shared_acc, value: float):
         """Critical-section reduction into a shared accumulator."""
         def add():
-            shared_acc[0] = float(shared_acc[0]) + value
-        self.omp_critical(add)
+            acc = yield from shared_acc.get_g(0)
+            yield from shared_acc.set_g(0, float(acc) + value)
+        yield from self.omp_critical(add)
 
 
-def program(omp: OmpLite) -> float:
+def program(omp: OmpLite):
     n = 4096
     rng = np.random.default_rng(3)
     x, y = rng.random(n), rng.random(n)
 
-    acc = omp.hamster.memory.alloc_array_collective((1,), name="acc")
-    omp.omp_single(lambda: acc.write(0, 0.0))
+    acc = yield from omp.hamster.memory.alloc_array_collective_g((1,),
+                                                                 name="acc")
+    yield from omp.omp_single(lambda: acc.set_g(0, 0.0))
 
-    indices = omp.omp_for(n)
+    indices = yield from omp.omp_for(n)
     local = float(x[indices.start:indices.stop] @ y[indices.start:indices.stop])
-    omp.omp_reduce(acc, local)
-    omp.omp_barrier()
-    return float(acc[0])
+    yield from omp.omp_reduce(acc, local)
+    yield from omp.omp_barrier()
+    return float((yield from acc.get_g(0)))
 
 
 if __name__ == "__main__":

@@ -25,10 +25,8 @@ Both acts are deterministic: the reported pages, handoff counts, and
 byte ranges reproduce exactly on every run.
 """
 
-from repro.apps import get_app
-from repro.apps.common import merge_rank_results
+from repro.apps.common import prepare_app
 from repro.config import preset
-from repro.models.jiajia_api import JiaJiaApi
 from repro.obs import render_sharing_report, sharing_report
 
 
@@ -36,10 +34,8 @@ def diagnose(app, **params):
     """Run one app with the sharing recorder on; return its report."""
     cfg = preset("sw-dsm-4")
     cfg.sharing = True
-    plat = cfg.build()
-    api = JiaJiaApi(plat.hamster)
-    fn = get_app(app)
-    merged = merge_rank_results(api.run(lambda a: fn(a, **params)))
+    plat, run = prepare_app(cfg, app, params)
+    merged = run()
     assert merged.verified
     return sharing_report(plat.sharing,
                           platform_name=plat.hamster.platform_description(),

@@ -31,11 +31,11 @@ def main() -> None:
         lo = env.rank * rows
 
         # Deliberately poor placement: everything homed on rank 0.
-        A = env.alloc_array((n, n), name="bad",
-                            distribution=single_home(0))
+        A = yield from env.alloc_array_g((n, n), name="bad",
+                                         distribution=single_home(0))
         for _ in range(3):
-            A[lo:lo + rows, :] = float(env.rank)
-            env.barrier()
+            yield from A.set_g(slice(lo, lo + rows), float(env.rank))
+            yield from env.barrier_g()
 
         # ---- consumer 1: application inspects its own counters
         before = dict(h.memory.access_stats(env.rank))
@@ -50,14 +50,15 @@ def main() -> None:
             for r in range(env.n_ranks))
         decision = ("re-allocate with block placement" if remote_work > 10
                     else "keep placement")
-        env.barrier()
+        yield from env.barrier_g()
 
-        B = env.alloc_array((n, n), name="good", distribution=block())
+        B = yield from env.alloc_array_g((n, n), name="good",
+                                         distribution=block())
         h.memory.reset_access_stats() if env.rank == 0 else None
-        env.barrier()
+        yield from env.barrier_g()
         for _ in range(3):
-            B[lo:lo + rows, :] = float(env.rank)
-            env.barrier()
+            yield from B.set_g(slice(lo, lo + rows), float(env.rank))
+            yield from env.barrier_g()
         after = dict(h.memory.access_stats(env.rank))
         return before, after, decision
 

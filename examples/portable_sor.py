@@ -11,6 +11,8 @@ platform depends on home placement (SW-DSM) and which shrugs it off
 (hybrid).
 """
 
+from functools import partial
+
 from repro.apps import run_sor
 from repro.apps.common import merge_rank_results
 from repro.config import loads
@@ -47,8 +49,8 @@ CONFIG_FILES = {
 def run_on(config_text: str, locality: bool):
     plat = loads(config_text).build()
     api = JiaJiaApi(plat.hamster)
-    results = api.run(lambda a: run_sor(a, n=N, iterations=ITERATIONS,
-                                        locality=locality))
+    results = api.run(partial(run_sor, n=N, iterations=ITERATIONS,
+                              locality=locality))
     merged = merge_rank_results(results)
     assert merged.verified, "SOR result diverged from the sequential reference"
     return merged

@@ -17,33 +17,36 @@ import sys
 import numpy as np
 
 from repro import preset
+from repro.apps.common import compute_cost
 
 PRESET = sys.argv[1] if len(sys.argv) > 1 else "sw-dsm-4"
 
 
 def main(env):
-    """SPMD body: runs once per rank, env carries rank + services."""
+    """SPMD body: runs once per rank, env carries rank + services. It is a
+    generator function: every call that can take simulated time is
+    ``yield from``-ed, and a cost is charged with ``yield``."""
     n = 256
     rows = n // env.n_ranks
 
     # Collective allocation: all ranks call, all get the same global array.
-    A = env.alloc_array((n, n), name="A")
-    total = env.alloc_array((1,), name="total")
+    A = yield from env.alloc_array_g((n, n), name="A")
+    total = yield from env.alloc_array_g((1,), name="total")
 
     # Each rank fills its row block (pure local writes under block homes).
-    lo = env.rank * rows
-    A[lo:lo + rows, :] = float(env.rank + 1)
-    env.compute(2.0 * rows * n)          # charge the fill's FLOPs
-    env.barrier()                        # make everything visible
+    mine = (slice(env.rank * rows, (env.rank + 1) * rows), slice(None))
+    yield from A.set_g(mine, float(env.rank + 1))
+    yield compute_cost(env, 2.0 * rows * n)  # charge the fill's FLOPs
+    yield from env.barrier_g()               # make everything visible
 
     # Lock-protected global reduction.
-    partial = float(A[lo:lo + rows, :].sum())
-    env.lock(0)
-    total[0] = float(total[0]) + partial
-    env.unlock(0)
-    env.barrier()
+    partial = float((yield from A.get_g(mine)).sum())
+    yield from env.lock_g(0)
+    yield from total.set_g(0, float((yield from total.get_g(0))) + partial)
+    yield from env.unlock_g(0)
+    yield from env.barrier_g()
 
-    return float(total[0])
+    return float((yield from total.get_g(0)))
 
 
 if __name__ == "__main__":

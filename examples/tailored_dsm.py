@@ -16,6 +16,7 @@ The paper's closing vision, demonstrated end to end:
 
 import numpy as np
 
+from repro.apps.common import compute_cost
 from repro.config import ClusterConfig, preset
 from repro.consistency.generic import ConsistencyContract
 from repro.memory.layout import single_home
@@ -41,17 +42,18 @@ def run_mixed(config, table_system=None, stream_system=None):
                                                   distribution=single_home(0))
                 holders["stream"] = dsm.make_array((N,), name="stream",
                                                    distribution=single_home(0))
-            holders["table"][:] = 1.0
-        env.barrier()
+            yield from holders["table"].set_g(slice(None), 1.0)
+        yield from env.barrier_g()
         table, stream = holders["table"], holders["stream"]
         chunk = N // env.n_ranks
         lo = env.rank * chunk
         acc = 0.0
         for it in range(ITERATIONS):
-            acc += float(table[:].sum())        # read-mostly (cache-friendly)
-            stream[lo:lo + chunk] = float(it)   # write stream (wire-friendly)
-            env.compute(2.0 * N)
-            env.barrier()
+            # read-mostly (cache-friendly), then write stream (wire-friendly)
+            acc += float((yield from table.get_g(slice(None))).sum())
+            yield from stream.set_g(slice(lo, lo + chunk), float(it))
+            yield compute_cost(env, 2.0 * N)
+            yield from env.barrier_g()
         return acc
 
     results = plat.hamster.run_spmd(main)

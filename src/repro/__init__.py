@@ -7,9 +7,10 @@ cluster substrate. Quick start::
 
     plat = preset("sw-dsm-4").build()
 
-    def main(env, n):
-        A = env.alloc_array((n, n), name="A")
+    def main(env, n):       # a generator function: runs stackless
+        A = yield from env.alloc_array_g((n, n), name="A")
         ...
+        yield from env.barrier_g()
 
     results = plat.hamster.run_spmd(main, args=(256,))
 

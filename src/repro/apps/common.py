@@ -28,7 +28,8 @@ from repro.errors import ConfigurationError, HamsterError
 
 __all__ = ["AppResult", "whole_params", "compute_cost", "memtouch_cost",
            "row_block", "once_per_run", "reference_once_per_run", "AppError",
-           "APP_TABLE", "get_app", "bind_app", "merge_rank_results"]
+           "APP_TABLE", "get_app", "bind_app", "merge_rank_results",
+           "prepare_app"]
 
 
 class AppError(HamsterError):
@@ -52,7 +53,7 @@ def whole_params(app: str, minimum: int, **params: Any) -> List[int]:
     """``params``' values as ints, each a whole number >= ``minimum`` (1
     for a size, 0 for a count; 8.0 counts as 8); anything else, NaN
     included, raises :class:`ConfigurationError`. Apps call it before
-    ``jia_init_g``, so nothing is allocated."""
+    ``jia_init``, so nothing is allocated."""
     for name, value in params.items():
         if not (isinstance(value, numbers.Real)
                 and float(value).is_integer() and value >= minimum):
@@ -179,3 +180,21 @@ def bind_app(name: str, params: Dict[str, Any]) -> Callable:
     # functools.partial (not a lambda) so generator-function app bodies are
     # detected by the API's isgeneratorfunction dispatch and run stackless.
     return functools.partial(fn, **params)
+
+
+def prepare_app(config, app: str, params: Dict[str, Any],
+                native: bool = False) -> Tuple[Any, Callable[[], AppResult]]:
+    """Bind benchmark ``app`` to ``params`` (see :func:`bind_app`), build
+    ``config``, and return ``(platform, run)``. ``run()`` runs the app on
+    every rank under the JiaJia API, the native binding (Figure 2's
+    baseline) if ``native``, and returns the merged :class:`AppResult`.
+    The platform comes first so a caller can still read it if ``run()``
+    raises."""
+    body = bind_app(app, params)
+    plat = config.build()
+    if native:
+        from repro.models.native_jiajia import NativeJiaJiaApi as Api
+    else:
+        from repro.models.jiajia_api import JiaJiaApi as Api
+    api = Api(plat.hamster)
+    return plat, lambda: merge_rank_results(api.run(body))

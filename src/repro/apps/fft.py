@@ -59,24 +59,24 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
             verify: bool = True) -> AppResult:
     """Run the benchmark on the calling rank (N = n1*n2 points)."""
     n1, n2 = whole_params("fft", 1, n1=n1, n2=n2)
-    rank, n_ranks = yield from api.jia_init_g()
+    rank, n_ranks = yield from api.jia_init()
 
-    t0 = yield from api.jia_wtime_g()
+    t0 = yield from api.jia_wtime()
     # A holds the n1 x n2 view; B receives the transpose (n2 x n1).
-    A = yield from api.jia_alloc_array_g((n1, n2, 2), np.float64, name="fft.A",
+    A = yield from api.jia_alloc_array((n1, n2, 2), np.float64, name="fft.A",
                                          distribution=block())
-    B = yield from api.jia_alloc_array_g((n2, n1, 2), np.float64, name="fft.B",
+    B = yield from api.jia_alloc_array((n2, n1, 2), np.float64, name="fft.B",
                                          distribution=block())
     signal, grid = once_per_run(api, ("fft", "input", n1, n2, seed),
                                 lambda: _inputs(n1, n2, seed))
     lo, hi = row_block(n1, rank, n_ranks)
     yield from A.set_g((slice(lo, hi), slice(None), slice(None)),
                        _to_pairs(grid[lo:hi, :]))
-    yield from api.jia_barrier_g()
-    t_init = (yield from api.jia_wtime_g()) - t0
+    yield from api.jia_barrier()
+    t_init = (yield from api.jia_wtime()) - t0
 
     # --------------------------------------------------- step 1+2: row FFTs
-    t1 = yield from api.jia_wtime_g()
+    t1 = yield from api.jia_wtime()
     rows = _to_complex(
         (yield from A.get_g((slice(lo, hi), slice(None), slice(None)))))
     rows = np.fft.fft(rows, axis=1)
@@ -88,11 +88,11 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
     yield compute_cost(api, 6.0 * (hi - lo) * n2)
     yield from A.set_g((slice(lo, hi), slice(None), slice(None)),
                        _to_pairs(rows))
-    yield from api.jia_barrier_g()
-    t_fft1 = (yield from api.jia_wtime_g()) - t1
+    yield from api.jia_barrier()
+    t_fft1 = (yield from api.jia_wtime()) - t1
 
     # ------------------------------------------------- step 3: the transpose
-    t2 = yield from api.jia_wtime_g()
+    t2 = yield from api.jia_wtime()
     t_lo, t_hi = row_block(n2, rank, n_ranks)
     # Every rank gathers its transposed rows from every source block: an
     # all-to-all read pattern through the DSM.
@@ -100,20 +100,20 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
         (yield from A.get_g((slice(None), slice(t_lo, t_hi), slice(None)))))
     yield from B.set_g((slice(t_lo, t_hi), slice(None), slice(None)),
                        _to_pairs(gathered.T))
-    yield from api.jia_barrier_g()
-    t_transpose = (yield from api.jia_wtime_g()) - t2
+    yield from api.jia_barrier()
+    t_transpose = (yield from api.jia_wtime()) - t2
 
     # --------------------------------------------------- step 4: column FFTs
-    t3 = yield from api.jia_wtime_g()
+    t3 = yield from api.jia_wtime()
     cols = _to_complex(
         (yield from B.get_g((slice(t_lo, t_hi), slice(None), slice(None)))))
     cols = np.fft.fft(cols, axis=1)
     yield compute_cost(api, _fft_flops(t_hi - t_lo, n1))
     yield from B.set_g((slice(t_lo, t_hi), slice(None), slice(None)),
                        _to_pairs(cols))
-    yield from api.jia_barrier_g()
-    t_fft2 = (yield from api.jia_wtime_g()) - t3
-    total = (yield from api.jia_wtime_g()) - t0
+    yield from api.jia_barrier()
+    t_fft2 = (yield from api.jia_wtime()) - t3
+    total = (yield from api.jia_wtime()) - t0
 
     # ------------------------------------------------------------ verify
     verified = True
@@ -126,7 +126,7 @@ def run_fft(api, n1: int = 64, n2: int = 64, seed: int = 23,
             (yield from B.get_g((slice(t_lo, t_hi), slice(None), slice(None)))))
         verified = bool(np.allclose(mine, ref[t_lo:t_hi, :],
                                     atol=1e-6 * n1 * n2))
-    yield from api.jia_exit_g()
+    yield from api.jia_exit()
 
     return AppResult(app="fft", rank=rank,
                      phases={"init": t_init, "fft1": t_fft1,

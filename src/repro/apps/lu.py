@@ -113,12 +113,12 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
     n`` is a legal one-panel run: rank 0 factors the whole matrix and
     nothing is eliminated."""
     n, block = whole_params("lu", 1, n=n, block=block)
-    rank, n_ranks = yield from api.jia_init_g()
+    rank, n_ranks = yield from api.jia_init()
     page = api.hamster.params.page_size
     homes = _panel_homes(n, block, page, n_ranks)
 
-    t0 = yield from api.jia_wtime_g()
-    A = yield from api.jia_alloc_array_g((n, n), np.float64, name="lu.A",
+    t0 = yield from api.jia_wtime()
+    A = yield from api.jia_alloc_array((n, n), np.float64, name="lu.A",
                                          distribution=explicit(homes))
     # Diagonally dominant input keeps no-pivot elimination stable.
     a_full = once_per_run(
@@ -128,29 +128,29 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
     # ------------------------------------------------ write-only init (rank 0)
     if rank == 0:
         yield from A.set_g((slice(None), slice(None)), a_full)
-    yield from api.jia_barrier_g()
-    t_init = (yield from api.jia_wtime_g()) - t0
+    yield from api.jia_barrier()
+    t_init = (yield from api.jia_wtime()) - t0
 
     # --------------------------------------------------------------- factor
     n_panels = (n + block - 1) // block
     t_barrier = 0.0
     t_core = 0.0
-    t1 = yield from api.jia_wtime_g()
+    t1 = yield from api.jia_wtime()
     for kp in range(n_panels):
         k0, k1 = kp * block, min((kp + 1) * block, n)
         owner = kp % n_ranks
-        tc = yield from api.jia_wtime_g()
+        tc = yield from api.jia_wtime()
         if rank == owner:
             yield from _factor_g(A, k0, k1)
             rows = k1 - k0
             yield compute_cost(api, rows * rows * (n - k0))
-        t_core += (yield from api.jia_wtime_g()) - tc
+        t_core += (yield from api.jia_wtime()) - tc
 
-        tb = yield from api.jia_wtime_g()
-        yield from api.jia_barrier_g()
-        t_barrier += (yield from api.jia_wtime_g()) - tb
+        tb = yield from api.jia_wtime()
+        yield from api.jia_barrier()
+        t_barrier += (yield from api.jia_wtime()) - tb
 
-        tc = yield from api.jia_wtime_g()
+        tc = yield from api.jia_wtime()
         piv = yield from A.get_g((slice(k0, k1), slice(None)))
         # Update the panels this rank owns below the pivot block.
         for mp in range(kp + 1, n_panels):
@@ -160,12 +160,12 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
             yield from _eliminate_g(A, piv, k0, k1, m0, m1)
             yield compute_cost(api, 2.0 * (m1 - m0) * (k1 - k0) * (n - k0))
         del piv  # every rank has a copy: none is held into the barrier
-        t_core += (yield from api.jia_wtime_g()) - tc
+        t_core += (yield from api.jia_wtime()) - tc
 
-        tb = yield from api.jia_wtime_g()
-        yield from api.jia_barrier_g()
-        t_barrier += (yield from api.jia_wtime_g()) - tb
-    t_nominit = (yield from api.jia_wtime_g()) - t1
+        tb = yield from api.jia_wtime()
+        yield from api.jia_barrier()
+        t_barrier += (yield from api.jia_wtime()) - tb
+    t_nominit = (yield from api.jia_wtime()) - t1
     t_all = t_init + t_nominit
 
     # ------------------------------------------------------------ verify
@@ -183,7 +183,7 @@ def run_lu(api, n: int = 1024, block: int = 64, seed: int = 11,
                                ref[m0:m1, :], atol=1e-6):
                 verified = False
                 break
-    yield from api.jia_exit_g()
+    yield from api.jia_exit()
 
     return AppResult(app="lu", rank=rank,
                      phases={"all": t_all, "no_init": t_nominit,

@@ -54,14 +54,14 @@ def _multiply_g(api, A, B, C, lo: int, hi: int, n: int):
 def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppResult:
     """Run the benchmark on the calling rank; returns its :class:`AppResult`."""
     n, = whole_params("matmult", 1, n=n)
-    rank, n_ranks = yield from api.jia_init_g()
+    rank, n_ranks = yield from api.jia_init()
 
-    t0 = yield from api.jia_wtime_g()
-    A = yield from api.jia_alloc_array_g((n, n), np.float64, name="mm.A",
+    t0 = yield from api.jia_wtime()
+    A = yield from api.jia_alloc_array((n, n), np.float64, name="mm.A",
                                          distribution=block())
-    B = yield from api.jia_alloc_array_g((n, n), np.float64, name="mm.B",
+    B = yield from api.jia_alloc_array((n, n), np.float64, name="mm.B",
                                          distribution=cyclic())
-    C = yield from api.jia_alloc_array_g((n, n), np.float64, name="mm.C",
+    C = yield from api.jia_alloc_array((n, n), np.float64, name="mm.C",
                                          distribution=block())
 
     a_full, b_full = once_per_run(api, ("matmult", "input", n, seed),
@@ -72,14 +72,14 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
     yield from A.set_g((slice(lo, hi), slice(None)), a_full[lo:hi, :])
     if rank == 0:
         yield from B.set_g((slice(None), slice(None)), b_full)
-    yield from api.jia_barrier_g()
-    t_init = (yield from api.jia_wtime_g()) - t0
+    yield from api.jia_barrier()
+    t_init = (yield from api.jia_wtime()) - t0
 
     # ---------------------------------------------------------- compute
-    t1 = yield from api.jia_wtime_g()
+    t1 = yield from api.jia_wtime()
     yield from _multiply_g(api, A, B, C, lo, hi, n)
-    yield from api.jia_barrier_g()
-    t_comp = (yield from api.jia_wtime_g()) - t1
+    yield from api.jia_barrier()
+    t_comp = (yield from api.jia_wtime()) - t1
 
     # ------------------------------------------------------------ verify
     verified = True
@@ -91,7 +91,7 @@ def run_matmult(api, n: int = 1024, seed: int = 42, verify: bool = True) -> AppR
         verified = bool(np.allclose(
             (yield from C.get_g((slice(lo, hi), slice(None)))),
             ref[lo:hi, :], atol=1e-8))
-    yield from api.jia_exit_g()
+    yield from api.jia_exit()
 
     return AppResult(app="matmult", rank=rank,
                      phases={"init": t_init, "compute": t_comp,

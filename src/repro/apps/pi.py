@@ -43,30 +43,30 @@ def error_bound(intervals: int, n_ranks: int) -> float:
 def run_pi(api, intervals: int = 1 << 23, verify: bool = True) -> AppResult:
     # Generator body: runs stackless (see repro.sim.process).
     intervals, = whole_params("pi", 1, intervals=intervals)
-    rank, n_ranks = yield from api.jia_init_g()
+    rank, n_ranks = yield from api.jia_init()
 
-    t0 = yield from api.jia_wtime_g()
-    acc = yield from api.jia_alloc_array_g((1,), np.float64, name="pi.sum")
+    t0 = yield from api.jia_wtime()
+    acc = yield from api.jia_alloc_array((1,), np.float64, name="pi.sum")
     if rank == 0:
         yield from acc.set_g(0, 0.0)
-    yield from api.jia_barrier_g()
-    t_init = (yield from api.jia_wtime_g()) - t0
+    yield from api.jia_barrier()
+    t_init = (yield from api.jia_wtime()) - t0
 
-    t1 = yield from api.jia_wtime_g()
+    t1 = yield from api.jia_wtime()
     local, count = _partial_sum(rank, n_ranks, intervals)
     yield compute_cost(api, 6.0 * count)
 
-    yield from api.jia_lock_g(PI_LOCK)
+    yield from api.jia_lock(PI_LOCK)
     current = float((yield from acc.get_g(0)))
     yield from acc.set_g(0, current + local)
-    yield from api.jia_unlock_g(PI_LOCK)
-    yield from api.jia_barrier_g()
-    t_comp = (yield from api.jia_wtime_g()) - t1
+    yield from api.jia_unlock(PI_LOCK)
+    yield from api.jia_barrier()
+    t_comp = (yield from api.jia_wtime()) - t1
 
     pi_value = float((yield from acc.get_g(0)))
     verified = (abs(pi_value - math.pi) <= error_bound(intervals, n_ranks)
                 if verify else True)
-    yield from api.jia_exit_g()
+    yield from api.jia_exit()
 
     return AppResult(app="pi", rank=rank,
                      phases={"init": t_init, "compute": t_comp,

@@ -75,11 +75,11 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
             seed: int = 7, verify: bool = True) -> AppResult:
     n, = whole_params("sor", 1, n=n)
     iterations, = whole_params("sor", 0, iterations=iterations)
-    rank, n_ranks = yield from api.jia_init_g()
+    rank, n_ranks = yield from api.jia_init()
     dist = block() if locality else cyclic()
 
-    t0 = yield from api.jia_wtime_g()
-    G = yield from api.jia_alloc_array_g((n, n), np.float64, name="sor.grid",
+    t0 = yield from api.jia_wtime()
+    G = yield from api.jia_alloc_array((n, n), np.float64, name="sor.grid",
                                          distribution=dist)
     initial = once_per_run(
         api, ("sor", "input", n, seed),
@@ -91,16 +91,16 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
         yield from G.set_g((0, slice(None)), initial[0, :])
     if rank == n_ranks - 1:
         yield from G.set_g((n - 1, slice(None)), initial[n - 1, :])
-    yield from api.jia_barrier_g()
-    t_init = (yield from api.jia_wtime_g()) - t0
+    yield from api.jia_barrier()
+    t_init = (yield from api.jia_wtime()) - t0
 
-    t1 = yield from api.jia_wtime_g()
+    t1 = yield from api.jia_wtime()
     for _ in range(iterations):
         for phase in (0, 1):
             yield from _half_sweep_g(G, phase, lo, hi, n)
             yield compute_cost(api, 6.0 * (hi - lo) * (n - 2) / 2)
-            yield from api.jia_barrier_g()
-    t_comp = (yield from api.jia_wtime_g()) - t1
+            yield from api.jia_barrier()
+    t_comp = (yield from api.jia_wtime()) - t1
 
     verified = True
     checksum = 0.0
@@ -111,7 +111,7 @@ def run_sor(api, n: int = 1024, iterations: int = 10, locality: bool = True,
         verified = bool(np.allclose(
             (yield from G.get_g((slice(lo, hi), slice(None)))),
             ref[lo:hi, :], atol=1e-10))
-    yield from api.jia_exit_g()
+    yield from api.jia_exit()
 
     name = "sor_opt" if locality else "sor"
     return AppResult(app=name, rank=rank,

@@ -89,12 +89,12 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     is a legal zero-step run: the positions stay the input and verify."""
     n, = whole_params("water", 1, molecules=molecules)
     steps, = whole_params("water", 0, steps=steps)
-    rank, n_ranks = yield from api.jia_init_g()
+    rank, n_ranks = yield from api.jia_init()
 
-    t0 = yield from api.jia_wtime_g()
-    X = yield from api.jia_alloc_array_g((n, 3), np.float64, name="water.pos",
+    t0 = yield from api.jia_wtime()
+    X = yield from api.jia_alloc_array((n, 3), np.float64, name="water.pos",
                                          distribution=block())
-    F = yield from api.jia_alloc_array_g((n, 3), np.float64, name="water.frc",
+    F = yield from api.jia_alloc_array((n, 3), np.float64, name="water.frc",
                                          distribution=block())
     initial = once_per_run(
         api, ("water", "input", n, seed),
@@ -103,10 +103,10 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
     yield from X.set_g((slice(lo, hi), slice(None)), initial[lo:hi, :])
     if rank == 0:
         yield from F.set_g((slice(None), slice(None)), 0.0)
-    yield from api.jia_barrier_g()
-    t_init = (yield from api.jia_wtime_g()) - t0
+    yield from api.jia_barrier()
+    t_init = (yield from api.jia_wtime()) - t0
 
-    t1 = yield from api.jia_wtime_g()
+    t1 = yield from api.jia_wtime()
     for _ in range(steps):
         pos = yield from X.get_g((slice(None), slice(None)))
         local = _pair_forces(pos, lo, hi)
@@ -122,22 +122,22 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
             contribution = local[s_lo:s_hi, :]
             if not contribution.any():
                 continue
-            yield from api.jia_lock_g(FORCE_LOCK_BASE + section)
+            yield from api.jia_lock(FORCE_LOCK_BASE + section)
             current = yield from F.get_g((slice(s_lo, s_hi), slice(None)))
             yield from F.set_g((slice(s_lo, s_hi), slice(None)),
                                current + contribution)
-            yield from api.jia_unlock_g(FORCE_LOCK_BASE + section)
-        yield from api.jia_barrier_g()
+            yield from api.jia_unlock(FORCE_LOCK_BASE + section)
+        yield from api.jia_barrier()
 
         # Integrate own molecules, then reset own force section.
         own = yield from X.get_g((slice(lo, hi), slice(None)))
         frc = yield from F.get_g((slice(lo, hi), slice(None)))
         yield from X.set_g((slice(lo, hi), slice(None)), own + DT * frc)
         yield compute_cost(api, 6.0 * (hi - lo))
-        yield from api.jia_barrier_g()
+        yield from api.jia_barrier()
         yield from F.set_g((slice(lo, hi), slice(None)), 0.0)
-        yield from api.jia_barrier_g()
-    t_comp = (yield from api.jia_wtime_g()) - t1
+        yield from api.jia_barrier()
+    t_comp = (yield from api.jia_wtime()) - t1
 
     verified = True
     checksum = 0.0
@@ -147,7 +147,7 @@ def run_water(api, molecules: int = 288, steps: int = 2, seed: int = 5,
             lambda: _reference(initial, steps))
         mine = yield from X.get_g((slice(lo, hi), slice(None)))
         verified = bool(np.allclose(mine, ref[lo:hi, :], atol=1e-8))
-    yield from api.jia_exit_g()
+    yield from api.jia_exit()
 
     return AppResult(app=f"water{n}", rank=rank,
                      phases={"init": t_init, "compute": t_comp,

@@ -42,38 +42,9 @@ def _docstring_lines(source: str) -> Set[int]:
     return out
 
 
-def _twin_kernel_lines(source: str) -> Set[int]:
-    """Physical line numbers of ``*_g`` generator-kernel twins.
-
-    The continuation engine requires every blocking operation to carry a
-    ``*_g`` twin that yields instead of blocking; the blocking form and its
-    twin are the *same* API operation, so Table 2 counts the blocking
-    surface only — tallying both would double-count each call. A function
-    is a twin only when its class (or module) also defines the un-suffixed
-    name: SHMEM's single-element get ``shmem_g`` is an API call, not a twin.
-    """
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
-    out: Set[int] = set()
-    tree = ast.parse(source)
-    for scope in ast.walk(tree):
-        if not isinstance(scope, (ast.Module, ast.ClassDef)):
-            continue
-        names = {n.name for n in scope.body if isinstance(n, defs)}
-        for node in scope.body:
-            if isinstance(node, defs) and node.name.endswith("_g") \
-                    and node.name[:-2] in names:
-                start = node.lineno
-                if node.decorator_list:
-                    start = min(d.lineno for d in node.decorator_list)
-                out.update(range(start, node.end_lineno + 1))
-    return out
-
-
-def count_logical_lines(source: str, *, include_g_twins: bool = True) -> int:
+def count_logical_lines(source: str) -> int:
     """Logical (normalized) lines of code in ``source``."""
     doc_lines = _docstring_lines(source)
-    if not include_g_twins:
-        doc_lines = doc_lines | _twin_kernel_lines(source)
     count = 0
     tokens = tokenize.generate_tokens(io.StringIO(source).readline)
     line_start: Optional[int] = None
@@ -127,11 +98,9 @@ def model_complexity_table() -> List[ComplexityRow]:
     rows: List[ComplexityRow] = []
     for display_name, (module_name, _cls) in MODEL_REGISTRY.items():
         cls = load_model(display_name)
-        lines = count_logical_lines(_module_source(module_name),
-                                    include_g_twins=False)
+        lines = count_logical_lines(_module_source(module_name))
         for extra in _EXTRA_FILES.get(display_name, ()):
-            lines += count_logical_lines(_module_source(extra),
-                                         include_g_twins=False)
+            lines += count_logical_lines(_module_source(extra))
         rows.append(ComplexityRow(model=display_name, lines=lines,
                                   api_calls=cls.api_call_count()))
     return rows

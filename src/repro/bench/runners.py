@@ -15,11 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.apps.common import (AppError, AppResult, bind_app,
-                               merge_rank_results)
+from repro.apps.common import AppError, AppResult, prepare_app
 from repro.config import ClusterConfig
-from repro.models.jiajia_api import JiaJiaApi
-from repro.models.native_jiajia import NativeJiaJiaApi
 
 __all__ = ["BENCH_LABELS", "run_app_on", "run_app_detailed", "run_suite",
            "table1_rows", "overhead_pct", "advantage_pct",
@@ -82,11 +79,8 @@ def run_app_detailed(config: ClusterConfig, app: str, native: bool = False,
     Returns ``(merged AppResult, BuiltPlatform)``; a failed verification
     raises :class:`~repro.apps.common.AppError`.
     """
-    body = bind_app(app, params)
-    plat = config.build()
-    api = NativeJiaJiaApi(plat.hamster) if native else JiaJiaApi(plat.hamster)
-    per_rank = api.run(body)
-    merged = merge_rank_results(per_rank)
+    plat, run = prepare_app(config, app, params, native=native)
+    merged = run()
     if not merged.verified:
         raise AppError(
             f"benchmark {app!r} failed verification on {config.name or config.platform}")

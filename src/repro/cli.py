@@ -448,11 +448,7 @@ def _run_target(args, native: bool = False, obs: bool = True,
     platform / benchmark / verified lines; returns (platform, merged
     result). ``switches`` are config fields forced on before the
     ``--trace-out``-style observability flags apply (``obs``)."""
-    from repro.apps.common import bind_app, merge_rank_results
-    if native:
-        from repro.models.native_jiajia import NativeJiaJiaApi as Api
-    else:
-        from repro.models.jiajia_api import JiaJiaApi as Api
+    from repro.apps.common import prepare_app
 
     config = load(args.config) if args.config else preset(args.preset)
     plan = _resolve_plan(args)
@@ -463,9 +459,8 @@ def _run_target(args, native: bool = False, obs: bool = True,
     if obs:
         _apply_obs(config, args)
     params: Dict[str, Any] = dict(args.param)
-    body = bind_app(args.app, params)
-    plat = config.build()
-    merged = merge_rank_results(Api(plat.hamster).run(body))
+    plat, run = prepare_app(config, args.app, params, native=native)
+    merged = run()
     print(f"platform : {plat.hamster.platform_description()}"
           f"{' [native binding]' if native else ''}")
     print(f"benchmark: {args.app} {params or ''}")

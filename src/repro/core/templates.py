@@ -61,14 +61,10 @@ class SpmdEnv:
         """Generator kernel of :meth:`unlock` (``yield from`` it)."""
         return self.hamster.sync.unlock_g(lock_id)
 
-    def alloc_array(self, shape, dtype=float, name: str = "", **kw):
-        """Collective allocation: all ranks call together, all receive the
-        same shared array (global allocation with an implicit barrier)."""
-        return self.hamster.memory.alloc_array_collective(
-            shape, dtype=dtype, name=name, **kw)
-
     def alloc_array_g(self, shape, dtype=float, name: str = "", **kw):
-        """Generator kernel of :meth:`alloc_array` (``yield from`` it)."""
+        """Collective allocation: all ranks call together, all receive the
+        same shared array (global allocation with an implicit barrier;
+        ``yield from`` it)."""
         return self.hamster.memory.alloc_array_collective_g(
             shape, dtype=dtype, name=name, **kw)
 

@@ -94,7 +94,8 @@ def import_cell_path(scenarios: Iterable[Scenario]) -> None:
 
     for name in ("repro.core.templates", "repro.dsm.jiajia",
                  "repro.dsm.scivm", "repro.dsm.smp", "repro.faults",
-                 "repro.machine.sci", "repro.obs.critical_path"):
+                 "repro.machine.sci", "repro.models.jiajia_api",
+                 "repro.models.native_jiajia", "repro.obs.critical_path"):
         __import__(name)
     for app in {WORKLOADS[scenario.label].app for scenario in scenarios}:
         get_app(app)

@@ -96,23 +96,23 @@ def run_chaos(config: Union[str, ClusterConfig], app: str = "sor",
     replaces the benchmark: ``run(platform)`` returns ``(verified,
     checksum)``, and ``app`` only names the result.
     """
-    from repro.apps.common import bind_app, merge_rank_results
-    from repro.models.jiajia_api import JiaJiaApi
-    from repro.models.native_jiajia import NativeJiaJiaApi
+    from repro.apps.common import prepare_app
 
     cfg = _resolve_config(config)
     if plan is not None:
         cfg.faults = FaultPlan.coerce(plan)
-    body = bind_app(app, dict(app_params or {})) if run is None else None
-    plat = cfg.build()
+    if run is None:
+        plat, run_app = prepare_app(cfg, app, dict(app_params or {}),
+                                    native=native)
+    else:
+        plat = cfg.build()
     result = ChaosResult(app=app, platform=cfg.name or cfg.platform,
                          outcome="completed", built=plat)
     try:
         if run is not None:
             result.verified, result.checksum = run(plat)
         else:
-            api = (NativeJiaJiaApi if native else JiaJiaApi)(plat.hamster)
-            merged = merge_rank_results(api.run(body))
+            merged = run_app()
             result.verified, result.checksum = merged.verified, merged.checksum
             result.phases = dict(merged.phases)
     except NodeFailedError as exc:

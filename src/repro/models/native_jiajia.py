@@ -10,9 +10,8 @@ This class is deliberately outside Table 2's measurement set: it represents
 the *unmodified standard distribution of JiaJia*, not a HAMSTER programming
 model.
 
-Each call is implemented once, as its ``jia_*_g`` generator kernel; the
-blocking ``jia_*`` form only trampolines that kernel on a thread-backed
-body, so both forms charge and synchronise identically.
+Each call is a generator function that charges the native wrapper cost
+and then drives the DSM's own kernel (``yield from api.jia_barrier()``).
 """
 
 from __future__ import annotations
@@ -57,32 +56,20 @@ class NativeJiaJiaApi:
     run = ProgrammingModel.run
 
     # ------------------------------------------------------------------ api
-    def jia_init(self) -> tuple:
-        return self.hamster.engine.kernel(self.jia_init_g())
-
-    def jia_init_g(self):
+    def jia_init(self):
         yield self._cost()
         return self.dsm.current_rank(), self.dsm.n_procs
 
-    def jia_exit(self) -> None:
-        return self.hamster.engine.kernel(self.jia_exit_g())
-
-    def jia_exit_g(self):
+    def jia_exit(self):
         yield self._cost()
         yield from self.dsm.barrier_g()
 
     def jia_alloc(self, nbytes: int, distribution: Optional[Distribution] = None):
-        return self.hamster.engine.kernel(self._collective_g(
-            lambda: self.dsm.allocate(nbytes, distribution=distribution)))
+        return (yield from self._collective_g(lambda: self.dsm.allocate(
+            nbytes, distribution=distribution)))
 
     def jia_alloc_array(self, shape: Sequence[int], dtype: Any = np.float64,
                         name: str = "", distribution: Optional[Distribution] = None):
-        return self.hamster.engine.kernel(self.jia_alloc_array_g(
-            shape, dtype=dtype, name=name, distribution=distribution))
-
-    def jia_alloc_array_g(self, shape: Sequence[int], dtype: Any = np.float64,
-                          name: str = "",
-                          distribution: Optional[Distribution] = None):
         return (yield from self._collective_g(lambda: self.dsm.make_array(
             shape, dtype=dtype, name=name, distribution=distribution)))
 
@@ -99,30 +86,18 @@ class NativeJiaJiaApi:
         yield from self.dsm.barrier_g()
         return self._alloc_results[seq]
 
-    def jia_lock(self, lock_id: int) -> None:
-        return self.hamster.engine.kernel(self.jia_lock_g(lock_id))
-
-    def jia_lock_g(self, lock_id: int):
+    def jia_lock(self, lock_id: int):
         yield self._cost()
         yield from self.dsm.lock_g(lock_id)
 
-    def jia_unlock(self, lock_id: int) -> None:
-        return self.hamster.engine.kernel(self.jia_unlock_g(lock_id))
-
-    def jia_unlock_g(self, lock_id: int):
+    def jia_unlock(self, lock_id: int):
         yield self._cost()
         yield from self.dsm.unlock_g(lock_id)
 
-    def jia_barrier(self) -> None:
-        return self.hamster.engine.kernel(self.jia_barrier_g())
-
-    def jia_barrier_g(self):
+    def jia_barrier(self):
         yield self._cost()
         yield from self.dsm.barrier_g()
 
-    def jia_wtime(self) -> float:
-        return self.hamster.engine.kernel(self.jia_wtime_g())
-
-    def jia_wtime_g(self):
+    def jia_wtime(self):
         yield self._cost()
         return self.hamster.engine.now

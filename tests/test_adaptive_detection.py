@@ -27,7 +27,8 @@ class TestAssumptionLifecycle:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             page = A.region.first_page
             states = []
@@ -53,7 +54,8 @@ class TestAssumptionLifecycle:
         iters = JiaJiaSystem.ASSUME_STREAK + 4  # inside one revalidation window
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             for _ in range(iters):
                 if env.rank == 0:
@@ -72,7 +74,8 @@ class TestAssumptionLifecycle:
         iters = streak + reval + 1
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             page = A.region.first_page
             for _ in range(iters):
@@ -92,7 +95,8 @@ class TestAssumptionLifecycle:
         plat = build()
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             seen = []
             for it in range(JiaJiaSystem.ASSUME_STREAK + 3):
@@ -112,7 +116,8 @@ class TestAssumptionLifecycle:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             page = A.region.first_page
             # Alternate dirty/quiet: the streak never completes.
@@ -130,7 +135,8 @@ class TestAssumptionLifecycle:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             page = A.region.first_page
             for _ in range(JiaJiaSystem.ASSUME_STREAK + 2):
@@ -149,7 +155,8 @@ class TestAssumptionLifecycle:
         iters = 12
 
         def main(env):
-            A = env.alloc_array((16, 512), name="grid", distribution=block())
+            A = env.hamster.memory.alloc_array_collective(
+                (16, 512), name="grid", distribution=block())
             env.barrier()
             rows = 8
             lo = env.rank * rows

@@ -2,6 +2,7 @@
 counts, degenerate sizes, and phase accounting."""
 
 import inspect
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def run(config, app, **params):
     plat = config.build()
     api = JiaJiaApi(plat.hamster)
     fn = get_app(app)
-    results = api.run(lambda a: fn(a, **params))
+    results = api.run(partial(fn, **params))
     merged = merge_rank_results(results)
     assert merged.verified, (app, params, config.name)
     return merged
@@ -93,7 +94,7 @@ class TestLuSizes:
 
 class TestMalformedSizesOfTheOtherApps:
     """Every size is a whole number >= 1 and every count one >= 0, checked
-    before ``jia_init_g`` (``repro.apps.common.whole_params``): each of
+    before ``jia_init`` (``repro.apps.common.whole_params``): each of
     these raised an ``IndexError``, ``ValueError``, ``ZeroDivisionError``
     or ``AssertionError`` from deep inside the run, or (a negative SOR
     iteration count) ran and verified."""

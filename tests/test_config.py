@@ -150,7 +150,8 @@ class TestBuild:
             plat = preset("sw-dsm-4").build()
 
             def main(env):
-                A = env.alloc_array((64, 64), name="A")
+                A = env.hamster.memory.alloc_array_collective(
+                    (64, 64), name="A")
                 A[env.rank * 16:(env.rank + 1) * 16, :] = env.rank
                 env.barrier()
                 return env.wtime()

@@ -36,18 +36,20 @@ def via_jiajia(plat):
     api = JiaJiaApi(plat.hamster)
 
     def main(a):
-        pid, hosts = a.jia_init()
-        A = a.jia_alloc_array((N, N), name="A")
-        total = a.jia_alloc_array((1,), name="t")
+        pid, hosts = yield from a.jia_init()
+        A = yield from a.jia_alloc_array((N, N), name="A")
+        total = yield from a.jia_alloc_array((1,), name="t")
         rows = N // hosts
-        A[pid * rows:(pid + 1) * rows, :] = float(pid + 1)
-        a.jia_barrier()
-        a.jia_lock(0)
-        total[0] = float(total[0]) + float(A[pid * rows:(pid + 1) * rows, :].sum())
-        a.jia_unlock(0)
-        a.jia_barrier()
-        value = float(total[0])
-        a.jia_exit()
+        mine = (slice(pid * rows, (pid + 1) * rows), slice(None))
+        yield from A.set_g(mine, float(pid + 1))
+        yield from a.jia_barrier()
+        yield from a.jia_lock(0)
+        acc = float((yield from total.get_g(0)))
+        yield from total.set_g(0, acc + float((yield from A.get_g(mine)).sum()))
+        yield from a.jia_unlock(0)
+        yield from a.jia_barrier()
+        value = float((yield from total.get_g(0)))
+        yield from a.jia_exit()
         return value
 
     return api.run(main)

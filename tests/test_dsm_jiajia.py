@@ -32,8 +32,8 @@ class TestFaultLifecycle:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A",
-                                distribution=single_home(0))  # 1 page, home 0
+            A = env.hamster.memory.alloc_array_collective(  # 1 page, home 0
+                (512,), name="A", distribution=single_home(0))
             page = A.region.first_page
             if env.rank == 0:
                 A[:] = 7.0
@@ -53,7 +53,8 @@ class TestFaultLifecycle:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             page = A.region.first_page
             env.barrier()
             if env.rank == 1:
@@ -72,8 +73,9 @@ class TestFaultLifecycle:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A",
-                                distribution=single_home(env.hamster.dsm.current_rank() if False else 0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(
+                    env.hamster.dsm.current_rank() if False else 0))
             if env.rank == 0:
                 A[0] = 1.0
                 A[0] = 2.0
@@ -87,7 +89,8 @@ class TestFaultLifecycle:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             page = A.region.first_page
             env.barrier()
             if env.rank == 1:
@@ -107,7 +110,8 @@ class TestScopeConsistency:
         plat = build()
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             if env.rank == 0:
                 env.lock(1)
                 A[0] = 42.0
@@ -125,7 +129,8 @@ class TestScopeConsistency:
 
         # Deadlock-free completion needs rank1's barrier too; restructure:
         def main2(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 0:
                 env.lock(1)
@@ -173,7 +178,8 @@ class TestScopeConsistency:
         plat = build(nodes=4)
 
         def main(env):
-            A = env.alloc_array((4096,), name="A", distribution=cyclic())
+            A = env.hamster.memory.alloc_array_collective(
+                (4096,), name="A", distribution=cyclic())
             _ = A[:]  # cache everything everywhere
             env.barrier()
             A[env.rank * 512:(env.rank + 1) * 512] = float(env.rank + 1)
@@ -189,7 +195,8 @@ class TestScopeConsistency:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 A[0] = 5.0
@@ -210,7 +217,8 @@ class TestMultipleWriter:
         plat = build()
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 0:
                 A[0:256] = 1.0
@@ -228,8 +236,8 @@ class TestMultipleWriter:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), np.uint8, name="A",
-                                distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), np.uint8, name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 A[0:32] = 9
@@ -300,7 +308,8 @@ class TestLocks:
         plat = build(nodes=4)
 
         def main(env):
-            A = env.alloc_array((512,), name="ctr", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="ctr", distribution=single_home(0))
             if env.rank == 0:
                 A[0] = 0.0
             env.barrier()
@@ -321,7 +330,7 @@ class TestLocks:
         plat = build(nodes=4)
 
         def main(env):
-            acc = env.alloc_array((1,), name="acc")
+            acc = env.hamster.memory.alloc_array_collective((1,), name="acc")
             scope = get_model("scope", env.hamster.dsm)
             for _ in range(5):
                 env.lock(3)
@@ -438,7 +447,8 @@ class TestStats:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((1024,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (1024,), name="A", distribution=single_home(0))
             if env.rank == 0:
                 A[:] = 1.0
             env.barrier()

@@ -21,7 +21,8 @@ class TestAccessPath:
         sci = plat.cluster.sci
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=block())
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=block())
             env.barrier()
             if env.rank == 0:
                 A[0:64] = 1.0  # page 0 is homed on rank 0: local
@@ -37,7 +38,8 @@ class TestAccessPath:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 A[0:4] = 1.0         # remote write
@@ -55,7 +57,8 @@ class TestAccessPath:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((512,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 A[0] = 1.0
@@ -90,7 +93,8 @@ class TestAccessPath:
 
         def main(env):
             # 2 pages; page 0 home=0, page 1 home=1 (block over 2 ranks).
-            A = env.alloc_array((1024,), name="A", distribution=block())
+            A = env.hamster.memory.alloc_array_collective(
+                (1024,), name="A", distribution=block())
             env.barrier()
             if env.rank == 0:
                 A[:] = 1.0  # half local, half remote
@@ -228,7 +232,8 @@ class TestSync:
         plat = build(4)
 
         def main(env):
-            A = env.alloc_array((512,), name="c", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (512,), name="c", distribution=single_home(0))
             if env.rank == 0:
                 A[0] = 0.0
             env.barrier()
@@ -287,7 +292,8 @@ class TestProperties:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((1024,), name="A", distribution=first_touch())
+            A = env.hamster.memory.alloc_array_collective(
+                (1024,), name="A", distribution=first_touch())
             env.barrier()
             A[env.rank * 512:(env.rank + 1) * 512] = 1.0
             env.barrier()

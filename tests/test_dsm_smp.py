@@ -33,7 +33,8 @@ class TestSmpSemantics:
                                  ranks=n_ranks).build()
 
             def main(env):
-                A = env.alloc_array((1 << 20,), np.uint8, name="A")
+                A = env.hamster.memory.alloc_array_collective(
+                    (1 << 20,), np.uint8, name="A")
                 env.barrier()
                 t0 = env.wtime()
                 _ = A[:]
@@ -46,7 +47,7 @@ class TestSmpSemantics:
 
     def test_locks_and_barrier(self, smp2):
         def main(env):
-            A = env.alloc_array((8,), name="c")
+            A = env.hamster.memory.alloc_array_collective((8,), name="c")
             if env.rank == 0:
                 A[0] = 0.0
             env.barrier()

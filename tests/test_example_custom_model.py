@@ -34,13 +34,20 @@ def test_manifest():
 
 
 def test_thread_identity():
-    res = build().run(lambda m: (m.omp_get_thread_num(), m.omp_get_num_threads()))
+    def main(m):
+        return ((yield from m.omp_get_thread_num()),
+                (yield from m.omp_get_num_threads()))
+
+    res = build().run(main)
     assert res == [(r, 4) for r in range(4)]
 
 
 @pytest.mark.parametrize("n", [3, 10, 4096])
 def test_static_slices_cover_the_range_disjointly(n):
-    slices = build().run(lambda m: list(m.omp_for(n)))
+    def main(m):
+        return list((yield from m.omp_for(n)))
+
+    slices = build().run(main)
     seen = [i for piece in slices for i in piece]
     assert sorted(seen) == list(range(n))
     assert len(seen) == len(set(seen))
@@ -48,12 +55,13 @@ def test_static_slices_cover_the_range_disjointly(n):
 
 def test_critical_reduction_loses_no_update():
     def main(m):
-        acc = m.hamster.memory.alloc_array_collective((1,), name="acc")
-        m.omp_single(lambda: acc.write(0, 0.0))
+        acc = yield from m.hamster.memory.alloc_array_collective_g((1,),
+                                                                   name="acc")
+        yield from m.omp_single(lambda: acc.set_g(0, 0.0))
         for _ in range(5):
-            m.omp_reduce(acc, 1.0)
-        m.omp_barrier()
-        return float(acc[0])
+            yield from m.omp_reduce(acc, 1.0)
+        yield from m.omp_barrier()
+        return float((yield from acc.get_g(0)))
 
     assert build().run(main) == [20.0] * 4
 
@@ -62,7 +70,11 @@ def test_single_runs_on_thread0_only():
     ran = []
 
     def main(m):
-        return m.omp_single(lambda: ran.append(m.omp_get_thread_num()) or 42)
+        def body():
+            ran.append((yield from m.omp_get_thread_num()))
+            return 42
+
+        return (yield from m.omp_single(body))
 
     assert build().run(main) == [42, None, None, None]
     assert ran == [0]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def run_app_on_platform(plat):
 
     api = JiaJiaApi(plat.hamster)
     fn = get_app("pi")
-    return merge_rank_results(api.run(lambda a: fn(a, intervals=4096)))
+    return merge_rank_results(api.run(partial(fn, intervals=4096)))
 
 
 class TestFigureToCsv:

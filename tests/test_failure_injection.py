@@ -69,9 +69,11 @@ class TestResourceExhaustion:
         plat.dsm.allocator._free = [(0x4000_0000, 16 * 4096)]
 
         def main(env):
-            env.alloc_array((4096,), name="ok")        # 8 pages of 16
+            env.hamster.memory.alloc_array_collective(
+                (4096,), name="ok")  # 8 pages of 16
             with pytest.raises(AllocationError):
-                env.alloc_array((8192,), name="too-big")  # needs 16 more
+                env.hamster.memory.alloc_array_collective(
+                    (8192,), name="too-big")  # needs 16 more
             return True
 
         assert all(spmd(plat, main))
@@ -181,7 +183,7 @@ class TestNumericalEdges:
         plat = ClusterConfig(platform="beowulf", dsm="jiajia", nodes=1).build()
 
         def main(env):
-            A = env.alloc_array((64,), name="A")
+            A = env.hamster.memory.alloc_array_collective((64,), name="A")
             A[:] = 2.0
             env.barrier()
             env.lock(0)
@@ -198,7 +200,8 @@ class TestNumericalEdges:
         plat = preset("sw-dsm-2").build()
 
         def main(env):
-            arrays = [env.alloc_array((4,), name=f"tiny{i}") for i in range(5)]
+            arrays = [env.hamster.memory.alloc_array_collective(
+                (4,), name=f"tiny{i}") for i in range(5)]
             env.barrier()
             if env.rank == 0:
                 for i, arr in enumerate(arrays):
@@ -213,7 +216,7 @@ class TestNumericalEdges:
         plat = preset("sw-dsm-2").build()
 
         def main(env):
-            A = env.alloc_array((8,), name="A")
+            A = env.hamster.memory.alloc_array_collective((8,), name="A")
             env.barrier()
             A[3:3] = np.zeros(0)
             env.barrier()

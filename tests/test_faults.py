@@ -99,7 +99,8 @@ class TestMessageIds:
 # -------------------------------------------------------------- injection
 def _exchange(env):
     """Minimal all-to-all shared-memory workload."""
-    arr = env.alloc_array((env.n_ranks,), dtype=float, name="x")
+    arr = env.hamster.memory.alloc_array_collective(
+        (env.n_ranks,), dtype=float, name="x")
     arr[env.rank] = float(env.rank + 1)
     env.barrier()
     total = float(sum(arr[r] for r in range(env.n_ranks)))

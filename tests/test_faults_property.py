@@ -25,7 +25,8 @@ _PID = re.compile(r"#\d+")
 
 def _kernel(env):
     """Small SPMD kernel: per-rank writes, a reduction, raw bytes out."""
-    arr = env.alloc_array((8,), dtype=float, name="prop")
+    arr = env.hamster.memory.alloc_array_collective(
+        (8,), dtype=float, name="prop")
     lo, hi = env.rank * 4, env.rank * 4 + 4
     for i in range(lo, hi):
         arr[i] = (i + 1) * 1.5

@@ -3,6 +3,8 @@ application code runs unmodified on every platform — only the configuration
 changes — and produces identical numerical results everywhere.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ def run_sor_everywhere(platform_name):
     plat = preset(platform_name).build()
     api = JiaJiaApi(plat.hamster)
     fn = get_app("sor")
-    results = api.run(lambda a: fn(a, n=64, iterations=3))
+    results = api.run(partial(fn, n=64, iterations=3))
     merged = merge_rank_results(results)
     return merged, plat.engine.now
 
@@ -47,7 +49,7 @@ class TestIdenticalBinaries:
             plat = load(str(path)).build()
             api = JiaJiaApi(plat.hamster)
             fn = get_app("pi")
-            merged = merge_rank_results(api.run(lambda a: fn(a, intervals=4096)))
+            merged = merge_rank_results(api.run(partial(fn, intervals=4096)))
             results.append(merged.checksum)
         assert results[0] == results[1]
 
@@ -58,7 +60,7 @@ class TestIdenticalBinaries:
             api = (NativeJiaJiaApi(plat.hamster) if native
                    else JiaJiaApi(plat.hamster))
             fn = get_app("lu")
-            merged = merge_rank_results(api.run(lambda a: fn(a, n=64, block=16)))
+            merged = merge_rank_results(api.run(partial(fn, n=64, block=16)))
             return merged
 
         assert run(False).checksum == run(True).checksum
@@ -110,13 +112,9 @@ class TestEveryModelOnEveryPlatform:
                     m.MAIN_INITENV()
                     m.BARRIER()
                     return True
-            elif model_name == "JiaJia API (subset)":
-                def main(m):
-                    m.jia_init()
-                    m.jia_barrier()
-                    return True
             else:  # the generator-call models
                 init, barrier = {
+                    "JiaJia API (subset)": ("jia_init", "jia_barrier"),
                     "SPMD model": ("spmd_init", "spmd_barrier"),
                     "SMP/SPMD model": ("spmd_init", "spmd_barrier"),
                     "TreadMarks API": ("Tmk_startup", "Tmk_barrier"),

@@ -5,8 +5,9 @@ import ast
 import pytest
 
 from repro.bench.loc_metrics import (ComplexityRow, _module_source,
-                                     _twin_kernel_lines, count_logical_lines,
+                                     count_logical_lines,
                                      model_complexity_table)
+from repro.models import MODEL_REGISTRY
 
 
 class TestLogicalLines:
@@ -63,38 +64,26 @@ class TestLogicalLines:
 
 
 class TestGeneratorTwins:
-    """Table 2 drops a ``*_g`` function only beside its un-suffixed twin."""
-
-    def test_twin_needs_a_sibling_in_its_own_scope(self):
-        src = (
-            "def put_g():\n    yield 1\n"          # no module-level put
-            "class A:\n"
-            "    def put(self):\n        return 1\n"
-            "    def put_g(self):\n        yield 1\n"
-            "    def shmem_g(self):\n        return 2\n"
-        )
-        assert count_logical_lines(src) == 9
-        assert count_logical_lines(src, include_g_twins=False) == 7
+    """No Table 2 module keeps a blocking ``X`` beside ``X_g``, so every
+    function counts, whatever its name ends in."""
 
     def test_shmem_row_counts_its_single_element_get(self):
-        # shmem_g is SHMEM's get (in API_CALLS); the module has no twins.
+        # shmem_g is SHMEM's get (in API_CALLS), counted like any call.
         src = _module_source("repro.models.shmem")
         assert "def shmem_g(" in src
         rows = {r.model: r for r in model_complexity_table()}
         assert (rows["Cray put/get (shmem) API"].lines
                 == count_logical_lines(src))
 
-    @pytest.mark.parametrize("module", ["repro.models.jiajia_api",
-                                        "repro.models.native_jiajia"])
-    def test_jiajia_twin_exclusion_unchanged(self, module):
-        src = _module_source(module)
-        twins = _twin_kernel_lines(src)
-        # every API kernel (the native binding's private rendezvous
-        # helper, _collective_g, has no blocking twin)
-        g_defs = [n for n in ast.walk(ast.parse(src))
-                  if isinstance(n, ast.FunctionDef)
-                  and n.name.startswith("jia_") and n.name.endswith("_g")]
-        assert g_defs and all(n.lineno in twins for n in g_defs)
+    @pytest.mark.parametrize("module", sorted(
+        {m for m, _ in MODEL_REGISTRY.values()} | {"repro.models.forwarding"}))
+    def test_no_table2_module_defines_a_twin(self, module):
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+        for scope in ast.walk(ast.parse(_module_source(module))):
+            if isinstance(scope, (ast.Module, ast.ClassDef)):
+                names = {n.name for n in scope.body if isinstance(n, defs)}
+                assert not {n for n in names if n + "_g" in names}, (
+                    getattr(scope, "name", module))
 
 
 class TestComplexityRow:

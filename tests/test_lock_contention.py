@@ -122,7 +122,7 @@ class TestBarrierBehaviour:
         plat = preset("sw-dsm-2").build()
 
         def main(env):
-            A = env.alloc_array((64,), name="A")
+            A = env.hamster.memory.alloc_array_collective((64,), name="A")
             for it in range(3):
                 env.lock(1)
                 A[0] = float(A[0]) + 1.0

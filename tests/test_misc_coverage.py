@@ -74,7 +74,7 @@ class TestRefreshSemantics:
             plat = preset(name).build()
 
             def main(env):
-                A = env.alloc_array((64,), name="A")
+                A = env.hamster.memory.alloc_array_collective((64,), name="A")
                 env.barrier()
                 A.refresh()       # must be harmless everywhere
                 A.refresh(slice(0, 4))
@@ -89,7 +89,8 @@ class TestRefreshSemantics:
         def main(env):
             from repro.memory.layout import single_home
 
-            A = env.alloc_array((64,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (64,), name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 _ = A[:]                      # fetch + cache
@@ -112,7 +113,8 @@ class TestRefreshSemantics:
         def main(env):
             from repro.memory.layout import single_home
 
-            A = env.alloc_array((64,), name="A", distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (64,), name="A", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 A[0] = 7.0       # dirty, unflushed

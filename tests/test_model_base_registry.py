@@ -1,5 +1,7 @@
 """Coverage for the model base class, registry, and API surface aliases."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ class TestBaseClass:
 class TestSharedArrayAliases:
     def test_read_write_aliases(self, smp2):
         def main(env):
-            A = env.alloc_array((4, 4), name="A")
+            A = env.hamster.memory.alloc_array_collective((4, 4), name="A")
             env.barrier()
             if env.rank == 0:
                 A.write((slice(0, 2), slice(None)), 3.0)
@@ -77,7 +79,7 @@ class TestSharedArrayAliases:
 
     def test_repr_is_informative(self, smp2):
         def main(env):
-            A = env.alloc_array((4, 4), name="grid")
+            A = env.hamster.memory.alloc_array_collective((4, 4), name="grid")
             return repr(A)
 
         text = spmd(smp2, main)[0]
@@ -87,12 +89,17 @@ class TestSharedArrayAliases:
 class TestNativeBindingSurface:
     def test_native_api_is_call_compatible(self):
         """Every jia_* method of the HAMSTER binding exists on the native
-        binding with the same name (the 'identical binaries' precondition)."""
+        binding with the same name (the 'identical binaries' precondition),
+        and in both it is a generator function (``yield from`` it)."""
         from repro.models.jiajia_api import JiaJiaApi
         from repro.models.native_jiajia import NativeJiaJiaApi
 
+        JiaJiaApi.check_manifest()
         for name in JiaJiaApi.API_CALLS:
             assert callable(getattr(NativeJiaJiaApi, name, None)), name
+            for binding in (JiaJiaApi, NativeJiaJiaApi):
+                assert inspect.isgeneratorfunction(getattr(binding, name)), (
+                    binding.__name__, name)
 
     def test_native_wtime_and_alloc(self):
         from repro.models.native_jiajia import NativeJiaJiaApi
@@ -101,10 +108,10 @@ class TestNativeBindingSurface:
         api = NativeJiaJiaApi(plat.hamster)
 
         def main(a):
-            pid, hosts = a.jia_init()
-            region = a.jia_alloc(100)
-            t = a.jia_wtime()
-            a.jia_exit()
+            pid, hosts = yield from a.jia_init()
+            region = yield from a.jia_alloc(100)
+            t = yield from a.jia_wtime()
+            yield from a.jia_exit()
             return region.size, hosts, t >= 0
 
         results = api.run(main)

@@ -212,9 +212,11 @@ class TestShmemCollectives:
 class TestAnlMacros:
     def test_lifecycle_and_gmalloc(self, swdsm4):
         api = AnlMacros(swdsm4.hamster)
+        regions = []
 
         def main(a):
             a.MAIN_INITENV()
+            regions.append(a.G_MALLOC(10000, name="raw"))
             arr = a.G_MALLOC_ARRAY((8, 8), name="g")
             pid = a.hamster.task.my_rank()
             arr[pid * 2:(pid + 1) * 2, :] = pid
@@ -224,6 +226,8 @@ class TestAnlMacros:
             return total
 
         assert api.run(main) == [sum(16 * r for r in range(4))] * 4
+        assert all(region is regions[0] for region in regions)  # one region
+        assert [region.size for region in regions] == [12288] * 4
 
     def test_g_free_releases_the_region(self, smp2):
         """G_FREE hands the region back: its backing store is gone."""

@@ -126,6 +126,11 @@ class TestSmpSpmdModel:
         assert t[0] == t[1] > 1e-3
 
 
+#: (binding, a JiaJia preset it runs on)
+BINDINGS = [pytest.param(JiaJiaApi, "sw-dsm-4", id="hamster"),
+            pytest.param(NativeJiaJiaApi, "native-jiajia-4", id="native")]
+
+
 class TestJiaJiaBindings:
     def test_hamster_and_native_agree_numerically(self):
         """The Figure 2 precondition: identical app, identical results on
@@ -137,16 +142,18 @@ class TestJiaJiaBindings:
                    else JiaJiaApi(plat.hamster))
 
             def main(a):
-                pid, hosts = a.jia_init()
-                arr = a.jia_alloc_array((16, 16), name="A")
-                arr[pid * 4:(pid + 1) * 4, :] = pid + 1.0
-                a.jia_barrier()
-                a.jia_lock(1)
-                arr[0, 0] = float(arr[0, 0]) + 1.0
-                a.jia_unlock(1)
-                a.jia_barrier()
-                total = float(arr[:, :].sum())
-                a.jia_exit()
+                pid, hosts = yield from a.jia_init()
+                arr = yield from a.jia_alloc_array((16, 16), name="A")
+                yield from arr.set_g((slice(pid * 4, (pid + 1) * 4), slice(None)),
+                                     pid + 1.0)
+                yield from a.jia_barrier()
+                yield from a.jia_lock(1)
+                corner = yield from arr.get_g((0, 0))
+                yield from arr.set_g((0, 0), float(corner) + 1.0)
+                yield from a.jia_unlock(1)
+                yield from a.jia_barrier()
+                total = float((yield from arr.get_g((slice(None), slice(None)))).sum())
+                yield from a.jia_exit()
                 return total
 
             return api.run(main), plat.engine.now
@@ -159,23 +166,28 @@ class TestJiaJiaBindings:
         with pytest.raises(ModelError):
             NativeJiaJiaApi(smp2.hamster)
 
-    def test_jia_alloc_bytes(self, swdsm4):
-        api = JiaJiaApi(swdsm4.hamster)
+    @pytest.mark.parametrize("binding,preset_name", BINDINGS)
+    def test_jia_alloc_bytes(self, binding, preset_name):
+        api = binding(preset(preset_name).build().hamster)
 
         def main(a):
-            region = a.jia_alloc(10000)
-            return region.size
+            return (yield from a.jia_alloc(10000))
 
-        sizes = api.run(main)
-        assert sizes == [12288] * 4  # same region, page rounded
+        regions = api.run(main)
+        assert all(region is regions[0] for region in regions)  # same region
+        assert [region.size for region in regions] == [12288] * 4  # page rounded
 
-    def test_jia_wtime_monotone(self, swdsm4):
-        api = JiaJiaApi(swdsm4.hamster)
+    @pytest.mark.parametrize("binding,preset_name", BINDINGS)
+    def test_jia_wtime_monotone(self, binding, preset_name):
+        api = binding(preset(preset_name).build().hamster)
 
         def main(a):
-            t0 = a.jia_wtime()
-            a.jia_barrier()
-            return a.jia_wtime() >= t0
+            t0 = yield from a.jia_wtime()
+            yield from a.jia_lock(2)
+            t1 = yield from a.jia_wtime()
+            yield from a.jia_unlock(2)
+            yield from a.jia_barrier()
+            return t0 <= t1 <= (yield from a.jia_wtime())
 
         assert all(api.run(main))
 

@@ -15,6 +15,7 @@ Three layers of coverage:
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -39,7 +40,7 @@ def run_app(preset_name, app, sharing=True, **params):
     plat = cfg.build()
     api = JiaJiaApi(plat.hamster)
     fn = get_app(app)
-    merged = merge_rank_results(api.run(lambda a: fn(a, **params)))
+    merged = merge_rank_results(api.run(partial(fn, **params)))
     assert merged.verified
     return plat, merged
 

@@ -82,13 +82,13 @@ class TestMonitorUnderChaos:
         api = JiaJiaApi(built.hamster)
 
         def main(jia):
-            pid, _ = jia.jia_init()
-            a = jia.jia_alloc_array((64,), name="x")
-            jia.jia_barrier()
-            jia.jia_lock(1)
-            a[pid] = 1.0
-            jia.jia_unlock(1)
-            jia.jia_barrier()
+            pid, _ = yield from jia.jia_init()
+            a = yield from jia.jia_alloc_array((64,), name="x")
+            yield from jia.jia_barrier()
+            yield from jia.jia_lock(1)
+            yield from a.set_g(pid, 1.0)
+            yield from jia.jia_unlock(1)
+            yield from jia.jia_barrier()
 
         api.run(main)
         assert monitor.events, "no live counter updates seen"

@@ -33,16 +33,16 @@ def run_jiajia_workload(observe: bool, metrics_interval=None, nodes: int = 2):
     sums = []
 
     def main(jia):
-        pid, hosts = jia.jia_init()
-        a = jia.jia_alloc_array((64,), name="x")
-        jia.jia_barrier()
+        pid, hosts = yield from jia.jia_init()
+        a = yield from jia.jia_alloc_array((64,), name="x")
+        yield from jia.jia_barrier()
         for _ in range(3):
-            jia.jia_lock(1)
-            a[pid] = a[pid] + pid + 1.0
-            jia.jia_unlock(1)
-        jia.jia_barrier()
-        sums.append(float(a[:hosts].sum()))
-        jia.jia_exit()
+            yield from jia.jia_lock(1)
+            yield from a.set_g(pid, (yield from a.get_g(pid)) + pid + 1.0)
+            yield from jia.jia_unlock(1)
+        yield from jia.jia_barrier()
+        sums.append(float((yield from a.get_g(slice(None, hosts))).sum()))
+        yield from jia.jia_exit()
 
     api.run(main)
     return built, sums[0]
@@ -228,7 +228,7 @@ class TestInstrumentedRun:
         built_off, sum_off = run_jiajia_workload(observe=False)
         built_on, sum_on = run_jiajia_workload(observe=True)
         assert built_off.engine.now == built_on.engine.now
-        assert sum_off == sum_on
+        assert sum_off == sum_on == 9.0  # rank r adds r + 1 three times
         assert built_off.obs is None
         assert built_off.engine.obs is NULL_OBS
 

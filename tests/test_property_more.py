@@ -90,7 +90,7 @@ def run_program(platform_name, program):
     plat = preset(platform_name).build()
 
     def main(env):
-        A = env.alloc_array((16, 16), name="A")
+        A = env.hamster.memory.alloc_array_collective((16, 16), name="A")
         if env.rank == 0:
             A[:, :] = 0.0
         env.barrier()

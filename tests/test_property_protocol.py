@@ -48,7 +48,7 @@ def execute(platform_name, program):
     plat = preset(platform_name).build()
 
     def main(env):
-        A = env.alloc_array((SIDE, SIDE), name="A")
+        A = env.hamster.memory.alloc_array_collective((SIDE, SIDE), name="A")
         if env.rank == 0:
             A[:, :] = 0.0
         env.barrier()

@@ -14,7 +14,11 @@
   bound to a name that is. Otherwise it does nothing, silently.
 * No test-only twins: a blocking method ``X`` beside its ``X_g`` kernel
   in one class is called by name in ``src/`` outside the pair or in
-  ``examples/``, or is a Table 2 API call. Otherwise only tests keep it.
+  ``examples/``. Otherwise only tests keep it.
+* Every rank body a generator function: a function handed to
+  ``run_spmd``, ``spmd_startup`` or a model's ``run`` in ``tests/``,
+  ``examples/`` or ``benchmarks/`` yields, unless a per-file allow-list
+  that only shrinks still names it.
 * No fields for an observer that is off: in the packages every simulated
   event passes through, a ``.emit(`` / ``.record(`` call that passes
   keyword fields, and every ``.span(`` call, sits under its receiver's
@@ -381,12 +385,12 @@ def test_the_yield_contract_fails_on_a_seeded_violation(seeded, expected):
 
 
 # ------------------------------------------------------ no test-only twins
-def twin_findings(src, callers, api_calls):
+def twin_findings(src, callers):
     """``where::Owner.X`` for every method ``X`` defined beside ``X_g`` in
     one class (or module) of ``src`` that nothing keeps: no function of
-    ``src`` outside the pair and none of ``callers`` calls ``X`` by name,
-    and it is no Table 2 API call (``api_calls``). ``src`` is
-    ``(where, functions)`` per file; ``callers`` is more functions."""
+    ``src`` outside the pair and none of ``callers`` calls ``X`` by name.
+    ``src`` is ``(where, functions)`` per file; ``callers`` is more
+    functions."""
     found = []
     for where, fns in src:
         scopes = {}
@@ -395,7 +399,7 @@ def twin_findings(src, callers, api_calls):
                 scopes.setdefault(fn.owner, {})[fn.name] = fn
         for owner, defs in scopes.items():
             for name in sorted(defs):
-                if name + "_g" not in defs or name in api_calls:
+                if name + "_g" not in defs:
                     continue
                 pair = (id(defs[name]), id(defs[name + "_g"]))
                 if not any(name in fn.calls for fn in callers) and not any(
@@ -403,13 +407,6 @@ def twin_findings(src, callers, api_calls):
                         for _, others in src for fn in others):
                     found.append(f"{where}::{owner or '<module>'}.{name}")
     return sorted(found)
-
-
-def table2_api_calls():
-    from repro.models import MODEL_REGISTRY, load_model
-
-    return {call for row in MODEL_REGISTRY
-            for call in load_model(row).API_CALLS}
 
 
 def test_no_blocking_twin_only_tests_call():
@@ -420,31 +417,329 @@ def test_no_blocking_twin_only_tests_call():
            for path, fns in scanned_functions() if SRC in path.parents]
     callers = [fn for path, fns in scanned_functions()
                if ROOT / "examples" in path.parents for fn in fns]
-    assert twin_findings(src, callers, table2_api_calls()) == []
+    assert twin_findings(src, callers) == []
 
 
 _TWINS = ("class Bar:\n    def wait(self):\n        return kernel(self.wait_g())\n"
           "    def wait_g(self):\n        yield 1\n")
 
 
-@pytest.mark.parametrize("seeded,caller,api,expected", [
+@pytest.mark.parametrize("seeded,caller,expected", [
     # only the pair itself (and tests, not scanned here) calls it
-    (_TWINS, "", (), ["<seeded>::Bar.wait"]),
-    (_TWINS + "def wait_g():\n    yield 2\n", "", (),
+    (_TWINS, "", ["<seeded>::Bar.wait"]),
+    (_TWINS + "def wait_g():\n    yield 2\n", "",
      ["<seeded>::Bar.wait"]),            # the module has no plain wait
-    # kept by a call in src outside the pair, by an example, or by Table 2
-    (_TWINS + "def body(b):\n    b.wait()\n", "", (), []),
-    (_TWINS, "def main(b):\n    return b.wait()\n", (), []),
-    (_TWINS + "def body(b):\n    f = lambda: b.wait()\n", "", (), []),
-    (_TWINS, "", ("wait",), []),
+    # kept by a call in src outside the pair, or by an example
+    (_TWINS + "def body(b):\n    b.wait()\n", "", []),
+    (_TWINS, "def main(b):\n    return b.wait()\n", []),
+    (_TWINS + "def body(b):\n    f = lambda: b.wait()\n", "", []),
     # a kernel without a blocking twin is no twin
-    ("class Bar:\n    def wait_g(self):\n        yield 1\n", "", (), []),
+    ("class Bar:\n    def wait_g(self):\n        yield 1\n", "", []),
 ])
-def test_the_twin_rule_fails_on_a_seeded_test_only_twin(seeded, caller, api,
+def test_the_twin_rule_fails_on_a_seeded_test_only_twin(seeded, caller,
                                                         expected):
     src = [("<seeded>", functions_of(ast.parse(seeded)))]
     callers = functions_of(ast.parse(caller))
-    assert twin_findings(src, callers, set(api)) == expected
+    assert twin_findings(src, callers) == expected
+
+
+# ---------------------------------------------------- every body a generator
+#: launcher -> position of the rank body among its arguments: the runtime's
+#: and the startup template's SPMD launch, a model's ``run``, and the
+#: tests' ``spmd`` helper, which hands its body straight to ``run_spmd``
+LAUNCHERS = {"run_spmd": 0, "spmd_startup": 1, "run": 0, "spmd": 1}
+
+#: Plain rank bodies still handed to a launcher, per file: each runs on a
+#: backing thread. A converted body must leave this list, and nothing may
+#: join it, so it only shrinks.
+PLAIN_BODIES = {
+    "benchmarks/test_extension_multidsm.py": {
+        "_run.<lambda>",
+    },
+    "tests/test_adaptive_detection.py": {
+        "TestAssumptionLifecycle.test_faults_drop_once_assumed.main",
+        "TestAssumptionLifecycle.test_notices_still_flow_while_assumed.main",
+        "TestAssumptionLifecycle.test_page_enters_assumption_after_streak.main",
+        "TestAssumptionLifecycle.test_remote_pages_never_assumed.main",
+        "TestAssumptionLifecycle.test_revalidation_reprotects.main",
+        "TestAssumptionLifecycle.test_sor_like_fault_reduction_end_to_end.main",
+        "TestAssumptionLifecycle.test_streak_resets_on_quiet_interval.main",
+    },
+    "tests/test_bench_telemetry.py": {
+        "TestEngineCounters.test_events_and_host_time_exposed.main",
+    },
+    "tests/test_config.py": {
+        "TestBuild.test_identical_configs_identical_results.run_once.main",
+    },
+    "tests/test_consistency.py": {
+        "TestConsistencyMgmt.test_check_model.main",
+        "TestConsistencyMgmt.test_fence_counts.main",
+        "TestConsistencyMgmt.test_native_model_reported.main",
+    },
+    "tests/test_core_modules.py": {
+        "TestCallOverhead.test_hamster_calls_cost_time.main",
+        "TestCallOverhead.test_zero_overhead_configuration.main",
+        "TestMemoryMgmt.test_collective_alloc_returns_same_array.main",
+        "TestMonitoring.test_module_counters_independent.main",
+        "TestMonitoring.test_query_all_tree.main",
+        "TestMonitoring.test_reset_all.main",
+        "TestMonitoring.test_subscription.main",
+        "TestSyncMgmt.test_barrier_counts.main",
+        "TestSyncMgmt.test_new_lock_ids_unique.main",
+        "TestSyncMgmt.test_unlock_unheld_rejected.main",
+        "TestTaskMgmt.test_identity.main",
+        "TestTaskMgmt.test_spawn_and_join.main",
+        "TestTaskMgmt.test_spawn_cost_charged.main",
+        "TestTaskMgmt.test_spawned_task_bound_to_rank.main",
+        "TestTaskMgmt.test_unknown_task_rejected.main",
+        "TestTiming.test_phase_timer.main",
+        "TestTiming.test_wtime_is_virtual.main",
+    },
+    "tests/test_cross_model_equivalence.py": {
+        "via_anl.main",
+        "via_shmem.main",
+    },
+    "tests/test_dsm_composite.py": {
+        "TestRouting.test_custom_policy.main",
+        "TestRouting.test_default_policy_uses_primary.main",
+        "TestRouting.test_free_routes_to_owner.main",
+        "TestRouting.test_regions_route_to_chosen_system.main",
+        "TestSemantics.test_data_correct_across_both_systems.main",
+        "TestSemantics.test_stats_merge_children.main",
+        "TestSemantics.test_unlock_flushes_secondary_writes.main",
+    },
+    "tests/test_dsm_jiajia.py": {
+        "TestFaultLifecycle.test_flush_reprotects_to_read_only.main",
+        "TestFaultLifecycle.test_home_pages_never_fetch.main",
+        "TestFaultLifecycle.test_read_fault_fetches_and_sets_read_only.main",
+        "TestFaultLifecycle.test_write_fault_creates_twin_and_dirty.main",
+        "TestLocks.test_fence_inside_critical_section_keeps_notices_in_scope.main",
+        "TestLocks.test_mutual_exclusion_counter.main",
+        "TestMultipleWriter.test_diff_traffic_counted.main",
+        "TestMultipleWriter.test_false_sharing_merges_at_home.main",
+        "TestScopeConsistency.test_barrier_globalizes_all_notices.main",
+        "TestScopeConsistency.test_lock_delivers_writes_of_same_scope.main2",
+        "TestScopeConsistency.test_own_writes_do_not_invalidate_self.main",
+        "TestStats.test_fault_and_fetch_counters.main",
+        "TestStats.test_reset_stats.main",
+    },
+    "tests/test_dsm_scivm.py": {
+        "TestAccessPath.test_first_remote_access_pays_mapping_once.main",
+        "TestAccessPath.test_local_access_uses_memory_bus_not_sci.main",
+        "TestAccessPath.test_remote_access_issues_sci_transactions.main",
+        "TestAccessPath.test_run_split_across_page_boundary.main",
+        "TestProperties.test_first_touch_home.main",
+        "TestSync.test_counter_under_lock.main",
+    },
+    "tests/test_dsm_smp.py": {
+        "TestSmpSemantics.test_bus_contention_shows_up.run.main",
+        "TestSmpSemantics.test_locks_and_barrier.main",
+        "TestSmpSemantics.test_sync_is_cheap.main",
+    },
+    "tests/test_export.py": {
+        "TestStatsToCsv.test_flattens_tree.<lambda>",
+    },
+    "tests/test_failure_injection.py": {
+        "TestDeadlocks.test_deadlock_error_names_the_blocked_processes.main",
+        "TestDeadlocks.test_lock_cycle_detected.main",
+        "TestDeadlocks.test_missing_barrier_participant_detected.main",
+        "TestMisuseSurfacesCorrectly.test_app_exception_aborts_whole_run.main",
+        "TestMisuseSurfacesCorrectly.test_double_unlock_is_sync_error.main",
+        "TestNumericalEdges.test_empty_write_is_noop.main",
+        "TestNumericalEdges.test_single_rank_platform.main",
+        "TestNumericalEdges.test_tiny_arrays_share_one_page.main",
+        "TestResourceExhaustion.test_allocation_failure_mid_application.main",
+    },
+    "tests/test_faults.py": {
+        "_exchange",
+    },
+    "tests/test_faults_property.py": {
+        "_kernel",
+    },
+    "tests/test_hamster_runtime.py": {
+        "TestRuntime.test_custom_call_overhead_wins_over_params.main",
+        "TestRuntime.test_query_statistics_covers_every_rank.<lambda>",
+        "TestRuntime.test_run_spmd_returns_in_rank_order.main",
+    },
+    "tests/test_integration_portability.py": {
+        "TestEveryModelOnEveryPlatform.test_model_instantiates_and_runs.main",
+    },
+    "tests/test_lock_contention.py": {
+        "TestBarrierBehaviour.test_barrier_interleaves_with_locks_safely.main",
+        "TestBarrierBehaviour.test_barrier_time_grows_with_ranks_on_ethernet.barrier_cost.main",
+        "TestBarrierBehaviour.test_repeated_barriers_stay_cheap_when_clean.main",
+        "TestDistributedLockFairness.test_contended_lock_serializes_all_ranks.main",
+        "TestDistributedLockFairness.test_independent_locks_do_not_serialize.run.main",
+        "TestDistributedLockFairness.test_lock_wait_time_reflects_contention.main",
+    },
+    "tests/test_misc_coverage.py": {
+        "TestRefreshSemantics.test_refresh_forces_refetch_on_swdsm.main",
+        "TestRefreshSemantics.test_refresh_noop_on_smp_and_hybrid.main",
+        "TestRefreshSemantics.test_refresh_skips_dirty_pages.main",
+        "TestTemplates.test_partial_rank_launch.<lambda>",
+        "TestTemplates.test_spmd_env_shortcuts.main",
+        "TestTemplates.test_spmd_startup_from_inside_simulation_rejected.main",
+        "TestTemplates.test_spmd_startup_from_inside_simulation_rejected.main.<lambda>",
+    },
+    "tests/test_model_base_registry.py": {
+        "TestSharedArrayAliases.test_read_write_aliases.main",
+        "TestSharedArrayAliases.test_repr_is_informative.main",
+    },
+    "tests/test_models_shmem_anl.py": {
+        "TestAnlMacros.test_clock.main",
+        "TestAnlMacros.test_create_and_wait_for_end.main",
+        "TestAnlMacros.test_g_free_releases_the_region.main",
+        "TestAnlMacros.test_getsub_self_scheduling.main",
+        "TestAnlMacros.test_getsub_unknown_handle.main",
+        "TestAnlMacros.test_lifecycle_and_gmalloc.main",
+        "TestAnlMacros.test_locks_and_alock.main",
+        "TestShmemCollectives.test_atomics.main",
+        "TestShmemCollectives.test_broadcast.main",
+        "TestShmemCollectives.test_collect.main",
+        "TestShmemCollectives.test_max_to_all.main",
+        "TestShmemCollectives.test_sum_to_all.main",
+        "TestShmemCollectives.test_swap.main",
+        "TestShmemCollectives.test_wait_until.main",
+        "TestShmemRma.test_get_sees_remote_puts_on_swdsm.main",
+        "TestShmemRma.test_put_get_ring.main",
+        "TestShmemRma.test_single_element_p_g.main",
+        "TestShmemRma.test_start_pes_mismatch_rejected.main",
+        "TestShmemRma.test_symmetric_slabs_homed_per_pe.main",
+    },
+    "tests/test_property_more.py": {
+        "TestCompositeEquivalence.test_composite_matches_smp.main",
+        "run_program.main",
+    },
+    "tests/test_property_protocol.py": {
+        "execute.<lambda>",
+    },
+    "tests/test_sci_topology.py": {
+        "TestEndToEnd.test_hybrid_access_pays_ring_distance.access_time.main",
+    },
+    "tests/test_shared_array.py": {
+        "TestSharedArrayAccess.test_dtype_int.main",
+        "TestSharedArrayAccess.test_getitem_returns_private_copy.main",
+        "TestSharedArrayAccess.test_integer_index.main",
+        "TestSharedArrayAccess.test_len_and_ndim.main",
+        "TestSharedArrayAccess.test_negative_index_normalized.main",
+        "TestSharedArrayAccess.test_out_of_range_rejected.main",
+        "TestSharedArrayAccess.test_pages_for_index.main",
+        "TestSharedArrayAccess.test_roundtrip_2d.main",
+        "TestSharedArrayAccess.test_scalar_array.main",
+        "TestSharedArrayAccess.test_strided_slice_rejected.main",
+    },
+    "tests/test_sim_process.py": {
+        "TestLifecycle.test_a_generator_returned_by_a_plain_callable_runs_on_its_thread.<lambda>",
+    },
+    "tests/test_span_coalescing.py": {
+        "TestDsmFaultSequence.test_boundary_write_faults_both_pages.main",
+        "TestDsmFaultSequence.test_fault_sequence_matches_per_page_reference.main",
+        "TestDsmFaultSequence.test_mid_page_slice_single_fault.main",
+        "TestDsmFaultSequence.test_results_unchanged_by_spans.main",
+        "TestDsmFaultSequence.test_second_access_faults_nothing.main",
+        "TestDsmFaultSequence.test_zero_length_access_is_free.main",
+        "TestSpanGeometry._array.main",
+    },
+    "tests/test_tools.py": {
+        "run_workload.main",
+        "tiny_run.main",
+    },
+}
+
+
+def _yields(fn):
+    """Does ``fn`` itself (not a function nested in it) yield?"""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (*_DEFS, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def plain_bodies(tree):
+    """The qualified name of every plain function handed to a launcher in
+    ``tree``: a def that does not yield, or a lambda (``<lambda>``), which
+    is plain whatever it calls, since a generator it returns is driven on
+    its thread. ``partial(fn, ...)`` hands on ``fn``; a body the rule cannot
+    name (a call's result, an attribute) is not judged."""
+    found = set()
+    scopes = [(tree, "", [])]
+    while scopes:
+        scope, qual, outer = scopes.pop()
+        defs, own, stack = {}, [], list(ast.iter_child_nodes(scope))
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if isinstance(node, _DEFS):
+                defs.setdefault(node.name, []).append(node)
+            if not isinstance(node, (*_DEFS, ast.Lambda, ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(node))
+        visible = [(defs, qual), *outer]
+        for node in own:
+            if isinstance(node, (*_DEFS, ast.ClassDef)):
+                scopes.append((node, f"{qual}{node.name}.", outer
+                               if isinstance(scope, ast.ClassDef) else visible))
+                continue
+            at = LAUNCHERS.get(_called_name(node)) if isinstance(
+                node, ast.Call) else None
+            if at is None or len(node.args) <= at:
+                continue
+            body = node.args[at]
+            if isinstance(body, ast.Call) and _called_name(body) == "partial" \
+                    and body.args:
+                body = body.args[0]
+            if isinstance(body, ast.Lambda):
+                found.add(f"{qual}<lambda>")
+            elif isinstance(body, ast.Name):
+                # the nearest scope that defines the name; in the calling
+                # scope itself, only a def made before the call
+                where, named = next(((q, d[body.id]) for d, q in visible
+                                     if body.id in d), ("", []))
+                found.update(f"{where}{fn.name}" for fn in named
+                             if not _yields(fn) and (
+                                 where != qual or fn.lineno < node.lineno))
+    return found
+
+
+def test_every_rank_body_is_a_generator_function():
+    """A body handed to a launcher in ``tests/``, ``examples/`` or
+    ``benchmarks/`` runs stackless, like every app and ported model, unless
+    :data:`PLAIN_BODIES` still names it."""
+    found = {str(path.relative_to(ROOT)): names
+             for root in SCANNED[1:] for path in sorted(root.rglob("*.py"))
+             for names in [plain_bodies(parsed(path))] if names}
+    assert found == PLAIN_BODIES
+
+
+_BODY = "def body(env):\n    env.barrier()\n"
+_GEN = "def gen(env):\n    yield from env.barrier_g()\n"
+
+
+@pytest.mark.parametrize("seeded,expected", [
+    (_BODY + "plat.hamster.run_spmd(body)\n", {"body"}),
+    (_BODY + "spmd_startup(h, body, ranks=[0])\nspmd(plat, body)\n",
+     {"body"}),
+    ("def test(api):\n" + "".join("    " + line + "\n" for line in
+                                  (_BODY + "api.run(body)").splitlines()),
+     {"test.body"}),
+    ("api.run(lambda a: run_sor(a, n=64))\n", {"<lambda>"}),
+    (_BODY + "api.run(functools.partial(body, n=3))\n", {"body"}),
+    # a def from an enclosing function; a method is no name in its class
+    ("def outer(api):\n    def main(a):\n        a.jia_barrier()\n"
+     "    def run():\n        return api.run(main)\n", {"outer.main"}),
+    ("def test(api):\n    api.run(body)\n" + _BODY, {"body"}),
+    ("class T:\n    def main(a):\n        pass\n"
+     "    def test(self, api):\n        api.run(main)\n", set()),
+    # generator bodies, and calls that start no rank body
+    (_GEN + "api.run(gen)\nrun_spmd(partial(gen, 2))\n", set()),
+    (_BODY + "engine.run()\nsubprocess.run(['ls'])\napi.run(make(body))\n"
+     "spmd_startup(body)\n", set()),
+])
+def test_the_body_rule_fails_on_a_seeded_plain_body(seeded, expected):
+    assert plain_bodies(ast.parse(seeded)) == expected
 
 
 # ------------------------------------------- no fields for an observer that is off

@@ -93,8 +93,8 @@ class TestEndToEnd:
             plat = ClusterConfig(platform="sci", dsm="scivm", nodes=4).build()
 
             def main(env):
-                A = env.alloc_array((8,), name="A",
-                                    distribution=single_home(home_rank))
+                A = env.hamster.memory.alloc_array_collective(
+                    (8,), name="A", distribution=single_home(home_rank))
                 env.barrier()
                 if env.rank == 0 and home_rank != 0:
                     t0 = env.wtime()

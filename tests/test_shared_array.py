@@ -96,7 +96,7 @@ class TestIndexRuns:
 class TestSharedArrayAccess:
     def test_roundtrip_2d(self, smp2):
         def main(env):
-            A = env.alloc_array((8, 8), name="A")
+            A = env.hamster.memory.alloc_array_collective((8, 8), name="A")
             if env.rank == 0:
                 A[2:4, 1:5] = np.arange(8).reshape(2, 4)
             env.barrier()
@@ -107,7 +107,7 @@ class TestSharedArrayAccess:
 
     def test_integer_index(self, smp2):
         def main(env):
-            A = env.alloc_array((4, 4), name="A")
+            A = env.hamster.memory.alloc_array_collective((4, 4), name="A")
             A[env.rank, 2] = float(env.rank)
             env.barrier()
             return float(A[1 - env.rank, 2])
@@ -116,7 +116,7 @@ class TestSharedArrayAccess:
 
     def test_negative_index_normalized(self, smp2):
         def main(env):
-            A = env.alloc_array((4,), name="A")
+            A = env.hamster.memory.alloc_array_collective((4,), name="A")
             if env.rank == 0:
                 A[-1] = 9.0
             env.barrier()
@@ -126,7 +126,7 @@ class TestSharedArrayAccess:
 
     def test_getitem_returns_private_copy(self, smp2):
         def main(env):
-            A = env.alloc_array((4,), name="A")
+            A = env.hamster.memory.alloc_array_collective((4,), name="A")
             if env.rank == 0:
                 A[:] = 1.0
             env.barrier()
@@ -139,7 +139,7 @@ class TestSharedArrayAccess:
 
     def test_strided_slice_rejected(self, smp2):
         def main(env):
-            A = env.alloc_array((8,), name="A")
+            A = env.hamster.memory.alloc_array_collective((8,), name="A")
             with pytest.raises(TypeError):
                 A[::2]
             with pytest.raises(TypeError):
@@ -150,7 +150,7 @@ class TestSharedArrayAccess:
 
     def test_out_of_range_rejected(self, smp2):
         def main(env):
-            A = env.alloc_array((4, 4), name="A")
+            A = env.hamster.memory.alloc_array_collective((4, 4), name="A")
             with pytest.raises(IndexError):
                 A[5, 0]
             with pytest.raises(IndexError):
@@ -161,7 +161,8 @@ class TestSharedArrayAccess:
 
     def test_pages_for_index(self, smp2):
         def main(env):
-            A = env.alloc_array((1024, 1024), name="A")  # 8 MiB, 2048 pages
+            A = env.hamster.memory.alloc_array_collective(
+                (1024, 1024), name="A")  # 8 MiB, 2048 pages
             full = A.pages_for_index((slice(None), slice(None)))
             one_row = A.pages_for_index((0, slice(None)))
             return len(full), len(one_row)
@@ -172,7 +173,7 @@ class TestSharedArrayAccess:
 
     def test_scalar_array(self, smp2):
         def main(env):
-            A = env.alloc_array((1,), name="s")
+            A = env.hamster.memory.alloc_array_collective((1,), name="s")
             if env.rank == 0:
                 A[0] = 3.5
             env.barrier()
@@ -182,14 +183,15 @@ class TestSharedArrayAccess:
 
     def test_len_and_ndim(self, smp2):
         def main(env):
-            A = env.alloc_array((6, 2), name="A")
+            A = env.hamster.memory.alloc_array_collective((6, 2), name="A")
             return len(A), A.ndim
 
         assert spmd(smp2, main)[0] == (6, 2)
 
     def test_dtype_int(self, smp2):
         def main(env):
-            A = env.alloc_array((4,), dtype=np.int32, name="i")
+            A = env.hamster.memory.alloc_array_collective(
+                (4,), dtype=np.int32, name="i")
             if env.rank == 0:
                 A[:] = np.array([1, 2, 3, 4], dtype=np.int32)
             env.barrier()

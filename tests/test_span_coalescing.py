@@ -42,8 +42,8 @@ class TestSpanGeometry:
         holder = {}
 
         def main(env):
-            arr = env.alloc_array((n_items,), name="geo",
-                                  distribution=single_home(0))
+            arr = env.hamster.memory.alloc_array_collective(
+                (n_items,), name="geo", distribution=single_home(0))
             if env.rank == 0:
                 holder["arr"] = arr
             env.barrier()
@@ -139,8 +139,8 @@ class TestDsmFaultSequence:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((2 * PER_PAGE,), name="edge",
-                                distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (2 * PER_PAGE,), name="edge", distribution=single_home(0))
             if env.rank == 0:
                 A[:] = 1.0
             env.barrier()
@@ -160,8 +160,8 @@ class TestDsmFaultSequence:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((2 * PER_PAGE,), name="mid",
-                                distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (2 * PER_PAGE,), name="mid", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 A[10:20] = 3.0
@@ -178,8 +178,8 @@ class TestDsmFaultSequence:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((2 * PER_PAGE,), name="re",
-                                distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (2 * PER_PAGE,), name="re", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 A[:] = 1.0
@@ -196,8 +196,8 @@ class TestDsmFaultSequence:
         dsm = plat.dsm
 
         def main(env):
-            A = env.alloc_array((PER_PAGE,), name="z",
-                                distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (PER_PAGE,), name="z", distribution=single_home(0))
             env.barrier()
             if env.rank == 1:
                 _ = A[7:7]
@@ -216,8 +216,8 @@ class TestDsmFaultSequence:
         plat = cfg.build()
 
         def main(env):
-            A = env.alloc_array((3 * PER_PAGE,), name="seq",
-                                distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (3 * PER_PAGE,), name="seq", distribution=single_home(0))
             if env.rank == 0:
                 A[:] = 1.0
             env.barrier()
@@ -237,8 +237,8 @@ class TestDsmFaultSequence:
         plat = build()
 
         def main(env):
-            A = env.alloc_array((2 * PER_PAGE,), name="bytes",
-                                distribution=single_home(0))
+            A = env.hamster.memory.alloc_array_collective(
+                (2 * PER_PAGE,), name="bytes", distribution=single_home(0))
             lo = env.rank * PER_PAGE
             A[lo:lo + PER_PAGE] = float(env.rank + 1)
             env.barrier()

@@ -20,7 +20,8 @@ SOR = ["--app", "sor", "--param", "n=64", "--param", "iterations=2"]
 
 def run_workload(plat):
     def main(env):
-        A = env.alloc_array((1024,), name="A", distribution=single_home(0))
+        A = env.hamster.memory.alloc_array_collective(
+            (1024,), name="A", distribution=single_home(0))
         env.barrier()
         if env.rank != 0:
             A[0:64] = float(env.rank)
@@ -37,7 +38,7 @@ def run_workload(plat):
 
 def tiny_run(plat):
     def main(env):
-        x = env.alloc_array((8,), name="x")
+        x = env.hamster.memory.alloc_array_collective((8,), name="x")
         env.barrier()
         if env.rank == 0:
             x[:] = 1.0
